@@ -31,7 +31,7 @@ from . import infotheory as it
 from . import rng
 from . import training as tr
 from .autodiff import NonFiniteError
-from .losses import LossFlags, LossWeights
+from .losses import LossBreakdown, LossFlags, LossWeights
 from .model import ArchConfig, CheckpointError, checkpoint_load, checkpoint_save
 from .training import TrainConfig, TrainingError
 
@@ -147,9 +147,7 @@ def _write_rows_csv(path: Path, rows: list[dict]):
 
 
 def _write_history(path: Path, history: tr.TrainHistory):
-    fields = ["epoch"] + [f for f in
-                          ("factual_y", "factual_t", "adjust", "distill_outcome",
-                           "distill_treatment", "rebalance", "reg", "total")] + ["split"]
+    fields = ["epoch", *LossBreakdown.FIELDS, "split"]
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=fields)
         w.writeheader()
@@ -223,8 +221,6 @@ def cmd_train(args) -> int:
     resolved = config_json(config)
     try:
         if args.data:
-            if config.mode == "binary" and not (Path(args.data) / "train").is_dir():
-                pass  # single dataset dir; split below
             triple = _load_data_dir(Path(args.data), config, config.seed)
         else:
             triple = tr.resolve_data(config, config.seed)
@@ -281,37 +277,33 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _one_replication(payload):
-    """Worker: one replication end to end (used by replicate/ablate/sweep)."""
+def _one_replication(payload) -> dict:
+    """One replication end to end, for replicate, ablate and sweep alike.
+
+    Runs in the caller with --jobs 1 and in a pool worker otherwise; a failed
+    run becomes a row with its error, so both give the same rows.
+    """
     raw_config, index, base_seed = payload
-    config = build_train_config(raw_config)
     seed_i = rng.mix_key_int(base_seed, index)
-    config = replace(config, seed=seed_i)
-    triple = tr.resolve_data(config, seed_i)
-    model, history = tr.train(config, triple[0], triple[1])
-    return {
-        "replication": index,
-        "seed": seed_i,
-        "within": ev.metric_for(model, triple[0]),
-        "out": ev.metric_for(model, triple[2]),
-        "selected_epoch": history.selected_epoch,
-    }
+    row: dict = {"replication": index, "seed": seed_i}
+    try:
+        config = replace(build_train_config(raw_config), seed=seed_i)
+        result = ev.protocol_run(config, tr.resolve_data(config, seed_i))
+        row.update(within=result["within"], out=result["out"],
+                   selected_epoch=result["history"].selected_epoch)
+    except Exception as exc:  # noqa: BLE001 - a failed replication is data
+        row["error"] = str(exc)
+    return row
 
 
 def _replicated_rows(raw_config: dict, reps: int, base_seed: int, jobs: int) -> list[dict]:
+    if reps < 1:
+        raise ConfigError(f"--reps must be >= 1, got {reps}")
     payloads = [(raw_config, i, base_seed) for i in range(reps)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_one_replication, payloads))
-    else:
-        rows = []
-        for p in payloads:
-            try:
-                rows.append(_one_replication(p))
-            except Exception as exc:  # noqa: BLE001 - per-run failures are data
-                rows.append({"replication": p[1], "seed": rng.mix_key_int(base_seed, p[1]),
-                             "error": str(exc)})
-    return sorted(rows, key=lambda r: r["replication"])
+            return list(pool.map(_one_replication, payloads))
+    return list(map(_one_replication, payloads))
 
 
 def _summarize(rows: list[dict], metric: str) -> dict:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -325,14 +325,9 @@ def independent_triple(spec: SyntheticSpec | DemandSpec
     gen = gen_binary if isinstance(spec, SyntheticSpec) else gen_continuous
     out = []
     for tag in ("train", "val", "test"):
-        child = dataclass_replace(spec, seed=rng.mix_key(spec.seed, "triple/" + tag))
+        child = replace(spec, seed=rng.mix_key(spec.seed, "triple/" + tag))
         out.append(gen(child))
     return tuple(out)
-
-
-def dataclass_replace(spec, **kw):
-    from dataclasses import replace
-    return replace(spec, **kw)
 
 
 def _fmt(x: float) -> str:

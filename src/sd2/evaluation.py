@@ -3,7 +3,7 @@ do-grid, first-layer attribution, replication aggregation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,26 +83,6 @@ def attribution(model: SD2Model, roles: list[str]) -> AttributionReport:
         true_mean[factor] = float(w[mask].mean())
         other_mean[factor] = float(w[~mask].mean())
     return AttributionReport(true_mean, other_mean)
-
-
-@dataclass
-class EvalReport:
-    metric: str
-    within_values: list[float] = field(default_factory=list)
-    out_values: list[float] = field(default_factory=list)
-    run_ids: list[int] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
-
-    def summary(self) -> dict:
-        out = {"metric": self.metric, "replications": len(self.run_ids)}
-        for split, vals in (("within", self.within_values), ("out", self.out_values)):
-            if vals:
-                mean, std, text = aggregate(vals)
-                out[split] = {"mean": mean, "std": std, "formatted": text,
-                              "values": list(vals)}
-        if self.errors:
-            out["errors"] = list(self.errors)
-        return out
 
 
 def aggregate(values: list[float]) -> tuple[float, float, str]:

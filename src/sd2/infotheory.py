@@ -121,10 +121,14 @@ class GaussianParams:
 
 
 def gaussian_kl(q: GaussianParams, p: GaussianParams) -> float:
-    """KL(q || p) for two univariate normals, in closed form."""
-    return (np.log(p.std) - np.log(q.std)
-            + (q.std ** 2 + (q.mean - p.mean) ** 2) / (2.0 * p.std ** 2)
-            - 0.5)
+    """KL(q || p) for two univariate normals, in closed form.
+
+    Written as (u - log1p(u)) / 2 + (mean gap)^2 / (2 var_p) with
+    u = var_q / var_p - 1: log1p(u) never rounds above u, so neither part can
+    round below zero when the two normals are equal or nearly so.
+    """
+    u = (q.std / p.std) ** 2 - 1.0
+    return 0.5 * (u - np.log1p(u)) + (q.mean - p.mean) ** 2 / (2.0 * p.std ** 2)
 
 
 def bernoulli_kl(q: float, p: float) -> float:

@@ -9,7 +9,12 @@ to both sides.  The binary total is
     + gamma * (outcome unit + treatment unit) + delta * ||W||^2
 
 and the continuous total swaps cross-entropies for Gaussian likelihoods and
-adds the rebalance loss with its own coefficient.
+adds the rebalance loss with its own coefficient.  Both totals come from one
+function over the outcome family (``family.py``).  Only what the two modes
+define differently is mode-specific: the adjustment term (an MMD over the
+adjustment representation for binary treatments, a head-based loss for
+continuous ones), the binary importance weights and the continuous rebalance
+loss.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .family import BERNOULLI, GAUSSIAN, Family, Gaussian
 from .infotheory import PROB_FLOOR
-from .model import Gaussian, HeadOutputsBinary, HeadOutputsContinuous
+from .model import HeadOutputs
 
-LOG_2PI = float(np.log(2.0 * np.pi))
 WEIGHT_CLIP = 100.0
 
 
@@ -63,6 +68,8 @@ class LossBreakdown:
     reg: float
     total: float
     node: ad.Tensor | None = field(default=None, repr=False)
+    # unweighted per-sample factual (outcome, treatment) losses of the batch
+    per_sample: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     FIELDS = ("factual_y", "factual_t", "adjust", "distill_outcome",
               "distill_treatment", "rebalance", "reg", "total")
@@ -127,90 +134,38 @@ def adjustment_disc(r_a: ad.Tensor, t: np.ndarray, kernel: str = "linear",
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
-def _clipped(q: ad.Tensor) -> ad.Tensor:
-    return ad.clip(q, PROB_FLOOR, 1.0 - PROB_FLOOR)
-
-
-def bernoulli_ce_vec(q: ad.Tensor, y: np.ndarray) -> ad.Tensor:
-    """Per-sample cross-entropy -[y ln q + (1-y) ln(1-q)], q clamped."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    qc = _clipped(q)
-    one_minus = ad.shift(ad.neg(qc), 1.0)
-    return ad.neg(ad.add(ad.scale(ad.log(qc), y), ad.scale(ad.log(one_minus), 1.0 - y)))
-
-
-def bernoulli_kl_vec(q: ad.Tensor, p: ad.Tensor) -> ad.Tensor:
-    """Per-sample KL(Bern(q) || Bern(p)), both clamped away from {0, 1}."""
-    qc = _clipped(q)
-    pc = _clipped(p)
-    one_q = ad.shift(ad.neg(qc), 1.0)
-    one_p = ad.shift(ad.neg(pc), 1.0)
-    pos = ad.mul(qc, ad.sub(ad.log(qc), ad.log(pc)))
-    neg_part = ad.mul(one_q, ad.sub(ad.log(one_q), ad.log(one_p)))
-    return ad.add(pos, neg_part)
-
-
-def gaussian_nll_vec(g: Gaussian, target: np.ndarray) -> ad.Tensor:
-    """Per-sample -ln N(target; mu, sigma^2) with sigma = exp(log_std)."""
-    target = np.asarray(target, dtype=np.float64).reshape(-1, 1)
-    resid = ad.shift(ad.neg(g.mean), target)
-    inv_var = ad.exp(ad.scale(g.log_std, -2.0))
-    return ad.add(ad.scale(ad.mul(ad.square(resid), inv_var), 0.5),
-                  ad.shift(g.log_std, 0.5 * LOG_2PI))
-
-
-def gaussian_kl_vec(q: Gaussian, p: Gaussian) -> ad.Tensor:
-    """Per-sample closed-form KL between two diagonal Gaussians."""
-    var_q = ad.exp(ad.scale(q.log_std, 2.0))
-    inv_var_p = ad.exp(ad.scale(p.log_std, -2.0))
-    num = ad.add(var_q, ad.square(ad.sub(q.mean, p.mean)))
-    return ad.shift(ad.add(ad.sub(p.log_std, q.log_std),
-                           ad.scale(ad.mul(num, inv_var_p), 0.5)), -0.5)
-
-
-def _detach_gaussian(g: Gaussian) -> Gaussian:
-    return Gaussian(ad.detach(g.mean), ad.detach(g.log_std))
-
-
-def _teacher_kl(student: ad.Tensor, teacher: ad.Tensor, flags: LossFlags) -> ad.Tensor:
-    td = ad.detach(teacher)
+def _teacher_kl(fam: Family, student, teacher, flags: LossFlags) -> ad.Tensor:
+    td = fam.detach(teacher)
     if flags.teacher_kl_reverse:
-        return ad.mean_all(bernoulli_kl_vec(td, student))
-    return ad.mean_all(bernoulli_kl_vec(student, td))
+        return ad.mean_all(fam.kl_vec(td, student))
+    return ad.mean_all(fam.kl_vec(student, td))
 
 
-def _teacher_kl_gaussian(student: Gaussian, teacher: Gaussian, flags: LossFlags) -> ad.Tensor:
-    td = _detach_gaussian(teacher)
-    if flags.teacher_kl_reverse:
-        return ad.mean_all(gaussian_kl_vec(td, student))
-    return ad.mean_all(gaussian_kl_vec(student, td))
-
-
-def distill_unit_treatment(outputs: HeadOutputsBinary, t: np.ndarray,
+def distill_unit_treatment(fam: Family, outputs: HeadOutputs, t: np.ndarray,
                            flags: LossFlags = LossFlags()) -> dict[str, ad.Tensor]:
     """Labels/teachers/peer terms of the treatment-side unit; their sum
     drives the instrument and confounder representations apart."""
     terms = {
-        "label_z": ad.mean_all(bernoulli_ce_vec(outputs.q_t_z, t)),
-        "teacher_z": _teacher_kl(outputs.q_t_z, outputs.q_t, flags),
-        "teacher_c": _teacher_kl(outputs.q_t_c, outputs.q_t, flags),
-        "peer": ad.mean_all(bernoulli_kl_vec(outputs.q_t_c, outputs.q_t_z)),
+        "label_z": ad.mean_all(fam.nll_vec(outputs.q_t_z, t)),
+        "teacher_z": _teacher_kl(fam, outputs.q_t_z, outputs.q_t, flags),
+        "teacher_c": _teacher_kl(fam, outputs.q_t_c, outputs.q_t, flags),
+        "peer": ad.mean_all(fam.kl_vec(outputs.q_t_c, outputs.q_t_z)),
     }
     if flags.aux_confounder_label:
-        terms["label_c"] = ad.mean_all(bernoulli_ce_vec(outputs.q_t_c, t))
+        terms["label_c"] = ad.mean_all(fam.nll_vec(outputs.q_t_c, t))
     return terms
 
 
-def distill_unit_outcome(outputs: HeadOutputsBinary, y: np.ndarray,
+def distill_unit_outcome(fam: Family, outputs: HeadOutputs, y: np.ndarray,
                          flags: LossFlags = LossFlags()) -> dict[str, ad.Tensor]:
     """Outcome-side unit; the peer term runs student-adjustment against
     student-confounder."""
     return {
-        "label_a": ad.mean_all(bernoulli_ce_vec(outputs.q_y_a, y)),
-        "label_c": ad.mean_all(bernoulli_ce_vec(outputs.q_y_c, y)),
-        "teacher_a": _teacher_kl(outputs.q_y_a, outputs.q_y, flags),
-        "teacher_c": _teacher_kl(outputs.q_y_c, outputs.q_y, flags),
-        "peer": ad.mean_all(bernoulli_kl_vec(outputs.q_y_a, outputs.q_y_c)),
+        "label_a": ad.mean_all(fam.nll_vec(outputs.q_y_a, y)),
+        "label_c": ad.mean_all(fam.nll_vec(outputs.q_y_c, y)),
+        "teacher_a": _teacher_kl(fam, outputs.q_y_a, outputs.q_y, flags),
+        "teacher_c": _teacher_kl(fam, outputs.q_y_c, outputs.q_y, flags),
+        "peer": ad.mean_all(fam.kl_vec(outputs.q_y_a, outputs.q_y_c)),
     }
 
 
@@ -235,94 +190,88 @@ def l2_penalty(params: dict[str, ad.Tensor]) -> ad.Tensor:
     return ad.Tensor(weights[0].tape, value, tuple(weights), vjps, "l2_penalty")
 
 
-def total_loss_binary(outputs: HeadOutputsBinary, t: np.ndarray, y: np.ndarray,
+def _total_loss(fam: Family, outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
+                sample_weights: np.ndarray | None, weights: LossWeights,
+                params: dict[str, ad.Tensor], flags: LossFlags, make_adjust,
+                make_rebalance=None) -> LossBreakdown:
+    """The objective of both modes.  ``make_adjust`` and ``make_rebalance``
+    build the mode's own terms; they are called here so that every node keeps
+    its place on the tape."""
+    nll_y = fam.nll_vec(outputs.q_y, y)
+    factual_y = ad.mean_all(nll_y if sample_weights is None else ad.scale(nll_y, sample_weights))
+    nll_t = fam.nll_vec(outputs.q_t, t)
+    factual_t = ad.mean_all(nll_t)
+    adjust = make_adjust()
+    unit_y = _sum_terms(distill_unit_outcome(fam, outputs, y, flags))
+    unit_t = _sum_terms(distill_unit_treatment(fam, outputs, t, flags))
+    rebalance = None if make_rebalance is None else make_rebalance()
+    reg = l2_penalty(params)
+    terms = [(weights.alpha, factual_t), (weights.beta, adjust),
+             (weights.gamma, ad.add(unit_y, unit_t))]
+    if rebalance is not None:
+        terms.append((weights.omega_cont, rebalance))
+    terms.append((weights.delta, reg))
+    total = factual_y
+    for coeff, node in terms:
+        total = ad.add(total, ad.scale(node, coeff))
+    return LossBreakdown(
+        factual_y=float(factual_y.value), factual_t=float(factual_t.value),
+        adjust=float(adjust.value), distill_outcome=float(unit_y.value),
+        distill_treatment=float(unit_t.value),
+        rebalance=0.0 if rebalance is None else float(rebalance.value),
+        reg=float(reg.value), total=float(total.value), node=total,
+        per_sample=(nll_y.value[:, 0], nll_t.value[:, 0]))
+
+
+def total_loss_binary(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
                       sample_weights: np.ndarray, weights: LossWeights,
-                      params: dict[str, ad.Tensor], r_a: ad.Tensor,
+                      params: dict[str, ad.Tensor],
                       flags: LossFlags = LossFlags()) -> LossBreakdown:
+    """Bernoulli objective: importance-weighted factual outcome term and the
+    MMD adjustment discrepancy of the adjustment representation."""
+    if isinstance(outputs.q_t, Gaussian):
+        raise ValueError("total_loss_binary requires binary-mode outputs")
     t = np.asarray(t, dtype=np.float64).reshape(-1)
+    if not np.all((t == 0) | (t == 1)):
+        raise ValueError("binary mode requires treatments in {0, 1}")
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     w = np.asarray(sample_weights, dtype=np.float64).reshape(-1, 1)
     if w.shape[0] != len(t):
         raise ValueError(f"sample weight count {w.shape[0]} != batch size {len(t)}")
-    factual_y = ad.mean_all(ad.scale(bernoulli_ce_vec(outputs.q_y, y), w))
-    factual_t = ad.mean_all(bernoulli_ce_vec(outputs.q_t, t))
-    adjust = adjustment_disc(r_a, t, kernel=flags.mmd_kernel)
-    unit_y = _sum_terms(distill_unit_outcome(outputs, y, flags))
-    unit_t = _sum_terms(distill_unit_treatment(outputs, t, flags))
-    reg = l2_penalty(params)
-    total = factual_y
-    for coeff, node in ((weights.alpha, factual_t), (weights.beta, adjust),
-                        (weights.gamma, ad.add(unit_y, unit_t)), (weights.delta, reg)):
-        total = ad.add(total, ad.scale(node, coeff))
-    return LossBreakdown(
-        factual_y=float(factual_y.value), factual_t=float(factual_t.value),
-        adjust=float(adjust.value), distill_outcome=float(unit_y.value),
-        distill_treatment=float(unit_t.value), rebalance=0.0,
-        reg=float(reg.value), total=float(total.value), node=total)
+    return _total_loss(BERNOULLI, outputs, t, y, w, weights, params, flags,
+                       lambda: adjustment_disc(outputs.reps.r_a, t, kernel=flags.mmd_kernel))
 
 
-def continuous_adjust_loss(outputs: HeadOutputsContinuous, t: np.ndarray) -> ad.Tensor:
+def _anchored_treatment_loss(student: Gaussian, partner: Gaussian, teacher: Gaussian,
+                             t: np.ndarray) -> ad.Tensor:
+    nll = ad.mean_all(GAUSSIAN.nll_vec(student, t))
+    kl_teacher = ad.mean_all(GAUSSIAN.kl_vec(student, GAUSSIAN.detach(teacher)))
+    kl_partner = ad.mean_all(GAUSSIAN.kl_vec(student, partner))
+    return ad.add(ad.add(nll, kl_teacher), kl_partner)
+
+
+def continuous_adjust_loss(outputs: HeadOutputs, t: np.ndarray) -> ad.Tensor:
     """Adjustment-representation loss: likelihood of T under the confounder
     treatment head plus its KLs to the (detached) deep head and the
     adjustment head."""
-    nll = ad.mean_all(gaussian_nll_vec(outputs.t_hat_c, t))
-    kl_teacher = ad.mean_all(gaussian_kl_vec(outputs.t_hat_c, _detach_gaussian(outputs.t_hat)))
-    kl_adj = ad.mean_all(gaussian_kl_vec(outputs.t_hat_c, outputs.t_hat_a))
-    return ad.add(ad.add(nll, kl_teacher), kl_adj)
+    return _anchored_treatment_loss(outputs.q_t_c, outputs.q_t_a, outputs.q_t, t)
 
 
-def continuous_rebalance_loss(outputs: HeadOutputsContinuous, t: np.ndarray) -> ad.Tensor:
+def continuous_rebalance_loss(outputs: HeadOutputs, t: np.ndarray) -> ad.Tensor:
     """Rebalance loss: likelihood of T under the instrument head plus its KLs
     to the (detached) deep head and the rebalanced-confounder head."""
-    nll = ad.mean_all(gaussian_nll_vec(outputs.t_hat_z, t))
-    kl_teacher = ad.mean_all(gaussian_kl_vec(outputs.t_hat_z, _detach_gaussian(outputs.t_hat)))
-    kl_reb = ad.mean_all(gaussian_kl_vec(outputs.t_hat_z, outputs.t_hat_cr))
-    return ad.add(ad.add(nll, kl_teacher), kl_reb)
+    return _anchored_treatment_loss(outputs.q_t_z, outputs.q_t_cr, outputs.q_t, t)
 
 
-def distill_unit_treatment_continuous(outputs: HeadOutputsContinuous, t: np.ndarray,
-                                      flags: LossFlags = LossFlags()) -> dict[str, ad.Tensor]:
-    terms = {
-        "label_z": ad.mean_all(gaussian_nll_vec(outputs.t_hat_z, t)),
-        "teacher_z": _teacher_kl_gaussian(outputs.t_hat_z, outputs.t_hat, flags),
-        "teacher_c": _teacher_kl_gaussian(outputs.t_hat_c, outputs.t_hat, flags),
-        "peer": ad.mean_all(gaussian_kl_vec(outputs.t_hat_c, outputs.t_hat_z)),
-    }
-    if flags.aux_confounder_label:
-        terms["label_c"] = ad.mean_all(gaussian_nll_vec(outputs.t_hat_c, t))
-    return terms
-
-
-def distill_unit_outcome_continuous(outputs: HeadOutputsContinuous, y: np.ndarray,
-                                    flags: LossFlags = LossFlags()) -> dict[str, ad.Tensor]:
-    return {
-        "label_a": ad.mean_all(gaussian_nll_vec(outputs.y_hat_a, y)),
-        "label_c": ad.mean_all(gaussian_nll_vec(outputs.y_hat_c, y)),
-        "teacher_a": _teacher_kl_gaussian(outputs.y_hat_a, outputs.y_hat, flags),
-        "teacher_c": _teacher_kl_gaussian(outputs.y_hat_c, outputs.y_hat, flags),
-        "peer": ad.mean_all(gaussian_kl_vec(outputs.y_hat_a, outputs.y_hat_c)),
-    }
-
-
-def total_loss_continuous(outputs: HeadOutputsContinuous, t: np.ndarray, y: np.ndarray,
+def total_loss_continuous(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
                           weights: LossWeights, params: dict[str, ad.Tensor],
                           flags: LossFlags = LossFlags()) -> LossBreakdown:
+    """Gaussian objective: unweighted factual terms, the head-based adjustment
+    loss and the rebalance loss."""
+    if outputs.q_t_cr is None:
+        raise ValueError("total_loss_continuous requires continuous-mode outputs")
     t = np.asarray(t, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    factual_y = ad.mean_all(gaussian_nll_vec(outputs.y_hat, y))
-    factual_t = ad.mean_all(gaussian_nll_vec(outputs.t_hat, t))
-    adjust = continuous_adjust_loss(outputs, t)
-    unit_y = _sum_terms(distill_unit_outcome_continuous(outputs, y, flags))
-    unit_t = _sum_terms(distill_unit_treatment_continuous(outputs, t, flags))
-    rebalance = continuous_rebalance_loss(outputs, t)
-    reg = l2_penalty(params)
-    total = factual_y
-    for coeff, node in ((weights.alpha, factual_t), (weights.beta, adjust),
-                        (weights.gamma, ad.add(unit_y, unit_t)),
-                        (weights.omega_cont, rebalance), (weights.delta, reg)):
-        total = ad.add(total, ad.scale(node, coeff))
-    return LossBreakdown(
-        factual_y=float(factual_y.value), factual_t=float(factual_t.value),
-        adjust=float(adjust.value), distill_outcome=float(unit_y.value),
-        distill_treatment=float(unit_t.value), rebalance=float(rebalance.value),
-        reg=float(reg.value), total=float(total.value), node=total)
+    return _total_loss(GAUSSIAN, outputs, t, y, None, weights, params, flags,
+                       lambda: continuous_adjust_loss(outputs, t),
+                       lambda: continuous_rebalance_loss(outputs, t))

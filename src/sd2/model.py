@@ -1,17 +1,19 @@
 """The disentangling network: three encoders over shared covariates, retain
 networks joining pairs of representations, deep and shallow prediction heads.
 
-Binary mode predicts treatment/outcome probabilities through sigmoid heads;
-continuous mode predicts Gaussian parameters (mean, log std).  The deep
-outcome head optionally receives a treatment channel: the factual treatment
-(default), the deep treatment head's output, or nothing.  At prediction time
-the do-value is substituted into that channel.
+One graph serves both treatment modes.  Every head parameterises the mode's
+outcome family (``family.py``): a Bernoulli probability in binary mode, a
+Gaussian mean and log std in continuous mode, where the treatment side also
+has an adjustment head and a rebalance network feeding a second confounder
+head.  The deep outcome head optionally receives a treatment channel: the
+factual treatment (default), the deep treatment head's mean, or nothing.  At
+prediction time the do-value is substituted into that channel.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import NamedTuple
 
@@ -19,12 +21,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import rng
+from .family import FAMILIES, Family, Gaussian
 
 CHECKPOINT_FORMAT = "sd2-checkpoint"
 CHECKPOINT_VERSION = 1
-
-LOG_STD_MIN = -5.0
-LOG_STD_MAX = 3.0
 
 
 @dataclass(frozen=True)
@@ -49,39 +49,34 @@ class ArchConfig:
 
 
 class Representations(NamedTuple):
+    """Instrument, confounder and adjustment representations: arrays from
+    ``encode``, tape tensors inside ``HeadOutputs``."""
     r_z: np.ndarray
     r_c: np.ndarray
     r_a: np.ndarray
 
 
-class Gaussian(NamedTuple):
-    mean: ad.Tensor
-    log_std: ad.Tensor
+class HeadOutputs(NamedTuple):
+    """Every head of one forward pass and the representations it read.
 
-
-class HeadOutputsBinary(NamedTuple):
-    q_t: ad.Tensor
-    q_t_z: ad.Tensor
-    q_t_c: ad.Tensor
-    q_y: ad.Tensor
-    q_y_a: ad.Tensor
-    q_y_c: ad.Tensor
-
-
-class HeadOutputsContinuous(NamedTuple):
-    t_hat: Gaussian
-    t_hat_z: Gaussian
-    t_hat_c: Gaussian
-    t_hat_a: Gaussian
-    t_hat_cr: Gaussian    # after the rebalance network
-    y_hat: Gaussian
-    y_hat_a: Gaussian
-    y_hat_c: Gaussian
+    Each head holds its family's parameters: a probability column or a
+    Gaussian.  The adjustment and rebalanced-confounder treatment heads exist
+    in continuous mode only.
+    """
+    q_t: ad.Tensor | Gaussian
+    q_t_z: ad.Tensor | Gaussian
+    q_t_c: ad.Tensor | Gaussian
+    q_y: ad.Tensor | Gaussian
+    q_y_a: ad.Tensor | Gaussian
+    q_y_c: ad.Tensor | Gaussian
+    q_t_a: Gaussian | None = None
+    q_t_cr: Gaussian | None = None
+    reps: Representations | None = None
 
 
 def _layer_specs(cfg: ArchConfig) -> list[tuple[str, int, int]]:
     """(name, fan_in, fan_out) for every dense layer, in declared order."""
-    out_dim = 1 if cfg.mode == "binary" else 2
+    out_dim = FAMILIES[cfg.mode].out_dim
     specs = []
     for enc in ("enc_z", "enc_c", "enc_a"):
         dims = [cfg.input_dim] + [cfg.enc_hidden] * cfg.enc_layers + [cfg.rep_dim]
@@ -149,15 +144,24 @@ def _encode(cfg: ArchConfig, p: dict[str, ad.Tensor], x: ad.Tensor):
     return r_z, r_c, r_a
 
 
-def _head_binary(cfg: ArchConfig, p, prefix: str, x: ad.Tensor) -> ad.Tensor:
-    return _mlp(p, prefix, x, 2, cfg.activation, "sigmoid")
+def _head(cfg: ArchConfig, fam: Family, p, prefix: str, x: ad.Tensor):
+    return fam.head(_mlp(p, prefix, x, 2, cfg.activation, fam.activation))
 
 
-def _head_gaussian(cfg: ArchConfig, p, prefix: str, x: ad.Tensor) -> Gaussian:
-    out = _mlp(p, prefix, x, 2, cfg.activation, "identity")
-    mu = ad.select_cols(out, 0)
-    log_std = ad.clip(ad.select_cols(out, 1), LOG_STD_MIN, LOG_STD_MAX)
-    return Gaussian(mu, log_std)
+def _outcome_head(cfg: ArchConfig, fam: Family, p, tape: ad.Tape, r_c: ad.Tensor,
+                  r_a: ad.Tensor, channel):
+    """retain_y, then the treatment channel, then the deep outcome head.
+
+    ``channel`` is None (no channel), an array of treatment values (entered
+    as a constant) or a tensor that gradients flow through.
+    """
+    h_y = ad.dense(ad.concat_cols([r_c, r_a]), p["retain_y.l0.W"], p["retain_y.l0.b"],
+                   cfg.activation)
+    if channel is None:
+        return _head(cfg, fam, p, "head_y", h_y)
+    if isinstance(channel, np.ndarray):
+        channel = tape.constant(channel)
+    return _head(cfg, fam, p, "head_y", ad.concat_cols([channel, h_y]))
 
 
 def _check_input(cfg: ArchConfig, x: np.ndarray):
@@ -167,82 +171,58 @@ def _check_input(cfg: ArchConfig, x: np.ndarray):
     return x
 
 
-def _as_column(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    return v.reshape(-1, 1)
-
-
-def _channel_tensor(cfg: ArchConfig, tape: ad.Tape, t: np.ndarray,
-                    q_t: ad.Tensor | None) -> ad.Tensor | None:
-    if cfg.treatment_channel == "none":
-        return None
+def _forward(model: SD2Model, x: np.ndarray, t: np.ndarray, tape: ad.Tape | None,
+             params: dict[str, ad.Tensor] | None) -> HeadOutputs:
+    """The graph of both modes, on checked inputs."""
+    cfg = model.config
+    fam = FAMILIES[cfg.mode]
+    tape = tape or ad.Tape()
+    p = params or bind(model, tape)
+    r_z, r_c, r_a = _encode(cfg, p, tape.constant(x))
+    h_t = ad.dense(ad.concat_cols([r_z, r_c]), p["retain_t.l0.W"], p["retain_t.l0.b"],
+                   cfg.activation)
+    q_t = _head(cfg, fam, p, "head_t", h_t)
+    q_t_z = _head(cfg, fam, p, "head_t_z", r_z)
+    q_t_c = _head(cfg, fam, p, "head_t_c", r_c)
+    q_t_a = q_t_cr = None
+    if cfg.mode == "continuous":
+        q_t_a = _head(cfg, fam, p, "head_t_a", r_a)
+        c_reb = _mlp(p, "rebalance", r_c, 2, cfg.activation, cfg.activation)
+        q_t_cr = _head(cfg, fam, p, "head_t_cr", c_reb)
     if cfg.treatment_channel == "factual":
-        return tape.constant(_as_column(t))
-    return q_t  # "qt": the deep treatment output, gradient flows
+        channel = t.reshape(-1, 1)
+    elif cfg.treatment_channel == "qt":
+        channel = fam.mean(q_t)
+    else:
+        channel = None
+    q_y = _outcome_head(cfg, fam, p, tape, r_c, r_a, channel)
+    q_y_a = _head(cfg, fam, p, "head_y_a", r_a)
+    q_y_c = _head(cfg, fam, p, "head_y_c", r_c)
+    return HeadOutputs(q_t, q_t_z, q_t_c, q_y, q_y_a, q_y_c, q_t_a, q_t_cr,
+                       Representations(r_z, r_c, r_a))
 
 
 def forward_binary(model: SD2Model, x: np.ndarray, t: np.ndarray,
                    tape: ad.Tape | None = None,
-                   params: dict[str, ad.Tensor] | None = None,
-                   return_reps: bool = False):
-    cfg = model.config
-    if cfg.mode != "binary":
+                   params: dict[str, ad.Tensor] | None = None) -> HeadOutputs:
+    """Forward pass of a binary-mode model; treatments must lie in {0, 1}."""
+    if model.config.mode != "binary":
         raise ValueError("forward_binary requires a binary-mode model")
-    x = _check_input(cfg, x)
+    x = _check_input(model.config, x)
     t = np.asarray(t, dtype=np.float64)
     if not np.all((t == 0) | (t == 1)):
         raise ValueError("binary mode requires treatments in {0, 1}")
-    tape = tape or ad.Tape()
-    p = params or bind(model, tape)
-    xn = tape.constant(x)
-    r_z, r_c, r_a = _encode(cfg, p, xn)
-    h_t = ad.dense(ad.concat_cols([r_z, r_c]), p["retain_t.l0.W"], p["retain_t.l0.b"], cfg.activation)
-    q_t = _head_binary(cfg, p, "head_t", h_t)
-    q_t_z = _head_binary(cfg, p, "head_t_z", r_z)
-    q_t_c = _head_binary(cfg, p, "head_t_c", r_c)
-    h_y = ad.dense(ad.concat_cols([r_c, r_a]), p["retain_y.l0.W"], p["retain_y.l0.b"], cfg.activation)
-    channel = _channel_tensor(cfg, tape, t, q_t)
-    head_in = h_y if channel is None else ad.concat_cols([channel, h_y])
-    q_y = _head_binary(cfg, p, "head_y", head_in)
-    q_y_a = _head_binary(cfg, p, "head_y_a", r_a)
-    q_y_c = _head_binary(cfg, p, "head_y_c", r_c)
-    outputs = HeadOutputsBinary(q_t, q_t_z, q_t_c, q_y, q_y_a, q_y_c)
-    if return_reps:
-        return outputs, (r_z, r_c, r_a)
-    return outputs
+    return _forward(model, x, t, tape, params)
 
 
 def forward_continuous(model: SD2Model, x: np.ndarray, t: np.ndarray,
                        tape: ad.Tape | None = None,
-                       params: dict[str, ad.Tensor] | None = None) -> HeadOutputsContinuous:
-    cfg = model.config
-    if cfg.mode != "continuous":
+                       params: dict[str, ad.Tensor] | None = None) -> HeadOutputs:
+    """Forward pass of a continuous-mode model."""
+    if model.config.mode != "continuous":
         raise ValueError("forward_continuous requires a continuous-mode model")
-    x = _check_input(cfg, x)
-    t = np.asarray(t, dtype=np.float64)
-    tape = tape or ad.Tape()
-    p = params or bind(model, tape)
-    xn = tape.constant(x)
-    r_z, r_c, r_a = _encode(cfg, p, xn)
-    h_t = ad.dense(ad.concat_cols([r_z, r_c]), p["retain_t.l0.W"], p["retain_t.l0.b"], cfg.activation)
-    t_hat = _head_gaussian(cfg, p, "head_t", h_t)
-    t_hat_z = _head_gaussian(cfg, p, "head_t_z", r_z)
-    t_hat_c = _head_gaussian(cfg, p, "head_t_c", r_c)
-    t_hat_a = _head_gaussian(cfg, p, "head_t_a", r_a)
-    c_reb = _mlp(p, "rebalance", r_c, 2, cfg.activation, cfg.activation)
-    t_hat_cr = _head_gaussian(cfg, p, "head_t_cr", c_reb)
-    h_y = ad.dense(ad.concat_cols([r_c, r_a]), p["retain_y.l0.W"], p["retain_y.l0.b"], cfg.activation)
-    if cfg.treatment_channel == "none":
-        head_in = h_y
-    elif cfg.treatment_channel == "factual":
-        head_in = ad.concat_cols([tape.constant(_as_column(t)), h_y])
-    else:
-        head_in = ad.concat_cols([t_hat.mean, h_y])
-    y_hat = _head_gaussian(cfg, p, "head_y", head_in)
-    y_hat_a = _head_gaussian(cfg, p, "head_y_a", r_a)
-    y_hat_c = _head_gaussian(cfg, p, "head_y_c", r_c)
-    return HeadOutputsContinuous(t_hat, t_hat_z, t_hat_c, t_hat_a, t_hat_cr,
-                                 y_hat, y_hat_a, y_hat_c)
+    x = _check_input(model.config, x)
+    return _forward(model, x, np.asarray(t, dtype=np.float64), tape, params)
 
 
 def encode(model: SD2Model, x: np.ndarray) -> Representations:
@@ -261,19 +241,14 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
     x = _check_input(cfg, x)
     if cfg.mode == "binary" and t_value not in (0.0, 1.0):
         raise ValueError("binary mode requires a do-value in {0, 1}")
+    fam = FAMILIES[cfg.mode]
     tape = ad.Tape()
     p = bind(model, tape)
-    xn = tape.constant(x)
-    r_z, r_c, r_a = _encode(cfg, p, xn)
-    h_y = ad.dense(ad.concat_cols([r_c, r_a]), p["retain_y.l0.W"], p["retain_y.l0.b"], cfg.activation)
-    if cfg.treatment_channel == "none":
-        head_in = h_y
-    else:
-        channel = tape.constant(np.full((x.shape[0], 1), float(t_value)))
-        head_in = ad.concat_cols([channel, h_y])
-    if cfg.mode == "binary":
-        return _head_binary(cfg, p, "head_y", head_in).value[:, 0]
-    return _head_gaussian(cfg, p, "head_y", head_in).mean.value[:, 0]
+    _, r_c, r_a = _encode(cfg, p, tape.constant(x))
+    channel = None
+    if cfg.treatment_channel != "none":
+        channel = np.full((x.shape[0], 1), float(t_value))
+    return fam.mean(_outcome_head(cfg, fam, p, tape, r_c, r_a, channel)).value[:, 0]
 
 
 def checkpoint_save(model: SD2Model, path: str | Path) -> None:
@@ -323,6 +298,8 @@ def checkpoint_load(path: str | Path) -> SD2Model:
             if len(raw) != count * 8:
                 raise CheckpointError(f"truncated checkpoint at parameter {name!r}")
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise CheckpointError("trailing bytes after the last parameter")
         if set(params) != set(expected):
             raise CheckpointError("checkpoint parameter list incomplete")
     return SD2Model(config=config, seed=manifest["seed"], params=params)

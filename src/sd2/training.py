@@ -1,5 +1,5 @@
 """Deterministic minibatch training: Adam over the composite objective,
-validation-based checkpoint selection, ablation variants, replication.
+validation-based checkpoint selection, ablation variants, dataset resolution.
 
 Everything is keyed off the run seed through counter-based streams: epoch
 shuffles, importance weights, and dataset draws are pure functions of
@@ -111,23 +111,19 @@ def _arch_for(config: TrainConfig, input_dim: int) -> ArchConfig:
     return replace(config.arch, input_dim=input_dim, mode=config.mode)
 
 
-def _sample_weights(config: TrainConfig, outputs, t: np.ndarray) -> np.ndarray:
-    if config.mode == "binary" and config.use_importance_weights:
-        return importance_weights(outputs.q_t_c.value, t)
-    return np.ones(len(t))
-
-
 def _batch_breakdown(config: TrainConfig, model: SD2Model, x, t, y,
-                     tape: ad.Tape) -> LossBreakdown:
+                     tape: ad.Tape) -> tuple[LossBreakdown, np.ndarray]:
+    """Loss breakdown of one batch and the sample weights it applied; the
+    breakdown carries the per-sample factual losses."""
     params = bind(model, tape)
     if config.mode == "binary":
-        outputs = forward_binary(model, x, t, tape, params, return_reps=True)
-        outputs, reps = outputs
-        w = _sample_weights(config, outputs, t)
-        return total_loss_binary(outputs, t, y, w, config.weights, params,
-                                 reps[2], config.flags)
+        outputs = forward_binary(model, x, t, tape, params)
+        w = (importance_weights(outputs.q_t_c.value, t) if config.use_importance_weights
+             else np.ones(len(t)))
+        return total_loss_binary(outputs, t, y, w, config.weights, params, config.flags), w
     outputs = forward_continuous(model, x, t, tape, params)
-    return total_loss_continuous(outputs, t, y, config.weights, params, config.flags)
+    return (total_loss_continuous(outputs, t, y, config.weights, params, config.flags),
+            np.ones(len(t)))
 
 
 def _check_finite(bd: LossBreakdown, epoch: int, batch: int):
@@ -147,8 +143,6 @@ def _eval_breakdown(config: TrainConfig, model: SD2Model, ds: dg.GeneratedDatase
     by the mean weight (so its scale is comparable across epochs as the
     weights evolve), plus alpha times the factual treatment loss.
     """
-    from .losses import bernoulli_ce_vec
-
     x_all = ds.covariates()
     n = ds.n
     sums = {f: 0.0 for f in LossBreakdown.FIELDS}
@@ -159,27 +153,14 @@ def _eval_breakdown(config: TrainConfig, model: SD2Model, ds: dg.GeneratedDatase
     for lo in range(0, n, chunk):
         sl = slice(lo, min(lo + chunk, n))
         m = sl.stop - sl.start
-        tape = ad.Tape()
-        if config.mode == "binary":
-            params = bind(model, tape)
-            outputs, reps = forward_binary(model, x_all[sl], ds.t[sl], tape, params,
-                                           return_reps=True)
-            try:
-                w = _sample_weights(config, outputs, ds.t[sl])
-                bd = total_loss_binary(outputs, ds.t[sl], ds.y[sl], w, config.weights,
-                                       params, reps[2], config.flags)
-            except DegenerateBatchError:
-                continue
-            ce_y = bernoulli_ce_vec(outputs.q_y, ds.y[sl]).value[:, 0]
-            ce_t = bernoulli_ce_vec(outputs.q_t, ds.t[sl]).value[:, 0]
-            crit_num += float((w * ce_y).sum())
-            crit_wsum += float(w.sum())
-            crit_t += float(ce_t.sum())
-        else:
-            bd = _batch_breakdown(config, model, x_all[sl], ds.t[sl], ds.y[sl], tape)
-            crit_num += bd.factual_y * m
-            crit_wsum += m
-            crit_t += bd.factual_t * m
+        try:
+            bd, w = _batch_breakdown(config, model, x_all[sl], ds.t[sl], ds.y[sl], ad.Tape())
+        except DegenerateBatchError:
+            continue
+        nll_y, nll_t = bd.per_sample
+        crit_num += float((w * nll_y).sum())
+        crit_wsum += float(w.sum())
+        crit_t += float(nll_t.sum())
         for f in LossBreakdown.FIELDS:
             sums[f] += getattr(bd, f) * m
         covered += m
@@ -230,7 +211,7 @@ def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
                 batch_index += 1
                 continue
             tape = ad.Tape()
-            bd = _batch_breakdown(config, model, x_all[idx], tb, train_ds.y[idx], tape)
+            bd, _ = _batch_breakdown(config, model, x_all[idx], tb, train_ds.y[idx], tape)
             _check_finite(bd, epoch, batch_index)
             _, grads = tape.gradients(bd.node)
             ad.adam_step(model.params, grads, state)
@@ -296,33 +277,6 @@ def resolve_data(config: TrainConfig, seed: int
         ds = dg.read_dataset(fields["path"])
         return dg.split(ds, config.split_ratios, rng.mix_key(seed, "split"))
     raise ValueError(f"unknown dataset kind {kind!r}")
-
-
-def replicate(config: TrainConfig, k: int, base_seed: int, metric_fn=None
-              ) -> list[dict]:
-    """k independent runs with derived seeds and fresh data per run.
-
-    Failures are collected per run, not propagated.  metric_fn(model, triple)
-    may attach evaluation results.
-    """
-    if k < 1:
-        raise ValueError("replication count must be >= 1")
-    results = []
-    for i in range(k):
-        seed_i = rng.mix_key_int(base_seed, i)
-        run_cfg = replace(config, seed=seed_i)
-        entry: dict = {"replication": i, "seed": seed_i}
-        try:
-            triple = resolve_data(run_cfg, seed_i)
-            model, history = train(run_cfg, triple[0], triple[1])
-            entry.update(model=model, history=history, datasets=triple)
-            if metric_fn is not None:
-                entry["metrics"] = metric_fn(model, triple)
-        except Exception as exc:  # noqa: BLE001 - collected, reported downstream
-            entry["error"] = exc
-            log.warning("replication %d failed: %s", i, exc)
-        results.append(entry)
-    return results
 
 
 def config_to_dict(config: TrainConfig) -> dict:

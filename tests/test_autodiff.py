@@ -26,7 +26,7 @@ class TestBasics:
 
     def test_bernoulli_kl_stationary_at_match(self):
         # KL(sigmoid(w) || 0.5) at w=0: value 0, gradient 0
-        from sd2.losses import bernoulli_kl_vec
+        from sd2.family import bernoulli_kl_vec
         tape = ad.Tape()
         w = tape.parameter(np.zeros((1, 1)), "w")
         q = ad.sigmoid(w)

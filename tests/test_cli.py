@@ -196,6 +196,19 @@ class TestReplicateAblateSweep:
         assert capsys.readouterr().out.strip().splitlines()[-1].startswith(
             "METRIC eps_ate_mean=")
 
+    @pytest.mark.parametrize("dataset", [SMALL_TRAIN["dataset"], {"kind": "mystery"}],
+                             ids=["ok", "failing"])
+    def test_jobs_do_not_change_rows(self, tmp_path, dataset):
+        config = write_json(tmp_path / "cfg.json", {**SMALL_TRAIN, "dataset": dataset})
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"rep{jobs}"
+            assert cli.main(["replicate", "--config", config, "--out", str(out),
+                             "--reps", "2", "--jobs", jobs]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        assert reports[0]["rows"] == reports[1]["rows"]
+        assert reports[0]["summary"] == reports[1]["summary"]
+
     def test_ablate_table(self, tmp_path):
         config = write_json(tmp_path / "cfg.json", SMALL_TRAIN)
         out = tmp_path / "abl"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sd2 import family as F
 from sd2 import rng
 from sd2 import model as M
 
@@ -69,7 +70,7 @@ class TestForwardBinary:
         for k in m.params:
             m.params[k] *= 40.0
         outs = M.forward_binary(m, rand_x(), rand_t())
-        for q in outs:
+        for q in (outs.q_t, outs.q_t_z, outs.q_t_c, outs.q_y, outs.q_y_a, outs.q_y_c):
             assert np.all(q.value >= 0.0) and np.all(q.value <= 1.0)
 
     def test_permutation_equivariance(self):
@@ -129,23 +130,24 @@ class TestForwardContinuous:
         for k in m.params:
             m.params[k][:] = 0.0
         outs = M.forward_continuous(m, rand_x(), rng.normals(9, 0, 9))
-        assert np.all(outs.t_hat.mean.value == 0.0)
-        assert np.all(outs.t_hat.log_std.value == 0.0)
+        assert np.all(outs.q_t.mean.value == 0.0)
+        assert np.all(outs.q_t.log_std.value == 0.0)
 
     def test_log_std_clamped(self):
         m = M.init_model(small_cfg(mode="continuous"), seed=2)
         for k in m.params:
             m.params[k] *= 100.0
         outs = M.forward_continuous(m, rand_x(), rng.normals(9, 0, 9))
-        for head in outs:
-            assert np.all(head.log_std.value >= M.LOG_STD_MIN)
-            assert np.all(head.log_std.value <= M.LOG_STD_MAX)
+        for head in (outs.q_t, outs.q_t_z, outs.q_t_c, outs.q_t_a, outs.q_t_cr,
+                     outs.q_y, outs.q_y_a, outs.q_y_c):
+            assert np.all(head.log_std.value >= F.LOG_STD_MIN)
+            assert np.all(head.log_std.value <= F.LOG_STD_MAX)
 
     def test_deterministic(self):
         x, t = rand_x(), rng.normals(9, 0, 9)
         a = M.forward_continuous(M.init_model(small_cfg(mode="continuous"), 3), x, t)
         b = M.forward_continuous(M.init_model(small_cfg(mode="continuous"), 3), x, t)
-        assert np.array_equal(a.y_hat.mean.value, b.y_hat.mean.value)
+        assert np.array_equal(a.q_y.mean.value, b.q_y.mean.value)
 
     def test_wrong_mode(self):
         m = M.init_model(small_cfg(), seed=1)
@@ -198,6 +200,14 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
         with pytest.raises(M.CheckpointError, match="truncated"):
+            M.checkpoint_load(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        m = M.init_model(small_cfg(), seed=11)
+        path = tmp_path / "model.bin"
+        M.checkpoint_save(m, path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(M.CheckpointError, match="trailing"):
             M.checkpoint_load(path)
 
     def test_not_a_checkpoint(self, tmp_path):

@@ -1,10 +1,13 @@
+import json
 import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sd2 import cli
 from sd2 import datagen as dg
+from sd2 import evaluation as ev
 from sd2 import rng
 from sd2 import training as tr
 from sd2.model import ArchConfig, init_model
@@ -158,38 +161,40 @@ class TestResolveData:
 
 
 class TestReplicate:
+    """Replications run through the CLI's one path, whatever --jobs is."""
+
     def test_single_replication_matches_direct_train(self):
         cfg = tiny_config(max_epochs=2, patience=2)
-        [entry] = tr.replicate(cfg, 1, base_seed=99)
-        assert "error" not in entry
+        [row] = cli._replicated_rows(cli.config_json(cfg), 1, base_seed=99, jobs=1)
+        assert "error" not in row
         seed0 = rng.mix_key_int(99, 0)
+        assert row["seed"] == seed0
         direct_cfg = replace(cfg, seed=seed0)
         triple = tr.resolve_data(direct_cfg, seed0)
-        direct_model, _ = tr.train(direct_cfg, triple[0], triple[1])
-        assert all(np.array_equal(entry["model"].params[k], direct_model.params[k])
-                   for k in direct_model.params)
+        direct_model, history = tr.train(direct_cfg, triple[0], triple[1])
+        assert row["within"] == ev.metric_for(direct_model, triple[0])
+        assert row["out"] == ev.metric_for(direct_model, triple[2])
+        assert row["selected_epoch"] == history.selected_epoch
 
     def test_same_base_seed_identical_results(self):
-        cfg = tiny_config(max_epochs=2, patience=2)
-        a = tr.replicate(cfg, 2, base_seed=7)
-        b = tr.replicate(cfg, 2, base_seed=7)
-        for ea, eb in zip(a, b):
-            assert ea["seed"] == eb["seed"]
-            assert all(np.array_equal(ea["model"].params[k], eb["model"].params[k])
-                       for k in ea["model"].params)
+        raw = cli.config_json(tiny_config(max_epochs=2, patience=2))
+        a = cli._replicated_rows(raw, 2, base_seed=7, jobs=1)
+        b = cli._replicated_rows(raw, 2, base_seed=7, jobs=1)
+        assert [r["seed"] for r in a] == [rng.mix_key_int(7, i) for i in range(2)]
+        assert a == b
 
-    def test_failures_collected(self):
-        cfg = tiny_config(dataset={"kind": "mystery"})
-        results = tr.replicate(cfg, 3, base_seed=1)
-        assert len(results) == 3
-        assert all("error" in r for r in results)
+    def test_failures_collected(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cli.config_json(tiny_config(dataset={"kind": "mystery"}))))
+        out = tmp_path / "rep"
+        assert cli.main(["replicate", "--config", str(config), "--out", str(out),
+                         "--reps", "3", "--seed", "1"]) == 0
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        assert len(rows) == 3
+        assert all("mystery" in r["error"] for r in rows)
 
-    def test_metric_hook(self):
-        cfg = tiny_config(max_epochs=1, patience=1)
-        results = tr.replicate(cfg, 1, base_seed=3,
-                               metric_fn=lambda model, triple: {"n": triple[2].n})
-        assert results[0]["metrics"] == {"n": 300}
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            tr.replicate(tiny_config(), 0, base_seed=1)
+    def test_invalid_count(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cli.config_json(tiny_config())))
+        assert cli.main(["replicate", "--config", str(config), "--out", str(tmp_path / "r"),
+                         "--reps", "0"]) == 2
