@@ -1,9 +1,11 @@
 """Operator surface: dataset generation, training, evaluation, replication,
 ablation, attribution, identity verification, and hyperparameter sweeps.
 
-Every run directory receives a manifest (written on success and failure) and
-the fully resolved configuration, so any reported number can be reproduced
-from its artifacts alone.  The last stdout line of every successful command is
+`main` owns the run lifecycle of every subcommand: once the run directory is
+known it writes exactly one manifest.json, `ok` on success or `failed` with the
+error and whatever config and seeds had been resolved, next to the fully
+resolved configuration, so any reported number can be reproduced from its
+artifacts alone.  The last stdout line of every successful command is
 machine-parsable: ``METRIC <name>=<value>``.
 
 Exit codes: 0 success, 2 config/schema, 3 I/O, 4 numerical failure,
@@ -19,10 +21,8 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from . import datagen as dg
@@ -43,6 +43,7 @@ EXIT_VERIFY = 5
 
 OUT_ROOT_ENV = "SD2_OUT_ROOT"
 CONFIG_SCHEMA_VERSION = 1
+SPLITS = ("train", "val", "test")
 
 
 class ConfigError(Exception):
@@ -53,9 +54,32 @@ class VerifyFailure(Exception):
     pass
 
 
-def _out_dir(args) -> Path:
+# exception types -> stderr prefix and exit code; the first matching row wins
+FAILURE_EXITS = (
+    ((ConfigError, dg.SchemaError, CheckpointError), "error", EXIT_CONFIG),
+    (VerifyFailure, "verification failed", EXIT_VERIFY),
+    ((TrainingError, NonFiniteError), "numerical failure", EXIT_NUMERIC),
+    (FileNotFoundError, "error", EXIT_IO),
+    (OSError, "I/O error", EXIT_IO),
+)
+
+
+@dataclass
+class Run:
+    """A subcommand's run directory and what it has resolved so far; `main`
+    records these in manifest.json whether the subcommand succeeds or fails."""
+    out: Path | None
+    started: float = field(default_factory=time.time)
+    config: dict | None = None
+    seeds: list[int] = field(default_factory=list)
+    artifacts: list[str] = field(default_factory=list)
+
+
+def _out_dir(args) -> Path | None:
     if args.out:
         return Path(args.out)
+    if args.command == "verify":
+        return None  # verify writes a run directory only when given --out
     root = os.environ.get(OUT_ROOT_ENV)
     if not root:
         raise ConfigError("no --out given and SD2_OUT_ROOT is not set")
@@ -73,9 +97,7 @@ def _load_json(path: str) -> dict:
 def _build_section(cls, section: dict, name: str):
     try:
         return cls(**section)
-    except TypeError as exc:
-        raise ConfigError(f"config section {name!r}: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config section {name!r}: {exc}") from exc
 
 
@@ -100,11 +122,16 @@ def build_train_config(raw: dict) -> TrainConfig:
     if "split_ratios" in train_raw:
         train_raw["split_ratios"] = tuple(train_raw["split_ratios"])
     try:
-        return TrainConfig(mode=mode, arch=arch, weights=weights, flags=flags,
-                           optimizer=optimizer, dataset=raw.get("dataset"),
-                           **train_raw)
+        config = TrainConfig(mode=mode, arch=arch, weights=weights, flags=flags,
+                             optimizer=optimizer, dataset=raw.get("dataset"),
+                             **train_raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config section 'train': {exc}") from exc
+    if tr.apply_ablation(config, config.variant) != config:
+        raise ConfigError(f"config section 'train': variant {config.variant!r} does not "
+                          "match the weights, treatment channel and importance weighting "
+                          "it implies; give the full config and select it with --variant")
+    return config
 
 
 def config_json(config: TrainConfig) -> dict:
@@ -115,30 +142,28 @@ def config_json(config: TrainConfig) -> dict:
             "dataset": d.pop("dataset"), "train": d}
 
 
-def _write_manifest(out: Path, command: str, status: str, config: dict | None,
-                    seeds: list[int], artifacts: list[str], started: float,
-                    error: str | None = None):
-    out.mkdir(parents=True, exist_ok=True)
+def _write_manifest(command: str, run: Run, error: str | None):
+    run.out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "subcommand": command,
-        "status": status,
+        "status": "ok" if error is None else "failed",
         "tool_version": __version__,
-        "config": config,
-        "seeds": seeds,
-        "artifacts": artifacts,
-        "started": started,
+        "config": run.config,
+        "seeds": run.seeds,
+        "artifacts": run.artifacts,
+        "started": run.started,
         "finished": time.time(),
     }
-    if error:
+    if error is not None:
         manifest["error"] = error
-    with open(out / "manifest.json", "w") as fh:
+    with open(run.out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
 def _write_rows_csv(path: Path, rows: list[dict]):
     if not rows:
         return
-    keys = list(rows[0].keys())
+    keys = list(dict.fromkeys(k for r in rows for k in r))  # error rows lack metrics
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=keys)
         w.writeheader()
@@ -159,122 +184,85 @@ def _metric_line(name: str, value: float):
     print(f"METRIC {name}={value:.6f}")
 
 
-def _build_generate_spec(raw: dict):
-    kind = raw.get("kind")
-    fields = {k: v for k, v in raw.items() if k != "kind"}
-    if kind == "synthetic_binary":
-        return _build_section(dg.SyntheticSpec, fields, "spec"), dg.gen_binary
-    if kind == "demand":
-        return _build_section(dg.DemandSpec, fields, "spec"), dg.gen_continuous
-    if kind == "twins":
-        if "m_columns" in fields:
-            fields["m_columns"] = tuple(fields["m_columns"])
-        if "ratios" in fields:
-            fields["ratios"] = tuple(fields["ratios"])
-        return _build_section(dg.TwinsSpec, fields, "spec"), dg.twins_transform
-    raise ConfigError(f"spec field 'kind': unknown kind {kind!r}")
-
-
-def cmd_generate(args) -> int:
-    out = _out_dir(args)
-    started = time.time()
-    raw = _load_json(args.spec)
-    spec, gen = _build_generate_spec(raw)
-    artifacts = []
-    try:
-        if args.triple:
-            if isinstance(spec, dg.TwinsSpec):
-                raise ConfigError("--triple applies to synthetic and demand specs only")
-            for name, ds in zip(("train", "val", "test"), dg.independent_triple(spec)):
-                dg.write_dataset(ds, out / name)
-                artifacts.append(str(out / name))
-        else:
-            ds = gen(spec)
-            dg.write_dataset(ds, out)
-            artifacts.append(str(out))
-    except OSError as exc:
-        _write_manifest(out, "generate", "failed", raw, [spec.seed], artifacts,
-                        started, str(exc))
-        raise
-    _write_manifest(out, "generate", "ok", raw, [spec.seed], artifacts, started)
-    _metric_line("rows", spec.n if not isinstance(spec, dg.TwinsSpec) else -1)
-    return EXIT_OK
-
-
-def _load_data_dir(path: Path, config: TrainConfig, seed: int):
-    """A directory is either one dataset or a train/val/test triple."""
+def _read_data_dir(path: Path) -> tuple[dg.GeneratedDataset, ...]:
+    """A data directory holds one dataset, or a train/val/test triple."""
     if (path / "train").is_dir():
-        return tuple(dg.read_dataset(path / name) for name in ("train", "val", "test"))
-    ds = dg.read_dataset(path)
-    return dg.split(ds, config.split_ratios, rng.mix_key(seed, "split"))
+        return tuple(dg.read_dataset(path / name) for name in SPLITS)
+    return (dg.read_dataset(path),)
 
 
-def cmd_train(args) -> int:
-    out = _out_dir(args)
-    started = time.time()
-    raw = _load_json(args.config)
-    config = build_train_config(raw)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.variant:
+def _train_config(args, run: Run) -> tuple[TrainConfig, int]:
+    """The --config file with any --variant applied, and the base seed (--seed,
+    else the config's); both go on the run record."""
+    config = build_train_config(_load_json(args.config))
+    if getattr(args, "variant", None):
         config = tr.apply_ablation(config, args.variant)
-    resolved = config_json(config)
-    try:
-        if args.data:
-            triple = _load_data_dir(Path(args.data), config, config.seed)
-        else:
-            triple = tr.resolve_data(config, config.seed)
-        if triple[0].mode != config.mode:
-            raise ConfigError(f"dataset mode {triple[0].mode!r} != config mode "
-                              f"{config.mode!r}")
-        model, history = tr.train(config, triple[0], triple[1])
-    except (TrainingError, NonFiniteError) as exc:
-        _write_manifest(out, "train", "failed", resolved, [config.seed], [], started,
-                        str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt = out / "checkpoint.bin"
-    checkpoint_save(model, ckpt)
-    _write_history(out / "history.csv", history)
-    with open(out / "config.json", "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-    _write_manifest(out, "train", "ok", resolved, [config.seed],
-                    [str(ckpt), str(out / "history.csv")], started)
-    _metric_line("selected_epoch", history.selected_epoch)
-    return EXIT_OK
+    run.config = config_json(config)
+    seed = config.seed if args.seed is None else args.seed
+    run.seeds = [seed]
+    return config, seed
 
 
-def cmd_evaluate(args) -> int:
-    out = _out_dir(args)
-    started = time.time()
-    model = checkpoint_load(args.checkpoint)
-    data_path = Path(args.data)
-    splits = [s.strip() for s in args.splits.split(",") if s.strip()]
-    rows = []
-    if (data_path / "train").is_dir():
-        triple = tuple(dg.read_dataset(data_path / n) for n in ("train", "val", "test"))
-        datasets = {"within": triple[0], "out": triple[2]}
+def cmd_generate(args, run: Run) -> tuple[str, float]:
+    run.config = _load_json(args.spec)
+    spec = dg.spec_from_ref(run.config)
+    run.seeds = [spec.seed]
+    if not args.triple:
+        run.artifacts.append(str(dg.write_dataset(dg.generate(spec), run.out)))
+    elif isinstance(spec, dg.TwinsSpec):
+        raise ConfigError("--triple applies to synthetic and demand specs only")
     else:
-        ds = dg.read_dataset(data_path)
-        datasets = {s: ds for s in splits}
+        for name, ds in zip(SPLITS, dg.independent_triple(spec)):
+            run.artifacts.append(str(dg.write_dataset(ds, run.out / name)))
+    return "rows", -1 if isinstance(spec, dg.TwinsSpec) else spec.n
+
+
+def cmd_train(args, run: Run) -> tuple[str, float]:
+    config, seed = _train_config(args, run)
+    config = replace(config, seed=seed)
+    run.config = config_json(config)
+    if args.data:
+        data = _read_data_dir(Path(args.data))
+        triple = data if len(data) == 3 else dg.split(data[0], config.split_ratios,
+                                                       rng.mix_key(seed, "split"))
+    else:
+        triple = tr.resolve_data(config, seed)
+    if triple[0].mode != config.mode:
+        raise ConfigError(f"dataset mode {triple[0].mode!r} != config mode "
+                          f"{config.mode!r}")
+    model, history = tr.train(config, triple[0], triple[1])
+    run.out.mkdir(parents=True, exist_ok=True)
+    ckpt = run.out / "checkpoint.bin"
+    checkpoint_save(model, ckpt)
+    _write_history(run.out / "history.csv", history)
+    with open(run.out / "config.json", "w") as fh:
+        json.dump(run.config, fh, indent=2, sort_keys=True)
+    run.artifacts += [str(ckpt), str(run.out / "history.csv")]
+    return "selected_epoch", history.selected_epoch
+
+
+def cmd_evaluate(args, run: Run) -> tuple[str, float]:
+    model = checkpoint_load(args.checkpoint)
+    data = _read_data_dir(Path(args.data))
+    splits = [s.strip() for s in args.splits.split(",") if s.strip()]
+    # a triple is scored within-sample on train and out-of-sample on test
+    datasets = ({"within": data[0], "out": data[2]} if len(data) == 3
+                else dict.fromkeys(splits, data[0]))
+    missing = [s for s in splits if s not in datasets]
+    if missing:
+        raise ConfigError(f"--splits: {args.data} has no split {missing[0]!r}; "
+                          f"its splits are {', '.join(datasets)}")
     if any(ds.mode != model.config.mode for ds in datasets.values()):
-        print("error: checkpoint and dataset modes differ", file=sys.stderr)
-        _write_manifest(out, "evaluate", "failed", None, [], [], started,
-                        "mode mismatch")
-        return EXIT_CONFIG
-    name = "eps_ate" if model.config.mode == "binary" else "mse"
-    for split_name in splits:
-        value = ev.metric_for(model, datasets[split_name])
-        rows.append({"split": split_name, "metric": name, "value": value})
-    out.mkdir(parents=True, exist_ok=True)
-    _write_rows_csv(out / "report.csv", rows)
-    with open(out / "report.json", "w") as fh:
+        raise ConfigError("checkpoint and dataset modes differ")
+    name = ev.metric_name(model.config.mode)
+    rows = [{"split": s, "metric": name, "value": ev.metric_for(model, datasets[s])}
+            for s in splits]
+    run.out.mkdir(parents=True, exist_ok=True)
+    _write_rows_csv(run.out / "report.csv", rows)
+    with open(run.out / "report.json", "w") as fh:
         json.dump(rows, fh, indent=2)
-    _write_manifest(out, "evaluate", "ok", None, [], [str(out / "report.csv")], started)
-    headline = rows[-1]["value"]
-    _metric_line(name, headline)
-    return EXIT_OK
+    run.artifacts.append(str(run.out / "report.csv"))
+    return name, rows[-1]["value"]
 
 
 def _one_replication(payload) -> dict:
@@ -306,108 +294,73 @@ def _replicated_rows(raw_config: dict, reps: int, base_seed: int, jobs: int) -> 
     return list(map(_one_replication, payloads))
 
 
-def _summarize(rows: list[dict], metric: str) -> dict:
+def _replicate(config: TrainConfig, args, base_seed: int) -> tuple[list[dict], dict]:
+    """--reps replications of one config, and their summary per split."""
+    rows = _replicated_rows(config_json(config), args.reps, base_seed, args.jobs)
     ok = [r for r in rows if "error" not in r]
-    summary: dict = {"metric": metric, "replications": len(rows),
+    summary: dict = {"metric": ev.metric_name(config.mode), "replications": len(rows),
                      "failed": len(rows) - len(ok)}
     for split in ("within", "out"):
         values = [r[split] for r in ok]
         if values:
             mean, std, text = ev.aggregate(values)
             summary[split] = {"mean": mean, "std": std, "formatted": text}
-    return summary
+    return rows, summary
 
 
-def cmd_replicate(args) -> int:
-    out = _out_dir(args)
-    started = time.time()
-    raw = _load_json(args.config)
-    config = build_train_config(raw)
-    if args.variant:
-        config = tr.apply_ablation(config, args.variant)
-    resolved = config_json(config)
-    base_seed = args.seed if args.seed is not None else config.seed
-    rows = _replicated_rows(resolved, args.reps, base_seed, args.jobs)
-    metric = "eps_ate" if config.mode == "binary" else "mse"
-    summary = _summarize(rows, metric)
-    out.mkdir(parents=True, exist_ok=True)
-    table = [dict(r) for r in rows]
-    for split in ("within", "out"):
-        if split in summary:
-            table.append({"replication": "aggregate", "seed": base_seed,
-                          split: summary[split]["formatted"]})
-    _write_rows_csv(out / "report.csv", table)
-    with open(out / "report.json", "w") as fh:
+def _split_columns(summary: dict, stats: tuple[str, ...]) -> dict:
+    return {f"{split}_{stat}": summary[split][stat]
+            for split in ("within", "out") if split in summary for stat in stats}
+
+
+def cmd_replicate(args, run: Run) -> tuple[str, float]:
+    config, base_seed = _train_config(args, run)
+    rows, summary = _replicate(config, args, base_seed)
+    table = rows + [{"replication": "aggregate", "seed": base_seed,
+                     split: summary[split]["formatted"]}
+                    for split in ("within", "out") if split in summary]
+    run.out.mkdir(parents=True, exist_ok=True)
+    _write_rows_csv(run.out / "report.csv", table)
+    with open(run.out / "report.json", "w") as fh:
         json.dump({"rows": rows, "summary": summary}, fh, indent=2)
-    _write_manifest(out, "replicate", "ok", resolved, [base_seed],
-                    [str(out / "report.csv")], started)
+    run.artifacts.append(str(run.out / "report.csv"))
     headline = summary.get("out", summary.get("within"))
-    _metric_line(metric + "_mean", headline["mean"] if headline else float("nan"))
-    return EXIT_OK
+    return summary["metric"] + "_mean", headline["mean"] if headline else float("nan")
 
 
-def cmd_ablate(args) -> int:
-    out = _out_dir(args)
-    started = time.time()
-    raw = _load_json(args.config)
-    base = build_train_config(raw)
-    base_seed = args.seed if args.seed is not None else base.seed
+def cmd_ablate(args, run: Run) -> tuple[str, float]:
+    base, base_seed = _train_config(args, run)
     variants = args.variants.split(",") if args.variants else list(tr.VARIANTS)
     rows = []
     summaries = {}
     for variant in variants:
-        cfg = tr.apply_ablation(base, variant)
-        resolved = config_json(cfg)
-        vrows = _replicated_rows(resolved, args.reps, base_seed, args.jobs)
-        metric = "eps_ate" if base.mode == "binary" else "mse"
-        summary = _summarize(vrows, metric)
-        summaries[variant] = summary
-        row = {"variant": variant}
-        for split in ("within", "out"):
-            if split in summary:
-                row[f"{split}_mean"] = summary[split]["mean"]
-                row[f"{split}_std"] = summary[split]["std"]
-                row[f"{split}_formatted"] = summary[split]["formatted"]
-        rows.append(row)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_rows_csv(out / "ablation.csv", rows)
-    with open(out / "ablation.json", "w") as fh:
+        _, summaries[variant] = _replicate(tr.apply_ablation(base, variant), args, base_seed)
+        rows.append({"variant": variant,
+                     **_split_columns(summaries[variant], ("mean", "std", "formatted"))})
+    run.out.mkdir(parents=True, exist_ok=True)
+    _write_rows_csv(run.out / "ablation.csv", rows)
+    with open(run.out / "ablation.json", "w") as fh:
         json.dump(summaries, fh, indent=2)
-    _write_manifest(out, "ablate", "ok", config_json(base), [base_seed],
-                    [str(out / "ablation.csv")], started)
+    run.artifacts.append(str(run.out / "ablation.csv"))
     total = summaries.get("Total", {}).get("out")
-    _metric_line("total_out_mean", total["mean"] if total else float("nan"))
-    return EXIT_OK
+    return "total_out_mean", total["mean"] if total else float("nan")
 
 
-def cmd_attribute(args) -> int:
-    out = _out_dir(args)
-    started = time.time()
+def cmd_attribute(args, run: Run) -> tuple[str, float]:
     model = checkpoint_load(args.checkpoint)
-    data_path = Path(args.data)
-    if (data_path / "train").is_dir():
-        ds = dg.read_dataset(data_path / "train")
-    else:
-        ds = dg.read_dataset(data_path)
-    report = ev.attribution(model, ds.input_roles())
-    out.mkdir(parents=True, exist_ok=True)
-    _write_rows_csv(out / "attribution.csv", report.rows())
-    _write_manifest(out, "attribute", "ok", None, [], [str(out / "attribution.csv")],
-                    started)
-    _metric_line("min_ratio", min(report.ratio(f) for f in ("z", "c", "a")))
-    return EXIT_OK
+    report = ev.attribution(model, _read_data_dir(Path(args.data))[0].input_roles())
+    run.out.mkdir(parents=True, exist_ok=True)
+    _write_rows_csv(run.out / "attribution.csv", report.rows())
+    run.artifacts.append(str(run.out / "attribution.csv"))
+    return "min_ratio", min(report.ratio(f) for f in ("z", "c", "a"))
 
 
-def cmd_verify(args) -> int:
-    out = Path(args.out) if args.out else None
-    started = time.time()
+def cmd_verify(args, run: Run) -> tuple[str, float]:
+    run.seeds = [args.seed or 0]
     try:
         worst = it.verify_identities(args.joints, seed=args.seed or 0)
     except AssertionError as exc:
         print(f"FAIL {exc}")
-        if out:
-            _write_manifest(out, "verify", "failed", None, [args.seed or 0], [],
-                            started, str(exc))
         raise VerifyFailure(str(exc)) from exc
     for name, value in worst.items():
         print(f"PASS {name}: worst residual {value:.3e}")
@@ -417,44 +370,29 @@ def cmd_verify(args) -> int:
     if abs(gap - cmi) > 1e-12:
         raise VerifyFailure("xor premise gap mismatch")
     print(f"PASS xor premise gap = conditional mutual information = {gap:.6f}")
-    if out:
-        _write_manifest(out, "verify", "ok", None, [args.seed or 0], [], started)
-    _metric_line("worst_residual", max(worst.values()))
-    return EXIT_OK
+    return "worst_residual", max(worst.values())
 
 
-def cmd_sweep(args) -> int:
-    out = _out_dir(args)
-    started = time.time()
-    raw = _load_json(args.config)
-    base = build_train_config(raw)
+def cmd_sweep(args, run: Run) -> tuple[str, float]:
+    base, base_seed = _train_config(args, run)
     if args.param not in ("alpha", "beta", "gamma", "delta", "omega_cont"):
         raise ConfigError(f"--param must name a loss coefficient, got {args.param!r}")
     try:
         grid = [float(v) for v in args.grid.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--grid: {exc}") from exc
-    base_seed = args.seed if args.seed is not None else base.seed
     rows = []
     for value in grid:
         cfg = replace(base, weights=replace(base.weights, **{args.param: value}))
-        vrows = _replicated_rows(config_json(cfg), args.reps, base_seed, args.jobs)
-        metric = "eps_ate" if base.mode == "binary" else "mse"
-        summary = _summarize(vrows, metric)
-        row = {"param": args.param, "value": value}
-        for split in ("within", "out"):
-            if split in summary:
-                row[f"{split}_mean"] = summary[split]["mean"]
-                row[f"{split}_std"] = summary[split]["std"]
-        rows.append(row)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_rows_csv(out / "sweep.csv", rows)
-    _write_manifest(out, "sweep", "ok", config_json(base), [base_seed],
-                    [str(out / "sweep.csv")], started)
+        _, summary = _replicate(cfg, args, base_seed)
+        rows.append({"param": args.param, "value": value,
+                     **_split_columns(summary, ("mean", "std"))})
+    run.out.mkdir(parents=True, exist_ok=True)
+    _write_rows_csv(run.out / "sweep.csv", rows)
+    run.artifacts.append(str(run.out / "sweep.csv"))
     best = min((r for r in rows if "out_mean" in r), key=lambda r: r["out_mean"],
                default=None)
-    _metric_line("best_value", best["value"] if best else float("nan"))
-    return EXIT_OK
+    return "best_value", best["value"] if best else float("nan")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -526,25 +464,33 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> tuple[str, float]:
+    """Resolve the run directory, run the subcommand, and write manifest.json
+    once, whether the subcommand returns its metric or raises."""
+    run = Run(_out_dir(args))
+    error = None
+    try:
+        return args.func(args, run)
+    except Exception as exc:
+        error = str(exc) or type(exc).__name__
+        raise
+    finally:
+        if run.out is not None:
+            _write_manifest(args.command, run, error)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, dg.SchemaError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except VerifyFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except (TrainingError, NonFiniteError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        metric = _run(args)
+    except Exception as exc:
+        for types, prefix, code in FAILURE_EXITS:
+            if isinstance(exc, types):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
+    _metric_line(*metric)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ import numpy as np
 from . import rng
 
 
-class SchemaError(Exception):
+class SchemaError(ValueError):
     """A dataset file or spec violates its schema; message names the field."""
 
 
@@ -240,11 +240,15 @@ def _read_csv_columns(path: str | Path) -> dict[str, np.ndarray]:
         except StopIteration:
             raise SchemaError(f"{path}: empty CSV") from None
         rows = list(reader)
+    for line, r in enumerate(rows, start=2):
+        if len(r) != len(header):
+            raise SchemaError(f"{path}: line {line} has {len(r)} cells, "
+                              f"the header has {len(header)}")
     data = {}
     for j, name in enumerate(header):
         try:
             data[name] = np.array([float(r[j]) for r in rows])
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise SchemaError(f"{path}: column {name!r} is not numeric: {exc}") from exc
     return data
 
@@ -322,12 +326,38 @@ def split(dataset: GeneratedDataset, ratios: tuple[float, float, float],
 def independent_triple(spec: SyntheticSpec | DemandSpec
                        ) -> tuple[GeneratedDataset, ...]:
     """Three independent draws of size n (train, val, test) from one spec."""
-    gen = gen_binary if isinstance(spec, SyntheticSpec) else gen_continuous
-    out = []
-    for tag in ("train", "val", "test"):
-        child = replace(spec, seed=rng.mix_key(spec.seed, "triple/" + tag))
-        out.append(gen(child))
-    return tuple(out)
+    return tuple(generate(replace(spec, seed=rng.mix_key(spec.seed, "triple/" + tag)))
+                 for tag in ("train", "val", "test"))
+
+
+DATASET_KINDS = {
+    "synthetic_binary": (SyntheticSpec, gen_binary),
+    "demand": (DemandSpec, gen_continuous),
+    "twins": (TwinsSpec, twins_transform),
+}
+
+
+def spec_from_ref(ref: dict | None) -> SyntheticSpec | DemandSpec | TwinsSpec:
+    """A JSON dataset reference (`kind` plus spec fields) as a spec."""
+    if not ref:
+        raise SchemaError("config carries no dataset reference")
+    kind = ref.get("kind")
+    if kind not in DATASET_KINDS:
+        raise SchemaError(f"unknown dataset kind {kind!r}")
+    cls = DATASET_KINDS[kind][0]
+    # twins_transform records hidden_columns and x_columns next to the spec;
+    # they follow from the spec, so a record read back as a reference drops them
+    fields = {k: tuple(v) if isinstance(v, list) else v for k, v in ref.items()
+              if k not in ("kind", "hidden_columns", "x_columns")}
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"dataset {kind!r}: {exc}") from exc
+
+
+def generate(spec: SyntheticSpec | DemandSpec | TwinsSpec) -> GeneratedDataset:
+    """The dataset a spec describes, from its kind's generator."""
+    return next(gen for cls, gen in DATASET_KINDS.values() if type(spec) is cls)(spec)
 
 
 def _fmt(x: float) -> str:
@@ -424,6 +454,9 @@ def read_dataset(in_dir: str | Path) -> GeneratedDataset:
             if set(truth) != {"sum_a", "sum_c"}:
                 raise SchemaError(f"truth.csv columns {sorted(truth)} != ['sum_a', 'sum_c']")
             surface_a, surface_c = truth["sum_a"], truth["sum_c"]
+        truth_rows = len(next(iter(truth.values())))
+        if truth_rows != n:
+            raise SchemaError(f"{truth_path}: {truth_rows} rows, data.csv has {n}")
     return GeneratedDataset(mode=mode, x=x, v=v, t=data["t"], y=data["y"],
                             roles=roles, p1=p1, p0=p0,
                             surface_a=surface_a, surface_c=surface_c,

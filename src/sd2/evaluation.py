@@ -9,7 +9,7 @@ import numpy as np
 
 from . import datagen as dg
 from .model import SD2Model, predict_outcome
-from .training import TrainConfig, TrainHistory, train
+from .training import TrainConfig, train
 
 
 def eps_ate(model: SD2Model, dataset: dg.GeneratedDataset) -> float:
@@ -93,6 +93,11 @@ def aggregate(values: list[float]) -> tuple[float, float, str]:
     mean = float(arr.mean())
     std = float(arr.std(ddof=0))
     return mean, std, f"{mean:.3f}({std:.3f})"
+
+
+def metric_name(mode: str) -> str:
+    """Name of the headline metric `metric_for` reports in this mode."""
+    return "eps_ate" if mode == "binary" else "mse"
 
 
 def metric_for(model: SD2Model, dataset: dg.GeneratedDataset) -> float:

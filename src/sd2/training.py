@@ -155,7 +155,9 @@ def _eval_breakdown(config: TrainConfig, model: SD2Model, ds: dg.GeneratedDatase
         m = sl.stop - sl.start
         try:
             bd, w = _batch_breakdown(config, model, x_all[sl], ds.t[sl], ds.y[sl], ad.Tape())
-        except DegenerateBatchError:
+        except DegenerateBatchError as exc:
+            log.warning("dropping validation rows %d-%d from the criterion: %s",
+                        sl.start, sl.stop - 1, exc)
             continue
         nll_y, nll_t = bd.per_sample
         crit_num += float((w * nll_y).sum())
@@ -164,7 +166,9 @@ def _eval_breakdown(config: TrainConfig, model: SD2Model, ds: dg.GeneratedDatase
         for f in LossBreakdown.FIELDS:
             sums[f] += getattr(bd, f) * m
         covered += m
-    covered = max(covered, 1)
+    if not covered:
+        raise TrainingError(f"no validation chunk of {n} rows could be scored, "
+                            "so no epoch can be selected")
     mean_bd = LossBreakdown(**{f: sums[f] / covered for f in LossBreakdown.FIELDS})
     criterion = crit_num / max(crit_wsum, 1e-12) + config.weights.alpha * crit_t / covered
     return mean_bd, criterion
@@ -186,6 +190,7 @@ def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
     history = TrainHistory()
     best = (np.inf, model.copy_params(), -1)
     bad = 0
+    steps = 0
     shuffle_key = rng.mix_key(config.seed, "shuffle")
     for epoch in range(config.max_epochs):
         started = time.perf_counter()
@@ -215,6 +220,7 @@ def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
             _check_finite(bd, epoch, batch_index)
             _, grads = tape.gradients(bd.node)
             ad.adam_step(model.params, grads, state)
+            steps += 1
             for f in LossBreakdown.FIELDS:
                 batch_sums[f] += getattr(bd, f) * len(idx)
             seen += len(idx)
@@ -235,6 +241,9 @@ def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
             bad += 1
             if bad >= config.patience:
                 break
+    if config.max_epochs >= 1 and not steps:
+        raise TrainingError(f"no optimizer step in {len(history.criterion)} epochs over "
+                            f"{n} training rows (single-class batches are skipped)")
     model.params = best[1]
     history.selected_epoch = best[2]
     return model, history
@@ -248,35 +257,19 @@ def resolve_data(config: TrainConfig, seed: int
     default); directory and twins references are re-split per seed.
     """
     ref = config.dataset
-    if not ref:
-        raise ValueError("config carries no dataset reference")
-    kind = ref.get("kind")
-    fields = {k: v for k, v in ref.items() if k != "kind"}
-    if kind == "synthetic_binary":
-        spec = dg.SyntheticSpec(**{**fields, "seed": rng.mix_key(seed, "data")})
-        if config.independent_draws:
-            return dg.independent_triple(spec)
-        return dg.split(dg.gen_binary(spec), config.split_ratios, rng.mix_key(seed, "split"))
-    if kind == "demand":
-        spec = dg.DemandSpec(**{**fields, "seed": rng.mix_key(seed, "data")})
-        if config.independent_draws:
-            return dg.independent_triple(spec)
-        return dg.split(dg.gen_continuous(spec), config.split_ratios,
+    if ref and ref.get("kind") == "dir":
+        if set(ref) != {"kind", "path"}:
+            raise dg.SchemaError(f"dataset 'dir' takes one field, 'path'; got {sorted(ref)}")
+        return dg.split(dg.read_dataset(ref["path"]), config.split_ratios,
                         rng.mix_key(seed, "split"))
-    if kind == "twins":
-        fields.pop("hidden_columns", None)
-        fields.pop("x_columns", None)
-        if "m_columns" in fields:
-            fields["m_columns"] = tuple(fields["m_columns"])
-        if "ratios" in fields:
-            fields["ratios"] = tuple(fields["ratios"])
-        spec = dg.TwinsSpec(**{**fields, "seed": rng.mix_key(seed, "policy")})
-        ds = dg.twins_transform(spec)
-        return dg.split(ds, spec.ratios, rng.mix_key(seed, "split"))
-    if kind == "dir":
-        ds = dg.read_dataset(fields["path"])
-        return dg.split(ds, config.split_ratios, rng.mix_key(seed, "split"))
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    spec = dg.spec_from_ref(ref)
+    if isinstance(spec, dg.TwinsSpec):
+        spec = replace(spec, seed=rng.mix_key(seed, "policy"))
+        return dg.split(dg.generate(spec), spec.ratios, rng.mix_key(seed, "split"))
+    spec = replace(spec, seed=rng.mix_key(seed, "data"))
+    if config.independent_draws:
+        return dg.independent_triple(spec)
+    return dg.split(dg.generate(spec), config.split_ratios, rng.mix_key(seed, "split"))
 
 
 def config_to_dict(config: TrainConfig) -> dict:

@@ -6,6 +6,7 @@ import pytest
 
 from sd2 import cli
 from sd2 import datagen as dg
+from sd2 import training as tr
 from sd2.model import checkpoint_load
 
 
@@ -123,7 +124,7 @@ class TestTrain:
         assert rc == 0
 
 
-@pytest.fixture()
+@pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("trained")
     config = write_json(base / "cfg.json", SMALL_TRAIN)
@@ -236,6 +237,76 @@ class TestReplicateAblateSweep:
         assert rc == 2
 
 
+    def test_mixed_failed_and_ok_rows(self, tmp_path, monkeypatch):
+        resolve = tr.resolve_data
+
+        def fail_first(config, seed):
+            if seed == cli.rng.mix_key_int(1, 0):
+                raise ValueError("first replication fails")
+            return resolve(config, seed)
+
+        monkeypatch.setattr(tr, "resolve_data", fail_first)
+        config = write_json(tmp_path / "cfg.json", SMALL_TRAIN)
+        out = tmp_path / "rep"
+        assert cli.main(["replicate", "--config", config, "--out", str(out),
+                         "--reps", "2", "--seed", "1"]) == 0
+        with open(out / "report.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["error"] == "first replication fails" and rows[0]["out"] == ""
+        assert rows[1]["error"] == "" and float(rows[1]["out"]) >= 0
+
+
+def _config(tmp_path, **changes):
+    return write_json(tmp_path / "cfg.json", {**SMALL_TRAIN, **changes})
+
+
+def _bad_reference(**changes):
+    dataset = {**SMALL_TRAIN["dataset"], **changes}
+    return lambda tmp, run, data: ["train", "--config", _config(tmp, dataset=dataset)]
+
+
+def _all_treated_train_split(tmp, data):
+    for name in cli.SPLITS:
+        ds = dg.read_dataset(data / name)
+        if name == "train":
+            ds.t[:] = 1.0
+        dg.write_dataset(ds, tmp / "all_treated" / name)
+    return str(tmp / "all_treated")
+
+
+FAILURES = {
+    "negative_dimension": (_bad_reference(mz=-1), 2),
+    "unknown_kind": (_bad_reference(kind="mystery"), 2),
+    "unknown_field": (_bad_reference(zz=1), 2),
+    "no_dataset": (lambda tmp, run, data: ["train", "--config", _config(tmp, dataset=None)], 2),
+    "train_mode_mismatch": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, mode="continuous"), "--data", str(data)], 2),
+    "zero_reps": (lambda tmp, run, data: [
+        "replicate", "--config", _config(tmp), "--reps", "0"], 2),
+    "sweep_unknown_param": (lambda tmp, run, data: [
+        "sweep", "--config", _config(tmp), "--param", "zzz", "--grid", "1"], 2),
+    "evaluate_missing_checkpoint": (lambda tmp, run, data: [
+        "evaluate", "--checkpoint", str(tmp / "absent.bin"), "--data", str(data)], 3),
+    "attribute_missing_checkpoint": (lambda tmp, run, data: [
+        "attribute", "--checkpoint", str(tmp / "absent.bin"), "--data", str(data)], 3),
+    "evaluate_split_not_in_triple": (lambda tmp, run, data: [
+        "evaluate", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data),
+        "--splits", "val"], 2),
+    "zero_optimizer_steps": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp), "--data", _all_treated_train_split(tmp, data)], 4),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_failure_writes_failed_manifest(case, trained_run, tmp_path):
+    make_argv, code = FAILURES[case]
+    out = tmp_path / "out"
+    assert cli.main([*make_argv(tmp_path, *trained_run), "--out", str(out)]) == code
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"]
+
+
 class TestConfigParsing:
     def test_newer_schema_rejected(self, tmp_path):
         payload = dict(SMALL_TRAIN)
@@ -257,3 +328,17 @@ class TestConfigParsing:
         assert cli.main(["train", "--config", config,
                          "--out", str(tmp_path / "r")]) == 2
         assert "weights" in capsys.readouterr().err
+
+    def test_variant_must_match_config(self, tmp_path, capsys):
+        payload = {**SMALL_TRAIN, "train": {**SMALL_TRAIN["train"], "variant": "Lp"}}
+        config = write_json(tmp_path / "cfg.json", payload)
+        assert cli.main(["train", "--config", config,
+                         "--out", str(tmp_path / "r")]) == 2
+        assert "variant 'Lp'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", tr.VARIANTS)
+    def test_resolved_variant_round_trips(self, variant):
+        base = cli.build_train_config(SMALL_TRAIN)
+        cfg = tr.apply_ablation(base, variant)
+        assert tr.apply_ablation(cfg, variant) == cfg
+        assert cli.build_train_config(cli.config_json(cfg)) == cfg

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -181,6 +182,43 @@ class TestRoundTrip:
     def test_missing_data_csv(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             dg.read_dataset(tmp_path)
+
+    def test_truncated_truth_rejected(self, tmp_path):
+        dg.write_dataset(syn(n=50, seed=1), tmp_path)
+        lines = (tmp_path / "truth.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "truth.csv").write_text("".join(lines[:20]))
+        with pytest.raises(dg.SchemaError, match="truth.csv: 19 rows, data.csv has 50"):
+            dg.read_dataset(tmp_path)
+
+    def test_row_with_extra_cells_rejected(self, tmp_path):
+        dg.write_dataset(syn(n=50, seed=1), tmp_path)
+        lines = (tmp_path / "data.csv").read_text().splitlines(keepends=True)
+        lines[7] = lines[7].rstrip("\r\n") + ",1.0,2.0\r\n"
+        (tmp_path / "data.csv").write_text("".join(lines))
+        with pytest.raises(dg.SchemaError, match="data.csv: line 8 has 14 cells"):
+            dg.read_dataset(tmp_path)
+
+
+class TestSpecFromRef:
+    @pytest.mark.parametrize("ds", [
+        syn(n=30, seed=2),
+        dg.gen_continuous(dg.DemandSpec(n=30, seed=2)),
+        dg.twins_transform(dg.fixture_spec(seed=2)),
+    ], ids=["synthetic_binary", "demand", "twins"])
+    def test_spec_record_round_trips_through_json(self, ds):
+        spec = dg.spec_from_ref(json.loads(json.dumps(ds.spec)))
+        assert dg.generate(spec).spec == ds.spec
+
+    @pytest.mark.parametrize("ref, field", [
+        ({"kind": "mystery"}, "mystery"),
+        ({"kind": "demand", "zz": 1}, "zz"),
+        ({"kind": "synthetic_binary", "mz": -1}, "dimensions"),
+        ({"kind": "twins", "csv_path": "t.csv"}, "m_columns"),
+        (None, "dataset reference"),
+    ])
+    def test_bad_reference_names_field(self, ref, field):
+        with pytest.raises(dg.SchemaError, match=field):
+            dg.spec_from_ref(ref)
 
 
 class TestTwins:

@@ -89,6 +89,22 @@ class TestDegenerateBatches:
         assert model is not None
         assert any("single-class" in r.message for r in caplog.records)
 
+    def test_zero_optimizer_steps_is_a_failure(self, tiny_triple):
+        train_ds = tiny_triple[0].subset(np.arange(tiny_triple[0].n))
+        train_ds.t[:] = 1.0
+        with pytest.raises(tr.TrainingError, match="no optimizer step"):
+            tr.train(tiny_config(max_epochs=2, patience=2), train_ds, tiny_triple[1])
+
+    def test_single_class_validation_cannot_select(self, tiny_triple, caplog):
+        val_ds = tiny_triple[1].subset(np.arange(tiny_triple[1].n))
+        val_ds.t[:] = 0.0
+        with caplog.at_level(logging.WARNING):
+            with pytest.raises(tr.TrainingError, match="no validation chunk"):
+                tr._eval_breakdown(tiny_config(), init_model(
+                    replace(tiny_config().arch, input_dim=5), 0), val_ds, chunk=100)
+        dropped = [r for r in caplog.records if "dropping validation rows" in r.getMessage()]
+        assert len(dropped) == 3
+
 
 class TestAblation:
     def test_lp_zeroes_everything(self):
