@@ -10,6 +10,13 @@ Stop-gradient values (`detach`, the MMD bandwidth) are recorded on the tape in
 creation order.  `finite_diff_check` replays them at probe points, so the
 numerical check targets the same stop-gradient objective whose analytic
 gradient the backward pass computes.
+
+A tape made with ``record=False`` serves forward passes whose gradients nobody
+takes (prediction, validation): its nodes keep no parents or backward rules
+and the tape keeps no nodes, parameters or detached values, so each
+intermediate array is freed as soon as nothing reads it.  A recording tape
+drops its nodes and parameters when `gradients` returns, so neither kind of
+tape is left behind as cyclic garbage.
 """
 
 from __future__ import annotations
@@ -28,9 +35,16 @@ class NonFiniteError(AutodiffError):
 
 
 class Tape:
-    """Operation trace: nodes in creation order, parameters by name."""
+    """Operation trace: nodes in creation order, parameters by name.
 
-    def __init__(self, replay_detached: list[np.ndarray] | None = None):
+    With ``record=False`` nothing is kept: only forward values are computed.
+    """
+
+    def __init__(self, replay_detached: list[np.ndarray] | None = None,
+                 record: bool = True):
+        self.record = record
+        self.released = False
+        self.created = 0  # values checked so far: a failure's place on the trace
         self.nodes: list[Tensor] = []
         self.params: dict[str, Tensor] = {}
         self.detached_values: list[np.ndarray] = []
@@ -40,7 +54,8 @@ class Tape:
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
         node = Tensor(self, value, name=name)
-        self.params[name] = node
+        if self.record:
+            self.params[name] = node
         return node
 
     def constant(self, value) -> "Tensor":
@@ -51,11 +66,21 @@ class Tape:
         if self._replay is not None:
             value = next(self._replay)
         value = np.asarray(value, dtype=np.float64)
-        self.detached_values.append(value)
+        if self.record:
+            self.detached_values.append(value)
         return value
 
     def gradients(self, output: "Tensor") -> tuple[float, dict[str, np.ndarray]]:
-        """Backward pass from a scalar node; returns (value, grads per parameter)."""
+        """Backward pass from a scalar node; returns (value, grads per parameter).
+
+        Releases the tape: its nodes and parameters are dropped (the detached
+        values stay for `finite_diff_check`), so the graph is freed as soon as
+        the caller lets go of its tensors, and a second call raises.
+        """
+        if not self.record:
+            raise AutodiffError("gradients of a tape that does not record")
+        if self.released:
+            raise AutodiffError("gradients already taken; the tape was released")
         if output.tape is not self:
             raise ValueError("output node belongs to a different tape")
         if output.value.size != 1:
@@ -77,30 +102,40 @@ class Tape:
         grads = {}
         for name, p in self.params.items():
             grads[name] = p.grad if p.grad is not None else np.zeros_like(p.value)
+        self.nodes, self.params, self.released = [], {}, True
         return float(output.value), grads
 
 
 class Tensor:
-    """Node on a tape: a float64 array plus the local backward rules."""
+    """Node on a tape: a float64 array plus the local backward rules (none on
+    a tape that does not record)."""
 
     __slots__ = ("tape", "value", "parents", "vjps", "grad", "name")
 
     def __init__(self, tape: Tape, value, parents=(), vjps=(), name: str = "op"):
         self.tape = tape
         self.value = np.asarray(value, dtype=np.float64)
-        # single-pass check: any NaN/Inf makes the sum non-finite
-        if not np.isfinite(self.value.sum()):
-            raise NonFiniteError(f"non-finite value at node {name!r} "
-                                 f"(#{len(tape.nodes)} on trace)")
-        self.parents = parents
-        self.vjps = vjps
+        _check_finite(tape, self.value, name)
         self.grad = None
         self.name = name
-        tape.nodes.append(self)
+        if tape.record:
+            self.parents = parents
+            self.vjps = vjps
+            tape.nodes.append(self)
+        else:
+            self.parents = self.vjps = ()
 
     @property
     def shape(self):
         return self.value.shape
+
+
+def _check_finite(tape: Tape, value: np.ndarray, name: str):
+    # single-pass check: any NaN/Inf makes the sum non-finite
+    if not np.isfinite(value.sum()):
+        raise NonFiniteError(f"non-finite value at node {name!r} "
+                             f"(#{tape.created} on trace)")
+    tape.created += 1
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str):
@@ -142,16 +177,24 @@ def neg(a: Tensor) -> Tensor:
     return Tensor(a.tape, -a.value, (a,), (lambda g: -g,), "neg")
 
 
+def _check_matmul(x: np.ndarray, w: np.ndarray):
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"matmul: incompatible shapes {x.shape} @ {w.shape}")
+
+
+def _check_bias(x: np.ndarray, b: np.ndarray):
+    if x.ndim != 2 or b.ndim != 1 or x.shape[1] != b.shape[0]:
+        raise ValueError(f"add_bias: incompatible shapes {x.shape} + {b.shape}")
+
+
 def matmul(x: Tensor, w: Tensor) -> Tensor:
-    if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {x.value.shape} @ {w.value.shape}")
+    _check_matmul(x.value, w.value)
     return Tensor(x.tape, x.value @ w.value, (x, w),
                   (lambda g: g @ w.value.T, lambda g: x.value.T @ g), "matmul")
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    if x.value.ndim != 2 or b.value.ndim != 1 or x.value.shape[1] != b.value.shape[0]:
-        raise ValueError(f"add_bias: incompatible shapes {x.value.shape} + {b.value.shape}")
+    _check_bias(x.value, b.value)
     return Tensor(x.tape, x.value + b.value, (x, b),
                   (lambda g: g, lambda g: g.sum(axis=0)), "add_bias")
 
@@ -171,22 +214,37 @@ def square(a: Tensor) -> Tensor:
     return Tensor(a.tape, a.value ** 2, (a,), (lambda g: g * 2.0 * a.value,), "square")
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.value
-    out = np.empty_like(x)
+def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
+    """Stable logistic of x written to out (which may be x itself)."""
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+
+
+def _elu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ELU of x written to out (which may be x itself); returns exp(min(x,0)).
+
+    exp(min(x,0)) equals the derivative everywhere, and
+    max(x,0) + exp(min(x,0)) - 1 equals the activation.
+    """
+    ex = np.minimum(x, 0.0)
+    np.exp(ex, out=ex)
+    np.maximum(x, 0.0, out=out)
+    out += ex
+    out -= 1.0
+    return ex
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = np.empty_like(a.value)
+    _sigmoid_into(a.value, out)
     return Tensor(a.tape, out, (a,), (lambda g: g * out * (1.0 - out),), "sigmoid")
 
 
 def elu(a: Tensor) -> Tensor:
-    x = a.value
-    # exp(min(x,0)) equals the derivative everywhere, and
-    # max(x,0) + exp(min(x,0)) - 1 equals the activation
-    ex = np.exp(np.minimum(x, 0.0))
-    out = np.maximum(x, 0.0) + ex - 1.0
+    out = np.empty_like(a.value)
+    ex = _elu_into(a.value, out)
     return Tensor(a.tape, out, (a,), (lambda g: g * ex,), "elu")
 
 
@@ -296,16 +354,40 @@ def mmd_rbf(x0: Tensor, x1: Tensor, bandwidth: float) -> Tensor:
     return Tensor(x0.tape, np.array(val), (x0, x1), (vjp0, vjp1), "mmd_rbf")
 
 
+ACTIVATIONS = ("identity", "elu", "sigmoid")
+
+
 def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
-    """activation(x @ w + b); activation in {identity, elu, sigmoid}."""
-    pre = add_bias(matmul(x, w), b)
-    if activation == "identity":
+    """activation(x @ w + b); activation in {identity, elu, sigmoid}.
+
+    Recorded as three nodes (matmul, add_bias, activation).  On a tape that
+    does not record, the bias and the activation are applied in place on the
+    product, with the same operations in the same order, so the values are
+    bit-identical and each intermediate is still checked for finiteness.
+    """
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    tape = x.tape
+    if tape.record:
+        pre = add_bias(matmul(x, w), b)
+        if activation == "elu":
+            return elu(pre)
+        if activation == "sigmoid":
+            return sigmoid(pre)
         return pre
+    _check_matmul(x.value, w.value)
+    out = x.value @ w.value
+    _check_finite(tape, out, "matmul")
+    _check_bias(out, b.value)
+    out += b.value
+    if activation == "identity":
+        return Tensor(tape, out, name="add_bias")
+    _check_finite(tape, out, "add_bias")
     if activation == "elu":
-        return elu(pre)
-    if activation == "sigmoid":
-        return sigmoid(pre)
-    raise ValueError(f"unknown activation {activation!r}")
+        _elu_into(out, out)
+    else:
+        _sigmoid_into(out, out)
+    return Tensor(tape, out, name=activation)
 
 
 def glorot_init(key: int, fan_in: int, fan_out: int) -> np.ndarray:
@@ -364,7 +446,7 @@ def finite_diff_check(loss_fn, params: dict[str, np.ndarray],
     recorded = base_tape.detached_values
 
     def probe(values: dict[str, np.ndarray]) -> float:
-        tape = Tape(replay_detached=recorded)
+        tape = Tape(replay_detached=recorded, record=False)
         node = loss_fn(tape, values)
         if node.value.size != 1:
             raise ValueError("loss function must return a scalar")

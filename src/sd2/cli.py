@@ -245,6 +245,8 @@ def cmd_evaluate(args, run: Run) -> tuple[str, float]:
     model = checkpoint_load(args.checkpoint)
     data = _read_data_dir(Path(args.data))
     splits = [s.strip() for s in args.splits.split(",") if s.strip()]
+    if not splits:
+        raise ConfigError(f"--splits {args.splits!r} names no split")
     # a triple is scored within-sample on train and out-of-sample on test
     datasets = ({"within": data[0], "out": data[2]} if len(data) == 3
                 else dict.fromkeys(splits, data[0]))
@@ -331,6 +333,10 @@ def cmd_replicate(args, run: Run) -> tuple[str, float]:
 def cmd_ablate(args, run: Run) -> tuple[str, float]:
     base, base_seed = _train_config(args, run)
     variants = args.variants.split(",") if args.variants else list(tr.VARIANTS)
+    unknown = [v for v in variants if v not in tr.VARIANTS]
+    if unknown:
+        raise ConfigError(f"--variants: unknown variant {unknown[0]!r}; "
+                          f"choose from {', '.join(tr.VARIANTS)}")
     rows = []
     summaries = {}
     for variant in variants:

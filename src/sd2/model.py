@@ -123,9 +123,13 @@ def init_model(config: ArchConfig, seed: int) -> SD2Model:
     return SD2Model(config=config, seed=seed, params=params)
 
 
-def bind(model: SD2Model, tape: ad.Tape) -> dict[str, ad.Tensor]:
-    """Register every parameter on a tape, in declared order."""
-    return {name: tape.parameter(value, name) for name, value in model.params.items()}
+def bind(model: SD2Model, tape: ad.Tape,
+         layers: tuple[str, ...] | None = None) -> dict[str, ad.Tensor]:
+    """Register every parameter on a tape, in declared order; with ``layers``,
+    only the parameters of those networks (``"enc_c"``, ``"head_y"``, ...)."""
+    prefixes = None if layers is None else tuple(name + "." for name in layers)
+    return {name: tape.parameter(value, name) for name, value in model.params.items()
+            if prefixes is None or name.startswith(prefixes)}
 
 
 def _mlp(p: dict[str, ad.Tensor], prefix: str, x: ad.Tensor, n_layers: int,
@@ -136,12 +140,13 @@ def _mlp(p: dict[str, ad.Tensor], prefix: str, x: ad.Tensor, n_layers: int,
     return x
 
 
-def _encode(cfg: ArchConfig, p: dict[str, ad.Tensor], x: ad.Tensor):
-    n_layers = cfg.enc_layers + 1
-    r_z = _mlp(p, "enc_z", x, n_layers, cfg.activation, cfg.activation)
-    r_c = _mlp(p, "enc_c", x, n_layers, cfg.activation, cfg.activation)
-    r_a = _mlp(p, "enc_a", x, n_layers, cfg.activation, cfg.activation)
-    return r_z, r_c, r_a
+ENCODERS = ("enc_z", "enc_c", "enc_a")
+
+
+def _encode(cfg: ArchConfig, p: dict[str, ad.Tensor], x: ad.Tensor,
+            encoders: tuple[str, ...] = ENCODERS) -> tuple[ad.Tensor, ...]:
+    return tuple(_mlp(p, enc, x, cfg.enc_layers + 1, cfg.activation, cfg.activation)
+                 for enc in encoders)
 
 
 def _head(cfg: ArchConfig, fam: Family, p, prefix: str, x: ad.Tensor):
@@ -226,25 +231,29 @@ def forward_continuous(model: SD2Model, x: np.ndarray, t: np.ndarray,
 
 
 def encode(model: SD2Model, x: np.ndarray) -> Representations:
-    """Representations as plain arrays (convenience wrapper)."""
+    """Representations as plain arrays (convenience wrapper; builds no tape)."""
     x = _check_input(model.config, x)
-    tape = ad.Tape()
-    p = bind(model, tape)
+    tape = ad.Tape(record=False)
+    p = bind(model, tape, ENCODERS)
     r_z, r_c, r_a = _encode(model.config, p, tape.constant(x))
     return Representations(r_z.value, r_c.value, r_a.value)
 
 
 def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarray:
     """Potential-outcome estimate with the do-value substituted into the
-    treatment channel; representations come from x only."""
+    treatment channel; representations come from x only.
+
+    Builds no tape and runs only the networks the outcome reads: the
+    confounder and adjustment encoders, retain_y and head_y.
+    """
     cfg = model.config
     x = _check_input(cfg, x)
     if cfg.mode == "binary" and t_value not in (0.0, 1.0):
         raise ValueError("binary mode requires a do-value in {0, 1}")
     fam = FAMILIES[cfg.mode]
-    tape = ad.Tape()
-    p = bind(model, tape)
-    _, r_c, r_a = _encode(cfg, p, tape.constant(x))
+    tape = ad.Tape(record=False)
+    p = bind(model, tape, ("enc_c", "enc_a", "retain_y", "head_y"))
+    r_c, r_a = _encode(cfg, p, tape.constant(x), ("enc_c", "enc_a"))
     channel = None
     if cfg.treatment_channel != "none":
         channel = np.full((x.shape[0], 1), float(t_value))

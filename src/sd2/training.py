@@ -137,7 +137,8 @@ def _check_finite(bd: LossBreakdown, epoch: int, batch: int):
 
 def _eval_breakdown(config: TrainConfig, model: SD2Model, ds: dg.GeneratedDataset,
                     chunk: int = 4096) -> tuple[LossBreakdown, float]:
-    """Full-split loss breakdown (chunked) and the selection criterion.
+    """Full-split loss breakdown (chunked) and the selection criterion; the
+    forward passes build no tape.
 
     The criterion is fit-only: the importance-weighted outcome loss normalized
     by the mean weight (so its scale is comparable across epochs as the
@@ -154,7 +155,8 @@ def _eval_breakdown(config: TrainConfig, model: SD2Model, ds: dg.GeneratedDatase
         sl = slice(lo, min(lo + chunk, n))
         m = sl.stop - sl.start
         try:
-            bd, w = _batch_breakdown(config, model, x_all[sl], ds.t[sl], ds.y[sl], ad.Tape())
+            bd, w = _batch_breakdown(config, model, x_all[sl], ds.t[sl], ds.y[sl],
+                                     ad.Tape(record=False))
         except DegenerateBatchError as exc:
             log.warning("dropping validation rows %d-%d from the criterion: %s",
                         sl.start, sl.stop - 1, exc)

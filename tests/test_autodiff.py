@@ -97,6 +97,59 @@ class TestDense:
             ad.dense(tape.constant(np.ones((2, 5))), w, b, "elu")
 
 
+class TestNonRecordingTape:
+    @pytest.mark.parametrize("activation", ad.ACTIVATIONS)
+    def test_dense_matches_recorded_bitwise(self, activation):
+        x = rng.normal_matrix(7, 50, 6) * 3.0   # pre-activations of both signs
+        w = ad.glorot_init(8, 6, 5)
+        b = rng.normal_matrix(9, 1, 5)[0]
+        values = []
+        for record in (True, False):
+            tape = ad.Tape(record=record)
+            out = ad.dense(tape.constant(x), tape.parameter(w, "w"),
+                           tape.parameter(b, "b"), activation)
+            values.append(out.value)
+        assert np.array_equal(values[0], values[1])
+
+    def test_keeps_nothing(self):
+        tape = ad.Tape(record=False)
+        w = tape.parameter(ad.glorot_init(3, 4, 2), "w")
+        b = tape.parameter(np.zeros(2), "b")
+        h = ad.dense(tape.constant(np.ones((3, 4))), w, b, "elu")
+        loss = ad.sum_all(ad.sub(h, ad.detach(h)))
+        assert tape.nodes == [] and tape.params == {} and tape.detached_values == []
+        assert loss.parents == () and loss.vjps == ()
+        assert loss.value == 0.0
+
+    def test_gradients_rejected(self):
+        tape = ad.Tape(record=False)
+        x = scalar_param(tape, 2.0)
+        with pytest.raises(ad.AutodiffError, match="does not record"):
+            tape.gradients(ad.sum_all(ad.square(x)))
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("bias, op", [(0.0, "matmul"), (1e308, "add_bias")])
+    def test_non_finite_inside_dense_names_op(self, record, bias, op):
+        # an infinite pre-activation would leave elu and sigmoid finite
+        tape = ad.Tape(record=record)
+        w = tape.parameter(np.array([[1e308 if op == "matmul" else 1.0]]), "w")
+        b = tape.parameter(np.array([bias]), "b")
+        x = tape.constant([[10.0 if op == "matmul" else 1e308]])
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match=f"'{op}'"):
+            ad.dense(x, w, b, "sigmoid")
+
+
+class TestTapeRelease:
+    def test_gradients_release_the_tape(self):
+        tape = ad.Tape()
+        x = scalar_param(tape, 3.0)
+        out = ad.sum_all(ad.mul(x, x))
+        tape.gradients(out)
+        assert tape.nodes == [] and tape.params == {}
+        with pytest.raises(ad.AutodiffError, match="released"):
+            tape.gradients(out)
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = {"w": np.ones((2, 2))}

@@ -294,6 +294,11 @@ FAILURES = {
         "--splits", "val"], 2),
     "zero_optimizer_steps": (lambda tmp, run, data: [
         "train", "--config", _config(tmp), "--data", _all_treated_train_split(tmp, data)], 4),
+    "ablate_unknown_variant": (lambda tmp, run, data: [
+        "ablate", "--config", _config(tmp), "--reps", "1", "--variants", "Lq"], 2),
+    "evaluate_no_split": (lambda tmp, run, data: [
+        "evaluate", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data),
+        "--splits", ","], 2),
 }
 
 
@@ -305,6 +310,14 @@ def test_failure_writes_failed_manifest(case, trained_run, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"]
+
+
+def test_ablate_checks_variants_before_training(tmp_path, monkeypatch):
+    trained = []
+    monkeypatch.setattr(cli, "_replicate", lambda config, *a: trained.append(config))
+    assert cli.main(["ablate", "--config", _config(tmp_path), "--reps", "1",
+                     "--variants", "Total,Lq", "--out", str(tmp_path / "abl")]) == 2
+    assert trained == []
 
 
 class TestConfigParsing:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sd2 import autodiff as ad
 from sd2 import family as F
 from sd2 import rng
 from sd2 import model as M
@@ -122,6 +123,52 @@ class TestPredictOutcome:
         grid = np.linspace(20, 30, 10)
         preds = [M.predict_outcome(m, x, tv) for tv in grid]
         assert len(preds) == 10 and all(p.shape == (9,) for p in preds)
+
+
+class TestTapeFreeInference:
+    @pytest.mark.parametrize("activation", ad.ACTIVATIONS)
+    @pytest.mark.parametrize("channel", ["factual", "qt", "none"])
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    def test_matches_recorded_forward_bitwise(self, mode, channel, activation,
+                                              record_every_tape):
+        m = M.init_model(small_cfg(mode=mode, treatment_channel=channel,
+                                   activation=activation), seed=12)
+        x = rand_x(n=40) * 2.0
+
+        def run():
+            reps = M.encode(m, x)
+            return [*reps, *(M.predict_outcome(m, x, tv) for tv in (0.0, 1.0))]
+
+        tape_free = run()
+        record_every_tape()
+        recorded = run()
+        assert all(np.array_equal(a, b) for a, b in zip(tape_free, recorded))
+
+    def test_no_node_kept(self, monkeypatch):
+        m = M.init_model(small_cfg(mode="continuous"), seed=12)
+        tapes = []
+
+        class CapturedTape(ad.Tape):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tapes.append(self)
+
+        monkeypatch.setattr(ad, "Tape", CapturedTape)
+        M.predict_outcome(m, rand_x(), 0.5)
+        M.encode(m, rand_x())
+        assert len(tapes) == 2
+        assert all(not t.record and t.nodes == [] and t.params == {} for t in tapes)
+
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    def test_instrument_encoder_not_read(self, mode):
+        m = M.init_model(small_cfg(mode=mode), seed=12)
+        x = rand_x()
+        before = M.predict_outcome(m, x, 1.0)
+        for name in m.params:
+            if name.startswith("enc_z."):
+                m.params[name][:] = np.nan
+        after = M.predict_outcome(m, x, 1.0)
+        assert np.all(np.isfinite(after)) and np.array_equal(before, after)
 
 
 class TestForwardContinuous:

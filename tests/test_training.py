@@ -1,3 +1,4 @@
+import gc
 import json
 import logging
 from dataclasses import replace
@@ -104,6 +105,37 @@ class TestDegenerateBatches:
                     replace(tiny_config().arch, input_dim=5), 0), val_ds, chunk=100)
         dropped = [r for r in caplog.records if "dropping validation rows" in r.getMessage()]
         assert len(dropped) == 3
+
+
+class TestTapes:
+    @pytest.mark.parametrize("activation", ["identity", "elu", "sigmoid"])
+    @pytest.mark.parametrize("channel", ["factual", "qt", "none"])
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    def test_validation_pass_matches_recorded_bitwise(self, mode, channel, activation,
+                                                       record_every_tape):
+        dataset = ({"kind": "demand", "n": 300} if mode == "continuous"
+                   else tiny_config().dataset)
+        arch = replace(tiny_config().arch, treatment_channel=channel, activation=activation)
+        cfg = tiny_config(mode=mode, dataset=dataset, arch=arch)
+        _, val, _ = tr.resolve_data(cfg, 11)
+        model = init_model(tr._arch_for(cfg, val.covariates().shape[1]), 3)
+
+        def run():
+            bd, criterion = tr._eval_breakdown(cfg, model, val, chunk=64)
+            return [getattr(bd, f) for f in bd.FIELDS] + [criterion]
+
+        tape_free = run()
+        record_every_tape()
+        assert run() == tape_free
+
+    def test_training_leaves_no_cyclic_garbage(self, tiny_triple):
+        gc.collect()
+        gc.disable()
+        try:
+            tr.train(tiny_config(max_epochs=2, patience=2), tiny_triple[0], tiny_triple[1])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestAblation:
