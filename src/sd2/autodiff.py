@@ -17,6 +17,11 @@ and the tape keeps no nodes, parameters or detached values, so each
 intermediate array is freed as soon as nothing reads it.  A recording tape
 drops its nodes and parameters when `gradients` returns, so neither kind of
 tape is left behind as cyclic garbage.
+
+The recorded graph is coarse where the model spends its steps: `dense` is one
+node, and so are the per-sample family terms in ``family.py``.  A node's
+backward rule is an optional ``pre_vjp``, applied once to its gradient, then
+one VJP per parent; no VJP is evaluated for a constant or detached leaf.
 """
 
 from __future__ import annotations
@@ -59,13 +64,19 @@ class Tape:
         return node
 
     def constant(self, value) -> "Tensor":
-        return Tensor(self, value, name="const")
+        node = Tensor(self, value, name="const")
+        node.constant = True
+        return node
 
     def record_detached(self, value: np.ndarray) -> np.ndarray:
-        """Record (or replay) a stop-gradient value."""
+        """Record (or replay) a stop-gradient value.
+
+        The value is copied, so an in-place update of its source (a parameter
+        probed by `finite_diff_check`, or stepped by Adam) does not reach it.
+        """
         if self._replay is not None:
             value = next(self._replay)
-        value = np.asarray(value, dtype=np.float64)
+        value = np.array(value, dtype=np.float64)
         if self.record:
             self.detached_values.append(value)
         return value
@@ -73,9 +84,11 @@ class Tape:
     def gradients(self, output: "Tensor") -> tuple[float, dict[str, np.ndarray]]:
         """Backward pass from a scalar node; returns (value, grads per parameter).
 
-        Releases the tape: its nodes and parameters are dropped (the detached
-        values stay for `finite_diff_check`), so the graph is freed as soon as
-        the caller lets go of its tensors, and a second call raises.
+        Constant and detached leaves get no gradient: no VJP into them is
+        evaluated.  Releases the tape: its nodes and parameters are dropped
+        (the detached values stay for `finite_diff_check`), so the graph is
+        freed as soon as the caller lets go of its tensors, and a second call
+        raises.
         """
         if not self.record:
             raise AutodiffError("gradients of a tape that does not record")
@@ -90,10 +103,15 @@ class Tape:
             node.grad = None
         output.grad = np.ones_like(output.value)
         for node in reversed(self.nodes):
-            if node.grad is None:
+            g = node.grad
+            if g is None:
                 continue
+            if node.pre_vjp is not None:
+                g = node.pre_vjp(g)
             for parent, vjp in zip(node.parents, node.vjps):
-                contrib = vjp(node.grad)
+                if parent.constant:
+                    continue
+                contrib = vjp(g)
                 if parent.grad is None:
                     # contrib may alias node.grad; never mutated in place below
                     parent.grad = contrib
@@ -108,22 +126,33 @@ class Tape:
 
 class Tensor:
     """Node on a tape: a float64 array plus the local backward rules (none on
-    a tape that does not record)."""
+    a tape that does not record).
 
-    __slots__ = ("tape", "value", "parents", "vjps", "grad", "name")
+    ``vjps[i]`` maps the node's gradient to the contribution for
+    ``parents[i]``; a parent listed twice receives two contributions, in
+    order.  ``pre_vjp``, when given, is applied to the gradient once and its
+    result is what every VJP receives.  ``constant`` marks a leaf that takes
+    no gradient (`Tape.constant`, `detach`).
+    """
 
-    def __init__(self, tape: Tape, value, parents=(), vjps=(), name: str = "op"):
+    __slots__ = ("tape", "value", "parents", "vjps", "pre_vjp", "grad", "name", "constant")
+
+    def __init__(self, tape: Tape, value, parents=(), vjps=(), name: str = "op",
+                 pre_vjp=None):
         self.tape = tape
         self.value = np.asarray(value, dtype=np.float64)
         _check_finite(tape, self.value, name)
         self.grad = None
         self.name = name
+        self.constant = False
         if tape.record:
             self.parents = parents
             self.vjps = vjps
+            self.pre_vjp = pre_vjp
             tape.nodes.append(self)
         else:
             self.parents = self.vjps = ()
+            self.pre_vjp = None
 
     @property
     def shape(self):
@@ -313,7 +342,9 @@ def select_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 def detach(a: Tensor) -> Tensor:
     """Constant copy of a's value; records/replays through the tape."""
     value = a.tape.record_detached(a.value)
-    return Tensor(a.tape, value, (), (), "detach")
+    node = Tensor(a.tape, value, (), (), "detach")
+    node.constant = True
+    return node
 
 
 def mmd_rbf(x0: Tensor, x1: Tensor, bandwidth: float) -> Tensor:
@@ -358,36 +389,41 @@ ACTIVATIONS = ("identity", "elu", "sigmoid")
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
-    """activation(x @ w + b); activation in {identity, elu, sigmoid}.
+    """activation(x @ w + b) as one node; activation in {identity, elu, sigmoid}.
 
-    Recorded as three nodes (matmul, add_bias, activation).  On a tape that
-    does not record, the bias and the activation are applied in place on the
-    product, with the same operations in the same order, so the values are
-    bit-identical and each intermediate is still checked for finiteness.
+    The bias and the activation are applied in place on the product, with the
+    operations of `matmul`, `add_bias` and the activation in the same order,
+    so values and gradients are bit-identical to composing them; the product
+    and the biased sum are still checked for finiteness under their own
+    names.  The backward rule takes the activation's derivative once, then
+    the three VJPs of the product and the bias.
     """
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     tape = x.tape
-    if tape.record:
-        pre = add_bias(matmul(x, w), b)
-        if activation == "elu":
-            return elu(pre)
-        if activation == "sigmoid":
-            return sigmoid(pre)
-        return pre
     _check_matmul(x.value, w.value)
     out = x.value @ w.value
     _check_finite(tape, out, "matmul")
     _check_bias(out, b.value)
     out += b.value
     if activation == "identity":
-        return Tensor(tape, out, name="add_bias")
-    _check_finite(tape, out, "add_bias")
-    if activation == "elu":
-        _elu_into(out, out)
+        name, pre_vjp = "add_bias", None
     else:
-        _sigmoid_into(out, out)
-    return Tensor(tape, out, name=activation)
+        _check_finite(tape, out, "add_bias")
+        name = activation
+        if activation == "elu":
+            ex = _elu_into(out, out)
+
+            def pre_vjp(g):
+                return g * ex
+        else:
+            _sigmoid_into(out, out)
+
+            def pre_vjp(g):
+                return g * out * (1.0 - out)
+    return Tensor(tape, out, (x, w, b),
+                  (lambda g: g @ w.value.T, lambda g: x.value.T @ g,
+                   lambda g: g.sum(axis=0)), name, pre_vjp)
 
 
 def glorot_init(key: int, fan_in: int, fan_out: int) -> np.ndarray:
@@ -396,7 +432,13 @@ def glorot_init(key: int, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class AdamState:
-    """Per-parameter first/second moment accumulators and step counter."""
+    """First/second moment accumulators and step counter over one flat buffer.
+
+    The parameters move into a flat float64 buffer too: each entry of
+    ``params`` is replaced by a view of its slice, so the caller's arrays see
+    every update and `adam_step` updates all scalars with one set of vector
+    operations.
+    """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -404,29 +446,56 @@ class AdamState:
             raise ValueError("learning rate must be >= 0")
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.step = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.flat = np.zeros(sum(np.size(v) for v in params.values()))
+        self.views: dict[str, np.ndarray] = {}
+        self.slices: dict[str, slice] = {}
+        lo = 0
+        for name, value in params.items():
+            hi = lo + np.size(value)
+            view = self.flat[lo:hi].reshape(np.shape(value))
+            view[...] = value
+            self.slices[name], self.views[name] = slice(lo, hi), view
+            params[name] = view
+            lo = hi
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        # gathered gradient and two scratch buffers: a step allocates nothing
+        self.grad, self._update, self._denom = (np.empty_like(self.flat) for _ in range(3))
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place, of the arrays ``state`` holds."""
+    for name, view in state.views.items():
+        g = grads[name]
+        if g.shape != view.shape:
+            raise ValueError(f"adam_step: gradient shape {g.shape} != "
+                             f"parameter shape {view.shape} for {name!r}")
+        if params[name] is not view:
+            raise ValueError(f"adam_step: parameter {name!r} is not the array "
+                             "AdamState was made with")
+        state.grad[state.slices[name]] = g.ravel()
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"adam_step: gradient shape {g.shape} != "
-                             f"parameter shape {p.shape} for {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    g, m, v, update, denom = state.grad, state.m, state.v, state._update, state._denom
+    # p -= lr * (m / c1) / (sqrt(v / c2) + eps), after m += (1 - b1) * g and
+    # v += (1 - b2) * g * g, with each product and quotient in that order
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=update)
+    m += update
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=update)
+    update *= g
+    v += update
+    np.divide(m, c1, out=update)
+    update *= state.lr
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    update /= denom
+    state.flat -= update
 
 
 def finite_diff_check(loss_fn, params: dict[str, np.ndarray],

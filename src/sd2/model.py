@@ -178,10 +178,12 @@ def _check_input(cfg: ArchConfig, x: np.ndarray):
 
 def _forward(model: SD2Model, x: np.ndarray, t: np.ndarray, tape: ad.Tape | None,
              params: dict[str, ad.Tensor] | None) -> HeadOutputs:
-    """The graph of both modes, on checked inputs."""
+    """The graph of both modes, on checked inputs; without a tape, a forward
+    pass that records nothing."""
     cfg = model.config
     fam = FAMILIES[cfg.mode]
-    tape = tape or ad.Tape()
+    if tape is None:
+        tape = ad.Tape(record=False)
     p = params or bind(model, tape)
     r_z, r_c, r_a = _encode(cfg, p, tape.constant(x))
     h_t = ad.dense(ad.concat_cols([r_z, r_c]), p["retain_t.l0.W"], p["retain_t.l0.b"],
@@ -210,7 +212,8 @@ def _forward(model: SD2Model, x: np.ndarray, t: np.ndarray, tape: ad.Tape | None
 def forward_binary(model: SD2Model, x: np.ndarray, t: np.ndarray,
                    tape: ad.Tape | None = None,
                    params: dict[str, ad.Tensor] | None = None) -> HeadOutputs:
-    """Forward pass of a binary-mode model; treatments must lie in {0, 1}."""
+    """Forward pass of a binary-mode model; treatments must lie in {0, 1}.
+    Without a tape it records nothing: only the values are computed."""
     if model.config.mode != "binary":
         raise ValueError("forward_binary requires a binary-mode model")
     x = _check_input(model.config, x)
@@ -223,7 +226,8 @@ def forward_binary(model: SD2Model, x: np.ndarray, t: np.ndarray,
 def forward_continuous(model: SD2Model, x: np.ndarray, t: np.ndarray,
                        tape: ad.Tape | None = None,
                        params: dict[str, ad.Tensor] | None = None) -> HeadOutputs:
-    """Forward pass of a continuous-mode model."""
+    """Forward pass of a continuous-mode model; without a tape it records
+    nothing."""
     if model.config.mode != "continuous":
         raise ValueError("forward_continuous requires a continuous-mode model")
     x = _check_input(model.config, x)

@@ -97,6 +97,89 @@ class TestDense:
             ad.dense(tape.constant(np.ones((2, 5))), w, b, "elu")
 
 
+def composed_dense(x, w, b, activation):
+    """`dense` written with the primitives it fuses."""
+    pre = ad.add_bias(ad.matmul(x, w), b)
+    if activation == "elu":
+        return ad.elu(pre)
+    if activation == "sigmoid":
+        return ad.sigmoid(pre)
+    return pre
+
+
+class TestFusedDense:
+    X = rng.normal_matrix(71, 12, 5) * 3.0   # pre-activations of both signs
+    W = ad.glorot_init(72, 5, 4)
+    B = rng.normal_matrix(73, 1, 4)[0]
+    COTANGENT = rng.normal_matrix(74, 12, 4)
+
+    def run(self, layer, activation):
+        tape = ad.Tape()
+        x, w, b = (tape.parameter(v, n) for v, n in ((self.X, "x"), (self.W, "w"), (self.B, "b")))
+        out = layer(x, w, b, activation)
+        nodes = len(tape.nodes)
+        loss = ad.sum_all(ad.mul(out, tape.constant(self.COTANGENT)))
+        _, grads = tape.gradients(loss)
+        return out.value, grads, nodes
+
+    @pytest.mark.parametrize("activation", ad.ACTIVATIONS)
+    def test_matches_composition_bitwise(self, activation):
+        value, grads, nodes = self.run(ad.dense, activation)
+        ref_value, ref_grads, _ = self.run(composed_dense, activation)
+        assert nodes == 4   # three leaves and one dense node
+        assert np.array_equal(value, ref_value)
+        assert all(np.array_equal(grads[k], ref_grads[k]) for k in ("x", "w", "b"))
+
+    @pytest.mark.parametrize("activation", ad.ACTIVATIONS)
+    def test_gradcheck(self, activation):
+        def loss(tape, params):
+            h = ad.dense(tape.constant(self.X), tape.parameter(params["w"], "w"),
+                         tape.parameter(params["b"], "b"), activation)
+            return ad.sum_all(ad.mul(h, tape.constant(self.COTANGENT)))
+        assert ad.finite_diff_check(loss, {"w": self.W.copy(), "b": self.B.copy()}) < 1e-6
+
+
+class TestConstantLeaves:
+    def test_no_vjp_into_constant_or_detached_leaf(self):
+        tape = ad.Tape()
+        w = scalar_param(tape, 2.0, "w")
+        c = tape.constant(np.array([3.0]))
+        d = ad.detach(ad.square(w))
+        called = []
+
+        def vjp(name):
+            def rule(g):
+                called.append(name)
+                return g
+            return rule
+
+        node = ad.Tensor(tape, w.value + c.value + d.value, (c, w, d),
+                         (vjp("const"), vjp("param"), vjp("detach")))
+        _, grads = tape.gradients(ad.sum_all(node))
+        assert called == ["param"] and grads["w"][0] == 1.0
+        assert c.grad is None and d.grad is None
+
+    def test_parameter_grads_unchanged(self):
+        x_value = rng.normal_matrix(75, 6, 3)
+        w_value = ad.glorot_init(76, 3, 2)
+
+        def run(x_is_parameter):
+            tape = ad.Tape()
+            x = tape.parameter(x_value, "x") if x_is_parameter else tape.constant(x_value)
+            w = tape.parameter(w_value, "w")
+            b = tape.parameter(np.full(2, 0.1), "b")
+            h = ad.dense(x, w, b, "elu")
+            teacher = ad.detach(h)
+            _, grads = tape.gradients(ad.sum_all(ad.mul(h, ad.sub(h, ad.scale(teacher, 0.5)))))
+            return grads, (x, teacher)
+
+        grads, leaves = run(False)
+        ref, _ = run(True)
+        assert set(grads) == {"w", "b"}
+        assert all(np.array_equal(grads[k], ref[k]) for k in grads)
+        assert all(leaf.grad is None for leaf in leaves)
+
+
 class TestNonRecordingTape:
     @pytest.mark.parametrize("activation", ad.ACTIVATIONS)
     def test_dense_matches_recorded_bitwise(self, activation):
@@ -181,6 +264,47 @@ class TestAdam:
         with pytest.raises(ValueError):
             ad.AdamState({"w": np.ones(1)}, lr=-1.0)
 
+    def test_parameters_become_views_of_one_flat_buffer(self):
+        p = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([7.0])}
+        st = ad.AdamState(p)
+        assert all(np.shares_memory(v, st.flat) for v in p.values())
+        assert np.array_equal(st.flat, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0])
+        assert st.m.shape == st.v.shape == (7,)
+
+    def test_matches_per_array_update_bitwise(self):
+        # the update written per array, as the optimizer once ran it
+        def reference(params, grads, m, v, step, lr=3e-3, b1=0.9, b2=0.999, eps=1e-8):
+            c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            for name, p in params.items():
+                g = grads[name]
+                m[name] *= b1
+                m[name] += (1.0 - b1) * g
+                v[name] *= b2
+                v[name] += (1.0 - b2) * g * g
+                p -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+
+        # enough scalars that any reordering of the update shows in the rounding
+        init = {"a": rng.normal_matrix(81, 40, 30), "b": rng.normal_matrix(82, 1, 50)[0]}
+        params = {k: v.copy() for k, v in init.items()}
+        ref = {k: v.copy() for k, v in init.items()}
+        m = {k: np.zeros_like(v) for k, v in init.items()}
+        v = {k: np.zeros_like(v) for k, v in init.items()}
+        st = ad.AdamState(params, lr=3e-3)
+        for step in range(1, 4):
+            grads = {"a": rng.normal_matrix(83 + step, 40, 30) * 10.0 ** -step,
+                     "b": rng.normal_matrix(90 + step, 1, 50)[0]}
+            ad.adam_step(params, grads, st)
+            reference(ref, grads, m, v, step)
+        assert all(np.array_equal(params[k], ref[k]) for k in init)
+
+    def test_rebound_parameter_rejected(self):
+        p = {"w": np.ones(3)}
+        st = ad.AdamState(p)
+        p["w"] = np.ones(3)
+        with pytest.raises(ValueError, match="not the array"):
+            ad.adam_step(p, {"w": np.ones(3)}, st)
+        assert st.step == 0
+
 
 def two_layer_params(seed=0):
     return {
@@ -231,6 +355,15 @@ class TestFiniteDiff:
             s = ad.sigmoid(x)
             teacher = ad.detach(s)
             return ad.mean_all(ad.square(ad.sub(s, ad.scale(teacher, 0.5))))
+        err = ad.finite_diff_check(loss, {"x": np.array([0.3, -0.7])})
+        assert err < 1e-7
+
+    def test_detached_parameter_replayed(self):
+        # the teacher is a parameter itself: probing the parameter in place
+        # must not move the recorded teacher
+        def loss(tape, params):
+            x = tape.parameter(params["x"], "x")
+            return ad.mean_all(ad.square(ad.sub(x, ad.scale(ad.detach(x), 0.5))))
         err = ad.finite_diff_check(loss, {"x": np.array([0.3, -0.7])})
         assert err < 1e-7
 

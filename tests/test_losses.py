@@ -8,6 +8,7 @@ from sd2 import family as F
 from sd2 import losses as L
 from sd2 import rng
 from sd2.family import BERNOULLI, Gaussian
+from sd2.infotheory import PROB_FLOOR
 from sd2.model import HeadOutputs, Representations
 
 LN2 = np.log(2.0)
@@ -341,6 +342,223 @@ class TestKLProperties:
         got = F.gaussian_kl_vec(gaussian(tape, [0.0], [0.0]),
                                 gaussian(tape, [1.0], [np.log(2.0)])).value[0, 0]
         assert got == pytest.approx(gaussian_kl(GaussianParams(0, 1), GaussianParams(1, 2)))
+
+
+# The per-sample family terms written with autodiff primitives: the oracles
+# of the fused single-node terms in ``family.py``.
+
+def composed_bernoulli_ce(q, y):
+    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+    qc = ad.clip(q, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    one_minus = ad.shift(ad.neg(qc), 1.0)
+    return ad.neg(ad.add(ad.scale(ad.log(qc), y), ad.scale(ad.log(one_minus), 1.0 - y)))
+
+
+def composed_bernoulli_kl(q, p):
+    qc = ad.clip(q, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    pc = ad.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    one_q = ad.shift(ad.neg(qc), 1.0)
+    one_p = ad.shift(ad.neg(pc), 1.0)
+    pos = ad.mul(qc, ad.sub(ad.log(qc), ad.log(pc)))
+    neg_part = ad.mul(one_q, ad.sub(ad.log(one_q), ad.log(one_p)))
+    return ad.add(pos, neg_part)
+
+
+def composed_gaussian_nll(g, target):
+    target = np.asarray(target, dtype=np.float64).reshape(-1, 1)
+    resid = ad.shift(ad.neg(g.mean), target)
+    inv_var = ad.exp(ad.scale(g.log_std, -2.0))
+    return ad.add(ad.scale(ad.mul(ad.square(resid), inv_var), 0.5),
+                  ad.shift(g.log_std, 0.5 * F.LOG_2PI))
+
+
+def composed_gaussian_kl(q, p):
+    var_q = ad.exp(ad.scale(q.log_std, 2.0))
+    inv_var_p = ad.exp(ad.scale(p.log_std, -2.0))
+    num = ad.add(var_q, ad.square(ad.sub(q.mean, p.mean)))
+    return ad.shift(ad.add(ad.sub(p.log_std, q.log_std),
+                           ad.scale(ad.mul(num, inv_var_p), 0.5)), -0.5)
+
+
+def composed_gaussian_head(out):
+    return Gaussian(ad.select_cols(out, 0),
+                    ad.clip(ad.select_cols(out, 1), F.LOG_STD_MIN, F.LOG_STD_MAX))
+
+
+# Ten rows at, beyond and inside both clip edges, then random rows: a
+# reordered product or sum in a VJP changes the rounding of a few rows only.
+ROWS = 256
+EDGE = 1.0 - PROB_FLOOR
+
+
+def with_random_rows(edges, key, lo, hi):
+    return np.concatenate([edges, lo + (hi - lo) * rng.uniforms(key, 0, ROWS - len(edges))])
+
+
+Q_VALUES = with_random_rows([0.0, 1e-12, PROB_FLOOR, 0.3, 0.5, 0.81, EDGE, 1.0 - 1e-12, 1.0, 0.02],
+                            204, 0.0, 1.0)
+P_VALUES = with_random_rows([0.4, 1e-9, 0.7, PROB_FLOOR, 0.5, EDGE, 0.2, 0.9, 1.0, 0.0],
+                            205, 0.0, 1.0)
+Y_VALUES = rng.bernoulli(206, np.full(ROWS, 0.5))
+LS_Q = with_random_rows([-7.0, F.LOG_STD_MIN, -1.2, 0.0, 0.4, F.LOG_STD_MAX, 4.5, -4.9, 2.9, 0.1],
+                        207, F.LOG_STD_MIN, F.LOG_STD_MAX)
+LS_P = with_random_rows([0.3, -6.0, F.LOG_STD_MIN, 1.1, F.LOG_STD_MAX, -0.2, 0.0, 3.5, -4.0, 2.0],
+                        208, F.LOG_STD_MIN, F.LOG_STD_MAX)
+COTANGENT = rng.normal_matrix(201, ROWS, 1)
+
+
+def run_term(term, call, values):
+    """Value, node count and parameter gradients of sum(cotangent * term),
+    with ``call(term, params)`` building the term from the parameters.
+
+    Each parameter also enters the loss linearly after the term, so its
+    gradient sums at least three contributions when the term reaches it
+    twice, and the order in which they arrive shows in the rounding.
+    """
+    tape = ad.Tape()
+    params = {k: tape.parameter(v.reshape(-1, 1), k) for k, v in values.items()}
+    before = len(tape.nodes)
+    out = call(term, params)
+    nodes = len(tape.nodes) - before
+    loss = ad.sum_all(ad.mul(out, tape.constant(COTANGENT)))
+    for i, p in enumerate(params.values()):
+        loss = ad.add(loss, ad.sum_all(ad.scale(p, rng.normal_matrix(210 + i, ROWS, 1))))
+    _, grads = tape.gradients(loss)
+    return out.value, nodes, grads
+
+
+def gaussian_of(params, side):
+    """The Gaussian whose mean and log std are the parameters themselves."""
+    return Gaussian(params[side + "_mean"], params[side + "_ls"])
+
+
+def clipped_gaussian_of(params, side):
+    """The same, with the log std clipped as a Gaussian head clips it."""
+    return Gaussian(params[side + "_mean"],
+                    ad.clip(params[side + "_ls"], F.LOG_STD_MIN, F.LOG_STD_MAX))
+
+
+GAUSSIAN_VALUES = {"q_mean": rng.normals(211, 0, ROWS), "q_ls": LS_Q,
+                   "p_mean": rng.normals(212, 0, ROWS), "p_ls": LS_P}
+Q_GAUSSIAN = {k: GAUSSIAN_VALUES[k] for k in ("q_mean", "q_ls")}
+TARGET = rng.normals(213, 0, ROWS)
+
+# name: (fused term, its composition, call(term, params), parameter values,
+#        nodes the call adds besides the term itself)
+FAMILY_CASES = {
+    "bernoulli_ce": (F.bernoulli_ce_vec, composed_bernoulli_ce,
+                     lambda term, p: term(p["q"], Y_VALUES), {"q": Q_VALUES}, 0),
+    "bernoulli_kl": (F.bernoulli_kl_vec, composed_bernoulli_kl,
+                     lambda term, p: term(p["q"], p["p"]), {"q": Q_VALUES, "p": P_VALUES}, 0),
+    "bernoulli_kl_teacher": (F.bernoulli_kl_vec, composed_bernoulli_kl,
+                             lambda term, p: term(p["q"], ad.detach(p["p"])),
+                             {"q": Q_VALUES, "p": P_VALUES}, 1),
+    "bernoulli_kl_self": (F.bernoulli_kl_vec, composed_bernoulli_kl,
+                          lambda term, p: term(p["q"], p["q"]), {"q": Q_VALUES}, 0),
+    "gaussian_nll": (F.gaussian_nll_vec, composed_gaussian_nll,
+                     lambda term, p: term(gaussian_of(p, "q"), TARGET), Q_GAUSSIAN, 0),
+    "gaussian_kl": (F.gaussian_kl_vec, composed_gaussian_kl,
+                    lambda term, p: term(gaussian_of(p, "q"), gaussian_of(p, "p")),
+                    GAUSSIAN_VALUES, 0),
+    "gaussian_kl_teacher": (F.gaussian_kl_vec, composed_gaussian_kl,
+                            lambda term, p: term(gaussian_of(p, "q"),
+                                                 F.GAUSSIAN.detach(gaussian_of(p, "p"))),
+                            GAUSSIAN_VALUES, 2),
+    "gaussian_kl_self": (F.gaussian_kl_vec, composed_gaussian_kl,
+                         lambda term, p: term(gaussian_of(p, "q"), gaussian_of(p, "q")),
+                         Q_GAUSSIAN, 0),
+}
+
+
+class TestFusedFamilyTerms:
+    @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+    def test_matches_composition_bitwise(self, case):
+        fused, composed, call, values, extra = FAMILY_CASES[case]
+        value, nodes, grads = run_term(fused, call, values)
+        ref_value, _, ref_grads = run_term(composed, call, values)
+        assert nodes == extra + 1
+        assert np.array_equal(value, ref_value)
+        assert set(grads) == set(values)
+        assert all(np.array_equal(grads[k], ref_grads[k]) for k in values)
+
+    def test_clip_edges_pass_or_stop_gradients(self):
+        tape = ad.Tape()
+        q = tape.parameter(Q_VALUES.reshape(-1, 1), "q")
+        _, grads = tape.gradients(ad.sum_all(F.bernoulli_ce_vec(q, Y_VALUES)))
+        inside = ((Q_VALUES >= PROB_FLOOR) & (Q_VALUES <= EDGE)).reshape(-1, 1)
+        assert np.all(grads["q"][~inside] == 0.0) and np.all(grads["q"][inside] != 0.0)
+        tape = ad.Tape()
+        p = {k: tape.parameter(v.reshape(-1, 1), k) for k, v in Q_GAUSSIAN.items()}
+        _, grads = tape.gradients(ad.sum_all(F.gaussian_nll_vec(clipped_gaussian_of(p, "q"),
+                                                                TARGET)))
+        inside = ((LS_Q >= F.LOG_STD_MIN) & (LS_Q <= F.LOG_STD_MAX)).reshape(-1, 1)
+        assert np.all(grads["q_ls"][~inside] == 0.0) and np.all(grads["q_ls"][inside] != 0.0)
+
+    def test_gaussian_head_matches_composition_bitwise(self):
+        out = np.stack([GAUSSIAN_VALUES["q_mean"], LS_Q], axis=1)
+
+        def run(head):
+            tape = ad.Tape()
+            o = tape.parameter(out, "out")
+            g = head(o)
+            loss = ad.sum_all(ad.add(ad.mul(g.mean, tape.constant(COTANGENT)),
+                                     ad.square(g.log_std)))
+            _, grads = tape.gradients(loss)
+            return g.mean.value, g.log_std.value, grads["out"]
+
+        fused, composed = run(F.GAUSSIAN.head), run(composed_gaussian_head)
+        assert all(np.array_equal(a, b) for a, b in zip(fused, composed))
+
+    # logits so that q stays on its side of each clamp edge under probing
+    LOGITS_Q = np.array([-20.0, -2.0, -0.5, 0.0, 0.7, 1.9, 20.0, 3.0])
+    LOGITS_P = np.array([0.3, 25.0, -1.5, 2.2, -30.0, 0.1, -0.8, 1.0])
+    Y = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("term", ["ce", "kl", "kl_teacher"])
+    def test_bernoulli_gradcheck(self, term):
+        weights = rng.normal_matrix(202, 8, 1)
+
+        def loss(tape, params):
+            q = ad.sigmoid(tape.parameter(params["q"], "q"))
+            if term == "ce":
+                vec = F.bernoulli_ce_vec(q, self.Y)
+            else:
+                p = ad.sigmoid(tape.parameter(params["p"], "p"))
+                vec = F.bernoulli_kl_vec(q, ad.detach(p) if term == "kl_teacher" else p)
+            return ad.sum_all(ad.mul(vec, tape.constant(weights)))
+
+        params = {"q": self.LOGITS_Q.reshape(-1, 1).copy()}
+        if term != "ce":
+            params["p"] = self.LOGITS_P.reshape(-1, 1).copy()
+        assert ad.finite_diff_check(loss, params) < 1e-6
+
+    @pytest.mark.parametrize("term", ["nll", "kl", "kl_teacher"])
+    def test_gaussian_gradcheck(self, term):
+        # log stds inside the clip range or well beyond it; where they are
+        # clipped low, the residuals are small, so every row's term has a
+        # similar scale and rounding in the summed loss stays far below the
+        # tolerance
+        values = {"q_mean": np.array([0.0, -1.2, 0.3, 0.8, 1.5, -0.4, 0.6, 2.0]),
+                  "q_ls": np.array([-7.0, -1.2, 0.0, 0.4, 4.5, -0.5, 1.5, 0.1]),
+                  "p_mean": np.array([0.01, -0.5, 1.0, 0.2, -1.0, 0.1, 0.4, 1.2]),
+                  "p_ls": np.array([-6.0, 0.3, -1.0, 1.1, 5.0, -0.2, 0.0, 0.7])}
+        target = np.array([0.01, -1.0, 0.5, 1.0, 2.5, -0.2, 0.3, 1.6])
+        weights = rng.normal_matrix(203, 8, 1)
+
+        def loss(tape, params):
+            p = {k: tape.parameter(v, k) for k, v in params.items()}
+            q = clipped_gaussian_of(p, "q")
+            if term == "nll":
+                vec = F.gaussian_nll_vec(q, target)
+            else:
+                other = clipped_gaussian_of(p, "p")
+                vec = F.gaussian_kl_vec(q, F.GAUSSIAN.detach(other)
+                                        if term == "kl_teacher" else other)
+            return ad.sum_all(ad.mul(vec, tape.constant(weights)))
+
+        names = ("q_mean", "q_ls") if term == "nll" else tuple(values)
+        params = {k: values[k].reshape(-1, 1).copy() for k in names}
+        assert ad.finite_diff_check(loss, params) < 1e-6
 
 
 class TestLossWeights:

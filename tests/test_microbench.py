@@ -11,12 +11,14 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from sd2 import autodiff as ad  # noqa: E402
+from sd2 import family as F  # noqa: E402
 from sd2 import model as M  # noqa: E402
 from sd2 import rng  # noqa: E402
-from sd2.losses import LossWeights, total_loss_binary  # noqa: E402
+from sd2.losses import LossWeights, total_loss_binary, total_loss_continuous  # noqa: E402
 
 ROUNDS = 5
 README_ARCH = dict(rep_dim=8, enc_hidden=64, enc_layers=2, head_hidden=32)
+README_WEIGHTS = LossWeights(alpha=1.0, beta=0.5, gamma=1.0, delta=0.01)
 
 
 def _pedantic(benchmark, target, setup=None):
@@ -47,12 +49,69 @@ def test_predict_outcome(benchmark):
     assert out.shape == (10_000,) and np.all(np.isfinite(out))
 
 
-def _training_step_setup(batch=256):
-    model = M.init_model(M.ArchConfig(input_dim=10, **README_ARCH), 5)
+def _training_step_setup(batch=256, mode="binary"):
+    model = M.init_model(M.ArchConfig(input_dim=10, mode=mode, **README_ARCH), 5)
     x = rng.normal_matrix(6, batch, 10)
-    t = (np.arange(batch) % 2).astype(np.float64)
-    y = rng.bernoulli(7, np.full(batch, 0.5))
+    if mode == "binary":
+        t = (np.arange(batch) % 2).astype(np.float64)
+        y = rng.bernoulli(7, np.full(batch, 0.5))
+    else:
+        t, y = rng.normals(7, 0, batch), rng.normals(8, 0, batch)
     return model, x, t, y
+
+
+@pytest.mark.parametrize("mode", ["binary", "continuous"])
+def test_training_step(benchmark, mode):
+    """bind -> forward -> loss -> gradients -> adam_step at the README config."""
+    model, x, t, y = _training_step_setup(mode=mode)
+    state = ad.AdamState(model.params, lr=1e-3)
+    before = model.copy_params()
+
+    def step():
+        tape = ad.Tape()
+        params = M.bind(model, tape)
+        if mode == "binary":
+            outputs = M.forward_binary(model, x, t, tape, params)
+            bd = total_loss_binary(outputs, t, y, np.ones(len(t)), README_WEIGHTS, params)
+        else:
+            outputs = M.forward_continuous(model, x, t, tape, params)
+            bd = total_loss_continuous(outputs, t, y, README_WEIGHTS, params)
+        value, grads = tape.gradients(bd.node)
+        ad.adam_step(model.params, grads, state)
+        return value
+
+    value = _pedantic(benchmark, step)
+    assert np.isfinite(value) and state.step == ROUNDS + 1
+    assert all(not np.array_equal(model.params[k], before[k]) for k in model.weight_names())
+
+
+def _gaussian(tape, key, rows=256):
+    out = rng.normal_matrix(key, rows, 2)
+    return F.GAUSSIAN.head(tape.parameter(out, f"out{key}"))
+
+
+FAMILY_TERMS = {
+    "bernoulli_ce": lambda tape: F.bernoulli_ce_vec(
+        ad.sigmoid(tape.parameter(rng.normal_matrix(11, 256, 1), "q")),
+        rng.bernoulli(12, np.full(256, 0.5))),
+    "bernoulli_kl": lambda tape: F.bernoulli_kl_vec(
+        ad.sigmoid(tape.parameter(rng.normal_matrix(11, 256, 1), "q")),
+        ad.sigmoid(tape.parameter(rng.normal_matrix(13, 256, 1), "p"))),
+    "gaussian_nll": lambda tape: F.gaussian_nll_vec(_gaussian(tape, 14), rng.normals(15, 0, 256)),
+    "gaussian_kl": lambda tape: F.gaussian_kl_vec(_gaussian(tape, 14), _gaussian(tape, 16)),
+}
+
+
+@pytest.mark.parametrize("term", sorted(FAMILY_TERMS))
+def test_family_term(benchmark, term):
+    """A fused per-sample family term on 256 rows, forward and backward."""
+    def run():
+        tape = ad.Tape()
+        return tape.gradients(ad.mean_all(FAMILY_TERMS[term](tape)))
+
+    value, grads = _pedantic(benchmark, run)
+    assert np.isfinite(value)
+    assert grads and all(np.all(np.isfinite(g)) and np.any(g != 0) for g in grads.values())
 
 
 def test_tape_gradients(benchmark):

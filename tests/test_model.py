@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,21 @@ class TestTapeFreeInference:
         M.encode(m, rand_x())
         assert len(tapes) == 2
         assert all(not t.record and t.nodes == [] and t.params == {} for t in tapes)
+
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    def test_tapeless_forward_leaves_no_cyclic_garbage(self, mode):
+        m = M.init_model(small_cfg(mode=mode), seed=12)
+        forward = M.forward_binary if mode == "binary" else M.forward_continuous
+        t = rand_t(n=50) if mode == "binary" else rng.normals(9, 0, 50)
+        gc.collect()
+        gc.disable()
+        try:
+            outs = forward(m, rand_x(n=50), t)
+            assert not outs.reps.r_c.tape.record
+            del outs
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("mode", ["binary", "continuous"])
     def test_instrument_encoder_not_read(self, mode):

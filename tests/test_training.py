@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sd2 import autodiff as ad
 from sd2 import cli
 from sd2 import datagen as dg
 from sd2 import evaluation as ev
 from sd2 import rng
 from sd2 import training as tr
+from sd2.losses import LossWeights
 from sd2.model import ArchConfig, init_model
 
 
@@ -127,6 +129,22 @@ class TestTapes:
         tape_free = run()
         record_every_tape()
         assert run() == tape_free
+
+    @pytest.mark.parametrize("mode, limit", [("binary", 125), ("continuous", 180)])
+    def test_step_tape_size(self, mode, limit):
+        # README arch and weights: one node per dense layer and per family term
+        cfg = tr.TrainConfig(
+            mode=mode, arch=ArchConfig(input_dim=1, rep_dim=8, enc_hidden=64, enc_layers=2,
+                                       head_hidden=32),
+            weights=LossWeights(alpha=1.0, beta=0.5, gamma=1.0, delta=0.01))
+        model = init_model(tr._arch_for(cfg, 6), 3)
+        x = rng.normal_matrix(21, 32, 6)
+        t = ((np.arange(32) % 2).astype(float) if mode == "binary"
+             else rng.normals(22, 0, 32))
+        y = rng.bernoulli(23, np.full(32, 0.5))
+        tape = ad.Tape()
+        tr._batch_breakdown(cfg, model, x, t, y, tape)
+        assert len(tape.nodes) <= limit
 
     def test_training_leaves_no_cyclic_garbage(self, tiny_triple):
         gc.collect()
