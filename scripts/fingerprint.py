@@ -1,0 +1,96 @@
+"""Print sha256 fingerprints of training and inference results.
+
+Two commits whose fingerprints match train byte-identical checkpoints and
+histories and compute bit-identical forward passes.  Run from the repository
+root:
+
+    PYTHONPATH=src python3 scripts/fingerprint.py
+
+Six `sd2 train` runs at the README arch and weights (n=1,500, 3 epochs,
+seed 3: binary and demand, each with the factual, qt and none treatment
+channel) print the sha256 of their `checkpoint.bin` and `history.csv`.  A
+last line gives one sha256 over the outputs of `predict_outcome` (every
+do-value of the dataset's grid), `encode` and `_eval_breakdown` for each
+trained model on fresh datasets of 1,000, 1,025, 4,097 and 10,000 rows, row
+counts that put the forward passes on and around their row-block boundaries.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from sd2 import cli
+from sd2 import datagen as dg
+from sd2 import evaluation as ev
+from sd2 import training as tr
+from sd2.model import checkpoint_load, encode, predict_outcome
+
+DATASETS = {"binary": {"kind": "synthetic_binary", "mv": 0, "mz": 4, "mc": 4, "ma": 2, "mu": 2},
+            "continuous": {"kind": "demand", "alpha": 0.0, "beta": 1.0}}
+CHANNELS = ("factual", "qt", "none")
+FORWARD_ROWS = (1000, 1025, 4097, 10000)
+
+
+def _config(mode: str, channel: str) -> dict:
+    return {
+        "schema_version": 1,
+        "mode": mode,
+        "arch": {"rep_dim": 8, "enc_hidden": 64, "enc_layers": 2, "head_hidden": 32,
+                 "treatment_channel": channel},
+        "weights": {"alpha": 1.0, "beta": 0.5, "gamma": 1.0, "delta": 0.01},
+        "optimizer": {"lr": 0.001},
+        "train": {"batch_size": 256, "max_epochs": 3, "patience": 3, "seed": 3},
+        "dataset": {**DATASETS[mode], "n": 1500},
+    }
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _hash_forward(digest, raw_config: dict, checkpoint: Path) -> None:
+    config = cli.build_train_config(raw_config)
+    model = checkpoint_load(checkpoint)
+    for n in FORWARD_ROWS:
+        ds = dg.generate(dg.spec_from_ref({**DATASETS[config.mode], "n": n, "seed": n}))
+        x = ds.covariates()
+        grid = (0.0, 1.0) if config.mode == "binary" else ev.default_grid(ds.t)
+        for tv in grid:
+            digest.update(predict_outcome(model, x, float(tv)).tobytes())
+        for rep in encode(model, x):
+            digest.update(rep.tobytes())
+        bd, criterion = tr._eval_breakdown(config, model, ds)
+        values = [getattr(bd, f) for f in bd.FIELDS] + [criterion]
+        digest.update(" ".join(float(v).hex() for v in values).encode())
+
+
+def main() -> int:
+    forward = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for mode in DATASETS:
+            for channel in CHANNELS:
+                name = f"{mode}-{channel}"
+                raw = _config(mode, channel)
+                config_path = Path(tmp) / f"{name}.json"
+                config_path.write_text(json.dumps(raw))
+                out = Path(tmp) / name
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(["train", "--config", str(config_path), "--out", str(out)])
+                if code != 0:
+                    print(f"{name}: sd2 train exited {code}", file=sys.stderr)
+                    return 1
+                for artifact in ("checkpoint.bin", "history.csv"):
+                    print(f"{name} {artifact} {_sha256(out / artifact)}")
+                _hash_forward(forward, raw, out / "checkpoint.bin")
+    print(f"forward outputs at n={','.join(map(str, FORWARD_ROWS))} {forward.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,7 +4,11 @@ A Tape records every operation in creation order (which is a topological
 order), and `gradients` replays it backwards, accumulating exact adjoints.
 Shapes are explicit: no broadcasting beyond bias addition.  Values are checked
 for finiteness as nodes are created, so a NaN/Inf is reported at the operation
-that produced it.
+that produced it.  `dense` checks once, after the bias add: a non-finite
+product stays non-finite when a finite bias is added, and elu and sigmoid map
+finite values to finite ones.  Only when that check fails is the product
+recomputed, to name ``'matmul'`` or ``'add_bias'`` as checking each step
+would, at the same place on the trace.
 
 Stop-gradient values (`detach`, the MMD bandwidth) are recorded on the tape in
 creation order.  `finite_diff_check` replays them at probe points, so the
@@ -138,10 +142,11 @@ class Tensor:
     __slots__ = ("tape", "value", "parents", "vjps", "pre_vjp", "grad", "name", "constant")
 
     def __init__(self, tape: Tape, value, parents=(), vjps=(), name: str = "op",
-                 pre_vjp=None):
+                 pre_vjp=None, checked: bool = False):
         self.tape = tape
         self.value = np.asarray(value, dtype=np.float64)
-        _check_finite(tape, self.value, name)
+        if not checked:  # else the caller checked the value and counted it on the trace
+            _check_finite(tape, self.value, name)
         self.grad = None
         self.name = name
         self.constant = False
@@ -393,23 +398,28 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
 
     The bias and the activation are applied in place on the product, with the
     operations of `matmul`, `add_bias` and the activation in the same order,
-    so values and gradients are bit-identical to composing them; the product
-    and the biased sum are still checked for finiteness under their own
-    names.  The backward rule takes the activation's derivative once, then
-    the three VJPs of the product and the bias.
+    so values and gradients are bit-identical to composing them.  One
+    finiteness check on the biased sum stands for the product's, the sum's and
+    the activation's; a failure still names ``'matmul'`` or ``'add_bias'`` and
+    the place on the trace that composing them would.  The backward rule
+    takes the activation's derivative once, then the three VJPs of the
+    product and the bias.
     """
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     tape = x.tape
     _check_matmul(x.value, w.value)
     out = x.value @ w.value
-    _check_finite(tape, out, "matmul")
     _check_bias(out, b.value)
     out += b.value
+    if not np.isfinite(out.sum()):
+        _check_finite(tape, x.value @ w.value, "matmul")
+        _check_finite(tape, out, "add_bias")
     if activation == "identity":
         name, pre_vjp = "add_bias", None
+        tape.created += 2  # the product's place on the trace and the biased sum's
     else:
-        _check_finite(tape, out, "add_bias")
+        tape.created += 3  # and the activation's
         name = activation
         if activation == "elu":
             ex = _elu_into(out, out)
@@ -423,7 +433,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
                 return g * out * (1.0 - out)
     return Tensor(tape, out, (x, w, b),
                   (lambda g: g @ w.value.T, lambda g: x.value.T @ g,
-                   lambda g: g.sum(axis=0)), name, pre_vjp)
+                   lambda g: g.sum(axis=0)), name, pre_vjp, checked=True)
 
 
 def glorot_init(key: int, fan_in: int, fan_out: int) -> np.ndarray:

@@ -8,6 +8,13 @@ has an adjustment head and a rebalance network feeding a second confounder
 head.  The deep outcome head optionally receives a treatment channel: the
 factual treatment (default), the deep treatment head's mean, or nothing.  At
 prediction time the do-value is substituted into that channel.
+
+A forward pass on a tape that does not record runs in row blocks of at most
+``BLOCK_ROWS`` rows, each through the whole network, so a block's
+intermediates stay in cache; the per-block outputs are stitched back in row
+order.  Every operation is row-wise, so the values equal one pass over all
+rows bit for bit (``tests/test_model.py`` checks this around the block
+boundaries).
 """
 
 from __future__ import annotations
@@ -25,6 +32,11 @@ from .family import FAMILIES, Family, Gaussian
 
 CHECKPOINT_FORMAT = "sd2-checkpoint"
 CHECKPOINT_VERSION = 1
+
+BLOCK_ROWS = 1024
+# a shorter tail joins the block before it: a one-row block takes another
+# BLAS path (matrix-vector) whose sums differ in the last bit
+_MIN_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -176,15 +188,52 @@ def _check_input(cfg: ArchConfig, x: np.ndarray):
     return x
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Row slices starting at multiples of BLOCK_ROWS; a tail shorter than
+    _MIN_BLOCK_ROWS rows is folded into the block before it."""
+    starts = list(range(0, n, BLOCK_ROWS)) or [0]
+    if len(starts) > 1 and n - starts[-1] < _MIN_BLOCK_ROWS:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
+def _stitch(parts: list):
+    """One output from the outputs of consecutive row blocks: arrays and
+    tensors are concatenated by rows, named tuples field by field."""
+    first = parts[0]
+    if first is None:
+        return None
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    if isinstance(first, ad.Tensor):
+        # every block's values were checked as they were made
+        return ad.Tensor(first.tape, np.concatenate([p.value for p in parts]),
+                         name=first.name, checked=True)
+    return type(first)(*(_stitch(list(field)) for field in zip(*parts)))
+
+
+def _blocked(tape: ad.Tape, run, *rows: np.ndarray):
+    """``run(*rows)``; on a tape that does not record, run once per row block
+    and stitched."""
+    blocks = _row_blocks(len(rows[0]))
+    if tape.record or len(blocks) == 1:
+        return run(*rows)
+    return _stitch([run(*(a[sl] for a in rows)) for sl in blocks])
+
+
 def _forward(model: SD2Model, x: np.ndarray, t: np.ndarray, tape: ad.Tape | None,
              params: dict[str, ad.Tensor] | None) -> HeadOutputs:
     """The graph of both modes, on checked inputs; without a tape, a forward
     pass that records nothing."""
-    cfg = model.config
-    fam = FAMILIES[cfg.mode]
     if tape is None:
         tape = ad.Tape(record=False)
     p = params or bind(model, tape)
+    return _blocked(tape, lambda xb, tb: _forward_rows(model.config, p, tape, xb, tb), x, t)
+
+
+def _forward_rows(cfg: ArchConfig, p: dict[str, ad.Tensor], tape: ad.Tape,
+                  x: np.ndarray, t: np.ndarray) -> HeadOutputs:
+    fam = FAMILIES[cfg.mode]
     r_z, r_c, r_a = _encode(cfg, p, tape.constant(x))
     h_t = ad.dense(ad.concat_cols([r_z, r_c]), p["retain_t.l0.W"], p["retain_t.l0.b"],
                    cfg.activation)
@@ -239,8 +288,11 @@ def encode(model: SD2Model, x: np.ndarray) -> Representations:
     x = _check_input(model.config, x)
     tape = ad.Tape(record=False)
     p = bind(model, tape, ENCODERS)
-    r_z, r_c, r_a = _encode(model.config, p, tape.constant(x))
-    return Representations(r_z.value, r_c.value, r_a.value)
+
+    def run(xb):
+        return Representations(*(r.value for r in _encode(model.config, p, tape.constant(xb))))
+
+    return _blocked(tape, run, x)
 
 
 def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarray:
@@ -257,11 +309,15 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
     fam = FAMILIES[cfg.mode]
     tape = ad.Tape(record=False)
     p = bind(model, tape, ("enc_c", "enc_a", "retain_y", "head_y"))
-    r_c, r_a = _encode(cfg, p, tape.constant(x), ("enc_c", "enc_a"))
-    channel = None
-    if cfg.treatment_channel != "none":
-        channel = np.full((x.shape[0], 1), float(t_value))
-    return fam.mean(_outcome_head(cfg, fam, p, tape, r_c, r_a, channel)).value[:, 0]
+
+    def run(xb):
+        r_c, r_a = _encode(cfg, p, tape.constant(xb), ("enc_c", "enc_a"))
+        channel = None
+        if cfg.treatment_channel != "none":
+            channel = np.full((xb.shape[0], 1), float(t_value))
+        return fam.mean(_outcome_head(cfg, fam, p, tape, r_c, r_a, channel)).value[:, 0]
+
+    return _blocked(tape, run, x)
 
 
 def checkpoint_save(model: SD2Model, path: str | Path) -> None:

@@ -85,6 +85,23 @@ class TrainHistory:
         self.rows.append(row)
 
 
+class _BreakdownMean:
+    """Row-weighted mean of loss breakdowns: each term is summed as term x
+    rows, in the order the breakdowns are added, then divided by the rows."""
+
+    def __init__(self):
+        self.sums = dict.fromkeys(LossBreakdown.FIELDS, 0.0)
+        self.rows = 0
+
+    def add(self, bd: LossBreakdown, rows: int):
+        for f in LossBreakdown.FIELDS:
+            self.sums[f] += getattr(bd, f) * rows
+        self.rows += rows
+
+    def mean(self) -> LossBreakdown:
+        return LossBreakdown(**{f: s / self.rows for f, s in self.sums.items()})
+
+
 def apply_ablation(config: TrainConfig, variant: str) -> TrainConfig:
     """Table-style variants: Lp keeps only the factual outcome path, Lp+Lt
     restores the deep treatment objective, Lp+Lt+La restores the adjustment
@@ -146,8 +163,7 @@ def _eval_breakdown(config: TrainConfig, model: SD2Model, ds: dg.GeneratedDatase
     """
     x_all = ds.covariates()
     n = ds.n
-    sums = {f: 0.0 for f in LossBreakdown.FIELDS}
-    covered = 0
+    scored = _BreakdownMean()
     crit_num = 0.0
     crit_wsum = 0.0
     crit_t = 0.0
@@ -165,15 +181,13 @@ def _eval_breakdown(config: TrainConfig, model: SD2Model, ds: dg.GeneratedDatase
         crit_num += float((w * nll_y).sum())
         crit_wsum += float(w.sum())
         crit_t += float(nll_t.sum())
-        for f in LossBreakdown.FIELDS:
-            sums[f] += getattr(bd, f) * m
-        covered += m
-    if not covered:
+        scored.add(bd, m)
+    if not scored.rows:
         raise TrainingError(f"no validation chunk of {n} rows could be scored, "
                             "so no epoch can be selected")
-    mean_bd = LossBreakdown(**{f: sums[f] / covered for f in LossBreakdown.FIELDS})
-    criterion = crit_num / max(crit_wsum, 1e-12) + config.weights.alpha * crit_t / covered
-    return mean_bd, criterion
+    criterion = (crit_num / max(crit_wsum, 1e-12)
+                 + config.weights.alpha * crit_t / scored.rows)
+    return scored.mean(), criterion
 
 
 def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
@@ -198,8 +212,7 @@ def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
         started = time.perf_counter()
         perm = rng.permutation(rng.mix_key_int(shuffle_key, epoch), n)
         reshuffled = False
-        batch_sums = {f: 0.0 for f in LossBreakdown.FIELDS}
-        seen = 0
+        trained = _BreakdownMean()
         pos = 0
         batch_index = 0
         while pos < n:
@@ -223,15 +236,11 @@ def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
             _, grads = tape.gradients(bd.node)
             ad.adam_step(model.params, grads, state)
             steps += 1
-            for f in LossBreakdown.FIELDS:
-                batch_sums[f] += getattr(bd, f) * len(idx)
-            seen += len(idx)
+            trained.add(bd, len(idx))
             pos += config.batch_size
             batch_index += 1
-        if seen:
-            history.append(epoch, "train",
-                           LossBreakdown(**{f: batch_sums[f] / seen
-                                            for f in LossBreakdown.FIELDS}))
+        if trained.rows:
+            history.append(epoch, "train", trained.mean())
         val_bd, criterion = _eval_breakdown(config, model, val_ds)
         history.append(epoch, "val", val_bd)
         history.criterion.append(criterion)

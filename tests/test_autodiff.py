@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sd2 import autodiff as ad
+from sd2 import model as M
 from sd2 import rng
 
 
@@ -213,13 +214,42 @@ class TestNonRecordingTape:
     @pytest.mark.parametrize("record", [True, False])
     @pytest.mark.parametrize("bias, op", [(0.0, "matmul"), (1e308, "add_bias")])
     def test_non_finite_inside_dense_names_op(self, record, bias, op):
-        # an infinite pre-activation would leave elu and sigmoid finite
-        tape = ad.Tape(record=record)
-        w = tape.parameter(np.array([[1e308 if op == "matmul" else 1.0]]), "w")
-        b = tape.parameter(np.array([bias]), "b")
-        x = tape.constant([[10.0 if op == "matmul" else 1e308]])
-        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match=f"'{op}'"):
-            ad.dense(x, w, b, "sigmoid")
+        # an infinite pre-activation would leave elu and sigmoid finite; the
+        # product and the biased sum take places 3 and 4, after w, b and x
+        place = 3 if op == "matmul" else 4
+        for activation in ("identity", "sigmoid"):
+            tape = ad.Tape(record=record)
+            w = tape.parameter(np.array([[1e308 if op == "matmul" else 1.0]]), "w")
+            b = tape.parameter(np.array([bias]), "b")
+            x = tape.constant([[10.0 if op == "matmul" else 1e308]])
+            with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError) as failure:
+                ad.dense(x, w, b, activation)
+            assert str(failure.value) == f"non-finite value at node '{op}' (#{place} on trace)"
+
+    @pytest.mark.parametrize("activation", ["identity", "elu", "sigmoid"])
+    def test_dense_counts_three_places_on_the_trace(self, activation):
+        # a later failure's place is unchanged by the single check
+        tape = ad.Tape(record=False)
+        w = tape.parameter(np.ones((1, 1)), "w")
+        b = tape.parameter(np.zeros(1), "b")
+        h = ad.dense(tape.constant([[1.0]]), w, b, activation)
+        place = tape.created
+        assert place == (5 if activation == "identity" else 6)
+        with pytest.raises(ad.NonFiniteError, match=f"'log' \\(#{place + 1} on trace\\)"):
+            ad.log(ad.scale(h, 0.0))
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_non_finite_row_in_a_later_row_block(self, record):
+        # a 3,000-row tape-free forward runs in three row blocks; only row
+        # 1,500, in the second block, overflows the first product
+        m = M.init_model(M.ArchConfig(input_dim=6, mode="continuous"), seed=3)
+        m.params["enc_z.l0.W"][0] = 10.0
+        x = rng.normal_matrix(4, 3000, 6)
+        x[1500, 0] = 1e308
+        tape = ad.Tape() if record else None
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError) as failure:
+            M.forward_continuous(m, x, np.zeros(3000), tape)
+        assert "at node 'matmul'" in str(failure.value)
 
 
 class TestTapeRelease:

@@ -11,9 +11,11 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from sd2 import autodiff as ad  # noqa: E402
+from sd2 import datagen as dg  # noqa: E402
 from sd2 import family as F  # noqa: E402
 from sd2 import model as M  # noqa: E402
 from sd2 import rng  # noqa: E402
+from sd2 import training as tr  # noqa: E402
 from sd2.losses import LossWeights, total_loss_binary, total_loss_continuous  # noqa: E402
 
 ROUNDS = 5
@@ -46,7 +48,26 @@ def test_predict_outcome(benchmark):
     model = M.init_model(M.ArchConfig(input_dim=6, mode="continuous", **README_ARCH), 3)
     x = rng.normal_matrix(4, 10_000, 6)
     out = _pedantic(benchmark, lambda: M.predict_outcome(model, x, 1.5))
-    assert out.shape == (10_000,) and np.all(np.isfinite(out))
+    recorded = M.forward_continuous(model, x, np.full(10_000, 1.5), ad.Tape())
+    assert np.array_equal(out, recorded.q_y.mean.value[:, 0])
+
+
+@pytest.mark.parametrize("mode", ["binary", "continuous"])
+def test_validation_pass(benchmark, mode, record_every_tape):
+    """`_eval_breakdown` over a 10,000-row split at the README config."""
+    kind = "synthetic_binary" if mode == "binary" else "demand"
+    val = dg.generate(dg.spec_from_ref({"kind": kind, "n": 10_000, "seed": 4}))
+    cfg = tr.TrainConfig(mode=mode, weights=README_WEIGHTS,
+                         arch=M.ArchConfig(input_dim=1, **README_ARCH))
+    model = M.init_model(tr._arch_for(cfg, val.covariates().shape[1]), 3)
+
+    def run():
+        bd, criterion = tr._eval_breakdown(cfg, model, val)
+        return [getattr(bd, f) for f in bd.FIELDS] + [criterion]
+
+    values = _pedantic(benchmark, run)
+    record_every_tape()  # the reference runs each chunk's forward unblocked
+    assert np.all(np.isfinite(values)) and run() == values
 
 
 def _training_step_setup(batch=256, mode="binary"):

@@ -2,6 +2,8 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sd2 import autodiff as ad
 from sd2 import family as F
@@ -186,6 +188,70 @@ class TestTapeFreeInference:
                 m.params[name][:] = np.nan
         after = M.predict_outcome(m, x, 1.0)
         assert np.all(np.isfinite(after)) and np.array_equal(before, after)
+
+
+BLOCK_TEST_ROWS = (1023, 1024, 1025, 1039, 1040, 2049, 4097, 10000)
+
+
+def _tensor_values(outputs) -> list[np.ndarray]:
+    """The value of every tensor in a (nested) forward output, in field order."""
+    values = []
+    for field in outputs:
+        if isinstance(field, ad.Tensor):
+            values.append(field.value)
+        elif field is not None:
+            values += _tensor_values(field)
+    return values
+
+
+def _block_case(n, mode, channel, activation):
+    m = M.init_model(small_cfg(mode=mode, treatment_channel=channel,
+                               activation=activation), seed=12)
+    x = rand_x(n=n, key=n) * 2.0
+    if mode == "binary":
+        return m, M.forward_binary, x, rand_t(n=n, key=n + 1), 1.0
+    return m, M.forward_continuous, x, rng.normals(n + 1, 0, n), 0.7
+
+
+class TestRowBlocks:
+    @given(st.integers(0, 40_000))
+    @example(1)
+    @example(M.BLOCK_ROWS + 15)
+    @example(M.BLOCK_ROWS + 16)
+    @example(3 * M.BLOCK_ROWS)
+    def test_partition(self, n):
+        blocks = M._row_blocks(n)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(b.start % M.BLOCK_ROWS == 0 for b in blocks)
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(size >= 16 for size in sizes) or n < 16
+        # only the last block can hold a folded tail, and it is not split again
+        assert all(size == M.BLOCK_ROWS for size in sizes[:-1])
+        assert sizes[-1] < M.BLOCK_ROWS + 16
+
+    @pytest.mark.parametrize("activation", ["elu", "sigmoid"])
+    @pytest.mark.parametrize("channel", ["factual", "qt", "none"])
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    @pytest.mark.parametrize("n", BLOCK_TEST_ROWS)
+    def test_forward_matches_recorded_bitwise(self, n, mode, channel, activation):
+        m, forward, x, t, _ = _block_case(n, mode, channel, activation)
+        tape_free = _tensor_values(forward(m, x, t))
+        recorded = _tensor_values(forward(m, x, t, ad.Tape()))
+        assert len(tape_free) == len(recorded) == (19 if mode == "continuous" else 9)
+        assert all(np.array_equal(a, b) for a, b in zip(tape_free, recorded))
+
+    @pytest.mark.parametrize("activation", ["elu", "sigmoid"])
+    @pytest.mark.parametrize("channel", ["factual", "none"])
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    @pytest.mark.parametrize("n", BLOCK_TEST_ROWS)
+    def test_predict_and_encode_match_recorded_bitwise(self, n, mode, channel, activation):
+        m, forward, x, _, do_value = _block_case(n, mode, channel, activation)
+        recorded = forward(m, x, np.full(n, do_value), ad.Tape())
+        q_y_mean = F.FAMILIES[mode].mean(recorded.q_y).value[:, 0]
+        assert np.array_equal(M.predict_outcome(m, x, do_value), q_y_mean)
+        reps = M.encode(m, x)
+        assert all(np.array_equal(a, b.value) for a, b in zip(reps, recorded.reps))
 
 
 class TestForwardContinuous:

@@ -130,6 +130,25 @@ class TestTapes:
         record_every_tape()
         assert run() == tape_free
 
+    @pytest.mark.parametrize("n", [4097, 10000])
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    def test_blocked_validation_pass_matches_unblocked(self, mode, n, record_every_tape):
+        # the split spans several row blocks; a 4,097-row binary split drops
+        # its one-row last chunk in both passes
+        kind = ({"kind": "demand"} if mode == "continuous"
+                else {"kind": "synthetic_binary", "mz": 2, "mc": 2, "ma": 1, "mu": 1})
+        cfg = tiny_config(mode=mode)
+        val = dg.generate(dg.spec_from_ref({**kind, "n": n, "seed": 4}))
+        model = init_model(tr._arch_for(cfg, val.covariates().shape[1]), 3)
+
+        def run():
+            bd, criterion = tr._eval_breakdown(cfg, model, val)
+            return [getattr(bd, f) for f in bd.FIELDS] + [criterion]
+
+        blocked = run()
+        record_every_tape()  # every forward then runs over its whole chunk at once
+        assert run() == blocked
+
     @pytest.mark.parametrize("mode, limit", [("binary", 125), ("continuous", 180)])
     def test_step_tape_size(self, mode, limit):
         # README arch and weights: one node per dense layer and per family term
