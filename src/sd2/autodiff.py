@@ -8,11 +8,12 @@ that produced it.  `dense` checks once, after the bias add: a non-finite
 product stays non-finite when a finite bias is added, and elu and sigmoid map
 finite values to finite ones.  Only when that check fails is the product
 recomputed, to name ``'matmul'`` or ``'add_bias'`` as checking each step
-would, at the same place on the trace.
+would, at the same place on the trace.  The training objective
+(``losses.py``) does the same for the nodes it stands for.
 
-Stop-gradient values (`detach`, the MMD bandwidth) are recorded on the tape in
-creation order.  `finite_diff_check` replays them at probe points, so the
-numerical check targets the same stop-gradient objective whose analytic
+Stop-gradient values (teacher heads, the MMD bandwidth) are recorded on the
+tape in creation order.  `finite_diff_check` replays them at probe points, so
+the numerical check targets the same stop-gradient objective whose analytic
 gradient the backward pass computes.
 
 A tape made with ``record=False`` serves forward passes whose gradients nobody
@@ -23,9 +24,11 @@ drops its nodes and parameters when `gradients` returns, so neither kind of
 tape is left behind as cyclic garbage.
 
 The recorded graph is coarse where the model spends its steps: `dense` is one
-node, and so are the per-sample family terms in ``family.py``.  A node's
-backward rule is an optional ``pre_vjp``, applied once to its gradient, then
-one VJP per parent; no VJP is evaluated for a constant or detached leaf.
+node, and so is the training objective in ``losses.py``.  The primitives these
+fused nodes stand for are kept in ``tests/reference_ops.py`` as the oracles
+they are checked against.  A node's backward rule is an optional ``pre_vjp``,
+applied once to its gradient, then one VJP per parent; no VJP is evaluated for
+a constant or detached leaf.
 """
 
 from __future__ import annotations
@@ -84,6 +87,11 @@ class Tape:
         if self.record:
             self.detached_values.append(value)
         return value
+
+    @property
+    def replaying(self) -> bool:
+        """Whether stop-gradient values are replayed rather than recorded."""
+        return self._replay is not None
 
     def gradients(self, output: "Tensor") -> tuple[float, dict[str, np.ndarray]]:
         """Backward pass from a scalar node; returns (value, grads per parameter).
@@ -146,7 +154,7 @@ class Tensor:
         self.tape = tape
         self.value = np.asarray(value, dtype=np.float64)
         if not checked:  # else the caller checked the value and counted it on the trace
-            _check_finite(tape, self.value, name)
+            check_finite(tape, self.value, name)
         self.grad = None
         self.name = name
         self.constant = False
@@ -164,9 +172,15 @@ class Tensor:
         return self.value.shape
 
 
-def _check_finite(tape: Tape, value: np.ndarray, name: str):
-    # single-pass check: any NaN/Inf makes the sum non-finite
-    if not np.isfinite(value.sum()):
+def check_finite(tape: Tape, value: np.ndarray, name: str):
+    """Raise `NonFiniteError` naming ``name`` and its place on the trace if
+    ``value`` holds a NaN or Inf; else count the value on the trace.
+
+    Any NaN or Inf makes the sum non-finite, so one reduction settles the
+    common case; a non-finite sum is confirmed entry by entry, because finite
+    entries can overflow it.
+    """
+    if not np.isfinite(value.sum()) and not np.isfinite(value).all():
         raise NonFiniteError(f"non-finite value at node {name!r} "
                              f"(#{tape.created} on trace)")
     tape.created += 1
@@ -177,38 +191,10 @@ def _same_shape(a: Tensor, b: Tensor, op: str):
         raise ValueError(f"{op}: shape mismatch {a.value.shape} vs {b.value.shape}")
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
-    return Tensor(a.tape, a.value + b.value, (a, b),
-                  (lambda g: g, lambda g: g), "add")
-
-
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
     return Tensor(a.tape, a.value - b.value, (a, b),
                   (lambda g: g, lambda g: -g), "sub")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "mul")
-    return Tensor(a.tape, a.value * b.value, (a, b),
-                  (lambda g: g * b.value, lambda g: g * a.value), "mul")
-
-
-def scale(a: Tensor, c) -> Tensor:
-    """Multiply by a constant scalar or array (no gradient through c)."""
-    c = np.asarray(c, dtype=np.float64)
-    return Tensor(a.tape, a.value * c, (a,), (lambda g: g * c,), "scale")
-
-
-def shift(a: Tensor, c) -> Tensor:
-    """Add a constant scalar or same-shape array."""
-    c = np.asarray(c, dtype=np.float64)
-    return Tensor(a.tape, a.value + c, (a,), (lambda g: g,), "shift")
-
-
-def neg(a: Tensor) -> Tensor:
-    return Tensor(a.tape, -a.value, (a,), (lambda g: -g,), "neg")
 
 
 def _check_matmul(x: np.ndarray, w: np.ndarray):
@@ -219,29 +205,6 @@ def _check_matmul(x: np.ndarray, w: np.ndarray):
 def _check_bias(x: np.ndarray, b: np.ndarray):
     if x.ndim != 2 or b.ndim != 1 or x.shape[1] != b.shape[0]:
         raise ValueError(f"add_bias: incompatible shapes {x.shape} + {b.shape}")
-
-
-def matmul(x: Tensor, w: Tensor) -> Tensor:
-    _check_matmul(x.value, w.value)
-    return Tensor(x.tape, x.value @ w.value, (x, w),
-                  (lambda g: g @ w.value.T, lambda g: x.value.T @ g), "matmul")
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    _check_bias(x.value, b.value)
-    return Tensor(x.tape, x.value + b.value, (x, b),
-                  (lambda g: g, lambda g: g.sum(axis=0)), "add_bias")
-
-
-def log(a: Tensor) -> Tensor:
-    with np.errstate(invalid="ignore", divide="ignore"):
-        value = np.log(a.value)
-    return Tensor(a.tape, value, (a,), (lambda g: g / a.value,), "log")
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.value)
-    return Tensor(a.tape, out, (a,), (lambda g: g * out,), "exp")
 
 
 def square(a: Tensor) -> Tensor:
@@ -270,32 +233,9 @@ def _elu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return ex
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = np.empty_like(a.value)
-    _sigmoid_into(a.value, out)
-    return Tensor(a.tape, out, (a,), (lambda g: g * out * (1.0 - out),), "sigmoid")
-
-
-def elu(a: Tensor) -> Tensor:
-    out = np.empty_like(a.value)
-    ex = _elu_into(a.value, out)
-    return Tensor(a.tape, out, (a,), (lambda g: g * ex,), "elu")
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    mask = ((a.value >= lo) & (a.value <= hi)).astype(np.float64)
-    return Tensor(a.tape, np.clip(a.value, lo, hi), (a,), (lambda g: g * mask,), "clip")
-
-
 def sum_all(a: Tensor) -> Tensor:
     return Tensor(a.tape, np.array(a.value.sum()), (a,),
                   (lambda g: np.full_like(a.value, float(g)),), "sum")
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.value.size
-    return Tensor(a.tape, np.array(a.value.mean()), (a,),
-                  (lambda g: np.full_like(a.value, float(g) / n),), "mean")
 
 
 def mean_rows(a: Tensor) -> Tensor:
@@ -342,14 +282,6 @@ def select_rows(a: Tensor, idx: np.ndarray) -> Tensor:
         return out
 
     return Tensor(a.tape, a.value[idx], (a,), (vjp,), "select_rows")
-
-
-def detach(a: Tensor) -> Tensor:
-    """Constant copy of a's value; records/replays through the tape."""
-    value = a.tape.record_detached(a.value)
-    node = Tensor(a.tape, value, (), (), "detach")
-    node.constant = True
-    return node
 
 
 def mmd_rbf(x0: Tensor, x1: Tensor, bandwidth: float) -> Tensor:
@@ -412,9 +344,10 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
     out = x.value @ w.value
     _check_bias(out, b.value)
     out += b.value
-    if not np.isfinite(out.sum()):
-        _check_finite(tape, x.value @ w.value, "matmul")
-        _check_finite(tape, out, "add_bias")
+    if not np.isfinite(out.sum()) and not np.isfinite(out).all():
+        # the biased sum holds a NaN or Inf, so one of the two checks raises
+        check_finite(tape, x.value @ w.value, "matmul")
+        check_finite(tape, out, "add_bias")
     if activation == "identity":
         name, pre_vjp = "add_bias", None
         tape.created += 2  # the product's place on the trace and the biased sum's

@@ -26,68 +26,129 @@ class Gaussian(NamedTuple):
 
 
 def _clip(x: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """x clipped to [lo, hi], and the mask through which `ad.clip` passes
+    """x clipped to [lo, hi], and the mask through which a clip passes
     gradients."""
     return np.clip(x, lo, hi), ((x >= lo) & (x <= hi)).astype(np.float64)
 
 
-def _clipped(q: ad.Tensor) -> tuple[np.ndarray, np.ndarray]:
-    """A probability column clamped away from {0, 1}, and its mask."""
-    return _clip(q.value, PROB_FLOOR, 1.0 - PROB_FLOOR)
+def _pairs(*pairs) -> tuple:
+    """(node, vjp) pairs without those of a detached teacher (node None)."""
+    return tuple(pair for pair in pairs if pair[0] is not None)
 
 
-# Each per-sample term below is one tape node.  Its value and its VJPs repeat
-# the elementwise operations of the term written with `ad` primitives (clip,
+# A head is prepared once per objective: everything the family's terms read of
+# it (a Bernoulli head's clamped column, its complement and both logs; a
+# Gaussian head's variance and inverse variance) is computed once and shared
+# by every term that reads the head.  A teacher is a prepared head without
+# nodes: a stop-gradient copy, into which no gradient flows.
+#
+# Each term below returns its per-sample values and (node, vjp) pairs, and its
+# name is the op its failure reports.  The values and VJPs repeat the
+# elementwise operations of the term written with autodiff primitives (clip,
 # neg, shift, log, scale, exp, square, mul, add, sub), in the same order, so
 # values and gradients are bit-identical to that composition, which
-# tests/test_losses.py keeps as the oracle.  Parents are listed in the order
-# their contributions reached them in the composition; a parent the
+# tests/reference_ops.py keeps as the oracle.  Pairs are listed in the order
+# their contributions reached the nodes in the composition; a node the
 # composition reached twice is listed twice.
 
 
-def bernoulli_ce_vec(q: ad.Tensor, y: np.ndarray) -> ad.Tensor:
-    """Per-sample cross-entropy -[y ln q + (1-y) ln(1-q)], q clamped."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+class BernoulliHead(NamedTuple):
+    """A probability column clamped away from {0, 1}, the mask through which
+    the clamp passes gradients, the complement and both logs."""
+    node: ad.Tensor | None
+    qc: np.ndarray
+    mask: np.ndarray
+    one_q: np.ndarray
+    log_q: np.ndarray
+    log_one_q: np.ndarray
+
+    @classmethod
+    def of(cls, q: ad.Tensor) -> "BernoulliHead":
+        return cls.of_value(q.value, q)
+
+    @classmethod
+    def of_value(cls, value: np.ndarray, node: ad.Tensor | None = None) -> "BernoulliHead":
+        qc, mask = _clip(value, PROB_FLOOR, 1.0 - PROB_FLOOR)
+        one_q = -qc + 1.0
+        return cls(node, qc, mask, one_q, np.log(qc), np.log(one_q))
+
+    def teacher(self, tape: ad.Tape) -> tuple["BernoulliHead", tuple[np.ndarray, ...]]:
+        """The detached teacher and the value recorded for it on the tape."""
+        value = tape.record_detached(self.node.value)
+        if tape.replaying:
+            return BernoulliHead.of_value(value), (value,)
+        return self._replace(node=None), (value,)  # the recorded copy has the same bits
+
+
+class GaussianHead(NamedTuple):
+    """Mean and log-std columns, exp(2 log_std) and exp(-2 log_std)."""
+    node: Gaussian | None
+    mean: np.ndarray
+    log_std: np.ndarray
+    var: np.ndarray
+    inv_var: np.ndarray
+
+    @classmethod
+    def of(cls, g: Gaussian) -> "GaussianHead":
+        return cls.of_value(g.mean.value, g.log_std.value, g)
+
+    @classmethod
+    def of_value(cls, mean: np.ndarray, log_std: np.ndarray,
+                 node: Gaussian | None = None) -> "GaussianHead":
+        return cls(node, mean, log_std, np.exp(log_std * 2.0), np.exp(log_std * -2.0))
+
+    def teacher(self, tape: ad.Tape) -> tuple["GaussianHead", tuple[np.ndarray, ...]]:
+        """The detached teacher and the values recorded for it (mean, then
+        log std)."""
+        values = (tape.record_detached(self.mean), tape.record_detached(self.log_std))
+        if tape.replaying:
+            return GaussianHead.of_value(*values), values
+        return self._replace(node=None), values
+
+    @property
+    def mean_node(self):
+        return None if self.node is None else self.node.mean
+
+    @property
+    def log_std_node(self):
+        return None if self.node is None else self.node.log_std
+
+
+def bernoulli_ce(q: BernoulliHead, y: np.ndarray):
+    """Per-sample cross-entropy -[y ln q + (1-y) ln(1-q)] of an (n, 1) target."""
     not_y = 1.0 - y
-    qc, mask = _clipped(q)
-    one_q = -qc + 1.0
-    value = -(np.log(qc) * y + np.log(one_q) * not_y)
+    value = -(q.log_q * y + q.log_one_q * not_y)
 
     def vjp(g):
         g = -g
-        return ((g * y) / qc + -((g * not_y) / one_q)) * mask
+        return ((g * y) / q.qc + -((g * not_y) / q.one_q)) * q.mask
 
-    return ad.Tensor(q.tape, value, (q,), (vjp,), "bernoulli_ce")
+    return value, _pairs((q.node, vjp))
 
 
-def bernoulli_kl_vec(q: ad.Tensor, p: ad.Tensor) -> ad.Tensor:
-    """Per-sample KL(Bern(q) || Bern(p)), both clamped away from {0, 1}."""
-    qc, mask_q = _clipped(q)
-    pc, mask_p = _clipped(p)
-    one_q = -qc + 1.0
-    one_p = -pc + 1.0
-    log_ratio = np.log(qc) - np.log(pc)
-    log_ratio_1 = np.log(one_q) - np.log(one_p)
-    value = qc * log_ratio + one_q * log_ratio_1
+def bernoulli_kl(q: BernoulliHead, p: BernoulliHead):
+    """Per-sample KL(Bern(q) || Bern(p))."""
+    log_ratio = q.log_q - p.log_q
+    log_ratio_1 = q.log_one_q - p.log_one_q
+    value = q.qc * log_ratio + q.one_q * log_ratio_1
 
     def vjp_p(g):
-        return ((-(g * qc)) / pc + -((-(g * one_q)) / one_p)) * mask_p
+        return ((-(g * q.qc)) / p.qc + -((-(g * q.one_q)) / p.one_q)) * p.mask
 
     def vjp_q(g):
-        return (((g * log_ratio) + (g * qc) / qc)
-                + -((g * log_ratio_1) + (g * one_q) / one_q)) * mask_q
+        return (((g * log_ratio) + (g * q.qc) / q.qc)
+                + -((g * log_ratio_1) + (g * q.one_q) / q.one_q)) * q.mask
 
-    return ad.Tensor(q.tape, value, (p, q), (vjp_p, vjp_q), "bernoulli_kl")
+    return value, _pairs((p.node, vjp_p), (q.node, vjp_q))
 
 
-def gaussian_nll_vec(g: Gaussian, target: np.ndarray) -> ad.Tensor:
-    """Per-sample -ln N(target; mu, sigma^2) with sigma = exp(log_std)."""
-    target = np.asarray(target, dtype=np.float64).reshape(-1, 1)
-    log_std = g.log_std.value
-    resid = -g.mean.value + target
-    inv_var = np.exp(log_std * -2.0)
+def gaussian_nll(g: GaussianHead, target: np.ndarray):
+    """Per-sample -ln N(target; mu, sigma^2) of an (n, 1) target, with
+    sigma = exp(log_std)."""
+    resid = -g.mean + target
+    inv_var = g.inv_var
     sq = resid ** 2
-    value = (sq * inv_var) * 0.5 + (log_std + 0.5 * LOG_2PI)
+    value = (sq * inv_var) * 0.5 + (g.log_std + 0.5 * LOG_2PI)
 
     def via_var(grad):
         return (((grad * 0.5) * sq) * inv_var) * -2.0
@@ -95,29 +156,28 @@ def gaussian_nll_vec(g: Gaussian, target: np.ndarray) -> ad.Tensor:
     def via_mean(grad):
         return -((((grad * 0.5) * inv_var) * 2.0) * resid)
 
-    return ad.Tensor(g.mean.tape, value, (g.log_std, g.log_std, g.mean),
-                     (lambda grad: grad, via_var, via_mean), "gaussian_nll")
+    return value, _pairs((g.log_std_node, lambda grad: grad), (g.log_std_node, via_var),
+                         (g.mean_node, via_mean))
 
 
-def gaussian_kl_vec(q: Gaussian, p: Gaussian) -> ad.Tensor:
+def gaussian_kl(q: GaussianHead, p: GaussianHead):
     """Per-sample closed-form KL between two diagonal Gaussians."""
-    var_q = np.exp(q.log_std.value * 2.0)
-    inv_var_p = np.exp(p.log_std.value * -2.0)
-    diff = q.mean.value - p.mean.value
+    var_q = q.var
+    inv_var_p = p.inv_var
+    diff = q.mean - p.mean
     num = var_q + diff ** 2
-    value = ((p.log_std.value - q.log_std.value) + (num * inv_var_p) * 0.5) + -0.5
+    value = ((p.log_std - q.log_std) + (num * inv_var_p) * 0.5) + -0.5
 
     def via_diff(grad):
         return (((grad * 0.5) * inv_var_p) * 2.0) * diff
 
-    parents = (p.log_std, q.log_std, q.mean, p.mean, p.log_std, q.log_std)
-    vjps = (lambda grad: grad,
-            lambda grad: -grad,
-            via_diff,
-            lambda grad: -via_diff(grad),
-            lambda grad: (((grad * 0.5) * num) * inv_var_p) * -2.0,
-            lambda grad: (((grad * 0.5) * inv_var_p) * var_q) * 2.0)
-    return ad.Tensor(q.mean.tape, value, parents, vjps, "gaussian_kl")
+    return value, _pairs(
+        (p.log_std_node, lambda grad: grad),
+        (q.log_std_node, lambda grad: -grad),
+        (q.mean_node, via_diff),
+        (p.mean_node, lambda grad: -via_diff(grad)),
+        (p.log_std_node, lambda grad: (((grad * 0.5) * num) * inv_var_p) * -2.0),
+        (q.log_std_node, lambda grad: (((grad * 0.5) * inv_var_p) * var_q) * 2.0))
 
 
 def _gaussian_head(out: ad.Tensor) -> Gaussian:
@@ -136,21 +196,20 @@ def _gaussian_head(out: ad.Tensor) -> Gaussian:
 
 class Family(NamedTuple):
     """A head's last dense layer has ``out_dim`` units and ``activation``;
-    ``head`` turns that layer's output into the family's parameters."""
+    ``head`` turns that layer's output into the family's parameters, and
+    ``prepare`` turns those into what the terms read."""
     out_dim: int
     activation: str
     head: Callable
-    nll_vec: Callable   # (head, targets) -> per-sample negative log-likelihood
-    kl_vec: Callable    # (q, p) -> per-sample KL(q || p)
-    detach: Callable    # head -> stop-gradient copy
     mean: Callable      # head -> predictive mean column
+    prepare: Callable   # head -> BernoulliHead | GaussianHead
+    nll: Callable       # (prepared head, (n, 1) targets) -> per-sample negative log-likelihood
+    kl: Callable        # (prepared q, prepared p) -> per-sample KL(q || p)
 
 
-BERNOULLI = Family(out_dim=1, activation="sigmoid", head=lambda q: q,
-                   nll_vec=bernoulli_ce_vec, kl_vec=bernoulli_kl_vec, detach=ad.detach,
-                   mean=lambda q: q)
+BERNOULLI = Family(out_dim=1, activation="sigmoid", head=lambda q: q, mean=lambda q: q,
+                   prepare=BernoulliHead.of, nll=bernoulli_ce, kl=bernoulli_kl)
 GAUSSIAN = Family(out_dim=2, activation="identity", head=_gaussian_head,
-                  nll_vec=gaussian_nll_vec, kl_vec=gaussian_kl_vec,
-                  detach=lambda g: Gaussian(ad.detach(g.mean), ad.detach(g.log_std)),
-                  mean=lambda g: g.mean)
+                  mean=lambda g: g.mean, prepare=GaussianHead.of, nll=gaussian_nll,
+                  kl=gaussian_kl)
 FAMILIES = {"binary": BERNOULLI, "continuous": GAUSSIAN}

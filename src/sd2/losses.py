@@ -1,9 +1,8 @@
 """Training objectives: factual terms, the distillation units, the adjustment
 discrepancy, context-aware importance weights, and the weighted totals.
 
-Every term is built on an autodiff tape so one backward pass yields exact
-gradients.  Teacher distributions are gradient-detached; peer terms propagate
-to both sides.  The binary total is
+Teacher distributions are gradient-detached; peer terms propagate to both
+sides.  The binary total is
 
     mean_i(w_i * CE(q_y_i, y_i)) + alpha * CE(q_t, t) + beta * disc
     + gamma * (outcome unit + treatment unit) + delta * ||W||^2
@@ -15,6 +14,15 @@ define differently is mode-specific: the adjustment term (an MMD over the
 adjustment representation for binary treatments, a head-based loss for
 continuous ones), the binary importance weights and the continuous rebalance
 loss.
+
+The total is one tape node, ``objective``: every per-sample family term of
+both units, the factual terms, the continuous adjustment and rebalance losses
+and the weighted sum.  Each head's clamp and logs (Bernoulli) or its
+exp(+-2 log_std) (Gaussian) are computed once and shared by the terms that
+read it.  The MMD subgraph and ``l2_penalty`` keep their own nodes and enter
+the objective as parents.  Values and gradients are bit-identical to building
+the total from one node per term, mean, sum and scale, and a NaN or Inf is
+reported at the op and place on the trace that composition would have named.
 """
 
 from __future__ import annotations
@@ -134,48 +142,6 @@ def adjustment_disc(r_a: ad.Tensor, t: np.ndarray, kernel: str = "linear",
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
-def _teacher_kl(fam: Family, student, teacher, flags: LossFlags) -> ad.Tensor:
-    td = fam.detach(teacher)
-    if flags.teacher_kl_reverse:
-        return ad.mean_all(fam.kl_vec(td, student))
-    return ad.mean_all(fam.kl_vec(student, td))
-
-
-def distill_unit_treatment(fam: Family, outputs: HeadOutputs, t: np.ndarray,
-                           flags: LossFlags = LossFlags()) -> dict[str, ad.Tensor]:
-    """Labels/teachers/peer terms of the treatment-side unit; their sum
-    drives the instrument and confounder representations apart."""
-    terms = {
-        "label_z": ad.mean_all(fam.nll_vec(outputs.q_t_z, t)),
-        "teacher_z": _teacher_kl(fam, outputs.q_t_z, outputs.q_t, flags),
-        "teacher_c": _teacher_kl(fam, outputs.q_t_c, outputs.q_t, flags),
-        "peer": ad.mean_all(fam.kl_vec(outputs.q_t_c, outputs.q_t_z)),
-    }
-    if flags.aux_confounder_label:
-        terms["label_c"] = ad.mean_all(fam.nll_vec(outputs.q_t_c, t))
-    return terms
-
-
-def distill_unit_outcome(fam: Family, outputs: HeadOutputs, y: np.ndarray,
-                         flags: LossFlags = LossFlags()) -> dict[str, ad.Tensor]:
-    """Outcome-side unit; the peer term runs student-adjustment against
-    student-confounder."""
-    return {
-        "label_a": ad.mean_all(fam.nll_vec(outputs.q_y_a, y)),
-        "label_c": ad.mean_all(fam.nll_vec(outputs.q_y_c, y)),
-        "teacher_a": _teacher_kl(fam, outputs.q_y_a, outputs.q_y, flags),
-        "teacher_c": _teacher_kl(fam, outputs.q_y_c, outputs.q_y, flags),
-        "peer": ad.mean_all(fam.kl_vec(outputs.q_y_a, outputs.q_y_c)),
-    }
-
-
-def _sum_terms(terms: dict[str, ad.Tensor]) -> ad.Tensor:
-    node = None
-    for t in terms.values():
-        node = t if node is None else ad.add(node, t)
-    return node
-
-
 def l2_penalty(params: dict[str, ad.Tensor]) -> ad.Tensor:
     """Squared L2 norm over weight matrices; biases excluded.
 
@@ -185,42 +151,217 @@ def l2_penalty(params: dict[str, ad.Tensor]) -> ad.Tensor:
     weights = [p for name, p in params.items() if name.endswith(".W")]
     if not weights:
         raise ValueError("no weight matrices among parameters")
-    value = np.array(sum(float(np.sum(p.value ** 2)) for p in weights))
+    total = 0.0
+    for p in weights:  # the bits of sum(np.sum(W ** 2)), without np.sum's overhead
+        total += float(np.add.reduce(p.value * p.value, axis=None))
+    value = np.array(total)
     vjps = tuple((lambda p: (lambda g: (2.0 * float(g)) * p.value))(p) for p in weights)
     return ad.Tensor(weights[0].tape, value, tuple(weights), vjps, "l2_penalty")
 
 
+class _Objective:
+    """The terms of the objective as plain arrays, and the one tape node they
+    become.
+
+    Terms are added in the order in which the objective written with autodiff
+    primitives made its nodes (``tests/reference_ops.py`` keeps that
+    composition as the oracle), and each value repeats its operations, so
+    values and gradients are bit-identical to it:
+
+    - ``checks`` holds, for every value the composition checked for
+      finiteness, its op name and what its check needs (``_check``); a node
+      built outside the objective (the MMD subgraph, ``l2_penalty``) is built
+      at its place on the trace and holds that place by its node count;
+    - a per-sample term's gradient is its group's: the mean's gradient spread
+      over the rows, times the sample weights of the factual outcome term;
+    - ``contribs`` holds each term's (parent, vjp) pairs in creation order;
+      the node lists them in reverse, the order in which the composition's
+      backward pass reached its parents.
+    """
+
+    def __init__(self, fam: Family, tape: ad.Tape, n: int):
+        self.fam, self.tape, self.n = fam, tape, n
+        self.start = tape.created
+        self.places = 0
+        self.checks: list[tuple[str | None, object]] = []
+        self.contribs: list[tuple] = []
+        self.group_grads: list = []
+        self.heads: dict = {}
+
+    def group(self, coeff: float | None, sample_weights: np.ndarray | None = None) -> int:
+        """A gradient group: per-sample terms whose means enter the total
+        times ``coeff`` (None: as they are).  Returns its index."""
+        shape, n = (self.n, 1), self.n
+
+        def grad(g):
+            mean_grad = g if coeff is None else g * coeff
+            spread = np.full(shape, float(mean_grad) / n)
+            return spread if sample_weights is None else spread * sample_weights
+
+        self.group_grads.append(grad)
+        return len(self.group_grads) - 1
+
+    def _check(self, op: str, value, total=None):
+        """Hold what the check of ``value`` needs later: a number itself, an
+        array only when its sum ``total`` is not finite (a finite sum has
+        finite entries), and nothing for a value known to be finite."""
+        if total is not None and np.isfinite(total):
+            value = None
+        self.checks.append((op, value))
+        self.places += 1
+
+    def _prepared(self, head):
+        prepared = self.heads.get(head)
+        if prepared is None:
+            prepared = self.heads[head] = self.fam.prepare(head)
+        return prepared
+
+    def _term(self, kernel, args, group: int, sample_weights=None):
+        value, pairs = kernel(*args)
+        if self.tape.record:  # else the VJPs, and the arrays they hold, go at once
+            self.contribs.append(tuple((parent, _in_group(group, vjp)) for parent, vjp in pairs))
+        total = value.sum()
+        self._check(kernel.__name__, value, total)
+        if sample_weights is not None:
+            weighted = value * sample_weights
+            total = weighted.sum()
+            self._check("scale", weighted, total)
+        mean = total / self.n  # the bits of weighted.mean(), without its overhead
+        self._check("mean", mean)
+        return value, mean
+
+    def nll(self, head, target: np.ndarray, group: int, sample_weights=None):
+        """Per-sample negative log-likelihood of (n, 1) targets, and the mean
+        (of the weighted values, with ``sample_weights``)."""
+        return self._term(self.fam.nll, (self._prepared(head), target), group, sample_weights)
+
+    def kl(self, q, p, group: int):
+        """Mean KL(q || p) of two heads; gradients reach both."""
+        return self._term(self.fam.kl, (self._prepared(q), self._prepared(p)), group)[1]
+
+    def teacher_kl(self, student, teacher, group: int, reverse: bool = False):
+        """Mean KL(student || teacher), KL(teacher || student) with
+        ``reverse``, against a detached copy of the teacher."""
+        detached, values = self._prepared(teacher).teacher(self.tape)
+        for _ in values:  # copies of checked head values
+            self._check("detach", None)
+        student = self._prepared(student)
+        pair = (detached, student) if reverse else (student, detached)
+        return self._term(self.fam.kl, pair, group)[1]
+
+    def sum(self, values: list):
+        total = values[0]
+        for value in values[1:]:
+            total = total + value
+            self._check("add", total)
+        return total
+
+    def outside(self, build) -> ad.Tensor:
+        """The scalar node ``build()`` makes, at its place on the trace."""
+        at = self.tape.created = self.start + self.places
+        try:
+            node = build()
+        except ad.NonFiniteError:
+            self._raise_first_failure()  # an earlier term's failure comes first
+            raise
+        self.checks.append((None, self.tape.created - at))
+        self.places += self.tape.created - at
+        return node
+
+    def weighted_sum(self, first, parts: list):
+        """first + coeff * value for each (coeff, value) part, in order; a
+        value is a number or a node built outside."""
+        total = first
+        for coeff, part in parts:
+            if isinstance(part, ad.Tensor):
+                self.contribs.append(((part, _scaled_by(coeff)),))
+                part = part.value
+            scaled = part * coeff
+            self._check("scale", scaled)
+            total = total + scaled
+            self._check("add", total)
+        return total
+
+    def _raise_first_failure(self):
+        """Check the values in the composition's order, as its nodes did, so
+        the first non-finite one raises as it would have there."""
+        self.tape.created = self.start
+        for op, value in self.checks:
+            if op is None:
+                self.tape.created += value
+            elif value is None:
+                self.tape.created += 1
+            else:
+                ad.check_finite(self.tape, value, op)
+
+    def node(self, total) -> ad.Tensor:
+        """The objective's node, after one finiteness check of its value."""
+        self.tape.created = self.start + self.places
+        if not np.isfinite(total):
+            self._raise_first_failure()  # raises: the total is the last value checked
+        parents, vjps = [], []
+        for pairs in reversed(self.contribs):
+            for parent, vjp in pairs:
+                parents.append(parent)
+                vjps.append(vjp)
+        grads = self.group_grads
+        return ad.Tensor(self.tape, total, tuple(parents), tuple(vjps), "objective",
+                         pre_vjp=lambda g: (g, [grad(g) for grad in grads]), checked=True)
+
+
+# The objective's backward rule hands every VJP the pair (objective gradient,
+# per-group gradients).
+
+def _in_group(group: int, vjp):
+    return lambda grads: vjp(grads[1][group])
+
+
+def _scaled_by(coeff: float):
+    return lambda grads: grads[0] * coeff
+
+
 def _total_loss(fam: Family, outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
                 sample_weights: np.ndarray | None, weights: LossWeights,
-                params: dict[str, ad.Tensor], flags: LossFlags, make_adjust,
-                make_rebalance=None) -> LossBreakdown:
-    """The objective of both modes.  ``make_adjust`` and ``make_rebalance``
-    build the mode's own terms; they are called here so that every node keeps
-    its place on the tape."""
-    nll_y = fam.nll_vec(outputs.q_y, y)
-    factual_y = ad.mean_all(nll_y if sample_weights is None else ad.scale(nll_y, sample_weights))
-    nll_t = fam.nll_vec(outputs.q_t, t)
-    factual_t = ad.mean_all(nll_t)
-    adjust = make_adjust()
-    unit_y = _sum_terms(distill_unit_outcome(fam, outputs, y, flags))
-    unit_t = _sum_terms(distill_unit_treatment(fam, outputs, t, flags))
-    rebalance = None if make_rebalance is None else make_rebalance()
-    reg = l2_penalty(params)
-    terms = [(weights.alpha, factual_t), (weights.beta, adjust),
-             (weights.gamma, ad.add(unit_y, unit_t))]
+                params: dict[str, ad.Tensor], flags: LossFlags, adjust_terms,
+                rebalance_terms=None) -> LossBreakdown:
+    """The objective of both modes, as one node, over (n, 1) treatments and
+    outcomes.  ``adjust_terms(objective, coeff)`` and ``rebalance_terms`` add
+    the mode's own terms and return their value: a number, or a node built
+    outside the objective."""
+    obj = _Objective(fam, fam.mean(outputs.q_y).tape, len(t))
+    nll_y, factual_y = obj.nll(outputs.q_y, y, obj.group(None, sample_weights),
+                               sample_weights)
+    nll_t, factual_t = obj.nll(outputs.q_t, t, obj.group(weights.alpha))
+    adjust = adjust_terms(obj, weights.beta)
+    distill = obj.group(weights.gamma)
+    reverse = flags.teacher_kl_reverse
+    unit_y = obj.sum([obj.nll(outputs.q_y_a, y, distill)[1],
+                      obj.nll(outputs.q_y_c, y, distill)[1],
+                      obj.teacher_kl(outputs.q_y_a, outputs.q_y, distill, reverse),
+                      obj.teacher_kl(outputs.q_y_c, outputs.q_y, distill, reverse),
+                      obj.kl(outputs.q_y_a, outputs.q_y_c, distill)])
+    unit_t = [obj.nll(outputs.q_t_z, t, distill)[1],
+              obj.teacher_kl(outputs.q_t_z, outputs.q_t, distill, reverse),
+              obj.teacher_kl(outputs.q_t_c, outputs.q_t, distill, reverse),
+              obj.kl(outputs.q_t_c, outputs.q_t_z, distill)]
+    if flags.aux_confounder_label:
+        unit_t.append(obj.nll(outputs.q_t_c, t, distill)[1])
+    unit_t = obj.sum(unit_t)
+    rebalance = None if rebalance_terms is None else rebalance_terms(obj, weights.omega_cont)
+    reg = obj.outside(lambda: l2_penalty(params))
+    parts = [(weights.alpha, factual_t), (weights.beta, adjust),
+             (weights.gamma, obj.sum([unit_y, unit_t]))]
     if rebalance is not None:
-        terms.append((weights.omega_cont, rebalance))
-    terms.append((weights.delta, reg))
-    total = factual_y
-    for coeff, node in terms:
-        total = ad.add(total, ad.scale(node, coeff))
+        parts.append((weights.omega_cont, rebalance))
+    parts.append((weights.delta, reg))
+    total = obj.weighted_sum(factual_y, parts)
     return LossBreakdown(
-        factual_y=float(factual_y.value), factual_t=float(factual_t.value),
-        adjust=float(adjust.value), distill_outcome=float(unit_y.value),
-        distill_treatment=float(unit_t.value),
-        rebalance=0.0 if rebalance is None else float(rebalance.value),
-        reg=float(reg.value), total=float(total.value), node=total,
-        per_sample=(nll_y.value[:, 0], nll_t.value[:, 0]))
+        factual_y=float(factual_y), factual_t=float(factual_t),
+        adjust=float(adjust.value if isinstance(adjust, ad.Tensor) else adjust),
+        distill_outcome=float(unit_y), distill_treatment=float(unit_t),
+        rebalance=0.0 if rebalance is None else float(rebalance),
+        reg=float(reg.value), total=float(total), node=obj.node(total),
+        per_sample=(nll_y[:, 0], nll_t[:, 0]))
 
 
 def total_loss_binary(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
@@ -231,47 +372,42 @@ def total_loss_binary(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
     MMD adjustment discrepancy of the adjustment representation."""
     if isinstance(outputs.q_t, Gaussian):
         raise ValueError("total_loss_binary requires binary-mode outputs")
-    t = np.asarray(t, dtype=np.float64).reshape(-1)
+    t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
     if not np.all((t == 0) | (t == 1)):
         raise ValueError("binary mode requires treatments in {0, 1}")
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     w = np.asarray(sample_weights, dtype=np.float64).reshape(-1, 1)
     if w.shape[0] != len(t):
         raise ValueError(f"sample weight count {w.shape[0]} != batch size {len(t)}")
-    return _total_loss(BERNOULLI, outputs, t, y, w, weights, params, flags,
-                       lambda: adjustment_disc(outputs.reps.r_a, t, kernel=flags.mmd_kernel))
+
+    def adjust_terms(obj, coeff):  # a node built outside: scaled in the weighted sum
+        return obj.outside(lambda: adjustment_disc(outputs.reps.r_a, t, flags.mmd_kernel))
+
+    return _total_loss(BERNOULLI, outputs, t, y, w, weights, params, flags, adjust_terms)
 
 
-def _anchored_treatment_loss(student: Gaussian, partner: Gaussian, teacher: Gaussian,
-                             t: np.ndarray) -> ad.Tensor:
-    nll = ad.mean_all(GAUSSIAN.nll_vec(student, t))
-    kl_teacher = ad.mean_all(GAUSSIAN.kl_vec(student, GAUSSIAN.detach(teacher)))
-    kl_partner = ad.mean_all(GAUSSIAN.kl_vec(student, partner))
-    return ad.add(ad.add(nll, kl_teacher), kl_partner)
-
-
-def continuous_adjust_loss(outputs: HeadOutputs, t: np.ndarray) -> ad.Tensor:
-    """Adjustment-representation loss: likelihood of T under the confounder
-    treatment head plus its KLs to the (detached) deep head and the
-    adjustment head."""
-    return _anchored_treatment_loss(outputs.q_t_c, outputs.q_t_a, outputs.q_t, t)
-
-
-def continuous_rebalance_loss(outputs: HeadOutputs, t: np.ndarray) -> ad.Tensor:
-    """Rebalance loss: likelihood of T under the instrument head plus its KLs
-    to the (detached) deep head and the rebalanced-confounder head."""
-    return _anchored_treatment_loss(outputs.q_t_z, outputs.q_t_cr, outputs.q_t, t)
+def _anchored_treatment_terms(student: Gaussian, partner: Gaussian, teacher: Gaussian,
+                              t: np.ndarray):
+    """Likelihood of T under the student head plus its KLs to the (detached)
+    teacher and to the partner head, as objective terms."""
+    def add(obj, coeff):
+        group = obj.group(coeff)
+        return obj.sum([obj.nll(student, t, group)[1], obj.teacher_kl(student, teacher, group),
+                        obj.kl(student, partner, group)])
+    return add
 
 
 def total_loss_continuous(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
                           weights: LossWeights, params: dict[str, ad.Tensor],
                           flags: LossFlags = LossFlags()) -> LossBreakdown:
-    """Gaussian objective: unweighted factual terms, the head-based adjustment
-    loss and the rebalance loss."""
+    """Gaussian objective: unweighted factual terms, the adjustment loss (the
+    confounder treatment head anchored to the deep head and the adjustment
+    head) and the rebalance loss (the instrument head anchored to the deep
+    head and the rebalanced-confounder head)."""
     if outputs.q_t_cr is None:
         raise ValueError("total_loss_continuous requires continuous-mode outputs")
-    t = np.asarray(t, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
+    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     return _total_loss(GAUSSIAN, outputs, t, y, None, weights, params, flags,
-                       lambda: continuous_adjust_loss(outputs, t),
-                       lambda: continuous_rebalance_loss(outputs, t))
+                       _anchored_treatment_terms(outputs.q_t_c, outputs.q_t_a, outputs.q_t, t),
+                       _anchored_treatment_terms(outputs.q_t_z, outputs.q_t_cr, outputs.q_t, t))

@@ -152,6 +152,21 @@ def _check_finite(bd: LossBreakdown, epoch: int, batch: int):
                 epoch=epoch, batch=batch, term=name)
 
 
+def _one_class(t: np.ndarray) -> bool:
+    return t.min() == t.max()
+
+
+def _eval_chunks(mode: str, t: np.ndarray, chunk: int) -> list[slice]:
+    """Row slices of at most ``chunk`` rows.  In binary mode, a last chunk
+    that holds a single treatment class, which no loss can score, joins the
+    chunk before it when the two together hold both classes."""
+    bounds = list(range(0, len(t), chunk)) + [len(t)]
+    if (mode == "binary" and len(bounds) > 2 and _one_class(t[bounds[-2]:])
+            and not _one_class(t[bounds[-3]:])):
+        del bounds[-2]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _eval_breakdown(config: TrainConfig, model: SD2Model, ds: dg.GeneratedDataset,
                     chunk: int = 4096) -> tuple[LossBreakdown, float]:
     """Full-split loss breakdown (chunked) and the selection criterion; the
@@ -167,8 +182,7 @@ def _eval_breakdown(config: TrainConfig, model: SD2Model, ds: dg.GeneratedDatase
     crit_num = 0.0
     crit_wsum = 0.0
     crit_t = 0.0
-    for lo in range(0, n, chunk):
-        sl = slice(lo, min(lo + chunk, n))
+    for sl in _eval_chunks(config.mode, ds.t, chunk):
         m = sl.stop - sl.start
         try:
             bd, w = _batch_breakdown(config, model, x_all[sl], ds.t[sl], ds.y[sl],

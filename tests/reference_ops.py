@@ -1,0 +1,307 @@
+"""Reference implementations the fused code is checked against.
+
+The autodiff primitives below (one tape node per elementary operation) are
+what `autodiff.dense`, the family terms and the training objective fuse.
+Tests build the same computation from them and require the fused version to
+give the same bits: values, gradients and, on failure, the same
+`NonFiniteError` message.
+
+The old objective is kept here as well: each per-sample family term one node,
+then the means, sums and weighted total as primitive nodes, with
+``tests/test_losses.py`` requiring `losses.total_loss_binary` and
+`losses.total_loss_continuous` to equal it bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from sd2 import autodiff as ad
+from sd2 import family as F
+from sd2.autodiff import Tensor, _check_bias, _check_matmul, _elu_into, _same_shape, _sigmoid_into
+from sd2.family import Gaussian
+from sd2.infotheory import PROB_FLOOR
+from sd2.losses import BERNOULLI, GAUSSIAN, LossBreakdown, LossFlags, adjustment_disc
+
+
+# -- primitives ---------------------------------------------------------------
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b, "add")
+    return Tensor(a.tape, a.value + b.value, (a, b),
+                  (lambda g: g, lambda g: g), "add")
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b, "mul")
+    return Tensor(a.tape, a.value * b.value, (a, b),
+                  (lambda g: g * b.value, lambda g: g * a.value), "mul")
+
+
+def scale(a: Tensor, c) -> Tensor:
+    """Multiply by a constant scalar or array (no gradient through c)."""
+    c = np.asarray(c, dtype=np.float64)
+    return Tensor(a.tape, a.value * c, (a,), (lambda g: g * c,), "scale")
+
+
+def shift(a: Tensor, c) -> Tensor:
+    """Add a constant scalar or same-shape array."""
+    c = np.asarray(c, dtype=np.float64)
+    return Tensor(a.tape, a.value + c, (a,), (lambda g: g,), "shift")
+
+
+def neg(a: Tensor) -> Tensor:
+    return Tensor(a.tape, -a.value, (a,), (lambda g: -g,), "neg")
+
+
+def matmul(x: Tensor, w: Tensor) -> Tensor:
+    _check_matmul(x.value, w.value)
+    return Tensor(x.tape, x.value @ w.value, (x, w),
+                  (lambda g: g @ w.value.T, lambda g: x.value.T @ g), "matmul")
+
+
+def add_bias(x: Tensor, b: Tensor) -> Tensor:
+    _check_bias(x.value, b.value)
+    return Tensor(x.tape, x.value + b.value, (x, b),
+                  (lambda g: g, lambda g: g.sum(axis=0)), "add_bias")
+
+
+def log(a: Tensor) -> Tensor:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        value = np.log(a.value)
+    return Tensor(a.tape, value, (a,), (lambda g: g / a.value,), "log")
+
+
+def exp(a: Tensor) -> Tensor:
+    out = np.exp(a.value)
+    return Tensor(a.tape, out, (a,), (lambda g: g * out,), "exp")
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = np.empty_like(a.value)
+    _sigmoid_into(a.value, out)
+    return Tensor(a.tape, out, (a,), (lambda g: g * out * (1.0 - out),), "sigmoid")
+
+
+def elu(a: Tensor) -> Tensor:
+    out = np.empty_like(a.value)
+    ex = _elu_into(a.value, out)
+    return Tensor(a.tape, out, (a,), (lambda g: g * ex,), "elu")
+
+
+def clip(a: Tensor, lo: float, hi: float) -> Tensor:
+    mask = ((a.value >= lo) & (a.value <= hi)).astype(np.float64)
+    return Tensor(a.tape, np.clip(a.value, lo, hi), (a,), (lambda g: g * mask,), "clip")
+
+
+def mean_all(a: Tensor) -> Tensor:
+    n = a.value.size
+    return Tensor(a.tape, np.array(a.value.mean()), (a,),
+                  (lambda g: np.full_like(a.value, float(g) / n),), "mean")
+
+
+def detach(a: Tensor) -> Tensor:
+    """Constant copy of a's value; records/replays through the tape."""
+    value = a.tape.record_detached(a.value)
+    node = Tensor(a.tape, value, (), (), "detach")
+    node.constant = True
+    return node
+
+
+def gaussian_detach(g: Gaussian) -> Gaussian:
+    return Gaussian(detach(g.mean), detach(g.log_std))
+
+
+def composed_dense(x, w, b, activation):
+    """`dense` written with the primitives it fuses."""
+    pre = add_bias(matmul(x, w), b)
+    if activation == "elu":
+        return elu(pre)
+    if activation == "sigmoid":
+        return sigmoid(pre)
+    return pre
+
+
+# -- per-sample family terms --------------------------------------------------
+# Each as one node from the family's kernel, and written with primitives.
+
+def _term_node(kernel, tape, *args) -> Tensor:
+    value, pairs = kernel(*args)
+    return Tensor(tape, value, tuple(p for p, _ in pairs), tuple(v for _, v in pairs),
+                  kernel.__name__)
+
+
+def _col(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).reshape(-1, 1)
+
+
+def bernoulli_ce_vec(q: Tensor, y) -> Tensor:
+    return _term_node(F.bernoulli_ce, q.tape, F.BernoulliHead.of(q), _col(y))
+
+
+def bernoulli_kl_vec(q: Tensor, p: Tensor) -> Tensor:
+    return _term_node(F.bernoulli_kl, q.tape, F.BernoulliHead.of(q), F.BernoulliHead.of(p))
+
+
+def gaussian_nll_vec(g: Gaussian, target) -> Tensor:
+    return _term_node(F.gaussian_nll, g.mean.tape, F.GaussianHead.of(g), _col(target))
+
+
+def gaussian_kl_vec(q: Gaussian, p: Gaussian) -> Tensor:
+    return _term_node(F.gaussian_kl, q.mean.tape, F.GaussianHead.of(q), F.GaussianHead.of(p))
+
+
+def composed_bernoulli_ce(q, y):
+    y = _col(y)
+    qc = clip(q, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    one_minus = shift(neg(qc), 1.0)
+    return neg(add(scale(log(qc), y), scale(log(one_minus), 1.0 - y)))
+
+
+def composed_bernoulli_kl(q, p):
+    qc = clip(q, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    pc = clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    one_q = shift(neg(qc), 1.0)
+    one_p = shift(neg(pc), 1.0)
+    pos = mul(qc, ad.sub(log(qc), log(pc)))
+    neg_part = mul(one_q, ad.sub(log(one_q), log(one_p)))
+    return add(pos, neg_part)
+
+
+def composed_gaussian_nll(g, target):
+    target = _col(target)
+    resid = shift(neg(g.mean), target)
+    inv_var = exp(scale(g.log_std, -2.0))
+    return add(scale(mul(ad.square(resid), inv_var), 0.5),
+               shift(g.log_std, 0.5 * F.LOG_2PI))
+
+
+def composed_gaussian_kl(q, p):
+    var_q = exp(scale(q.log_std, 2.0))
+    inv_var_p = exp(scale(p.log_std, -2.0))
+    num = add(var_q, ad.square(ad.sub(q.mean, p.mean)))
+    return shift(add(ad.sub(p.log_std, q.log_std), scale(mul(num, inv_var_p), 0.5)), -0.5)
+
+
+def composed_gaussian_head(out):
+    return Gaussian(ad.select_cols(out, 0),
+                    clip(ad.select_cols(out, 1), F.LOG_STD_MIN, F.LOG_STD_MAX))
+
+
+# -- the objective, one node per term, mean, sum and scale ----------------------
+
+NLL_VEC = {BERNOULLI: bernoulli_ce_vec, GAUSSIAN: gaussian_nll_vec}
+KL_VEC = {BERNOULLI: bernoulli_kl_vec, GAUSSIAN: gaussian_kl_vec}
+DETACH = {BERNOULLI: detach, GAUSSIAN: gaussian_detach}
+
+
+def _teacher_kl(fam, student, teacher, flags: LossFlags) -> Tensor:
+    td = DETACH[fam](teacher)
+    if flags.teacher_kl_reverse:
+        return mean_all(KL_VEC[fam](td, student))
+    return mean_all(KL_VEC[fam](student, td))
+
+
+def distill_unit_treatment(fam, outputs, t, flags: LossFlags = LossFlags()) -> dict:
+    """Labels/teachers/peer terms of the treatment-side unit."""
+    terms = {
+        "label_z": mean_all(NLL_VEC[fam](outputs.q_t_z, t)),
+        "teacher_z": _teacher_kl(fam, outputs.q_t_z, outputs.q_t, flags),
+        "teacher_c": _teacher_kl(fam, outputs.q_t_c, outputs.q_t, flags),
+        "peer": mean_all(KL_VEC[fam](outputs.q_t_c, outputs.q_t_z)),
+    }
+    if flags.aux_confounder_label:
+        terms["label_c"] = mean_all(NLL_VEC[fam](outputs.q_t_c, t))
+    return terms
+
+
+def distill_unit_outcome(fam, outputs, y, flags: LossFlags = LossFlags()) -> dict:
+    """Outcome-side unit; the peer term runs student-adjustment against
+    student-confounder."""
+    return {
+        "label_a": mean_all(NLL_VEC[fam](outputs.q_y_a, y)),
+        "label_c": mean_all(NLL_VEC[fam](outputs.q_y_c, y)),
+        "teacher_a": _teacher_kl(fam, outputs.q_y_a, outputs.q_y, flags),
+        "teacher_c": _teacher_kl(fam, outputs.q_y_c, outputs.q_y, flags),
+        "peer": mean_all(KL_VEC[fam](outputs.q_y_a, outputs.q_y_c)),
+    }
+
+
+def _sum_terms(terms: dict) -> Tensor:
+    node = None
+    for t in terms.values():
+        node = t if node is None else add(node, t)
+    return node
+
+
+def _anchored_treatment_loss(student, partner, teacher, t) -> Tensor:
+    nll = mean_all(gaussian_nll_vec(student, t))
+    kl_teacher = mean_all(gaussian_kl_vec(student, gaussian_detach(teacher)))
+    kl_partner = mean_all(gaussian_kl_vec(student, partner))
+    return add(add(nll, kl_teacher), kl_partner)
+
+
+def continuous_adjust_loss(outputs, t) -> Tensor:
+    """Likelihood of T under the confounder treatment head plus its KLs to
+    the (detached) deep head and the adjustment head."""
+    return _anchored_treatment_loss(outputs.q_t_c, outputs.q_t_a, outputs.q_t, t)
+
+
+def continuous_rebalance_loss(outputs, t) -> Tensor:
+    """Likelihood of T under the instrument head plus its KLs to the
+    (detached) deep head and the rebalanced-confounder head."""
+    return _anchored_treatment_loss(outputs.q_t_z, outputs.q_t_cr, outputs.q_t, t)
+
+
+def l2_penalty(params: dict) -> Tensor:
+    """Squared L2 norm over weight matrices, as one node."""
+    weights = [p for name, p in params.items() if name.endswith(".W")]
+    value = np.array(sum(float(np.sum(p.value ** 2)) for p in weights))
+    vjps = tuple((lambda p: (lambda g: (2.0 * float(g)) * p.value))(p) for p in weights)
+    return Tensor(weights[0].tape, value, tuple(weights), vjps, "l2_penalty")
+
+
+def _total_loss(fam, outputs, t, y, sample_weights, weights, params, flags, make_adjust,
+                make_rebalance=None) -> LossBreakdown:
+    nll_y = NLL_VEC[fam](outputs.q_y, y)
+    factual_y = mean_all(nll_y if sample_weights is None else scale(nll_y, sample_weights))
+    nll_t = NLL_VEC[fam](outputs.q_t, t)
+    factual_t = mean_all(nll_t)
+    adjust = make_adjust()
+    unit_y = _sum_terms(distill_unit_outcome(fam, outputs, y, flags))
+    unit_t = _sum_terms(distill_unit_treatment(fam, outputs, t, flags))
+    rebalance = None if make_rebalance is None else make_rebalance()
+    reg = l2_penalty(params)
+    terms = [(weights.alpha, factual_t), (weights.beta, adjust),
+             (weights.gamma, add(unit_y, unit_t))]
+    if rebalance is not None:
+        terms.append((weights.omega_cont, rebalance))
+    terms.append((weights.delta, reg))
+    total = factual_y
+    for coeff, node in terms:
+        total = add(total, scale(node, coeff))
+    return LossBreakdown(
+        factual_y=float(factual_y.value), factual_t=float(factual_t.value),
+        adjust=float(adjust.value), distill_outcome=float(unit_y.value),
+        distill_treatment=float(unit_t.value),
+        rebalance=0.0 if rebalance is None else float(rebalance.value),
+        reg=float(reg.value), total=float(total.value), node=total,
+        per_sample=(nll_y.value[:, 0], nll_t.value[:, 0]))
+
+
+def total_loss_binary(outputs, t, y, sample_weights, weights, params,
+                      flags: LossFlags = LossFlags()) -> LossBreakdown:
+    t = np.asarray(t, dtype=np.float64).reshape(-1)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    w = np.asarray(sample_weights, dtype=np.float64).reshape(-1, 1)
+    return _total_loss(BERNOULLI, outputs, t, y, w, weights, params, flags,
+                       lambda: adjustment_disc(outputs.reps.r_a, t, kernel=flags.mmd_kernel))
+
+
+def total_loss_continuous(outputs, t, y, weights, params,
+                          flags: LossFlags = LossFlags()) -> LossBreakdown:
+    t = np.asarray(t, dtype=np.float64).reshape(-1)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    return _total_loss(GAUSSIAN, outputs, t, y, None, weights, params, flags,
+                       lambda: continuous_adjust_loss(outputs, t),
+                       lambda: continuous_rebalance_loss(outputs, t))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_ops as R
 from sd2 import autodiff as ad
 from sd2 import model as M
 from sd2 import rng
@@ -14,25 +15,24 @@ class TestBasics:
     def test_square(self):
         tape = ad.Tape()
         x = scalar_param(tape, 3.0)
-        value, grads = tape.gradients(ad.sum_all(ad.mul(x, x)))
+        value, grads = tape.gradients(ad.sum_all(R.mul(x, x)))
         assert value == 9.0
         assert grads["x"][0] == 6.0
 
     def test_sigmoid_at_zero(self):
         tape = ad.Tape()
         x = scalar_param(tape, 0.0)
-        value, grads = tape.gradients(ad.sum_all(ad.sigmoid(x)))
+        value, grads = tape.gradients(ad.sum_all(R.sigmoid(x)))
         assert value == 0.5
         assert grads["x"][0] == 0.25
 
     def test_bernoulli_kl_stationary_at_match(self):
         # KL(sigmoid(w) || 0.5) at w=0: value 0, gradient 0
-        from sd2.family import bernoulli_kl_vec
         tape = ad.Tape()
         w = tape.parameter(np.zeros((1, 1)), "w")
-        q = ad.sigmoid(w)
+        q = R.sigmoid(w)
         p = tape.constant(np.full((1, 1), 0.5))
-        value, grads = tape.gradients(ad.mean_all(bernoulli_kl_vec(q, p)))
+        value, grads = tape.gradients(R.mean_all(R.bernoulli_kl_vec(q, p)))
         assert value == pytest.approx(0.0, abs=1e-15)
         assert grads["w"][0, 0] == pytest.approx(0.0, abs=1e-15)
 
@@ -54,13 +54,13 @@ class TestBasics:
         tape = ad.Tape()
         x = tape.parameter(np.array([-1.0]), "x")
         with pytest.raises(ad.NonFiniteError, match="log"):
-            ad.log(x)
+            R.log(x)
 
     def test_determinism_bitwise(self):
         def run():
             tape = ad.Tape()
             w = tape.parameter(ad.glorot_init(3, 4, 4), "w")
-            h = ad.elu(ad.matmul(tape.constant(np.arange(8.0).reshape(2, 4)), w))
+            h = R.elu(R.matmul(tape.constant(np.arange(8.0).reshape(2, 4)), w))
             return tape.gradients(ad.sum_all(h))
         v1, g1 = run()
         v2, g2 = run()
@@ -98,16 +98,6 @@ class TestDense:
             ad.dense(tape.constant(np.ones((2, 5))), w, b, "elu")
 
 
-def composed_dense(x, w, b, activation):
-    """`dense` written with the primitives it fuses."""
-    pre = ad.add_bias(ad.matmul(x, w), b)
-    if activation == "elu":
-        return ad.elu(pre)
-    if activation == "sigmoid":
-        return ad.sigmoid(pre)
-    return pre
-
-
 class TestFusedDense:
     X = rng.normal_matrix(71, 12, 5) * 3.0   # pre-activations of both signs
     W = ad.glorot_init(72, 5, 4)
@@ -119,14 +109,14 @@ class TestFusedDense:
         x, w, b = (tape.parameter(v, n) for v, n in ((self.X, "x"), (self.W, "w"), (self.B, "b")))
         out = layer(x, w, b, activation)
         nodes = len(tape.nodes)
-        loss = ad.sum_all(ad.mul(out, tape.constant(self.COTANGENT)))
+        loss = ad.sum_all(R.mul(out, tape.constant(self.COTANGENT)))
         _, grads = tape.gradients(loss)
         return out.value, grads, nodes
 
     @pytest.mark.parametrize("activation", ad.ACTIVATIONS)
     def test_matches_composition_bitwise(self, activation):
         value, grads, nodes = self.run(ad.dense, activation)
-        ref_value, ref_grads, _ = self.run(composed_dense, activation)
+        ref_value, ref_grads, _ = self.run(R.composed_dense, activation)
         assert nodes == 4   # three leaves and one dense node
         assert np.array_equal(value, ref_value)
         assert all(np.array_equal(grads[k], ref_grads[k]) for k in ("x", "w", "b"))
@@ -136,7 +126,7 @@ class TestFusedDense:
         def loss(tape, params):
             h = ad.dense(tape.constant(self.X), tape.parameter(params["w"], "w"),
                          tape.parameter(params["b"], "b"), activation)
-            return ad.sum_all(ad.mul(h, tape.constant(self.COTANGENT)))
+            return ad.sum_all(R.mul(h, tape.constant(self.COTANGENT)))
         assert ad.finite_diff_check(loss, {"w": self.W.copy(), "b": self.B.copy()}) < 1e-6
 
 
@@ -145,7 +135,7 @@ class TestConstantLeaves:
         tape = ad.Tape()
         w = scalar_param(tape, 2.0, "w")
         c = tape.constant(np.array([3.0]))
-        d = ad.detach(ad.square(w))
+        d = R.detach(ad.square(w))
         called = []
 
         def vjp(name):
@@ -170,8 +160,8 @@ class TestConstantLeaves:
             w = tape.parameter(w_value, "w")
             b = tape.parameter(np.full(2, 0.1), "b")
             h = ad.dense(x, w, b, "elu")
-            teacher = ad.detach(h)
-            _, grads = tape.gradients(ad.sum_all(ad.mul(h, ad.sub(h, ad.scale(teacher, 0.5)))))
+            teacher = R.detach(h)
+            _, grads = tape.gradients(ad.sum_all(R.mul(h, ad.sub(h, R.scale(teacher, 0.5)))))
             return grads, (x, teacher)
 
         grads, leaves = run(False)
@@ -200,7 +190,7 @@ class TestNonRecordingTape:
         w = tape.parameter(ad.glorot_init(3, 4, 2), "w")
         b = tape.parameter(np.zeros(2), "b")
         h = ad.dense(tape.constant(np.ones((3, 4))), w, b, "elu")
-        loss = ad.sum_all(ad.sub(h, ad.detach(h)))
+        loss = ad.sum_all(ad.sub(h, R.detach(h)))
         assert tape.nodes == [] and tape.params == {} and tape.detached_values == []
         assert loss.parents == () and loss.vjps == ()
         assert loss.value == 0.0
@@ -236,7 +226,7 @@ class TestNonRecordingTape:
         place = tape.created
         assert place == (5 if activation == "identity" else 6)
         with pytest.raises(ad.NonFiniteError, match=f"'log' \\(#{place + 1} on trace\\)"):
-            ad.log(ad.scale(h, 0.0))
+            R.log(R.scale(h, 0.0))
 
     @pytest.mark.parametrize("record", [True, False])
     def test_non_finite_row_in_a_later_row_block(self, record):
@@ -252,11 +242,49 @@ class TestNonRecordingTape:
         assert "at node 'matmul'" in str(failure.value)
 
 
+class TestFiniteCheck:
+    """Finite entries pass even when their sum overflows; a NaN or Inf still
+    raises with the same message."""
+
+    @staticmethod
+    def rows_of_1e308(inf_at=None):
+        x = rng.normal_matrix(4, 3000, 6)
+        x[1500] = 1e308
+        if inf_at is not None:
+            x[inf_at] = np.inf
+        return x
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_overflowing_sum_of_finite_entries_is_accepted(self, record):
+        tape = ad.Tape(record=record)
+        with np.errstate(over="ignore"):
+            tape.constant(self.rows_of_1e308())
+        assert tape.created == 1
+
+    def test_inf_entry_still_raises(self):
+        tape = ad.Tape()
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError) as failure:
+            tape.constant(self.rows_of_1e308(inf_at=(2000, 3)))
+        assert str(failure.value) == "non-finite value at node 'const' (#0 on trace)"
+
+    @pytest.mark.parametrize("activation", ad.ACTIVATIONS)
+    def test_dense_output_with_an_overflowing_sum(self, activation):
+        # the product, the biased sum and the activation hold 1e308 (or 1.0)
+        # in every entry; the layer still takes its two or three places
+        tape = ad.Tape(record=False)
+        w = tape.parameter(np.ones((1, 2)), "w")
+        b = tape.parameter(np.zeros(2), "b")
+        with np.errstate(over="ignore"):
+            h = ad.dense(tape.constant(np.full((2, 1), 1e308)), w, b, activation)
+        assert np.all(np.isfinite(h.value))
+        assert tape.created == (5 if activation == "identity" else 6)
+
+
 class TestTapeRelease:
     def test_gradients_release_the_tape(self):
         tape = ad.Tape()
         x = scalar_param(tape, 3.0)
-        out = ad.sum_all(ad.mul(x, x))
+        out = ad.sum_all(R.mul(x, x))
         tape.gradients(out)
         assert tape.nodes == [] and tape.params == {}
         with pytest.raises(ad.AutodiffError, match="released"):
@@ -352,17 +380,17 @@ Y10 = rng.bernoulli(102, np.full(10, 0.5)).reshape(-1, 1)
 def net_ce_loss(tape, params):
     p = {k: tape.parameter(v, k) for k, v in params.items()}
     h = ad.dense(tape.constant(X10), p["w1"], p["b1"], "elu")
-    q = ad.clip(ad.dense(h, p["w2"], p["b2"], "sigmoid"), 1e-7, 1 - 1e-7)
-    ce = ad.neg(ad.add(ad.scale(ad.log(q), Y10),
-                       ad.scale(ad.log(ad.shift(ad.neg(q), 1.0)), 1.0 - Y10)))
-    return ad.mean_all(ce)
+    q = R.clip(ad.dense(h, p["w2"], p["b2"], "sigmoid"), 1e-7, 1 - 1e-7)
+    ce = R.neg(R.add(R.scale(R.log(q), Y10),
+                       R.scale(R.log(R.shift(R.neg(q), 1.0)), 1.0 - Y10)))
+    return R.mean_all(ce)
 
 
 class TestFiniteDiff:
     def test_linear_loss_exact(self):
         def loss(tape, params):
             x = tape.parameter(params["x"], "x")
-            return ad.sum_all(ad.scale(x, 3.0))
+            return ad.sum_all(R.scale(x, 3.0))
         err = ad.finite_diff_check(loss, {"x": np.arange(4.0)})
         assert err < 1e-10
 
@@ -382,9 +410,9 @@ class TestFiniteDiff:
         # teacher held at base value: the stop-gradient objective's gradient
         def loss(tape, params):
             x = tape.parameter(params["x"], "x")
-            s = ad.sigmoid(x)
-            teacher = ad.detach(s)
-            return ad.mean_all(ad.square(ad.sub(s, ad.scale(teacher, 0.5))))
+            s = R.sigmoid(x)
+            teacher = R.detach(s)
+            return R.mean_all(ad.square(ad.sub(s, R.scale(teacher, 0.5))))
         err = ad.finite_diff_check(loss, {"x": np.array([0.3, -0.7])})
         assert err < 1e-7
 
@@ -393,7 +421,7 @@ class TestFiniteDiff:
         # must not move the recorded teacher
         def loss(tape, params):
             x = tape.parameter(params["x"], "x")
-            return ad.mean_all(ad.square(ad.sub(x, ad.scale(ad.detach(x), 0.5))))
+            return R.mean_all(ad.square(ad.sub(x, R.scale(R.detach(x), 0.5))))
         err = ad.finite_diff_check(loss, {"x": np.array([0.3, -0.7])})
         assert err < 1e-7
 
@@ -404,12 +432,12 @@ class TestFiniteDiff:
 
 class TestCompositeOps:
     @pytest.mark.parametrize("builder", [
-        lambda t, x: ad.mean_all(ad.exp(ad.scale(x, 0.3))),
-        lambda t, x: ad.sum_all(ad.square(ad.elu(x))),
-        lambda t, x: ad.sum_all(ad.mean_rows(ad.mul(x, x))),
-        lambda t, x: ad.sum_all(ad.select_cols(ad.concat_cols([x, ad.neg(x)]), 2)),
-        lambda t, x: ad.sum_all(ad.select_rows(ad.sigmoid(x), np.array([0, 2, 2]))),
-        lambda t, x: ad.sum_all(ad.clip(x, -0.4, 0.4)),
+        lambda t, x: R.mean_all(R.exp(R.scale(x, 0.3))),
+        lambda t, x: ad.sum_all(ad.square(R.elu(x))),
+        lambda t, x: ad.sum_all(ad.mean_rows(R.mul(x, x))),
+        lambda t, x: ad.sum_all(ad.select_cols(ad.concat_cols([x, R.neg(x)]), 2)),
+        lambda t, x: ad.sum_all(ad.select_rows(R.sigmoid(x), np.array([0, 2, 2]))),
+        lambda t, x: ad.sum_all(R.clip(x, -0.4, 0.4)),
     ])
     def test_gradcheck(self, builder):
         def loss(tape, params):

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_ops as R
 from sd2 import autodiff as ad
 from sd2 import family as F
 from sd2 import losses as L
+from sd2 import model as M
 from sd2 import rng
+from sd2 import training as tr
 from sd2.family import BERNOULLI, Gaussian
 from sd2.infotheory import PROB_FLOOR
 from sd2.model import HeadOutputs, Representations
@@ -106,51 +109,51 @@ class TestDistillUnits:
         tape = ad.Tape()
         outs = binary_outputs(tape, *([[0.7, 0.4]] * 6))
         t = np.array([1.0, 0.0])
-        terms = L.distill_unit_treatment(BERNOULLI, outs, t)
+        terms = R.distill_unit_treatment(BERNOULLI, outs, t)
         for name in ("teacher_z", "teacher_c", "peer"):
             assert terms[name].value == pytest.approx(0.0, abs=1e-12)
-        terms_y = L.distill_unit_outcome(BERNOULLI, outs, t)
+        terms_y = R.distill_unit_outcome(BERNOULLI, outs, t)
         for name in ("teacher_a", "teacher_c", "peer"):
             assert terms_y[name].value == pytest.approx(0.0, abs=1e-12)
 
     def test_peer_value_treatment(self):
         tape = ad.Tape()
         outs = binary_outputs(tape, [0.5], [0.8], [0.5], [0.5], [0.5], [0.5])
-        terms = L.distill_unit_treatment(BERNOULLI, outs, np.array([1.0]))
+        terms = R.distill_unit_treatment(BERNOULLI, outs, np.array([1.0]))
         # KL(q_t_c || q_t_z) = KL(0.5 || 0.8)
         assert terms["peer"].value == pytest.approx(0.2231, abs=1e-4)
 
     def test_peer_value_outcome(self):
         tape = ad.Tape()
         outs = binary_outputs(tape, [0.5], [0.5], [0.5], [0.5], [1.0], [0.5])
-        terms = L.distill_unit_outcome(BERNOULLI, outs, np.array([1.0]))
+        terms = R.distill_unit_outcome(BERNOULLI, outs, np.array([1.0]))
         # KL(q_y_a || q_y_c) = KL(1 || 0.5) = ln 2 (up to head clamping)
         assert terms["peer"].value == pytest.approx(LN2, abs=1e-5)
 
     def test_equal_peers_zero(self):
         tape = ad.Tape()
         outs = binary_outputs(tape, [0.5], [0.5], [0.5], [0.5], [0.9], [0.9])
-        assert L.distill_unit_outcome(BERNOULLI, outs, np.array([1.0]))["peer"].value == pytest.approx(0.0)
+        assert R.distill_unit_outcome(BERNOULLI, outs, np.array([1.0]))["peer"].value == pytest.approx(0.0)
 
     def test_perfect_prediction_ce_near_zero(self):
         tape = ad.Tape()
         outs = binary_outputs(tape, [0.5, 0.5], [1.0, 0.0], [0.5, 0.5],
                               [0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
-        terms = L.distill_unit_treatment(BERNOULLI, outs, np.array([1.0, 0.0]))
+        terms = R.distill_unit_treatment(BERNOULLI, outs, np.array([1.0, 0.0]))
         assert terms["label_z"].value == pytest.approx(0.0, abs=1e-6)
 
     def test_aux_flag_adds_treatment_label(self):
         tape = ad.Tape()
         outs = binary_outputs(tape, *([[0.6]] * 6))
-        on = L.distill_unit_treatment(BERNOULLI, outs, np.array([1.0]),
+        on = R.distill_unit_treatment(BERNOULLI, outs, np.array([1.0]),
                                       L.LossFlags(aux_confounder_label=True))
-        off = L.distill_unit_treatment(BERNOULLI, outs, np.array([1.0]))
+        off = R.distill_unit_treatment(BERNOULLI, outs, np.array([1.0]))
         assert "label_c" in on and "label_c" not in off
 
     def test_outcome_unit_always_carries_confounder_label(self):
         tape = ad.Tape()
         outs = binary_outputs(tape, *([[0.6]] * 6))
-        terms = L.distill_unit_outcome(BERNOULLI, outs, np.array([1.0]))
+        terms = R.distill_unit_outcome(BERNOULLI, outs, np.array([1.0]))
         assert "label_c" in terms
 
 
@@ -176,7 +179,7 @@ class TestTotalLossBinary:
         t, y = small_batch()
         zero = L.LossWeights(alpha=0, beta=0, gamma=0, delta=0)
         bd = L.total_loss_binary(outs, t, y, np.ones(8), zero, params)
-        expected = F.bernoulli_ce_vec(outs.q_y, y).value.mean()
+        expected = R.bernoulli_ce_vec(outs.q_y, y).value.mean()
         assert bd.total == pytest.approx(expected, rel=1e-12)
 
     def test_perfect_heads_leave_only_reg(self):
@@ -233,16 +236,24 @@ class TestTotalLossBinary:
             L.total_loss_continuous(outs, t, y, L.LossWeights(), params)
 
 
+def continuous_breakdown(outs, t):
+    """Breakdown of the continuous objective over these heads: its adjust and
+    rebalance fields are the two head-based treatment losses."""
+    tape = outs.q_t.mean.tape
+    params = {"w.W": tape.parameter(np.eye(1), "w.W")}
+    return L.total_loss_continuous(outs, t, t, L.LossWeights(), params)
+
+
 class TestContinuousLosses:
     def test_adjust_identical_gaussians(self):
         tape = ad.Tape()
         g = [gaussian(tape, [0.3], [0.1])] * 5
         outs = continuous_outputs(*g, gaussian(tape, [0.0], [0.0]),
                                      gaussian(tape, [0.0], [0.0]), gaussian(tape, [0.0], [0.0]))
-        val = L.continuous_adjust_loss(outs, np.array([0.3]))
+        val = continuous_breakdown(outs, np.array([0.3])).adjust
         # both KL terms vanish; NLL at the mean with sigma = e^{0.1}
         nll = 0.5 * np.log(2 * np.pi) + 0.1
-        assert val.value == pytest.approx(nll)
+        assert val == pytest.approx(nll)
 
     def test_adjust_kl_unit_shift(self):
         tape = ad.Tape()
@@ -251,9 +262,9 @@ class TestContinuousLosses:
         t_a = gaussian(tape, [0.0], [0.0])
         filler = gaussian(tape, [0.0], [0.0])
         outs = continuous_outputs(t_hat, filler, t_c, t_a, filler, filler, filler, filler)
-        val = L.continuous_adjust_loss(outs, np.array([1.0]))
+        val = continuous_breakdown(outs, np.array([1.0])).adjust
         nll = 0.5 * np.log(2 * np.pi)       # mean matches target, sigma 1
-        assert val.value == pytest.approx(nll + 0.5 + 0.5)  # two KLs of N(1,1)||N(0,1)
+        assert val == pytest.approx(nll + 0.5 + 0.5)  # two KLs of N(1,1)||N(0,1)
 
     def test_rebalance_kl_value(self):
         tape = ad.Tape()
@@ -261,10 +272,10 @@ class TestContinuousLosses:
         t_cr = gaussian(tape, [1.0], [np.log(2.0)])
         filler = gaussian(tape, [0.0], [0.0])
         outs = continuous_outputs(t_z, t_z, filler, filler, t_cr, filler, filler, filler)
-        val = L.continuous_rebalance_loss(outs, np.array([0.0]))
+        val = continuous_breakdown(outs, np.array([0.0])).rebalance
         expected_kl = np.log(2.0) + (1.0 + 1.0) / 8.0 - 0.5   # N(0,1) || N(1,2)
         nll = 0.5 * np.log(2 * np.pi)
-        assert val.value == pytest.approx(nll + 0.0 + expected_kl)
+        assert val == pytest.approx(nll + 0.0 + expected_kl)
 
     def test_clamp_floor_is_finite(self):
         tape = ad.Tape()
@@ -273,13 +284,13 @@ class TestContinuousLosses:
         filler = gaussian(tape, [0.0], [0.0])
         outs = continuous_outputs(wide, tight, tight, tight, tight,
                                      filler, filler, filler)
-        val = L.continuous_adjust_loss(outs, np.array([5.0]))
-        assert np.isfinite(val.value)
+        val = continuous_breakdown(outs, np.array([5.0])).adjust
+        assert np.isfinite(val)
 
     def test_gaussian_nll_at_mean(self):
         tape = ad.Tape()
         g = gaussian(tape, [2.0], [0.0])
-        nll = F.gaussian_nll_vec(g, np.array([2.0]))
+        nll = R.gaussian_nll_vec(g, np.array([2.0]))
         assert nll.value[0, 0] == pytest.approx(0.5 * np.log(2 * np.pi))
 
     def test_total_isolation_and_reconciliation(self):
@@ -322,67 +333,26 @@ class TestKLProperties:
     @settings(max_examples=100, deadline=None)
     def test_bernoulli_kl_nonneg_and_zero_at_equal(self, q, p):
         tape = ad.Tape()
-        kl = F.bernoulli_kl_vec(col(tape, [q]), col(tape, [p])).value[0, 0]
+        kl = R.bernoulli_kl_vec(col(tape, [q]), col(tape, [p])).value[0, 0]
         assert kl >= -1e-15
         tape2 = ad.Tape()
-        same = F.bernoulli_kl_vec(col(tape2, [q]), col(tape2, [q])).value[0, 0]
+        same = R.bernoulli_kl_vec(col(tape2, [q]), col(tape2, [q])).value[0, 0]
         assert same == pytest.approx(0.0, abs=1e-14)
 
     @given(st.floats(-2, 2), st.floats(-1, 1), st.floats(-2, 2), st.floats(-1, 1))
     @settings(max_examples=100, deadline=None)
     def test_gaussian_kl_nonneg(self, m1, ls1, m2, ls2):
         tape = ad.Tape()
-        kl = F.gaussian_kl_vec(gaussian(tape, [m1], [ls1]),
+        kl = R.gaussian_kl_vec(gaussian(tape, [m1], [ls1]),
                                gaussian(tape, [m2], [ls2])).value[0, 0]
         assert kl >= -1e-12
 
     def test_gaussian_kl_matches_closed_form_module(self):
         from sd2.infotheory import GaussianParams, gaussian_kl
         tape = ad.Tape()
-        got = F.gaussian_kl_vec(gaussian(tape, [0.0], [0.0]),
+        got = R.gaussian_kl_vec(gaussian(tape, [0.0], [0.0]),
                                 gaussian(tape, [1.0], [np.log(2.0)])).value[0, 0]
         assert got == pytest.approx(gaussian_kl(GaussianParams(0, 1), GaussianParams(1, 2)))
-
-
-# The per-sample family terms written with autodiff primitives: the oracles
-# of the fused single-node terms in ``family.py``.
-
-def composed_bernoulli_ce(q, y):
-    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    qc = ad.clip(q, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    one_minus = ad.shift(ad.neg(qc), 1.0)
-    return ad.neg(ad.add(ad.scale(ad.log(qc), y), ad.scale(ad.log(one_minus), 1.0 - y)))
-
-
-def composed_bernoulli_kl(q, p):
-    qc = ad.clip(q, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    pc = ad.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    one_q = ad.shift(ad.neg(qc), 1.0)
-    one_p = ad.shift(ad.neg(pc), 1.0)
-    pos = ad.mul(qc, ad.sub(ad.log(qc), ad.log(pc)))
-    neg_part = ad.mul(one_q, ad.sub(ad.log(one_q), ad.log(one_p)))
-    return ad.add(pos, neg_part)
-
-
-def composed_gaussian_nll(g, target):
-    target = np.asarray(target, dtype=np.float64).reshape(-1, 1)
-    resid = ad.shift(ad.neg(g.mean), target)
-    inv_var = ad.exp(ad.scale(g.log_std, -2.0))
-    return ad.add(ad.scale(ad.mul(ad.square(resid), inv_var), 0.5),
-                  ad.shift(g.log_std, 0.5 * F.LOG_2PI))
-
-
-def composed_gaussian_kl(q, p):
-    var_q = ad.exp(ad.scale(q.log_std, 2.0))
-    inv_var_p = ad.exp(ad.scale(p.log_std, -2.0))
-    num = ad.add(var_q, ad.square(ad.sub(q.mean, p.mean)))
-    return ad.shift(ad.add(ad.sub(p.log_std, q.log_std),
-                           ad.scale(ad.mul(num, inv_var_p), 0.5)), -0.5)
-
-
-def composed_gaussian_head(out):
-    return Gaussian(ad.select_cols(out, 0),
-                    ad.clip(ad.select_cols(out, 1), F.LOG_STD_MIN, F.LOG_STD_MAX))
 
 
 # Ten rows at, beyond and inside both clip edges, then random rows: a
@@ -420,9 +390,9 @@ def run_term(term, call, values):
     before = len(tape.nodes)
     out = call(term, params)
     nodes = len(tape.nodes) - before
-    loss = ad.sum_all(ad.mul(out, tape.constant(COTANGENT)))
+    loss = ad.sum_all(R.mul(out, tape.constant(COTANGENT)))
     for i, p in enumerate(params.values()):
-        loss = ad.add(loss, ad.sum_all(ad.scale(p, rng.normal_matrix(210 + i, ROWS, 1))))
+        loss = R.add(loss, ad.sum_all(R.scale(p, rng.normal_matrix(210 + i, ROWS, 1))))
     _, grads = tape.gradients(loss)
     return out.value, nodes, grads
 
@@ -435,7 +405,7 @@ def gaussian_of(params, side):
 def clipped_gaussian_of(params, side):
     """The same, with the log std clipped as a Gaussian head clips it."""
     return Gaussian(params[side + "_mean"],
-                    ad.clip(params[side + "_ls"], F.LOG_STD_MIN, F.LOG_STD_MAX))
+                    R.clip(params[side + "_ls"], F.LOG_STD_MIN, F.LOG_STD_MAX))
 
 
 GAUSSIAN_VALUES = {"q_mean": rng.normals(211, 0, ROWS), "q_ls": LS_Q,
@@ -446,25 +416,25 @@ TARGET = rng.normals(213, 0, ROWS)
 # name: (fused term, its composition, call(term, params), parameter values,
 #        nodes the call adds besides the term itself)
 FAMILY_CASES = {
-    "bernoulli_ce": (F.bernoulli_ce_vec, composed_bernoulli_ce,
+    "bernoulli_ce": (R.bernoulli_ce_vec, R.composed_bernoulli_ce,
                      lambda term, p: term(p["q"], Y_VALUES), {"q": Q_VALUES}, 0),
-    "bernoulli_kl": (F.bernoulli_kl_vec, composed_bernoulli_kl,
+    "bernoulli_kl": (R.bernoulli_kl_vec, R.composed_bernoulli_kl,
                      lambda term, p: term(p["q"], p["p"]), {"q": Q_VALUES, "p": P_VALUES}, 0),
-    "bernoulli_kl_teacher": (F.bernoulli_kl_vec, composed_bernoulli_kl,
-                             lambda term, p: term(p["q"], ad.detach(p["p"])),
+    "bernoulli_kl_teacher": (R.bernoulli_kl_vec, R.composed_bernoulli_kl,
+                             lambda term, p: term(p["q"], R.detach(p["p"])),
                              {"q": Q_VALUES, "p": P_VALUES}, 1),
-    "bernoulli_kl_self": (F.bernoulli_kl_vec, composed_bernoulli_kl,
+    "bernoulli_kl_self": (R.bernoulli_kl_vec, R.composed_bernoulli_kl,
                           lambda term, p: term(p["q"], p["q"]), {"q": Q_VALUES}, 0),
-    "gaussian_nll": (F.gaussian_nll_vec, composed_gaussian_nll,
+    "gaussian_nll": (R.gaussian_nll_vec, R.composed_gaussian_nll,
                      lambda term, p: term(gaussian_of(p, "q"), TARGET), Q_GAUSSIAN, 0),
-    "gaussian_kl": (F.gaussian_kl_vec, composed_gaussian_kl,
+    "gaussian_kl": (R.gaussian_kl_vec, R.composed_gaussian_kl,
                     lambda term, p: term(gaussian_of(p, "q"), gaussian_of(p, "p")),
                     GAUSSIAN_VALUES, 0),
-    "gaussian_kl_teacher": (F.gaussian_kl_vec, composed_gaussian_kl,
+    "gaussian_kl_teacher": (R.gaussian_kl_vec, R.composed_gaussian_kl,
                             lambda term, p: term(gaussian_of(p, "q"),
-                                                 F.GAUSSIAN.detach(gaussian_of(p, "p"))),
+                                                 R.gaussian_detach(gaussian_of(p, "p"))),
                             GAUSSIAN_VALUES, 2),
-    "gaussian_kl_self": (F.gaussian_kl_vec, composed_gaussian_kl,
+    "gaussian_kl_self": (R.gaussian_kl_vec, R.composed_gaussian_kl,
                          lambda term, p: term(gaussian_of(p, "q"), gaussian_of(p, "q")),
                          Q_GAUSSIAN, 0),
 }
@@ -484,12 +454,12 @@ class TestFusedFamilyTerms:
     def test_clip_edges_pass_or_stop_gradients(self):
         tape = ad.Tape()
         q = tape.parameter(Q_VALUES.reshape(-1, 1), "q")
-        _, grads = tape.gradients(ad.sum_all(F.bernoulli_ce_vec(q, Y_VALUES)))
+        _, grads = tape.gradients(ad.sum_all(R.bernoulli_ce_vec(q, Y_VALUES)))
         inside = ((Q_VALUES >= PROB_FLOOR) & (Q_VALUES <= EDGE)).reshape(-1, 1)
         assert np.all(grads["q"][~inside] == 0.0) and np.all(grads["q"][inside] != 0.0)
         tape = ad.Tape()
         p = {k: tape.parameter(v.reshape(-1, 1), k) for k, v in Q_GAUSSIAN.items()}
-        _, grads = tape.gradients(ad.sum_all(F.gaussian_nll_vec(clipped_gaussian_of(p, "q"),
+        _, grads = tape.gradients(ad.sum_all(R.gaussian_nll_vec(clipped_gaussian_of(p, "q"),
                                                                 TARGET)))
         inside = ((LS_Q >= F.LOG_STD_MIN) & (LS_Q <= F.LOG_STD_MAX)).reshape(-1, 1)
         assert np.all(grads["q_ls"][~inside] == 0.0) and np.all(grads["q_ls"][inside] != 0.0)
@@ -501,12 +471,12 @@ class TestFusedFamilyTerms:
             tape = ad.Tape()
             o = tape.parameter(out, "out")
             g = head(o)
-            loss = ad.sum_all(ad.add(ad.mul(g.mean, tape.constant(COTANGENT)),
+            loss = ad.sum_all(R.add(R.mul(g.mean, tape.constant(COTANGENT)),
                                      ad.square(g.log_std)))
             _, grads = tape.gradients(loss)
             return g.mean.value, g.log_std.value, grads["out"]
 
-        fused, composed = run(F.GAUSSIAN.head), run(composed_gaussian_head)
+        fused, composed = run(F.GAUSSIAN.head), run(R.composed_gaussian_head)
         assert all(np.array_equal(a, b) for a, b in zip(fused, composed))
 
     # logits so that q stays on its side of each clamp edge under probing
@@ -519,13 +489,13 @@ class TestFusedFamilyTerms:
         weights = rng.normal_matrix(202, 8, 1)
 
         def loss(tape, params):
-            q = ad.sigmoid(tape.parameter(params["q"], "q"))
+            q = R.sigmoid(tape.parameter(params["q"], "q"))
             if term == "ce":
-                vec = F.bernoulli_ce_vec(q, self.Y)
+                vec = R.bernoulli_ce_vec(q, self.Y)
             else:
-                p = ad.sigmoid(tape.parameter(params["p"], "p"))
-                vec = F.bernoulli_kl_vec(q, ad.detach(p) if term == "kl_teacher" else p)
-            return ad.sum_all(ad.mul(vec, tape.constant(weights)))
+                p = R.sigmoid(tape.parameter(params["p"], "p"))
+                vec = R.bernoulli_kl_vec(q, R.detach(p) if term == "kl_teacher" else p)
+            return ad.sum_all(R.mul(vec, tape.constant(weights)))
 
         params = {"q": self.LOGITS_Q.reshape(-1, 1).copy()}
         if term != "ce":
@@ -549,12 +519,12 @@ class TestFusedFamilyTerms:
             p = {k: tape.parameter(v, k) for k, v in params.items()}
             q = clipped_gaussian_of(p, "q")
             if term == "nll":
-                vec = F.gaussian_nll_vec(q, target)
+                vec = R.gaussian_nll_vec(q, target)
             else:
                 other = clipped_gaussian_of(p, "p")
-                vec = F.gaussian_kl_vec(q, F.GAUSSIAN.detach(other)
+                vec = R.gaussian_kl_vec(q, R.gaussian_detach(other)
                                         if term == "kl_teacher" else other)
-            return ad.sum_all(ad.mul(vec, tape.constant(weights)))
+            return ad.sum_all(R.mul(vec, tape.constant(weights)))
 
         names = ("q_mean", "q_ls") if term == "nll" else tuple(values)
         params = {k: values[k].reshape(-1, 1).copy() for k in names}
@@ -565,3 +535,186 @@ class TestLossWeights:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             L.LossWeights(alpha=-0.1)
+
+
+# The objective against the composition it fuses (tests/reference_ops.py),
+# through a small model: every breakdown field, the per-sample losses, every
+# gradient, the recorded teacher values and the places counted on the trace.
+
+OBJECTIVE_ARCH = dict(rep_dim=4, enc_hidden=8, enc_layers=1, head_hidden=4)
+OBJECTIVE_WEIGHTS = L.LossWeights(alpha=0.7, beta=0.5, gamma=1.3, delta=0.01, omega_cont=0.8)
+ALL_FLAGS = [L.LossFlags(kernel, aux, reverse) for kernel in ("linear", "rbf")
+             for aux in (False, True) for reverse in (False, True)]
+CONTINUOUS_FLAGS = [f for f in ALL_FLAGS if f.mmd_kernel == "linear"]  # no MMD in this mode
+OBJECTIVE_CASES = ([("binary", f) for f in ALL_FLAGS]
+                   + [("continuous", f) for f in CONTINUOUS_FLAGS])
+
+
+def flag_id(flags):
+    aux, reverse = int(flags.aux_confounder_label), int(flags.teacher_kl_reverse)
+    return f"{flags.mmd_kernel}-aux{aux}-rev{reverse}"
+
+
+def objective_run(losses, mode, flags, variant="Total", channel="factual", record=True,
+                  rows=48):
+    """Breakdown, gradients, teacher values and trace count of one step, with
+    the objective built by ``losses`` (the package's or the reference)."""
+    cfg = tr.TrainConfig(mode=mode, weights=OBJECTIVE_WEIGHTS, flags=flags,
+                         arch=M.ArchConfig(input_dim=1, treatment_channel=channel,
+                                           **OBJECTIVE_ARCH))
+    cfg = tr.apply_ablation(cfg, variant)
+    model = M.init_model(tr._arch_for(cfg, 5), 3)
+    x = rng.normal_matrix(31, rows, 5)
+    tape = ad.Tape(record=record)
+    params = M.bind(model, tape)
+    if mode == "binary":
+        t = (np.arange(rows) % 2).astype(float)
+        y = rng.bernoulli(33, np.full(rows, 0.4))
+        out = M.forward_binary(model, x, t, tape, params)
+        w = L.importance_weights(out.q_t_c.value, t)
+        forward_nodes = len(tape.nodes)
+        bd = losses.total_loss_binary(out, t, y, w, cfg.weights, params, cfg.flags)
+    else:
+        t, y = rng.normals(32, 0, rows), rng.normals(34, 0, rows)
+        out = M.forward_continuous(model, x, t, tape, params)
+        forward_nodes = len(tape.nodes)
+        bd = losses.total_loss_continuous(out, t, y, cfg.weights, params, cfg.flags)
+    result = {"fields": [getattr(bd, f) for f in bd.FIELDS], "per_sample": bd.per_sample,
+              "created": tape.created}
+    if record:
+        result["loss_nodes"] = len(tape.nodes) - forward_nodes
+        _, result["grads"] = tape.gradients(bd.node)
+        result["detached"] = tape.detached_values
+    return result
+
+
+def assert_bitwise_equal(got, ref):
+    assert got["fields"] == ref["fields"]
+    assert all(np.array_equal(a, b) for a, b in zip(got["per_sample"], ref["per_sample"]))
+    assert got["created"] == ref["created"]
+    if "grads" in ref:
+        assert list(got["grads"]) == list(ref["grads"])
+        assert all(np.array_equal(got["grads"][k], ref["grads"][k]) for k in ref["grads"])
+        assert len(got["detached"]) == len(ref["detached"])
+        assert all(np.array_equal(a, b) for a, b in zip(got["detached"], ref["detached"]))
+
+
+class TestObjective:
+    @pytest.mark.parametrize("channel", ["factual", "qt", "none"])
+    @pytest.mark.parametrize("variant", ["Lp", "Lp+Lt", "Lp+Lt+La", "Total"])
+    @pytest.mark.parametrize("mode, flags", OBJECTIVE_CASES,
+                             ids=[f"{m}-{flag_id(f)}" for m, f in OBJECTIVE_CASES])
+    def test_matches_composition_bitwise(self, mode, flags, variant, channel):
+        got = objective_run(L, mode, flags, variant, channel)
+        ref = objective_run(R, mode, flags, variant, channel)
+        assert_bitwise_equal(got, ref)
+        # the MMD subgraph (7 linear nodes, 3 rbf) and l2_penalty keep their
+        # nodes; everything else is the one objective node
+        mmd = 0 if mode == "continuous" else 7 if flags.mmd_kernel == "linear" else 3
+        assert got["loss_nodes"] == mmd + 2
+
+    @pytest.mark.parametrize("mode, flags", OBJECTIVE_CASES,
+                             ids=[f"{m}-{flag_id(f)}" for m, f in OBJECTIVE_CASES])
+    def test_tape_free_matches_composition_bitwise(self, mode, flags):
+        # as in the validation pass: a tape that records nothing, and a
+        # forward over two row blocks
+        got = objective_run(L, mode, flags, record=False, rows=1500)
+        assert_bitwise_equal(got, objective_run(R, mode, flags, record=False, rows=1500))
+
+    @pytest.mark.parametrize("mode, flags", [
+        ("binary", L.LossFlags()), ("binary", L.LossFlags(teacher_kl_reverse=True)),
+        ("binary", L.LossFlags(mmd_kernel="rbf")),
+        ("binary", L.LossFlags(mmd_kernel="rbf", aux_confounder_label=True,
+                               teacher_kl_reverse=True)),
+        ("continuous", L.LossFlags()), ("continuous", L.LossFlags(teacher_kl_reverse=True))],
+        ids=lambda v: v if isinstance(v, str) else flag_id(v))
+    def test_gradcheck(self, mode, flags):
+        # central differences of the whole objective through a tiny model; the
+        # teachers and the rbf bandwidth are replayed at every probe point
+        arch = M.ArchConfig(input_dim=3, rep_dim=2, enc_hidden=3, enc_layers=1, head_hidden=2,
+                            mode=mode)
+        model = M.init_model(arch, 5)
+        rows = 12
+        x = rng.normal_matrix(41, rows, 3)
+        if mode == "binary":
+            t = (np.arange(rows) % 2).astype(float)
+            y = rng.bernoulli(42, np.full(rows, 0.5))
+            w = 1.0 + rng.uniforms(43, 0, rows)
+
+            def loss(tape, params):
+                p = {k: tape.parameter(v, k) for k, v in params.items()}
+                out = M.forward_binary(model, x, t, tape, p)
+                return L.total_loss_binary(out, t, y, w, OBJECTIVE_WEIGHTS, p, flags).node
+        else:
+            t, y = rng.normals(42, 0, rows), rng.normals(43, 0, rows)
+
+            def loss(tape, params):
+                p = {k: tape.parameter(v, k) for k, v in params.items()}
+                out = M.forward_continuous(model, x, t, tape, p)
+                return L.total_loss_continuous(out, t, y, OBJECTIVE_WEIGHTS, p, flags).node
+
+        assert ad.finite_diff_check(loss, model.params) < 1e-6
+
+
+FAILURE_ROWS = 6
+
+
+def failing_binary(losses, sample_weight=1.0, r_a_scale=1.0, weight_scale=1.0):
+    tape = ad.Tape()
+    vals = [np.clip(0.5 + 0.3 * rng.normals(60 + i, 0, FAILURE_ROWS), 0.05, 0.95)
+            for i in range(6)]
+    outs = binary_outputs(tape, *vals, r_a=tape.constant(
+        r_a_scale * rng.normal_matrix(66, FAILURE_ROWS, 3)))
+    params = {"w.W": tape.parameter(weight_scale * np.ones((2, 2)), "w.W")}
+    t = (np.arange(FAILURE_ROWS) % 2).astype(float)
+    y = rng.bernoulli(67, np.full(FAILURE_ROWS, 0.5))
+    return losses.total_loss_binary(outs, t, y, np.full(FAILURE_ROWS, sample_weight),
+                                    L.LossWeights(), params)
+
+
+CONTINUOUS_HEADS = ("q_t", "q_t_z", "q_t_c", "q_t_a", "q_t_cr", "q_y", "q_y_a", "q_y_c")
+
+
+def failing_continuous(losses, huge_mean=(), flags=L.LossFlags()):
+    tape = ad.Tape()
+    scales = [1e200 if name in huge_mean else 1.0 for name in CONTINUOUS_HEADS]
+    heads = [gaussian(tape, scale * rng.normals(70 + i, 0, FAILURE_ROWS),
+                      0.2 * rng.normals(80 + i, 0, FAILURE_ROWS))
+             for i, scale in enumerate(scales)]
+    params = {"w.W": tape.parameter(np.eye(2), "w.W")}
+    t, y = rng.normals(90, 0, FAILURE_ROWS), rng.normals(91, 0, FAILURE_ROWS)
+    return losses.total_loss_continuous(continuous_outputs(*heads), t, y, L.LossWeights(),
+                                        params, flags)
+
+
+def failure_message(build, losses) -> str:
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ad.NonFiniteError) as failure:
+        build(losses)
+    return str(failure.value)
+
+
+class TestObjectiveFailures:
+    """A NaN or Inf inside the objective names the op and the place on the
+    trace that the composition named."""
+
+    @pytest.mark.parametrize("build, op", [
+        (lambda ls: failing_binary(ls, sample_weight=np.inf), "scale"),
+        # finite entries whose sum overflows
+        (lambda ls: failing_binary(ls, sample_weight=1e308), "mean"),
+        (lambda ls: failing_binary(ls, weight_scale=1e200), "l2_penalty"),
+        (lambda ls: failing_binary(ls, r_a_scale=1e200), "square"),
+        # an earlier term fails before a node built outside the objective
+        (lambda ls: failing_binary(ls, sample_weight=np.inf, weight_scale=1e200), "scale"),
+        (lambda ls: failing_binary(ls, sample_weight=np.inf, r_a_scale=1e200), "scale"),
+        (lambda ls: failing_continuous(ls, ("q_y",)), "gaussian_nll"),
+        (lambda ls: failing_continuous(ls, ("q_y_a",)), "gaussian_nll"),
+        (lambda ls: failing_continuous(ls, ("q_t_cr",)), "gaussian_kl"),
+        (lambda ls: failing_continuous(ls, ("q_t",), L.LossFlags(teacher_kl_reverse=True)),
+         "gaussian_nll"),
+        # the adjustment loss's partner KL comes before the outcome unit
+        (lambda ls: failing_continuous(ls, ("q_t_a", "q_y_c")), "gaussian_kl"),
+    ])
+    def test_same_message_as_composition(self, build, op):
+        message = failure_message(build, L)
+        assert message == failure_message(build, R)
+        assert f"at node {op!r}" in message

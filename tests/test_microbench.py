@@ -10,12 +10,14 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
+import reference_ops as R  # noqa: E402
 from sd2 import autodiff as ad  # noqa: E402
 from sd2 import datagen as dg  # noqa: E402
 from sd2 import family as F  # noqa: E402
 from sd2 import model as M  # noqa: E402
 from sd2 import rng  # noqa: E402
 from sd2 import training as tr  # noqa: E402
+from sd2 import losses as L  # noqa: E402
 from sd2.losses import LossWeights, total_loss_binary, total_loss_continuous  # noqa: E402
 
 ROUNDS = 5
@@ -112,27 +114,56 @@ def _gaussian(tape, key, rows=256):
 
 
 FAMILY_TERMS = {
-    "bernoulli_ce": lambda tape: F.bernoulli_ce_vec(
-        ad.sigmoid(tape.parameter(rng.normal_matrix(11, 256, 1), "q")),
+    "bernoulli_ce": lambda tape: R.bernoulli_ce_vec(
+        R.sigmoid(tape.parameter(rng.normal_matrix(11, 256, 1), "q")),
         rng.bernoulli(12, np.full(256, 0.5))),
-    "bernoulli_kl": lambda tape: F.bernoulli_kl_vec(
-        ad.sigmoid(tape.parameter(rng.normal_matrix(11, 256, 1), "q")),
-        ad.sigmoid(tape.parameter(rng.normal_matrix(13, 256, 1), "p"))),
-    "gaussian_nll": lambda tape: F.gaussian_nll_vec(_gaussian(tape, 14), rng.normals(15, 0, 256)),
-    "gaussian_kl": lambda tape: F.gaussian_kl_vec(_gaussian(tape, 14), _gaussian(tape, 16)),
+    "bernoulli_kl": lambda tape: R.bernoulli_kl_vec(
+        R.sigmoid(tape.parameter(rng.normal_matrix(11, 256, 1), "q")),
+        R.sigmoid(tape.parameter(rng.normal_matrix(13, 256, 1), "p"))),
+    "gaussian_nll": lambda tape: R.gaussian_nll_vec(_gaussian(tape, 14), rng.normals(15, 0, 256)),
+    "gaussian_kl": lambda tape: R.gaussian_kl_vec(_gaussian(tape, 14), _gaussian(tape, 16)),
 }
 
 
 @pytest.mark.parametrize("term", sorted(FAMILY_TERMS))
 def test_family_term(benchmark, term):
-    """A fused per-sample family term on 256 rows, forward and backward."""
+    """A per-sample family term as one node on 256 rows, forward and backward."""
     def run():
         tape = ad.Tape()
-        return tape.gradients(ad.mean_all(FAMILY_TERMS[term](tape)))
+        return tape.gradients(R.mean_all(FAMILY_TERMS[term](tape)))
 
     value, grads = _pedantic(benchmark, run)
     assert np.isfinite(value)
     assert grads and all(np.all(np.isfinite(g)) and np.any(g != 0) for g in grads.values())
+
+
+@pytest.mark.parametrize("mode", ["binary", "continuous"])
+def test_objective(benchmark, mode):
+    """The objective over the heads of a README-config forward pass on 256
+    rows, forward and backward; equal to the composition it fuses."""
+    model, x, t, y = _training_step_setup(mode=mode)
+    outputs = (M.forward_binary if mode == "binary" else M.forward_continuous)(model, x, t)
+
+    def run(losses):
+        tape = ad.Tape()
+        params = M.bind(model, tape)
+        heads = [None if h is None else F.FAMILIES[mode].head(tape.parameter(
+                     np.hstack([h.mean.value, h.log_std.value]) if mode == "continuous"
+                     else h.value, f"head{i}"))
+                 for i, h in enumerate(outputs[:8])]
+        if mode == "binary":
+            reps = M.Representations(None, None, tape.parameter(outputs.reps.r_a.value, "r_a"))
+            bd = losses.total_loss_binary(M.HeadOutputs(*heads, reps=reps), t, y,
+                                          np.ones(len(t)), README_WEIGHTS, params)
+        else:
+            bd = losses.total_loss_continuous(M.HeadOutputs(*heads), t, y, README_WEIGHTS,
+                                              params)
+        return tape.gradients(bd.node)
+
+    value, grads = _pedantic(benchmark, lambda: run(L))
+    ref_value, ref_grads = run(R)
+    assert value == ref_value and list(grads) == list(ref_grads)
+    assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
 
 
 def test_tape_gradients(benchmark):

@@ -109,6 +109,30 @@ class TestDegenerateBatches:
         assert len(dropped) == 3
 
 
+class TestValidationChunks:
+    def test_single_class_tail_chunk_joins_the_chunk_before_it(self, caplog):
+        # 4,097 rows: the last 4,096-row chunk would hold one row, so one class
+        cfg = tiny_config()
+        kind = {"kind": "synthetic_binary", "mz": 2, "mc": 2, "ma": 1, "mu": 1}
+        val = dg.generate(dg.spec_from_ref({**kind, "n": 4097, "seed": 4}))
+        model = init_model(tr._arch_for(cfg, val.covariates().shape[1]), 3)
+        with caplog.at_level(logging.WARNING):
+            bd, criterion = tr._eval_breakdown(cfg, model, val)
+        assert not caplog.records
+        one_chunk = tr._eval_breakdown(cfg, model, val, chunk=4097)
+        assert [getattr(bd, f) for f in bd.FIELDS] + [criterion] == \
+            [getattr(one_chunk[0], f) for f in bd.FIELDS] + [one_chunk[1]]
+
+    def test_chunks(self):
+        t = np.array([0, 1, 0, 1, 0, 1, 1.0])
+        assert tr._eval_chunks("binary", t, 3) == [slice(0, 3), slice(3, 7)]
+        assert tr._eval_chunks("continuous", t, 3) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert tr._eval_chunks("binary", t[:6], 3) == [slice(0, 3), slice(3, 6)]
+        # together still one class: the tail keeps its own chunk
+        assert tr._eval_chunks("binary", np.zeros(7), 3) == [slice(0, 3), slice(3, 6),
+                                                              slice(6, 7)]
+
+
 class TestTapes:
     @pytest.mark.parametrize("activation", ["identity", "elu", "sigmoid"])
     @pytest.mark.parametrize("channel", ["factual", "qt", "none"])
@@ -133,8 +157,8 @@ class TestTapes:
     @pytest.mark.parametrize("n", [4097, 10000])
     @pytest.mark.parametrize("mode", ["binary", "continuous"])
     def test_blocked_validation_pass_matches_unblocked(self, mode, n, record_every_tape):
-        # the split spans several row blocks; a 4,097-row binary split drops
-        # its one-row last chunk in both passes
+        # the split spans several row blocks and, at 4,097 rows, ends in a
+        # one-row chunk that joins the chunk before it
         kind = ({"kind": "demand"} if mode == "continuous"
                 else {"kind": "synthetic_binary", "mz": 2, "mc": 2, "ma": 1, "mu": 1})
         cfg = tiny_config(mode=mode)
@@ -149,9 +173,10 @@ class TestTapes:
         record_every_tape()  # every forward then runs over its whole chunk at once
         assert run() == blocked
 
-    @pytest.mark.parametrize("mode, limit", [("binary", 125), ("continuous", 180)])
+    @pytest.mark.parametrize("mode, limit", [("binary", 83), ("continuous", 110)])
     def test_step_tape_size(self, mode, limit):
-        # README arch and weights: one node per dense layer and per family term
+        # README arch and weights: one node per dense layer, the objective,
+        # and the MMD subgraph and l2_penalty it reads
         cfg = tr.TrainConfig(
             mode=mode, arch=ArchConfig(input_dim=1, rep_dim=8, enc_hidden=64, enc_layers=2,
                                        head_hidden=32),
