@@ -7,9 +7,9 @@ for finiteness as nodes are created, so a NaN/Inf is reported at the operation
 that produced it.  `dense` checks once, after the bias add: a non-finite
 product stays non-finite when a finite bias is added, and elu and sigmoid map
 finite values to finite ones.  Only when that check fails is the product
-recomputed, to name ``'matmul'`` or ``'add_bias'`` as checking each step
-would, at the same place on the trace.  The training objective
-(``losses.py``) does the same for the nodes it stands for.
+recomputed, to name ``'matmul'`` or ``'add_bias'``.  The training objective
+(``losses.py``) checks only its total, and on failure names its first
+non-finite term.
 
 Stop-gradient values (teacher heads, the MMD bandwidth) are recorded on the
 tape in creation order.  `finite_diff_check` replays them at probe points, so
@@ -24,11 +24,11 @@ drops its nodes and parameters when `gradients` returns, so neither kind of
 tape is left behind as cyclic garbage.
 
 The recorded graph is coarse where the model spends its steps: `dense` is one
-node, and so is the training objective in ``losses.py``.  The primitives these
-fused nodes stand for are kept in ``tests/reference_ops.py`` as the oracles
-they are checked against.  A node's backward rule is an optional ``pre_vjp``,
-applied once to its gradient, then one VJP per parent; no VJP is evaluated for
-a constant or detached leaf.
+node, and so is the whole training objective in ``losses.py``.  The primitives
+these fused nodes stand for are kept in ``tests/reference_ops.py`` as the
+oracles they are checked against.  A node's backward rule is an optional
+``pre_vjp``, applied once to its gradient, then one VJP per parent; no VJP is
+evaluated for a constant or detached leaf.
 """
 
 from __future__ import annotations
@@ -43,7 +43,11 @@ class AutodiffError(Exception):
 
 
 class NonFiniteError(AutodiffError):
-    """A kernel operation produced a NaN or Inf."""
+    """A kernel operation, named by ``op``, produced a NaN or Inf."""
+
+    def __init__(self, op: str):
+        super().__init__(f"non-finite value at node {op!r}")
+        self.op = op
 
 
 class Tape:
@@ -56,7 +60,6 @@ class Tape:
                  record: bool = True):
         self.record = record
         self.released = False
-        self.created = 0  # values checked so far: a failure's place on the trace
         self.nodes: list[Tensor] = []
         self.params: dict[str, Tensor] = {}
         self.detached_values: list[np.ndarray] = []
@@ -144,7 +147,7 @@ class Tensor:
     ``parents[i]``; a parent listed twice receives two contributions, in
     order.  ``pre_vjp``, when given, is applied to the gradient once and its
     result is what every VJP receives.  ``constant`` marks a leaf that takes
-    no gradient (`Tape.constant`, `detach`).
+    no gradient (`Tape.constant`).
     """
 
     __slots__ = ("tape", "value", "parents", "vjps", "pre_vjp", "grad", "name", "constant")
@@ -153,8 +156,8 @@ class Tensor:
                  pre_vjp=None, checked: bool = False):
         self.tape = tape
         self.value = np.asarray(value, dtype=np.float64)
-        if not checked:  # else the caller checked the value and counted it on the trace
-            check_finite(tape, self.value, name)
+        if not checked:  # else the caller checked the value
+            check_finite(self.value, name)
         self.grad = None
         self.name = name
         self.constant = False
@@ -172,29 +175,15 @@ class Tensor:
         return self.value.shape
 
 
-def check_finite(tape: Tape, value: np.ndarray, name: str):
-    """Raise `NonFiniteError` naming ``name`` and its place on the trace if
-    ``value`` holds a NaN or Inf; else count the value on the trace.
+def check_finite(value: np.ndarray, name: str):
+    """Raise `NonFiniteError` naming ``name`` if ``value`` holds a NaN or Inf.
 
     Any NaN or Inf makes the sum non-finite, so one reduction settles the
     common case; a non-finite sum is confirmed entry by entry, because finite
     entries can overflow it.
     """
     if not np.isfinite(value.sum()) and not np.isfinite(value).all():
-        raise NonFiniteError(f"non-finite value at node {name!r} "
-                             f"(#{tape.created} on trace)")
-    tape.created += 1
-
-
-def _same_shape(a: Tensor, b: Tensor, op: str):
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"{op}: shape mismatch {a.value.shape} vs {b.value.shape}")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-    return Tensor(a.tape, a.value - b.value, (a, b),
-                  (lambda g: g, lambda g: -g), "sub")
+        raise NonFiniteError(name)
 
 
 def _check_matmul(x: np.ndarray, w: np.ndarray):
@@ -205,10 +194,6 @@ def _check_matmul(x: np.ndarray, w: np.ndarray):
 def _check_bias(x: np.ndarray, b: np.ndarray):
     if x.ndim != 2 or b.ndim != 1 or x.shape[1] != b.shape[0]:
         raise ValueError(f"add_bias: incompatible shapes {x.shape} + {b.shape}")
-
-
-def square(a: Tensor) -> Tensor:
-    return Tensor(a.tape, a.value ** 2, (a,), (lambda g: g * 2.0 * a.value,), "square")
 
 
 def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
@@ -231,20 +216,6 @@ def _elu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     out += ex
     out -= 1.0
     return ex
-
-
-def sum_all(a: Tensor) -> Tensor:
-    return Tensor(a.tape, np.array(a.value.sum()), (a,),
-                  (lambda g: np.full_like(a.value, float(g)),), "sum")
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    """Column means of an (n, k) matrix."""
-    if a.value.ndim != 2:
-        raise ValueError("mean_rows expects a matrix")
-    n = a.value.shape[0]
-    return Tensor(a.tape, a.value.mean(axis=0), (a,),
-                  (lambda g: np.tile(g / n, (n, 1)),), "mean_rows")
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
@@ -273,55 +244,6 @@ def select_cols(a: Tensor, j: int) -> Tensor:
     return Tensor(a.tape, a.value[:, j:j + 1], (a,), (vjp,), "select_cols")
 
 
-def select_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    idx = np.asarray(idx)
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, idx, g)
-        return out
-
-    return Tensor(a.tape, a.value[idx], (a,), (vjp,), "select_rows")
-
-
-def mmd_rbf(x0: Tensor, x1: Tensor, bandwidth: float) -> Tensor:
-    """Biased squared MMD with Gaussian kernel exp(-d^2 / (2 bw^2)).
-
-    The bandwidth is a constant of the batch; pass the median heuristic value
-    computed on detached representations.
-    """
-    a, b = x0.value, x1.value
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError("mmd_rbf: expects matrices with equal width")
-    inv = 1.0 / (2.0 * bandwidth ** 2)
-
-    def gram(u, v):
-        d2 = (np.sum(u ** 2, 1)[:, None] + np.sum(v ** 2, 1)[None, :] - 2.0 * u @ v.T)
-        return np.exp(-np.maximum(d2, 0.0) * inv)
-
-    kaa, kbb, kab = gram(a, a), gram(b, b), gram(a, b)
-    m, n = len(a), len(b)
-    val = kaa.mean() + kbb.mean() - 2.0 * kab.mean()
-
-    def vjp0(g):
-        # d k(u,v) / du = -k * (u - v) / bw^2
-        waa = kaa / (m * m)
-        wab = kab / (m * n)
-        # within-group term appears twice by symmetry
-        grad = 2.0 * ((waa.sum(1)[:, None] * a) - waa @ a) * (-2.0 * inv)
-        grad -= 2.0 * ((wab.sum(1)[:, None] * a) - wab @ b) * (-2.0 * inv)
-        return float(g) * grad
-
-    def vjp1(g):
-        wbb = kbb / (n * n)
-        wba = kab.T / (m * n)
-        grad = 2.0 * ((wbb.sum(1)[:, None] * b) - wbb @ b) * (-2.0 * inv)
-        grad -= 2.0 * ((wba.sum(1)[:, None] * b) - wba @ a) * (-2.0 * inv)
-        return float(g) * grad
-
-    return Tensor(x0.tape, np.array(val), (x0, x1), (vjp0, vjp1), "mmd_rbf")
-
-
 ACTIVATIONS = ("identity", "elu", "sigmoid")
 
 
@@ -332,27 +254,23 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
     operations of `matmul`, `add_bias` and the activation in the same order,
     so values and gradients are bit-identical to composing them.  One
     finiteness check on the biased sum stands for the product's, the sum's and
-    the activation's; a failure still names ``'matmul'`` or ``'add_bias'`` and
-    the place on the trace that composing them would.  The backward rule
-    takes the activation's derivative once, then the three VJPs of the
-    product and the bias.
+    the activation's; a failure still names ``'matmul'`` or ``'add_bias'``, as
+    composing them would.  The backward rule takes the activation's derivative
+    once, then the three VJPs of the product and the bias.
     """
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
-    tape = x.tape
     _check_matmul(x.value, w.value)
     out = x.value @ w.value
     _check_bias(out, b.value)
     out += b.value
     if not np.isfinite(out.sum()) and not np.isfinite(out).all():
-        # the biased sum holds a NaN or Inf, so one of the two checks raises
-        check_finite(tape, x.value @ w.value, "matmul")
-        check_finite(tape, out, "add_bias")
+        # the biased sum holds a NaN or Inf: name the product if it does too
+        check_finite(x.value @ w.value, "matmul")
+        raise NonFiniteError("add_bias")
     if activation == "identity":
         name, pre_vjp = "add_bias", None
-        tape.created += 2  # the product's place on the trace and the biased sum's
     else:
-        tape.created += 3  # and the activation's
         name = activation
         if activation == "elu":
             ex = _elu_into(out, out)
@@ -364,7 +282,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
 
             def pre_vjp(g):
                 return g * out * (1.0 - out)
-    return Tensor(tape, out, (x, w, b),
+    return Tensor(x.tape, out, (x, w, b),
                   (lambda g: g @ w.value.T, lambda g: x.value.T @ g,
                    lambda g: g.sum(axis=0)), name, pre_vjp, checked=True)
 

@@ -117,6 +117,9 @@ def build_train_config(raw: dict) -> TrainConfig:
     arch = _build_section(ArchConfig, {**arch_raw, "mode": mode}, "arch")
     weights = _build_section(LossWeights, raw.get("weights", {}), "weights")
     flags = _build_section(LossFlags, raw.get("flags", {}), "flags")
+    if mode == "continuous" and flags.mmd_kernel != "linear":
+        raise ConfigError(f"config section 'flags': mmd_kernel {flags.mmd_kernel!r} "
+                          "applies to binary mode only; continuous mode has no MMD term")
     optimizer = _build_section(tr.OptimizerConfig, raw.get("optimizer", {}), "optimizer")
     train_raw = dict(raw.get("train", {}))
     if "split_ratios" in train_raw:

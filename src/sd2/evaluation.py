@@ -21,11 +21,10 @@ def eps_ate(model: SD2Model, dataset: dg.GeneratedDataset) -> float:
     """
     if model.config.mode != "binary" or dataset.mode != "binary":
         raise ValueError("eps_ate applies to binary mode")
-    if dataset.p1 is None or dataset.p0 is None:
-        raise ValueError("dataset carries no ground-truth potential outcomes")
+    truth = dg.true_ate(dataset)
     x = dataset.covariates()
     predicted = predict_outcome(model, x, 1.0) - predict_outcome(model, x, 0.0)
-    return float(abs(np.mean(dataset.p1 - dataset.p0) - predicted.mean()))
+    return float(abs(truth - predicted.mean()))
 
 
 def default_grid(t: np.ndarray, points: int = 10, central: float = 0.90) -> np.ndarray:

@@ -72,12 +72,12 @@ class BernoulliHead(NamedTuple):
         one_q = -qc + 1.0
         return cls(node, qc, mask, one_q, np.log(qc), np.log(one_q))
 
-    def teacher(self, tape: ad.Tape) -> tuple["BernoulliHead", tuple[np.ndarray, ...]]:
-        """The detached teacher and the value recorded for it on the tape."""
+    def teacher(self, tape: ad.Tape) -> "BernoulliHead":
+        """The detached teacher, its value recorded on the tape."""
         value = tape.record_detached(self.node.value)
         if tape.replaying:
-            return BernoulliHead.of_value(value), (value,)
-        return self._replace(node=None), (value,)  # the recorded copy has the same bits
+            return BernoulliHead.of_value(value)
+        return self._replace(node=None)  # the recorded copy has the same bits
 
 
 class GaussianHead(NamedTuple):
@@ -97,13 +97,13 @@ class GaussianHead(NamedTuple):
                  node: Gaussian | None = None) -> "GaussianHead":
         return cls(node, mean, log_std, np.exp(log_std * 2.0), np.exp(log_std * -2.0))
 
-    def teacher(self, tape: ad.Tape) -> tuple["GaussianHead", tuple[np.ndarray, ...]]:
-        """The detached teacher and the values recorded for it (mean, then
-        log std)."""
-        values = (tape.record_detached(self.mean), tape.record_detached(self.log_std))
+    def teacher(self, tape: ad.Tape) -> "GaussianHead":
+        """The detached teacher, its mean and then its log std recorded on the
+        tape."""
+        mean, log_std = tape.record_detached(self.mean), tape.record_detached(self.log_std)
         if tape.replaying:
-            return GaussianHead.of_value(*values), values
-        return self._replace(node=None), values
+            return GaussianHead.of_value(mean, log_std)
+        return self._replace(node=None)
 
     @property
     def mean_node(self):

@@ -16,13 +16,14 @@ continuous ones), the binary importance weights and the continuous rebalance
 loss.
 
 The total is one tape node, ``objective``: every per-sample family term of
-both units, the factual terms, the continuous adjustment and rebalance losses
-and the weighted sum.  Each head's clamp and logs (Bernoulli) or its
-exp(+-2 log_std) (Gaussian) are computed once and shared by the terms that
-read it.  The MMD subgraph and ``l2_penalty`` keep their own nodes and enter
-the objective as parents.  Values and gradients are bit-identical to building
-the total from one node per term, mean, sum and scale, and a NaN or Inf is
-reported at the op and place on the trace that composition would have named.
+both units, the factual terms, the binary MMD and the continuous adjustment
+and rebalance losses, the L2 penalty and the weighted sum.  Each head's clamp
+and logs (Bernoulli) or its exp(+-2 log_std) (Gaussian) are computed once and
+shared by the terms that read it.  Values and gradients are bit-identical to
+building the total from one node per term, row selection, mean, sum and
+scale.  The objective checks only its total for finiteness; a NaN or Inf is
+reported at the first term whose mean (or value) is not finite, or at
+``'objective'`` when every term is finite and only their sum is not.
 """
 
 from __future__ import annotations
@@ -57,12 +58,20 @@ class LossWeights:
                 raise ValueError(f"{name} must be nonnegative")
 
 
+MMD_KERNELS = ("linear", "rbf")
+
+
 @dataclass(frozen=True)
 class LossFlags:
     """Implementation switches the loss definitions leave open."""
-    mmd_kernel: str = "linear"            # linear | rbf
+    mmd_kernel: str = "linear"            # linear | rbf; binary mode only
     aux_confounder_label: bool = False    # treatment-side label CE on the confounder student
     teacher_kl_reverse: bool = False      # KL(teacher || student) instead of student-first
+
+    def __post_init__(self):
+        if self.mmd_kernel not in MMD_KERNELS:
+            raise ValueError(f"unknown mmd_kernel {self.mmd_kernel!r}; "
+                             f"choose from {MMD_KERNELS}")
 
 
 @dataclass
@@ -110,53 +119,99 @@ def importance_weights(pi_c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.clip(w, 1.0, WEIGHT_CLIP)
 
 
-def adjustment_disc(r_a: ad.Tensor, t: np.ndarray, kernel: str = "linear",
-                    bandwidth: float | None = None) -> ad.Tensor:
-    """Squared MMD between adjustment representations of the two groups.
+def adjustment_disc(r_a: ad.Tensor, t: np.ndarray, kernel: str = "linear"):
+    """Squared MMD between adjustment representations of the two groups, and
+    its (node, vjp) pairs.
 
     Linear kernel reduces to the squared distance of group means; the rbf
-    bandwidth defaults to the median pairwise distance of the pooled batch,
-    treated as a constant of the batch (recorded on the tape, replayed by
-    finite_diff_check).
+    bandwidth is the median pairwise distance of the pooled batch, treated as
+    a constant of the batch (recorded on the tape, replayed by
+    finite_diff_check).  The gradient of both groups' rows is added into one
+    array of zeros: the two row selections of the composition scattered into
+    an array each, and as their rows are disjoint, the sum of those arrays has
+    the same bits.
     """
     t = np.asarray(t, dtype=np.float64).reshape(-1)
     idx0 = np.nonzero(t == 0)[0]
     idx1 = np.nonzero(t == 1)[0]
     if len(idx0) == 0 or len(idx1) == 0:
         raise DegenerateBatchError("adjustment discrepancy needs both groups")
-    g0 = ad.select_rows(r_a, idx0)
-    g1 = ad.select_rows(r_a, idx1)
+    r = r_a.value
+    g0, g1 = r[idx0], r[idx1]
     if kernel == "linear":
-        diff = ad.sub(ad.mean_rows(g0), ad.mean_rows(g1))
-        return ad.sum_all(ad.square(diff))
-    if kernel == "rbf":
-        if bandwidth is None:
-            pool = r_a.value
-            sq = np.sum(pool ** 2, 1)
-            d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * pool @ pool.T, 0.0)
-            d = np.sqrt(d2[np.triu_indices(len(pool), k=1)])
-            positive = d[d > 0]
-            med = np.median(positive) if positive.size else 1.0
-            bandwidth = float(r_a.tape.record_detached(np.array(med)))
-        return ad.mmd_rbf(g0, g1, bandwidth)
-    raise ValueError(f"unknown kernel {kernel!r}")
+        diff = g0.mean(axis=0) - g1.mean(axis=0)
+        value = (diff ** 2).sum()
+
+        def grad_diff(g):
+            return np.full_like(diff, float(g)) * 2.0 * diff
+
+        def grad0(g):
+            return np.tile(grad_diff(g) / len(idx0), (len(idx0), 1))
+
+        def grad1(g):
+            return np.tile(-grad_diff(g) / len(idx1), (len(idx1), 1))
+    elif kernel == "rbf":
+        sq = np.sum(r ** 2, 1)
+        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * r @ r.T, 0.0)
+        d = np.sqrt(d2[np.triu_indices(len(r), k=1)])
+        positive = d[d > 0]
+        med = np.median(positive) if positive.size else 1.0
+        bandwidth = float(r_a.tape.record_detached(np.array(med)))
+        value, grad0, grad1 = _mmd_rbf(g0, g1, bandwidth)
+    else:
+        raise ValueError(f"unknown kernel {kernel!r}")
+
+    def vjp(g):
+        out = np.zeros_like(r)
+        out[idx0] += grad0(g)
+        out[idx1] += grad1(g)
+        return out
+
+    return value, ((r_a, vjp),)
 
 
-def l2_penalty(params: dict[str, ad.Tensor]) -> ad.Tensor:
-    """Squared L2 norm over weight matrices; biases excluded.
+def _mmd_rbf(a: np.ndarray, b: np.ndarray, bandwidth: float):
+    """Biased squared MMD of two row sets under the Gaussian kernel
+    exp(-d^2 / (2 bw^2)), and its gradients with respect to a and b."""
+    inv = 1.0 / (2.0 * bandwidth ** 2)
 
-    Fused into one node: the term touches every weight, and building square
-    and sum nodes per matrix would dominate small-batch traces.
-    """
+    def gram(u, v):
+        d2 = (np.sum(u ** 2, 1)[:, None] + np.sum(v ** 2, 1)[None, :] - 2.0 * u @ v.T)
+        return np.exp(-np.maximum(d2, 0.0) * inv)
+
+    kaa, kbb, kab = gram(a, a), gram(b, b), gram(a, b)
+    m, n = len(a), len(b)
+
+    def grad_a(g):
+        # d k(u,v) / du = -k * (u - v) / bw^2; the within-group term appears
+        # twice by symmetry
+        waa = kaa / (m * m)
+        wab = kab / (m * n)
+        grad = 2.0 * ((waa.sum(1)[:, None] * a) - waa @ a) * (-2.0 * inv)
+        grad -= 2.0 * ((wab.sum(1)[:, None] * a) - wab @ b) * (-2.0 * inv)
+        return float(g) * grad
+
+    def grad_b(g):
+        wbb = kbb / (n * n)
+        wba = kab.T / (m * n)
+        grad = 2.0 * ((wbb.sum(1)[:, None] * b) - wbb @ b) * (-2.0 * inv)
+        grad -= 2.0 * ((wba.sum(1)[:, None] * b) - wba @ a) * (-2.0 * inv)
+        return float(g) * grad
+
+    return kaa.mean() + kbb.mean() - 2.0 * kab.mean(), grad_a, grad_b
+
+
+def l2_penalty(params: dict[str, ad.Tensor]):
+    """Squared L2 norm over weight matrices, biases excluded, and its (node,
+    vjp) pairs."""
     weights = [p for name, p in params.items() if name.endswith(".W")]
     if not weights:
         raise ValueError("no weight matrices among parameters")
     total = 0.0
     for p in weights:  # the bits of sum(np.sum(W ** 2)), without np.sum's overhead
         total += float(np.add.reduce(p.value * p.value, axis=None))
-    value = np.array(total)
-    vjps = tuple((lambda p: (lambda g: (2.0 * float(g)) * p.value))(p) for p in weights)
-    return ad.Tensor(weights[0].tape, value, tuple(weights), vjps, "l2_penalty")
+    return total, tuple((p, (lambda p: (lambda g: (2.0 * float(g)) * p.value))(p))
+                        for p in weights)
 
 
 class _Objective:
@@ -168,22 +223,20 @@ class _Objective:
     composition as the oracle), and each value repeats its operations, so
     values and gradients are bit-identical to it:
 
-    - ``checks`` holds, for every value the composition checked for
-      finiteness, its op name and what its check needs (``_check``); a node
-      built outside the objective (the MMD subgraph, ``l2_penalty``) is built
-      at its place on the trace and holds that place by its node count;
-    - a per-sample term's gradient is its group's: the mean's gradient spread
-      over the rows, times the sample weights of the factual outcome term;
+    - a term's gradient is its group's: for a per-sample term, the mean's
+      gradient spread over the rows, times the sample weights of the factual
+      outcome term; for a scalar term (the MMD, the L2 penalty), the
+      objective's gradient times the term's coefficient;
     - ``contribs`` holds each term's (parent, vjp) pairs in creation order;
       the node lists them in reverse, the order in which the composition's
-      backward pass reached its parents.
+      backward pass reached its parents;
+    - ``terms`` holds each term's op name and mean (or value), so that a
+      non-finite total names the first term that is not finite.
     """
 
     def __init__(self, fam: Family, tape: ad.Tape, n: int):
         self.fam, self.tape, self.n = fam, tape, n
-        self.start = tape.created
-        self.places = 0
-        self.checks: list[tuple[str | None, object]] = []
+        self.terms: list[tuple[str, float]] = []
         self.contribs: list[tuple] = []
         self.group_grads: list = []
         self.heads: dict = {}
@@ -201,14 +254,10 @@ class _Objective:
         self.group_grads.append(grad)
         return len(self.group_grads) - 1
 
-    def _check(self, op: str, value, total=None):
-        """Hold what the check of ``value`` needs later: a number itself, an
-        array only when its sum ``total`` is not finite (a finite sum has
-        finite entries), and nothing for a value known to be finite."""
-        if total is not None and np.isfinite(total):
-            value = None
-        self.checks.append((op, value))
-        self.places += 1
+    def _add(self, op: str, value, pairs, group: int):
+        if self.tape.record:  # else the VJPs, and the arrays they hold, go at once
+            self.contribs.append(tuple((parent, _in_group(group, vjp)) for parent, vjp in pairs))
+        self.terms.append((op, value))
 
     def _prepared(self, head):
         prepared = self.heads.get(head)
@@ -218,16 +267,9 @@ class _Objective:
 
     def _term(self, kernel, args, group: int, sample_weights=None):
         value, pairs = kernel(*args)
-        if self.tape.record:  # else the VJPs, and the arrays they hold, go at once
-            self.contribs.append(tuple((parent, _in_group(group, vjp)) for parent, vjp in pairs))
-        total = value.sum()
-        self._check(kernel.__name__, value, total)
-        if sample_weights is not None:
-            weighted = value * sample_weights
-            total = weighted.sum()
-            self._check("scale", weighted, total)
-        mean = total / self.n  # the bits of weighted.mean(), without its overhead
-        self._check("mean", mean)
+        weighted = value if sample_weights is None else value * sample_weights
+        mean = weighted.sum() / self.n  # the bits of weighted.mean(), without its overhead
+        self._add(kernel.__name__, mean, pairs, group)
         return value, mean
 
     def nll(self, head, target: np.ndarray, group: int, sample_weights=None):
@@ -242,63 +284,32 @@ class _Objective:
     def teacher_kl(self, student, teacher, group: int, reverse: bool = False):
         """Mean KL(student || teacher), KL(teacher || student) with
         ``reverse``, against a detached copy of the teacher."""
-        detached, values = self._prepared(teacher).teacher(self.tape)
-        for _ in values:  # copies of checked head values
-            self._check("detach", None)
+        detached = self._prepared(teacher).teacher(self.tape)
         student = self._prepared(student)
         pair = (detached, student) if reverse else (student, detached)
         return self._term(self.fam.kl, pair, group)[1]
 
-    def sum(self, values: list):
+    def scalar(self, kernel, *args, coeff: float):
+        """The value of a term that enters the total times ``coeff``."""
+        value, pairs = kernel(*args)
+        self.group_grads.append(lambda g: g * coeff)
+        self._add(kernel.__name__, value, pairs, len(self.group_grads) - 1)
+        return value
+
+    @staticmethod
+    def sum(values: list):
+        """The values added left to right (`sum` would start from int 0)."""
         total = values[0]
         for value in values[1:]:
             total = total + value
-            self._check("add", total)
         return total
-
-    def outside(self, build) -> ad.Tensor:
-        """The scalar node ``build()`` makes, at its place on the trace."""
-        at = self.tape.created = self.start + self.places
-        try:
-            node = build()
-        except ad.NonFiniteError:
-            self._raise_first_failure()  # an earlier term's failure comes first
-            raise
-        self.checks.append((None, self.tape.created - at))
-        self.places += self.tape.created - at
-        return node
-
-    def weighted_sum(self, first, parts: list):
-        """first + coeff * value for each (coeff, value) part, in order; a
-        value is a number or a node built outside."""
-        total = first
-        for coeff, part in parts:
-            if isinstance(part, ad.Tensor):
-                self.contribs.append(((part, _scaled_by(coeff)),))
-                part = part.value
-            scaled = part * coeff
-            self._check("scale", scaled)
-            total = total + scaled
-            self._check("add", total)
-        return total
-
-    def _raise_first_failure(self):
-        """Check the values in the composition's order, as its nodes did, so
-        the first non-finite one raises as it would have there."""
-        self.tape.created = self.start
-        for op, value in self.checks:
-            if op is None:
-                self.tape.created += value
-            elif value is None:
-                self.tape.created += 1
-            else:
-                ad.check_finite(self.tape, value, op)
 
     def node(self, total) -> ad.Tensor:
-        """The objective's node, after one finiteness check of its value."""
-        self.tape.created = self.start + self.places
+        """The objective's node, after one finiteness check of its value; a
+        failure names the first term that is not finite."""
         if not np.isfinite(total):
-            self._raise_first_failure()  # raises: the total is the last value checked
+            raise ad.NonFiniteError(next((op for op, value in self.terms
+                                          if not np.isfinite(value)), "objective"))
         parents, vjps = [], []
         for pairs in reversed(self.contribs):
             for parent, vjp in pairs:
@@ -306,18 +317,13 @@ class _Objective:
                 vjps.append(vjp)
         grads = self.group_grads
         return ad.Tensor(self.tape, total, tuple(parents), tuple(vjps), "objective",
-                         pre_vjp=lambda g: (g, [grad(g) for grad in grads]), checked=True)
+                         pre_vjp=lambda g: [grad(g) for grad in grads], checked=True)
 
-
-# The objective's backward rule hands every VJP the pair (objective gradient,
-# per-group gradients).
 
 def _in_group(group: int, vjp):
-    return lambda grads: vjp(grads[1][group])
-
-
-def _scaled_by(coeff: float):
-    return lambda grads: grads[0] * coeff
+    """A term's VJP, fed its group's gradient from the list that the
+    objective's backward rule hands every VJP."""
+    return lambda grads: vjp(grads[group])
 
 
 def _total_loss(fam: Family, outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
@@ -326,8 +332,7 @@ def _total_loss(fam: Family, outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
                 rebalance_terms=None) -> LossBreakdown:
     """The objective of both modes, as one node, over (n, 1) treatments and
     outcomes.  ``adjust_terms(objective, coeff)`` and ``rebalance_terms`` add
-    the mode's own terms and return their value: a number, or a node built
-    outside the objective."""
+    the mode's own terms and return their value."""
     obj = _Objective(fam, fam.mean(outputs.q_y).tape, len(t))
     nll_y, factual_y = obj.nll(outputs.q_y, y, obj.group(None, sample_weights),
                                sample_weights)
@@ -348,19 +353,19 @@ def _total_loss(fam: Family, outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
         unit_t.append(obj.nll(outputs.q_t_c, t, distill)[1])
     unit_t = obj.sum(unit_t)
     rebalance = None if rebalance_terms is None else rebalance_terms(obj, weights.omega_cont)
-    reg = obj.outside(lambda: l2_penalty(params))
+    reg = obj.scalar(l2_penalty, params, coeff=weights.delta)
     parts = [(weights.alpha, factual_t), (weights.beta, adjust),
              (weights.gamma, obj.sum([unit_y, unit_t]))]
     if rebalance is not None:
         parts.append((weights.omega_cont, rebalance))
     parts.append((weights.delta, reg))
-    total = obj.weighted_sum(factual_y, parts)
+    total = obj.sum([factual_y] + [value * coeff for coeff, value in parts])
     return LossBreakdown(
         factual_y=float(factual_y), factual_t=float(factual_t),
-        adjust=float(adjust.value if isinstance(adjust, ad.Tensor) else adjust),
+        adjust=float(adjust),
         distill_outcome=float(unit_y), distill_treatment=float(unit_t),
         rebalance=0.0 if rebalance is None else float(rebalance),
-        reg=float(reg.value), total=float(total), node=obj.node(total),
+        reg=float(reg), total=float(total), node=obj.node(total),
         per_sample=(nll_y[:, 0], nll_t[:, 0]))
 
 
@@ -380,8 +385,8 @@ def total_loss_binary(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
     if w.shape[0] != len(t):
         raise ValueError(f"sample weight count {w.shape[0]} != batch size {len(t)}")
 
-    def adjust_terms(obj, coeff):  # a node built outside: scaled in the weighted sum
-        return obj.outside(lambda: adjustment_disc(outputs.reps.r_a, t, flags.mmd_kernel))
+    def adjust_terms(obj, coeff):
+        return obj.scalar(adjustment_disc, outputs.reps.r_a, t, flags.mmd_kernel, coeff=coeff)
 
     return _total_loss(BERNOULLI, outputs, t, y, w, weights, params, flags, adjust_terms)
 

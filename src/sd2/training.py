@@ -28,7 +28,8 @@ VARIANTS = ("Lp", "Lp+Lt", "Lp+Lt+La", "Total")
 
 
 class TrainingError(Exception):
-    """Non-finite loss; carries epoch, batch, and the offending term."""
+    """Training cannot go on; a diverged step carries its epoch, batch and the
+    op or loss term that went non-finite."""
 
     def __init__(self, message: str, epoch: int | None = None,
                  batch: int | None = None, term: str | None = None):
@@ -143,15 +144,6 @@ def _batch_breakdown(config: TrainConfig, model: SD2Model, x, t, y,
             np.ones(len(t)))
 
 
-def _check_finite(bd: LossBreakdown, epoch: int, batch: int):
-    for name in LossBreakdown.FIELDS:
-        v = getattr(bd, name)
-        if not np.isfinite(v):
-            raise TrainingError(
-                f"non-finite loss term {name!r} at epoch {epoch}, batch {batch}",
-                epoch=epoch, batch=batch, term=name)
-
-
 def _one_class(t: np.ndarray) -> bool:
     return t.min() == t.max()
 
@@ -245,8 +237,11 @@ def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
                 batch_index += 1
                 continue
             tape = ad.Tape()
-            bd, _ = _batch_breakdown(config, model, x_all[idx], tb, train_ds.y[idx], tape)
-            _check_finite(bd, epoch, batch_index)
+            try:
+                bd, _ = _batch_breakdown(config, model, x_all[idx], tb, train_ds.y[idx], tape)
+            except ad.NonFiniteError as exc:
+                raise TrainingError(f"{exc} in epoch {epoch}, batch {batch_index}",
+                                    epoch=epoch, batch=batch_index, term=exc.op) from exc
             _, grads = tape.gradients(bd.node)
             ad.adam_step(model.params, grads, state)
             steps += 1

@@ -3,13 +3,15 @@
 The autodiff primitives below (one tape node per elementary operation) are
 what `autodiff.dense`, the family terms and the training objective fuse.
 Tests build the same computation from them and require the fused version to
-give the same bits: values, gradients and, on failure, the same
-`NonFiniteError` message.
+give the same bits: values and gradients.
 
 The old objective is kept here as well: each per-sample family term one node,
-then the means, sums and weighted total as primitive nodes, with
-``tests/test_losses.py`` requiring `losses.total_loss_binary` and
-`losses.total_loss_continuous` to equal it bit for bit.
+the MMD as row selections, means and a square (or one ``mmd_rbf`` node), the
+L2 penalty as one node, then the means, sums and weighted total as primitive
+nodes, with ``tests/test_losses.py`` requiring `losses.total_loss_binary` and
+`losses.total_loss_continuous` to equal it bit for bit.  Unlike the fused
+objective, the composition checks every node's value, so a failure names the
+first primitive that went non-finite.
 """
 
 from __future__ import annotations
@@ -18,13 +20,18 @@ import numpy as np
 
 from sd2 import autodiff as ad
 from sd2 import family as F
-from sd2.autodiff import Tensor, _check_bias, _check_matmul, _elu_into, _same_shape, _sigmoid_into
+from sd2.autodiff import Tensor, _check_bias, _check_matmul, _elu_into, _sigmoid_into
 from sd2.family import Gaussian
 from sd2.infotheory import PROB_FLOOR
-from sd2.losses import BERNOULLI, GAUSSIAN, LossBreakdown, LossFlags, adjustment_disc
+from sd2.losses import BERNOULLI, GAUSSIAN, DegenerateBatchError, LossBreakdown, LossFlags
 
 
 # -- primitives ---------------------------------------------------------------
+
+def _same_shape(a: Tensor, b: Tensor, op: str):
+    if a.value.shape != b.value.shape:
+        raise ValueError(f"{op}: shape mismatch {a.value.shape} vs {b.value.shape}")
+
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
@@ -48,6 +55,16 @@ def shift(a: Tensor, c) -> Tensor:
     """Add a constant scalar or same-shape array."""
     c = np.asarray(c, dtype=np.float64)
     return Tensor(a.tape, a.value + c, (a,), (lambda g: g,), "shift")
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b, "sub")
+    return Tensor(a.tape, a.value - b.value, (a, b),
+                  (lambda g: g, lambda g: -g), "sub")
+
+
+def square(a: Tensor) -> Tensor:
+    return Tensor(a.tape, a.value ** 2, (a,), (lambda g: g * 2.0 * a.value,), "square")
 
 
 def neg(a: Tensor) -> Tensor:
@@ -94,6 +111,69 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return Tensor(a.tape, np.clip(a.value, lo, hi), (a,), (lambda g: g * mask,), "clip")
 
 
+def sum_all(a: Tensor) -> Tensor:
+    return Tensor(a.tape, np.array(a.value.sum()), (a,),
+                  (lambda g: np.full_like(a.value, float(g)),), "sum")
+
+
+def mean_rows(a: Tensor) -> Tensor:
+    """Column means of an (n, k) matrix."""
+    if a.value.ndim != 2:
+        raise ValueError("mean_rows expects a matrix")
+    n = a.value.shape[0]
+    return Tensor(a.tape, a.value.mean(axis=0), (a,),
+                  (lambda g: np.tile(g / n, (n, 1)),), "mean_rows")
+
+
+def select_rows(a: Tensor, idx: np.ndarray) -> Tensor:
+    idx = np.asarray(idx)
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        np.add.at(out, idx, g)
+        return out
+
+    return Tensor(a.tape, a.value[idx], (a,), (vjp,), "select_rows")
+
+
+def mmd_rbf(x0: Tensor, x1: Tensor, bandwidth: float) -> Tensor:
+    """Biased squared MMD with Gaussian kernel exp(-d^2 / (2 bw^2)).
+
+    The bandwidth is a constant of the batch; pass the median heuristic value
+    computed on detached representations.
+    """
+    a, b = x0.value, x1.value
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError("mmd_rbf: expects matrices with equal width")
+    inv = 1.0 / (2.0 * bandwidth ** 2)
+
+    def gram(u, v):
+        d2 = (np.sum(u ** 2, 1)[:, None] + np.sum(v ** 2, 1)[None, :] - 2.0 * u @ v.T)
+        return np.exp(-np.maximum(d2, 0.0) * inv)
+
+    kaa, kbb, kab = gram(a, a), gram(b, b), gram(a, b)
+    m, n = len(a), len(b)
+    val = kaa.mean() + kbb.mean() - 2.0 * kab.mean()
+
+    def vjp0(g):
+        # d k(u,v) / du = -k * (u - v) / bw^2
+        waa = kaa / (m * m)
+        wab = kab / (m * n)
+        # within-group term appears twice by symmetry
+        grad = 2.0 * ((waa.sum(1)[:, None] * a) - waa @ a) * (-2.0 * inv)
+        grad -= 2.0 * ((wab.sum(1)[:, None] * a) - wab @ b) * (-2.0 * inv)
+        return float(g) * grad
+
+    def vjp1(g):
+        wbb = kbb / (n * n)
+        wba = kab.T / (m * n)
+        grad = 2.0 * ((wbb.sum(1)[:, None] * b) - wbb @ b) * (-2.0 * inv)
+        grad -= 2.0 * ((wba.sum(1)[:, None] * b) - wba @ a) * (-2.0 * inv)
+        return float(g) * grad
+
+    return Tensor(x0.tape, np.array(val), (x0, x1), (vjp0, vjp1), "mmd_rbf")
+
+
 def mean_all(a: Tensor) -> Tensor:
     n = a.value.size
     return Tensor(a.tape, np.array(a.value.mean()), (a,),
@@ -125,7 +205,8 @@ def composed_dense(x, w, b, activation):
 # -- per-sample family terms --------------------------------------------------
 # Each as one node from the family's kernel, and written with primitives.
 
-def _term_node(kernel, tape, *args) -> Tensor:
+def term_node(kernel, tape, *args) -> Tensor:
+    """A term kernel's values and (node, vjp) pairs as one tape node."""
     value, pairs = kernel(*args)
     return Tensor(tape, value, tuple(p for p, _ in pairs), tuple(v for _, v in pairs),
                   kernel.__name__)
@@ -136,19 +217,19 @@ def _col(values) -> np.ndarray:
 
 
 def bernoulli_ce_vec(q: Tensor, y) -> Tensor:
-    return _term_node(F.bernoulli_ce, q.tape, F.BernoulliHead.of(q), _col(y))
+    return term_node(F.bernoulli_ce, q.tape, F.BernoulliHead.of(q), _col(y))
 
 
 def bernoulli_kl_vec(q: Tensor, p: Tensor) -> Tensor:
-    return _term_node(F.bernoulli_kl, q.tape, F.BernoulliHead.of(q), F.BernoulliHead.of(p))
+    return term_node(F.bernoulli_kl, q.tape, F.BernoulliHead.of(q), F.BernoulliHead.of(p))
 
 
 def gaussian_nll_vec(g: Gaussian, target) -> Tensor:
-    return _term_node(F.gaussian_nll, g.mean.tape, F.GaussianHead.of(g), _col(target))
+    return term_node(F.gaussian_nll, g.mean.tape, F.GaussianHead.of(g), _col(target))
 
 
 def gaussian_kl_vec(q: Gaussian, p: Gaussian) -> Tensor:
-    return _term_node(F.gaussian_kl, q.mean.tape, F.GaussianHead.of(q), F.GaussianHead.of(p))
+    return term_node(F.gaussian_kl, q.mean.tape, F.GaussianHead.of(q), F.GaussianHead.of(p))
 
 
 def composed_bernoulli_ce(q, y):
@@ -163,8 +244,8 @@ def composed_bernoulli_kl(q, p):
     pc = clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
     one_q = shift(neg(qc), 1.0)
     one_p = shift(neg(pc), 1.0)
-    pos = mul(qc, ad.sub(log(qc), log(pc)))
-    neg_part = mul(one_q, ad.sub(log(one_q), log(one_p)))
+    pos = mul(qc, sub(log(qc), log(pc)))
+    neg_part = mul(one_q, sub(log(one_q), log(one_p)))
     return add(pos, neg_part)
 
 
@@ -172,15 +253,15 @@ def composed_gaussian_nll(g, target):
     target = _col(target)
     resid = shift(neg(g.mean), target)
     inv_var = exp(scale(g.log_std, -2.0))
-    return add(scale(mul(ad.square(resid), inv_var), 0.5),
+    return add(scale(mul(square(resid), inv_var), 0.5),
                shift(g.log_std, 0.5 * F.LOG_2PI))
 
 
 def composed_gaussian_kl(q, p):
     var_q = exp(scale(q.log_std, 2.0))
     inv_var_p = exp(scale(p.log_std, -2.0))
-    num = add(var_q, ad.square(ad.sub(q.mean, p.mean)))
-    return shift(add(ad.sub(p.log_std, q.log_std), scale(mul(num, inv_var_p), 0.5)), -0.5)
+    num = add(var_q, square(sub(q.mean, p.mean)))
+    return shift(add(sub(p.log_std, q.log_std), scale(mul(num, inv_var_p), 0.5)), -0.5)
 
 
 def composed_gaussian_head(out):
@@ -251,6 +332,29 @@ def continuous_rebalance_loss(outputs, t) -> Tensor:
     """Likelihood of T under the instrument head plus its KLs to the
     (detached) deep head and the rebalanced-confounder head."""
     return _anchored_treatment_loss(outputs.q_t_z, outputs.q_t_cr, outputs.q_t, t)
+
+
+def adjustment_disc(r_a: Tensor, t, kernel: str = "linear") -> Tensor:
+    """Squared MMD between the two groups' adjustment representations, from
+    row selections: the squared distance of group means (linear), or one
+    ``mmd_rbf`` node whose median-heuristic bandwidth is recorded on the
+    tape."""
+    t = np.asarray(t, dtype=np.float64).reshape(-1)
+    idx0 = np.nonzero(t == 0)[0]
+    idx1 = np.nonzero(t == 1)[0]
+    if len(idx0) == 0 or len(idx1) == 0:
+        raise DegenerateBatchError("adjustment discrepancy needs both groups")
+    g0 = select_rows(r_a, idx0)
+    g1 = select_rows(r_a, idx1)
+    if kernel == "linear":
+        return sum_all(square(sub(mean_rows(g0), mean_rows(g1))))
+    pool = r_a.value
+    sq = np.sum(pool ** 2, 1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * pool @ pool.T, 0.0)
+    d = np.sqrt(d2[np.triu_indices(len(pool), k=1)])
+    positive = d[d > 0]
+    med = np.median(positive) if positive.size else 1.0
+    return mmd_rbf(g0, g1, float(r_a.tape.record_detached(np.array(med))))
 
 
 def l2_penalty(params: dict) -> Tensor:

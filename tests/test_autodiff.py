@@ -15,14 +15,14 @@ class TestBasics:
     def test_square(self):
         tape = ad.Tape()
         x = scalar_param(tape, 3.0)
-        value, grads = tape.gradients(ad.sum_all(R.mul(x, x)))
+        value, grads = tape.gradients(R.sum_all(R.mul(x, x)))
         assert value == 9.0
         assert grads["x"][0] == 6.0
 
     def test_sigmoid_at_zero(self):
         tape = ad.Tape()
         x = scalar_param(tape, 0.0)
-        value, grads = tape.gradients(ad.sum_all(R.sigmoid(x)))
+        value, grads = tape.gradients(R.sum_all(R.sigmoid(x)))
         assert value == 0.5
         assert grads["x"][0] == 0.25
 
@@ -39,16 +39,16 @@ class TestBasics:
     def test_backward_leaves_forward_values(self):
         tape = ad.Tape()
         x = scalar_param(tape, 2.0)
-        y = ad.square(x)
+        y = R.square(x)
         before = y.value.copy()
-        tape.gradients(ad.sum_all(y))
+        tape.gradients(R.sum_all(y))
         assert np.array_equal(y.value, before)
 
     def test_non_scalar_output_rejected(self):
         tape = ad.Tape()
         x = tape.parameter(np.ones(3), "x")
         with pytest.raises(ValueError, match="not scalar"):
-            tape.gradients(ad.square(x))
+            tape.gradients(R.square(x))
 
     def test_non_finite_reported_with_node(self):
         tape = ad.Tape()
@@ -61,7 +61,7 @@ class TestBasics:
             tape = ad.Tape()
             w = tape.parameter(ad.glorot_init(3, 4, 4), "w")
             h = R.elu(R.matmul(tape.constant(np.arange(8.0).reshape(2, 4)), w))
-            return tape.gradients(ad.sum_all(h))
+            return tape.gradients(R.sum_all(h))
         v1, g1 = run()
         v2, g2 = run()
         assert v1 == v2
@@ -109,7 +109,7 @@ class TestFusedDense:
         x, w, b = (tape.parameter(v, n) for v, n in ((self.X, "x"), (self.W, "w"), (self.B, "b")))
         out = layer(x, w, b, activation)
         nodes = len(tape.nodes)
-        loss = ad.sum_all(R.mul(out, tape.constant(self.COTANGENT)))
+        loss = R.sum_all(R.mul(out, tape.constant(self.COTANGENT)))
         _, grads = tape.gradients(loss)
         return out.value, grads, nodes
 
@@ -126,7 +126,7 @@ class TestFusedDense:
         def loss(tape, params):
             h = ad.dense(tape.constant(self.X), tape.parameter(params["w"], "w"),
                          tape.parameter(params["b"], "b"), activation)
-            return ad.sum_all(R.mul(h, tape.constant(self.COTANGENT)))
+            return R.sum_all(R.mul(h, tape.constant(self.COTANGENT)))
         assert ad.finite_diff_check(loss, {"w": self.W.copy(), "b": self.B.copy()}) < 1e-6
 
 
@@ -135,7 +135,7 @@ class TestConstantLeaves:
         tape = ad.Tape()
         w = scalar_param(tape, 2.0, "w")
         c = tape.constant(np.array([3.0]))
-        d = R.detach(ad.square(w))
+        d = R.detach(R.square(w))
         called = []
 
         def vjp(name):
@@ -146,7 +146,7 @@ class TestConstantLeaves:
 
         node = ad.Tensor(tape, w.value + c.value + d.value, (c, w, d),
                          (vjp("const"), vjp("param"), vjp("detach")))
-        _, grads = tape.gradients(ad.sum_all(node))
+        _, grads = tape.gradients(R.sum_all(node))
         assert called == ["param"] and grads["w"][0] == 1.0
         assert c.grad is None and d.grad is None
 
@@ -161,7 +161,7 @@ class TestConstantLeaves:
             b = tape.parameter(np.full(2, 0.1), "b")
             h = ad.dense(x, w, b, "elu")
             teacher = R.detach(h)
-            _, grads = tape.gradients(ad.sum_all(R.mul(h, ad.sub(h, R.scale(teacher, 0.5)))))
+            _, grads = tape.gradients(R.sum_all(R.mul(h, R.sub(h, R.scale(teacher, 0.5)))))
             return grads, (x, teacher)
 
         grads, leaves = run(False)
@@ -190,7 +190,7 @@ class TestNonRecordingTape:
         w = tape.parameter(ad.glorot_init(3, 4, 2), "w")
         b = tape.parameter(np.zeros(2), "b")
         h = ad.dense(tape.constant(np.ones((3, 4))), w, b, "elu")
-        loss = ad.sum_all(ad.sub(h, R.detach(h)))
+        loss = R.sum_all(R.sub(h, R.detach(h)))
         assert tape.nodes == [] and tape.params == {} and tape.detached_values == []
         assert loss.parents == () and loss.vjps == ()
         assert loss.value == 0.0
@@ -199,14 +199,12 @@ class TestNonRecordingTape:
         tape = ad.Tape(record=False)
         x = scalar_param(tape, 2.0)
         with pytest.raises(ad.AutodiffError, match="does not record"):
-            tape.gradients(ad.sum_all(ad.square(x)))
+            tape.gradients(R.sum_all(R.square(x)))
 
     @pytest.mark.parametrize("record", [True, False])
     @pytest.mark.parametrize("bias, op", [(0.0, "matmul"), (1e308, "add_bias")])
     def test_non_finite_inside_dense_names_op(self, record, bias, op):
-        # an infinite pre-activation would leave elu and sigmoid finite; the
-        # product and the biased sum take places 3 and 4, after w, b and x
-        place = 3 if op == "matmul" else 4
+        # an infinite pre-activation would leave elu and sigmoid finite
         for activation in ("identity", "sigmoid"):
             tape = ad.Tape(record=record)
             w = tape.parameter(np.array([[1e308 if op == "matmul" else 1.0]]), "w")
@@ -214,19 +212,8 @@ class TestNonRecordingTape:
             x = tape.constant([[10.0 if op == "matmul" else 1e308]])
             with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError) as failure:
                 ad.dense(x, w, b, activation)
-            assert str(failure.value) == f"non-finite value at node '{op}' (#{place} on trace)"
-
-    @pytest.mark.parametrize("activation", ["identity", "elu", "sigmoid"])
-    def test_dense_counts_three_places_on_the_trace(self, activation):
-        # a later failure's place is unchanged by the single check
-        tape = ad.Tape(record=False)
-        w = tape.parameter(np.ones((1, 1)), "w")
-        b = tape.parameter(np.zeros(1), "b")
-        h = ad.dense(tape.constant([[1.0]]), w, b, activation)
-        place = tape.created
-        assert place == (5 if activation == "identity" else 6)
-        with pytest.raises(ad.NonFiniteError, match=f"'log' \\(#{place + 1} on trace\\)"):
-            R.log(R.scale(h, 0.0))
+            assert str(failure.value) == f"non-finite value at node '{op}'"
+            assert failure.value.op == op
 
     @pytest.mark.parametrize("record", [True, False])
     def test_non_finite_row_in_a_later_row_block(self, record):
@@ -258,33 +245,32 @@ class TestFiniteCheck:
     def test_overflowing_sum_of_finite_entries_is_accepted(self, record):
         tape = ad.Tape(record=record)
         with np.errstate(over="ignore"):
-            tape.constant(self.rows_of_1e308())
-        assert tape.created == 1
+            node = tape.constant(self.rows_of_1e308())
+        assert node.value[1500, 0] == 1e308
 
     def test_inf_entry_still_raises(self):
         tape = ad.Tape()
         with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError) as failure:
             tape.constant(self.rows_of_1e308(inf_at=(2000, 3)))
-        assert str(failure.value) == "non-finite value at node 'const' (#0 on trace)"
+        assert str(failure.value) == "non-finite value at node 'const'"
 
     @pytest.mark.parametrize("activation", ad.ACTIVATIONS)
     def test_dense_output_with_an_overflowing_sum(self, activation):
         # the product, the biased sum and the activation hold 1e308 (or 1.0)
-        # in every entry; the layer still takes its two or three places
+        # in every entry
         tape = ad.Tape(record=False)
         w = tape.parameter(np.ones((1, 2)), "w")
         b = tape.parameter(np.zeros(2), "b")
         with np.errstate(over="ignore"):
             h = ad.dense(tape.constant(np.full((2, 1), 1e308)), w, b, activation)
         assert np.all(np.isfinite(h.value))
-        assert tape.created == (5 if activation == "identity" else 6)
 
 
 class TestTapeRelease:
     def test_gradients_release_the_tape(self):
         tape = ad.Tape()
         x = scalar_param(tape, 3.0)
-        out = ad.sum_all(R.mul(x, x))
+        out = R.sum_all(R.mul(x, x))
         tape.gradients(out)
         assert tape.nodes == [] and tape.params == {}
         with pytest.raises(ad.AutodiffError, match="released"):
@@ -390,7 +376,7 @@ class TestFiniteDiff:
     def test_linear_loss_exact(self):
         def loss(tape, params):
             x = tape.parameter(params["x"], "x")
-            return ad.sum_all(R.scale(x, 3.0))
+            return R.sum_all(R.scale(x, 3.0))
         err = ad.finite_diff_check(loss, {"x": np.arange(4.0)})
         assert err < 1e-10
 
@@ -402,7 +388,7 @@ class TestFiniteDiff:
         def loss(tape, params):
             x = tape.parameter(params["x"], "x")
             doubled = ad.Tensor(tape, x.value.copy(), (x,), (lambda g: 2.0 * g,), "bad")
-            return ad.sum_all(doubled)
+            return R.sum_all(doubled)
         err = ad.finite_diff_check(loss, {"x": np.arange(1.0, 4.0)})
         assert err == pytest.approx(0.5, abs=1e-6)
 
@@ -412,7 +398,7 @@ class TestFiniteDiff:
             x = tape.parameter(params["x"], "x")
             s = R.sigmoid(x)
             teacher = R.detach(s)
-            return R.mean_all(ad.square(ad.sub(s, R.scale(teacher, 0.5))))
+            return R.mean_all(R.square(R.sub(s, R.scale(teacher, 0.5))))
         err = ad.finite_diff_check(loss, {"x": np.array([0.3, -0.7])})
         assert err < 1e-7
 
@@ -421,7 +407,7 @@ class TestFiniteDiff:
         # must not move the recorded teacher
         def loss(tape, params):
             x = tape.parameter(params["x"], "x")
-            return R.mean_all(ad.square(ad.sub(x, R.scale(R.detach(x), 0.5))))
+            return R.mean_all(R.square(R.sub(x, R.scale(R.detach(x), 0.5))))
         err = ad.finite_diff_check(loss, {"x": np.array([0.3, -0.7])})
         assert err < 1e-7
 
@@ -433,11 +419,11 @@ class TestFiniteDiff:
 class TestCompositeOps:
     @pytest.mark.parametrize("builder", [
         lambda t, x: R.mean_all(R.exp(R.scale(x, 0.3))),
-        lambda t, x: ad.sum_all(ad.square(R.elu(x))),
-        lambda t, x: ad.sum_all(ad.mean_rows(R.mul(x, x))),
-        lambda t, x: ad.sum_all(ad.select_cols(ad.concat_cols([x, R.neg(x)]), 2)),
-        lambda t, x: ad.sum_all(ad.select_rows(R.sigmoid(x), np.array([0, 2, 2]))),
-        lambda t, x: ad.sum_all(R.clip(x, -0.4, 0.4)),
+        lambda t, x: R.sum_all(R.square(R.elu(x))),
+        lambda t, x: R.sum_all(R.mean_rows(R.mul(x, x))),
+        lambda t, x: R.sum_all(ad.select_cols(ad.concat_cols([x, R.neg(x)]), 2)),
+        lambda t, x: R.sum_all(R.select_rows(R.sigmoid(x), np.array([0, 2, 2]))),
+        lambda t, x: R.sum_all(R.clip(x, -0.4, 0.4)),
     ])
     def test_gradcheck(self, builder):
         def loss(tape, params):
@@ -450,7 +436,7 @@ class TestCompositeOps:
         def loss(tape, params):
             a = tape.parameter(params["a"], "a")
             b = tape.parameter(params["b"], "b")
-            return ad.mmd_rbf(a, b, bandwidth=1.3)
+            return R.mmd_rbf(a, b, bandwidth=1.3)
         a = rng.normal_matrix(66, 5, 3)
         b = rng.normal_matrix(67, 4, 3) + 0.4
         assert ad.finite_diff_check(loss, {"a": a, "b": b}) < 1e-6
@@ -458,7 +444,7 @@ class TestCompositeOps:
     def test_mmd_rbf_identical_groups_zero(self):
         tape = ad.Tape()
         a = tape.parameter(rng.normal_matrix(68, 4, 2), "a")
-        out = ad.mmd_rbf(a, tape.constant(a.value.copy()), bandwidth=1.0)
+        out = R.mmd_rbf(a, tape.constant(a.value.copy()), bandwidth=1.0)
         assert out.value == pytest.approx(0.0, abs=1e-12)
 
 

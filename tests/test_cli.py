@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -299,6 +300,12 @@ FAILURES = {
     "evaluate_no_split": (lambda tmp, run, data: [
         "evaluate", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data),
         "--splits", ","], 2),
+    "unknown_mmd_kernel": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, flags={"mmd_kernel": "gauss"})], 2),
+    # continuous mode has no MMD term, so the flag would be ignored
+    "continuous_rbf_kernel": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, mode="continuous", flags={"mmd_kernel": "rbf"},
+                                     dataset={"kind": "demand", "n": 200})], 2),
 }
 
 
@@ -310,6 +317,24 @@ def test_failure_writes_failed_manifest(case, trained_run, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"]
+
+
+def test_diverged_step_names_epoch_batch_and_term(tmp_path):
+    data = tmp_path / "demand"
+    spec = write_json(tmp_path / "spec.json", {"kind": "demand", "n": 200, "seed": 4})
+    assert cli.main(["generate", "--spec", spec, "--out", str(data), "--triple"]) == 0
+    train = dg.read_dataset(data / "train")
+    train.y[7] = 1e200  # its squared residual overflows the likelihood
+    dg.write_dataset(train, data / "train")
+    out = tmp_path / "run"
+    with np.errstate(over="ignore"):
+        code = cli.main(["train", "--config", _config(tmp_path, mode="continuous"),
+                         "--data", str(data), "--out", str(out)])
+    assert code == 4
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert re.fullmatch(r"non-finite value at node 'gaussian_nll' in epoch 0, batch [0-3]",
+                        manifest["error"])
 
 
 def test_ablate_checks_variants_before_training(tmp_path, monkeypatch):

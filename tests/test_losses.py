@@ -68,28 +68,28 @@ class TestAdjustmentDisc:
         block = rng.normal_matrix(5, 4, 3)
         r = tape.constant(np.vstack([block, block]))
         t = np.array([0, 0, 0, 0, 1, 1, 1, 1.0])
-        out = L.adjustment_disc(r, t, kernel=kernel)
-        assert out.value == pytest.approx(0.0, abs=1e-12)
+        value, _ = L.adjustment_disc(r, t, kernel=kernel)
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_singleton_groups_linear(self):
         tape = ad.Tape()
         r = tape.constant(np.array([[0.0], [1.0]]))
-        assert L.adjustment_disc(r, np.array([0.0, 1.0])).value == pytest.approx(1.0)
+        assert L.adjustment_disc(r, np.array([0.0, 1.0]))[0] == pytest.approx(1.0)
 
     def test_equal_means_linear(self):
         tape = ad.Tape()
         r = tape.constant(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
         t = np.array([0.0, 0.0, 1.0, 1.0])
-        assert L.adjustment_disc(r, t).value == pytest.approx(0.0, abs=1e-15)
+        assert L.adjustment_disc(r, t)[0] == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("kernel", ["linear", "rbf"])
     def test_symmetric_in_group_labels(self, kernel):
         r_val = rng.normal_matrix(6, 8, 2)
         t = np.array([0, 1, 0, 1, 1, 0, 0, 1.0])
         tape = ad.Tape()
-        a = L.adjustment_disc(tape.constant(r_val), t, kernel=kernel).value
+        a, _ = L.adjustment_disc(tape.constant(r_val), t, kernel=kernel)
         tape2 = ad.Tape()
-        b = L.adjustment_disc(tape2.constant(r_val), 1.0 - t, kernel=kernel).value
+        b, _ = L.adjustment_disc(tape2.constant(r_val), 1.0 - t, kernel=kernel)
         assert a == pytest.approx(float(b), rel=1e-12)
 
     def test_empty_group_rejected(self):
@@ -101,7 +101,78 @@ class TestAdjustmentDisc:
         tape = ad.Tape()
         r = tape.constant(rng.normal_matrix(7, 10, 3))
         t = np.array([0, 1] * 5, dtype=float)
-        assert L.adjustment_disc(r, t, kernel="rbf").value >= 0.0
+        assert L.adjustment_disc(r, t, kernel="rbf")[0] >= 0.0
+
+    def test_unknown_kernel_rejected(self):
+        tape = ad.Tape()
+        with pytest.raises(ValueError, match="unknown kernel"):
+            L.adjustment_disc(tape.constant(np.ones((2, 1))), np.array([0.0, 1.0]), "gauss")
+        with pytest.raises(ValueError, match="mmd_kernel"):
+            L.LossFlags(mmd_kernel="gauss")
+
+
+def scalar_term_run(build, values, coeff=0.7):
+    """Value and parameter gradients of coeff * term + a linear function of
+    every parameter, with ``build(tape, params)`` making the term's node.
+
+    The linear part adds a second gradient to each parameter after the
+    term's, so the order in which the term's contributions arrive shows in
+    the rounding."""
+    tape = ad.Tape()
+    params = {k: tape.parameter(v, k) for k, v in values.items()}
+    out = build(tape, params)
+    loss = R.scale(out, coeff)
+    for i, p in enumerate(params.values()):
+        cotangent = rng.normal_matrix(230 + i, 1, p.value.size).reshape(p.shape)
+        loss = R.add(loss, R.sum_all(R.scale(p, cotangent)))
+    _, grads = tape.gradients(loss)
+    return out.value, grads
+
+
+def assert_same_term(fused, composed, values):
+    value, grads = scalar_term_run(fused, values)
+    ref_value, ref_grads = scalar_term_run(composed, values)
+    assert value == ref_value
+    assert list(grads) == list(ref_grads)
+    assert all(np.array_equal(grads[k], ref_grads[k]) for k in ref_grads)
+
+
+class TestScalarTerms:
+    """The MMD and the L2 penalty against their compositions
+    (tests/reference_ops.py): values and every gradient, bit for bit."""
+
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    @pytest.mark.parametrize("t", [
+        np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1.0]),   # unequal groups
+        np.array([1, 0, 0, 0, 0, 0, 0.0]),                 # a one-row treated group
+        np.array([0, 1, 1, 1, 1.0]),                       # a one-row control group
+        np.array([1, 0.0]),
+    ], ids=["unequal", "one-treated", "one-control", "two-rows"])
+    def test_adjustment_disc_matches_composition_bitwise(self, kernel, t):
+        values = {"r_a": rng.normal_matrix(220, len(t), 3) * 1.5}
+        assert_same_term(
+            lambda tape, p: R.term_node(L.adjustment_disc, tape, p["r_a"], t, kernel),
+            lambda tape, p: R.adjustment_disc(p["r_a"], t, kernel), values)
+
+    def test_rbf_bandwidth_recorded_and_replayed(self):
+        t = np.array([0, 1, 1, 0, 1.0])
+        r_a = rng.normal_matrix(221, 5, 2)
+        tape = ad.Tape()
+        value, _ = L.adjustment_disc(tape.constant(r_a), t, "rbf")
+        ref_tape = ad.Tape()
+        ref = R.adjustment_disc(ref_tape.constant(r_a), t, "rbf")
+        assert value == ref.value
+        assert len(tape.detached_values) == 1
+        assert np.array_equal(tape.detached_values, ref_tape.detached_values)
+        replayed = ad.Tape(replay_detached=[np.array(2.5)])
+        expected = R.mmd_rbf(replayed.constant(r_a[t == 0]), replayed.constant(r_a[t == 1]), 2.5)
+        assert L.adjustment_disc(replayed.constant(r_a), t, "rbf")[0] == expected.value
+
+    def test_l2_penalty_matches_composition_bitwise(self):
+        values = {"enc.l0.W": rng.normal_matrix(222, 5, 4), "enc.l0.b": np.full(4, 0.3),
+                  "head.W": rng.normal_matrix(223, 4, 1) * 3.0}
+        assert_same_term(lambda tape, p: R.term_node(L.l2_penalty, tape, p),
+                         lambda tape, p: R.l2_penalty(p), values)
 
 
 class TestDistillUnits:
@@ -390,9 +461,9 @@ def run_term(term, call, values):
     before = len(tape.nodes)
     out = call(term, params)
     nodes = len(tape.nodes) - before
-    loss = ad.sum_all(R.mul(out, tape.constant(COTANGENT)))
+    loss = R.sum_all(R.mul(out, tape.constant(COTANGENT)))
     for i, p in enumerate(params.values()):
-        loss = R.add(loss, ad.sum_all(R.scale(p, rng.normal_matrix(210 + i, ROWS, 1))))
+        loss = R.add(loss, R.sum_all(R.scale(p, rng.normal_matrix(210 + i, ROWS, 1))))
     _, grads = tape.gradients(loss)
     return out.value, nodes, grads
 
@@ -454,12 +525,12 @@ class TestFusedFamilyTerms:
     def test_clip_edges_pass_or_stop_gradients(self):
         tape = ad.Tape()
         q = tape.parameter(Q_VALUES.reshape(-1, 1), "q")
-        _, grads = tape.gradients(ad.sum_all(R.bernoulli_ce_vec(q, Y_VALUES)))
+        _, grads = tape.gradients(R.sum_all(R.bernoulli_ce_vec(q, Y_VALUES)))
         inside = ((Q_VALUES >= PROB_FLOOR) & (Q_VALUES <= EDGE)).reshape(-1, 1)
         assert np.all(grads["q"][~inside] == 0.0) and np.all(grads["q"][inside] != 0.0)
         tape = ad.Tape()
         p = {k: tape.parameter(v.reshape(-1, 1), k) for k, v in Q_GAUSSIAN.items()}
-        _, grads = tape.gradients(ad.sum_all(R.gaussian_nll_vec(clipped_gaussian_of(p, "q"),
+        _, grads = tape.gradients(R.sum_all(R.gaussian_nll_vec(clipped_gaussian_of(p, "q"),
                                                                 TARGET)))
         inside = ((LS_Q >= F.LOG_STD_MIN) & (LS_Q <= F.LOG_STD_MAX)).reshape(-1, 1)
         assert np.all(grads["q_ls"][~inside] == 0.0) and np.all(grads["q_ls"][inside] != 0.0)
@@ -471,8 +542,8 @@ class TestFusedFamilyTerms:
             tape = ad.Tape()
             o = tape.parameter(out, "out")
             g = head(o)
-            loss = ad.sum_all(R.add(R.mul(g.mean, tape.constant(COTANGENT)),
-                                     ad.square(g.log_std)))
+            loss = R.sum_all(R.add(R.mul(g.mean, tape.constant(COTANGENT)),
+                                     R.square(g.log_std)))
             _, grads = tape.gradients(loss)
             return g.mean.value, g.log_std.value, grads["out"]
 
@@ -495,7 +566,7 @@ class TestFusedFamilyTerms:
             else:
                 p = R.sigmoid(tape.parameter(params["p"], "p"))
                 vec = R.bernoulli_kl_vec(q, R.detach(p) if term == "kl_teacher" else p)
-            return ad.sum_all(R.mul(vec, tape.constant(weights)))
+            return R.sum_all(R.mul(vec, tape.constant(weights)))
 
         params = {"q": self.LOGITS_Q.reshape(-1, 1).copy()}
         if term != "ce":
@@ -524,7 +595,7 @@ class TestFusedFamilyTerms:
                 other = clipped_gaussian_of(p, "p")
                 vec = R.gaussian_kl_vec(q, R.gaussian_detach(other)
                                         if term == "kl_teacher" else other)
-            return ad.sum_all(R.mul(vec, tape.constant(weights)))
+            return R.sum_all(R.mul(vec, tape.constant(weights)))
 
         names = ("q_mean", "q_ls") if term == "nll" else tuple(values)
         params = {k: values[k].reshape(-1, 1).copy() for k in names}
@@ -539,7 +610,7 @@ class TestLossWeights:
 
 # The objective against the composition it fuses (tests/reference_ops.py),
 # through a small model: every breakdown field, the per-sample losses, every
-# gradient, the recorded teacher values and the places counted on the trace.
+# gradient and the recorded teacher values.
 
 OBJECTIVE_ARCH = dict(rep_dim=4, enc_hidden=8, enc_layers=1, head_hidden=4)
 OBJECTIVE_WEIGHTS = L.LossWeights(alpha=0.7, beta=0.5, gamma=1.3, delta=0.01, omega_cont=0.8)
@@ -557,8 +628,8 @@ def flag_id(flags):
 
 def objective_run(losses, mode, flags, variant="Total", channel="factual", record=True,
                   rows=48):
-    """Breakdown, gradients, teacher values and trace count of one step, with
-    the objective built by ``losses`` (the package's or the reference)."""
+    """Breakdown, gradients and teacher values of one step, with the
+    objective built by ``losses`` (the package's or the reference)."""
     cfg = tr.TrainConfig(mode=mode, weights=OBJECTIVE_WEIGHTS, flags=flags,
                          arch=M.ArchConfig(input_dim=1, treatment_channel=channel,
                                            **OBJECTIVE_ARCH))
@@ -579,8 +650,7 @@ def objective_run(losses, mode, flags, variant="Total", channel="factual", recor
         out = M.forward_continuous(model, x, t, tape, params)
         forward_nodes = len(tape.nodes)
         bd = losses.total_loss_continuous(out, t, y, cfg.weights, params, cfg.flags)
-    result = {"fields": [getattr(bd, f) for f in bd.FIELDS], "per_sample": bd.per_sample,
-              "created": tape.created}
+    result = {"fields": [getattr(bd, f) for f in bd.FIELDS], "per_sample": bd.per_sample}
     if record:
         result["loss_nodes"] = len(tape.nodes) - forward_nodes
         _, result["grads"] = tape.gradients(bd.node)
@@ -591,7 +661,6 @@ def objective_run(losses, mode, flags, variant="Total", channel="factual", recor
 def assert_bitwise_equal(got, ref):
     assert got["fields"] == ref["fields"]
     assert all(np.array_equal(a, b) for a, b in zip(got["per_sample"], ref["per_sample"]))
-    assert got["created"] == ref["created"]
     if "grads" in ref:
         assert list(got["grads"]) == list(ref["grads"])
         assert all(np.array_equal(got["grads"][k], ref["grads"][k]) for k in ref["grads"])
@@ -608,10 +677,7 @@ class TestObjective:
         got = objective_run(L, mode, flags, variant, channel)
         ref = objective_run(R, mode, flags, variant, channel)
         assert_bitwise_equal(got, ref)
-        # the MMD subgraph (7 linear nodes, 3 rbf) and l2_penalty keep their
-        # nodes; everything else is the one objective node
-        mmd = 0 if mode == "continuous" else 7 if flags.mmd_kernel == "linear" else 3
-        assert got["loss_nodes"] == mmd + 2
+        assert got["loss_nodes"] == 1  # the MMD and l2_penalty included
 
     @pytest.mark.parametrize("mode, flags", OBJECTIVE_CASES,
                              ids=[f"{m}-{flag_id(f)}" for m, f in OBJECTIVE_CASES])
@@ -694,18 +760,19 @@ def failure_message(build, losses) -> str:
 
 
 class TestObjectiveFailures:
-    """A NaN or Inf inside the objective names the op and the place on the
-    trace that the composition named."""
+    """A NaN or Inf in the objective names its first term whose mean (or
+    value) is not finite, or the objective itself."""
 
     @pytest.mark.parametrize("build, op", [
-        (lambda ls: failing_binary(ls, sample_weight=np.inf), "scale"),
-        # finite entries whose sum overflows
-        (lambda ls: failing_binary(ls, sample_weight=1e308), "mean"),
+        (lambda ls: failing_binary(ls, sample_weight=np.inf), "bernoulli_ce"),
+        # finite entries whose weighted sum overflows
+        (lambda ls: failing_binary(ls, sample_weight=1e308), "bernoulli_ce"),
         (lambda ls: failing_binary(ls, weight_scale=1e200), "l2_penalty"),
-        (lambda ls: failing_binary(ls, r_a_scale=1e200), "square"),
-        # an earlier term fails before a node built outside the objective
-        (lambda ls: failing_binary(ls, sample_weight=np.inf, weight_scale=1e200), "scale"),
-        (lambda ls: failing_binary(ls, sample_weight=np.inf, r_a_scale=1e200), "scale"),
+        (lambda ls: failing_binary(ls, r_a_scale=1e200), "adjustment_disc"),
+        # an earlier term fails first
+        (lambda ls: failing_binary(ls, sample_weight=np.inf, weight_scale=1e200),
+         "bernoulli_ce"),
+        (lambda ls: failing_binary(ls, sample_weight=np.inf, r_a_scale=1e200), "bernoulli_ce"),
         (lambda ls: failing_continuous(ls, ("q_y",)), "gaussian_nll"),
         (lambda ls: failing_continuous(ls, ("q_y_a",)), "gaussian_nll"),
         (lambda ls: failing_continuous(ls, ("q_t_cr",)), "gaussian_kl"),
@@ -713,8 +780,9 @@ class TestObjectiveFailures:
          "gaussian_nll"),
         # the adjustment loss's partner KL comes before the outcome unit
         (lambda ls: failing_continuous(ls, ("q_t_a", "q_y_c")), "gaussian_kl"),
+        # every term finite (the MMD ~1.7e308, the outcome term ~2.4e307),
+        # their weighted sum not
+        (lambda ls: failing_binary(ls, sample_weight=6e307, r_a_scale=5.3e154), "objective"),
     ])
-    def test_same_message_as_composition(self, build, op):
-        message = failure_message(build, L)
-        assert message == failure_message(build, R)
-        assert f"at node {op!r}" in message
+    def test_names_first_failing_term(self, build, op):
+        assert failure_message(build, L) == f"non-finite value at node {op!r}"

@@ -1,0 +1,129 @@
+"""Every module-level function of the package is reached by name from outside
+its own body: from a module of the package, the CLI entry point, scripts/,
+perfbench/ or a name the README quotes as code.  Code that nothing calls is
+deleted, or kept in ``KEPT`` with the reason it stays."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sd2"
+
+# name -> why it stays although no caller above reaches it
+KEPT = {
+    "autodiff.finite_diff_check": "the gradient checker every fused node is verified "
+                                  "with; Tape(replay_detached=...) exists to serve it",
+    "infotheory.bernoulli_kl": "closed-form Bernoulli KL without a tape, the reference "
+                               "for the family's KL term",
+    "infotheory.gaussian_kl": "closed-form Gaussian KL without a tape, the reference "
+                              "for the family's KL term",
+}
+
+
+def _names(node, strings: bool = False) -> set[str]:
+    """Names and attributes ``node`` reads, and with ``strings`` the string
+    constants that are identifiers (names looked up with getattr)."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and n.value.isidentifier():
+            found.add(n.value)
+    return found
+
+
+def _package_module(name: str | None, level: int) -> str | None:
+    """The package module an import names (``.x``, ``sd2.x``), else None."""
+    if level == 1:
+        return name
+    if name and name.startswith("sd2."):
+        return name.split(".", 1)[1]
+    return None
+
+
+def _reads(tree: ast.Module, module: str, skip=None) -> set[tuple[str, str]]:
+    """(module, name) pairs the code of ``tree`` reads, outside ``skip``: its
+    own names, names imported from package modules, and attributes of
+    package modules imported under an alias."""
+    imported, aliases = {}, {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom):
+            source = _package_module(n.module, n.level)
+            for a in n.names:
+                if n.level == 1 and n.module is None:
+                    aliases[a.asname or a.name] = a.name
+                elif source is not None:
+                    imported[a.asname or a.name] = (source, a.name)
+        elif isinstance(n, ast.Import):
+            for a in n.names:
+                if a.name.startswith("sd2.") and a.asname:
+                    aliases[a.asname] = a.name.split(".", 1)[1]
+    found = set()
+    for stmt in tree.body:
+        if stmt is skip:
+            continue
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Name):
+                found.add(imported.get(n.id, (module, n.id)))
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
+                    and n.value.id in aliases:
+                found.add((aliases[n.value.id], n.attr))
+    return found
+
+
+def unreached(modules: dict[str, str], outside: set[str]) -> list[str]:
+    """``module.function`` for each module-level function of ``modules``
+    (name -> source) that no code reads: no module outside the function's
+    own body, and no name in ``outside``."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    reads = {name: _reads(tree, name) for name, tree in trees.items()}
+    found = []
+    for name, tree in trees.items():
+        others = set().union(*(r for other, r in reads.items() if other != name))
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name in outside:
+                continue
+            if (name, fn.name) not in others | _reads(tree, name, skip=fn):
+                found.append(f"{name}.{fn.name}")
+    return sorted(found)
+
+
+def outside_callers() -> set[str]:
+    """Names read by scripts/ and perfbench/, the console entry points and
+    the names the README quotes as code."""
+    names = set()
+    for path in [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        names |= _names(ast.parse(path.read_text()), strings=True)
+    names |= set(re.findall(r'= "sd2\.\w+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
+    for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text()):
+        names |= set(re.findall(r"[A-Za-z_]\w*", span))
+    return names
+
+
+def test_detector_flags_unreached_functions():
+    modules = {
+        "a": "def used():\n    return 1\n\ndef unused():\n    return used()\n\n"
+             "def recursive(n):\n    return recursive(n - 1)\n\n"
+             "def by_table():\n    pass\n\nTABLE = {'f': by_table}\n\n"
+             "def imported():\n    pass\n\ndef by_alias():\n    pass\n\n"
+             "def same_name():\n    pass\n",
+        "b": "from . import a as m\nfrom .a import imported\n\n"
+             "def helper():\n    pass\n\n"
+             "def main():\n    helper(imported, m.by_alias)\n\n"
+             "def same_name():\n    return same_name\n",
+    }
+    assert unreached(modules, {"main"}) == [
+        "a.recursive", "a.same_name", "a.unused", "b.same_name"]
+    assert "b.main" in unreached(modules, set())
+
+
+def test_every_package_function_is_reached():
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    flagged = unreached(modules, outside_callers())
+    assert [f for f in flagged if f not in KEPT] == []
+    # a kept function that gains a caller leaves the list
+    assert flagged == sorted(KEPT)

@@ -12,7 +12,7 @@ from sd2 import datagen as dg
 from sd2 import evaluation as ev
 from sd2 import rng
 from sd2 import training as tr
-from sd2.losses import LossWeights
+from sd2.losses import LossFlags, LossWeights
 from sd2.model import ArchConfig, init_model
 
 
@@ -173,14 +173,16 @@ class TestTapes:
         record_every_tape()  # every forward then runs over its whole chunk at once
         assert run() == blocked
 
-    @pytest.mark.parametrize("mode, limit", [("binary", 83), ("continuous", 110)])
-    def test_step_tape_size(self, mode, limit):
-        # README arch and weights: one node per dense layer, the objective,
-        # and the MMD subgraph and l2_penalty it reads
+    @pytest.mark.parametrize("mode, kernel, nodes", [
+        ("binary", "linear", 75), ("binary", "rbf", 75), ("continuous", "linear", 109)])
+    def test_step_tape_size(self, mode, kernel, nodes):
+        # README arch and weights: the leaves, one node per dense layer and
+        # per Gaussian head column, and the one objective node
         cfg = tr.TrainConfig(
             mode=mode, arch=ArchConfig(input_dim=1, rep_dim=8, enc_hidden=64, enc_layers=2,
                                        head_hidden=32),
-            weights=LossWeights(alpha=1.0, beta=0.5, gamma=1.0, delta=0.01))
+            weights=LossWeights(alpha=1.0, beta=0.5, gamma=1.0, delta=0.01),
+            flags=LossFlags(mmd_kernel=kernel))
         model = init_model(tr._arch_for(cfg, 6), 3)
         x = rng.normal_matrix(21, 32, 6)
         t = ((np.arange(32) % 2).astype(float) if mode == "binary"
@@ -188,7 +190,7 @@ class TestTapes:
         y = rng.bernoulli(23, np.full(32, 0.5))
         tape = ad.Tape()
         tr._batch_breakdown(cfg, model, x, t, y, tape)
-        assert len(tape.nodes) <= limit
+        assert len(tape.nodes) == nodes
 
     def test_training_leaves_no_cyclic_garbage(self, tiny_triple):
         gc.collect()
