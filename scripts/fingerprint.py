@@ -6,12 +6,11 @@ root:
 
     PYTHONPATH=src python3 scripts/fingerprint.py
 
-Six `sd2 train` runs at the README arch and weights (n=1,500, 3 epochs,
-seed 3: binary and demand, each with the factual, qt and none treatment
-channel) print the sha256 of their `checkpoint.bin` and `history.csv`.  A
-last line gives one sha256 over the outputs of `predict_outcome` (every
-do-value of the dataset's grid), `encode` and `_eval_breakdown` for each
-trained model on fresh datasets of 1,000, 1,025, 4,097 and 10,000 rows, row
+Two `sd2 train` runs at the README arch and weights (n=1,500, 3 epochs,
+seed 3: binary and demand) print the sha256 of their `checkpoint.bin` and
+`history.csv`.  A last line gives one sha256 over the outputs of
+`predict_outcome` (every do-value of the dataset's grid), `encode` and
+`_eval_breakdown` for both trained models on fresh datasets of 1,000, 1,025, 4,097 and 10,000 rows, row
 counts that put the forward passes on and around their row-block boundaries.
 Then one line per mode, ablation variant and `LossFlags` combination gives
 the sha256 of one recorded training step at the README arch and weights: its
@@ -40,16 +39,14 @@ from sd2.model import checkpoint_load, encode, init_model, predict_outcome
 
 DATASETS = {"binary": {"kind": "synthetic_binary", "mv": 0, "mz": 4, "mc": 4, "ma": 2, "mu": 2},
             "continuous": {"kind": "demand", "alpha": 0.0, "beta": 1.0}}
-CHANNELS = ("factual", "qt", "none")
 FORWARD_ROWS = (1000, 1025, 4097, 10000)
 
 
-def _config(mode: str, channel: str) -> dict:
+def _config(mode: str) -> dict:
     return {
         "schema_version": 1,
         "mode": mode,
-        "arch": {"rep_dim": 8, "enc_hidden": 64, "enc_layers": 2, "head_hidden": 32,
-                 "treatment_channel": channel},
+        "arch": {"rep_dim": 8, "enc_hidden": 64, "enc_layers": 2, "head_hidden": 32},
         "weights": {"alpha": 1.0, "beta": 0.5, "gamma": 1.0, "delta": 0.01},
         "optimizer": {"lr": 0.001},
         "train": {"batch_size": 256, "max_epochs": 3, "patience": 3, "seed": 3},
@@ -80,7 +77,7 @@ def _hash_forward(digest, raw_config: dict, checkpoint: Path) -> None:
 def _step_lines(mode: str) -> list[str]:
     """One line per variant and flag combination: the sha256 of a recorded
     step's breakdown, per-sample losses and gradients."""
-    base = cli.build_train_config(_config(mode, "factual"))
+    base = cli.build_train_config(_config(mode))
     ds = dg.generate(dg.spec_from_ref({**DATASETS[mode], "n": 256, "seed": 5}))
     x = ds.covariates()
     lines = []
@@ -108,20 +105,19 @@ def main() -> int:
     forward = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for mode in DATASETS:
-            for channel in CHANNELS:
-                name = f"{mode}-{channel}"
-                raw = _config(mode, channel)
-                config_path = Path(tmp) / f"{name}.json"
-                config_path.write_text(json.dumps(raw))
-                out = Path(tmp) / name
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main(["train", "--config", str(config_path), "--out", str(out)])
-                if code != 0:
-                    print(f"{name}: sd2 train exited {code}", file=sys.stderr)
-                    return 1
-                for artifact in ("checkpoint.bin", "history.csv"):
-                    print(f"{name} {artifact} {_sha256(out / artifact)}")
-                _hash_forward(forward, raw, out / "checkpoint.bin")
+            name = f"{mode}-factual"
+            raw = _config(mode)
+            config_path = Path(tmp) / f"{name}.json"
+            config_path.write_text(json.dumps(raw))
+            out = Path(tmp) / name
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["train", "--config", str(config_path), "--out", str(out)])
+            if code != 0:
+                print(f"{name}: sd2 train exited {code}", file=sys.stderr)
+                return 1
+            for artifact in ("checkpoint.bin", "history.csv"):
+                print(f"{name} {artifact} {_sha256(out / artifact)}")
+            _hash_forward(forward, raw, out / "checkpoint.bin")
     print(f"forward outputs at n={','.join(map(str, FORWARD_ROWS))} {forward.hexdigest()}")
     for mode in DATASETS:
         print("\n".join(_step_lines(mode)))

@@ -132,8 +132,8 @@ def build_train_config(raw: dict) -> TrainConfig:
         raise ConfigError(f"config section 'train': {exc}") from exc
     if tr.apply_ablation(config, config.variant) != config:
         raise ConfigError(f"config section 'train': variant {config.variant!r} does not "
-                          "match the weights, treatment channel and importance weighting "
-                          "it implies; give the full config and select it with --variant")
+                          "match the weights and importance weighting it implies; "
+                          "give the full config and select it with --variant")
     return config
 
 

@@ -5,9 +5,8 @@ One graph serves both treatment modes.  Every head parameterises the mode's
 outcome family (``family.py``): a Bernoulli probability in binary mode, a
 Gaussian mean and log std in continuous mode, where the treatment side also
 has an adjustment head and a rebalance network feeding a second confounder
-head.  The deep outcome head optionally receives a treatment channel: the
-factual treatment (default), the deep treatment head's mean, or nothing.  At
-prediction time the do-value is substituted into that channel.
+head.  The deep outcome head reads the factual treatment as one extra input
+column; at prediction time the do-value is substituted into that column.
 
 A forward pass on a tape that does not record runs in row blocks of at most
 ``BLOCK_ROWS`` rows, each through the whole network, so a block's
@@ -48,7 +47,6 @@ class ArchConfig:
     head_hidden: int = 32
     activation: str = "elu"
     mode: str = "binary"
-    treatment_channel: str = "factual"  # factual | qt | none
 
     def __post_init__(self):
         for field in ("input_dim", "rep_dim", "enc_hidden", "enc_layers", "head_hidden"):
@@ -56,8 +54,6 @@ class ArchConfig:
                 raise ValueError(f"{field} must be >= 1")
         if self.mode not in ("binary", "continuous"):
             raise ValueError(f"mode must be binary or continuous, got {self.mode!r}")
-        if self.treatment_channel not in ("factual", "qt", "none"):
-            raise ValueError(f"unknown treatment_channel {self.treatment_channel!r}")
 
 
 class Representations(NamedTuple):
@@ -96,12 +92,11 @@ def _layer_specs(cfg: ArchConfig) -> list[tuple[str, int, int]]:
             specs.append((f"{enc}.l{i}", dims[i], dims[i + 1]))
     specs.append(("retain_t.l0", 2 * cfg.rep_dim, cfg.enc_hidden))
     specs.append(("retain_y.l0", 2 * cfg.rep_dim, cfg.enc_hidden))
-    channel_width = 0 if cfg.treatment_channel == "none" else 1
     heads = [("head_t", cfg.enc_hidden), ("head_t_z", cfg.rep_dim), ("head_t_c", cfg.rep_dim)]
     if cfg.mode == "continuous":
         heads.append(("head_t_a", cfg.rep_dim))
         heads.append(("head_t_cr", cfg.rep_dim))
-    heads += [("head_y", cfg.enc_hidden + channel_width),
+    heads += [("head_y", cfg.enc_hidden + 1),
               ("head_y_a", cfg.rep_dim), ("head_y_c", cfg.rep_dim)]
     for name, fan_in in heads:
         specs.append((f"{name}.l0", fan_in, cfg.head_hidden))
@@ -166,19 +161,12 @@ def _head(cfg: ArchConfig, fam: Family, p, prefix: str, x: ad.Tensor):
 
 
 def _outcome_head(cfg: ArchConfig, fam: Family, p, tape: ad.Tape, r_c: ad.Tensor,
-                  r_a: ad.Tensor, channel):
-    """retain_y, then the treatment channel, then the deep outcome head.
-
-    ``channel`` is None (no channel), an array of treatment values (entered
-    as a constant) or a tensor that gradients flow through.
-    """
+                  r_a: ad.Tensor, t: np.ndarray):
+    """retain_y, then the treatment column ``t`` (n x 1, a constant), then
+    the deep outcome head."""
     h_y = ad.dense(ad.concat_cols([r_c, r_a]), p["retain_y.l0.W"], p["retain_y.l0.b"],
                    cfg.activation)
-    if channel is None:
-        return _head(cfg, fam, p, "head_y", h_y)
-    if isinstance(channel, np.ndarray):
-        channel = tape.constant(channel)
-    return _head(cfg, fam, p, "head_y", ad.concat_cols([channel, h_y]))
+    return _head(cfg, fam, p, "head_y", ad.concat_cols([tape.constant(t), h_y]))
 
 
 def _check_input(cfg: ArchConfig, x: np.ndarray):
@@ -245,13 +233,7 @@ def _forward_rows(cfg: ArchConfig, p: dict[str, ad.Tensor], tape: ad.Tape,
         q_t_a = _head(cfg, fam, p, "head_t_a", r_a)
         c_reb = _mlp(p, "rebalance", r_c, 2, cfg.activation, cfg.activation)
         q_t_cr = _head(cfg, fam, p, "head_t_cr", c_reb)
-    if cfg.treatment_channel == "factual":
-        channel = t.reshape(-1, 1)
-    elif cfg.treatment_channel == "qt":
-        channel = fam.mean(q_t)
-    else:
-        channel = None
-    q_y = _outcome_head(cfg, fam, p, tape, r_c, r_a, channel)
+    q_y = _outcome_head(cfg, fam, p, tape, r_c, r_a, t.reshape(-1, 1))
     q_y_a = _head(cfg, fam, p, "head_y_a", r_a)
     q_y_c = _head(cfg, fam, p, "head_y_c", r_c)
     return HeadOutputs(q_t, q_t_z, q_t_c, q_y, q_y_a, q_y_c, q_t_a, q_t_cr,
@@ -297,7 +279,7 @@ def encode(model: SD2Model, x: np.ndarray) -> Representations:
 
 def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarray:
     """Potential-outcome estimate with the do-value substituted into the
-    treatment channel; representations come from x only.
+    outcome head's treatment input; representations come from x only.
 
     Builds no tape and runs only the networks the outcome reads: the
     confounder and adjustment encoders, retain_y and head_y.
@@ -312,10 +294,8 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
 
     def run(xb):
         r_c, r_a = _encode(cfg, p, tape.constant(xb), ("enc_c", "enc_a"))
-        channel = None
-        if cfg.treatment_channel != "none":
-            channel = np.full((xb.shape[0], 1), float(t_value))
-        return fam.mean(_outcome_head(cfg, fam, p, tape, r_c, r_a, channel)).value[:, 0]
+        t = np.full((xb.shape[0], 1), float(t_value))
+        return fam.mean(_outcome_head(cfg, fam, p, tape, r_c, r_a, t)).value[:, 0]
 
     return _blocked(tape, run, x)
 
@@ -339,29 +319,46 @@ class CheckpointError(Exception):
     pass
 
 
+_MANIFEST_FIELDS = {"format", "version", "config", "seed", "params"}
+
+
 def checkpoint_load(path: str | Path) -> SD2Model:
+    """The model a checkpoint holds; a fault in any manifest field raises
+    CheckpointError naming the field."""
     with open(path, "rb") as fh:
-        header = fh.readline()
         try:
-            manifest = json.loads(header.decode("utf-8"))
+            manifest = json.loads(fh.readline().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint manifest: {exc}") from exc
-        if manifest.get("format") != CHECKPOINT_FORMAT:
+        if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError("not a model checkpoint file")
-        if manifest.get("version", 0) > CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint version {manifest['version']} is newer than supported "
-                f"({CHECKPOINT_VERSION})")
-        config = ArchConfig(**manifest["config"])
-        expected = {name + suffix: shape
+        odd = sorted(set(manifest) ^ _MANIFEST_FIELDS)
+        if odd:
+            state = "unknown" if odd[0] in manifest else "missing"
+            raise CheckpointError(f"checkpoint manifest field {odd[0]!r} is {state}")
+        if manifest["version"] not in range(1, CHECKPOINT_VERSION + 1):
+            raise CheckpointError(f"checkpoint version {manifest['version']!r} is not "
+                                  f"supported (this build reads 1 to {CHECKPOINT_VERSION})")
+        for key, kind in (("seed", int), ("params", list)):
+            if type(manifest[key]) is not kind:
+                raise CheckpointError(f"checkpoint manifest field {key!r} is not "
+                                      f"{kind.__name__}")
+        try:
+            config = ArchConfig(**manifest["config"])
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint manifest field 'config': {exc}") from exc
+        listed = manifest["params"]
+        declared = [{"name": name + suffix, "shape": shape}
                     for name, fan_in, fan_out in _layer_specs(config)
-                    for suffix, shape in ((".W", [fan_in, fan_out]), (".b", [fan_out]))}
+                    for suffix, shape in ((".W", [fan_in, fan_out]), (".b", [fan_out]))]
+        if listed != declared:
+            i = next(i for i in range(len(listed) + 1) if listed[i:i + 1] != declared[i:i + 1])
+            raise CheckpointError(f"checkpoint manifest field 'params': entry {i} lists "
+                                  f"{listed[i:i + 1]}, the config declares "
+                                  f"{declared[i:i + 1]}")
         params: dict[str, np.ndarray] = {}
-        for entry in manifest["params"]:
+        for entry in declared:
             name, shape = entry["name"], entry["shape"]
-            if name not in expected or expected[name] != shape:
-                raise CheckpointError(f"parameter {name!r} has shape {shape}, "
-                                      f"expected {expected.get(name)}")
             count = int(np.prod(shape))
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
@@ -369,6 +366,4 @@ def checkpoint_load(path: str | Path) -> SD2Model:
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise CheckpointError("trailing bytes after the last parameter")
-        if set(params) != set(expected):
-            raise CheckpointError("checkpoint parameter list incomplete")
     return SD2Model(config=config, seed=manifest["seed"], params=params)

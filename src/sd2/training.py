@@ -114,10 +114,7 @@ def apply_ablation(config: TrainConfig, variant: str) -> TrainConfig:
         return replace(config, variant=variant)
     if variant == "Lp":
         new_w = replace(w, alpha=0.0, beta=0.0, gamma=0.0)
-        arch = replace(config.arch, treatment_channel="none")
-        return replace(config, weights=new_w, arch=arch, variant=variant,
-                       use_importance_weights=False)
-    if variant == "Lp+Lt":
+    elif variant == "Lp+Lt":
         new_w = replace(w, beta=0.0, gamma=0.0)
     else:  # Lp+Lt+La
         new_w = replace(w, gamma=0.0)
@@ -250,7 +247,11 @@ def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
             batch_index += 1
         if trained.rows:
             history.append(epoch, "train", trained.mean())
-        val_bd, criterion = _eval_breakdown(config, model, val_ds)
+        try:
+            val_bd, criterion = _eval_breakdown(config, model, val_ds)
+        except ad.NonFiniteError as exc:
+            raise TrainingError(f"{exc} in epoch {epoch}, validation",
+                                epoch=epoch, term=exc.op) from exc
         history.append(epoch, "val", val_bd)
         history.criterion.append(criterion)
         history.epoch_seconds.append(time.perf_counter() - started)

@@ -337,6 +337,58 @@ def test_diverged_step_names_epoch_batch_and_term(tmp_path):
                         manifest["error"])
 
 
+def test_nonfinite_validation_names_epoch(tmp_path):
+    data = tmp_path / "demand"
+    spec = write_json(tmp_path / "spec.json", {"kind": "demand", "n": 200, "seed": 4})
+    assert cli.main(["generate", "--spec", spec, "--out", str(data), "--triple"]) == 0
+    val = dg.read_dataset(data / "val")
+    val.y[3] = 1e200
+    dg.write_dataset(val, data / "val")
+    out = tmp_path / "run"
+    with np.errstate(over="ignore"):
+        code = cli.main(["train", "--config", _config(tmp_path, mode="continuous"),
+                         "--data", str(data), "--out", str(out)])
+    assert code == 4
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == ("non-finite value at node 'gaussian_nll' in epoch 0, "
+                                 "validation")
+
+
+MANIFEST_EDITS = {
+    # every checkpoint written while the outcome head's input was selectable
+    "treatment_channel": lambda m: m["config"].update(treatment_channel="factual"),
+    "params": lambda m: m.pop("params"),
+    "mode": lambda m: m["config"].update(mode="x"),
+    "seed": lambda m: m.update(seed="5"),
+}
+
+
+@pytest.mark.parametrize("field", MANIFEST_EDITS)
+def test_evaluate_rejects_bad_manifest_field(field, trained_run, tmp_path):
+    run, data = trained_run
+    header, rest = (run / "checkpoint.bin").read_bytes().split(b"\n", 1)
+    manifest = json.loads(header)
+    MANIFEST_EDITS[field](manifest)
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes(json.dumps(manifest).encode() + b"\n" + rest)
+    out = tmp_path / "eval"
+    assert cli.main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert field in manifest["error"]
+
+
+def test_treatment_channel_config_rejected(tmp_path, capsys):
+    arch = {**SMALL_TRAIN["arch"], "treatment_channel": "factual"}
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", _config(tmp_path, arch=arch),
+                     "--out", str(out)]) == 2
+    assert "treatment_channel" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
 def test_ablate_checks_variants_before_training(tmp_path, monkeypatch):
     trained = []
     monkeypatch.setattr(cli, "_replicate", lambda config, *a: trained.append(config))

@@ -37,7 +37,8 @@ class TestEpsAte:
         assert ev.eps_ate(model, ds) == pytest.approx(0.05)
 
     def test_zero_effect_model_scores_true_ate(self, binary_ds):
-        model = small_model(treatment_channel="none")
+        model = small_model()
+        model.params["head_y.l0.W"][0, :] = 0.0  # the treatment input's weights
         assert ev.eps_ate(model, binary_ds) == pytest.approx(
             abs(dg.true_ate(binary_ds)), abs=1e-12)
 

@@ -1,8 +1,10 @@
-"""Golden values for both treatment modes and every treatment channel.
+"""Golden values for both treatment modes.
 
 Recorded before the binary and continuous graphs and losses were merged into
 one family-generic path; a refactor that changes any of them changed
-behaviour.  Tiny configs keep this at tier-1 speed.
+behaviour.  Tiny configs keep this at tier-1 speed.  Each key names the
+treatment channel its values were recorded under; ``factual`` is now the only
+treatment input the outcome head has.
 """
 
 import pytest
@@ -24,42 +26,25 @@ BATCH = {
     ("binary", "factual"): (1.4341390254644981, 0.8148230602265522, 0.12998921927660628,
                             1.4551363439062845, 0.8795121964538402, 0.0,
                             105.63403904846608, 5.70494562617414),
-    ("binary", "qt"): (1.3864709441336345, 0.8148230602265522, 0.12998921927660628,
-                       1.4451412983254566, 0.8795121964538402, 0.0,
-                       105.63403904846608, 5.647282499262448),
-    ("binary", "none"): (1.388336938248329, 0.8148230602265522, 0.12998921927660628,
-                         1.4075082750450214, 0.8795121964538402, 0.0,
-                         105.36636449102797, 5.608838724522325),
     ("continuous", "factual"): (19.634716372180982, 292.84097203037044, 816.6110129848153,
                                 3628.3918307260856, 1346.0578438173193, 1343.3191497271523,
                                 134.27752626341297, 7039.8927944281495),
-    ("continuous", "qt"): (780.3587625940037, 292.84097203037044, 816.6110129848153,
-                           3625.7932850018865, 1346.0578438173193, 1343.3191497271523,
-                           134.27752626341297, 7798.018294925774),
-    ("continuous", "none"): (957.855937891139, 292.84097203037044, 816.6110129848153,
-                             3625.235124404187, 1346.0578438173193, 1343.3191497271523,
-                             134.00985170597485, 7974.954632879636),
 }
 
 # Test-split eps_ate (binary) / counterfactual_mse (continuous) after 2 epochs.
 TRAINED = {
     ("binary", "factual"): 0.20997061434080647,
-    ("binary", "qt"): 0.21061508463589995,
-    ("binary", "none"): 0.21646272424226262,
     ("continuous", "factual"): 2285.258506762137,
-    ("continuous", "qt"): 2294.538923776311,
-    ("continuous", "none"): 2314.2161855878194,
 }
 
 
-def batch_breakdown(mode: str, channel: str) -> LossBreakdown:
+def batch_breakdown(mode: str) -> LossBreakdown:
     if mode == "binary":
         ds = dg.gen_binary(dg.SyntheticSpec(n=64, mz=2, mc=2, ma=1, mu=1, seed=3))
     else:
         ds = dg.gen_continuous(dg.DemandSpec(n=64, seed=3))
     x = ds.covariates()
-    model = init_model(ArchConfig(input_dim=x.shape[1], mode=mode, treatment_channel=channel,
-                                  **ARCH), 5)
+    model = init_model(ArchConfig(input_dim=x.shape[1], mode=mode, **ARCH), 5)
     tape = ad.Tape()
     params = bind(model, tape)
     if mode == "binary":
@@ -72,18 +57,17 @@ def batch_breakdown(mode: str, channel: str) -> LossBreakdown:
 
 @pytest.mark.parametrize("key", sorted(BATCH), ids="-".join)
 def test_batch_breakdown(key):
-    bd = batch_breakdown(*key)
+    bd = batch_breakdown(key[0])
     got = tuple(getattr(bd, f) for f in LossBreakdown.FIELDS)
     assert got == pytest.approx(BATCH[key], rel=REL)
 
 
 @pytest.mark.parametrize("key", sorted(TRAINED), ids="-".join)
 def test_trained_metric(key):
-    mode, channel = key
+    mode = key[0]
     dataset = ({"kind": "synthetic_binary", "n": 300, "mz": 2, "mc": 2, "ma": 1, "mu": 1}
                if mode == "binary" else {"kind": "demand", "n": 300})
-    cfg = tr.TrainConfig(mode=mode, arch=ArchConfig(input_dim=1, treatment_channel=channel,
-                                                    **ARCH),
+    cfg = tr.TrainConfig(mode=mode, arch=ArchConfig(input_dim=1, **ARCH),
                          weights=WEIGHTS, batch_size=64, max_epochs=2, patience=2, seed=11,
                          dataset=dataset)
     train, val, test = tr.resolve_data(cfg, cfg.seed)

@@ -107,12 +107,7 @@ class TestPredictOutcome:
 
     def test_channel_weights_zeroed_kills_effect(self):
         m = M.init_model(small_cfg(), seed=6)
-        m.params["head_y.l0.W"][0, :] = 0.0  # first input row is the channel
-        x = rand_x()
-        assert np.array_equal(M.predict_outcome(m, x, 0.0), M.predict_outcome(m, x, 1.0))
-
-    def test_no_channel_variant_is_constant_in_t(self):
-        m = M.init_model(small_cfg(treatment_channel="none"), seed=6)
+        m.params["head_y.l0.W"][0, :] = 0.0  # first input row is the treatment
         x = rand_x()
         assert np.array_equal(M.predict_outcome(m, x, 0.0), M.predict_outcome(m, x, 1.0))
 
@@ -129,14 +124,19 @@ class TestPredictOutcome:
         assert len(preds) == 10 and all(p.shape == (9,) for p in preds)
 
 
+# encoder depths: one hidden layer, the default two, and one more; each adds
+# a dense node per encoder to every forward
+ENC_LAYERS = (1, 2, 3)
+
+
 class TestTapeFreeInference:
+    @pytest.mark.parametrize("enc_layers", ENC_LAYERS)
     @pytest.mark.parametrize("activation", ad.ACTIVATIONS)
-    @pytest.mark.parametrize("channel", ["factual", "qt", "none"])
     @pytest.mark.parametrize("mode", ["binary", "continuous"])
-    def test_matches_recorded_forward_bitwise(self, mode, channel, activation,
+    def test_matches_recorded_forward_bitwise(self, mode, activation, enc_layers,
                                               record_every_tape):
-        m = M.init_model(small_cfg(mode=mode, treatment_channel=channel,
-                                   activation=activation), seed=12)
+        m = M.init_model(small_cfg(mode=mode, activation=activation, enc_layers=enc_layers),
+                         seed=12)
         x = rand_x(n=40) * 2.0
 
         def run():
@@ -204,9 +204,9 @@ def _tensor_values(outputs) -> list[np.ndarray]:
     return values
 
 
-def _block_case(n, mode, channel, activation):
-    m = M.init_model(small_cfg(mode=mode, treatment_channel=channel,
-                               activation=activation), seed=12)
+def _block_case(n, mode, activation, enc_layers):
+    m = M.init_model(small_cfg(mode=mode, activation=activation, enc_layers=enc_layers),
+                     seed=12)
     x = rand_x(n=n, key=n) * 2.0
     if mode == "binary":
         return m, M.forward_binary, x, rand_t(n=n, key=n + 1), 1.0
@@ -230,23 +230,23 @@ class TestRowBlocks:
         assert all(size == M.BLOCK_ROWS for size in sizes[:-1])
         assert sizes[-1] < M.BLOCK_ROWS + 16
 
+    @pytest.mark.parametrize("enc_layers", ENC_LAYERS)
     @pytest.mark.parametrize("activation", ["elu", "sigmoid"])
-    @pytest.mark.parametrize("channel", ["factual", "qt", "none"])
     @pytest.mark.parametrize("mode", ["binary", "continuous"])
     @pytest.mark.parametrize("n", BLOCK_TEST_ROWS)
-    def test_forward_matches_recorded_bitwise(self, n, mode, channel, activation):
-        m, forward, x, t, _ = _block_case(n, mode, channel, activation)
+    def test_forward_matches_recorded_bitwise(self, n, mode, activation, enc_layers):
+        m, forward, x, t, _ = _block_case(n, mode, activation, enc_layers)
         tape_free = _tensor_values(forward(m, x, t))
         recorded = _tensor_values(forward(m, x, t, ad.Tape()))
         assert len(tape_free) == len(recorded) == (19 if mode == "continuous" else 9)
         assert all(np.array_equal(a, b) for a, b in zip(tape_free, recorded))
 
+    @pytest.mark.parametrize("enc_layers", ENC_LAYERS)
     @pytest.mark.parametrize("activation", ["elu", "sigmoid"])
-    @pytest.mark.parametrize("channel", ["factual", "none"])
     @pytest.mark.parametrize("mode", ["binary", "continuous"])
     @pytest.mark.parametrize("n", BLOCK_TEST_ROWS)
-    def test_predict_and_encode_match_recorded_bitwise(self, n, mode, channel, activation):
-        m, forward, x, _, do_value = _block_case(n, mode, channel, activation)
+    def test_predict_and_encode_match_recorded_bitwise(self, n, mode, activation, enc_layers):
+        m, forward, x, _, do_value = _block_case(n, mode, activation, enc_layers)
         recorded = forward(m, x, np.full(n, do_value), ad.Tape())
         q_y_mean = F.FAMILIES[mode].mean(recorded.q_y).value[:, 0]
         assert np.array_equal(M.predict_outcome(m, x, do_value), q_y_mean)
@@ -355,7 +355,3 @@ class TestArchConfig:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             M.ArchConfig(input_dim=3, mode="ordinal")
-
-    def test_bad_channel(self):
-        with pytest.raises(ValueError):
-            M.ArchConfig(input_dim=3, treatment_channel="soft")

@@ -13,7 +13,7 @@ from sd2 import evaluation as ev
 from sd2 import rng
 from sd2 import training as tr
 from sd2.losses import LossFlags, LossWeights
-from sd2.model import ArchConfig, init_model
+from sd2.model import ArchConfig, init_model, predict_outcome
 
 
 def tiny_config(**kw):
@@ -135,13 +135,12 @@ class TestValidationChunks:
 
 class TestTapes:
     @pytest.mark.parametrize("activation", ["identity", "elu", "sigmoid"])
-    @pytest.mark.parametrize("channel", ["factual", "qt", "none"])
     @pytest.mark.parametrize("mode", ["binary", "continuous"])
-    def test_validation_pass_matches_recorded_bitwise(self, mode, channel, activation,
+    def test_validation_pass_matches_recorded_bitwise(self, mode, activation,
                                                        record_every_tape):
         dataset = ({"kind": "demand", "n": 300} if mode == "continuous"
                    else tiny_config().dataset)
-        arch = replace(tiny_config().arch, treatment_channel=channel, activation=activation)
+        arch = replace(tiny_config().arch, activation=activation)
         cfg = tiny_config(mode=mode, dataset=dataset, arch=arch)
         _, val, _ = tr.resolve_data(cfg, 11)
         model = init_model(tr._arch_for(cfg, val.covariates().shape[1]), 3)
@@ -203,19 +202,22 @@ class TestTapes:
 
 
 class TestAblation:
-    def test_lp_zeroes_everything(self):
-        cfg = tr.apply_ablation(tiny_config(), "Lp")
+    def test_lp_zeroes_everything(self, tiny_triple):
+        cfg = tr.apply_ablation(tiny_config(max_epochs=1, patience=1), "Lp")
         assert (cfg.weights.alpha, cfg.weights.beta, cfg.weights.gamma) == (0, 0, 0)
-        assert cfg.arch.treatment_channel == "none"
         assert not cfg.use_importance_weights
         assert cfg.variant == "Lp"
+        # Lp keeps the outcome head's treatment input, so its effect is not 0
+        model, _ = tr.train(cfg, tiny_triple[0], tiny_triple[1])
+        x = tiny_triple[2].covariates()
+        assert np.any(predict_outcome(model, x, 1.0) != predict_outcome(model, x, 0.0))
 
     def test_lp_lt_restores_alpha(self):
         base = tiny_config()
         cfg = tr.apply_ablation(base, "Lp+Lt")
         assert cfg.weights.alpha == base.weights.alpha
         assert cfg.weights.beta == 0 and cfg.weights.gamma == 0
-        assert cfg.arch.treatment_channel == base.arch.treatment_channel
+        assert cfg.arch == base.arch
 
     def test_lp_lt_la_restores_beta(self):
         base = tiny_config()
