@@ -89,9 +89,13 @@ def _out_dir(args) -> Path | None:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object, "
+                          f"got {type(raw).__name__}")
+    return raw
 
 
 def _build_section(cls, section: dict, name: str):
@@ -103,14 +107,20 @@ def _build_section(cls, section: dict, name: str):
 
 def build_train_config(raw: dict) -> TrainConfig:
     """Versioned JSON schema -> TrainConfig, with field-level messages."""
-    if raw.get("schema_version", CONFIG_SCHEMA_VERSION) > CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"config schema_version {raw['schema_version']} is newer "
+    version = raw.get("schema_version", CONFIG_SCHEMA_VERSION)
+    if type(version) is not int:
+        raise ConfigError(f"config schema_version must be an integer, got {version!r}")
+    if version > CONFIG_SCHEMA_VERSION:
+        raise ConfigError(f"config schema_version {version} is newer "
                           f"than supported ({CONFIG_SCHEMA_VERSION})")
-    known = {"schema_version", "mode", "arch", "weights", "flags", "optimizer",
-             "train", "dataset"}
+    sections = ("arch", "weights", "flags", "optimizer", "train")
     for key in raw:
-        if key not in known:
+        if key not in {"schema_version", "mode", "dataset", *sections}:
             raise ConfigError(f"unknown config field {key!r}")
+        if key in sections and not isinstance(raw[key], dict):
+            raise ConfigError(f"config section {key!r} must be a JSON object")
+    if not isinstance(raw.get("dataset", {}), (dict, type(None))):
+        raise ConfigError("config field 'dataset' must be a JSON object or null")
     mode = raw.get("mode", "binary")
     arch_raw = dict(raw.get("arch", {}))
     arch_raw.setdefault("input_dim", 1)  # derived from data at train time
@@ -122,9 +132,9 @@ def build_train_config(raw: dict) -> TrainConfig:
                           "applies to binary mode only; continuous mode has no MMD term")
     optimizer = _build_section(tr.OptimizerConfig, raw.get("optimizer", {}), "optimizer")
     train_raw = dict(raw.get("train", {}))
-    if "split_ratios" in train_raw:
-        train_raw["split_ratios"] = tuple(train_raw["split_ratios"])
     try:
+        if "split_ratios" in train_raw:
+            train_raw["split_ratios"] = tuple(train_raw["split_ratios"])
         config = TrainConfig(mode=mode, arch=arch, weights=weights, flags=flags,
                              optimizer=optimizer, dataset=raw.get("dataset"),
                              **train_raw)
@@ -292,6 +302,8 @@ def _one_replication(payload) -> dict:
 def _replicated_rows(raw_config: dict, reps: int, base_seed: int, jobs: int) -> list[dict]:
     if reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {reps}")
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     payloads = [(raw_config, i, base_seed) for i in range(reps)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

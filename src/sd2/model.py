@@ -7,6 +7,9 @@ Gaussian mean and log std in continuous mode, where the treatment side also
 has an adjustment head and a rebalance network feeding a second confounder
 head.  The deep outcome head reads the factual treatment as one extra input
 column; at prediction time the do-value is substituted into that column.
+`predict_outcome` keeps the outcome head's input representations for the
+last covariates it scored, so a sweep over do-values on the same covariates
+runs the encoders once.
 
 A forward pass on a tape that does not record runs in row blocks of at most
 ``BLOCK_ROWS`` rows, each through the whole network, so a block's
@@ -19,7 +22,7 @@ boundaries).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -107,11 +110,23 @@ def _layer_specs(cfg: ArchConfig) -> list[tuple[str, int, int]]:
     return specs
 
 
+class _OutcomeMemo(NamedTuple):
+    """The retain_y input (r_c and r_a side by side) that `predict_outcome`
+    computed, and copies of what it was computed from: the config, the
+    covariates and every enc_c/enc_a parameter."""
+    config: ArchConfig
+    key: list[np.ndarray]
+    reps: np.ndarray
+
+
 @dataclass
 class SD2Model:
     config: ArchConfig
     seed: int
     params: dict[str, np.ndarray]
+    # never saved, compared or printed: a cache, not model state
+    _outcome_memo: _OutcomeMemo | None = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     def weight_names(self) -> list[str]:
         return [n for n in self.params if n.endswith(".W")]
@@ -160,12 +175,11 @@ def _head(cfg: ArchConfig, fam: Family, p, prefix: str, x: ad.Tensor):
     return fam.head(_mlp(p, prefix, x, 2, cfg.activation, fam.activation))
 
 
-def _outcome_head(cfg: ArchConfig, fam: Family, p, tape: ad.Tape, r_c: ad.Tensor,
-                  r_a: ad.Tensor, t: np.ndarray):
-    """retain_y, then the treatment column ``t`` (n x 1, a constant), then
-    the deep outcome head."""
-    h_y = ad.dense(ad.concat_cols([r_c, r_a]), p["retain_y.l0.W"], p["retain_y.l0.b"],
-                   cfg.activation)
+def _outcome_head(cfg: ArchConfig, fam: Family, p, tape: ad.Tape, reps: ad.Tensor,
+                  t: np.ndarray):
+    """retain_y over ``reps`` (r_c and r_a side by side), then the treatment
+    column ``t`` (n x 1, a constant), then the deep outcome head."""
+    h_y = ad.dense(reps, p["retain_y.l0.W"], p["retain_y.l0.b"], cfg.activation)
     return _head(cfg, fam, p, "head_y", ad.concat_cols([tape.constant(t), h_y]))
 
 
@@ -233,7 +247,7 @@ def _forward_rows(cfg: ArchConfig, p: dict[str, ad.Tensor], tape: ad.Tape,
         q_t_a = _head(cfg, fam, p, "head_t_a", r_a)
         c_reb = _mlp(p, "rebalance", r_c, 2, cfg.activation, cfg.activation)
         q_t_cr = _head(cfg, fam, p, "head_t_cr", c_reb)
-    q_y = _outcome_head(cfg, fam, p, tape, r_c, r_a, t.reshape(-1, 1))
+    q_y = _outcome_head(cfg, fam, p, tape, ad.concat_cols([r_c, r_a]), t.reshape(-1, 1))
     q_y_a = _head(cfg, fam, p, "head_y_a", r_a)
     q_y_c = _head(cfg, fam, p, "head_y_c", r_c)
     return HeadOutputs(q_t, q_t_z, q_t_c, q_y, q_y_a, q_y_c, q_t_a, q_t_cr,
@@ -277,12 +291,30 @@ def encode(model: SD2Model, x: np.ndarray) -> Representations:
     return _blocked(tape, run, x)
 
 
+_OUTCOME_ENCODERS = ("enc_c", "enc_a")
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes, values and signs: -0.0 differs from 0.0, and a NaN
+    matches nothing."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
 def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarray:
     """Potential-outcome estimate with the do-value substituted into the
     outcome head's treatment input; representations come from x only.
 
     Builds no tape and runs only the networks the outcome reads: the
-    confounder and adjustment encoders, retain_y and head_y.
+    confounder and adjustment encoders, retain_y and head_y.  The encoders'
+    output, the retain_y input, is kept on the model for the last covariates
+    scored, with copies of the covariates and of every enc_c/enc_a parameter:
+    n x (input_dim + 2 rep_dim) floats.  A later call reuses it only when its
+    checked covariates, those parameters and the config match the copies bit
+    for bit; anything else, an in-place edit or an Adam step included, runs
+    the encoders again.  A sweep over do-values on the same covariates thus
+    encodes once, and every prediction equals a fresh model's bit for bit.
+    Nothing is kept from a call that raises.
     """
     cfg = model.config
     x = _check_input(cfg, x)
@@ -290,14 +322,27 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
         raise ValueError("binary mode requires a do-value in {0, 1}")
     fam = FAMILIES[cfg.mode]
     tape = ad.Tape(record=False)
-    p = bind(model, tape, ("enc_c", "enc_a", "retain_y", "head_y"))
+    key = [x] + [v for k, v in model.params.items()
+                 if k.startswith(tuple(enc + "." for enc in _OUTCOME_ENCODERS))]
+    memo = model._outcome_memo
+    if (memo is None or memo.config != cfg or len(memo.key) != len(key)
+            or not all(map(_same_bits, memo.key, key))):
+        p = bind(model, tape, _OUTCOME_ENCODERS)
 
-    def run(xb):
-        r_c, r_a = _encode(cfg, p, tape.constant(xb), ("enc_c", "enc_a"))
-        t = np.full((xb.shape[0], 1), float(t_value))
-        return fam.mean(_outcome_head(cfg, fam, p, tape, r_c, r_a, t)).value[:, 0]
+        def encode_rows(xb):
+            reps = _encode(cfg, p, tape.constant(xb), _OUTCOME_ENCODERS)
+            return np.concatenate([r.value for r in reps], axis=1)
 
-    return _blocked(tape, run, x)
+        memo = _OutcomeMemo(cfg, [a.copy() for a in key], _blocked(tape, encode_rows, x))
+    p = bind(model, tape, ("retain_y", "head_y"))
+
+    def run(reps):
+        t = np.full((reps.shape[0], 1), float(t_value))
+        return fam.mean(_outcome_head(cfg, fam, p, tape, tape.constant(reps), t)).value[:, 0]
+
+    out = _blocked(tape, run, memo.reps)
+    model._outcome_memo = memo
+    return out
 
 
 def checkpoint_save(model: SD2Model, path: str | Path) -> None:

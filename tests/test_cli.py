@@ -284,6 +284,23 @@ FAILURES = {
         "train", "--config", _config(tmp, mode="continuous"), "--data", str(data)], 2),
     "zero_reps": (lambda tmp, run, data: [
         "replicate", "--config", _config(tmp), "--reps", "0"], 2),
+    "zero_jobs": (lambda tmp, run, data: [
+        "replicate", "--config", _config(tmp), "--reps", "1", "--jobs", "0"], 2),
+    "negative_jobs": (lambda tmp, run, data: [
+        "ablate", "--config", _config(tmp), "--reps", "1", "--jobs", "-2"], 2),
+    "config_not_an_object": (lambda tmp, run, data: [
+        "train", "--config", write_json(tmp / "cfg.json", [SMALL_TRAIN])], 2),
+    "spec_not_an_object": (lambda tmp, run, data: [
+        "generate", "--spec", write_json(tmp / "spec.json", "demand")], 2),
+    "string_schema_version": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, schema_version="1")], 2),
+    "section_not_an_object": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, arch=5)], 2),
+    "dataset_not_an_object": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, dataset=5)], 2),
+    "split_ratios_not_a_list": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, train={**SMALL_TRAIN["train"], "split_ratios": 5})],
+        2),
     "sweep_unknown_param": (lambda tmp, run, data: [
         "sweep", "--config", _config(tmp), "--param", "zzz", "--grid", "1"], 2),
     "evaluate_missing_checkpoint": (lambda tmp, run, data: [

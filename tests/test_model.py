@@ -1,4 +1,5 @@
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,6 +125,12 @@ class TestPredictOutcome:
         assert len(preds) == 10 and all(p.shape == (9,) for p in preds)
 
 
+def _unmemoised(m):
+    """The same config, seed and parameter arrays, without predict_outcome's
+    memo."""
+    return M.SD2Model(m.config, m.seed, m.params)
+
+
 # encoder depths: one hidden layer, the default two, and one more; each adds
 # a dense node per encoder to every forward
 ENC_LAYERS = (1, 2, 3)
@@ -139,13 +146,13 @@ class TestTapeFreeInference:
                          seed=12)
         x = rand_x(n=40) * 2.0
 
-        def run():
+        def run(model_for):
             reps = M.encode(m, x)
-            return [*reps, *(M.predict_outcome(m, x, tv) for tv in (0.0, 1.0))]
+            return [*reps, *(M.predict_outcome(model_for(), x, tv) for tv in (0.0, 1.0))]
 
-        tape_free = run()
+        tape_free = run(lambda: m)  # the second do-value reads the memo
         record_every_tape()
-        recorded = run()
+        recorded = run(lambda: _unmemoised(m))  # every pass runs the encoders
         assert all(np.array_equal(a, b) for a, b in zip(tape_free, recorded))
 
     def test_no_node_kept(self, monkeypatch):
@@ -186,7 +193,7 @@ class TestTapeFreeInference:
         for name in m.params:
             if name.startswith("enc_z."):
                 m.params[name][:] = np.nan
-        after = M.predict_outcome(m, x, 1.0)
+        after = M.predict_outcome(_unmemoised(m), x, 1.0)  # the encoders run again
         assert np.all(np.isfinite(after)) and np.array_equal(before, after)
 
 
@@ -252,6 +259,113 @@ class TestRowBlocks:
         assert np.array_equal(M.predict_outcome(m, x, do_value), q_y_mean)
         reps = M.encode(m, x)
         assert all(np.array_equal(a, b.value) for a, b in zip(reps, recorded.reps))
+
+
+def _edit_enc_c(m, x, adam):
+    m.params["enc_c.l1.W"][0, 0] += 0.5
+    return x
+
+
+def _edit_enc_a(m, x, adam):
+    m.params["enc_a.l0.b"][3] -= 0.5
+    return x
+
+
+def _adam_step(m, x, adam):
+    ad.adam_step(m.params, {k: np.ones_like(v) for k, v in m.params.items()}, adam)
+    return x
+
+
+def _replace_entry(m, x, adam):
+    m.params["enc_a.l2.W"] = m.params["enc_a.l2.W"] * 1.5
+    return x
+
+
+def _edit_x(m, x, adam):
+    x[4, 2] += 0.5
+    return x
+
+
+def _new_shape(m, x, adam):
+    return x[:-3]
+
+
+def _negative_zero(m, x, adam):
+    x = x.copy()
+    x[0, 0] = -0.0  # the memo was stored for +0.0
+    return x
+
+
+def _new_activation(m, x, adam):
+    m.config = replace(m.config, activation="sigmoid")
+    return x
+
+
+MEMO_MISSES = {f.__name__.lstrip("_"): f for f in (
+    _edit_enc_c, _edit_enc_a, _adam_step, _replace_entry, _edit_x, _new_shape,
+    _negative_zero, _new_activation)}
+
+
+class TestOutcomeMemo:
+    @pytest.mark.parametrize("activation", ad.ACTIVATIONS)
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    @pytest.mark.parametrize("n", BLOCK_TEST_ROWS)
+    def test_hit_matches_fresh_model_bitwise(self, n, mode, activation):
+        m, _, x, _, do_value = _block_case(n, mode, activation, 2)
+        M.predict_outcome(m, x, 0.0)
+        memo = m._outcome_memo
+        hit = M.predict_outcome(m, x, do_value)
+        assert m._outcome_memo is memo
+        assert np.array_equal(hit, M.predict_outcome(_unmemoised(m), x, do_value))
+
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    @pytest.mark.parametrize("cause", sorted(MEMO_MISSES))
+    def test_miss_recomputes(self, cause, mode):
+        m = M.init_model(small_cfg(mode=mode), seed=12)
+        adam = ad.AdamState(m.params)  # the parameters become views of its buffer
+        x = rand_x(n=40)
+        x[0, 0] = 0.0
+        M.predict_outcome(m, x, 1.0)
+        memo = m._outcome_memo
+        x = MEMO_MISSES[cause](m, x, adam)
+        missed = M.predict_outcome(m, x, 1.0)
+        assert m._outcome_memo is not memo
+        assert np.array_equal(m._outcome_memo.key[0], x)
+        assert np.array_equal(missed, M.predict_outcome(_unmemoised(m), x, 1.0))
+
+    @pytest.mark.parametrize("name", ["retain_y.l0.W", "head_y.l0.W", "head_y.l1.b"])
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    def test_outcome_networks_still_read(self, mode, name):
+        m = M.init_model(small_cfg(mode=mode), seed=12)
+        x = rand_x(n=40)
+        before = M.predict_outcome(m, x, 1.0)
+        memo = m._outcome_memo
+        m.params[name][0] += 0.5
+        after = M.predict_outcome(m, x, 1.0)
+        assert m._outcome_memo is memo
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, M.predict_outcome(_unmemoised(m), x, 1.0))
+
+    @pytest.mark.parametrize("network", ["enc_c", "head_y"])
+    def test_nonfinite_keeps_previous_memo(self, network):
+        m = M.init_model(small_cfg(), seed=12)
+        x = rand_x(n=40)
+        M.predict_outcome(m, x, 1.0)
+        memo = m._outcome_memo
+        m.params[f"{network}.l1.b"][0] = np.nan
+        with pytest.raises(ad.NonFiniteError):
+            M.predict_outcome(m, x * 2.0, 1.0)
+        assert m._outcome_memo is memo
+
+    def test_not_saved_compared_or_printed(self, tmp_path):
+        m = M.init_model(small_cfg(), seed=12)
+        M.checkpoint_save(m, tmp_path / "before.bin")
+        M.predict_outcome(m, rand_x(), 1.0)
+        assert m._outcome_memo is not None
+        M.checkpoint_save(m, tmp_path / "after.bin")
+        assert (tmp_path / "before.bin").read_bytes() == (tmp_path / "after.bin").read_bytes()
+        assert M.checkpoint_load(tmp_path / "after.bin")._outcome_memo is None
+        assert m == _unmemoised(m) and repr(m) == repr(_unmemoised(m))
 
 
 class TestForwardContinuous:
