@@ -12,8 +12,8 @@ seed 3: binary and demand) print the sha256 of their `checkpoint.bin` and
 `predict_outcome` (every do-value of the dataset's grid), `encode` and
 `_eval_breakdown` for both trained models on fresh datasets of 1,000, 1,025, 4,097 and 10,000 rows, row
 counts that put the forward passes on and around their row-block boundaries.
-Then one line per mode, ablation variant and `LossFlags` combination gives
-the sha256 of one recorded training step at the README arch and weights: its
+Then one line per mode and ablation variant gives the sha256 of one
+recorded training step at the README arch and weights: its
 loss breakdown, per-sample factual losses and every parameter gradient.
 """
 
@@ -22,11 +22,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import itertools
 import json
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from sd2 import autodiff as ad
@@ -34,7 +32,6 @@ from sd2 import cli
 from sd2 import datagen as dg
 from sd2 import evaluation as ev
 from sd2 import training as tr
-from sd2.losses import LossFlags
 from sd2.model import checkpoint_load, encode, init_model, predict_outcome
 
 DATASETS = {"binary": {"kind": "synthetic_binary", "mv": 0, "mz": 4, "mc": 4, "ma": 2, "mu": 2},
@@ -75,29 +72,24 @@ def _hash_forward(digest, raw_config: dict, checkpoint: Path) -> None:
 
 
 def _step_lines(mode: str) -> list[str]:
-    """One line per variant and flag combination: the sha256 of a recorded
-    step's breakdown, per-sample losses and gradients."""
+    """One line per variant: the sha256 of a recorded step's breakdown,
+    per-sample losses and gradients."""
     base = cli.build_train_config(_config(mode))
     ds = dg.generate(dg.spec_from_ref({**DATASETS[mode], "n": 256, "seed": 5}))
     x = ds.covariates()
     lines = []
     for variant in tr.VARIANTS:
-        for kernel, aux, reverse in itertools.product(("linear", "rbf"), (False, True),
-                                                      (False, True)):
-            flags = LossFlags(mmd_kernel=kernel, aux_confounder_label=aux,
-                              teacher_kl_reverse=reverse)
-            config = replace(tr.apply_ablation(base, variant), flags=flags)
-            model = init_model(tr._arch_for(config, x.shape[1]), 7)
-            tape = ad.Tape()
-            bd, w = tr._batch_breakdown(config, model, x, ds.t, ds.y, tape)
-            _, grads = tape.gradients(bd.node)
-            digest = hashlib.sha256()
-            values = [getattr(bd, f) for f in bd.FIELDS]
-            digest.update(" ".join(float(v).hex() for v in values).encode())
-            for array in (*bd.per_sample, w, *(grads[k] for k in model.params)):
-                digest.update(array.tobytes())
-            lines.append(f"{mode} step {variant} {kernel} aux={int(aux)} reverse={int(reverse)} "
-                         f"{digest.hexdigest()}")
+        config = tr.apply_ablation(base, variant)
+        model = init_model(tr._arch_for(config, x.shape[1]), 7)
+        tape = ad.Tape()
+        bd, w = tr._batch_breakdown(config, model, x, ds.t, ds.y, tape)
+        _, grads = tape.gradients(bd.node)
+        digest = hashlib.sha256()
+        values = [getattr(bd, f) for f in bd.FIELDS]
+        digest.update(" ".join(float(v).hex() for v in values).encode())
+        for array in (*bd.per_sample, w, *(grads[k] for k in model.params)):
+            digest.update(array.tobytes())
+        lines.append(f"{mode} step {variant} {digest.hexdigest()}")
     return lines
 
 

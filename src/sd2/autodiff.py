@@ -4,31 +4,41 @@ A Tape records every operation in creation order (which is a topological
 order), and `gradients` replays it backwards, accumulating exact adjoints.
 Shapes are explicit: no broadcasting beyond bias addition.  Values are checked
 for finiteness as nodes are created, so a NaN/Inf is reported at the operation
-that produced it.  `dense` checks once, after the bias add: a non-finite
-product stays non-finite when a finite bias is added, and elu and sigmoid map
-finite values to finite ones.  Only when that check fails is the product
-recomputed, to name ``'matmul'`` or ``'add_bias'``.  The training objective
+that produced it; a value whose entries are all finite passes even when their
+sum overflows.  `dense` checks once, after the bias add: a non-finite product
+stays non-finite when a finite bias is added, and elu and sigmoid map finite
+values to finite ones.  Only when that check fails is the product recomputed,
+to name ``'matmul'`` or ``'add_bias'``.  The training objective
 (``losses.py``) checks only its total, and on failure names its first
 non-finite term.
 
-Stop-gradient values (teacher heads, the MMD bandwidth) are recorded on the
-tape in creation order.  `finite_diff_check` replays them at probe points, so
+Stop-gradient values (the teacher heads) are recorded on the tape in creation
+order.  `finite_diff_check` replays them at probe points, so
 the numerical check targets the same stop-gradient objective whose analytic
 gradient the backward pass computes.
 
 A tape made with ``record=False`` serves forward passes whose gradients nobody
 takes (prediction, validation): its nodes keep no parents or backward rules
 and the tape keeps no nodes, parameters or detached values, so each
-intermediate array is freed as soon as nothing reads it.  A recording tape
-drops its nodes and parameters when `gradients` returns, so neither kind of
-tape is left behind as cyclic garbage.
+intermediate array is freed as soon as nothing reads it; its values are
+bit-identical to a recorded pass, and a NaN or Inf is still named at the
+operation that produced it.  Only training steps record.  A recording tape
+drops its nodes and parameters when `gradients` returns, so no tape outlives
+its step and neither kind waits for Python's cycle collector.
 
 The recorded graph is coarse where the model spends its steps: `dense` is one
 node, and so is the whole training objective in ``losses.py``.  The primitives
 these fused nodes stand for are kept in ``tests/reference_ops.py`` as the
 oracles they are checked against.  A node's backward rule is an optional
 ``pre_vjp``, applied once to its gradient, then one VJP per parent; no VJP is
-evaluated for a constant or detached leaf.
+evaluated for a constant or detached leaf.  A fused node's rule repeats the
+operations of its composition in the same order and lists a parent once for
+each contribution the composition made to it, so values, gradients and
+checkpoints are bit-identical to building it from the primitives.
+
+`AdamState` keeps the parameters, both moments and the gathered gradient in
+flat float64 buffers (the model's parameter arrays become views of one of
+them), and `adam_step` updates every scalar with one set of vector operations.
 """
 
 from __future__ import annotations

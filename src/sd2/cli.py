@@ -31,7 +31,7 @@ from . import infotheory as it
 from . import rng
 from . import training as tr
 from .autodiff import NonFiniteError
-from .losses import LossBreakdown, LossFlags, LossWeights
+from .losses import LossBreakdown, LossWeights
 from .model import ArchConfig, CheckpointError, checkpoint_load, checkpoint_save
 from .training import TrainConfig, TrainingError
 
@@ -110,10 +110,10 @@ def build_train_config(raw: dict) -> TrainConfig:
     version = raw.get("schema_version", CONFIG_SCHEMA_VERSION)
     if type(version) is not int:
         raise ConfigError(f"config schema_version must be an integer, got {version!r}")
-    if version > CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"config schema_version {version} is newer "
-                          f"than supported ({CONFIG_SCHEMA_VERSION})")
-    sections = ("arch", "weights", "flags", "optimizer", "train")
+    if not 1 <= version <= CONFIG_SCHEMA_VERSION:
+        raise ConfigError(f"config schema_version {version} is not supported "
+                          f"(1 to {CONFIG_SCHEMA_VERSION})")
+    sections = ("arch", "weights", "optimizer", "train")
     for key in raw:
         if key not in {"schema_version", "mode", "dataset", *sections}:
             raise ConfigError(f"unknown config field {key!r}")
@@ -122,28 +122,29 @@ def build_train_config(raw: dict) -> TrainConfig:
     if not isinstance(raw.get("dataset", {}), (dict, type(None))):
         raise ConfigError("config field 'dataset' must be a JSON object or null")
     mode = raw.get("mode", "binary")
-    arch_raw = dict(raw.get("arch", {}))
-    arch_raw.setdefault("input_dim", 1)  # derived from data at train time
-    arch = _build_section(ArchConfig, {**arch_raw, "mode": mode}, "arch")
+    arch_raw = raw.get("arch", {})
+    if "input_dim" in arch_raw:
+        raise ConfigError("config section 'arch': input_dim is set from the data's "
+                          "covariate count; remove it")
+    if arch_raw.get("mode", mode) != mode:
+        raise ConfigError(f"config section 'arch': mode {arch_raw['mode']!r} differs from "
+                          f"the config's mode {mode!r}")
+    # input_dim is a placeholder until training reads the data's width
+    arch = _build_section(ArchConfig, {**arch_raw, "input_dim": 1, "mode": mode}, "arch")
     weights = _build_section(LossWeights, raw.get("weights", {}), "weights")
-    flags = _build_section(LossFlags, raw.get("flags", {}), "flags")
-    if mode == "continuous" and flags.mmd_kernel != "linear":
-        raise ConfigError(f"config section 'flags': mmd_kernel {flags.mmd_kernel!r} "
-                          "applies to binary mode only; continuous mode has no MMD term")
     optimizer = _build_section(tr.OptimizerConfig, raw.get("optimizer", {}), "optimizer")
     train_raw = dict(raw.get("train", {}))
     try:
         if "split_ratios" in train_raw:
             train_raw["split_ratios"] = tuple(train_raw["split_ratios"])
-        config = TrainConfig(mode=mode, arch=arch, weights=weights, flags=flags,
-                             optimizer=optimizer, dataset=raw.get("dataset"),
-                             **train_raw)
+        config = TrainConfig(mode=mode, arch=arch, weights=weights, optimizer=optimizer,
+                             dataset=raw.get("dataset"), **train_raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config section 'train': {exc}") from exc
     if tr.apply_ablation(config, config.variant) != config:
         raise ConfigError(f"config section 'train': variant {config.variant!r} does not "
-                          "match the weights and importance weighting it implies; "
-                          "give the full config and select it with --variant")
+                          "match the weights it implies; give the full config and "
+                          "select it with --variant")
     return config
 
 
@@ -151,8 +152,7 @@ def config_json(config: TrainConfig) -> dict:
     d = tr.config_to_dict(config)
     return {"schema_version": CONFIG_SCHEMA_VERSION, "mode": d.pop("mode"),
             "arch": d.pop("arch"), "weights": d.pop("weights"),
-            "flags": d.pop("flags"), "optimizer": d.pop("optimizer"),
-            "dataset": d.pop("dataset"), "train": d}
+            "optimizer": d.pop("optimizer"), "dataset": d.pop("dataset"), "train": d}
 
 
 def _write_manifest(command: str, run: Run, error: str | None):

@@ -1,31 +1,39 @@
 """Training objectives: factual terms, the distillation units, the adjustment
 discrepancy, context-aware importance weights, and the weighted totals.
 
-Teacher distributions are gradient-detached; peer terms propagate to both
-sides.  The binary total is
+Teacher distributions are gradient-detached, and each teacher term is
+KL(student || teacher); peer terms propagate to both sides.  The binary total
+is
 
     mean_i(w_i * CE(q_y_i, y_i)) + alpha * CE(q_t, t) + beta * disc
     + gamma * (outcome unit + treatment unit) + delta * ||W||^2
 
-and the continuous total swaps cross-entropies for Gaussian likelihoods and
-adds the rebalance loss with its own coefficient.  Both totals come from one
-function over the outcome family (``family.py``).  Only what the two modes
-define differently is mode-specific: the adjustment term (an MMD over the
-adjustment representation for binary treatments, a head-based loss for
-continuous ones), the binary importance weights and the continuous rebalance
-loss.
+where disc is the linear-kernel MMD of the adjustment representation (the
+squared distance of the two groups' means) and w holds the importance weights
+in the `Total` variant and ones in the others.  The continuous total swaps
+cross-entropies for Gaussian likelihoods and adds the rebalance loss with its
+own coefficient.  Both totals come from one function over the outcome family
+(``family.py``).  Only what the two modes define differently is
+mode-specific: the adjustment term (the MMD for binary treatments, a
+head-based loss for continuous ones), the binary importance weights and the
+continuous rebalance loss.  The variant and the coefficients select the
+objective; there is no other switch.
 
 The total is one tape node, ``objective``: every per-sample family term of
 both units, the factual terms, the binary MMD and the continuous adjustment
-and rebalance losses, the L2 penalty and the weighted sum.  Each head's clamp
-and logs (Bernoulli) or its exp(+-2 log_std) (Gaussian) are computed once and
+and rebalance losses, the L2 penalty and the weighted sum.  With one node per
+dense layer besides it, the README binary step records 75 nodes and the
+continuous step 109, most of them parameter leaves.  Each head's clamp and
+logs (Bernoulli) or its exp(+-2 log_std) (Gaussian) are computed once and
 shared by the terms that read it.  Values and gradients are bit-identical to
 building the total from one node per term, row selection, mean, sum and
 scale.  The objective checks only its total for finiteness; a NaN or Inf is
-reported at the first term whose mean (or value) is not finite, or at
-``'objective'`` when every term is finite and only their sum is not.
+reported at the first term whose mean (or value, for the MMD and the L2
+penalty) is not finite, such as ``non-finite value at node 'gaussian_nll'``,
+or at ``'objective'`` when every term is finite and only their sum is not.
+`sd2 train` adds the epoch and batch of the step that diverged and exits
+with code 4.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -58,22 +66,6 @@ class LossWeights:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-MMD_KERNELS = ("linear", "rbf")
-
-
-@dataclass(frozen=True)
-class LossFlags:
-    """Implementation switches the loss definitions leave open."""
-    mmd_kernel: str = "linear"            # linear | rbf; binary mode only
-    aux_confounder_label: bool = False    # treatment-side label CE on the confounder student
-    teacher_kl_reverse: bool = False      # KL(teacher || student) instead of student-first
-
-    def __post_init__(self):
-        if self.mmd_kernel not in MMD_KERNELS:
-            raise ValueError(f"unknown mmd_kernel {self.mmd_kernel!r}; "
-                             f"choose from {MMD_KERNELS}")
-
-
 @dataclass
 class LossBreakdown:
     factual_y: float
@@ -91,15 +83,6 @@ class LossBreakdown:
     FIELDS = ("factual_y", "factual_t", "adjust", "distill_outcome",
               "distill_treatment", "rebalance", "reg", "total")
 
-    def weighted_parts(self, w: LossWeights) -> dict[str, float]:
-        return {
-            "factual_y": self.factual_y,
-            "factual_t": w.alpha * self.factual_t,
-            "adjust": w.beta * self.adjust,
-            "distill": w.gamma * (self.distill_outcome + self.distill_treatment),
-            "rebalance": w.omega_cont * self.rebalance,
-            "reg": w.delta * self.reg,
-        }
 
 
 def importance_weights(pi_c: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -119,17 +102,13 @@ def importance_weights(pi_c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.clip(w, 1.0, WEIGHT_CLIP)
 
 
-def adjustment_disc(r_a: ad.Tensor, t: np.ndarray, kernel: str = "linear"):
-    """Squared MMD between adjustment representations of the two groups, and
-    its (node, vjp) pairs.
+def adjustment_disc(r_a: ad.Tensor, t: np.ndarray):
+    """Squared linear-kernel MMD between adjustment representations of the two
+    groups, the squared distance of their means, and its (node, vjp) pairs.
 
-    Linear kernel reduces to the squared distance of group means; the rbf
-    bandwidth is the median pairwise distance of the pooled batch, treated as
-    a constant of the batch (recorded on the tape, replayed by
-    finite_diff_check).  The gradient of both groups' rows is added into one
-    array of zeros: the two row selections of the composition scattered into
-    an array each, and as their rows are disjoint, the sum of those arrays has
-    the same bits.
+    The gradient of both groups' rows is added into one array of zeros: the
+    two row selections of the composition scattered into an array each, and
+    as their rows are disjoint, the sum of those arrays has the same bits.
     """
     t = np.asarray(t, dtype=np.float64).reshape(-1)
     idx0 = np.nonzero(t == 0)[0]
@@ -137,68 +116,17 @@ def adjustment_disc(r_a: ad.Tensor, t: np.ndarray, kernel: str = "linear"):
     if len(idx0) == 0 or len(idx1) == 0:
         raise DegenerateBatchError("adjustment discrepancy needs both groups")
     r = r_a.value
-    g0, g1 = r[idx0], r[idx1]
-    if kernel == "linear":
-        diff = g0.mean(axis=0) - g1.mean(axis=0)
-        value = (diff ** 2).sum()
-
-        def grad_diff(g):
-            return np.full_like(diff, float(g)) * 2.0 * diff
-
-        def grad0(g):
-            return np.tile(grad_diff(g) / len(idx0), (len(idx0), 1))
-
-        def grad1(g):
-            return np.tile(-grad_diff(g) / len(idx1), (len(idx1), 1))
-    elif kernel == "rbf":
-        sq = np.sum(r ** 2, 1)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * r @ r.T, 0.0)
-        d = np.sqrt(d2[np.triu_indices(len(r), k=1)])
-        positive = d[d > 0]
-        med = np.median(positive) if positive.size else 1.0
-        bandwidth = float(r_a.tape.record_detached(np.array(med)))
-        value, grad0, grad1 = _mmd_rbf(g0, g1, bandwidth)
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}")
+    diff = r[idx0].mean(axis=0) - r[idx1].mean(axis=0)
+    value = (diff ** 2).sum()
 
     def vjp(g):
+        grad_diff = np.full_like(diff, float(g)) * 2.0 * diff
         out = np.zeros_like(r)
-        out[idx0] += grad0(g)
-        out[idx1] += grad1(g)
+        out[idx0] += np.tile(grad_diff / len(idx0), (len(idx0), 1))
+        out[idx1] += np.tile(-grad_diff / len(idx1), (len(idx1), 1))
         return out
 
     return value, ((r_a, vjp),)
-
-
-def _mmd_rbf(a: np.ndarray, b: np.ndarray, bandwidth: float):
-    """Biased squared MMD of two row sets under the Gaussian kernel
-    exp(-d^2 / (2 bw^2)), and its gradients with respect to a and b."""
-    inv = 1.0 / (2.0 * bandwidth ** 2)
-
-    def gram(u, v):
-        d2 = (np.sum(u ** 2, 1)[:, None] + np.sum(v ** 2, 1)[None, :] - 2.0 * u @ v.T)
-        return np.exp(-np.maximum(d2, 0.0) * inv)
-
-    kaa, kbb, kab = gram(a, a), gram(b, b), gram(a, b)
-    m, n = len(a), len(b)
-
-    def grad_a(g):
-        # d k(u,v) / du = -k * (u - v) / bw^2; the within-group term appears
-        # twice by symmetry
-        waa = kaa / (m * m)
-        wab = kab / (m * n)
-        grad = 2.0 * ((waa.sum(1)[:, None] * a) - waa @ a) * (-2.0 * inv)
-        grad -= 2.0 * ((wab.sum(1)[:, None] * a) - wab @ b) * (-2.0 * inv)
-        return float(g) * grad
-
-    def grad_b(g):
-        wbb = kbb / (n * n)
-        wba = kab.T / (m * n)
-        grad = 2.0 * ((wbb.sum(1)[:, None] * b) - wbb @ b) * (-2.0 * inv)
-        grad -= 2.0 * ((wba.sum(1)[:, None] * b) - wba @ a) * (-2.0 * inv)
-        return float(g) * grad
-
-    return kaa.mean() + kbb.mean() - 2.0 * kab.mean(), grad_a, grad_b
 
 
 def l2_penalty(params: dict[str, ad.Tensor]):
@@ -281,13 +209,10 @@ class _Objective:
         """Mean KL(q || p) of two heads; gradients reach both."""
         return self._term(self.fam.kl, (self._prepared(q), self._prepared(p)), group)[1]
 
-    def teacher_kl(self, student, teacher, group: int, reverse: bool = False):
-        """Mean KL(student || teacher), KL(teacher || student) with
-        ``reverse``, against a detached copy of the teacher."""
+    def teacher_kl(self, student, teacher, group: int):
+        """Mean KL(student || teacher) against a detached copy of the teacher."""
         detached = self._prepared(teacher).teacher(self.tape)
-        student = self._prepared(student)
-        pair = (detached, student) if reverse else (student, detached)
-        return self._term(self.fam.kl, pair, group)[1]
+        return self._term(self.fam.kl, (self._prepared(student), detached), group)[1]
 
     def scalar(self, kernel, *args, coeff: float):
         """The value of a term that enters the total times ``coeff``."""
@@ -328,7 +253,7 @@ def _in_group(group: int, vjp):
 
 def _total_loss(fam: Family, outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
                 sample_weights: np.ndarray | None, weights: LossWeights,
-                params: dict[str, ad.Tensor], flags: LossFlags, adjust_terms,
+                params: dict[str, ad.Tensor], adjust_terms,
                 rebalance_terms=None) -> LossBreakdown:
     """The objective of both modes, as one node, over (n, 1) treatments and
     outcomes.  ``adjust_terms(objective, coeff)`` and ``rebalance_terms`` add
@@ -339,19 +264,15 @@ def _total_loss(fam: Family, outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
     nll_t, factual_t = obj.nll(outputs.q_t, t, obj.group(weights.alpha))
     adjust = adjust_terms(obj, weights.beta)
     distill = obj.group(weights.gamma)
-    reverse = flags.teacher_kl_reverse
     unit_y = obj.sum([obj.nll(outputs.q_y_a, y, distill)[1],
                       obj.nll(outputs.q_y_c, y, distill)[1],
-                      obj.teacher_kl(outputs.q_y_a, outputs.q_y, distill, reverse),
-                      obj.teacher_kl(outputs.q_y_c, outputs.q_y, distill, reverse),
+                      obj.teacher_kl(outputs.q_y_a, outputs.q_y, distill),
+                      obj.teacher_kl(outputs.q_y_c, outputs.q_y, distill),
                       obj.kl(outputs.q_y_a, outputs.q_y_c, distill)])
-    unit_t = [obj.nll(outputs.q_t_z, t, distill)[1],
-              obj.teacher_kl(outputs.q_t_z, outputs.q_t, distill, reverse),
-              obj.teacher_kl(outputs.q_t_c, outputs.q_t, distill, reverse),
-              obj.kl(outputs.q_t_c, outputs.q_t_z, distill)]
-    if flags.aux_confounder_label:
-        unit_t.append(obj.nll(outputs.q_t_c, t, distill)[1])
-    unit_t = obj.sum(unit_t)
+    unit_t = obj.sum([obj.nll(outputs.q_t_z, t, distill)[1],
+                      obj.teacher_kl(outputs.q_t_z, outputs.q_t, distill),
+                      obj.teacher_kl(outputs.q_t_c, outputs.q_t, distill),
+                      obj.kl(outputs.q_t_c, outputs.q_t_z, distill)])
     rebalance = None if rebalance_terms is None else rebalance_terms(obj, weights.omega_cont)
     reg = obj.scalar(l2_penalty, params, coeff=weights.delta)
     parts = [(weights.alpha, factual_t), (weights.beta, adjust),
@@ -371,8 +292,7 @@ def _total_loss(fam: Family, outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
 
 def total_loss_binary(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
                       sample_weights: np.ndarray, weights: LossWeights,
-                      params: dict[str, ad.Tensor],
-                      flags: LossFlags = LossFlags()) -> LossBreakdown:
+                      params: dict[str, ad.Tensor]) -> LossBreakdown:
     """Bernoulli objective: importance-weighted factual outcome term and the
     MMD adjustment discrepancy of the adjustment representation."""
     if isinstance(outputs.q_t, Gaussian):
@@ -386,9 +306,9 @@ def total_loss_binary(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
         raise ValueError(f"sample weight count {w.shape[0]} != batch size {len(t)}")
 
     def adjust_terms(obj, coeff):
-        return obj.scalar(adjustment_disc, outputs.reps.r_a, t, flags.mmd_kernel, coeff=coeff)
+        return obj.scalar(adjustment_disc, outputs.reps.r_a, t, coeff=coeff)
 
-    return _total_loss(BERNOULLI, outputs, t, y, w, weights, params, flags, adjust_terms)
+    return _total_loss(BERNOULLI, outputs, t, y, w, weights, params, adjust_terms)
 
 
 def _anchored_treatment_terms(student: Gaussian, partner: Gaussian, teacher: Gaussian,
@@ -403,8 +323,7 @@ def _anchored_treatment_terms(student: Gaussian, partner: Gaussian, teacher: Gau
 
 
 def total_loss_continuous(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
-                          weights: LossWeights, params: dict[str, ad.Tensor],
-                          flags: LossFlags = LossFlags()) -> LossBreakdown:
+                          weights: LossWeights, params: dict[str, ad.Tensor]) -> LossBreakdown:
     """Gaussian objective: unweighted factual terms, the adjustment loss (the
     confounder treatment head anchored to the deep head and the adjustment
     head) and the rebalance loss (the instrument head anchored to the deep
@@ -413,6 +332,6 @@ def total_loss_continuous(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
         raise ValueError("total_loss_continuous requires continuous-mode outputs")
     t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    return _total_loss(GAUSSIAN, outputs, t, y, None, weights, params, flags,
+    return _total_loss(GAUSSIAN, outputs, t, y, None, weights, params,
                        _anchored_treatment_terms(outputs.q_t_c, outputs.q_t_a, outputs.q_t, t),
                        _anchored_treatment_terms(outputs.q_t_z, outputs.q_t_cr, outputs.q_t, t))

@@ -8,15 +8,26 @@ has an adjustment head and a rebalance network feeding a second confounder
 head.  The deep outcome head reads the factual treatment as one extra input
 column; at prediction time the do-value is substituted into that column.
 `predict_outcome` keeps the outcome head's input representations for the
-last covariates it scored, so a sweep over do-values on the same covariates
-runs the encoders once.
+last covariates it scored, so a sweep over do-values on the same covariates,
+such as eps_ATE's do(1) and do(0) or the 10-point grid of the counterfactual
+MSE, runs the encoders once.  The cache costs n x (input_dim + 2 rep_dim)
+floats per model, 1.8 MB for a 10,000-row demand split at the README
+architecture.  It is not model state: checkpoints, ``==`` and ``repr`` never
+see it.
 
 A forward pass on a tape that does not record runs in row blocks of at most
-``BLOCK_ROWS`` rows, each through the whole network, so a block's
-intermediates stay in cache; the per-block outputs are stitched back in row
-order.  Every operation is row-wise, so the values equal one pass over all
-rows bit for bit (``tests/test_model.py`` checks this around the block
-boundaries).
+``BLOCK_ROWS`` rows, each through the whole network, and the per-block
+outputs are stitched back in row order.  A block's layer output (1,024 x 64
+floats, 512 KB) stays in cache for the bias add and the activation's passes,
+where a 10,000-row output (5 MB) would stream through memory on each of them.
+A tail shorter than ``_MIN_BLOCK_ROWS`` joins the block before it: a one-row
+product goes through the BLAS matrix-vector path, whose sums can differ in the
+last bit, while blocks of two rows or more give the same bits as one product
+over all rows.  Every operation is row-wise, so the values equal one pass over
+all rows bit for bit (``tests/test_model.py`` checks this around the block
+boundaries).  The validation pass keeps its 4,096-row loss chunks, because
+the MMD, the KLs and the means are batch statistics; only the forward inside a
+chunk is blocked.
 """
 
 from __future__ import annotations
@@ -127,9 +138,6 @@ class SD2Model:
     # never saved, compared or printed: a cache, not model state
     _outcome_memo: _OutcomeMemo | None = field(default=None, init=False, repr=False,
                                                compare=False)
-
-    def weight_names(self) -> list[str]:
-        return [n for n in self.params if n.endswith(".W")]
 
     def copy_params(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import datagen as dg
 from . import rng
-from .losses import (DegenerateBatchError, LossBreakdown, LossFlags, LossWeights,
+from .losses import (DegenerateBatchError, LossBreakdown, LossWeights,
                      importance_weights, total_loss_binary, total_loss_continuous)
 from .model import ArchConfig, SD2Model, bind, forward_binary, forward_continuous, init_model
 
@@ -50,14 +50,12 @@ class TrainConfig:
     mode: str = "binary"
     arch: ArchConfig = field(default_factory=lambda: ArchConfig(input_dim=1))
     weights: LossWeights = field(default_factory=LossWeights)
-    flags: LossFlags = field(default_factory=LossFlags)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     batch_size: int = 256
     max_epochs: int = 200
     patience: int = 40
     seed: int = 0
     variant: str = "Total"
-    use_importance_weights: bool = True
     dataset: dict | None = None
     split_ratios: tuple[float, float, float] = (0.63, 0.27, 0.10)
     independent_draws: bool = True
@@ -106,7 +104,8 @@ class _BreakdownMean:
 def apply_ablation(config: TrainConfig, variant: str) -> TrainConfig:
     """Table-style variants: Lp keeps only the factual outcome path, Lp+Lt
     restores the deep treatment objective, Lp+Lt+La restores the adjustment
-    discrepancy, Total is the full objective."""
+    discrepancy, Total is the full objective, the only one with importance
+    weights."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     w = config.weights
@@ -118,8 +117,7 @@ def apply_ablation(config: TrainConfig, variant: str) -> TrainConfig:
         new_w = replace(w, beta=0.0, gamma=0.0)
     else:  # Lp+Lt+La
         new_w = replace(w, gamma=0.0)
-    return replace(config, weights=new_w, variant=variant,
-                   use_importance_weights=False)
+    return replace(config, weights=new_w, variant=variant)
 
 
 def _arch_for(config: TrainConfig, input_dim: int) -> ArchConfig:
@@ -129,16 +127,16 @@ def _arch_for(config: TrainConfig, input_dim: int) -> ArchConfig:
 def _batch_breakdown(config: TrainConfig, model: SD2Model, x, t, y,
                      tape: ad.Tape) -> tuple[LossBreakdown, np.ndarray]:
     """Loss breakdown of one batch and the sample weights it applied; the
-    breakdown carries the per-sample factual losses."""
+    breakdown carries the per-sample factual losses.  Only the binary `Total`
+    variant weights its factual outcome term."""
     params = bind(model, tape)
     if config.mode == "binary":
         outputs = forward_binary(model, x, t, tape, params)
-        w = (importance_weights(outputs.q_t_c.value, t) if config.use_importance_weights
+        w = (importance_weights(outputs.q_t_c.value, t) if config.variant == "Total"
              else np.ones(len(t)))
-        return total_loss_binary(outputs, t, y, w, config.weights, params, config.flags), w
+        return total_loss_binary(outputs, t, y, w, config.weights, params), w
     outputs = forward_continuous(model, x, t, tape, params)
-    return (total_loss_continuous(outputs, t, y, config.weights, params, config.flags),
-            np.ones(len(t)))
+    return total_loss_continuous(outputs, t, y, config.weights, params), np.ones(len(t))
 
 
 def _one_class(t: np.ndarray) -> bool:

@@ -6,8 +6,7 @@ Tests build the same computation from them and require the fused version to
 give the same bits: values and gradients.
 
 The old objective is kept here as well: each per-sample family term one node,
-the MMD as row selections, means and a square (or one ``mmd_rbf`` node), the
-L2 penalty as one node, then the means, sums and weighted total as primitive
+the MMD as row selections, means and a square, the L2 penalty as one node, then the means, sums and weighted total as primitive
 nodes, with ``tests/test_losses.py`` requiring `losses.total_loss_binary` and
 `losses.total_loss_continuous` to equal it bit for bit.  Unlike the fused
 objective, the composition checks every node's value, so a failure names the
@@ -23,7 +22,7 @@ from sd2 import family as F
 from sd2.autodiff import Tensor, _check_bias, _check_matmul, _elu_into, _sigmoid_into
 from sd2.family import Gaussian
 from sd2.infotheory import PROB_FLOOR
-from sd2.losses import BERNOULLI, GAUSSIAN, DegenerateBatchError, LossBreakdown, LossFlags
+from sd2.losses import BERNOULLI, GAUSSIAN, DegenerateBatchError, LossBreakdown
 
 
 # -- primitives ---------------------------------------------------------------
@@ -136,44 +135,6 @@ def select_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor(a.tape, a.value[idx], (a,), (vjp,), "select_rows")
 
 
-def mmd_rbf(x0: Tensor, x1: Tensor, bandwidth: float) -> Tensor:
-    """Biased squared MMD with Gaussian kernel exp(-d^2 / (2 bw^2)).
-
-    The bandwidth is a constant of the batch; pass the median heuristic value
-    computed on detached representations.
-    """
-    a, b = x0.value, x1.value
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError("mmd_rbf: expects matrices with equal width")
-    inv = 1.0 / (2.0 * bandwidth ** 2)
-
-    def gram(u, v):
-        d2 = (np.sum(u ** 2, 1)[:, None] + np.sum(v ** 2, 1)[None, :] - 2.0 * u @ v.T)
-        return np.exp(-np.maximum(d2, 0.0) * inv)
-
-    kaa, kbb, kab = gram(a, a), gram(b, b), gram(a, b)
-    m, n = len(a), len(b)
-    val = kaa.mean() + kbb.mean() - 2.0 * kab.mean()
-
-    def vjp0(g):
-        # d k(u,v) / du = -k * (u - v) / bw^2
-        waa = kaa / (m * m)
-        wab = kab / (m * n)
-        # within-group term appears twice by symmetry
-        grad = 2.0 * ((waa.sum(1)[:, None] * a) - waa @ a) * (-2.0 * inv)
-        grad -= 2.0 * ((wab.sum(1)[:, None] * a) - wab @ b) * (-2.0 * inv)
-        return float(g) * grad
-
-    def vjp1(g):
-        wbb = kbb / (n * n)
-        wba = kab.T / (m * n)
-        grad = 2.0 * ((wbb.sum(1)[:, None] * b) - wbb @ b) * (-2.0 * inv)
-        grad -= 2.0 * ((wba.sum(1)[:, None] * b) - wba @ a) * (-2.0 * inv)
-        return float(g) * grad
-
-    return Tensor(x0.tape, np.array(val), (x0, x1), (vjp0, vjp1), "mmd_rbf")
-
-
 def mean_all(a: Tensor) -> Tensor:
     n = a.value.size
     return Tensor(a.tape, np.array(a.value.mean()), (a,),
@@ -276,34 +237,28 @@ KL_VEC = {BERNOULLI: bernoulli_kl_vec, GAUSSIAN: gaussian_kl_vec}
 DETACH = {BERNOULLI: detach, GAUSSIAN: gaussian_detach}
 
 
-def _teacher_kl(fam, student, teacher, flags: LossFlags) -> Tensor:
-    td = DETACH[fam](teacher)
-    if flags.teacher_kl_reverse:
-        return mean_all(KL_VEC[fam](td, student))
-    return mean_all(KL_VEC[fam](student, td))
+def _teacher_kl(fam, student, teacher) -> Tensor:
+    return mean_all(KL_VEC[fam](student, DETACH[fam](teacher)))
 
 
-def distill_unit_treatment(fam, outputs, t, flags: LossFlags = LossFlags()) -> dict:
+def distill_unit_treatment(fam, outputs, t) -> dict:
     """Labels/teachers/peer terms of the treatment-side unit."""
-    terms = {
+    return {
         "label_z": mean_all(NLL_VEC[fam](outputs.q_t_z, t)),
-        "teacher_z": _teacher_kl(fam, outputs.q_t_z, outputs.q_t, flags),
-        "teacher_c": _teacher_kl(fam, outputs.q_t_c, outputs.q_t, flags),
+        "teacher_z": _teacher_kl(fam, outputs.q_t_z, outputs.q_t),
+        "teacher_c": _teacher_kl(fam, outputs.q_t_c, outputs.q_t),
         "peer": mean_all(KL_VEC[fam](outputs.q_t_c, outputs.q_t_z)),
     }
-    if flags.aux_confounder_label:
-        terms["label_c"] = mean_all(NLL_VEC[fam](outputs.q_t_c, t))
-    return terms
 
 
-def distill_unit_outcome(fam, outputs, y, flags: LossFlags = LossFlags()) -> dict:
+def distill_unit_outcome(fam, outputs, y) -> dict:
     """Outcome-side unit; the peer term runs student-adjustment against
     student-confounder."""
     return {
         "label_a": mean_all(NLL_VEC[fam](outputs.q_y_a, y)),
         "label_c": mean_all(NLL_VEC[fam](outputs.q_y_c, y)),
-        "teacher_a": _teacher_kl(fam, outputs.q_y_a, outputs.q_y, flags),
-        "teacher_c": _teacher_kl(fam, outputs.q_y_c, outputs.q_y, flags),
+        "teacher_a": _teacher_kl(fam, outputs.q_y_a, outputs.q_y),
+        "teacher_c": _teacher_kl(fam, outputs.q_y_c, outputs.q_y),
         "peer": mean_all(KL_VEC[fam](outputs.q_y_a, outputs.q_y_c)),
     }
 
@@ -334,11 +289,10 @@ def continuous_rebalance_loss(outputs, t) -> Tensor:
     return _anchored_treatment_loss(outputs.q_t_z, outputs.q_t_cr, outputs.q_t, t)
 
 
-def adjustment_disc(r_a: Tensor, t, kernel: str = "linear") -> Tensor:
-    """Squared MMD between the two groups' adjustment representations, from
-    row selections: the squared distance of group means (linear), or one
-    ``mmd_rbf`` node whose median-heuristic bandwidth is recorded on the
-    tape."""
+def adjustment_disc(r_a: Tensor, t) -> Tensor:
+    """Squared linear-kernel MMD between the two groups' adjustment
+    representations, from row selections: the squared distance of group
+    means."""
     t = np.asarray(t, dtype=np.float64).reshape(-1)
     idx0 = np.nonzero(t == 0)[0]
     idx1 = np.nonzero(t == 1)[0]
@@ -346,15 +300,7 @@ def adjustment_disc(r_a: Tensor, t, kernel: str = "linear") -> Tensor:
         raise DegenerateBatchError("adjustment discrepancy needs both groups")
     g0 = select_rows(r_a, idx0)
     g1 = select_rows(r_a, idx1)
-    if kernel == "linear":
-        return sum_all(square(sub(mean_rows(g0), mean_rows(g1))))
-    pool = r_a.value
-    sq = np.sum(pool ** 2, 1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * pool @ pool.T, 0.0)
-    d = np.sqrt(d2[np.triu_indices(len(pool), k=1)])
-    positive = d[d > 0]
-    med = np.median(positive) if positive.size else 1.0
-    return mmd_rbf(g0, g1, float(r_a.tape.record_detached(np.array(med))))
+    return sum_all(square(sub(mean_rows(g0), mean_rows(g1))))
 
 
 def l2_penalty(params: dict) -> Tensor:
@@ -365,15 +311,15 @@ def l2_penalty(params: dict) -> Tensor:
     return Tensor(weights[0].tape, value, tuple(weights), vjps, "l2_penalty")
 
 
-def _total_loss(fam, outputs, t, y, sample_weights, weights, params, flags, make_adjust,
+def _total_loss(fam, outputs, t, y, sample_weights, weights, params, make_adjust,
                 make_rebalance=None) -> LossBreakdown:
     nll_y = NLL_VEC[fam](outputs.q_y, y)
     factual_y = mean_all(nll_y if sample_weights is None else scale(nll_y, sample_weights))
     nll_t = NLL_VEC[fam](outputs.q_t, t)
     factual_t = mean_all(nll_t)
     adjust = make_adjust()
-    unit_y = _sum_terms(distill_unit_outcome(fam, outputs, y, flags))
-    unit_t = _sum_terms(distill_unit_treatment(fam, outputs, t, flags))
+    unit_y = _sum_terms(distill_unit_outcome(fam, outputs, y))
+    unit_t = _sum_terms(distill_unit_treatment(fam, outputs, t))
     rebalance = None if make_rebalance is None else make_rebalance()
     reg = l2_penalty(params)
     terms = [(weights.alpha, factual_t), (weights.beta, adjust),
@@ -393,19 +339,17 @@ def _total_loss(fam, outputs, t, y, sample_weights, weights, params, flags, make
         per_sample=(nll_y.value[:, 0], nll_t.value[:, 0]))
 
 
-def total_loss_binary(outputs, t, y, sample_weights, weights, params,
-                      flags: LossFlags = LossFlags()) -> LossBreakdown:
+def total_loss_binary(outputs, t, y, sample_weights, weights, params) -> LossBreakdown:
     t = np.asarray(t, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     w = np.asarray(sample_weights, dtype=np.float64).reshape(-1, 1)
-    return _total_loss(BERNOULLI, outputs, t, y, w, weights, params, flags,
-                       lambda: adjustment_disc(outputs.reps.r_a, t, kernel=flags.mmd_kernel))
+    return _total_loss(BERNOULLI, outputs, t, y, w, weights, params,
+                       lambda: adjustment_disc(outputs.reps.r_a, t))
 
 
-def total_loss_continuous(outputs, t, y, weights, params,
-                          flags: LossFlags = LossFlags()) -> LossBreakdown:
+def total_loss_continuous(outputs, t, y, weights, params) -> LossBreakdown:
     t = np.asarray(t, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    return _total_loss(GAUSSIAN, outputs, t, y, None, weights, params, flags,
+    return _total_loss(GAUSSIAN, outputs, t, y, None, weights, params,
                        lambda: continuous_adjust_loss(outputs, t),
                        lambda: continuous_rebalance_loss(outputs, t))

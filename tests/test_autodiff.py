@@ -432,21 +432,6 @@ class TestCompositeOps:
         x = rng.normal_matrix(55, 3, 2)
         assert ad.finite_diff_check(loss, {"x": x}) < 1e-6
 
-    def test_mmd_rbf_gradcheck(self):
-        def loss(tape, params):
-            a = tape.parameter(params["a"], "a")
-            b = tape.parameter(params["b"], "b")
-            return R.mmd_rbf(a, b, bandwidth=1.3)
-        a = rng.normal_matrix(66, 5, 3)
-        b = rng.normal_matrix(67, 4, 3) + 0.4
-        assert ad.finite_diff_check(loss, {"a": a, "b": b}) < 1e-6
-
-    def test_mmd_rbf_identical_groups_zero(self):
-        tape = ad.Tape()
-        a = tape.parameter(rng.normal_matrix(68, 4, 2), "a")
-        out = R.mmd_rbf(a, tape.constant(a.value.copy()), bandwidth=1.0)
-        assert out.value == pytest.approx(0.0, abs=1e-12)
-
 
 def test_glorot_bounds():
     w = ad.glorot_init(1, 30, 40)

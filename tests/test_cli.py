@@ -109,6 +109,17 @@ class TestTrain:
                        str(tmp_path / "absent"), "--out", str(tmp_path / "run")])
         assert rc == 3
 
+    def test_written_config_trains_again(self, tmp_path):
+        # config.json holds arch.mode, equal to the config's mode
+        first = tmp_path / "run"
+        assert cli.main(["train", "--config", write_json(tmp_path / "cfg.json", SMALL_TRAIN),
+                         "--out", str(first)]) == 0
+        again = tmp_path / "again"
+        assert cli.main(["train", "--config", str(first / "config.json"),
+                         "--out", str(again)]) == 0
+        for artifact in ("config.json", "checkpoint.bin", "history.csv"):
+            assert (again / artifact).read_bytes() == (first / artifact).read_bytes()
+
     def test_unknown_config_field_exit_2(self, tmp_path):
         bad = dict(SMALL_TRAIN)
         bad["optimiser"] = {}
@@ -317,12 +328,32 @@ FAILURES = {
     "evaluate_no_split": (lambda tmp, run, data: [
         "evaluate", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data),
         "--splits", ","], 2),
-    "unknown_mmd_kernel": (lambda tmp, run, data: [
-        "train", "--config", _config(tmp, flags={"mmd_kernel": "gauss"})], 2),
-    # continuous mode has no MMD term, so the flag would be ignored
-    "continuous_rbf_kernel": (lambda tmp, run, data: [
-        "train", "--config", _config(tmp, mode="continuous", flags={"mmd_kernel": "rbf"},
-                                     dataset={"kind": "demand", "n": 200})], 2),
+    "zero_schema_version": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, schema_version=0)], 2),
+    "negative_schema_version": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, schema_version=-5)], 2),
+    # the variant alone selects the objective: no loss switches, no weighting switch
+    "flags_section": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, flags={"mmd_kernel": "linear"})], 2),
+    "use_importance_weights": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, train={**SMALL_TRAIN["train"],
+                                                  "use_importance_weights": True})], 2),
+    # the data's width sets input_dim, and the config's mode sets the arch's
+    "arch_input_dim": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, arch={**SMALL_TRAIN["arch"], "input_dim": 50})], 2),
+    "arch_mode_mismatch": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, arch={**SMALL_TRAIN["arch"], "mode": "continuous"})],
+        2),
+}
+
+# cases whose error must name the field at fault
+FAILURE_FIELDS = {
+    "zero_schema_version": "schema_version",
+    "negative_schema_version": "schema_version",
+    "flags_section": "'flags'",
+    "use_importance_weights": "use_importance_weights",
+    "arch_input_dim": "input_dim",
+    "arch_mode_mismatch": "mode",
 }
 
 
@@ -334,6 +365,7 @@ def test_failure_writes_failed_manifest(case, trained_run, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"]
+    assert FAILURE_FIELDS.get(case, "") in manifest["error"]
 
 
 def test_diverged_step_names_epoch_batch_and_term(tmp_path):

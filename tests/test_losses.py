@@ -62,13 +62,12 @@ class TestImportanceWeights:
 
 
 class TestAdjustmentDisc:
-    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
-    def test_identical_groups_zero(self, kernel):
+    def test_identical_groups_zero(self):
         tape = ad.Tape()
         block = rng.normal_matrix(5, 4, 3)
         r = tape.constant(np.vstack([block, block]))
         t = np.array([0, 0, 0, 0, 1, 1, 1, 1.0])
-        value, _ = L.adjustment_disc(r, t, kernel=kernel)
+        value, _ = L.adjustment_disc(r, t)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_singleton_groups_linear(self):
@@ -82,33 +81,19 @@ class TestAdjustmentDisc:
         t = np.array([0.0, 0.0, 1.0, 1.0])
         assert L.adjustment_disc(r, t)[0] == pytest.approx(0.0, abs=1e-15)
 
-    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
-    def test_symmetric_in_group_labels(self, kernel):
+    def test_symmetric_in_group_labels(self):
         r_val = rng.normal_matrix(6, 8, 2)
         t = np.array([0, 1, 0, 1, 1, 0, 0, 1.0])
         tape = ad.Tape()
-        a, _ = L.adjustment_disc(tape.constant(r_val), t, kernel=kernel)
+        a, _ = L.adjustment_disc(tape.constant(r_val), t)
         tape2 = ad.Tape()
-        b, _ = L.adjustment_disc(tape2.constant(r_val), 1.0 - t, kernel=kernel)
+        b, _ = L.adjustment_disc(tape2.constant(r_val), 1.0 - t)
         assert a == pytest.approx(float(b), rel=1e-12)
 
     def test_empty_group_rejected(self):
         tape = ad.Tape()
         with pytest.raises(L.DegenerateBatchError):
             L.adjustment_disc(tape.constant(np.ones((3, 2))), np.ones(3))
-
-    def test_rbf_nonnegative(self):
-        tape = ad.Tape()
-        r = tape.constant(rng.normal_matrix(7, 10, 3))
-        t = np.array([0, 1] * 5, dtype=float)
-        assert L.adjustment_disc(r, t, kernel="rbf")[0] >= 0.0
-
-    def test_unknown_kernel_rejected(self):
-        tape = ad.Tape()
-        with pytest.raises(ValueError, match="unknown kernel"):
-            L.adjustment_disc(tape.constant(np.ones((2, 1))), np.array([0.0, 1.0]), "gauss")
-        with pytest.raises(ValueError, match="mmd_kernel"):
-            L.LossFlags(mmd_kernel="gauss")
 
 
 def scalar_term_run(build, values, coeff=0.7):
@@ -141,32 +126,17 @@ class TestScalarTerms:
     """The MMD and the L2 penalty against their compositions
     (tests/reference_ops.py): values and every gradient, bit for bit."""
 
-    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
     @pytest.mark.parametrize("t", [
         np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1.0]),   # unequal groups
         np.array([1, 0, 0, 0, 0, 0, 0.0]),                 # a one-row treated group
         np.array([0, 1, 1, 1, 1.0]),                       # a one-row control group
         np.array([1, 0.0]),
     ], ids=["unequal", "one-treated", "one-control", "two-rows"])
-    def test_adjustment_disc_matches_composition_bitwise(self, kernel, t):
+    def test_adjustment_disc_matches_composition_bitwise(self, t):
         values = {"r_a": rng.normal_matrix(220, len(t), 3) * 1.5}
         assert_same_term(
-            lambda tape, p: R.term_node(L.adjustment_disc, tape, p["r_a"], t, kernel),
-            lambda tape, p: R.adjustment_disc(p["r_a"], t, kernel), values)
-
-    def test_rbf_bandwidth_recorded_and_replayed(self):
-        t = np.array([0, 1, 1, 0, 1.0])
-        r_a = rng.normal_matrix(221, 5, 2)
-        tape = ad.Tape()
-        value, _ = L.adjustment_disc(tape.constant(r_a), t, "rbf")
-        ref_tape = ad.Tape()
-        ref = R.adjustment_disc(ref_tape.constant(r_a), t, "rbf")
-        assert value == ref.value
-        assert len(tape.detached_values) == 1
-        assert np.array_equal(tape.detached_values, ref_tape.detached_values)
-        replayed = ad.Tape(replay_detached=[np.array(2.5)])
-        expected = R.mmd_rbf(replayed.constant(r_a[t == 0]), replayed.constant(r_a[t == 1]), 2.5)
-        assert L.adjustment_disc(replayed.constant(r_a), t, "rbf")[0] == expected.value
+            lambda tape, p: R.term_node(L.adjustment_disc, tape, p["r_a"], t),
+            lambda tape, p: R.adjustment_disc(p["r_a"], t), values)
 
     def test_l2_penalty_matches_composition_bitwise(self):
         values = {"enc.l0.W": rng.normal_matrix(222, 5, 4), "enc.l0.b": np.full(4, 0.3),
@@ -213,14 +183,6 @@ class TestDistillUnits:
         terms = R.distill_unit_treatment(BERNOULLI, outs, np.array([1.0, 0.0]))
         assert terms["label_z"].value == pytest.approx(0.0, abs=1e-6)
 
-    def test_aux_flag_adds_treatment_label(self):
-        tape = ad.Tape()
-        outs = binary_outputs(tape, *([[0.6]] * 6))
-        on = R.distill_unit_treatment(BERNOULLI, outs, np.array([1.0]),
-                                      L.LossFlags(aux_confounder_label=True))
-        off = R.distill_unit_treatment(BERNOULLI, outs, np.array([1.0]))
-        assert "label_c" in on and "label_c" not in off
-
     def test_outcome_unit_always_carries_confounder_label(self):
         tape = ad.Tape()
         outs = binary_outputs(tape, *([[0.6]] * 6))
@@ -241,6 +203,13 @@ def random_binary_setup(tape, n=8, key=3):
               "layer.b": tape.parameter(np.zeros(2), "layer.b")}
     r_a = tape.constant(rng.normal_matrix(key + 20, n, 3))
     return binary_outputs(tape, *vals, r_a=r_a), params
+
+
+def weighted_sum(bd, w):
+    """The total recomputed from the breakdown's terms and the coefficients."""
+    return (bd.factual_y + w.alpha * bd.factual_t + w.beta * bd.adjust
+            + w.gamma * (bd.distill_outcome + bd.distill_treatment)
+            + w.omega_cont * bd.rebalance + w.delta * bd.reg)
 
 
 class TestTotalLossBinary:
@@ -272,8 +241,7 @@ class TestTotalLossBinary:
         w = L.LossWeights(alpha=0.7, beta=1.3, gamma=2.1, delta=0.01)
         sw = L.importance_weights(np.full(8, 0.5), t)
         bd = L.total_loss_binary(outs, t, y, sw, w, params)
-        recomputed = sum(bd.weighted_parts(w).values())
-        assert abs(bd.total - recomputed) < 1e-10
+        assert abs(bd.total - weighted_sum(bd, w)) < 1e-10
 
     def test_linear_in_gamma(self):
         t, y = small_batch()
@@ -382,7 +350,7 @@ class TestContinuousLosses:
         params2 = {"w.W": tape2.parameter(rng.normal_matrix(60, 2, 2), "w.W")}
         w = L.LossWeights(alpha=0.3, beta=1.7, gamma=0.9, delta=0.05, omega_cont=2.0)
         bd = L.total_loss_continuous(outs2, t, y, w, params2)
-        assert abs(bd.total - sum(bd.weighted_parts(w).values())) < 1e-10
+        assert abs(bd.total - weighted_sum(bd, w)) < 1e-10
 
     def test_doubling_gamma_doubles_distillation(self):
         t = rng.normals(70, 0, 6)
@@ -614,22 +582,12 @@ class TestLossWeights:
 
 OBJECTIVE_ARCH = dict(rep_dim=4, enc_hidden=8, enc_layers=1, head_hidden=4)
 OBJECTIVE_WEIGHTS = L.LossWeights(alpha=0.7, beta=0.5, gamma=1.3, delta=0.01, omega_cont=0.8)
-ALL_FLAGS = [L.LossFlags(kernel, aux, reverse) for kernel in ("linear", "rbf")
-             for aux in (False, True) for reverse in (False, True)]
-CONTINUOUS_FLAGS = [f for f in ALL_FLAGS if f.mmd_kernel == "linear"]  # no MMD in this mode
-OBJECTIVE_CASES = ([("binary", f) for f in ALL_FLAGS]
-                   + [("continuous", f) for f in CONTINUOUS_FLAGS])
 
 
-def flag_id(flags):
-    aux, reverse = int(flags.aux_confounder_label), int(flags.teacher_kl_reverse)
-    return f"{flags.mmd_kernel}-aux{aux}-rev{reverse}"
-
-
-def objective_run(losses, mode, flags, variant="Total", record=True, rows=48):
+def objective_run(losses, mode, variant="Total", record=True, rows=48):
     """Breakdown, gradients and teacher values of one step, with the
     objective built by ``losses`` (the package's or the reference)."""
-    cfg = tr.TrainConfig(mode=mode, weights=OBJECTIVE_WEIGHTS, flags=flags,
+    cfg = tr.TrainConfig(mode=mode, weights=OBJECTIVE_WEIGHTS,
                          arch=M.ArchConfig(input_dim=1, **OBJECTIVE_ARCH))
     cfg = tr.apply_ablation(cfg, variant)
     model = M.init_model(tr._arch_for(cfg, 5), 3)
@@ -642,12 +600,12 @@ def objective_run(losses, mode, flags, variant="Total", record=True, rows=48):
         out = M.forward_binary(model, x, t, tape, params)
         w = L.importance_weights(out.q_t_c.value, t)
         forward_nodes = len(tape.nodes)
-        bd = losses.total_loss_binary(out, t, y, w, cfg.weights, params, cfg.flags)
+        bd = losses.total_loss_binary(out, t, y, w, cfg.weights, params)
     else:
         t, y = rng.normals(32, 0, rows), rng.normals(34, 0, rows)
         out = M.forward_continuous(model, x, t, tape, params)
         forward_nodes = len(tape.nodes)
-        bd = losses.total_loss_continuous(out, t, y, cfg.weights, params, cfg.flags)
+        bd = losses.total_loss_continuous(out, t, y, cfg.weights, params)
     result = {"fields": [getattr(bd, f) for f in bd.FIELDS], "per_sample": bd.per_sample}
     if record:
         result["loss_nodes"] = len(tape.nodes) - forward_nodes
@@ -670,32 +628,24 @@ class TestObjective:
     # a full batch, and the short remainder batches an epoch can end on
     @pytest.mark.parametrize("rows", [2, 7, 48], ids="rows{}".format)
     @pytest.mark.parametrize("variant", ["Lp", "Lp+Lt", "Lp+Lt+La", "Total"])
-    @pytest.mark.parametrize("mode, flags", OBJECTIVE_CASES,
-                             ids=[f"{m}-{flag_id(f)}" for m, f in OBJECTIVE_CASES])
-    def test_matches_composition_bitwise(self, mode, flags, variant, rows):
-        got = objective_run(L, mode, flags, variant, rows=rows)
-        ref = objective_run(R, mode, flags, variant, rows=rows)
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    def test_matches_composition_bitwise(self, mode, variant, rows):
+        got = objective_run(L, mode, variant, rows=rows)
+        ref = objective_run(R, mode, variant, rows=rows)
         assert_bitwise_equal(got, ref)
         assert got["loss_nodes"] == 1  # the MMD and l2_penalty included
 
-    @pytest.mark.parametrize("mode, flags", OBJECTIVE_CASES,
-                             ids=[f"{m}-{flag_id(f)}" for m, f in OBJECTIVE_CASES])
-    def test_tape_free_matches_composition_bitwise(self, mode, flags):
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    def test_tape_free_matches_composition_bitwise(self, mode):
         # as in the validation pass: a tape that records nothing, and a
         # forward over two row blocks
-        got = objective_run(L, mode, flags, record=False, rows=1500)
-        assert_bitwise_equal(got, objective_run(R, mode, flags, record=False, rows=1500))
+        got = objective_run(L, mode, record=False, rows=1500)
+        assert_bitwise_equal(got, objective_run(R, mode, record=False, rows=1500))
 
-    @pytest.mark.parametrize("mode, flags", [
-        ("binary", L.LossFlags()), ("binary", L.LossFlags(teacher_kl_reverse=True)),
-        ("binary", L.LossFlags(mmd_kernel="rbf")),
-        ("binary", L.LossFlags(mmd_kernel="rbf", aux_confounder_label=True,
-                               teacher_kl_reverse=True)),
-        ("continuous", L.LossFlags()), ("continuous", L.LossFlags(teacher_kl_reverse=True))],
-        ids=lambda v: v if isinstance(v, str) else flag_id(v))
-    def test_gradcheck(self, mode, flags):
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    def test_gradcheck(self, mode):
         # central differences of the whole objective through a tiny model; the
-        # teachers and the rbf bandwidth are replayed at every probe point
+        # teachers are replayed at every probe point
         arch = M.ArchConfig(input_dim=3, rep_dim=2, enc_hidden=3, enc_layers=1, head_hidden=2,
                             mode=mode)
         model = M.init_model(arch, 5)
@@ -709,14 +659,14 @@ class TestObjective:
             def loss(tape, params):
                 p = {k: tape.parameter(v, k) for k, v in params.items()}
                 out = M.forward_binary(model, x, t, tape, p)
-                return L.total_loss_binary(out, t, y, w, OBJECTIVE_WEIGHTS, p, flags).node
+                return L.total_loss_binary(out, t, y, w, OBJECTIVE_WEIGHTS, p).node
         else:
             t, y = rng.normals(42, 0, rows), rng.normals(43, 0, rows)
 
             def loss(tape, params):
                 p = {k: tape.parameter(v, k) for k, v in params.items()}
                 out = M.forward_continuous(model, x, t, tape, p)
-                return L.total_loss_continuous(out, t, y, OBJECTIVE_WEIGHTS, p, flags).node
+                return L.total_loss_continuous(out, t, y, OBJECTIVE_WEIGHTS, p).node
 
         assert ad.finite_diff_check(loss, model.params) < 1e-6
 
@@ -740,7 +690,7 @@ def failing_binary(losses, sample_weight=1.0, r_a_scale=1.0, weight_scale=1.0):
 CONTINUOUS_HEADS = ("q_t", "q_t_z", "q_t_c", "q_t_a", "q_t_cr", "q_y", "q_y_a", "q_y_c")
 
 
-def failing_continuous(losses, huge_mean=(), flags=L.LossFlags()):
+def failing_continuous(losses, huge_mean=()):
     tape = ad.Tape()
     scales = [1e200 if name in huge_mean else 1.0 for name in CONTINUOUS_HEADS]
     heads = [gaussian(tape, scale * rng.normals(70 + i, 0, FAILURE_ROWS),
@@ -749,7 +699,7 @@ def failing_continuous(losses, huge_mean=(), flags=L.LossFlags()):
     params = {"w.W": tape.parameter(np.eye(2), "w.W")}
     t, y = rng.normals(90, 0, FAILURE_ROWS), rng.normals(91, 0, FAILURE_ROWS)
     return losses.total_loss_continuous(continuous_outputs(*heads), t, y, L.LossWeights(),
-                                        params, flags)
+                                        params)
 
 
 def failure_message(build, losses) -> str:
@@ -775,8 +725,7 @@ class TestObjectiveFailures:
         (lambda ls: failing_continuous(ls, ("q_y",)), "gaussian_nll"),
         (lambda ls: failing_continuous(ls, ("q_y_a",)), "gaussian_nll"),
         (lambda ls: failing_continuous(ls, ("q_t_cr",)), "gaussian_kl"),
-        (lambda ls: failing_continuous(ls, ("q_t",), L.LossFlags(teacher_kl_reverse=True)),
-         "gaussian_nll"),
+        (lambda ls: failing_continuous(ls, ("q_t",)), "gaussian_nll"),
         # the adjustment loss's partner KL comes before the outcome unit
         (lambda ls: failing_continuous(ls, ("q_t_a", "q_y_c")), "gaussian_kl"),
         # every term finite (the MMD ~1.7e308, the outcome term ~2.4e307),

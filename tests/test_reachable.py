@@ -1,6 +1,8 @@
-"""Every module-level function of the package is reached by name from outside
-its own body: from a module of the package, the CLI entry point, scripts/,
-perfbench/ or a name the README quotes as code.  Code that nothing calls is
+"""Every module-level function and every method of a package class is reached
+by name from outside its own body: from a module of the package, the CLI entry
+point, scripts/, perfbench/ or a name the README quotes as code.  A method
+counts as reached when any of them reads an attribute of its name; dunder
+methods, which Python calls itself, are exempt.  Code that nothing calls is
 deleted, or kept in ``KEPT`` with the reason it stays."""
 
 import ast
@@ -75,19 +77,39 @@ def _reads(tree: ast.Module, module: str, skip=None) -> set[tuple[str, str]]:
     return found
 
 
+def _attributes(node, skip=None) -> set[str]:
+    """Attribute names read in ``node``, outside the subtree ``skip``."""
+    found = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        stack.extend(ast.iter_child_nodes(n))
+    return found
+
+
 def unreached(modules: dict[str, str], outside: set[str]) -> list[str]:
     """``module.function`` for each module-level function of ``modules``
-    (name -> source) that no code reads: no module outside the function's
-    own body, and no name in ``outside``."""
+    (name -> source) that no code reads, and ``module.Class.method`` for each
+    method whose name no code reads as an attribute: none in any module
+    outside the function's or method's own body, and no name in ``outside``."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     reads = {name: _reads(tree, name) for name, tree in trees.items()}
+    attributes = {name: _attributes(tree) for name, tree in trees.items()}
     found = []
     for name, tree in trees.items():
         others = set().union(*(r for other, r in reads.items() if other != name))
+        other_attributes = set().union(*(a for other, a in attributes.items() if other != name))
         for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef) or fn.name in outside:
-                continue
-            if (name, fn.name) not in others | _reads(tree, name, skip=fn):
+            if isinstance(fn, ast.ClassDef):
+                found += [f"{name}.{fn.name}.{m.name}" for m in fn.body
+                          if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+                          and m.name not in outside | other_attributes | _attributes(tree, m)]
+            elif (isinstance(fn, ast.FunctionDef) and fn.name not in outside
+                  and (name, fn.name) not in others | _reads(tree, name, skip=fn)):
                 found.append(f"{name}.{fn.name}")
     return sorted(found)
 
@@ -114,10 +136,16 @@ def test_detector_flags_unreached_functions():
         "b": "from . import a as m\nfrom .a import imported\n\n"
              "def helper():\n    pass\n\n"
              "def main():\n    helper(imported, m.by_alias)\n\n"
-             "def same_name():\n    return same_name\n",
+             "def same_name():\n    return same_name\n\n"
+             "class K:\n    def __init__(self):\n        self.called()\n\n"
+             "    def called(self):\n        pass\n\n"
+             "    def self_only(self):\n        return self.self_only()\n\n"
+             "    def elsewhere(self):\n        pass\n\n"
+             "    def quoted(self):\n        pass\n",
+        "c": "def main(k):\n    return k.elsewhere\n",
     }
-    assert unreached(modules, {"main"}) == [
-        "a.recursive", "a.same_name", "a.unused", "b.same_name"]
+    assert unreached(modules, {"main", "quoted"}) == [
+        "a.recursive", "a.same_name", "a.unused", "b.K.self_only", "b.same_name"]
     assert "b.main" in unreached(modules, set())
 
 

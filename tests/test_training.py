@@ -12,7 +12,7 @@ from sd2 import datagen as dg
 from sd2 import evaluation as ev
 from sd2 import rng
 from sd2 import training as tr
-from sd2.losses import LossFlags, LossWeights
+from sd2.losses import LossWeights
 from sd2.model import ArchConfig, init_model, predict_outcome
 
 
@@ -172,16 +172,14 @@ class TestTapes:
         record_every_tape()  # every forward then runs over its whole chunk at once
         assert run() == blocked
 
-    @pytest.mark.parametrize("mode, kernel, nodes", [
-        ("binary", "linear", 75), ("binary", "rbf", 75), ("continuous", "linear", 109)])
-    def test_step_tape_size(self, mode, kernel, nodes):
+    @pytest.mark.parametrize("mode, nodes", [("binary", 75), ("continuous", 109)])
+    def test_step_tape_size(self, mode, nodes):
         # README arch and weights: the leaves, one node per dense layer and
         # per Gaussian head column, and the one objective node
         cfg = tr.TrainConfig(
             mode=mode, arch=ArchConfig(input_dim=1, rep_dim=8, enc_hidden=64, enc_layers=2,
                                        head_hidden=32),
-            weights=LossWeights(alpha=1.0, beta=0.5, gamma=1.0, delta=0.01),
-            flags=LossFlags(mmd_kernel=kernel))
+            weights=LossWeights(alpha=1.0, beta=0.5, gamma=1.0, delta=0.01))
         model = init_model(tr._arch_for(cfg, 6), 3)
         x = rng.normal_matrix(21, 32, 6)
         t = ((np.arange(32) % 2).astype(float) if mode == "binary"
@@ -205,7 +203,6 @@ class TestAblation:
     def test_lp_zeroes_everything(self, tiny_triple):
         cfg = tr.apply_ablation(tiny_config(max_epochs=1, patience=1), "Lp")
         assert (cfg.weights.alpha, cfg.weights.beta, cfg.weights.gamma) == (0, 0, 0)
-        assert not cfg.use_importance_weights
         assert cfg.variant == "Lp"
         # Lp keeps the outcome head's treatment input, so its effect is not 0
         model, _ = tr.train(cfg, tiny_triple[0], tiny_triple[1])
@@ -224,6 +221,15 @@ class TestAblation:
         cfg = tr.apply_ablation(base, "Lp+Lt+La")
         assert cfg.weights.beta == base.weights.beta
         assert cfg.weights.gamma == 0
+
+    def test_only_total_weights_the_outcome_term(self, tiny_triple):
+        ds = tiny_triple[0]
+        base = tiny_config()
+        model = init_model(tr._arch_for(base, ds.covariates().shape[1]), 3)
+        for variant in tr.VARIANTS:
+            cfg = tr.apply_ablation(base, variant)
+            _, w = tr._batch_breakdown(cfg, model, ds.covariates(), ds.t, ds.y, ad.Tape())
+            assert np.all(w == 1.0) == (variant != "Total"), variant
 
     def test_total_is_identity(self):
         base = tiny_config()
