@@ -132,8 +132,9 @@ class TestScalarTerms:
         np.array([0, 1, 1, 1, 1.0]),                       # a one-row control group
         np.array([1, 0.0]),
     ], ids=["unequal", "one-treated", "one-control", "two-rows"])
-    def test_adjustment_disc_matches_composition_bitwise(self, t):
-        values = {"r_a": rng.normal_matrix(220, len(t), 3) * 1.5}
+    @pytest.mark.parametrize("width", [1, 3, 8], ids="width{}".format)
+    def test_adjustment_disc_matches_composition_bitwise(self, t, width):
+        values = {"r_a": rng.normal_matrix(220, len(t), width) * 1.5}
         assert_same_term(
             lambda tape, p: R.term_node(L.adjustment_disc, tape, p["r_a"], t),
             lambda tape, p: R.adjustment_disc(p["r_a"], t), values)
@@ -584,25 +585,40 @@ OBJECTIVE_ARCH = dict(rep_dim=4, enc_hidden=8, enc_layers=1, head_hidden=4)
 OBJECTIVE_WEIGHTS = L.LossWeights(alpha=0.7, beta=0.5, gamma=1.3, delta=0.01, omega_cont=0.8)
 
 
-def objective_run(losses, mode, variant="Total", record=True, rows=48):
+# treatment columns of n rows.  Binary: groups of equal size, unequal groups,
+# and a group of one row on either side, as the MMD's group means and the
+# importance weights' class ratio see them.  Continuous: standard normal, and
+# scaled and shifted away from 0.
+TREATMENT_LAYOUTS = {
+    ("binary", "alternating"): lambda n: (np.arange(n) % 2).astype(float),
+    ("binary", "unequal"): lambda n: (np.arange(n) % 3 == 1).astype(float),
+    ("binary", "one-treated"): lambda n: (np.arange(n) == 0).astype(float),
+    ("binary", "one-control"): lambda n: (np.arange(n) != 0).astype(float),
+    ("continuous", "normal"): lambda n: rng.normals(32, 0, n),
+    ("continuous", "scaled"): lambda n: 2.5 + 3.0 * rng.normals(32, 0, n),
+}
+LAYOUTS = sorted(TREATMENT_LAYOUTS)
+
+
+def objective_run(losses, mode, layout, variant="Total", record=True, rows=48, enc_layers=1):
     """Breakdown, gradients and teacher values of one step, with the
     objective built by ``losses`` (the package's or the reference)."""
-    cfg = tr.TrainConfig(mode=mode, weights=OBJECTIVE_WEIGHTS,
-                         arch=M.ArchConfig(input_dim=1, **OBJECTIVE_ARCH))
+    arch = M.ArchConfig(input_dim=1, **dict(OBJECTIVE_ARCH, enc_layers=enc_layers))
+    cfg = tr.TrainConfig(mode=mode, weights=OBJECTIVE_WEIGHTS, arch=arch)
     cfg = tr.apply_ablation(cfg, variant)
     model = M.init_model(tr._arch_for(cfg, 5), 3)
     x = rng.normal_matrix(31, rows, 5)
+    t = TREATMENT_LAYOUTS[mode, layout](rows)
     tape = ad.Tape(record=record)
     params = M.bind(model, tape)
     if mode == "binary":
-        t = (np.arange(rows) % 2).astype(float)
         y = rng.bernoulli(33, np.full(rows, 0.4))
         out = M.forward_binary(model, x, t, tape, params)
         w = L.importance_weights(out.q_t_c.value, t)
         forward_nodes = len(tape.nodes)
         bd = losses.total_loss_binary(out, t, y, w, cfg.weights, params)
     else:
-        t, y = rng.normals(32, 0, rows), rng.normals(34, 0, rows)
+        y = rng.normals(34, 0, rows)
         out = M.forward_continuous(model, x, t, tape, params)
         forward_nodes = len(tape.nodes)
         bd = losses.total_loss_continuous(out, t, y, cfg.weights, params)
@@ -624,26 +640,35 @@ def assert_bitwise_equal(got, ref):
         assert all(np.array_equal(a, b) for a, b in zip(got["detached"], ref["detached"]))
 
 
+# a full batch, and the short remainder batches an epoch can end on; two rows
+# hold only two distinct binary columns, so the layouts that repeat one of
+# them there are left out
+BITWISE_CASES = [(mode, layout, rows) for rows in (2, 7, 48) for mode, layout in LAYOUTS
+                 if not (rows == 2 and layout in ("unequal", "one-control"))]
+
+
 class TestObjective:
-    # a full batch, and the short remainder batches an epoch can end on
-    @pytest.mark.parametrize("rows", [2, 7, 48], ids="rows{}".format)
-    @pytest.mark.parametrize("variant", ["Lp", "Lp+Lt", "Lp+Lt+La", "Total"])
-    @pytest.mark.parametrize("mode", ["binary", "continuous"])
-    def test_matches_composition_bitwise(self, mode, variant, rows):
-        got = objective_run(L, mode, variant, rows=rows)
-        ref = objective_run(R, mode, variant, rows=rows)
+    @pytest.mark.parametrize("enc_layers", [1, 2], ids="depth{}".format)
+    @pytest.mark.parametrize("variant", tr.VARIANTS)
+    @pytest.mark.parametrize("mode, layout, rows", BITWISE_CASES,
+                             ids=[f"{m}-{lay}-rows{n}" for m, lay, n in BITWISE_CASES])
+    def test_matches_composition_bitwise(self, mode, layout, rows, variant, enc_layers):
+        got = objective_run(L, mode, layout, variant, rows=rows, enc_layers=enc_layers)
+        ref = objective_run(R, mode, layout, variant, rows=rows, enc_layers=enc_layers)
         assert_bitwise_equal(got, ref)
         assert got["loss_nodes"] == 1  # the MMD and l2_penalty included
 
-    @pytest.mark.parametrize("mode", ["binary", "continuous"])
-    def test_tape_free_matches_composition_bitwise(self, mode):
+    @pytest.mark.parametrize("variant", tr.VARIANTS)
+    @pytest.mark.parametrize("mode, layout", LAYOUTS, ids=["-".join(c) for c in LAYOUTS])
+    def test_tape_free_matches_composition_bitwise(self, mode, layout, variant):
         # as in the validation pass: a tape that records nothing, and a
         # forward over two row blocks
-        got = objective_run(L, mode, record=False, rows=1500)
-        assert_bitwise_equal(got, objective_run(R, mode, record=False, rows=1500))
+        got = objective_run(L, mode, layout, variant, record=False, rows=1500)
+        ref = objective_run(R, mode, layout, variant, record=False, rows=1500)
+        assert_bitwise_equal(got, ref)
 
-    @pytest.mark.parametrize("mode", ["binary", "continuous"])
-    def test_gradcheck(self, mode):
+    @pytest.mark.parametrize("mode, layout", LAYOUTS, ids=["-".join(c) for c in LAYOUTS])
+    def test_gradcheck(self, mode, layout):
         # central differences of the whole objective through a tiny model; the
         # teachers are replayed at every probe point
         arch = M.ArchConfig(input_dim=3, rep_dim=2, enc_hidden=3, enc_layers=1, head_hidden=2,
@@ -651,8 +676,8 @@ class TestObjective:
         model = M.init_model(arch, 5)
         rows = 12
         x = rng.normal_matrix(41, rows, 3)
+        t = TREATMENT_LAYOUTS[mode, layout](rows)
         if mode == "binary":
-            t = (np.arange(rows) % 2).astype(float)
             y = rng.bernoulli(42, np.full(rows, 0.5))
             w = 1.0 + rng.uniforms(43, 0, rows)
 
@@ -661,7 +686,7 @@ class TestObjective:
                 out = M.forward_binary(model, x, t, tape, p)
                 return L.total_loss_binary(out, t, y, w, OBJECTIVE_WEIGHTS, p).node
         else:
-            t, y = rng.normals(42, 0, rows), rng.normals(43, 0, rows)
+            y = rng.normals(43, 0, rows)
 
             def loss(tape, params):
                 p = {k: tape.parameter(v, k) for k, v in params.items()}

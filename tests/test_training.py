@@ -172,14 +172,16 @@ class TestTapes:
         record_every_tape()  # every forward then runs over its whole chunk at once
         assert run() == blocked
 
+    @pytest.mark.parametrize("variant", tr.VARIANTS)
     @pytest.mark.parametrize("mode, nodes", [("binary", 75), ("continuous", 109)])
-    def test_step_tape_size(self, mode, nodes):
+    def test_step_tape_size(self, mode, nodes, variant):
         # README arch and weights: the leaves, one node per dense layer and
-        # per Gaussian head column, and the one objective node
-        cfg = tr.TrainConfig(
+        # per Gaussian head column, and the one objective node, whichever
+        # terms the variant weights
+        cfg = tr.apply_ablation(tr.TrainConfig(
             mode=mode, arch=ArchConfig(input_dim=1, rep_dim=8, enc_hidden=64, enc_layers=2,
                                        head_hidden=32),
-            weights=LossWeights(alpha=1.0, beta=0.5, gamma=1.0, delta=0.01))
+            weights=LossWeights(alpha=1.0, beta=0.5, gamma=1.0, delta=0.01)), variant)
         model = init_model(tr._arch_for(cfg, 6), 3)
         x = rng.normal_matrix(21, 32, 6)
         t = ((np.arange(32) % 2).astype(float) if mode == "binary"
