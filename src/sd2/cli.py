@@ -137,15 +137,10 @@ def build_train_config(raw: dict) -> TrainConfig:
     try:
         if "split_ratios" in train_raw:
             train_raw["split_ratios"] = tuple(train_raw["split_ratios"])
-        config = TrainConfig(mode=mode, arch=arch, weights=weights, optimizer=optimizer,
-                             dataset=raw.get("dataset"), **train_raw)
+        return TrainConfig(mode=mode, arch=arch, weights=weights, optimizer=optimizer,
+                           dataset=raw.get("dataset"), **train_raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config section 'train': {exc}") from exc
-    if tr.apply_ablation(config, config.variant) != config:
-        raise ConfigError(f"config section 'train': variant {config.variant!r} does not "
-                          "match the weights it implies; give the full config and "
-                          "select it with --variant")
-    return config
 
 
 def config_json(config: TrainConfig) -> dict:

@@ -7,13 +7,13 @@ Gaussian mean and log std in continuous mode, where the treatment side also
 has an adjustment head and a rebalance network feeding a second confounder
 head.  The deep outcome head reads the factual treatment as one extra input
 column; at prediction time the do-value is substituted into that column.
-`predict_outcome` keeps the outcome head's input representations for the
-last covariates it scored, so a sweep over do-values on the same covariates,
-such as eps_ATE's do(1) and do(0) or the 10-point grid of the counterfactual
-MSE, runs the encoders once.  The cache costs n x (input_dim + 2 rep_dim)
-floats per model, 1.8 MB for a 10,000-row demand split at the README
-architecture.  It is not model state: checkpoints, ``==`` and ``repr`` never
-see it.
+`predict_outcome` keeps retain_y's output for the last covariates it scored,
+so a sweep over do-values on the same covariates, such as eps_ATE's do(1) and
+do(0) or the 10-point grid of the counterfactual MSE, runs the encoders and
+retain_y once and then only head_y's two layers per do-value.  The cache
+costs n x (input_dim + enc_hidden) floats per model, 5.6 MB for a 10,000-row
+demand split (6 covariates) at the README architecture.  It is not model
+state: checkpoints, ``==`` and ``repr`` never see it.
 
 A forward pass on a tape that does not record runs in row blocks of at most
 ``BLOCK_ROWS`` rows, each through the whole network, and the per-block
@@ -122,12 +122,12 @@ def _layer_specs(cfg: ArchConfig) -> list[tuple[str, int, int]]:
 
 
 class _OutcomeMemo(NamedTuple):
-    """The retain_y input (r_c and r_a side by side) that `predict_outcome`
-    computed, and copies of what it was computed from: the config, the
-    covariates and every enc_c/enc_a parameter."""
+    """The retain_y output that `predict_outcome` computed, and copies of what
+    it was computed from: the config, the covariates and every enc_c, enc_a
+    and retain_y parameter."""
     config: ArchConfig
     key: list[np.ndarray]
-    reps: np.ndarray
+    h_y: np.ndarray
 
 
 @dataclass
@@ -300,13 +300,15 @@ def encode(model: SD2Model, x: np.ndarray) -> Representations:
 
 
 _OUTCOME_ENCODERS = ("enc_c", "enc_a")
+_MEMO_NETWORKS = _OUTCOME_ENCODERS + ("retain_y",)
+_MEMO_PREFIXES = tuple(net + "." for net in _MEMO_NETWORKS)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal shapes, values and signs: -0.0 differs from 0.0, and a NaN
-    matches nothing."""
-    return (a.shape == b.shape and np.array_equal(a, b)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
+    """Equal shapes and bit patterns: -0.0 differs from 0.0.  (A memo key
+    never holds a NaN: a NaN input or parameter raises before the memo is
+    stored.)"""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarray:
@@ -314,41 +316,45 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
     outcome head's treatment input; representations come from x only.
 
     Builds no tape and runs only the networks the outcome reads: the
-    confounder and adjustment encoders, retain_y and head_y.  The encoders'
-    output, the retain_y input, is kept on the model for the last covariates
-    scored, with copies of the covariates and of every enc_c/enc_a parameter:
-    n x (input_dim + 2 rep_dim) floats.  A later call reuses it only when its
-    checked covariates, those parameters and the config match the copies bit
-    for bit; anything else, an in-place edit or an Adam step included, runs
-    the encoders again.  A sweep over do-values on the same covariates thus
-    encodes once, and every prediction equals a fresh model's bit for bit.
-    Nothing is kept from a call that raises.
+    confounder and adjustment encoders, retain_y and head_y.  retain_y's
+    output is kept on the model for the last covariates scored, with copies
+    of the covariates and of every enc_c, enc_a and retain_y parameter:
+    n x (input_dim + enc_hidden) floats, 5.6 MB for the 10,000 x 6 demand
+    split.  A later call reuses it only when its checked covariates, those
+    parameters and the config match the copies bit for bit; anything else,
+    an in-place edit or an Adam step included, runs them again.  A sweep over
+    do-values on the same covariates thus runs only head_y's two layers per
+    do-value, each row block reading ``[do-value | retain_y output]`` as the
+    same contiguous input the full forward builds, so every prediction equals
+    a fresh model's bit for bit.  The cache is only read, never written, by a
+    hit.  Nothing is kept from a call that raises.
     """
     cfg = model.config
     x = _check_input(cfg, x)
     if cfg.mode == "binary" and t_value not in (0.0, 1.0):
         raise ValueError("binary mode requires a do-value in {0, 1}")
-    fam = FAMILIES[cfg.mode]
     tape = ad.Tape(record=False)
-    key = [x] + [v for k, v in model.params.items()
-                 if k.startswith(tuple(enc + "." for enc in _OUTCOME_ENCODERS))]
+    blocks = _row_blocks(len(x))
+    key = [x] + [v for k, v in model.params.items() if k.startswith(_MEMO_PREFIXES)]
     memo = model._outcome_memo
     if (memo is None or memo.config != cfg or len(memo.key) != len(key)
             or not all(map(_same_bits, memo.key, key))):
-        p = bind(model, tape, _OUTCOME_ENCODERS)
-
-        def encode_rows(xb):
-            reps = _encode(cfg, p, tape.constant(xb), _OUTCOME_ENCODERS)
-            return np.concatenate([r.value for r in reps], axis=1)
-
-        memo = _OutcomeMemo(cfg, [a.copy() for a in key], _blocked(tape, encode_rows, x))
-    p = bind(model, tape, ("retain_y", "head_y"))
-
-    def run(reps):
-        t = np.full((reps.shape[0], 1), float(t_value))
-        return fam.mean(_outcome_head(cfg, fam, p, tape, tape.constant(reps), t)).value[:, 0]
-
-    out = _blocked(tape, run, memo.reps)
+        p = bind(model, tape, _MEMO_NETWORKS)
+        h_y = np.empty((len(x), cfg.enc_hidden))
+        for sl in blocks:
+            reps = ad.concat_cols(list(_encode(cfg, p, tape.constant(x[sl]), _OUTCOME_ENCODERS)))
+            h_y[sl] = ad.dense(reps, p["retain_y.l0.W"], p["retain_y.l0.b"],
+                               cfg.activation).value
+        memo = _OutcomeMemo(cfg, [a.copy() for a in key], h_y)
+    p = bind(model, tape, ("head_y",))
+    out = np.empty(len(x))
+    for sl in blocks:
+        head_in = np.empty((sl.stop - sl.start, cfg.enc_hidden + 1))
+        head_in[:, 0] = float(t_value)
+        head_in[:, 1:] = memo.h_y[sl]
+        head_out = _mlp(p, "head_y", tape.constant(head_in), 2, cfg.activation,
+                        FAMILIES[cfg.mode].activation)
+        out[sl] = head_out.value[:, 0]
     model._outcome_memo = memo
     return out
 

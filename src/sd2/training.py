@@ -24,7 +24,10 @@ from .model import ArchConfig, SD2Model, bind, forward_binary, forward_continuou
 
 log = logging.getLogger(__name__)
 
-VARIANTS = ("Lp", "Lp+Lt", "Lp+Lt+La", "Total")
+# the loss coefficients each ablation variant sets to zero
+_ZEROED_WEIGHTS = {"Lp": ("alpha", "beta", "gamma"), "Lp+Lt": ("beta", "gamma"),
+                   "Lp+Lt+La": ("gamma",), "Total": ()}
+VARIANTS = tuple(_ZEROED_WEIGHTS)
 
 
 class TrainingError(Exception):
@@ -69,6 +72,11 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
+        zeroed = _ZEROED_WEIGHTS[self.variant]
+        if any(getattr(self.weights, name) != 0.0 for name in zeroed):
+            raise ValueError(f"variant {self.variant!r} does not match the weights it "
+                             f"implies: it sets {', '.join(zeroed)} to 0; derive it with "
+                             "apply_ablation (--variant on the command line)")
 
 
 @dataclass
@@ -108,16 +116,8 @@ def apply_ablation(config: TrainConfig, variant: str) -> TrainConfig:
     weights."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    w = config.weights
-    if variant == "Total":
-        return replace(config, variant=variant)
-    if variant == "Lp":
-        new_w = replace(w, alpha=0.0, beta=0.0, gamma=0.0)
-    elif variant == "Lp+Lt":
-        new_w = replace(w, beta=0.0, gamma=0.0)
-    else:  # Lp+Lt+La
-        new_w = replace(w, gamma=0.0)
-    return replace(config, weights=new_w, variant=variant)
+    weights = replace(config.weights, **dict.fromkeys(_ZEROED_WEIGHTS[variant], 0.0))
+    return replace(config, weights=weights, variant=variant)
 
 
 def _arch_for(config: TrainConfig, input_dim: int) -> ArchConfig:

@@ -271,6 +271,11 @@ def _edit_enc_a(m, x, adam):
     return x
 
 
+def _edit_retain_y(m, x, adam):
+    m.params["retain_y.l0.W"][0, 0] += 0.5
+    return x
+
+
 def _adam_step(m, x, adam):
     ad.adam_step(m.params, {k: np.ones_like(v) for k, v in m.params.items()}, adam)
     return x
@@ -302,7 +307,7 @@ def _new_activation(m, x, adam):
 
 
 MEMO_MISSES = {f.__name__.lstrip("_"): f for f in (
-    _edit_enc_c, _edit_enc_a, _adam_step, _replace_entry, _edit_x, _new_shape,
+    _edit_enc_c, _edit_enc_a, _edit_retain_y, _adam_step, _replace_entry, _edit_x, _new_shape,
     _negative_zero, _new_activation)}
 
 
@@ -314,8 +319,9 @@ class TestOutcomeMemo:
         m, _, x, _, do_value = _block_case(n, mode, activation, 2)
         M.predict_outcome(m, x, 0.0)
         memo = m._outcome_memo
+        h_y = memo.h_y.copy()
         hit = M.predict_outcome(m, x, do_value)
-        assert m._outcome_memo is memo
+        assert m._outcome_memo is memo and np.array_equal(memo.h_y, h_y)
         assert np.array_equal(hit, M.predict_outcome(_unmemoised(m), x, do_value))
 
     @pytest.mark.parametrize("mode", ["binary", "continuous"])
@@ -333,7 +339,7 @@ class TestOutcomeMemo:
         assert np.array_equal(m._outcome_memo.key[0], x)
         assert np.array_equal(missed, M.predict_outcome(_unmemoised(m), x, 1.0))
 
-    @pytest.mark.parametrize("name", ["retain_y.l0.W", "head_y.l0.W", "head_y.l1.b"])
+    @pytest.mark.parametrize("name", ["head_y.l0.W", "head_y.l1.b"])
     @pytest.mark.parametrize("mode", ["binary", "continuous"])
     def test_outcome_networks_still_read(self, mode, name):
         m = M.init_model(small_cfg(mode=mode), seed=12)
@@ -356,6 +362,36 @@ class TestOutcomeMemo:
         with pytest.raises(ad.NonFiniteError):
             M.predict_outcome(m, x * 2.0, 1.0)
         assert m._outcome_memo is memo
+
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    def test_nonfinite_head_after_hit_keeps_memo(self, mode):
+        m = M.init_model(small_cfg(mode=mode), seed=12)
+        x = rand_x(n=40)
+        M.predict_outcome(m, x, 1.0)
+        memo = m._outcome_memo
+        bias = m.params["head_y.l1.b"].copy()
+        m.params["head_y.l1.b"][0] = np.inf
+        with pytest.raises(ad.NonFiniteError):
+            M.predict_outcome(m, x, 0.0)
+        assert m._outcome_memo is memo
+        m.params["head_y.l1.b"][:] = bias
+        after = M.predict_outcome(m, x, 0.0)
+        assert m._outcome_memo is memo
+        assert np.array_equal(after, M.predict_outcome(_unmemoised(m), x, 0.0))
+
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    @pytest.mark.parametrize("n", [40, 2049])
+    def test_footprint(self, n, mode):
+        cfg = small_cfg(mode=mode)
+        m = M.init_model(cfg, seed=12)
+        M.predict_outcome(m, rand_x(n=n), 1.0)
+        memo = m._outcome_memo
+        copied = sum(v.size for k, v in m.params.items()
+                     if k.startswith(("enc_c.", "enc_a.", "retain_y.")))
+        arrays = [a for f in memo for a in (f if isinstance(f, list) else [f])
+                  if isinstance(a, np.ndarray)]
+        assert sum(a.size for a in arrays) == n * (cfg.input_dim + cfg.enc_hidden) + copied
+        assert all(a.dtype == np.float64 for a in arrays)
 
     def test_not_saved_compared_or_printed(self, tmp_path):
         m = M.init_model(small_cfg(), seed=12)

@@ -1,6 +1,7 @@
 import gc
 import json
 import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -240,6 +241,16 @@ class TestAblation:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             tr.apply_ablation(tiny_config(), "Lq")
+
+    @pytest.mark.parametrize("variant", ["Lp", "Lp+Lt", "Lp+Lt+La"])
+    def test_config_rejects_variant_its_weights_do_not_match(self, variant):
+        with pytest.raises(ValueError, match=f"variant '{re.escape(variant)}' does not match"):
+            tiny_config(variant=variant)  # alpha = beta = gamma = 1
+        cfg = tr.apply_ablation(tiny_config(), variant)
+        assert tr.apply_ablation(cfg, variant) == cfg
+        with pytest.raises(ValueError, match="does not match"):
+            replace(cfg, weights=replace(cfg.weights, gamma=0.5))
+        assert tr.apply_ablation(cfg, "Total").variant == "Total"  # Total takes any weights
 
 
 class TestResolveData:
