@@ -8,12 +8,14 @@ root:
 
 Two `sd2 train` runs at the README arch and weights (n=1,500, 3 epochs,
 seed 3: binary and demand) print the sha256 of their `checkpoint.bin` and
-`history.csv`.  A last line gives one sha256 over the outputs of
-`predict_outcome` (every do-value of the dataset's grid), `encode` and
-`_eval_breakdown` for both trained models on fresh datasets of 1,000, 1,025, 4,097 and 10,000 rows, row
-counts that put the forward passes on and around their row-block boundaries.
-Then one line per mode and ablation variant gives the sha256 of one
-recorded training step at the README arch and weights: its
+`history.csv`, and so does a third binary run that reads a dataset directory
+written by `datagen.write_dataset` through `sd2 train --data` (n=1,500,
+seed 4).  A last line gives one sha256 over the outputs of `predict_outcome`
+(every do-value of the dataset's grid), `encode` and `_eval_breakdown` for
+the two reference-trained models on fresh datasets of 1,000, 1,025, 4,097
+and 10,000 rows, row counts that put the forward passes on and around their
+row-block boundaries.  Then one line per mode and ablation variant gives the
+sha256 of one recorded training step at the README arch and weights: its
 loss breakdown, per-sample factual losses and every parameter gradient.
 """
 
@@ -93,23 +95,37 @@ def _step_lines(mode: str) -> list[str]:
     return lines
 
 
+def _train(tmp: Path, name: str, raw: dict, *extra: str) -> Path | None:
+    """`sd2 train` on a config, printing the sha256 of its checkpoint and
+    history; the run directory, or None if the run failed."""
+    config_path = tmp / f"{name}.json"
+    config_path.write_text(json.dumps(raw))
+    out = tmp / name
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["train", "--config", str(config_path), "--out", str(out), *extra])
+    if code != 0:
+        print(f"{name}: sd2 train exited {code}", file=sys.stderr)
+        return None
+    for artifact in ("checkpoint.bin", "history.csv"):
+        print(f"{name} {artifact} {_sha256(out / artifact)}")
+    return out
+
+
 def main() -> int:
     forward = hashlib.sha256()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        tmp = Path(tmp_dir)
         for mode in DATASETS:
-            name = f"{mode}-factual"
             raw = _config(mode)
-            config_path = Path(tmp) / f"{name}.json"
-            config_path.write_text(json.dumps(raw))
-            out = Path(tmp) / name
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["train", "--config", str(config_path), "--out", str(out)])
-            if code != 0:
-                print(f"{name}: sd2 train exited {code}", file=sys.stderr)
+            out = _train(tmp, f"{mode}-factual", raw)
+            if out is None:
                 return 1
-            for artifact in ("checkpoint.bin", "history.csv"):
-                print(f"{name} {artifact} {_sha256(out / artifact)}")
             _hash_forward(forward, raw, out / "checkpoint.bin")
+        data = tmp / "data"
+        dg.write_dataset(dg.generate(dg.spec_from_ref({**DATASETS["binary"], "n": 1500,
+                                                       "seed": 4})), data)
+        if _train(tmp, "binary-data", _config("binary"), "--data", str(data)) is None:
+            return 1
     print(f"forward outputs at n={','.join(map(str, FORWARD_ROWS))} {forward.hexdigest()}")
     for mode in DATASETS:
         print("\n".join(_step_lines(mode)))

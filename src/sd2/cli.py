@@ -43,7 +43,6 @@ EXIT_VERIFY = 5
 
 OUT_ROOT_ENV = "SD2_OUT_ROOT"
 CONFIG_SCHEMA_VERSION = 1
-SPLITS = ("train", "val", "test")
 
 
 class ConfigError(Exception):
@@ -192,13 +191,6 @@ def _metric_line(name: str, value: float):
     print(f"METRIC {name}={value:.6f}")
 
 
-def _read_data_dir(path: Path) -> tuple[dg.GeneratedDataset, ...]:
-    """A data directory holds one dataset, or a train/val/test triple."""
-    if (path / "train").is_dir():
-        return tuple(dg.read_dataset(path / name) for name in SPLITS)
-    return (dg.read_dataset(path),)
-
-
 def _train_config(args, run: Run) -> tuple[TrainConfig, int]:
     """The --config file with any --variant applied, and the base seed (--seed,
     else the config's); both go on the run record."""
@@ -220,7 +212,7 @@ def cmd_generate(args, run: Run) -> tuple[str, float]:
     elif isinstance(spec, dg.TwinsSpec):
         raise ConfigError("--triple applies to synthetic and demand specs only")
     else:
-        for name, ds in zip(SPLITS, dg.independent_triple(spec)):
+        for name, ds in zip(dg.SPLITS, dg.independent_triple(spec)):
             run.artifacts.append(str(dg.write_dataset(ds, run.out / name)))
     return "rows", -1 if isinstance(spec, dg.TwinsSpec) else spec.n
 
@@ -228,17 +220,11 @@ def cmd_generate(args, run: Run) -> tuple[str, float]:
 def cmd_train(args, run: Run) -> tuple[str, float]:
     config, seed = _train_config(args, run)
     config = replace(config, seed=seed)
+    if args.data:  # config.json then names the data the run used
+        config = replace(config, dataset={"kind": "dir", "path": str(Path(args.data).resolve())})
     run.config = config_json(config)
-    if args.data:
-        data = _read_data_dir(Path(args.data))
-        triple = data if len(data) == 3 else dg.split(data[0], config.split_ratios,
-                                                       rng.mix_key(seed, "split"))
-    else:
-        triple = tr.resolve_data(config, seed)
-    if triple[0].mode != config.mode:
-        raise ConfigError(f"dataset mode {triple[0].mode!r} != config mode "
-                          f"{config.mode!r}")
-    model, history = tr.train(config, triple[0], triple[1])
+    train_ds, val_ds, _ = tr.resolve_data(config, seed)
+    model, history = tr.train(config, train_ds, val_ds)
     run.out.mkdir(parents=True, exist_ok=True)
     ckpt = run.out / "checkpoint.bin"
     checkpoint_save(model, ckpt)
@@ -251,7 +237,7 @@ def cmd_train(args, run: Run) -> tuple[str, float]:
 
 def cmd_evaluate(args, run: Run) -> tuple[str, float]:
     model = checkpoint_load(args.checkpoint)
-    data = _read_data_dir(Path(args.data))
+    data = dg.read_data_dir(args.data)
     splits = [s.strip() for s in args.splits.split(",") if s.strip()]
     if not splits:
         raise ConfigError(f"--splits {args.splits!r} names no split")
@@ -364,7 +350,7 @@ def cmd_ablate(args, run: Run) -> tuple[str, float]:
 
 def cmd_attribute(args, run: Run) -> tuple[str, float]:
     model = checkpoint_load(args.checkpoint)
-    report = ev.attribution(model, _read_data_dir(Path(args.data))[0].input_roles())
+    report = ev.attribution(model, dg.read_data_dir(args.data)[0].input_roles())
     run.out.mkdir(parents=True, exist_ok=True)
     _write_rows_csv(run.out / "attribution.csv", report.rows())
     run.artifacts.append(str(run.out / "attribution.csv"))
@@ -425,7 +411,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one model")
     p.add_argument("--config", required=True)
-    p.add_argument("--data", default=None, help="dataset dir (else config dataset ref)")
+    p.add_argument("--data", default=None, help="dataset dir or train/ val/ test/ triple")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--variant", default=None, choices=tr.VARIANTS)

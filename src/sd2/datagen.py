@@ -92,7 +92,6 @@ class TwinsSpec:
     hide_count: int = 4
     mv: int = 0
     seed: int = 0
-    ratios: tuple[float, float, float] = (0.63, 0.27, 0.10)
     weight_columns: tuple[str, str] = ("dbirwt_0", "dbirwt_1")
     outcome_columns: tuple[str, str] = ("mort_0", "mort_1")
     sex_columns: tuple[str, str] | None = ("sex_0", "sex_1")
@@ -101,8 +100,6 @@ class TwinsSpec:
     def __post_init__(self):
         if self.hide_count >= len(self.m_columns):
             raise ValueError("hide_count must be smaller than the number of M columns")
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ValueError("split ratios must sum to 1")
 
 
 @dataclass
@@ -308,11 +305,17 @@ def twins_transform(spec: TwinsSpec) -> GeneratedDataset:
                             p1=p1, p0=p0, spec=spec_record)
 
 
+def check_split_ratios(ratios: tuple[float, float, float]) -> None:
+    """Raise ValueError unless the (train, val, test) shares are positive and sum to 1."""
+    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"split_ratios must be three positive numbers summing to 1, "
+                         f"got {list(ratios)}")
+
+
 def split(dataset: GeneratedDataset, ratios: tuple[float, float, float],
           seed: int) -> tuple[GeneratedDataset, GeneratedDataset, GeneratedDataset]:
     """Disjoint train/val/test partition with sizes rounded from ratios."""
-    if any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must be positive and sum to 1")
+    check_split_ratios(ratios)
     n = dataset.n
     n0 = int(round(ratios[0] * n))
     n1 = int(round(ratios[1] * n))
@@ -327,7 +330,7 @@ def independent_triple(spec: SyntheticSpec | DemandSpec
                        ) -> tuple[GeneratedDataset, ...]:
     """Three independent draws of size n (train, val, test) from one spec."""
     return tuple(generate(replace(spec, seed=rng.mix_key(spec.seed, "triple/" + tag)))
-                 for tag in ("train", "val", "test"))
+                 for tag in SPLITS)
 
 
 DATASET_KINDS = {
@@ -335,6 +338,7 @@ DATASET_KINDS = {
     "demand": (DemandSpec, gen_continuous),
     "twins": (TwinsSpec, twins_transform),
 }
+SPLITS = ("train", "val", "test")  # the sets of a triple, in order
 
 
 def spec_from_ref(ref: dict | None) -> SyntheticSpec | DemandSpec | TwinsSpec:
@@ -461,6 +465,13 @@ def read_dataset(in_dir: str | Path) -> GeneratedDataset:
                             roles=roles, p1=p1, p0=p0,
                             surface_a=surface_a, surface_c=surface_c,
                             beta=spec_record.get("beta"), spec=spec_record)
+
+
+def read_data_dir(path: str | Path) -> tuple[GeneratedDataset, ...]:
+    """A data directory holds one dataset, or a train/ val/ test/ triple."""
+    if Path(path, "train").is_dir():
+        return tuple(read_dataset(Path(path, name)) for name in SPLITS)
+    return (read_dataset(path),)
 
 
 FIXTURE_FEATURES = ["gestat", "dmage", "dmeduc", "mpcb", "cigar", "drink",

@@ -201,15 +201,13 @@ class Family(NamedTuple):
     out_dim: int
     activation: str
     head: Callable
-    mean: Callable      # head -> predictive mean column
     prepare: Callable   # head -> BernoulliHead | GaussianHead
     nll: Callable       # (prepared head, (n, 1) targets) -> per-sample negative log-likelihood
     kl: Callable        # (prepared q, prepared p) -> per-sample KL(q || p)
 
 
-BERNOULLI = Family(out_dim=1, activation="sigmoid", head=lambda q: q, mean=lambda q: q,
+BERNOULLI = Family(out_dim=1, activation="sigmoid", head=lambda q: q,
                    prepare=BernoulliHead.of, nll=bernoulli_ce, kl=bernoulli_kl)
 GAUSSIAN = Family(out_dim=2, activation="identity", head=_gaussian_head,
-                  mean=lambda g: g.mean, prepare=GaussianHead.of, nll=gaussian_nll,
-                  kl=gaussian_kl)
+                  prepare=GaussianHead.of, nll=gaussian_nll, kl=gaussian_kl)
 FAMILIES = {"binary": BERNOULLI, "continuous": GAUSSIAN}

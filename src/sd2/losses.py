@@ -258,7 +258,8 @@ def _total_loss(fam: Family, outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
     """The objective of both modes, as one node, over (n, 1) treatments and
     outcomes.  ``adjust_terms(objective, coeff)`` and ``rebalance_terms`` add
     the mode's own terms and return their value."""
-    obj = _Objective(fam, fam.mean(outputs.q_y).tape, len(t))
+    # the node goes on the tape the parameters are bound on
+    obj = _Objective(fam, next(iter(params.values())).tape, len(t))
     nll_y, factual_y = obj.nll(outputs.q_y, y, obj.group(None, sample_weights),
                                sample_weights)
     nll_t, factual_t = obj.nll(outputs.q_t, t, obj.group(weights.alpha))

@@ -61,9 +61,9 @@ class TrainConfig:
     variant: str = "Total"
     dataset: dict | None = None
     split_ratios: tuple[float, float, float] = (0.63, 0.27, 0.10)
-    independent_draws: bool = True
 
     def __post_init__(self):
+        dg.check_split_ratios(self.split_ratios)
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if self.patience > self.max_epochs and self.max_epochs > 0:
@@ -219,7 +219,7 @@ def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
         while pos < n:
             idx = perm[pos:pos + config.batch_size]
             tb = train_ds.t[idx]
-            if config.mode == "binary" and (tb.sum() == 0 or tb.sum() == len(tb)):
+            if config.mode == "binary" and _one_class(tb):
                 if not reshuffled:
                     # one fresh shuffle of the remaining rows, then skip repeats
                     reshuffled = True
@@ -272,23 +272,26 @@ def resolve_data(config: TrainConfig, seed: int
                  ) -> tuple[dg.GeneratedDataset, dg.GeneratedDataset, dg.GeneratedDataset]:
     """Build (train, val, test) from the config's dataset reference.
 
-    Synthetic references draw fresh data per seed (three independent draws by
-    default); directory and twins references are re-split per seed.
-    """
+    Synthetic and demand references draw three independent sets per seed; a
+    `dir` triple is used as it is; one `dir` dataset, or twins, is split by
+    ``config.split_ratios``, afresh per seed.  A dataset whose mode is not the
+    config's raises SchemaError."""
     ref = config.dataset
     if ref and ref.get("kind") == "dir":
         if set(ref) != {"kind", "path"}:
             raise dg.SchemaError(f"dataset 'dir' takes one field, 'path'; got {sorted(ref)}")
-        return dg.split(dg.read_dataset(ref["path"]), config.split_ratios,
-                        rng.mix_key(seed, "split"))
-    spec = dg.spec_from_ref(ref)
-    if isinstance(spec, dg.TwinsSpec):
-        spec = replace(spec, seed=rng.mix_key(seed, "policy"))
-        return dg.split(dg.generate(spec), spec.ratios, rng.mix_key(seed, "split"))
-    spec = replace(spec, seed=rng.mix_key(seed, "data"))
-    if config.independent_draws:
-        return dg.independent_triple(spec)
-    return dg.split(dg.generate(spec), config.split_ratios, rng.mix_key(seed, "split"))
+        data = dg.read_data_dir(ref["path"])
+    else:
+        spec = dg.spec_from_ref(ref)
+        if isinstance(spec, dg.TwinsSpec):
+            data = (dg.generate(replace(spec, seed=rng.mix_key(seed, "policy"))),)
+        else:
+            data = dg.independent_triple(replace(spec, seed=rng.mix_key(seed, "data")))
+    for ds in data:
+        if ds.mode != config.mode:
+            raise dg.SchemaError(f"dataset mode {ds.mode!r} != config mode {config.mode!r}")
+    return data if len(data) == 3 else dg.split(data[0], config.split_ratios,
+                                                 rng.mix_key(seed, "split"))
 
 
 def config_to_dict(config: TrainConfig) -> dict:

@@ -109,11 +109,26 @@ class TestTrain:
                        str(tmp_path / "absent"), "--out", str(tmp_path / "run")])
         assert rc == 3
 
-    def test_written_config_trains_again(self, tmp_path):
-        # config.json holds arch.mode, equal to the config's mode
+    @pytest.mark.parametrize("data", ["reference", "dir", "triple"])
+    def test_written_config_trains_again(self, tmp_path, monkeypatch, data):
+        # config.json holds arch.mode, equal to the config's mode, and names
+        # the data the run used: --data as a dir reference with an absolute path
+        argv = ["train", "--config", write_json(tmp_path / "cfg.json", SMALL_TRAIN)]
+        if data != "reference":
+            spec = dg.SyntheticSpec(n=150, mz=2, mc=2, ma=1, mu=1, seed=4)
+            if data == "dir":
+                dg.write_dataset(dg.generate(spec), tmp_path / "data")
+            else:
+                for name, ds in zip(dg.SPLITS, dg.independent_triple(spec)):
+                    dg.write_dataset(ds, tmp_path / "data" / name)
+            monkeypatch.chdir(tmp_path)
+            argv += ["--data", "data"]
         first = tmp_path / "run"
-        assert cli.main(["train", "--config", write_json(tmp_path / "cfg.json", SMALL_TRAIN),
-                         "--out", str(first)]) == 0
+        assert cli.main([*argv, "--out", str(first)]) == 0
+        if data != "reference":
+            assert json.loads((first / "config.json").read_text())["dataset"] == {
+                "kind": "dir", "path": str(tmp_path.resolve() / "data")}
+            monkeypatch.chdir(first)
         again = tmp_path / "again"
         assert cli.main(["train", "--config", str(first / "config.json"),
                          "--out", str(again)]) == 0
@@ -278,7 +293,7 @@ def _bad_reference(**changes):
 
 
 def _all_treated_train_split(tmp, data):
-    for name in cli.SPLITS:
+    for name in dg.SPLITS:
         ds = dg.read_dataset(data / name)
         if name == "train":
             ds.t[:] = 1.0
@@ -309,6 +324,10 @@ FAILURES = {
         "train", "--config", _config(tmp, arch=5)], 2),
     "dataset_not_an_object": (lambda tmp, run, data: [
         "train", "--config", _config(tmp, dataset=5)], 2),
+    "bad_split_ratios": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, train={**SMALL_TRAIN["train"],
+                                                  "split_ratios": [0.5, 0.5, 0.5]}),
+        "--data", str(data)], 2),
     "split_ratios_not_a_list": (lambda tmp, run, data: [
         "train", "--config", _config(tmp, train={**SMALL_TRAIN["train"], "split_ratios": 5})],
         2),
@@ -354,6 +373,8 @@ FAILURE_FIELDS = {
     "use_importance_weights": "use_importance_weights",
     "arch_input_dim": "input_dim",
     "arch_mode_mismatch": "mode",
+    "bad_split_ratios": "split_ratios",
+    "train_mode_mismatch": "dataset mode",
 }
 
 

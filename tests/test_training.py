@@ -28,6 +28,10 @@ def tiny_config(**kw):
     return tr.TrainConfig(**base)
 
 
+TWINS_REF = {"kind": "twins", "csv_path": str(dg.fixture_path()),
+             "m_columns": list(dg.FIXTURE_M_COLUMNS), "hide_count": 3}
+
+
 @pytest.fixture(scope="module")
 def tiny_triple():
     return tr.resolve_data(tiny_config(), 11)
@@ -260,26 +264,46 @@ class TestResolveData:
         assert a.n == b.n == c.n == 300
         assert not np.array_equal(a.x, b.x)
 
-    def test_ratio_split_mode(self):
-        cfg = tiny_config(independent_draws=False,
-                          split_ratios=(0.6, 0.2, 0.2))
-        a, b, c = tr.resolve_data(cfg, 5)
-        assert (a.n, b.n, c.n) == (180, 60, 60)
-
     def test_twins_reference(self):
-        cfg = tiny_config(dataset={"kind": "twins",
-                                   "csv_path": str(dg.fixture_path()),
-                                   "m_columns": list(dg.FIXTURE_M_COLUMNS),
-                                   "hide_count": 3})
+        cfg = tiny_config(dataset=TWINS_REF)
         a, b, c = tr.resolve_data(cfg, 5)
         assert a.mode == "binary" and a.n > b.n > c.n
+
+    def test_twins_honours_split_ratios(self):
+        # the fixture keeps 210 rows after its filters
+        cfg = tiny_config(dataset=TWINS_REF, split_ratios=(0.2, 0.2, 0.6))
+        a, b, c = tr.resolve_data(cfg, 5)
+        assert (a.n, b.n, c.n) == (42, 42, 126)
 
     def test_dir_reference(self, tmp_path):
         ds = dg.gen_binary(dg.SyntheticSpec(n=100, seed=3))
         dg.write_dataset(ds, tmp_path)
-        cfg = tiny_config(dataset={"kind": "dir", "path": str(tmp_path)})
+        cfg = tiny_config(dataset={"kind": "dir", "path": str(tmp_path)},
+                          split_ratios=(0.6, 0.2, 0.2))
         a, b, c = tr.resolve_data(cfg, 5)
-        assert a.n + b.n + c.n == 100
+        assert (a.n, b.n, c.n) == (60, 20, 20)
+        assert not np.array_equal(a.x, tr.resolve_data(cfg, 6)[0].x)  # re-split per seed
+
+    def test_dir_triple_reference(self, tmp_path):
+        written = [dg.gen_binary(dg.SyntheticSpec(n=n, seed=n)) for n in (60, 50, 40)]
+        for name, ds in zip(dg.SPLITS, written):
+            dg.write_dataset(ds, tmp_path / name)
+        cfg = tiny_config(dataset={"kind": "dir", "path": str(tmp_path)})
+        for seed in (5, 6):  # used as it is, whatever the seed and split_ratios
+            triple = tr.resolve_data(cfg, seed)
+            assert [ds.n for ds in triple] == [60, 50, 40]
+            assert all(np.array_equal(got.x, ds.x) and np.array_equal(got.y, ds.y)
+                       for got, ds in zip(triple, written))
+
+    def test_mode_mismatch(self, tmp_path):
+        # every set of a triple must have the config's mode
+        for name, n in zip(dg.SPLITS, (60, 50, 40)):
+            ds = (dg.gen_continuous(dg.DemandSpec(n=n)) if name == "test"
+                  else dg.gen_binary(dg.SyntheticSpec(n=n)))
+            dg.write_dataset(ds, tmp_path / name)
+        cfg = tiny_config(dataset={"kind": "dir", "path": str(tmp_path)})
+        with pytest.raises(dg.SchemaError, match="dataset mode 'continuous' != config mode"):
+            tr.resolve_data(cfg, 5)
 
     def test_unknown_kind(self):
         cfg = tiny_config(dataset={"kind": "mystery"})
@@ -316,15 +340,22 @@ class TestReplicate:
         assert [r["seed"] for r in a] == [rng.mix_key_int(7, i) for i in range(2)]
         assert a == b
 
-    def test_failures_collected(self, tmp_path):
+    @pytest.mark.parametrize("case", ["unknown_kind", "dir_mode_mismatch"])
+    def test_failures_collected(self, tmp_path, case):
+        if case == "unknown_kind":
+            dataset, error = {"kind": "mystery"}, "mystery"
+        else:
+            dg.write_dataset(dg.gen_continuous(dg.DemandSpec(n=60)), tmp_path / "demand")
+            dataset = {"kind": "dir", "path": str(tmp_path / "demand")}
+            error = "dataset mode 'continuous' != config mode 'binary'"
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(cli.config_json(tiny_config(dataset={"kind": "mystery"}))))
+        config.write_text(json.dumps(cli.config_json(tiny_config(dataset=dataset))))
         out = tmp_path / "rep"
         assert cli.main(["replicate", "--config", str(config), "--out", str(out),
                          "--reps", "3", "--seed", "1"]) == 0
         rows = json.loads((out / "report.json").read_text())["rows"]
         assert len(rows) == 3
-        assert all("mystery" in r["error"] for r in rows)
+        assert all(error in r["error"] for r in rows)
 
     def test_invalid_count(self, tmp_path):
         config = tmp_path / "cfg.json"
