@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import multiprocessing as mp
 import os
 import sys
 import time
@@ -42,6 +43,7 @@ EXIT_NUMERIC = 4
 EXIT_VERIFY = 5
 
 OUT_ROOT_ENV = "SD2_OUT_ROOT"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CONFIG_SCHEMA_VERSION = 1
 
 
@@ -267,11 +269,11 @@ def _one_replication(payload) -> dict:
     Runs in the caller with --jobs 1 and in a pool worker otherwise; a failed
     run becomes a row with its error, so both give the same rows.
     """
-    raw_config, index, base_seed = payload
+    config, index, base_seed = payload
     seed_i = rng.mix_key_int(base_seed, index)
     row: dict = {"replication": index, "seed": seed_i}
     try:
-        config = replace(build_train_config(raw_config), seed=seed_i)
+        config = replace(config, seed=seed_i)
         result = ev.protocol_run(config, tr.resolve_data(config, seed_i))
         row.update(within=result["within"], out=result["out"],
                    selected_epoch=result["history"].selected_epoch)
@@ -280,30 +282,40 @@ def _one_replication(payload) -> dict:
     return row
 
 
-def _replicated_rows(raw_config: dict, reps: int, base_seed: int, jobs: int) -> list[dict]:
-    if reps < 1:
-        raise ConfigError(f"--reps must be >= 1, got {reps}")
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    payloads = [(raw_config, i, base_seed) for i in range(reps)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_one_replication, payloads))
-    return list(map(_one_replication, payloads))
-
-
-def _replicate(config: TrainConfig, args, base_seed: int) -> tuple[list[dict], dict]:
-    """--reps replications of one config, and their summary per split."""
-    rows = _replicated_rows(config_json(config), args.reps, base_seed, args.jobs)
-    ok = [r for r in rows if "error" not in r]
-    summary: dict = {"metric": ev.metric_name(config.mode), "replications": len(rows),
-                     "failed": len(rows) - len(ok)}
-    for split in ("within", "out"):
-        values = [r[split] for r in ok]
-        if values:
-            mean, std, text = ev.aggregate(values)
-            summary[split] = {"mean": mean, "std": std, "formatted": text}
-    return rows, summary
+def _replicated(configs: list[TrainConfig], args, base_seed: int) -> list[tuple[list[dict], dict]]:
+    """--reps replications of every config, through one pool when --jobs > 1,
+    and each config's rows with their summary per split."""
+    if args.reps < 1:
+        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    payloads = [(config, i, base_seed) for config in configs for i in range(args.reps)]
+    if args.jobs > 1:
+        # one BLAS thread per worker unless the user set a count; the workers are
+        # spawned because a forked one keeps the parent's BLAS threads
+        added = [name for name in BLAS_THREAD_VARS if name not in os.environ]
+        os.environ.update(dict.fromkeys(added, "1"))
+        try:
+            with ProcessPoolExecutor(args.jobs, mp_context=mp.get_context("spawn")) as pool:
+                rows = list(pool.map(_one_replication, payloads))
+        finally:  # the parent's environment ends up as it was
+            for name in added:
+                del os.environ[name]
+    else:
+        rows = list(map(_one_replication, payloads))
+    results = []
+    for k, config in enumerate(configs):
+        group = rows[k * args.reps:(k + 1) * args.reps]
+        ok = [r for r in group if "error" not in r]
+        summary: dict = {"metric": ev.metric_name(config.mode), "replications": len(group),
+                         "failed": len(group) - len(ok)}
+        for split in ("within", "out"):
+            values = [r[split] for r in ok]
+            if values:
+                mean, std, text = ev.aggregate(values)
+                summary[split] = {"mean": mean, "std": std, "formatted": text}
+        results.append((group, summary))
+    return results
 
 
 def _split_columns(summary: dict, stats: tuple[str, ...]) -> dict:
@@ -313,7 +325,7 @@ def _split_columns(summary: dict, stats: tuple[str, ...]) -> dict:
 
 def cmd_replicate(args, run: Run) -> tuple[str, float]:
     config, base_seed = _train_config(args, run)
-    rows, summary = _replicate(config, args, base_seed)
+    [(rows, summary)] = _replicated([config], args, base_seed)
     table = rows + [{"replication": "aggregate", "seed": base_seed,
                      split: summary[split]["formatted"]}
                     for split in ("within", "out") if split in summary]
@@ -333,14 +345,13 @@ def cmd_ablate(args, run: Run) -> tuple[str, float]:
     if unknown:
         raise ConfigError(f"--variants: unknown variant {unknown[0]!r}; "
                           f"choose from {', '.join(tr.VARIANTS)}")
-    rows = []
-    summaries = {}
-    for variant in variants:
-        _, summaries[variant] = _replicate(tr.apply_ablation(base, variant), args, base_seed)
-        rows.append({"variant": variant,
-                     **_split_columns(summaries[variant], ("mean", "std", "formatted"))})
+    results = _replicated([tr.apply_ablation(base, v) for v in variants], args, base_seed)
+    table = [{"variant": v, "failed": summary["failed"],
+              **_split_columns(summary, ("mean", "std", "formatted"))}
+             for v, (_, summary) in zip(variants, results)]
+    summaries = {v: {**summary, "rows": rows} for v, (rows, summary) in zip(variants, results)}
     run.out.mkdir(parents=True, exist_ok=True)
-    _write_rows_csv(run.out / "ablation.csv", rows)
+    _write_rows_csv(run.out / "ablation.csv", table)
     with open(run.out / "ablation.json", "w") as fh:
         json.dump(summaries, fh, indent=2)
     run.artifacts.append(str(run.out / "ablation.csv"))
@@ -379,16 +390,15 @@ def cmd_sweep(args, run: Run) -> tuple[str, float]:
     base, base_seed = _train_config(args, run)
     if args.param not in ("alpha", "beta", "gamma", "delta", "omega_cont"):
         raise ConfigError(f"--param must name a loss coefficient, got {args.param!r}")
-    try:
+    try:  # every grid value is checked before any is trained
         grid = [float(v) for v in args.grid.split(",")]
+        configs = [replace(base, weights=replace(base.weights, **{args.param: value}))
+                   for value in grid]
     except ValueError as exc:
         raise ConfigError(f"--grid: {exc}") from exc
-    rows = []
-    for value in grid:
-        cfg = replace(base, weights=replace(base.weights, **{args.param: value}))
-        _, summary = _replicate(cfg, args, base_seed)
-        rows.append({"param": args.param, "value": value,
-                     **_split_columns(summary, ("mean", "std"))})
+    rows = [{"param": args.param, "value": value, "failed": summary["failed"],
+             **_split_columns(summary, ("mean", "std"))}
+            for value, (_, summary) in zip(grid, _replicated(configs, args, base_seed))]
     run.out.mkdir(parents=True, exist_ok=True)
     _write_rows_csv(run.out / "sweep.csv", rows)
     run.artifacts.append(str(run.out / "sweep.csv"))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, asdict, field, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,9 @@ def _read_csv_columns(path: str | Path) -> dict[str, np.ndarray]:
         if len(r) != len(header):
             raise SchemaError(f"{path}: line {line} has {len(r)} cells, "
                               f"the header has {len(header)}")
+    repeated = [name for j, name in enumerate(header) if name in header[:j]]
+    if repeated:
+        raise SchemaError(f"{path}: column {repeated[0]!r} appears more than once")
     data = {}
     for j, name in enumerate(header):
         try:
@@ -416,10 +420,12 @@ def read_dataset(in_dir: str | Path) -> GeneratedDataset:
     for col in ("t", "y"):
         if col not in data:
             raise SchemaError(f"data.csv missing column {col!r}")
-    x_cols = sorted((c for c in data if c.startswith("x")), key=lambda c: int(c[1:]))
-    v_cols = sorted((c for c in data if c.startswith("v")), key=lambda c: int(c[1:]))
-    if x_cols != [f"x{i}" for i in range(len(x_cols))]:
-        raise SchemaError("data.csv x-columns are not contiguous")
+    k, m = (sum(c.startswith(prefix) for c in data) for prefix in "xv")
+    x_cols, v_cols = [f"x{i}" for i in range(k)], [f"v{i}" for i in range(m)]
+    for got, want in zip_longest(data, [*x_cols, *v_cols, "t", "y"]):
+        if got != want:
+            raise SchemaError(f"data.csv column {got!r} is out of place: the header must be "
+                              "x0, x1, .. then v0, v1, .. then t, y")
     n = len(data["t"])
     x = np.column_stack([data[c] for c in x_cols]) if x_cols else np.zeros((n, 0))
     v = np.column_stack([data[c] for c in v_cols]) if v_cols else np.zeros((n, 0))

@@ -36,6 +36,7 @@ with code 4.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,8 +63,9 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "delta", "omega_cont"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass

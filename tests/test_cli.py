@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from sd2 import cli
 from sd2 import datagen as dg
+from sd2 import evaluation as ev
 from sd2 import training as tr
 from sd2.model import checkpoint_load
 
@@ -224,28 +226,56 @@ class TestReplicateAblateSweep:
         assert capsys.readouterr().out.strip().splitlines()[-1].startswith(
             "METRIC eps_ate_mean=")
 
+    @pytest.mark.parametrize("command", [
+        ["replicate"],
+        ["ablate", "--variants", "Lp,Total"],
+        ["sweep", "--param", "gamma", "--grid", "0,1"],
+    ], ids=["replicate", "ablate", "sweep"])
     @pytest.mark.parametrize("dataset", [SMALL_TRAIN["dataset"], {"kind": "mystery"}],
                              ids=["ok", "failing"])
-    def test_jobs_do_not_change_rows(self, tmp_path, dataset):
+    def test_jobs_do_not_change_rows(self, tmp_path, dataset, command):
         config = write_json(tmp_path / "cfg.json", {**SMALL_TRAIN, "dataset": dataset})
-        reports = []
+        written = []
         for jobs in ("1", "2"):
-            out = tmp_path / f"rep{jobs}"
-            assert cli.main(["replicate", "--config", config, "--out", str(out),
+            out = tmp_path / f"run{jobs}"
+            assert cli.main([command[0], "--config", config, *command[1:], "--out", str(out),
                              "--reps", "2", "--jobs", jobs]) == 0
-            reports.append(json.loads((out / "report.json").read_text()))
-        assert reports[0]["rows"] == reports[1]["rows"]
-        assert reports[0]["summary"] == reports[1]["summary"]
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                            if p.name != "manifest.json"})
+        assert len(written[0]) >= 1
+        assert written[0] == written[1]
 
     def test_ablate_table(self, tmp_path):
         config = write_json(tmp_path / "cfg.json", SMALL_TRAIN)
         out = tmp_path / "abl"
         rc = cli.main(["ablate", "--config", config, "--out", str(out),
-                       "--reps", "1", "--variants", "Lp,Total"])
+                       "--reps", "2", "--variants", "Lp,Total"])
         assert rc == 0
         with open(out / "ablation.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["variant"] for r in rows] == ["Lp", "Total"]
+        assert [r["failed"] for r in rows] == ["0", "0"]
+        # each variant keeps its replications' rows next to its summary
+        report = json.loads((out / "ablation.json").read_text())
+        for variant in ("Lp", "Total"):
+            summary_rows = report[variant]["rows"]
+            assert [r["replication"] for r in summary_rows] == [0, 1]
+            mean, _, _ = ev.aggregate([r["out"] for r in summary_rows])
+            assert report[variant]["out"]["mean"] == mean
+
+    @pytest.mark.parametrize("command, table", [
+        (["ablate", "--variants", "Lp,Total"], "ablation.csv"),
+        (["sweep", "--param", "gamma", "--grid", "0,1"], "sweep.csv"),
+    ], ids=["ablate", "sweep"])
+    def test_grid_tables_count_failed_replications(self, tmp_path, command, table):
+        config = _config(tmp_path, dataset={"kind": "mystery"})
+        out = tmp_path / "grid"
+        assert cli.main([command[0], "--config", config, *command[1:], "--out", str(out),
+                         "--reps", "2"]) == 0
+        with open(out / table) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        assert all(r["failed"] == "2" for r in rows)
 
     def test_sweep_rows(self, tmp_path):
         config = write_json(tmp_path / "cfg.json", SMALL_TRAIN)
@@ -333,6 +363,17 @@ FAILURES = {
         2),
     "sweep_unknown_param": (lambda tmp, run, data: [
         "sweep", "--config", _config(tmp), "--param", "zzz", "--grid", "1"], 2),
+    "weights_not_finite": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, weights={"delta": float("inf")})], 2),
+    # every grid value is checked before the first is trained
+    "sweep_negative_value": (lambda tmp, run, data: [
+        "sweep", "--config", _config(tmp), "--param", "gamma", "--grid", "1,-1"], 2),
+    "sweep_nan_value": (lambda tmp, run, data: [
+        "sweep", "--config", _config(tmp), "--param", "gamma", "--grid", "nan"], 2),
+    "sweep_param_zeroed_by_variant": (lambda tmp, run, data: [
+        "sweep", "--config", _config(tmp, weights={"alpha": 0, "beta": 0, "gamma": 0},
+                                     train={**SMALL_TRAIN["train"], "variant": "Lp"}),
+        "--param", "gamma", "--grid", "1"], 2),
     "evaluate_missing_checkpoint": (lambda tmp, run, data: [
         "evaluate", "--checkpoint", str(tmp / "absent.bin"), "--data", str(data)], 3),
     "attribute_missing_checkpoint": (lambda tmp, run, data: [
@@ -375,6 +416,10 @@ FAILURE_FIELDS = {
     "arch_mode_mismatch": "mode",
     "bad_split_ratios": "split_ratios",
     "train_mode_mismatch": "dataset mode",
+    "weights_not_finite": "delta must be finite and nonnegative, got inf",
+    "sweep_negative_value": "gamma must be finite and nonnegative, got -1.0",
+    "sweep_nan_value": "gamma must be finite and nonnegative, got nan",
+    "sweep_param_zeroed_by_variant": "variant 'Lp'",
 }
 
 
@@ -461,10 +506,48 @@ def test_treatment_channel_config_rejected(tmp_path, capsys):
 
 def test_ablate_checks_variants_before_training(tmp_path, monkeypatch):
     trained = []
-    monkeypatch.setattr(cli, "_replicate", lambda config, *a: trained.append(config))
+    monkeypatch.setattr(cli, "_replicated", lambda configs, *a: trained.extend(configs))
     assert cli.main(["ablate", "--config", _config(tmp_path), "--reps", "1",
                      "--variants", "Total,Lq", "--out", str(tmp_path / "abl")]) == 2
     assert trained == []
+
+
+@pytest.mark.parametrize("case", ["sweep_negative_value", "sweep_nan_value",
+                                  "sweep_param_zeroed_by_variant"])
+def test_sweep_checks_grid_before_training(case, tmp_path, monkeypatch):
+    trained = []
+    monkeypatch.setattr(cli, "_replicated", lambda configs, *a: trained.extend(configs))
+    make_argv, code = FAILURES[case]
+    assert cli.main([*make_argv(tmp_path, None, None), "--out", str(tmp_path / "s")]) == code
+    assert trained == []
+
+
+def _blas_threads_seen(payload) -> dict:
+    """A replication that records, as its error, the BLAS thread counts its
+    worker process sees, and whether that process was spawned: a forked one
+    inherits the test's patch of `cli._one_replication`."""
+    _, index, _ = payload
+    seen = {name: os.environ.get(name) for name in cli.BLAS_THREAD_VARS}
+    seen["spawned"] = cli._one_replication is not _blas_threads_seen
+    return {"replication": index, "seed": 0, "error": json.dumps(seen)}
+
+
+@pytest.mark.parametrize("user_value", [None, "3"], ids=["unset", "user_set"])
+def test_workers_get_one_blas_thread_unless_set(tmp_path, monkeypatch, user_value):
+    for name in cli.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    if user_value is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", user_value)
+    monkeypatch.setattr(cli, "_one_replication", _blas_threads_seen)
+    before = dict(os.environ)
+    out = tmp_path / "rep"
+    assert cli.main(["replicate", "--config", _config(tmp_path), "--reps", "2",
+                     "--jobs", "2", "--out", str(out)]) == 0
+    assert dict(os.environ) == before
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    expected = {"OPENBLAS_NUM_THREADS": user_value or "1", "OMP_NUM_THREADS": "1",
+                "MKL_NUM_THREADS": "1", "spawned": True}
+    assert [json.loads(r["error"]) for r in rows] == [expected, expected]
 
 
 class TestConfigParsing:

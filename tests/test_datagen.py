@@ -198,6 +198,24 @@ class TestRoundTrip:
         with pytest.raises(dg.SchemaError, match="data.csv: line 8 has 14 cells"):
             dg.read_dataset(tmp_path)
 
+    @pytest.mark.parametrize("header, column", [
+        ("x0,x1,v0,v5,foo,t,y", "'v5'"),             # instruments skip v1..v4
+        ("x0,x1,foo,t,y", "'foo'"),                  # a column of no role
+        ("x0,x1,t,y,foo", "'foo'"),                  # a column after y
+        ("x1,x0,t,y", "'x1'"),                       # covariates out of order
+        ("x0,x2,t,y", "'x2'"),                       # covariates skip x1
+        ("x0,x1,y,t", "'y'"),                        # outcome before treatment
+        ("x0,x1,x1,t,y", "'x1' appears more than once"),
+    ])
+    def test_header_read_in_full(self, tmp_path, header, column):
+        dg.write_dataset(syn(n=5, seed=1), tmp_path)
+        cells = header.count(",") + 1
+        rows = ",".join(["0.5"] * cells) + "\n"
+        (tmp_path / "data.csv").write_text(header + "\n" + rows * 5)
+        (tmp_path / "truth.csv").unlink()
+        with pytest.raises(dg.SchemaError, match=f"data.csv.*column {column}"):
+            dg.read_dataset(tmp_path)
+
 
 class TestSpecFromRef:
     @pytest.mark.parametrize("ds", [

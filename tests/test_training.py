@@ -3,6 +3,7 @@ import json
 import logging
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -322,7 +323,7 @@ class TestReplicate:
 
     def test_single_replication_matches_direct_train(self):
         cfg = tiny_config(max_epochs=2, patience=2)
-        [row] = cli._replicated_rows(cli.config_json(cfg), 1, base_seed=99, jobs=1)
+        [([row], _)] = cli._replicated([cfg], SimpleNamespace(reps=1, jobs=1), base_seed=99)
         assert "error" not in row
         seed0 = rng.mix_key_int(99, 0)
         assert row["seed"] == seed0
@@ -334,9 +335,9 @@ class TestReplicate:
         assert row["selected_epoch"] == history.selected_epoch
 
     def test_same_base_seed_identical_results(self):
-        raw = cli.config_json(tiny_config(max_epochs=2, patience=2))
-        a = cli._replicated_rows(raw, 2, base_seed=7, jobs=1)
-        b = cli._replicated_rows(raw, 2, base_seed=7, jobs=1)
+        cfg, args = tiny_config(max_epochs=2, patience=2), SimpleNamespace(reps=2, jobs=1)
+        [(a, _)] = cli._replicated([cfg], args, base_seed=7)
+        [(b, _)] = cli._replicated([cfg], args, base_seed=7)
         assert [r["seed"] for r in a] == [rng.mix_key_int(7, i) for i in range(2)]
         assert a == b
 
