@@ -10,7 +10,9 @@ Two `sd2 train` runs at the README arch and weights (n=1,500, 3 epochs,
 seed 3: binary and demand) print the sha256 of their `checkpoint.bin` and
 `history.csv`, and so does a third binary run that reads a dataset directory
 written by `datagen.write_dataset` through `sd2 train --data` (n=1,500,
-seed 4).  A last line gives one sha256 over the outputs of `predict_outcome`
+seed 4).  Each run also prints the sha256 of its parameters: the bytes of
+`checkpoint.bin` after the manifest line, which stay the same when only the
+manifest changes.  A last line gives one sha256 over the outputs of `predict_outcome`
 (every do-value of the dataset's grid), `encode` and `_eval_breakdown` for
 the two reference-trained models on fresh datasets of 1,000, 1,025, 4,097
 and 10,000 rows, row counts that put the forward passes on and around their
@@ -108,6 +110,8 @@ def _train(tmp: Path, name: str, raw: dict, *extra: str) -> Path | None:
         return None
     for artifact in ("checkpoint.bin", "history.csv"):
         print(f"{name} {artifact} {_sha256(out / artifact)}")
+    payload = (out / "checkpoint.bin").read_bytes().split(b"\n", 1)[1]
+    print(f"{name} parameters {hashlib.sha256(payload).hexdigest()}")
     return out
 
 

@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -124,12 +124,11 @@ def build_train_config(raw: dict) -> TrainConfig:
         raise ConfigError("config field 'dataset' must be a JSON object or null")
     mode = raw.get("mode", "binary")
     arch_raw = raw.get("arch", {})
-    if "input_dim" in arch_raw:
-        raise ConfigError("config section 'arch': input_dim is set from the data's "
-                          "covariate count; remove it")
-    if arch_raw.get("mode", mode) != mode:
-        raise ConfigError(f"config section 'arch': mode {arch_raw['mode']!r} differs from "
-                          f"the config's mode {mode!r}")
+    for name, source in (("input_dim", "the data's covariate count"),
+                         ("mode", "the config's mode")):
+        if name in arch_raw:
+            raise ConfigError(f"config section 'arch': {name} is set from {source}; "
+                              "remove it")
     # input_dim is a placeholder until training reads the data's width
     arch = _build_section(ArchConfig, {**arch_raw, "input_dim": 1, "mode": mode}, "arch")
     weights = _build_section(LossWeights, raw.get("weights", {}), "weights")
@@ -145,7 +144,8 @@ def build_train_config(raw: dict) -> TrainConfig:
 
 
 def config_json(config: TrainConfig) -> dict:
-    d = tr.config_to_dict(config)
+    d = asdict(config)  # training sets the arch's input_dim and mode
+    del d["arch"]["input_dim"], d["arch"]["mode"]
     return {"schema_version": CONFIG_SCHEMA_VERSION, "mode": d.pop("mode"),
             "arch": d.pop("arch"), "weights": d.pop("weights"),
             "optimizer": d.pop("optimizer"), "dataset": d.pop("dataset"), "train": d}
@@ -345,6 +345,9 @@ def cmd_ablate(args, run: Run) -> tuple[str, float]:
     if unknown:
         raise ConfigError(f"--variants: unknown variant {unknown[0]!r}; "
                           f"choose from {', '.join(tr.VARIANTS)}")
+    repeated = [v for i, v in enumerate(variants) if v in variants[:i]]
+    if repeated:
+        raise ConfigError(f"--variants: variant {repeated[0]!r} is named more than once")
     results = _replicated([tr.apply_ablation(base, v) for v in variants], args, base_seed)
     table = [{"variant": v, "failed": summary["failed"],
               **_split_columns(summary, ("mean", "std", "formatted"))}
@@ -388,8 +391,13 @@ def cmd_verify(args, run: Run) -> tuple[str, float]:
 
 def cmd_sweep(args, run: Run) -> tuple[str, float]:
     base, base_seed = _train_config(args, run)
-    if args.param not in ("alpha", "beta", "gamma", "delta", "omega_cont"):
-        raise ConfigError(f"--param must name a loss coefficient, got {args.param!r}")
+    coefficients = [f.name for f in fields(LossWeights)]
+    if args.param not in coefficients:
+        raise ConfigError(f"--param must name a loss coefficient ({', '.join(coefficients)}), "
+                          f"got {args.param!r}")
+    if args.param == "omega_cont" and base.mode != "continuous":
+        raise ConfigError(f"--param omega_cont: only the continuous objective reads the "
+                          f"rebalance coefficient, and the config's mode is {base.mode!r}")
     try:  # every grid value is checked before any is trained
         grid = [float(v) for v in args.grid.split(",")]
         configs = [replace(base, weights=replace(base.weights, **{args.param: value}))

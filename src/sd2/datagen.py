@@ -80,23 +80,28 @@ class DemandSpec:
             raise ValueError("invalid dimensions")
 
 
+# both twins' birth weights (grams) and one-year mortality; pairs where either
+# twin weighs TWINS_MAX_WEIGHT or more are dropped, and so are opposite-sex
+# pairs when the CSV has the sex columns
+TWINS_WEIGHT_COLUMNS = ("dbirwt_0", "dbirwt_1")
+TWINS_OUTCOME_COLUMNS = ("mort_0", "mort_1")
+TWINS_SEX_COLUMNS = ("sex_0", "sex_1")
+TWINS_MAX_WEIGHT = 2000.0
+
+
 @dataclass(frozen=True)
 class TwinsSpec:
     """Transform of a twin-records CSV into a confounded benchmark.
 
     The columns in `m_columns` drive the simulated treatment policy;
     `hide_count` of them are removed from the observed covariates to act as
-    unobserved confounders.  Filters apply only where their columns exist.
+    unobserved confounders.  The other columns it reads are the TWINS_* ones.
     """
     csv_path: str
     m_columns: tuple[str, ...]
     hide_count: int = 4
     mv: int = 0
     seed: int = 0
-    weight_columns: tuple[str, str] = ("dbirwt_0", "dbirwt_1")
-    outcome_columns: tuple[str, str] = ("mort_0", "mort_1")
-    sex_columns: tuple[str, str] | None = ("sex_0", "sex_1")
-    max_weight: float | None = 2000.0
 
     def __post_init__(self):
         if self.hide_count >= len(self.m_columns):
@@ -259,30 +264,25 @@ def twins_transform(spec: TwinsSpec) -> GeneratedDataset:
     generated instruments), hide part of M as unobserved confounders, and
     keep both twins' outcomes as the two potential outcomes."""
     data = _read_csv_columns(spec.csv_path)
-    for col in (*spec.m_columns, *spec.weight_columns, *spec.outcome_columns):
+    for col in (*spec.m_columns, *TWINS_WEIGHT_COLUMNS, *TWINS_OUTCOME_COLUMNS):
         if col not in data:
             raise SchemaError(f"designated column {col!r} missing from {spec.csv_path}")
-    n_raw = len(next(iter(data.values())))
-    keep = np.ones(n_raw, dtype=bool)
-    w0, w1 = (data[c] for c in spec.weight_columns)
-    if spec.max_weight is not None:
-        keep &= (w0 < spec.max_weight) & (w1 < spec.max_weight)
-    if spec.sex_columns is not None and all(c in data for c in spec.sex_columns):
-        keep &= data[spec.sex_columns[0]] == data[spec.sex_columns[1]]
+    w0, w1 = (data[c] for c in TWINS_WEIGHT_COLUMNS)
+    keep = (w0 < TWINS_MAX_WEIGHT) & (w1 < TWINS_MAX_WEIGHT)
+    if all(c in data for c in TWINS_SEX_COLUMNS):
+        keep &= data[TWINS_SEX_COLUMNS[0]] == data[TWINS_SEX_COLUMNS[1]]
     data = {k: v[keep] for k, v in data.items()}
     n = int(keep.sum())
     if n == 0:
         raise SchemaError("no rows survive the filter criteria")
 
-    w0, w1 = (data[c] for c in spec.weight_columns)
-    m0, m1 = (data[c] for c in spec.outcome_columns)
+    w0, w1 = (data[c] for c in TWINS_WEIGHT_COLUMNS)
+    m0, m1 = (data[c] for c in TWINS_OUTCOME_COLUMNS)
     heavier_is_1 = w1 >= w0
     p1 = np.where(heavier_is_1, m1, m0)   # outcome of the heavier twin
     p0 = np.where(heavier_is_1, m0, m1)   # outcome of the lighter twin
 
-    special = set(spec.weight_columns) | set(spec.outcome_columns)
-    if spec.sex_columns:
-        special |= set(spec.sex_columns)
+    special = {*TWINS_WEIGHT_COLUMNS, *TWINS_OUTCOME_COLUMNS, *TWINS_SEX_COLUMNS}
     feature_cols = [c for c in data if c not in special]
     rest_cols = [c for c in feature_cols if c not in spec.m_columns]
 
@@ -509,8 +509,8 @@ def write_twins_fixture(path: str | Path, n: int = 220, seed: int = 2024) -> Pat
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(FIXTURE_FEATURES + ["sex_0", "sex_1", "dbirwt_0", "dbirwt_1",
-                                       "mort_0", "mort_1"])
+        w.writerow([*FIXTURE_FEATURES, *TWINS_SEX_COLUMNS, *TWINS_WEIGHT_COLUMNS,
+                    *TWINS_OUTCOME_COLUMNS])
         for i in range(n):
             w.writerow([_fmt(v) for v in feats[i]]
                        + [_fmt(sex[i]), _fmt(sex1[i]), _fmt(w0[i]), _fmt(w1[i]),

@@ -37,7 +37,7 @@ with code 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,6 +55,7 @@ class DegenerateBatchError(Exception):
 
 @dataclass(frozen=True)
 class LossWeights:
+    """The loss coefficients; `sd2 sweep --param` takes these field names."""
     alpha: float = 1.0
     beta: float = 1.0
     gamma: float = 1.0
@@ -62,7 +63,7 @@ class LossWeights:
     omega_cont: float = 1.0
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta", "omega_cont"):
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")

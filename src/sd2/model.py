@@ -7,6 +7,7 @@ Gaussian mean and log std in continuous mode, where the treatment side also
 has an adjustment head and a rebalance network feeding a second confounder
 head.  The deep outcome head reads the factual treatment as one extra input
 column; at prediction time the do-value is substituted into that column.
+Every layer but a head's last is ELU (``HIDDEN_ACTIVATION``).
 `predict_outcome` keeps retain_y's output for the last covariates it scored,
 so a sweep over do-values on the same covariates, such as eps_ATE's do(1) and
 do(0) or the 10-point grid of the counterfactual MSE, runs the encoders and
@@ -46,6 +47,8 @@ from .family import FAMILIES, Family, Gaussian
 CHECKPOINT_FORMAT = "sd2-checkpoint"
 CHECKPOINT_VERSION = 1
 
+HIDDEN_ACTIVATION = "elu"  # as in CFR/TARNet
+
 BLOCK_ROWS = 1024
 # a shorter tail joins the block before it: a one-row block takes another
 # BLAS path (matrix-vector) whose sums differ in the last bit
@@ -59,7 +62,6 @@ class ArchConfig:
     enc_hidden: int = 64
     enc_layers: int = 2
     head_hidden: int = 32
-    activation: str = "elu"
     mode: str = "binary"
 
     def __post_init__(self):
@@ -163,9 +165,9 @@ def bind(model: SD2Model, tape: ad.Tape,
 
 
 def _mlp(p: dict[str, ad.Tensor], prefix: str, x: ad.Tensor, n_layers: int,
-         activation: str, out_activation: str) -> ad.Tensor:
+         out_activation: str = HIDDEN_ACTIVATION) -> ad.Tensor:
     for i in range(n_layers):
-        act = out_activation if i == n_layers - 1 else activation
+        act = out_activation if i == n_layers - 1 else HIDDEN_ACTIVATION
         x = ad.dense(x, p[f"{prefix}.l{i}.W"], p[f"{prefix}.l{i}.b"], act)
     return x
 
@@ -175,20 +177,18 @@ ENCODERS = ("enc_z", "enc_c", "enc_a")
 
 def _encode(cfg: ArchConfig, p: dict[str, ad.Tensor], x: ad.Tensor,
             encoders: tuple[str, ...] = ENCODERS) -> tuple[ad.Tensor, ...]:
-    return tuple(_mlp(p, enc, x, cfg.enc_layers + 1, cfg.activation, cfg.activation)
-                 for enc in encoders)
+    return tuple(_mlp(p, enc, x, cfg.enc_layers + 1) for enc in encoders)
 
 
-def _head(cfg: ArchConfig, fam: Family, p, prefix: str, x: ad.Tensor):
-    return fam.head(_mlp(p, prefix, x, 2, cfg.activation, fam.activation))
+def _head(fam: Family, p, prefix: str, x: ad.Tensor):
+    return fam.head(_mlp(p, prefix, x, 2, fam.activation))
 
 
-def _outcome_head(cfg: ArchConfig, fam: Family, p, tape: ad.Tape, reps: ad.Tensor,
-                  t: np.ndarray):
+def _outcome_head(fam: Family, p, tape: ad.Tape, reps: ad.Tensor, t: np.ndarray):
     """retain_y over ``reps`` (r_c and r_a side by side), then the treatment
     column ``t`` (n x 1, a constant), then the deep outcome head."""
-    h_y = ad.dense(reps, p["retain_y.l0.W"], p["retain_y.l0.b"], cfg.activation)
-    return _head(cfg, fam, p, "head_y", ad.concat_cols([tape.constant(t), h_y]))
+    h_y = ad.dense(reps, p["retain_y.l0.W"], p["retain_y.l0.b"], HIDDEN_ACTIVATION)
+    return _head(fam, p, "head_y", ad.concat_cols([tape.constant(t), h_y]))
 
 
 def _check_input(cfg: ArchConfig, x: np.ndarray):
@@ -246,18 +246,18 @@ def _forward_rows(cfg: ArchConfig, p: dict[str, ad.Tensor], tape: ad.Tape,
     fam = FAMILIES[cfg.mode]
     r_z, r_c, r_a = _encode(cfg, p, tape.constant(x))
     h_t = ad.dense(ad.concat_cols([r_z, r_c]), p["retain_t.l0.W"], p["retain_t.l0.b"],
-                   cfg.activation)
-    q_t = _head(cfg, fam, p, "head_t", h_t)
-    q_t_z = _head(cfg, fam, p, "head_t_z", r_z)
-    q_t_c = _head(cfg, fam, p, "head_t_c", r_c)
+                   HIDDEN_ACTIVATION)
+    q_t = _head(fam, p, "head_t", h_t)
+    q_t_z = _head(fam, p, "head_t_z", r_z)
+    q_t_c = _head(fam, p, "head_t_c", r_c)
     q_t_a = q_t_cr = None
     if cfg.mode == "continuous":
-        q_t_a = _head(cfg, fam, p, "head_t_a", r_a)
-        c_reb = _mlp(p, "rebalance", r_c, 2, cfg.activation, cfg.activation)
-        q_t_cr = _head(cfg, fam, p, "head_t_cr", c_reb)
-    q_y = _outcome_head(cfg, fam, p, tape, ad.concat_cols([r_c, r_a]), t.reshape(-1, 1))
-    q_y_a = _head(cfg, fam, p, "head_y_a", r_a)
-    q_y_c = _head(cfg, fam, p, "head_y_c", r_c)
+        q_t_a = _head(fam, p, "head_t_a", r_a)
+        c_reb = _mlp(p, "rebalance", r_c, 2)
+        q_t_cr = _head(fam, p, "head_t_cr", c_reb)
+    q_y = _outcome_head(fam, p, tape, ad.concat_cols([r_c, r_a]), t.reshape(-1, 1))
+    q_y_a = _head(fam, p, "head_y_a", r_a)
+    q_y_c = _head(fam, p, "head_y_c", r_c)
     return HeadOutputs(q_t, q_t_z, q_t_c, q_y, q_y_a, q_y_c, q_t_a, q_t_cr,
                        Representations(r_z, r_c, r_a))
 
@@ -344,7 +344,7 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
         for sl in blocks:
             reps = ad.concat_cols(list(_encode(cfg, p, tape.constant(x[sl]), _OUTCOME_ENCODERS)))
             h_y[sl] = ad.dense(reps, p["retain_y.l0.W"], p["retain_y.l0.b"],
-                               cfg.activation).value
+                               HIDDEN_ACTIVATION).value
         memo = _OutcomeMemo(cfg, [a.copy() for a in key], h_y)
     p = bind(model, tape, ("head_y",))
     out = np.empty(len(x))
@@ -352,8 +352,7 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
         head_in = np.empty((sl.stop - sl.start, cfg.enc_hidden + 1))
         head_in[:, 0] = float(t_value)
         head_in[:, 1:] = memo.h_y[sl]
-        head_out = _mlp(p, "head_y", tape.constant(head_in), 2, cfg.activation,
-                        FAMILIES[cfg.mode].activation)
+        head_out = _mlp(p, "head_y", tape.constant(head_in), 2, FAMILIES[cfg.mode].activation)
         out[sl] = head_out.value[:, 0]
     model._outcome_memo = memo
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,10 +42,9 @@ class TrainingError(Exception):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Adam's step size; its moment decays and epsilon are `ad.AdamState`'s
+    defaults (0.9, 0.999, 1e-8)."""
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -201,9 +200,7 @@ def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
     n = train_ds.n
     arch = _arch_for(config, x_all.shape[1])
     model = init_model(arch, rng.mix_key(config.seed, "init"))
-    state = ad.AdamState(model.params, lr=config.optimizer.lr,
-                         beta1=config.optimizer.beta1, beta2=config.optimizer.beta2,
-                         eps=config.optimizer.eps)
+    state = ad.AdamState(model.params, lr=config.optimizer.lr)
     history = TrainHistory()
     best = (np.inf, model.copy_params(), -1)
     bad = 0
@@ -292,9 +289,3 @@ def resolve_data(config: TrainConfig, seed: int
             raise dg.SchemaError(f"dataset mode {ds.mode!r} != config mode {config.mode!r}")
     return data if len(data) == 3 else dg.split(data[0], config.split_ratios,
                                                  rng.mix_key(seed, "split"))
-
-
-def config_to_dict(config: TrainConfig) -> dict:
-    d = asdict(config)
-    d["arch"].pop("input_dim", None)  # derived from data at train time
-    return d

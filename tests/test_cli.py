@@ -113,8 +113,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("data", ["reference", "dir", "triple"])
     def test_written_config_trains_again(self, tmp_path, monkeypatch, data):
-        # config.json holds arch.mode, equal to the config's mode, and names
-        # the data the run used: --data as a dir reference with an absolute path
+        # config.json names the data the run used: --data as a dir reference
+        # with an absolute path; it holds no value that is not settable
         argv = ["train", "--config", write_json(tmp_path / "cfg.json", SMALL_TRAIN)]
         if data != "reference":
             spec = dg.SyntheticSpec(n=150, mz=2, mc=2, ma=1, mu=1, seed=4)
@@ -127,6 +127,9 @@ class TestTrain:
             argv += ["--data", "data"]
         first = tmp_path / "run"
         assert cli.main([*argv, "--out", str(first)]) == 0
+        written = json.loads((first / "config.json").read_text())
+        assert set(written["arch"]) == {"rep_dim", "enc_hidden", "enc_layers", "head_hidden"}
+        assert written["optimizer"] == {"lr": 0.001}
         if data != "reference":
             assert json.loads((first / "config.json").read_text())["dataset"] == {
                 "kind": "dir", "path": str(tmp_path.resolve() / "data")}
@@ -404,6 +407,25 @@ FAILURES = {
     "arch_mode_mismatch": (lambda tmp, run, data: [
         "train", "--config", _config(tmp, arch={**SMALL_TRAIN["arch"], "mode": "continuous"})],
         2),
+    "arch_mode": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, arch={**SMALL_TRAIN["arch"], "mode": "binary"})], 2),
+    # hidden layers are always ELU, Adam's decays and epsilon are fixed, and the
+    # twins columns and weight cap are constants
+    "arch_activation": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, arch={**SMALL_TRAIN["arch"], "activation": "elu"})],
+        2),
+    "optimizer_beta1": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, optimizer={"lr": 0.001, "beta1": 0.9})], 2),
+    "twins_weight_columns": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, dataset={
+            "kind": "twins", "csv_path": str(dg.fixture_path()),
+            "m_columns": list(dg.FIXTURE_M_COLUMNS),
+            "weight_columns": list(dg.TWINS_WEIGHT_COLUMNS)})], 2),
+    "ablate_repeated_variant": (lambda tmp, run, data: [
+        "ablate", "--config", _config(tmp), "--reps", "1", "--variants", "Lp,Total,Lp"], 2),
+    # only the continuous objective reads the rebalance coefficient
+    "sweep_omega_cont_binary": (lambda tmp, run, data: [
+        "sweep", "--config", _config(tmp), "--param", "omega_cont", "--grid", "0,1"], 2),
 }
 
 # cases whose error must name the field at fault
@@ -414,6 +436,12 @@ FAILURE_FIELDS = {
     "use_importance_weights": "use_importance_weights",
     "arch_input_dim": "input_dim",
     "arch_mode_mismatch": "mode",
+    "arch_mode": "'arch': mode",
+    "arch_activation": "activation",
+    "optimizer_beta1": "beta1",
+    "twins_weight_columns": "weight_columns",
+    "ablate_repeated_variant": "'Lp' is named more than once",
+    "sweep_omega_cont_binary": "omega_cont",
     "bad_split_ratios": "split_ratios",
     "train_mode_mismatch": "dataset mode",
     "weights_not_finite": "delta must be finite and nonnegative, got inf",
@@ -473,6 +501,8 @@ def test_nonfinite_validation_names_epoch(tmp_path):
 MANIFEST_EDITS = {
     # every checkpoint written while the outcome head's input was selectable
     "treatment_channel": lambda m: m["config"].update(treatment_channel="factual"),
+    # every checkpoint written while the hidden layers' activation was selectable
+    "activation": lambda m: m["config"].update(activation="elu"),
     "params": lambda m: m.pop("params"),
     "mode": lambda m: m["config"].update(mode="x"),
     "seed": lambda m: m.update(seed="5"),
@@ -507,13 +537,14 @@ def test_treatment_channel_config_rejected(tmp_path, capsys):
 def test_ablate_checks_variants_before_training(tmp_path, monkeypatch):
     trained = []
     monkeypatch.setattr(cli, "_replicated", lambda configs, *a: trained.extend(configs))
-    assert cli.main(["ablate", "--config", _config(tmp_path), "--reps", "1",
-                     "--variants", "Total,Lq", "--out", str(tmp_path / "abl")]) == 2
+    for variants in ("Total,Lq", "Lp,Total,Lp"):  # an unknown name, a repeated one
+        assert cli.main(["ablate", "--config", _config(tmp_path), "--reps", "1",
+                         "--variants", variants, "--out", str(tmp_path / "abl")]) == 2
     assert trained == []
 
 
 @pytest.mark.parametrize("case", ["sweep_negative_value", "sweep_nan_value",
-                                  "sweep_param_zeroed_by_variant"])
+                                  "sweep_param_zeroed_by_variant", "sweep_omega_cont_binary"])
 def test_sweep_checks_grid_before_training(case, tmp_path, monkeypatch):
     trained = []
     monkeypatch.setattr(cli, "_replicated", lambda configs, *a: trained.extend(configs))

@@ -232,6 +232,9 @@ class TestSpecFromRef:
         ({"kind": "demand", "zz": 1}, "zz"),
         ({"kind": "synthetic_binary", "mz": -1}, "dimensions"),
         ({"kind": "twins", "csv_path": "t.csv"}, "m_columns"),
+        # the twins columns and weight cap are constants (TWINS_*)
+        ({"kind": "twins", "csv_path": "t.csv", "m_columns": ["m"], "hide_count": 0,
+          "max_weight": 2500.0}, "max_weight"),
         (None, "dataset reference"),
     ])
     def test_bad_reference_names_field(self, ref, field):

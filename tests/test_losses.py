@@ -647,6 +647,33 @@ BITWISE_CASES = [(mode, layout, rows) for rows in (2, 7, 48) for mode, layout in
                  if not (rows == 2 and layout in ("unequal", "one-control"))]
 
 
+def tiny_objective(mode, layout, weights):
+    """A tiny model of ``mode`` on 12 rows of ``layout``, and its objective as
+    a ``loss(tape, params)`` for the finite-difference checks."""
+    arch = M.ArchConfig(input_dim=3, rep_dim=2, enc_hidden=3, enc_layers=1, head_hidden=2,
+                        mode=mode)
+    model = M.init_model(arch, 5)
+    rows = 12
+    x = rng.normal_matrix(41, rows, 3)
+    t = TREATMENT_LAYOUTS[mode, layout](rows)
+    if mode == "binary":
+        y = rng.bernoulli(42, np.full(rows, 0.5))
+        w = 1.0 + rng.uniforms(43, 0, rows)
+
+        def loss(tape, params):
+            p = {k: tape.parameter(v, k) for k, v in params.items()}
+            out = M.forward_binary(model, x, t, tape, p)
+            return L.total_loss_binary(out, t, y, w, weights, p).node
+    else:
+        y = rng.normals(43, 0, rows)
+
+        def loss(tape, params):
+            p = {k: tape.parameter(v, k) for k, v in params.items()}
+            out = M.forward_continuous(model, x, t, tape, p)
+            return L.total_loss_continuous(out, t, y, weights, p).node
+    return model, loss
+
+
 class TestObjective:
     @pytest.mark.parametrize("enc_layers", [1, 2], ids="depth{}".format)
     @pytest.mark.parametrize("variant", tr.VARIANTS)
@@ -671,29 +698,32 @@ class TestObjective:
     def test_gradcheck(self, mode, layout):
         # central differences of the whole objective through a tiny model; the
         # teachers are replayed at every probe point
-        arch = M.ArchConfig(input_dim=3, rep_dim=2, enc_hidden=3, enc_layers=1, head_hidden=2,
-                            mode=mode)
-        model = M.init_model(arch, 5)
-        rows = 12
-        x = rng.normal_matrix(41, rows, 3)
-        t = TREATMENT_LAYOUTS[mode, layout](rows)
-        if mode == "binary":
-            y = rng.bernoulli(42, np.full(rows, 0.5))
-            w = 1.0 + rng.uniforms(43, 0, rows)
-
-            def loss(tape, params):
-                p = {k: tape.parameter(v, k) for k, v in params.items()}
-                out = M.forward_binary(model, x, t, tape, p)
-                return L.total_loss_binary(out, t, y, w, OBJECTIVE_WEIGHTS, p).node
-        else:
-            y = rng.normals(43, 0, rows)
-
-            def loss(tape, params):
-                p = {k: tape.parameter(v, k) for k, v in params.items()}
-                out = M.forward_continuous(model, x, t, tape, p)
-                return L.total_loss_continuous(out, t, y, OBJECTIVE_WEIGHTS, p).node
-
+        model, loss = tiny_objective(mode, layout, OBJECTIVE_WEIGHTS)
         assert ad.finite_diff_check(loss, model.params) < 1e-6
+
+    @pytest.mark.parametrize("variant", tr.VARIANTS)
+    @pytest.mark.parametrize("mode, layout", LAYOUTS, ids=["-".join(c) for c in LAYOUTS])
+    def test_directional_gradcheck(self, mode, layout, variant):
+        # g.v against the central difference along v, for seeded Gaussian
+        # directions over every parameter at once: unlike the entrywise check,
+        # a tiny gradient entry cannot turn the relative error into rounding
+        weights = tr.apply_ablation(tr.TrainConfig(weights=OBJECTIVE_WEIGHTS), variant).weights
+        model, loss = tiny_objective(mode, layout, weights)
+        base = ad.Tape()
+        _, grads = base.gradients(loss(base, model.params))
+        eps = 1e-5
+        for k in range(8):
+            direction = {n: rng.normals(rng.mix_key(k, n), 0, v.size).reshape(v.shape)
+                         for n, v in model.params.items()}
+            slope = sum(float((grads[n] * direction[n]).sum()) for n in model.params)
+
+            def probe(sign):
+                tape = ad.Tape(replay_detached=base.detached_values, record=False)
+                moved = {n: v + sign * eps * direction[n] for n, v in model.params.items()}
+                return float(loss(tape, moved).value)
+
+            numeric = (probe(1.0) - probe(-1.0)) / (2.0 * eps)
+            assert abs(numeric - slope) / max(abs(slope), abs(numeric), 1e-8) < 1e-6
 
 
 FAILURE_ROWS = 6

@@ -140,14 +140,12 @@ class TestValidationChunks:
 
 
 class TestTapes:
-    @pytest.mark.parametrize("activation", ["identity", "elu", "sigmoid"])
-    @pytest.mark.parametrize("mode", ["binary", "continuous"])
-    def test_validation_pass_matches_recorded_bitwise(self, mode, activation,
-                                                       record_every_tape):
+    # the ids name the hidden layers' activation, always ELU
+    @pytest.mark.parametrize("mode", ["binary", "continuous"], ids="{}-elu".format)
+    def test_validation_pass_matches_recorded_bitwise(self, mode, record_every_tape):
         dataset = ({"kind": "demand", "n": 300} if mode == "continuous"
                    else tiny_config().dataset)
-        arch = replace(tiny_config().arch, activation=activation)
-        cfg = tiny_config(mode=mode, dataset=dataset, arch=arch)
+        cfg = tiny_config(mode=mode, dataset=dataset)
         _, val, _ = tr.resolve_data(cfg, 11)
         model = init_model(tr._arch_for(cfg, val.covariates().shape[1]), 3)
 
