@@ -135,16 +135,29 @@ def _unmemoised(m):
 # a dense node per encoder to every forward
 ENC_LAYERS = (1, 2, 3)
 
-# both modes; the ids also name the hidden layers' activation, which is always
-# ELU, so they read as they did when the activation was a setting
-MODES = pytest.mark.parametrize("mode", ["binary", "continuous"], ids="{}-elu".format)
+# layer widths beside small_cfg's (rep 4, hidden 8, head 4): every width at
+# one, and ArchConfig's defaults (rep 8, hidden 64, head 32), the widths every
+# run uses; each gives the matrix products other shapes
+WIDTHS = {"narrow": dict(rep_dim=1, enc_hidden=1, head_hidden=1),
+          "default": dict(rep_dim=8, enc_hidden=64, head_hidden=32)}
+
+
+def modes(*widths):
+    """Both modes at small_cfg's widths, then at each named width.  The ids
+    also name the hidden layers' activation, which is always ELU, so the
+    small_cfg ids read as they did when the activation was a setting."""
+    cases = [pytest.param(mode, {}, id=f"{mode}-elu") for mode in ("binary", "continuous")]
+    cases += [pytest.param(mode, WIDTHS[w], id=f"{mode}-elu-{w}")
+              for w in widths for mode in ("binary", "continuous")]
+    return pytest.mark.parametrize("mode, widths", cases)
 
 
 class TestTapeFreeInference:
     @pytest.mark.parametrize("enc_layers", ENC_LAYERS)
-    @MODES
-    def test_matches_recorded_forward_bitwise(self, mode, enc_layers, record_every_tape):
-        m = M.init_model(small_cfg(mode=mode, enc_layers=enc_layers), seed=12)
+    @modes("narrow", "default")
+    def test_matches_recorded_forward_bitwise(self, mode, widths, enc_layers,
+                                              record_every_tape):
+        m = M.init_model(small_cfg(mode=mode, enc_layers=enc_layers, **widths), seed=12)
         x = rand_x(n=40) * 2.0
 
         def run(model_for):
@@ -212,8 +225,8 @@ def _tensor_values(outputs) -> list[np.ndarray]:
     return values
 
 
-def _block_case(n, mode, enc_layers):
-    m = M.init_model(small_cfg(mode=mode, enc_layers=enc_layers), seed=12)
+def _block_case(n, mode, enc_layers, widths):
+    m = M.init_model(small_cfg(mode=mode, enc_layers=enc_layers, **widths), seed=12)
     x = rand_x(n=n, key=n) * 2.0
     if mode == "binary":
         return m, M.forward_binary, x, rand_t(n=n, key=n + 1), 1.0
@@ -238,20 +251,20 @@ class TestRowBlocks:
         assert sizes[-1] < M.BLOCK_ROWS + 16
 
     @pytest.mark.parametrize("enc_layers", ENC_LAYERS)
-    @MODES
+    @modes("default")
     @pytest.mark.parametrize("n", BLOCK_TEST_ROWS)
-    def test_forward_matches_recorded_bitwise(self, n, mode, enc_layers):
-        m, forward, x, t, _ = _block_case(n, mode, enc_layers)
+    def test_forward_matches_recorded_bitwise(self, n, mode, widths, enc_layers):
+        m, forward, x, t, _ = _block_case(n, mode, enc_layers, widths)
         tape_free = _tensor_values(forward(m, x, t))
         recorded = _tensor_values(forward(m, x, t, ad.Tape()))
         assert len(tape_free) == len(recorded) == (19 if mode == "continuous" else 9)
         assert all(np.array_equal(a, b) for a, b in zip(tape_free, recorded))
 
     @pytest.mark.parametrize("enc_layers", ENC_LAYERS)
-    @MODES
+    @modes("default")
     @pytest.mark.parametrize("n", BLOCK_TEST_ROWS)
-    def test_predict_and_encode_match_recorded_bitwise(self, n, mode, enc_layers):
-        m, forward, x, _, do_value = _block_case(n, mode, enc_layers)
+    def test_predict_and_encode_match_recorded_bitwise(self, n, mode, widths, enc_layers):
+        m, forward, x, _, do_value = _block_case(n, mode, enc_layers, widths)
         recorded = forward(m, x, np.full(n, do_value), ad.Tape())
         q_y_mean = (recorded.q_y.mean if mode == "continuous" else recorded.q_y).value[:, 0]
         assert np.array_equal(M.predict_outcome(m, x, do_value), q_y_mean)
@@ -312,10 +325,10 @@ MEMO_MISSES = {f.__name__.lstrip("_"): f for f in (
 
 
 class TestOutcomeMemo:
-    @MODES
+    @modes("narrow", "default")
     @pytest.mark.parametrize("n", BLOCK_TEST_ROWS)
-    def test_hit_matches_fresh_model_bitwise(self, n, mode):
-        m, _, x, _, do_value = _block_case(n, mode, 2)
+    def test_hit_matches_fresh_model_bitwise(self, n, mode, widths):
+        m, _, x, _, do_value = _block_case(n, mode, 2, widths)
         M.predict_outcome(m, x, 0.0)
         memo = m._outcome_memo
         h_y = memo.h_y.copy()

@@ -140,12 +140,19 @@ class TestValidationChunks:
 
 
 class TestTapes:
-    # the ids name the hidden layers' activation, always ELU
-    @pytest.mark.parametrize("mode", ["binary", "continuous"], ids="{}-elu".format)
-    def test_validation_pass_matches_recorded_bitwise(self, mode, record_every_tape):
+    # tiny_config's widths, every width at one, and ArchConfig's defaults; the
+    # ids name the hidden layers' activation, always ELU, as they did when it
+    # was a setting
+    @pytest.mark.parametrize("widths", [
+        pytest.param({}, id="elu"),
+        pytest.param(dict(rep_dim=1, enc_hidden=1, head_hidden=1), id="elu-narrow"),
+        pytest.param(dict(rep_dim=8, enc_hidden=64, head_hidden=32), id="elu-default")])
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    def test_validation_pass_matches_recorded_bitwise(self, mode, widths, record_every_tape):
         dataset = ({"kind": "demand", "n": 300} if mode == "continuous"
                    else tiny_config().dataset)
-        cfg = tiny_config(mode=mode, dataset=dataset)
+        cfg = tiny_config(mode=mode, dataset=dataset,
+                          arch=replace(tiny_config().arch, **widths))
         _, val, _ = tr.resolve_data(cfg, 11)
         model = init_model(tr._arch_for(cfg, val.covariates().shape[1]), 3)
 
