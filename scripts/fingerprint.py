@@ -18,7 +18,10 @@ the two reference-trained models on fresh datasets of 1,000, 1,025, 4,097
 and 10,000 rows, row counts that put the forward passes on and around their
 row-block boundaries.  Then one line per mode and ablation variant gives the
 sha256 of one recorded training step at the README arch and weights: its
-loss breakdown, per-sample factual losses and every parameter gradient.
+loss breakdown, per-sample factual losses and every parameter gradient.  The
+last line gives one sha256 over every file `datagen.write_dataset` writes for
+a synthetic (mv=2), a demand and a twins dataset of the shipped fixture, and
+over the twin-records CSV `datagen.write_twins_fixture` writes.
 """
 
 from __future__ import annotations
@@ -97,6 +100,27 @@ def _step_lines(mode: str) -> list[str]:
     return lines
 
 
+def _dataset_files_line(tmp: Path) -> str:
+    """The sha256 over the dataset files, each preceded by its name.  The twins
+    dataset is drawn from the written fixture CSV, and its spec.json records
+    that CSV by file name, so the line does not depend on where files live."""
+    digest = hashlib.sha256()
+    fixture = dg.write_twins_fixture(tmp / "twins_fixture.csv")
+    twins = dg.generate(dg.fixture_spec(csv_path=str(fixture), mv=2, seed=6))
+    twins.spec = {**twins.spec, "csv_path": fixture.name}
+    datasets = {"synthetic": dg.generate(dg.spec_from_ref({**DATASETS["binary"], "mv": 2,
+                                                            "n": 300, "seed": 6})),
+                "demand": dg.generate(dg.spec_from_ref({**DATASETS["continuous"], "n": 300,
+                                                         "seed": 6})),
+                "twins": twins}
+    paths = [path for name, ds in datasets.items()
+             for path in sorted(dg.write_dataset(ds, tmp / name).iterdir())]
+    for path in [*paths, fixture]:
+        digest.update(f"{path.parent.name}/{path.name}\n".encode())
+        digest.update(path.read_bytes())
+    return f"dataset files {digest.hexdigest()}"
+
+
 def _train(tmp: Path, name: str, raw: dict, *extra: str) -> Path | None:
     """`sd2 train` on a config, printing the sha256 of its checkpoint and
     history; the run directory, or None if the run failed."""
@@ -130,9 +154,11 @@ def main() -> int:
                                                        "seed": 4})), data)
         if _train(tmp, "binary-data", _config("binary"), "--data", str(data)) is None:
             return 1
+        files = _dataset_files_line(tmp / "files")
     print(f"forward outputs at n={','.join(map(str, FORWARD_ROWS))} {forward.hexdigest()}")
     for mode in DATASETS:
         print("\n".join(_step_lines(mode)))
+    print(files)
     return 0
 
 

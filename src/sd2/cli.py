@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 config/schema, 3 I/O, 4 numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import multiprocessing as mp
 import os
@@ -33,7 +32,7 @@ from . import rng
 from . import training as tr
 from .autodiff import NonFiniteError
 from .losses import LossBreakdown, LossWeights
-from .model import ArchConfig, CheckpointError, checkpoint_load, checkpoint_save
+from .model import ArchConfig, CheckpointError, SD2Model, checkpoint_load, checkpoint_save
 from .training import TrainConfig, TrainingError
 
 EXIT_OK = 0
@@ -85,18 +84,6 @@ def _out_dir(args) -> Path | None:
     if not root:
         raise ConfigError("no --out given and SD2_OUT_ROOT is not set")
     return Path(root) / f"{args.command}-{int(time.time())}"
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: the top level must be a JSON object, "
-                          f"got {type(raw).__name__}")
-    return raw
 
 
 def _build_section(cls, section: dict, name: str):
@@ -169,34 +156,18 @@ def _write_manifest(command: str, run: Run, error: str | None):
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _write_rows_csv(path: Path, rows: list[dict]):
-    if not rows:
-        return
-    keys = list(dict.fromkeys(k for r in rows for k in r))  # error rows lack metrics
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=keys)
-        w.writeheader()
-        for r in rows:
-            w.writerow(r)
-
-
-def _write_history(path: Path, history: tr.TrainHistory):
-    fields = ["epoch", *LossBreakdown.FIELDS, "split"]
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
-        w.writeheader()
-        for row in history.rows:
-            w.writerow({k: row[k] for k in fields})
-
-
-def _metric_line(name: str, value: float):
-    print(f"METRIC {name}={value:.6f}")
+def _write_rows_csv(path: Path, rows: list[dict], keys: list[str] | None = None):
+    """Rows as a table under `keys`, by default every key of any row (error
+    rows lack metrics); a row without a key gets an empty cell."""
+    keys = keys or list(dict.fromkeys(k for r in rows for k in r))
+    if keys:
+        dg.write_csv(path, keys, ([r.get(k, "") for k in keys] for r in rows))
 
 
 def _train_config(args, run: Run) -> tuple[TrainConfig, int]:
     """The --config file with any --variant applied, and the base seed (--seed,
     else the config's); both go on the run record."""
-    config = build_train_config(_load_json(args.config))
+    config = build_train_config(dg.read_json_object(args.config))
     if getattr(args, "variant", None):
         config = tr.apply_ablation(config, args.variant)
     run.config = config_json(config)
@@ -206,7 +177,7 @@ def _train_config(args, run: Run) -> tuple[TrainConfig, int]:
 
 
 def cmd_generate(args, run: Run) -> tuple[str, float]:
-    run.config = _load_json(args.spec)
+    run.config = dg.read_json_object(args.spec)
     spec = dg.spec_from_ref(run.config)
     run.seeds = [spec.seed]
     if not args.triple:
@@ -230,31 +201,37 @@ def cmd_train(args, run: Run) -> tuple[str, float]:
     run.out.mkdir(parents=True, exist_ok=True)
     ckpt = run.out / "checkpoint.bin"
     checkpoint_save(model, ckpt)
-    _write_history(run.out / "history.csv", history)
+    _write_rows_csv(run.out / "history.csv", history.rows,
+                    ["epoch", *LossBreakdown.FIELDS, "split"])
     with open(run.out / "config.json", "w") as fh:
         json.dump(run.config, fh, indent=2, sort_keys=True)
     run.artifacts += [str(ckpt), str(run.out / "history.csv")]
     return "selected_epoch", history.selected_epoch
 
 
-def cmd_evaluate(args, run: Run) -> tuple[str, float]:
+def _checkpoint_and_data(args) -> tuple[SD2Model, list[tuple[Path, dg.GeneratedDataset]]]:
+    """The --checkpoint model and each --data set with its directory; ConfigError
+    unless every set has the checkpoint's mode and input width."""
     model = checkpoint_load(args.checkpoint)
-    data = dg.read_data_dir(args.data)
-    splits = [s.strip() for s in args.splits.split(",") if s.strip()]
-    if not splits:
-        raise ConfigError(f"--splits {args.splits!r} names no split")
+    cfg = model.config
+    data = list(dg.read_data_dir(args.data).items())
+    for path, ds in data:
+        if (ds.mode, ds.covariates().shape[1]) != (cfg.mode, cfg.input_dim):
+            raise ConfigError(f"{path}: {ds.mode} data of {ds.covariates().shape[1]} x and v "
+                              f"columns, a {cfg.mode} checkpoint of input_dim {cfg.input_dim}")
+    return model, data
+
+
+def cmd_evaluate(args, run: Run) -> tuple[str, float]:
+    model, data = _checkpoint_and_data(args)
     # a triple is scored within-sample on train and out-of-sample on test
-    datasets = ({"within": data[0], "out": data[2]} if len(data) == 3
-                else dict.fromkeys(splits, data[0]))
-    missing = [s for s in splits if s not in datasets]
-    if missing:
-        raise ConfigError(f"--splits: {args.data} has no split {missing[0]!r}; "
-                          f"its splits are {', '.join(datasets)}")
-    if any(ds.mode != model.config.mode for ds in datasets.values()):
-        raise ConfigError("checkpoint and dataset modes differ")
+    scored = {"within": data[0], "out": data[2]} if len(data) == 3 else {"all": data[0]}
+    for path, ds in scored.values():
+        if not ds.has_ground_truth:
+            raise ConfigError(f"{path / 'truth.csv'} not found: evaluate needs ground truth")
     name = ev.metric_name(model.config.mode)
-    rows = [{"split": s, "metric": name, "value": ev.metric_for(model, datasets[s])}
-            for s in splits]
+    rows = [{"split": split, "metric": name, "value": ev.metric_for(model, ds)}
+            for split, (_, ds) in scored.items()]
     run.out.mkdir(parents=True, exist_ok=True)
     _write_rows_csv(run.out / "report.csv", rows)
     with open(run.out / "report.json", "w") as fh:
@@ -363,8 +340,11 @@ def cmd_ablate(args, run: Run) -> tuple[str, float]:
 
 
 def cmd_attribute(args, run: Run) -> tuple[str, float]:
-    model = checkpoint_load(args.checkpoint)
-    report = ev.attribution(model, dg.read_data_dir(args.data)[0].input_roles())
+    model, [(path, ds), *_] = _checkpoint_and_data(args)
+    try:
+        report = ev.attribution(model, ds.input_roles())
+    except ValueError as exc:  # the roles lack a factor
+        raise ConfigError(f"{path / 'roles.csv'}: {exc}") from exc
     run.out.mkdir(parents=True, exist_ok=True)
     _write_rows_csv(run.out / "attribution.csv", report.rows())
     run.artifacts.append(str(run.out / "attribution.csv"))
@@ -422,7 +402,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a dataset directory from a spec file")
     p.add_argument("--spec", required=True)
-    p.add_argument("--out", default=None)
     p.add_argument("--triple", action="store_true",
                    help="three independent draws into train/ val/ test/")
     p.set_defaults(func=cmd_generate)
@@ -430,7 +409,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model")
     p.add_argument("--config", required=True)
     p.add_argument("--data", default=None, help="dataset dir or train/ val/ test/ triple")
-    p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--variant", default=None, choices=tr.VARIANTS)
     p.set_defaults(func=cmd_train)
@@ -438,13 +416,10 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="metrics for a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--splits", default="within,out")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("replicate", help="k replications with derived seeds")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
@@ -453,7 +428,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="replicated metrics per ablation variant")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
@@ -463,24 +437,23 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attribute", help="first-layer attribution of a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_attribute)
 
     p = sub.add_parser("verify", help="exact information-identity suite")
     p.add_argument("--joints", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="grid over one loss coefficient")
     p.add_argument("--config", required=True)
     p.add_argument("--param", required=True)
     p.add_argument("--grid", required=True)
-    p.add_argument("--out", default=None)
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
+    for p in sub.choices.values():  # every subcommand takes its run directory from --out
+        p.add_argument("--out", default=None)
     return parser
 
 
@@ -509,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{prefix}: {exc}", file=sys.stderr)
                 return code
         raise
-    _metric_line(*metric)
+    print("METRIC {}={:.6f}".format(*metric))
     return EXIT_OK
 
 

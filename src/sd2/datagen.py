@@ -24,7 +24,12 @@ from . import rng
 
 
 class SchemaError(ValueError):
-    """A dataset file or spec violates its schema; message names the field."""
+    """A dataset file or spec violates its schema; the message names the field,
+    and `field` holds the GeneratedDataset field at fault, if there is one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -126,13 +131,35 @@ class GeneratedDataset:
     spec: dict | None = None
 
     def __post_init__(self):
+        """The one check of a dataset's contents; SchemaError names the field."""
+        if self.mode not in ("binary", "continuous"):
+            raise SchemaError(f"mode must be 'binary' or 'continuous', got {self.mode!r}", "mode")
         n = len(self.t)
-        if self.x.shape[0] != n or self.v.shape[0] != n or len(self.y) != n:
-            raise ValueError("inconsistent row counts")
+        for name in ("x", "v", "t", "y", *TRUTH_COLUMNS[self.mode].values()):
+            values = getattr(self, name)
+            if values is None:
+                continue
+            if len(values) != n:
+                raise SchemaError(f"{name} has {len(values)} rows, t has {n}", name)
+            bad = ~np.isfinite(values)
+            if bad.any():
+                raise SchemaError(f"{name} must be finite, got {values[bad][0]} "
+                                  f"at row index {np.argwhere(bad)[0][0]}", name)
         if len(self.roles) != self.x.shape[1]:
-            raise ValueError("role labels must cover every x column")
-        if any(r not in ("z", "c", "a") for r in self.roles):
-            raise ValueError("roles must be z, c, or a")
+            raise SchemaError(f"{len(self.roles)} roles for {self.x.shape[1]} x columns", "roles")
+        for j, role in enumerate(self.roles):
+            if role not in ("z", "c", "a"):
+                raise SchemaError(f"role {role!r} of x{j} is not z, c or a", "roles")
+        if self.mode == "binary":
+            not_binary = (self.t != 0) & (self.t != 1)
+            if not_binary.any():
+                raise SchemaError(f"binary t must be 0 or 1, got {self.t[not_binary][0]} "
+                                  f"at row index {np.argmax(not_binary)}", "t")
+        if self.mode == "continuous" and self.has_ground_truth and not (
+                isinstance(self.beta, (int, float)) and not isinstance(self.beta, bool)
+                and np.isfinite(self.beta)):
+            raise SchemaError(f"beta must be a finite number when the counterfactual "
+                              f"surface is present, got {self.beta!r}", "beta")
 
     @property
     def n(self) -> int:
@@ -162,12 +189,10 @@ class GeneratedDataset:
 
     def subset(self, idx: np.ndarray) -> "GeneratedDataset":
         pick = lambda a: None if a is None else a[idx]
-        return GeneratedDataset(
-            mode=self.mode, x=self.x[idx], v=self.v[idx], t=self.t[idx],
-            y=self.y[idx], roles=list(self.roles),
-            p1=pick(self.p1), p0=pick(self.p0),
-            surface_a=pick(self.surface_a), surface_c=pick(self.surface_c),
-            beta=self.beta, latents=None, spec=self.spec)
+        return replace(self, x=self.x[idx], v=self.v[idx], t=self.t[idx], y=self.y[idx],
+                       roles=list(self.roles), p1=pick(self.p1), p0=pick(self.p0),
+                       surface_a=pick(self.surface_a), surface_c=pick(self.surface_c),
+                       latents=None)
 
 
 def gen_binary(spec: SyntheticSpec) -> GeneratedDataset:
@@ -235,28 +260,60 @@ def true_ate(dataset: GeneratedDataset) -> float:
     return float(np.mean(dataset.p1 - dataset.p0))
 
 
-def _read_csv_columns(path: str | Path) -> dict[str, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty CSV") from None
-        rows = list(reader)
-    for line, r in enumerate(rows, start=2):
+def read_csv(path: str | Path) -> dict[str, list[str]]:
+    """A CSV file's cells by column, read in full; SchemaError names the file if
+    it is empty, a row's cell count is not the header's or a column repeats."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: not a CSV text file: {exc}") from exc
+    if not rows:
+        raise SchemaError(f"{path}: empty CSV")
+    header, body = rows[0], rows[1:]
+    for line, r in enumerate(body, start=2):
         if len(r) != len(header):
             raise SchemaError(f"{path}: line {line} has {len(r)} cells, "
                               f"the header has {len(header)}")
     repeated = [name for j, name in enumerate(header) if name in header[:j]]
     if repeated:
         raise SchemaError(f"{path}: column {repeated[0]!r} appears more than once")
+    return {name: [r[j] for r in body] for j, name in enumerate(header)}
+
+
+def _read_csv_columns(path: str | Path) -> dict[str, np.ndarray]:
     data = {}
-    for j, name in enumerate(header):
+    for name, cells in read_csv(path).items():
         try:
-            data[name] = np.array([float(r[j]) for r in rows])
+            data[name] = np.array([float(c) for c in cells])
         except ValueError as exc:
             raise SchemaError(f"{path}: column {name!r} is not numeric: {exc}") from exc
+        if not np.isfinite(data[name]).all():
+            raise SchemaError(f"{path}: column {name!r} is not finite at line "
+                              f"{np.argmin(np.isfinite(data[name])) + 2}")
     return data
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> Path:
+    """A header and rows of cells as CSV; a float is written as its repr,
+    None as an empty cell."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return Path(path)
+
+
+def read_json_object(path: str | Path) -> dict:
+    """A JSON file whose top level is an object; SchemaError names the file."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{path}: the top level must be a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def twins_transform(spec: TwinsSpec) -> GeneratedDataset:
@@ -368,8 +425,18 @@ def generate(spec: SyntheticSpec | DemandSpec | TwinsSpec) -> GeneratedDataset:
     return next(gen for cls, gen in DATASET_KINDS.values() if type(spec) is cls)(spec)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _float_rows(*columns: np.ndarray) -> list[list[float]]:
+    """Columns side by side as rows of floats, which csv writes as their repr."""
+    return np.column_stack(columns).astype(np.float64, copy=False).tolist()
+
+
+# truth.csv's columns per mode, and the GeneratedDataset field each holds
+TRUTH_COLUMNS = {"binary": {"p1": "p1", "p0": "p0"},
+                 "continuous": {"sum_a": "surface_a", "sum_c": "surface_c"}}
+# the dataset directory file that holds each GeneratedDataset field
+FIELD_FILES = {"mode": "spec.json", "beta": "spec.json", "roles": "roles.csv",
+               **dict.fromkeys(("x", "v", "t", "y"), "data.csv"),
+               **dict.fromkeys(("p1", "p0", "surface_a", "surface_c"), "truth.csv")}
 
 
 def write_dataset(dataset: GeneratedDataset, out_dir: str | Path) -> Path:
@@ -377,34 +444,15 @@ def write_dataset(dataset: GeneratedDataset, out_dir: str | Path) -> Path:
     spec.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    k = dataset.x.shape[1]
-    mv = dataset.v.shape[1]
-    headers = [f"x{i}" for i in range(k)] + [f"v{i}" for i in range(mv)] + ["t", "y"]
-    with open(out / "data.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(headers)
-        for i in range(dataset.n):
-            row = ([_fmt(v) for v in dataset.x[i]] + [_fmt(v) for v in dataset.v[i]]
-                   + [_fmt(dataset.t[i]), _fmt(dataset.y[i])])
-            w.writerow(row)
-    with open(out / "roles.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["column", "role"])
-        for i, role in enumerate(dataset.roles):
-            w.writerow([f"x{i}", role])
+    x_cols = [f"x{i}" for i in range(dataset.x.shape[1])]
+    write_csv(out / "data.csv", [*x_cols, *(f"v{i}" for i in range(dataset.v.shape[1])), "t", "y"],
+              _float_rows(dataset.x, dataset.v, dataset.t, dataset.y))
+    write_csv(out / "roles.csv", ["column", "role"], zip(x_cols, dataset.roles))
     if dataset.has_ground_truth:
-        with open(out / "truth.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            if dataset.mode == "binary":
-                w.writerow(["p1", "p0"])
-                for i in range(dataset.n):
-                    w.writerow([_fmt(dataset.p1[i]), _fmt(dataset.p0[i])])
-            else:
-                w.writerow(["sum_a", "sum_c"])
-                for i in range(dataset.n):
-                    w.writerow([_fmt(dataset.surface_a[i]), _fmt(dataset.surface_c[i])])
-    spec_record = dict(dataset.spec or {})
-    spec_record["mode"] = dataset.mode
+        columns = TRUTH_COLUMNS[dataset.mode]
+        write_csv(out / "truth.csv", list(columns),
+                  _float_rows(*(getattr(dataset, name) for name in columns.values())))
+    spec_record = {**(dataset.spec or {}), "mode": dataset.mode}
     if dataset.mode == "continuous":
         spec_record["beta"] = dataset.beta
     with open(out / "spec.json", "w") as fh:
@@ -413,71 +461,53 @@ def write_dataset(dataset: GeneratedDataset, out_dir: str | Path) -> Path:
 
 
 def read_dataset(in_dir: str | Path) -> GeneratedDataset:
+    """The dataset a write_dataset directory holds, read and checked in full;
+    SchemaError names the file and the field."""
     src = Path(in_dir)
-    if not (src / "data.csv").exists():
-        raise FileNotFoundError(f"{src}/data.csv not found")
     data = _read_csv_columns(src / "data.csv")
-    for col in ("t", "y"):
-        if col not in data:
-            raise SchemaError(f"data.csv missing column {col!r}")
     k, m = (sum(c.startswith(prefix) for c in data) for prefix in "xv")
     x_cols, v_cols = [f"x{i}" for i in range(k)], [f"v{i}" for i in range(m)]
     for got, want in zip_longest(data, [*x_cols, *v_cols, "t", "y"]):
         if got != want:
-            raise SchemaError(f"data.csv column {got!r} is out of place: the header must be "
-                              "x0, x1, .. then v0, v1, .. then t, y")
+            raise SchemaError(f"{src / 'data.csv'}: column {got!r} is out of place: the header "
+                              "must be x0, x1, .. then v0, v1, .. then t, y")
     n = len(data["t"])
+    if n == 0:
+        raise SchemaError(f"{src / 'data.csv'}: a header and no rows")
     x = np.column_stack([data[c] for c in x_cols]) if x_cols else np.zeros((n, 0))
     v = np.column_stack([data[c] for c in v_cols]) if v_cols else np.zeros((n, 0))
-
-    with open(src / "spec.json") as fh:
-        spec_record = json.load(fh)
-    mode = spec_record.get("mode")
-    if mode not in ("binary", "continuous"):
-        raise SchemaError("spec.json missing or invalid field 'mode'")
+    spec_record = read_json_object(src / "spec.json")
 
     roles_path = src / "roles.csv"
-    if not roles_path.exists():
-        raise SchemaError("roles.csv not found")
-    roles_map = {}
-    with open(roles_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["column", "role"]:
-            raise SchemaError(f"roles.csv has unexpected header {header}")
-        for col, role in reader:
-            roles_map[col] = role
-    try:
-        roles = [roles_map[c] for c in x_cols]
-    except KeyError as exc:
-        raise SchemaError(f"roles.csv missing column {exc.args[0]!r}") from None
+    roles = read_csv(roles_path)
+    if list(roles) != ["column", "role"]:
+        raise SchemaError(f"{roles_path}: header {list(roles)} is not ['column', 'role']")
+    for line, (got, want) in enumerate(zip_longest(roles["column"], x_cols), start=2):
+        if got != want:
+            found = f"line {line} lists {got!r}" if got is not None else f"{want!r} is missing"
+            raise SchemaError(f"{roles_path}: {found}; the rows must list the x columns of "
+                              "data.csv, x0, x1, .., once each and in order")
 
-    p1 = p0 = surface_a = surface_c = None
+    mode, truth = spec_record.get("mode"), {}
     truth_path = src / "truth.csv"
-    if truth_path.exists():
-        truth = _read_csv_columns(truth_path)
-        if mode == "binary":
-            if set(truth) != {"p1", "p0"}:
-                raise SchemaError(f"truth.csv columns {sorted(truth)} != ['p0', 'p1']")
-            p1, p0 = truth["p1"], truth["p0"]
-        else:
-            if set(truth) != {"sum_a", "sum_c"}:
-                raise SchemaError(f"truth.csv columns {sorted(truth)} != ['sum_a', 'sum_c']")
-            surface_a, surface_c = truth["sum_a"], truth["sum_c"]
-        truth_rows = len(next(iter(truth.values())))
-        if truth_rows != n:
-            raise SchemaError(f"{truth_path}: {truth_rows} rows, data.csv has {n}")
-    return GeneratedDataset(mode=mode, x=x, v=v, t=data["t"], y=data["y"],
-                            roles=roles, p1=p1, p0=p0,
-                            surface_a=surface_a, surface_c=surface_c,
-                            beta=spec_record.get("beta"), spec=spec_record)
+    if truth_path.exists() and mode in TRUTH_COLUMNS:  # GeneratedDataset rejects other modes
+        columns = _read_csv_columns(truth_path)
+        if set(columns) != set(TRUTH_COLUMNS[mode]):
+            raise SchemaError(f"{truth_path}: columns {sorted(columns)} != "
+                              f"{sorted(TRUTH_COLUMNS[mode])}")
+        truth = {name: columns[c] for c, name in TRUTH_COLUMNS[mode].items()}
+    try:
+        return GeneratedDataset(mode=mode, x=x, v=v, t=data["t"], y=data["y"],
+                                roles=roles["role"], beta=spec_record.get("beta"),
+                                spec=spec_record, **truth)
+    except SchemaError as exc:
+        raise SchemaError(f"{src / FIELD_FILES[exc.field]}: {exc}", exc.field) from None
 
 
-def read_data_dir(path: str | Path) -> tuple[GeneratedDataset, ...]:
-    """A data directory holds one dataset, or a train/ val/ test/ triple."""
-    if Path(path, "train").is_dir():
-        return tuple(read_dataset(Path(path, name)) for name in SPLITS)
-    return (read_dataset(path),)
+def read_data_dir(path: str | Path) -> dict[Path, GeneratedDataset]:
+    """The datasets of a data directory, one or a train/ val/ test/ triple, by directory."""
+    dirs = [Path(path, name) for name in SPLITS] if Path(path, "train").is_dir() else [Path(path)]
+    return {d: read_dataset(d) for d in dirs}
 
 
 FIXTURE_FEATURES = ["gestat", "dmage", "dmeduc", "mpcb", "cigar", "drink",
@@ -505,17 +535,10 @@ def write_twins_fixture(path: str | Path, n: int = 220, seed: int = 2024) -> Pat
     sex1 = np.where(flip == 1, 1 - sex, sex)   # a few opposite-sex rows to filter
     heavy = rng.bernoulli(rng.mix_key(seed, "fx/heavy"), np.full(n, 0.04))
     w1 = np.where(heavy == 1, w1 + 900.0, w1)  # a few >= 2kg rows to filter
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([*FIXTURE_FEATURES, *TWINS_SEX_COLUMNS, *TWINS_WEIGHT_COLUMNS,
-                    *TWINS_OUTCOME_COLUMNS])
-        for i in range(n):
-            w.writerow([_fmt(v) for v in feats[i]]
-                       + [_fmt(sex[i]), _fmt(sex1[i]), _fmt(w0[i]), _fmt(w1[i]),
-                          _fmt(m0[i]), _fmt(m1[i])])
-    return path
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return write_csv(path, [*FIXTURE_FEATURES, *TWINS_SEX_COLUMNS, *TWINS_WEIGHT_COLUMNS,
+                            *TWINS_OUTCOME_COLUMNS],
+                     _float_rows(feats, sex, sex1, w0, w1, m0, m1))
 
 
 def fixture_path() -> Path:

@@ -277,7 +277,7 @@ def resolve_data(config: TrainConfig, seed: int
     if ref and ref.get("kind") == "dir":
         if set(ref) != {"kind", "path"}:
             raise dg.SchemaError(f"dataset 'dir' takes one field, 'path'; got {sorted(ref)}")
-        data = dg.read_data_dir(ref["path"])
+        data = tuple(dg.read_data_dir(ref["path"]).values())
     else:
         spec = dg.spec_from_ref(ref)
         if isinstance(spec, dg.TwinsSpec):

@@ -191,9 +191,22 @@ class TestEvaluate:
                           {"kind": "demand", "n": 60, "seed": 1})
         cli.main(["generate", "--spec", str(spec), "--out", str(demand)])
         rc = cli.main(["evaluate", "--checkpoint", str(run / "checkpoint.bin"),
-                       "--data", str(demand), "--out", str(tmp_path / "e"),
-                       "--splits", "out"])
+                       "--data", str(demand), "--out", str(tmp_path / "e")])
         assert rc == 2
+
+    def test_single_dataset_reports_one_row(self, trained_run, tmp_path, capsys):
+        run, data = trained_run
+        out = tmp_path / "eval"
+        assert cli.main(["evaluate", "--checkpoint", str(run / "checkpoint.bin"),
+                         "--data", str(data / "test"), "--out", str(out)]) == 0
+        with open(out / "report.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["split"] for r in rows] == ["all"]
+        model = checkpoint_load(run / "checkpoint.bin")
+        expected = ev.metric_for(model, dg.read_dataset(data / "test"))
+        assert float(rows[0]["value"]) == expected
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last == f"METRIC eps_ate={expected:.6f}"
 
 
 class TestAttribute:
@@ -334,6 +347,64 @@ def _all_treated_train_split(tmp, data):
     return str(tmp / "all_treated")
 
 
+def _dataset_dir(tmp, edit=None, ref=None) -> str:
+    """A 200-row dataset directory, SMALL_TRAIN's reference unless `ref` is
+    given, with `edit` applied to it."""
+    path = dg.write_dataset(dg.generate(dg.spec_from_ref(
+        ref or {**SMALL_TRAIN["dataset"], "seed": 3})), tmp / "dataset")
+    if edit:
+        edit(path)
+    return str(path)
+
+
+def _edit_lines(name, change):
+    """An edit that replaces the lines of a dataset file by change(lines)."""
+    def edit(path):
+        lines = (path / name).read_text().splitlines(keepends=True)
+        (path / name).write_text("".join(change(lines)))
+    return edit
+
+
+def _set_cell(column, row, value):
+    """An edit that writes `value` into data.csv's `column` at data row `row`."""
+    def change(lines):
+        cells = lines[row + 1].rstrip("\r\n").split(",")
+        cells[lines[0].rstrip("\r\n").split(",").index(column)] = value
+        return [*lines[:row + 1], ",".join(cells) + "\r\n", *lines[row + 2:]]
+    return _edit_lines("data.csv", change)
+
+
+def _write_file(name, text):
+    return lambda path: (path / name).write_text(text)
+
+
+def _train_on(edit):
+    return lambda tmp, run, data: ["train", "--config", _config(tmp), "--data",
+                                   _dataset_dir(tmp, edit)]
+
+
+def _evaluate_demand(edit):
+    """`sd2 evaluate` of a freshly trained demand checkpoint on an edited demand
+    directory."""
+    def make_argv(tmp, run, data):
+        ref = {"kind": "demand", "n": 200, "seed": 3}
+        ckpt_run = tmp / "demand-run"
+        assert cli.main(["train", "--config", _config(tmp, mode="continuous", dataset=ref),
+                         "--out", str(ckpt_run)]) == 0
+        return ["evaluate", "--checkpoint", str(ckpt_run / "checkpoint.bin"),
+                "--data", _dataset_dir(tmp, edit, ref)]
+    return make_argv
+
+
+def _drop_truth(path):
+    (path / "truth.csv").unlink()
+
+
+def _header_only(path):
+    _edit_lines("data.csv", lambda ls: ls[:1])(path)
+    _drop_truth(path)
+
+
 FAILURES = {
     "negative_dimension": (_bad_reference(mz=-1), 2),
     "unknown_kind": (_bad_reference(kind="mystery"), 2),
@@ -381,16 +452,10 @@ FAILURES = {
         "evaluate", "--checkpoint", str(tmp / "absent.bin"), "--data", str(data)], 3),
     "attribute_missing_checkpoint": (lambda tmp, run, data: [
         "attribute", "--checkpoint", str(tmp / "absent.bin"), "--data", str(data)], 3),
-    "evaluate_split_not_in_triple": (lambda tmp, run, data: [
-        "evaluate", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data),
-        "--splits", "val"], 2),
     "zero_optimizer_steps": (lambda tmp, run, data: [
         "train", "--config", _config(tmp), "--data", _all_treated_train_split(tmp, data)], 4),
     "ablate_unknown_variant": (lambda tmp, run, data: [
         "ablate", "--config", _config(tmp), "--reps", "1", "--variants", "Lq"], 2),
-    "evaluate_no_split": (lambda tmp, run, data: [
-        "evaluate", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data),
-        "--splits", ","], 2),
     "zero_schema_version": (lambda tmp, run, data: [
         "train", "--config", _config(tmp, schema_version=0)], 2),
     "negative_schema_version": (lambda tmp, run, data: [
@@ -426,6 +491,39 @@ FAILURES = {
     # only the continuous objective reads the rebalance coefficient
     "sweep_omega_cont_binary": (lambda tmp, run, data: [
         "sweep", "--config", _config(tmp), "--param", "omega_cont", "--grid", "0,1"], 2),
+    # dataset files are read and checked in full
+    "spec_json_not_json": (_train_on(_write_file("spec.json", "{not json")), 2),
+    "spec_json_list": (_train_on(_write_file("spec.json", "[1, 2]")), 2),
+    "roles_csv_empty": (_train_on(_write_file("roles.csv", "")), 2),
+    "roles_csv_three_cells": (_train_on(_edit_lines(
+        "roles.csv", lambda ls: [*ls[:2], ls[2].rstrip("\r\n") + ",z\r\n", *ls[3:]])), 2),
+    "roles_csv_role_q": (_train_on(_edit_lines(
+        "roles.csv", lambda ls: [*ls[:2], ls[2].replace(",z", ",q"), *ls[3:]])), 2),
+    "roles_csv_extra_x99": (_train_on(_edit_lines("roles.csv", lambda ls: [*ls, "x99,a\r\n"])),
+                            2),
+    "roles_csv_repeated_x0": (_train_on(_edit_lines("roles.csv", lambda ls: [*ls, ls[1]])), 2),
+    "binary_t_half": (_train_on(_set_cell("t", 4, "0.5")), 2),
+    "covariate_nan": (_train_on(_set_cell("x1", 4, "nan")), 2),
+    "data_csv_no_rows": (_train_on(_header_only), 2),
+    "spec_json_no_beta": (_evaluate_demand(_edit_lines(
+        "spec.json", lambda ls: [line for line in ls if '"beta"' not in line])), 2),
+    "spec_json_string_beta": (_evaluate_demand(_edit_lines(
+        "spec.json", lambda ls: [re.sub(r'"beta": [^,]*', '"beta": "x"', line)
+                                 for line in ls])), 2),
+    # the dataset must fit the checkpoint: its mode, its input width, and the
+    # ground truth evaluate scores against or the factors attribute compares
+    "evaluate_width_mismatch": (lambda tmp, run, data: [
+        "evaluate", "--checkpoint", str(run / "checkpoint.bin"), "--data",
+        _dataset_dir(tmp, ref={**SMALL_TRAIN["dataset"], "mz": 3})], 2),
+    "attribute_width_mismatch": (lambda tmp, run, data: [
+        "attribute", "--checkpoint", str(run / "checkpoint.bin"), "--data",
+        _dataset_dir(tmp, ref={**SMALL_TRAIN["dataset"], "mz": 3})], 2),
+    "evaluate_no_truth": (lambda tmp, run, data: [
+        "evaluate", "--checkpoint", str(run / "checkpoint.bin"), "--data",
+        _dataset_dir(tmp, _drop_truth)], 2),
+    "attribute_roles_lack_a_factor": (lambda tmp, run, data: [
+        "attribute", "--checkpoint", str(run / "checkpoint.bin"), "--data",
+        _dataset_dir(tmp, ref={**SMALL_TRAIN["dataset"], "mz": 3, "ma": 0})], 2),
 }
 
 # cases whose error must name the field at fault
@@ -448,6 +546,25 @@ FAILURE_FIELDS = {
     "sweep_negative_value": "gamma must be finite and nonnegative, got -1.0",
     "sweep_nan_value": "gamma must be finite and nonnegative, got nan",
     "sweep_param_zeroed_by_variant": "variant 'Lp'",
+    "spec_json_not_json": "spec.json: invalid JSON",
+    "spec_json_list": "spec.json: the top level must be a JSON object, got list",
+    "roles_csv_empty": "roles.csv: empty CSV",
+    "roles_csv_three_cells": "roles.csv: line 3 has 3 cells, the header has 2",
+    "roles_csv_role_q": "roles.csv: role 'q' of x1 is not z, c or a",
+    "roles_csv_extra_x99": "roles.csv: line 7 lists 'x99'",
+    "roles_csv_repeated_x0": "roles.csv: line 7 lists 'x0'",
+    "binary_t_half": "data.csv: binary t must be 0 or 1, got 0.5 at row index 4",
+    "covariate_nan": "data.csv: column 'x1' is not finite at line 6",
+    "data_csv_no_rows": "data.csv: a header and no rows",
+    "spec_json_no_beta": "spec.json: beta must be a finite number",
+    "spec_json_string_beta": "spec.json: beta must be a finite number when the "
+                             "counterfactual surface is present, got 'x'",
+    "evaluate_width_mismatch": "binary data of 6 x and v columns, a binary checkpoint "
+                               "of input_dim 5",
+    "attribute_width_mismatch": "binary data of 6 x and v columns, a binary checkpoint "
+                                "of input_dim 5",
+    "evaluate_no_truth": "truth.csv not found",
+    "attribute_roles_lack_a_factor": "roles.csv: roles must contain some and not all 'a'",
 }
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,6 +165,20 @@ class TestRoundTrip:
         assert back.beta == ds.beta
         assert np.allclose(back.surface(25.5), ds.surface(25.5))
 
+    @pytest.mark.parametrize("ds", [
+        dg.gen_binary(dg.SyntheticSpec(mv=2, n=40, seed=13)),
+        dg.gen_continuous(dg.DemandSpec(n=40, seed=13)),
+        dg.twins_transform(dg.fixture_spec(mv=2, seed=13)),
+    ], ids=["synthetic_mv2", "demand", "twins"])
+    def test_write_read_write_byte_identical(self, tmp_path, ds):
+        first = dg.write_dataset(ds, tmp_path / "first")
+        second = dg.write_dataset(dg.read_dataset(first), tmp_path / "second")
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir())
+        assert "truth.csv" in names
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
     def test_missing_truth_loads_without_ground_truth(self, tmp_path):
         ds = syn(n=20, seed=1)
         dg.write_dataset(ds, tmp_path)
@@ -187,7 +202,7 @@ class TestRoundTrip:
         dg.write_dataset(syn(n=50, seed=1), tmp_path)
         lines = (tmp_path / "truth.csv").read_text().splitlines(keepends=True)
         (tmp_path / "truth.csv").write_text("".join(lines[:20]))
-        with pytest.raises(dg.SchemaError, match="truth.csv: 19 rows, data.csv has 50"):
+        with pytest.raises(dg.SchemaError, match="truth.csv: p1 has 19 rows, t has 50"):
             dg.read_dataset(tmp_path)
 
     def test_row_with_extra_cells_rejected(self, tmp_path):
@@ -196,6 +211,17 @@ class TestRoundTrip:
         lines[7] = lines[7].rstrip("\r\n") + ",1.0,2.0\r\n"
         (tmp_path / "data.csv").write_text("".join(lines))
         with pytest.raises(dg.SchemaError, match="data.csv: line 8 has 14 cells"):
+            dg.read_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name", ["data.csv", "roles.csv", "truth.csv", "spec.json"])
+    @pytest.mark.parametrize("content", [
+        b"x0,t,y\n\xff\xfe,0.0,1.0\n",                 # not UTF-8
+        b"x0,t,y\n" + b"1" * 200_000 + b",0.0,1.0\n",    # a cell over csv's field limit
+    ], ids=["not_utf8", "huge_cell"])
+    def test_unreadable_file_names_it(self, tmp_path, name, content):
+        dg.write_dataset(syn(n=5, seed=1), tmp_path)
+        (tmp_path / name).write_bytes(content)
+        with pytest.raises(dg.SchemaError, match=name):
             dg.read_dataset(tmp_path)
 
     @pytest.mark.parametrize("header, column", [
@@ -215,6 +241,51 @@ class TestRoundTrip:
         (tmp_path / "truth.csv").unlink()
         with pytest.raises(dg.SchemaError, match=f"data.csv.*column {column}"):
             dg.read_dataset(tmp_path)
+
+
+class TestContentsChecked:
+    """GeneratedDataset checks its contents on construction, from a generator,
+    a file or a library caller alike, and names the field."""
+
+    # case -> (mode, changed fields, field at fault, message)
+    FAULTS = {
+        "unknown_mode": ("binary", {"mode": "ordinal"}, "mode",
+                         "mode must be 'binary' or 'continuous'"),
+        "short_y": ("binary", {"y": np.zeros(9)}, "y", "y has 9 rows, t has 10"),
+        "long_p0": ("binary", {"p0": np.zeros(11)}, "p0", "p0 has 11 rows, t has 10"),
+        "short_surface": ("continuous", {"surface_c": np.zeros(3)}, "surface_c",
+                          "surface_c has 3 rows"),
+        "nan_x": ("binary", {"x": np.where(np.eye(10, 10, 3) == 1, np.nan, 0.0)}, "x",
+                  "x must be finite, got nan at row index 0"),
+        "inf_y": ("binary", {"y": np.r_[np.zeros(6), np.inf, np.zeros(3)]}, "y",
+                  "y must be finite, got inf at row index 6"),
+        "inf_t": ("continuous", {"t": np.r_[np.zeros(2), -np.inf, np.zeros(7)]}, "t",
+                  "t must be finite"),
+        "nan_p1": ("binary", {"p1": np.full(10, np.nan)}, "p1", "p1 must be finite"),
+        "roles_short": ("binary", {"roles": ["z"] * 9}, "roles", "9 roles for 10 x columns"),
+        "role_u": ("binary", {"roles": ["z"] * 9 + ["u"]}, "roles",
+                   "role 'u' of x9 is not z, c or a"),
+        "t_two": ("binary", {"t": np.r_[np.zeros(5), 2.0, np.zeros(4)]}, "t",
+                  "binary t must be 0 or 1, got 2.0 at row index 5"),
+        "beta_none": ("continuous", {"beta": None}, "beta", "beta must be a finite number"),
+        "beta_string": ("continuous", {"beta": "1.0"}, "beta", "got '1.0'"),
+        "beta_bool": ("continuous", {"beta": True}, "beta", "got True"),
+        "beta_nan": ("continuous", {"beta": float("nan")}, "beta", "got nan"),
+    }
+
+    @pytest.mark.parametrize("case", FAULTS)
+    def test_invalid_contents_name_the_field(self, case):
+        mode, change, field, message = self.FAULTS[case]
+        ds = syn(n=10, seed=1) if mode == "binary" else dg.gen_continuous(
+            dg.DemandSpec(mz=4, mc=4, ma=2, n=10, seed=1))
+        with pytest.raises(dg.SchemaError, match=message) as info:
+            replace(ds, **change)
+        assert info.value.field == field
+        assert isinstance(info.value, ValueError)
+
+    def test_beta_only_needed_with_the_surface(self):
+        ds = dg.gen_continuous(dg.DemandSpec(n=10, seed=1))
+        assert replace(ds, surface_a=None, surface_c=None, beta=None).beta is None
 
 
 class TestSpecFromRef:
@@ -289,6 +360,19 @@ class TestTwins:
             w.writerow(["a", "b"])
             w.writerow([1.0, 2.0])
         with pytest.raises(dg.SchemaError, match="missing"):
+            dg.twins_transform(dg.fixture_spec(csv_path=str(path)))
+
+    def test_non_finite_cell_named_even_in_a_hidden_column(self, tmp_path):
+        # a NaN in a hidden M column would make every standardized policy index NaN
+        hidden = dg.twins_transform(dg.fixture_spec()).spec["hidden_columns"][0]
+        lines = dg.fixture_path().read_text().splitlines(keepends=True)
+        cells = lines[5].split(",")
+        cells[dg.FIXTURE_FEATURES.index(hidden)] = "nan"
+        lines[5] = ",".join(cells)
+        path = tmp_path / "twins.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(dg.SchemaError, match=f"twins.csv: column '{hidden}' is not finite "
+                                                 "at line 6"):
             dg.twins_transform(dg.fixture_spec(csv_path=str(path)))
 
     def test_hide_count_validation(self):
