@@ -18,7 +18,8 @@ the two reference-trained models on fresh datasets of 1,000, 1,025, 4,097
 and 10,000 rows, row counts that put the forward passes on and around their
 row-block boundaries.  Then one line per mode and ablation variant gives the
 sha256 of one recorded training step at the README arch and weights: its
-loss breakdown, per-sample factual losses and every parameter gradient.  The
+loss breakdown, per-sample factual losses and every parameter gradient, with
+a term the variant does not build hashed as a fixed token.  The
 last line gives one sha256 over every file `datagen.write_dataset` writes for
 a synthetic (mv=2), a demand and a twins dataset of the shipped fixture, and
 over the twin-records CSV `datagen.write_twins_fixture` writes.
@@ -58,6 +59,15 @@ def _config(mode: str) -> dict:
     }
 
 
+# what a term that is not built (its coefficient is 0) hashes as
+SKIPPED = b"skipped"
+
+
+def _hex(values: list) -> bytes:
+    """The values as exact hex floats, a skipped term as ``SKIPPED``."""
+    return b" ".join(SKIPPED if v is None else float(v).hex().encode() for v in values)
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -75,7 +85,7 @@ def _hash_forward(digest, raw_config: dict, checkpoint: Path) -> None:
             digest.update(rep.tobytes())
         bd, criterion = tr._eval_breakdown(config, model, ds)
         values = [getattr(bd, f) for f in bd.FIELDS] + [criterion]
-        digest.update(" ".join(float(v).hex() for v in values).encode())
+        digest.update(_hex(values))
 
 
 def _step_lines(mode: str) -> list[str]:
@@ -92,10 +102,9 @@ def _step_lines(mode: str) -> list[str]:
         bd, w = tr._batch_breakdown(config, model, x, ds.t, ds.y, tape)
         _, grads = tape.gradients(bd.node)
         digest = hashlib.sha256()
-        values = [getattr(bd, f) for f in bd.FIELDS]
-        digest.update(" ".join(float(v).hex() for v in values).encode())
+        digest.update(_hex([getattr(bd, f) for f in bd.FIELDS]))
         for array in (*bd.per_sample, w, *(grads[k] for k in model.params)):
-            digest.update(array.tobytes())
+            digest.update(SKIPPED if array is None else array.tobytes())
         lines.append(f"{mode} step {variant} {digest.hexdigest()}")
     return lines
 

@@ -302,6 +302,12 @@ def glorot_init(key: int, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.init_uniform(key, (fan_in, fan_out), limit)
 
 
+# Adam's moment decays and epsilon
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """First/second moment accumulators and step counter over one flat buffer.
 
@@ -311,11 +317,10 @@ class AdamState:
     operations.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3):
         if lr < 0:
             raise ValueError("learning rate must be >= 0")
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.step = 0
         self.flat = np.zeros(sum(np.size(v) for v in params.values()))
         self.views: dict[str, np.ndarray] = {}
@@ -347,7 +352,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                              "AdamState was made with")
         state.grad[state.slices[name]] = g.ravel()
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     g, m, v, update, denom = state.grad, state.m, state.v, state._update, state._denom
@@ -364,7 +369,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     update *= state.lr
     np.divide(v, c2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     update /= denom
     state.flat -= update
 

@@ -348,7 +348,7 @@ def cmd_attribute(args, run: Run) -> tuple[str, float]:
     run.out.mkdir(parents=True, exist_ok=True)
     _write_rows_csv(run.out / "attribution.csv", report.rows())
     run.artifacts.append(str(run.out / "attribution.csv"))
-    return "min_ratio", min(report.ratio(f) for f in ("z", "c", "a"))
+    return "min_ratio", report.min_ratio()
 
 
 def cmd_verify(args, run: Run) -> tuple[str, float]:

@@ -51,6 +51,9 @@ def counterfactual_mse(model: SD2Model, dataset: dg.GeneratedDataset,
     return err / len(np.atleast_1d(grid))
 
 
+FACTORS = ("z", "c", "a")
+
+
 @dataclass
 class AttributionReport:
     """Per factor: mean |first-layer weight| over matching vs other columns."""
@@ -58,13 +61,22 @@ class AttributionReport:
     other_mean: dict[str, float]
 
     def ratio(self, factor: str) -> float:
-        other = self.other_mean[factor]
-        return self.true_mean[factor] / other if other > 0 else np.inf
+        """Own over other columns: inf when only the own columns are read,
+        nan when none is (an all-zero first layer, a dead encoder)."""
+        true, other = self.true_mean[factor], self.other_mean[factor]
+        if other > 0:
+            return true / other
+        return np.inf if true > 0 else np.nan
+
+    def min_ratio(self) -> float:
+        """The smallest ratio, or nan when any encoder reads no column."""
+        ratios = [self.ratio(f) for f in FACTORS]
+        return np.nan if any(np.isnan(ratios)) else min(ratios)
 
     def rows(self) -> list[dict]:
         return [{"factor": f, "true_slice_mean": self.true_mean[f],
                  "other_slice_mean": self.other_mean[f], "ratio": self.ratio(f)}
-                for f in ("z", "c", "a")]
+                for f in FACTORS]
 
 
 def attribution(model: SD2Model, roles: list[str]) -> AttributionReport:
@@ -74,7 +86,8 @@ def attribution(model: SD2Model, roles: list[str]) -> AttributionReport:
         raise ValueError(f"got {len(roles)} roles for input_dim {model.config.input_dim}")
     roles_arr = np.asarray(roles)
     true_mean, other_mean = {}, {}
-    for factor, enc in (("z", "enc_z"), ("c", "enc_c"), ("a", "enc_a")):
+    for factor in FACTORS:
+        enc = f"enc_{factor}"
         w = np.abs(model.params[f"{enc}.l0.W"])  # (input_dim, width)
         mask = roles_arr == factor
         if not mask.any() or mask.all():

@@ -16,14 +16,23 @@ own coefficient.  Both totals come from one function over the outcome family
 (``family.py``).  Only what the two modes define differently is
 mode-specific: the adjustment term (the MMD for binary treatments, a
 head-based loss for continuous ones), the binary importance weights and the
-continuous rebalance loss.  The variant and the coefficients select the
-objective; there is no other switch.
+continuous rebalance loss.
+
+``TERMS`` declares each term once: its breakdown field, its coefficient, and
+per mode the forward outputs it reads.  The coefficients are the only switch:
+a term whose coefficient is 0 is not built, its breakdown field is None (an
+empty `history.csv` cell), and the forward builds only the outputs the kept
+terms read (`read_outputs`).  The L2 penalty covers the parameters of the
+networks those outputs read (``model.READS``), so an unread network gets no
+gradient at all and keeps its initial values.  Only the L2 penalty and the
+total differ from weighting the skipped terms by 0: every other value, and
+the gradient of every parameter that is read, has the same bits.
 
 The total is one tape node, ``objective``: every per-sample family term of
 both units, the factual terms, the binary MMD and the continuous adjustment
 and rebalance losses, the L2 penalty and the weighted sum.  With one node per
-dense layer besides it, the README binary step records 75 nodes and the
-continuous step 109, most of them parameter leaves.  Each head's clamp and
+dense layer besides it, the README binary `Total` step records 75 nodes and
+the continuous one 109, most of them parameter leaves.  Each head's clamp and
 logs (Bernoulli) or its exp(+-2 log_std) (Gaussian) are computed once and
 shared by the terms that read it.  Values and gradients are bit-identical to
 building the total from one node per term, row selection, mean, sum and
@@ -36,13 +45,15 @@ with code 4.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, make_dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .family import BERNOULLI, GAUSSIAN, Family, Gaussian
+from .family import FAMILIES, Gaussian
 from .infotheory import PROB_FLOOR
 from .model import HeadOutputs
 
@@ -69,25 +80,6 @@ class LossWeights:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
-@dataclass
-class LossBreakdown:
-    factual_y: float
-    factual_t: float
-    adjust: float
-    distill_outcome: float
-    distill_treatment: float
-    rebalance: float
-    reg: float
-    total: float
-    node: ad.Tensor | None = field(default=None, repr=False)
-    # unweighted per-sample factual (outcome, treatment) losses of the batch
-    per_sample: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-
-    FIELDS = ("factual_y", "factual_t", "adjust", "distill_outcome",
-              "distill_treatment", "rebalance", "reg", "total")
-
-
-
 def importance_weights(pi_c: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Context-aware weights 1 + (n_{1-t}/n_t) * pi(1-t|x)/pi(t|x), clipped to [1, 100].
 
@@ -103,6 +95,10 @@ def importance_weights(pi_c: np.ndarray, t: np.ndarray) -> np.ndarray:
     class_ratio = np.where(t == 1, n0 / n1, n1 / n0)
     w = 1.0 + class_ratio * (1.0 - pi_fact) / pi_fact
     return np.clip(w, 1.0, WEIGHT_CLIP)
+
+
+# the forward output binary `Total` computes its importance weights from
+IMPORTANCE_WEIGHT_READS = ("q_t_c",)
 
 
 def adjustment_disc(r_a: ad.Tensor, t: np.ndarray):
@@ -163,23 +159,32 @@ class _Objective:
       backward pass reached its parents;
     - ``terms`` holds each term's op name and mean (or value), so that a
       non-finite total names the first term that is not finite.
+
+    It holds what the terms read: one batch's forward outputs, (n, 1)
+    treatments and outcomes, the factual outcome term's sample weights (None:
+    unweighted) and the parameters the L2 penalty covers.
     """
 
-    def __init__(self, fam: Family, tape: ad.Tape, n: int):
-        self.fam, self.tape, self.n = fam, tape, n
+    def __init__(self, mode: str, out: HeadOutputs, t: np.ndarray, y: np.ndarray,
+                 sample_weights: np.ndarray | None, params: dict[str, ad.Tensor]):
+        self.mode, self.fam = mode, FAMILIES[mode]
+        # the node goes on the tape the parameters are bound on
+        self.tape: ad.Tape = next(iter(params.values())).tape
+        self.out, self.t, self.y, self.n = out, t, y, len(t)
+        self.sample_weights, self.params = sample_weights, params
         self.terms: list[tuple[str, float]] = []
         self.contribs: list[tuple] = []
         self.group_grads: list = []
         self.heads: dict = {}
+        self.per_sample: dict[str, np.ndarray] = {}
 
-    def group(self, coeff: float | None, sample_weights: np.ndarray | None = None) -> int:
+    def group(self, coeff: float, sample_weights: np.ndarray | None = None) -> int:
         """A gradient group: per-sample terms whose means enter the total
-        times ``coeff`` (None: as they are).  Returns its index."""
+        times ``coeff``.  Returns its index."""
         shape, n = (self.n, 1), self.n
 
         def grad(g):
-            mean_grad = g if coeff is None else g * coeff
-            spread = np.full(shape, float(mean_grad) / n)
+            spread = np.full(shape, float(g * coeff) / n)
             return spread if sample_weights is None else spread * sample_weights
 
         self.group_grads.append(grad)
@@ -254,44 +259,141 @@ def _in_group(group: int, vjp):
     return lambda grads: vjp(grads[group])
 
 
-def _total_loss(fam: Family, outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
-                sample_weights: np.ndarray | None, weights: LossWeights,
-                params: dict[str, ad.Tensor], adjust_terms,
-                rebalance_terms=None) -> LossBreakdown:
-    """The objective of both modes, as one node, over (n, 1) treatments and
-    outcomes.  ``adjust_terms(objective, coeff)`` and ``rebalance_terms`` add
-    the mode's own terms and return their value."""
-    # the node goes on the tape the parameters are bound on
-    obj = _Objective(fam, next(iter(params.values())).tape, len(t))
-    nll_y, factual_y = obj.nll(outputs.q_y, y, obj.group(None, sample_weights),
-                               sample_weights)
-    nll_t, factual_t = obj.nll(outputs.q_t, t, obj.group(weights.alpha))
-    adjust = adjust_terms(obj, weights.beta)
-    distill = obj.group(weights.gamma)
-    unit_y = obj.sum([obj.nll(outputs.q_y_a, y, distill)[1],
-                      obj.nll(outputs.q_y_c, y, distill)[1],
-                      obj.teacher_kl(outputs.q_y_a, outputs.q_y, distill),
-                      obj.teacher_kl(outputs.q_y_c, outputs.q_y, distill),
-                      obj.kl(outputs.q_y_a, outputs.q_y_c, distill)])
-    unit_t = obj.sum([obj.nll(outputs.q_t_z, t, distill)[1],
-                      obj.teacher_kl(outputs.q_t_z, outputs.q_t, distill),
-                      obj.teacher_kl(outputs.q_t_c, outputs.q_t, distill),
-                      obj.kl(outputs.q_t_c, outputs.q_t_z, distill)])
-    rebalance = None if rebalance_terms is None else rebalance_terms(obj, weights.omega_cont)
-    reg = obj.scalar(l2_penalty, params, coeff=weights.delta)
-    parts = [(weights.alpha, factual_t), (weights.beta, adjust),
-             (weights.gamma, obj.sum([unit_y, unit_t]))]
-    if rebalance is not None:
-        parts.append((weights.omega_cont, rebalance))
-    parts.append((weights.delta, reg))
-    total = obj.sum([factual_y] + [value * coeff for coeff, value in parts])
+def _factual_y(obj: _Objective, coeff: float):
+    nll, mean = obj.nll(obj.out.q_y, obj.y, obj.group(coeff, obj.sample_weights),
+                        obj.sample_weights)
+    obj.per_sample["factual_y"] = nll[:, 0]
+    return mean
+
+
+def _factual_t(obj: _Objective, coeff: float):
+    nll, mean = obj.nll(obj.out.q_t, obj.t, obj.group(coeff))
+    obj.per_sample["factual_t"] = nll[:, 0]
+    return mean
+
+
+def _mmd(obj: _Objective, coeff: float):
+    return obj.scalar(adjustment_disc, obj.out.reps.r_a, obj.t, coeff=coeff)
+
+
+def _anchored(student: str, partner: str):
+    """Likelihood of T under the student head plus its KLs to the detached
+    deep treatment head and to the partner head."""
+    def add(obj: _Objective, coeff: float):
+        group, out = obj.group(coeff), obj.out
+        head = getattr(out, student)
+        return obj.sum([obj.nll(head, obj.t, group)[1], obj.teacher_kl(head, out.q_t, group),
+                        obj.kl(head, getattr(out, partner), group)])
+    return add
+
+
+def _distill_outcome(obj: _Objective, coeff: float):
+    group, out = obj.group(coeff), obj.out
+    return obj.sum([obj.nll(out.q_y_a, obj.y, group)[1], obj.nll(out.q_y_c, obj.y, group)[1],
+                    obj.teacher_kl(out.q_y_a, out.q_y, group),
+                    obj.teacher_kl(out.q_y_c, out.q_y, group),
+                    obj.kl(out.q_y_a, out.q_y_c, group)])
+
+
+def _distill_treatment(obj: _Objective, coeff: float):
+    group, out = obj.group(coeff), obj.out
+    return obj.sum([obj.nll(out.q_t_z, obj.t, group)[1],
+                    obj.teacher_kl(out.q_t_z, out.q_t, group),
+                    obj.teacher_kl(out.q_t_c, out.q_t, group),
+                    obj.kl(out.q_t_c, out.q_t_z, group)])
+
+
+def _reg(obj: _Objective, coeff: float):
+    return obj.scalar(l2_penalty, obj.params, coeff=coeff)
+
+
+class Build(NamedTuple):
+    """How a mode builds a term: the forward outputs it reads, and the
+    function that adds it to the objective, ``add(objective, coeff)``, and
+    returns its value."""
+    reads: tuple[str, ...]
+    add: Callable
+
+
+class Term(NamedTuple):
+    """A term of the objective: the breakdown field it fills, the
+    `LossWeights` coefficient it is scaled by (None: it enters as it is), and
+    its `Build` in each mode that defines it."""
+    name: str
+    coeff: str | None
+    modes: dict[str, Build]
+
+
+def _both(reads: tuple[str, ...], add: Callable) -> dict[str, Build]:
+    return dict.fromkeys(("binary", "continuous"), Build(reads, add))
+
+
+# Every term, in the order it is built and summed.  Terms that share a
+# coefficient enter the total as one sum times it.  The L2 penalty reads no
+# output: it covers the parameters of the networks the other terms read.
+TERMS = (
+    Term("factual_y", None, _both(("q_y",), _factual_y)),
+    Term("factual_t", "alpha", _both(("q_t",), _factual_t)),
+    Term("adjust", "beta", {"binary": Build(("r_a",), _mmd),
+                            "continuous": Build(("q_t", "q_t_c", "q_t_a"),
+                                                _anchored("q_t_c", "q_t_a"))}),
+    Term("distill_outcome", "gamma", _both(("q_y", "q_y_a", "q_y_c"), _distill_outcome)),
+    Term("distill_treatment", "gamma", _both(("q_t", "q_t_z", "q_t_c"), _distill_treatment)),
+    Term("rebalance", "omega_cont", {"continuous": Build(("q_t", "q_t_z", "q_t_cr"),
+                                                         _anchored("q_t_z", "q_t_cr"))}),
+    Term("reg", "delta", _both((), _reg)),
+)
+
+LossBreakdown = make_dataclass(
+    "LossBreakdown",
+    [(term.name, float | None) for term in TERMS] + [
+        ("total", float),
+        ("node", ad.Tensor | None, field(default=None, repr=False)),
+        # unweighted per-sample factual (outcome, treatment) losses of the
+        # batch; a term that is not built has None
+        ("per_sample", tuple | None, field(default=None, repr=False))],
+    namespace={"__module__": __name__,
+               "__doc__": "Each term's value: 0.0 for a term the mode does not "
+                          "define, None for one whose coefficient is 0.",
+               "FIELDS": tuple(term.name for term in TERMS) + ("total",)})
+
+
+# both run once per training step and validation chunk, on a handful of configs
+@functools.lru_cache(maxsize=64)
+def _kept(mode: str, weights: LossWeights) -> tuple[tuple[Term, float], ...]:
+    """The terms the mode defines whose coefficient is not 0, with it."""
+    kept = [(term, 1.0 if term.coeff is None else getattr(weights, term.coeff))
+            for term in TERMS if mode in term.modes]
+    return tuple((term, coeff) for term, coeff in kept if coeff != 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def read_outputs(mode: str, weights: LossWeights, importance_weighted: bool) -> tuple[str, ...]:
+    """The forward outputs the kept terms read, and the importance weights'
+    with ``importance_weighted``, each once."""
+    reads = [name for term, _ in _kept(mode, weights) for name in term.modes[mode].reads]
+    if importance_weighted:
+        reads += IMPORTANCE_WEIGHT_READS
+    return tuple(dict.fromkeys(reads))
+
+
+def _total_loss(obj: _Objective, weights: LossWeights) -> LossBreakdown:
+    """The objective of both modes, as one node: the kept terms, each scaled
+    by its coefficient (those that share one, summed first), added in order."""
+    mode = obj.mode
+    values, parts = {}, []
+    for term, coeff in _kept(mode, weights):
+        values[term.name] = value = term.modes[mode].add(obj, coeff)
+        if parts and parts[-1][0] == term.coeff:
+            parts[-1][2].append(value)
+        else:
+            parts.append((term.coeff, coeff, [value]))
+    total = obj.sum([obj.sum(part) * coeff for _, coeff, part in parts])
     return LossBreakdown(
-        factual_y=float(factual_y), factual_t=float(factual_t),
-        adjust=float(adjust),
-        distill_outcome=float(unit_y), distill_treatment=float(unit_t),
-        rebalance=0.0 if rebalance is None else float(rebalance),
-        reg=float(reg), total=float(total), node=obj.node(total),
-        per_sample=(nll_y[:, 0], nll_t[:, 0]))
+        **{term.name: (float(values[term.name]) if term.name in values
+                       else None if mode in term.modes else 0.0) for term in TERMS},
+        total=float(total), node=obj.node(total),
+        per_sample=(obj.per_sample["factual_y"], obj.per_sample.get("factual_t")))
 
 
 def total_loss_binary(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
@@ -299,7 +401,7 @@ def total_loss_binary(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
                       params: dict[str, ad.Tensor]) -> LossBreakdown:
     """Bernoulli objective: importance-weighted factual outcome term and the
     MMD adjustment discrepancy of the adjustment representation."""
-    if isinstance(outputs.q_t, Gaussian):
+    if isinstance(outputs.q_y, Gaussian):
         raise ValueError("total_loss_binary requires binary-mode outputs")
     t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
     if not np.all((t == 0) | (t == 1)):
@@ -308,22 +410,7 @@ def total_loss_binary(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
     w = np.asarray(sample_weights, dtype=np.float64).reshape(-1, 1)
     if w.shape[0] != len(t):
         raise ValueError(f"sample weight count {w.shape[0]} != batch size {len(t)}")
-
-    def adjust_terms(obj, coeff):
-        return obj.scalar(adjustment_disc, outputs.reps.r_a, t, coeff=coeff)
-
-    return _total_loss(BERNOULLI, outputs, t, y, w, weights, params, adjust_terms)
-
-
-def _anchored_treatment_terms(student: Gaussian, partner: Gaussian, teacher: Gaussian,
-                              t: np.ndarray):
-    """Likelihood of T under the student head plus its KLs to the (detached)
-    teacher and to the partner head, as objective terms."""
-    def add(obj, coeff):
-        group = obj.group(coeff)
-        return obj.sum([obj.nll(student, t, group)[1], obj.teacher_kl(student, teacher, group),
-                        obj.kl(student, partner, group)])
-    return add
+    return _total_loss(_Objective("binary", outputs, t, y, w, params), weights)
 
 
 def total_loss_continuous(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
@@ -332,10 +419,8 @@ def total_loss_continuous(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
     confounder treatment head anchored to the deep head and the adjustment
     head) and the rebalance loss (the instrument head anchored to the deep
     head and the rebalanced-confounder head)."""
-    if outputs.q_t_cr is None:
+    if not isinstance(outputs.q_y, Gaussian):
         raise ValueError("total_loss_continuous requires continuous-mode outputs")
     t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    return _total_loss(GAUSSIAN, outputs, t, y, None, weights, params,
-                       _anchored_treatment_terms(outputs.q_t_c, outputs.q_t_a, outputs.q_t, t),
-                       _anchored_treatment_terms(outputs.q_t_z, outputs.q_t_cr, outputs.q_t, t))
+    return _total_loss(_Objective("continuous", outputs, t, y, None, params), weights)

@@ -33,6 +33,7 @@ chunk is blocked.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
@@ -81,21 +82,53 @@ class Representations(NamedTuple):
 
 
 class HeadOutputs(NamedTuple):
-    """Every head of one forward pass and the representations it read.
+    """The heads of one forward pass and the representations it read; a head
+    or representation the pass did not build is None.
 
     Each head holds its family's parameters: a probability column or a
     Gaussian.  The adjustment and rebalanced-confounder treatment heads exist
     in continuous mode only.
     """
-    q_t: ad.Tensor | Gaussian
-    q_t_z: ad.Tensor | Gaussian
-    q_t_c: ad.Tensor | Gaussian
-    q_y: ad.Tensor | Gaussian
-    q_y_a: ad.Tensor | Gaussian
-    q_y_c: ad.Tensor | Gaussian
+    q_t: ad.Tensor | Gaussian | None = None
+    q_t_z: ad.Tensor | Gaussian | None = None
+    q_t_c: ad.Tensor | Gaussian | None = None
+    q_y: ad.Tensor | Gaussian | None = None
+    q_y_a: ad.Tensor | Gaussian | None = None
+    q_y_c: ad.Tensor | Gaussian | None = None
     q_t_a: Gaussian | None = None
     q_t_cr: Gaussian | None = None
     reps: Representations | None = None
+
+
+# The networks each output of the forward reads.  A forward asked for some
+# outputs runs only these networks; the training objective asks for the
+# outputs its kept terms read (``losses.TERMS``), `encode` for the
+# representations and `predict_outcome` for q_y.
+READS = {
+    "r_z": ("enc_z",), "r_c": ("enc_c",), "r_a": ("enc_a",),
+    "q_t": ("enc_z", "enc_c", "retain_t", "head_t"),
+    "q_t_z": ("enc_z", "head_t_z"),
+    "q_t_c": ("enc_c", "head_t_c"),
+    "q_t_a": ("enc_a", "head_t_a"),
+    "q_t_cr": ("enc_c", "rebalance", "head_t_cr"),
+    "q_y": ("enc_c", "enc_a", "retain_y", "head_y"),
+    "q_y_a": ("enc_a", "head_y_a"),
+    "q_y_c": ("enc_c", "head_y_c"),
+}
+CONTINUOUS_ONLY = ("q_t_a", "q_t_cr")
+
+
+@functools.lru_cache(maxsize=64)  # every forward asks, for a handful of output tuples
+def networks(outputs: tuple[str, ...]) -> tuple[str, ...]:
+    """The networks the named outputs read, each once."""
+    return tuple(dict.fromkeys(net for name in outputs for net in READS[name]))
+
+
+def params_read_by(params: dict, outputs: tuple[str, ...]) -> dict:
+    """The entries of ``params`` that belong to a network the outputs read,
+    in their order."""
+    read = set(networks(tuple(outputs)))
+    return {name: value for name, value in params.items() if name.partition(".")[0] in read}
 
 
 def _layer_specs(cfg: ArchConfig) -> list[tuple[str, int, int]]:
@@ -172,22 +205,31 @@ def _mlp(p: dict[str, ad.Tensor], prefix: str, x: ad.Tensor, n_layers: int,
     return x
 
 
-ENCODERS = ("enc_z", "enc_c", "enc_a")
+ENCODERS = networks(Representations._fields)
 
 
 def _encode(cfg: ArchConfig, p: dict[str, ad.Tensor], x: ad.Tensor,
-            encoders: tuple[str, ...] = ENCODERS) -> tuple[ad.Tensor, ...]:
-    return tuple(_mlp(p, enc, x, cfg.enc_layers + 1) for enc in encoders)
+            reps=Representations._fields) -> Representations:
+    """The representations named in ``reps``; the others are None."""
+    return Representations(*(_mlp(p, READS[r][0], x, cfg.enc_layers + 1) if r in reps else None
+                             for r in Representations._fields))
 
 
 def _head(fam: Family, p, prefix: str, x: ad.Tensor):
     return fam.head(_mlp(p, prefix, x, 2, fam.activation))
 
 
-def _outcome_head(fam: Family, p, tape: ad.Tape, reps: ad.Tensor, t: np.ndarray):
-    """retain_y over ``reps`` (r_c and r_a side by side), then the treatment
-    column ``t`` (n x 1, a constant), then the deep outcome head."""
-    h_y = ad.dense(reps, p["retain_y.l0.W"], p["retain_y.l0.b"], HIDDEN_ACTIVATION)
+def _retain(p, prefix: str, a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """A retain network over two representations side by side."""
+    return ad.dense(ad.concat_cols([a, b]), p[f"{prefix}.l0.W"], p[f"{prefix}.l0.b"],
+                    HIDDEN_ACTIVATION)
+
+
+def _outcome_head(fam: Family, p, tape: ad.Tape, r_c: ad.Tensor, r_a: ad.Tensor,
+                  t: np.ndarray):
+    """retain_y over r_c and r_a, then the treatment column ``t`` (n x 1, a
+    constant), then the deep outcome head."""
+    h_y = _retain(p, "retain_y", r_c, r_a)
     return _head(fam, p, "head_y", ad.concat_cols([tape.constant(t), h_y]))
 
 
@@ -232,59 +274,65 @@ def _blocked(tape: ad.Tape, run, *rows: np.ndarray):
 
 
 def _forward(model: SD2Model, x: np.ndarray, t: np.ndarray, tape: ad.Tape | None,
-             params: dict[str, ad.Tensor] | None) -> HeadOutputs:
+             params: dict[str, ad.Tensor] | None, only) -> HeadOutputs:
     """The graph of both modes, on checked inputs; without a tape, a forward
     pass that records nothing."""
     if tape is None:
         tape = ad.Tape(record=False)
     p = params or bind(model, tape)
-    return _blocked(tape, lambda xb, tb: _forward_rows(model.config, p, tape, xb, tb), x, t)
+    return _blocked(tape, lambda xb, tb: _forward_rows(model.config, p, tape, xb, tb, only),
+                    x, t)
 
 
 def _forward_rows(cfg: ArchConfig, p: dict[str, ad.Tensor], tape: ad.Tape,
-                  x: np.ndarray, t: np.ndarray) -> HeadOutputs:
+                  x: np.ndarray, t: np.ndarray, only=None) -> HeadOutputs:
+    """Every output of the mode or, with ``only``, the outputs it names; only
+    the networks those read run, always in the order below."""
     fam = FAMILIES[cfg.mode]
-    r_z, r_c, r_a = _encode(cfg, p, tape.constant(x))
-    h_t = ad.dense(ad.concat_cols([r_z, r_c]), p["retain_t.l0.W"], p["retain_t.l0.b"],
-                   HIDDEN_ACTIVATION)
-    q_t = _head(fam, p, "head_t", h_t)
-    q_t_z = _head(fam, p, "head_t_z", r_z)
-    q_t_c = _head(fam, p, "head_t_c", r_c)
-    q_t_a = q_t_cr = None
-    if cfg.mode == "continuous":
-        q_t_a = _head(fam, p, "head_t_a", r_a)
-        c_reb = _mlp(p, "rebalance", r_c, 2)
-        q_t_cr = _head(fam, p, "head_t_cr", c_reb)
-    q_y = _outcome_head(fam, p, tape, ad.concat_cols([r_c, r_a]), t.reshape(-1, 1))
-    q_y_a = _head(fam, p, "head_y_a", r_a)
-    q_y_c = _head(fam, p, "head_y_c", r_c)
-    return HeadOutputs(q_t, q_t_z, q_t_c, q_y, q_y_a, q_y_c, q_t_a, q_t_cr,
-                       Representations(r_z, r_c, r_a))
+    read = networks(tuple(READS if only is None else only))
+    reps = _encode(cfg, p, tape.constant(x),
+                   [r for r in Representations._fields if READS[r][0] in read])
+    r_z, r_c, r_a = reps
+    build = {
+        "q_t": lambda: _head(fam, p, "head_t", _retain(p, "retain_t", r_z, r_c)),
+        "q_t_z": lambda: _head(fam, p, "head_t_z", r_z),
+        "q_t_c": lambda: _head(fam, p, "head_t_c", r_c),
+        "q_t_a": lambda: _head(fam, p, "head_t_a", r_a),
+        "q_t_cr": lambda: _head(fam, p, "head_t_cr", _mlp(p, "rebalance", r_c, 2)),
+        "q_y": lambda: _outcome_head(fam, p, tape, r_c, r_a, t.reshape(-1, 1)),
+        "q_y_a": lambda: _head(fam, p, "head_y_a", r_a),
+        "q_y_c": lambda: _head(fam, p, "head_y_c", r_c),
+    }
+    return HeadOutputs(reps=reps, **{
+        name: make() for name, make in build.items()
+        if (only is None or name in only)
+        and (cfg.mode == "continuous" or name not in CONTINUOUS_ONLY)})
 
 
 def forward_binary(model: SD2Model, x: np.ndarray, t: np.ndarray,
                    tape: ad.Tape | None = None,
-                   params: dict[str, ad.Tensor] | None = None) -> HeadOutputs:
+                   params: dict[str, ad.Tensor] | None = None, only=None) -> HeadOutputs:
     """Forward pass of a binary-mode model; treatments must lie in {0, 1}.
-    Without a tape it records nothing: only the values are computed."""
+    Without a tape it records nothing: only the values are computed.  With
+    ``only``, just the named outputs (keys of ``READS``) are built."""
     if model.config.mode != "binary":
         raise ValueError("forward_binary requires a binary-mode model")
     x = _check_input(model.config, x)
     t = np.asarray(t, dtype=np.float64)
     if not np.all((t == 0) | (t == 1)):
         raise ValueError("binary mode requires treatments in {0, 1}")
-    return _forward(model, x, t, tape, params)
+    return _forward(model, x, t, tape, params, only)
 
 
 def forward_continuous(model: SD2Model, x: np.ndarray, t: np.ndarray,
                        tape: ad.Tape | None = None,
-                       params: dict[str, ad.Tensor] | None = None) -> HeadOutputs:
+                       params: dict[str, ad.Tensor] | None = None, only=None) -> HeadOutputs:
     """Forward pass of a continuous-mode model; without a tape it records
-    nothing."""
+    nothing, and with ``only`` it builds just the named outputs."""
     if model.config.mode != "continuous":
         raise ValueError("forward_continuous requires a continuous-mode model")
     x = _check_input(model.config, x)
-    return _forward(model, x, np.asarray(t, dtype=np.float64), tape, params)
+    return _forward(model, x, np.asarray(t, dtype=np.float64), tape, params, only)
 
 
 def encode(model: SD2Model, x: np.ndarray) -> Representations:
@@ -299,9 +347,12 @@ def encode(model: SD2Model, x: np.ndarray) -> Representations:
     return _blocked(tape, run, x)
 
 
-_OUTCOME_ENCODERS = ("enc_c", "enc_a")
-_MEMO_NETWORKS = _OUTCOME_ENCODERS + ("retain_y",)
+# what predict_outcome keeps: every network q_y reads but its head, run over
+# the representations q_y reads
+_MEMO_NETWORKS = tuple(net for net in READS["q_y"] if net != "head_y")
 _MEMO_PREFIXES = tuple(net + "." for net in _MEMO_NETWORKS)
+_OUTCOME_REPS = tuple(r for r in Representations._fields
+                      if READS[r][0] in _MEMO_NETWORKS)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -342,9 +393,8 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
         p = bind(model, tape, _MEMO_NETWORKS)
         h_y = np.empty((len(x), cfg.enc_hidden))
         for sl in blocks:
-            reps = ad.concat_cols(list(_encode(cfg, p, tape.constant(x[sl]), _OUTCOME_ENCODERS)))
-            h_y[sl] = ad.dense(reps, p["retain_y.l0.W"], p["retain_y.l0.b"],
-                               HIDDEN_ACTIVATION).value
+            reps = _encode(cfg, p, tape.constant(x[sl]), _OUTCOME_REPS)
+            h_y[sl] = _retain(p, "retain_y", reps.r_c, reps.r_a).value
         memo = _OutcomeMemo(cfg, [a.copy() for a in key], h_y)
     p = bind(model, tape, ("head_y",))
     out = np.empty(len(x))

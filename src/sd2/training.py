@@ -18,9 +18,10 @@ import numpy as np
 from . import autodiff as ad
 from . import datagen as dg
 from . import rng
-from .losses import (DegenerateBatchError, LossBreakdown, LossWeights,
-                     importance_weights, total_loss_binary, total_loss_continuous)
-from .model import ArchConfig, SD2Model, bind, forward_binary, forward_continuous, init_model
+from .losses import (DegenerateBatchError, LossBreakdown, LossWeights, importance_weights,
+                     read_outputs, total_loss_binary, total_loss_continuous)
+from .model import (ArchConfig, SD2Model, bind, forward_binary, forward_continuous, init_model,
+                    params_read_by)
 
 log = logging.getLogger(__name__)
 
@@ -42,8 +43,8 @@ class TrainingError(Exception):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Adam's step size; its moment decays and epsilon are `ad.AdamState`'s
-    defaults (0.9, 0.999, 1e-8)."""
+    """Adam's step size; its moment decays and epsilon are the constants
+    `ad.ADAM_BETA1`, `ad.ADAM_BETA2` and `ad.ADAM_EPS` (0.9, 0.999, 1e-8)."""
     lr: float = 1e-3
 
 
@@ -93,7 +94,8 @@ class TrainHistory:
 
 class _BreakdownMean:
     """Row-weighted mean of loss breakdowns: each term is summed as term x
-    rows, in the order the breakdowns are added, then divided by the rows."""
+    rows, in the order the breakdowns are added, then divided by the rows;
+    a term that was not built stays None."""
 
     def __init__(self):
         self.sums = dict.fromkeys(LossBreakdown.FIELDS, 0.0)
@@ -101,11 +103,13 @@ class _BreakdownMean:
 
     def add(self, bd: LossBreakdown, rows: int):
         for f in LossBreakdown.FIELDS:
-            self.sums[f] += getattr(bd, f) * rows
+            value = getattr(bd, f)
+            self.sums[f] = None if value is None else self.sums[f] + value * rows
         self.rows += rows
 
     def mean(self) -> LossBreakdown:
-        return LossBreakdown(**{f: s / self.rows for f, s in self.sums.items()})
+        return LossBreakdown(**{f: None if s is None else s / self.rows
+                                for f, s in self.sums.items()})
 
 
 def apply_ablation(config: TrainConfig, variant: str) -> TrainConfig:
@@ -127,15 +131,22 @@ def _batch_breakdown(config: TrainConfig, model: SD2Model, x, t, y,
                      tape: ad.Tape) -> tuple[LossBreakdown, np.ndarray]:
     """Loss breakdown of one batch and the sample weights it applied; the
     breakdown carries the per-sample factual losses.  Only the binary `Total`
-    variant weights its factual outcome term."""
+    variant weights its factual outcome term.
+
+    Every parameter is bound, but the forward builds only the outputs the
+    kept terms (and the importance weights) read, and the L2 penalty covers
+    only the parameters of the networks those read: any other parameter gets
+    a zero gradient."""
     params = bind(model, tape)
+    weighted = config.mode == "binary" and config.variant == "Total"
+    reads = read_outputs(config.mode, config.weights, weighted)
+    covered = params_read_by(params, reads)
     if config.mode == "binary":
-        outputs = forward_binary(model, x, t, tape, params)
-        w = (importance_weights(outputs.q_t_c.value, t) if config.variant == "Total"
-             else np.ones(len(t)))
-        return total_loss_binary(outputs, t, y, w, config.weights, params), w
-    outputs = forward_continuous(model, x, t, tape, params)
-    return total_loss_continuous(outputs, t, y, config.weights, params), np.ones(len(t))
+        outputs = forward_binary(model, x, t, tape, params, reads)
+        w = importance_weights(outputs.q_t_c.value, t) if weighted else np.ones(len(t))
+        return total_loss_binary(outputs, t, y, w, config.weights, covered), w
+    outputs = forward_continuous(model, x, t, tape, params, reads)
+    return total_loss_continuous(outputs, t, y, config.weights, covered), np.ones(len(t))
 
 
 def _one_class(t: np.ndarray) -> bool:
@@ -180,7 +191,8 @@ def _eval_breakdown(config: TrainConfig, model: SD2Model, ds: dg.GeneratedDatase
         nll_y, nll_t = bd.per_sample
         crit_num += float((w * nll_y).sum())
         crit_wsum += float(w.sum())
-        crit_t += float(nll_t.sum())
+        if nll_t is not None:  # else alpha is 0 and its term is not built
+            crit_t += float(nll_t.sum())
         scored.add(bd, m)
     if not scored.rows:
         raise TrainingError(f"no validation chunk of {n} rows could be scored, "

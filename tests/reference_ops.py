@@ -10,7 +10,10 @@ the MMD as row selections, means and a square, the L2 penalty as one node, then 
 nodes, with ``tests/test_losses.py`` requiring `losses.total_loss_binary` and
 `losses.total_loss_continuous` to equal it bit for bit.  Unlike the fused
 objective, the composition checks every node's value, so a failure names the
-first primitive that went non-finite.
+first primitive that went non-finite.  It builds every term and weights a
+term whose coefficient is 0 by 0; ``READ_NETWORKS`` names, per mode and
+variant, the networks the terms that remain read, written out from the graph
+rather than taken from the package.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import numpy as np
 from sd2 import autodiff as ad
 from sd2 import family as F
 from sd2.autodiff import Tensor, _check_bias, _check_matmul, _elu_into, _sigmoid_into
-from sd2.family import Gaussian
+from sd2.family import BERNOULLI, GAUSSIAN, Gaussian
 from sd2.infotheory import PROB_FLOOR
-from sd2.losses import BERNOULLI, GAUSSIAN, DegenerateBatchError, LossBreakdown
+from sd2.losses import DegenerateBatchError, LossBreakdown
 
 
 # -- primitives ---------------------------------------------------------------
@@ -353,3 +356,37 @@ def total_loss_continuous(outputs, t, y, weights, params) -> LossBreakdown:
     return _total_loss(GAUSSIAN, outputs, t, y, None, weights, params,
                        lambda: continuous_adjust_loss(outputs, t),
                        lambda: continuous_rebalance_loss(outputs, t))
+
+
+# -- what each variant's objective reads ----------------------------------------
+
+OUTCOME_PATH = ("enc_c", "enc_a", "retain_y", "head_y")        # the factual outcome term
+TREATMENT_PATH = ("enc_z", "enc_c", "retain_t", "head_t")      # the factual treatment term
+# the continuous rebalance loss: the deep and instrument treatment heads and
+# the rebalanced-confounder head; no variant zeroes its coefficient
+REBALANCE_PATH = TREATMENT_PATH + ("head_t_z", "rebalance", "head_t_cr")
+
+# the networks the kept terms read; None: every network.  Binary Lp+Lt+La
+# adds the MMD, which reads enc_a, already read by the outcome term.
+READ_NETWORKS = {
+    ("binary", "Lp"): OUTCOME_PATH,
+    ("binary", "Lp+Lt"): OUTCOME_PATH + TREATMENT_PATH,
+    ("binary", "Lp+Lt+La"): OUTCOME_PATH + TREATMENT_PATH,
+    ("binary", "Total"): None,
+    ("continuous", "Lp"): OUTCOME_PATH + REBALANCE_PATH,
+    ("continuous", "Lp+Lt"): OUTCOME_PATH + REBALANCE_PATH,
+    ("continuous", "Lp+Lt+La"): OUTCOME_PATH + REBALANCE_PATH + ("head_t_c", "head_t_a"),
+    ("continuous", "Total"): None,
+}
+
+# the breakdown fields of the terms each variant weights by 0
+SKIPPED_FIELDS = {"Lp": ("factual_t", "adjust", "distill_outcome", "distill_treatment"),
+                  "Lp+Lt": ("adjust", "distill_outcome", "distill_treatment"),
+                  "Lp+Lt+La": ("distill_outcome", "distill_treatment"),
+                  "Total": ()}
+
+
+def read_params(params: dict, mode: str, variant: str) -> dict:
+    """The entries of ``params`` whose network the variant's objective reads."""
+    read = READ_NETWORKS[mode, variant]
+    return {k: v for k, v in params.items() if read is None or k.split(".")[0] in read}

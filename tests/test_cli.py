@@ -10,7 +10,7 @@ from sd2 import cli
 from sd2 import datagen as dg
 from sd2 import evaluation as ev
 from sd2 import training as tr
-from sd2.model import checkpoint_load
+from sd2.model import checkpoint_load, checkpoint_save
 
 
 def write_json(path, payload):
@@ -219,6 +219,15 @@ class TestAttribute:
         with open(out / "attribution.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["factor"] for r in rows] == ["z", "c", "a"]
+
+    def test_dead_encoder_scores_nan(self, trained_run, tmp_path, capsys):
+        run, data = trained_run
+        model = checkpoint_load(run / "checkpoint.bin")
+        model.params["enc_a.l0.W"][:] = 0.0
+        checkpoint_save(model, tmp_path / "dead.bin")
+        assert cli.main(["attribute", "--checkpoint", str(tmp_path / "dead.bin"),
+                         "--data", str(data), "--out", str(tmp_path / "attr")]) == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "METRIC min_ratio=nan"
 
 
 class TestVerify:

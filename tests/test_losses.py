@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -602,7 +604,13 @@ LAYOUTS = sorted(TREATMENT_LAYOUTS)
 
 def objective_run(losses, mode, layout, variant="Total", record=True, rows=48, enc_layers=1):
     """Breakdown, gradients and teacher values of one step, with the
-    objective built by ``losses`` (the package's or the reference)."""
+    objective built by ``losses`` (the package's or the reference).
+
+    The package's forward builds only the outputs its kept terms read; the
+    reference's builds every output and weights the other terms by 0.  Both
+    L2 penalties cover the parameters of the networks ``R.READ_NETWORKS``
+    names, and the binary objectives use importance weights in every variant.
+    """
     arch = M.ArchConfig(input_dim=1, **dict(OBJECTIVE_ARCH, enc_layers=enc_layers))
     cfg = tr.TrainConfig(mode=mode, weights=OBJECTIVE_WEIGHTS, arch=arch)
     cfg = tr.apply_ablation(cfg, variant)
@@ -611,18 +619,24 @@ def objective_run(losses, mode, layout, variant="Total", record=True, rows=48, e
     t = TREATMENT_LAYOUTS[mode, layout](rows)
     tape = ad.Tape(record=record)
     params = M.bind(model, tape)
+    covered = R.read_params(params, mode, variant)
+    only = None
+    if losses is L:
+        only = L.read_outputs(mode, cfg.weights, importance_weighted=False)
+        assert list(M.params_read_by(params, only)) == list(covered)
     if mode == "binary":
         y = rng.bernoulli(33, np.full(rows, 0.4))
-        out = M.forward_binary(model, x, t, tape, params)
-        w = L.importance_weights(out.q_t_c.value, t)
+        w = L.importance_weights(M.forward_binary(model, x, t).q_t_c.value, t)
+        out = M.forward_binary(model, x, t, tape, params, only)
         forward_nodes = len(tape.nodes)
-        bd = losses.total_loss_binary(out, t, y, w, cfg.weights, params)
+        bd = losses.total_loss_binary(out, t, y, w, cfg.weights, covered)
     else:
         y = rng.normals(34, 0, rows)
-        out = M.forward_continuous(model, x, t, tape, params)
+        out = M.forward_continuous(model, x, t, tape, params, only)
         forward_nodes = len(tape.nodes)
-        bd = losses.total_loss_continuous(out, t, y, cfg.weights, params)
-    result = {"fields": [getattr(bd, f) for f in bd.FIELDS], "per_sample": bd.per_sample}
+        bd = losses.total_loss_continuous(out, t, y, cfg.weights, covered)
+    result = {"fields": dict(zip(bd.FIELDS, (getattr(bd, f) for f in bd.FIELDS))),
+              "per_sample": bd.per_sample, "variant": variant, "read": list(covered)}
     if record:
         result["loss_nodes"] = len(tape.nodes) - forward_nodes
         _, result["grads"] = tape.gradients(bd.node)
@@ -630,14 +644,31 @@ def objective_run(losses, mode, layout, variant="Total", record=True, rows=48, e
     return result
 
 
+def _in_order_among(arrays, ref) -> bool:
+    """Each array equals one of ``ref``, in ``ref``'s order."""
+    rest = iter(ref)
+    return all(any(np.array_equal(a, b) for b in rest) for a in arrays)
+
+
 def assert_bitwise_equal(got, ref):
-    assert got["fields"] == ref["fields"]
-    assert all(np.array_equal(a, b) for a, b in zip(got["per_sample"], ref["per_sample"]))
+    """Every field the package kept, the per-sample losses and every read
+    parameter's gradient equal the reference's bit for bit; the fields of
+    the terms the variant weights by 0 are None, every other gradient is
+    exactly 0, and the teachers recorded are the kept terms' own."""
+    skipped = R.SKIPPED_FIELDS[got["variant"]]
+    assert [f for f, v in got["fields"].items() if v is None] == list(skipped)
+    assert {f: v for f, v in got["fields"].items() if f not in skipped} == \
+        {f: v for f, v in ref["fields"].items() if f not in skipped}
+    nll_y, nll_t = got["per_sample"]
+    assert np.array_equal(nll_y, ref["per_sample"][0])
+    assert (nll_t is None if "factual_t" in skipped
+            else np.array_equal(nll_t, ref["per_sample"][1]))
     if "grads" in ref:
         assert list(got["grads"]) == list(ref["grads"])
-        assert all(np.array_equal(got["grads"][k], ref["grads"][k]) for k in ref["grads"])
-        assert len(got["detached"]) == len(ref["detached"])
-        assert all(np.array_equal(a, b) for a, b in zip(got["detached"], ref["detached"]))
+        assert all(np.array_equal(got["grads"][k], ref["grads"][k]) for k in got["read"])
+        assert all(not np.any(g) for k, g in got["grads"].items() if k not in got["read"])
+        assert _in_order_among(got["detached"], ref["detached"])
+        assert skipped or len(got["detached"]) == len(ref["detached"])
 
 
 # a full batch, and the short remainder batches an epoch can end on; two rows
@@ -649,28 +680,31 @@ BITWISE_CASES = [(mode, layout, rows) for rows in (2, 7, 48) for mode, layout in
 
 def tiny_objective(mode, layout, weights):
     """A tiny model of ``mode`` on 12 rows of ``layout``, and its objective as
-    a ``loss(tape, params)`` for the finite-difference checks."""
+    a ``loss(tape, params)`` for the finite-difference checks: as in training,
+    the forward builds only the outputs the kept terms read, and the L2
+    penalty covers the parameters of their networks."""
     arch = M.ArchConfig(input_dim=3, rep_dim=2, enc_hidden=3, enc_layers=1, head_hidden=2,
                         mode=mode)
     model = M.init_model(arch, 5)
     rows = 12
     x = rng.normal_matrix(41, rows, 3)
     t = TREATMENT_LAYOUTS[mode, layout](rows)
+    only = L.read_outputs(mode, weights, importance_weighted=False)
     if mode == "binary":
         y = rng.bernoulli(42, np.full(rows, 0.5))
         w = 1.0 + rng.uniforms(43, 0, rows)
 
         def loss(tape, params):
             p = {k: tape.parameter(v, k) for k, v in params.items()}
-            out = M.forward_binary(model, x, t, tape, p)
-            return L.total_loss_binary(out, t, y, w, weights, p).node
+            out = M.forward_binary(model, x, t, tape, p, only)
+            return L.total_loss_binary(out, t, y, w, weights, M.params_read_by(p, only)).node
     else:
         y = rng.normals(43, 0, rows)
 
         def loss(tape, params):
             p = {k: tape.parameter(v, k) for k, v in params.items()}
-            out = M.forward_continuous(model, x, t, tape, p)
-            return L.total_loss_continuous(out, t, y, weights, p).node
+            out = M.forward_continuous(model, x, t, tape, p, only)
+            return L.total_loss_continuous(out, t, y, weights, M.params_read_by(p, only)).node
     return model, loss
 
 
@@ -724,6 +758,39 @@ class TestObjective:
 
             numeric = (probe(1.0) - probe(-1.0)) / (2.0 * eps)
             assert abs(numeric - slope) / max(abs(slope), abs(numeric), 1e-8) < 1e-6
+
+
+class TestDeclaredTermReads:
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    def test_each_term_needs_only_its_declared_outputs(self, mode):
+        # each term next to the factual outcome term, the only one without a
+        # coefficient, from a forward that built only the outputs they read
+        model = M.init_model(M.ArchConfig(input_dim=5, mode=mode, **OBJECTIVE_ARCH), 3)
+        x = rng.normal_matrix(31, 48, 5)
+        t = TREATMENT_LAYOUTS[mode, "alternating" if mode == "binary" else "normal"](48)
+        zero = L.LossWeights(alpha=0.0, beta=0.0, gamma=0.0, delta=0.0, omega_cont=0.0)
+        terms = [term for term in L.TERMS if mode in term.modes and term.coeff]
+        assert [term.name for term in terms] == [
+            "factual_t", "adjust", "distill_outcome", "distill_treatment",
+            *(["rebalance"] if mode == "continuous" else []), "reg"]
+        for term in terms:
+            weights = replace(zero, **{term.coeff: 0.5})
+            only = L.read_outputs(mode, weights, importance_weighted=False)
+            sharing = [other for other in terms if other.coeff == term.coeff]
+            assert set(only) == {"q_y"}.union(*(other.modes[mode].reads for other in sharing))
+            tape = ad.Tape()
+            params = M.bind(model, tape)
+            covered = M.params_read_by(params, only)
+            if mode == "binary":
+                out = M.forward_binary(model, x, t, tape, params, only)
+                bd = L.total_loss_binary(out, t, rng.bernoulli(33, np.full(48, 0.4)),
+                                         np.ones(48), weights, covered)
+            else:
+                out = M.forward_continuous(model, x, t, tape, params, only)
+                bd = L.total_loss_continuous(out, t, rng.normals(34, 0, 48), weights, covered)
+            kept = {"factual_y", "total", *(other.name for other in sharing)}
+            assert {f for f in bd.FIELDS if getattr(bd, f) is not None} == \
+                kept | ({"rebalance"} if mode == "binary" else set())
 
 
 FAILURE_ROWS = 6

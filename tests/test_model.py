@@ -225,6 +225,36 @@ def _tensor_values(outputs) -> list[np.ndarray]:
     return values
 
 
+class TestDeclaredReads:
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    def test_each_output_needs_only_its_declared_networks(self, mode):
+        # only those networks are bound, so reading another raises
+        m = M.init_model(small_cfg(mode=mode), seed=12)
+        forward = M.forward_binary if mode == "binary" else M.forward_continuous
+        x, t = rand_x(), rand_t() if mode == "binary" else rng.normals(9, 0, 9)
+        full = forward(m, x, t)
+        names = [n for n in M.READS if mode == "continuous" or n not in M.CONTINUOUS_ONLY]
+        for name in names:
+            tape = ad.Tape(record=False)
+            out = forward(m, x, t, tape, M.bind(m, tape, M.networks((name,))), (name,))
+            heads = {k: v for k, v in out._asdict().items() if k != "reps"}
+            built = {**heads, **out.reps._asdict()}
+            assert [k for k, v in heads.items() if v is not None] == \
+                ([] if name in M.Representations._fields else [name])
+            want = {**full._asdict(), **full.reps._asdict()}[name]
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(_tensor_values((built[name],)), _tensor_values((want,))))
+
+    def test_networks(self):
+        assert M.ENCODERS == ("enc_z", "enc_c", "enc_a")
+        assert M.networks(("q_y", "r_z", "q_t")) == ("enc_c", "enc_a", "retain_y", "head_y",
+                                                     "enc_z", "retain_t", "head_t")
+        m = M.init_model(small_cfg(), seed=1)
+        assert list(M.params_read_by(m.params, ("q_t_z",))) == [
+            "enc_z.l0.W", "enc_z.l0.b", "enc_z.l1.W", "enc_z.l1.b", "enc_z.l2.W", "enc_z.l2.b",
+            "head_t_z.l0.W", "head_t_z.l0.b", "head_t_z.l1.W", "head_t_z.l1.b"]
+
+
 def _block_case(n, mode, enc_layers, widths):
     m = M.init_model(small_cfg(mode=mode, enc_layers=enc_layers, **widths), seed=12)
     x = rand_x(n=n, key=n) * 2.0

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import logging
 import re
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import reference_ops as R
 from sd2 import autodiff as ad
 from sd2 import cli
 from sd2 import datagen as dg
@@ -184,11 +186,14 @@ class TestTapes:
         assert run() == blocked
 
     @pytest.mark.parametrize("variant", tr.VARIANTS)
-    @pytest.mark.parametrize("mode, nodes", [("binary", 75), ("continuous", 109)])
+    @pytest.mark.parametrize("mode, nodes", [
+        ("binary", {"Lp": 60, "Lp+Lt": 67, "Lp+Lt+La": 67, "Total": 75}),
+        ("continuous", {"Lp": 93, "Lp+Lt": 93, "Lp+Lt+La": 101, "Total": 109})],
+        ids=["binary", "continuous"])
     def test_step_tape_size(self, mode, nodes, variant):
-        # README arch and weights: the leaves, one node per dense layer and
-        # per Gaussian head column, and the one objective node, whichever
-        # terms the variant weights
+        # README arch and weights: every parameter leaf, one node per dense
+        # layer and per Gaussian head column of the networks the variant's
+        # terms read, and the one objective node
         cfg = tr.apply_ablation(tr.TrainConfig(
             mode=mode, arch=ArchConfig(input_dim=1, rep_dim=8, enc_hidden=64, enc_layers=2,
                                        head_hidden=32),
@@ -200,7 +205,7 @@ class TestTapes:
         y = rng.bernoulli(23, np.full(32, 0.5))
         tape = ad.Tape()
         tr._batch_breakdown(cfg, model, x, t, y, tape)
-        assert len(tape.nodes) == nodes
+        assert len(tape.nodes) == nodes[variant]
 
     def test_training_leaves_no_cyclic_garbage(self, tiny_triple):
         gc.collect()
@@ -261,6 +266,62 @@ class TestAblation:
         with pytest.raises(ValueError, match="does not match"):
             replace(cfg, weights=replace(cfg.weights, gamma=0.5))
         assert tr.apply_ablation(cfg, "Total").variant == "Total"  # Total takes any weights
+
+
+def reads_config(mode: str, variant: str) -> tr.TrainConfig:
+    dataset = ({"kind": "demand", "n": 300} if mode == "continuous"
+               else tiny_config().dataset)
+    return tr.apply_ablation(tiny_config(mode=mode, dataset=dataset, max_epochs=3, patience=3),
+                             variant)
+
+
+# sha256 over the name and bytes of every parameter the variant's objective
+# reads (R.READ_NETWORKS), after training reads_config; recorded while a
+# zero coefficient still built its term and weighted it by 0
+READ_PARAMS_SHA256 = {
+    ("binary", "Lp"): "a8b129d5dd82761fdf4fab7bf0238d94ba6021fb10ffafbd5c3cfd903ea641b2",
+    ("binary", "Lp+Lt"): "537a870a019926fd475f8834f3d50955b4731e78d7a40d66eb3707972316461e",
+    ("binary", "Lp+Lt+La"): "aea8040253c3ebaa6db1c0b860e58b82863bec107f763693f311a99e77742a5b",
+    ("binary", "Total"): "7c176054689385d943e77ff66d50ebdfb12a74cc41ec9c1d3f15ade941826100",
+    ("continuous", "Lp"): "05fdd2d93264fc08f193754d77da333eb416ca9fba83c6aa87eff6b0dd8e2691",
+    ("continuous", "Lp+Lt"): "8df74f54c31a5a138fd0792961f1651953ec7e5937d0b5e942a10ddb83f3e137",
+    ("continuous", "Lp+Lt+La"): "31248bfa9293683681dfb6cf56861907daa4450496685f78edc968c7a559b759",
+    ("continuous", "Total"): "1bad7409a290d8ae649f582db078020a89a2cac6387f53b27f72cda9992a66b5",
+}
+
+
+@pytest.mark.parametrize("variant", tr.VARIANTS)
+@pytest.mark.parametrize("mode", ["binary", "continuous"])
+class TestUnreadNetworks:
+    """A network that no kept term reads is not trained at all."""
+
+    def test_step_gives_unread_parameters_zero_gradient(self, mode, variant):
+        cfg = reads_config(mode, variant)
+        ds = tr.resolve_data(cfg, 11)[0]
+        model = init_model(tr._arch_for(cfg, ds.covariates().shape[1]), 3)
+        tape = ad.Tape()
+        bd, _ = tr._batch_breakdown(cfg, model, ds.covariates(), ds.t, ds.y, tape)
+        _, grads = tape.gradients(bd.node)
+        read = R.read_params(grads, mode, variant)
+        assert list(grads) == list(model.params)
+        # the L2 penalty included: an unread weight matrix gets no decay either
+        assert all(not np.any(g) for k, g in grads.items() if k not in read)
+        assert all(np.any(g) for k, g in read.items() if k.endswith(".W"))
+        assert (len(read) == len(grads)) == (variant == "Total")
+
+    def test_training_keeps_unread_parameters_and_reads_as_recorded(self, mode, variant):
+        cfg = reads_config(mode, variant)
+        train_ds, val_ds, _ = tr.resolve_data(cfg, 11)
+        model, history = tr.train(cfg, train_ds, val_ds)
+        initial = init_model(model.config, rng.mix_key(cfg.seed, "init"))
+        read = R.read_params(model.params, mode, variant)
+        assert history.selected_epoch == 2
+        assert all(np.array_equal(v, initial.params[k])
+                   for k, v in model.params.items() if k not in read)
+        digest = hashlib.sha256()
+        for name, value in read.items():
+            digest.update(name.encode() + value.tobytes())
+        assert digest.hexdigest() == READ_PARAMS_SHA256[mode, variant]
 
 
 class TestResolveData:
