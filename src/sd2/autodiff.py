@@ -12,29 +12,27 @@ to name ``'matmul'`` or ``'add_bias'``.  The training objective
 (``losses.py``) checks only its total, and on failure names its first
 non-finite term.
 
-Stop-gradient values (the teacher heads) are recorded on the tape in creation
-order.  `finite_diff_check` replays them at probe points, so
-the numerical check targets the same stop-gradient objective whose analytic
-gradient the backward pass computes.
-
 A tape made with ``record=False`` serves forward passes whose gradients nobody
 takes (prediction, validation): its nodes keep no parents or backward rules
-and the tape keeps no nodes, parameters or detached values, so each
-intermediate array is freed as soon as nothing reads it; its values are
-bit-identical to a recorded pass, and a NaN or Inf is still named at the
-operation that produced it.  Only training steps record.  A recording tape
-drops its nodes and parameters when `gradients` returns, so no tape outlives
-its step and neither kind waits for Python's cycle collector.
+and the tape keeps no nodes or parameters, so each intermediate array is
+freed as soon as nothing reads it; its values are bit-identical to a recorded
+pass, and a NaN or Inf is still named at the operation that produced it.
+Only training steps record.  A recording tape drops its nodes and parameters
+when `gradients` returns, so no tape outlives its step and neither kind waits
+for Python's cycle collector.
 
 The recorded graph is coarse where the model spends its steps: `dense` is one
 node, and so is the whole training objective in ``losses.py``.  The primitives
 these fused nodes stand for are kept in ``tests/reference_ops.py`` as the
-oracles they are checked against.  A node's backward rule is an optional
-``pre_vjp``, applied once to its gradient, then one VJP per parent; no VJP is
-evaluated for a constant or detached leaf.  A fused node's rule repeats the
-operations of its composition in the same order and lists a parent once for
-each contribution the composition made to it, so values, gradients and
-checkpoints are bit-identical to building it from the primitives.
+oracles they are checked against, and ``tests/gradcheck.py`` checks the
+primitives' gradients against central differences.  A node's backward rule is
+an optional ``pre_vjp``, applied once to its gradient, then one VJP per
+parent; no VJP is evaluated for a constant leaf.  A fused node's rule repeats
+the operations of its composition in the same order and lists a parent once
+for each contribution the composition made to it, so values, gradients and
+checkpoints are bit-identical to building it from the primitives.  A
+stop-gradient teacher is no node at all: the objective reads its arrays and
+lists no parent for it.
 
 `AdamState` keeps the parameters, both moments and the gathered gradient in
 flat float64 buffers (the model's parameter arrays become views of one of
@@ -66,14 +64,11 @@ class Tape:
     With ``record=False`` nothing is kept: only forward values are computed.
     """
 
-    def __init__(self, replay_detached: list[np.ndarray] | None = None,
-                 record: bool = True):
+    def __init__(self, record: bool = True):
         self.record = record
         self.released = False
         self.nodes: list[Tensor] = []
         self.params: dict[str, Tensor] = {}
-        self.detached_values: list[np.ndarray] = []
-        self._replay = iter(replay_detached) if replay_detached is not None else None
 
     def parameter(self, value: np.ndarray, name: str) -> "Tensor":
         if name in self.params:
@@ -88,32 +83,13 @@ class Tape:
         node.constant = True
         return node
 
-    def record_detached(self, value: np.ndarray) -> np.ndarray:
-        """Record (or replay) a stop-gradient value.
-
-        The value is copied, so an in-place update of its source (a parameter
-        probed by `finite_diff_check`, or stepped by Adam) does not reach it.
-        """
-        if self._replay is not None:
-            value = next(self._replay)
-        value = np.array(value, dtype=np.float64)
-        if self.record:
-            self.detached_values.append(value)
-        return value
-
-    @property
-    def replaying(self) -> bool:
-        """Whether stop-gradient values are replayed rather than recorded."""
-        return self._replay is not None
-
     def gradients(self, output: "Tensor") -> tuple[float, dict[str, np.ndarray]]:
         """Backward pass from a scalar node; returns (value, grads per parameter).
 
-        Constant and detached leaves get no gradient: no VJP into them is
-        evaluated.  Releases the tape: its nodes and parameters are dropped
-        (the detached values stay for `finite_diff_check`), so the graph is
-        freed as soon as the caller lets go of its tensors, and a second call
-        raises.
+        Constant leaves get no gradient: no VJP into them is evaluated.
+        Releases the tape: its nodes and parameters are dropped, so the graph
+        is freed as soon as the caller lets go of its tensors, and a second
+        call raises.
         """
         if not self.record:
             raise AutodiffError("gradients of a tape that does not record")
@@ -373,42 +349,3 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     update /= denom
     state.flat -= update
 
-
-def finite_diff_check(loss_fn, params: dict[str, np.ndarray],
-                      eps: float = 1e-5) -> float:
-    """Worst relative error between analytic gradients and central differences.
-
-    loss_fn(tape, params) must build and return a scalar Tensor whose
-    parameters were registered on `tape` with the names in `params`.  Detached
-    values recorded during the base evaluation are replayed at probe points,
-    so the check targets the stop-gradient objective.
-    """
-    if not (0.0 < eps <= 1e-3):
-        raise ValueError("eps must be in (0, 1e-3]")
-    base_tape = Tape()
-    out = loss_fn(base_tape, params)
-    _, grads = base_tape.gradients(out)
-    recorded = base_tape.detached_values
-
-    def probe(values: dict[str, np.ndarray]) -> float:
-        tape = Tape(replay_detached=recorded, record=False)
-        node = loss_fn(tape, values)
-        if node.value.size != 1:
-            raise ValueError("loss function must return a scalar")
-        return float(node.value)
-
-    worst = 0.0
-    for name, p in params.items():
-        flat = p.ravel()
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + eps
-            up = probe(params)
-            flat[i] = saved - eps
-            down = probe(params)
-            flat[i] = saved
-            numeric = (up - down) / (2.0 * eps)
-            analytic = grads[name].ravel()[i]
-            denom = max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic - numeric) / denom)
-    return worst

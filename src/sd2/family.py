@@ -13,8 +13,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .infotheory import PROB_FLOOR
 
+PROB_FLOOR = 1e-7  # probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR]
 LOG_2PI = float(np.log(2.0 * np.pi))
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 3.0
@@ -39,8 +39,10 @@ def _pairs(*pairs) -> tuple:
 # A head is prepared once per objective: everything the family's terms read of
 # it (a Bernoulli head's clamped column, its complement and both logs; a
 # Gaussian head's variance and inverse variance) is computed once and shared
-# by every term that reads the head.  A teacher is a prepared head without
-# nodes: a stop-gradient copy, into which no gradient flows.
+# by every term that reads the head.  A teacher is the prepared head with its
+# node dropped (``head._replace(node=None)``): the same arrays, and no pair
+# through which a gradient could flow.  These stop-gradient KL terms are what
+# SD² puts where other methods minimise an estimate of mutual information.
 #
 # Each term below returns its per-sample values and (node, vjp) pairs, and its
 # name is the op its failure reports.  The values and VJPs repeat the
@@ -64,20 +66,9 @@ class BernoulliHead(NamedTuple):
 
     @classmethod
     def of(cls, q: ad.Tensor) -> "BernoulliHead":
-        return cls.of_value(q.value, q)
-
-    @classmethod
-    def of_value(cls, value: np.ndarray, node: ad.Tensor | None = None) -> "BernoulliHead":
-        qc, mask = _clip(value, PROB_FLOOR, 1.0 - PROB_FLOOR)
+        qc, mask = _clip(q.value, PROB_FLOOR, 1.0 - PROB_FLOOR)
         one_q = -qc + 1.0
-        return cls(node, qc, mask, one_q, np.log(qc), np.log(one_q))
-
-    def teacher(self, tape: ad.Tape) -> "BernoulliHead":
-        """The detached teacher, its value recorded on the tape."""
-        value = tape.record_detached(self.node.value)
-        if tape.replaying:
-            return BernoulliHead.of_value(value)
-        return self._replace(node=None)  # the recorded copy has the same bits
+        return cls(q, qc, mask, one_q, np.log(qc), np.log(one_q))
 
 
 class GaussianHead(NamedTuple):
@@ -90,20 +81,8 @@ class GaussianHead(NamedTuple):
 
     @classmethod
     def of(cls, g: Gaussian) -> "GaussianHead":
-        return cls.of_value(g.mean.value, g.log_std.value, g)
-
-    @classmethod
-    def of_value(cls, mean: np.ndarray, log_std: np.ndarray,
-                 node: Gaussian | None = None) -> "GaussianHead":
-        return cls(node, mean, log_std, np.exp(log_std * 2.0), np.exp(log_std * -2.0))
-
-    def teacher(self, tape: ad.Tape) -> "GaussianHead":
-        """The detached teacher, its mean and then its log std recorded on the
-        tape."""
-        mean, log_std = tape.record_detached(self.mean), tape.record_detached(self.log_std)
-        if tape.replaying:
-            return GaussianHead.of_value(mean, log_std)
-        return self._replace(node=None)
+        log_std = g.log_std.value
+        return cls(g, g.mean.value, log_std, np.exp(log_std * 2.0), np.exp(log_std * -2.0))
 
     @property
     def mean_node(self):

@@ -18,8 +18,6 @@ from . import rng
 VARS = ("y", "ra", "rc")
 _AXIS = {"y": 0, "ra": 1, "rc": 2}
 
-PROB_FLOOR = 1e-7  # clamp for KL denominators
-
 
 @dataclass(frozen=True)
 class DiscreteJoint:
@@ -108,40 +106,6 @@ def premise_gap(joint: DiscreteJoint) -> float:
     return (mutual_info(joint, "ra", "rc")
             - mutual_info(joint, "y", "rc")
             + cond_mutual_info(joint, "rc", "y", "ra"))
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if not self.std > 0:
-            raise ValueError(f"standard deviation must be positive, got {self.std}")
-
-
-def gaussian_kl(q: GaussianParams, p: GaussianParams) -> float:
-    """KL(q || p) for two univariate normals, in closed form.
-
-    Written as (u - log1p(u)) / 2 + (mean gap)^2 / (2 var_p) with
-    u = var_q / var_p - 1: log1p(u) never rounds above u, so neither part can
-    round below zero when the two normals are equal or nearly so.
-    """
-    u = (q.std / p.std) ** 2 - 1.0
-    return 0.5 * (u - np.log1p(u)) + (q.mean - p.mean) ** 2 / (2.0 * p.std ** 2)
-
-
-def bernoulli_kl(q: float, p: float) -> float:
-    """KL(Bernoulli(q) || Bernoulli(p)); p clamped away from {0, 1}."""
-    if not (0.0 <= q <= 1.0 and 0.0 <= p <= 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    p = min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
-    out = 0.0
-    if q > 0:
-        out += q * np.log(q / p)
-    if q < 1:
-        out += (1.0 - q) * np.log((1.0 - q) / (1.0 - p))
-    return out
 
 
 def random_joint(key: int, shape: tuple[int, int, int] = (2, 2, 2)) -> DiscreteJoint:

@@ -1,9 +1,9 @@
 """Training objectives: factual terms, the distillation units, the adjustment
 discrepancy, context-aware importance weights, and the weighted totals.
 
-Teacher distributions are gradient-detached, and each teacher term is
-KL(student || teacher); peer terms propagate to both sides.  The binary total
-is
+A teacher is a stop-gradient copy of a head, the prepared head without its
+node, and each teacher term is KL(student || teacher); peer terms propagate
+to both sides.  The binary total is
 
     mean_i(w_i * CE(q_y_i, y_i)) + alpha * CE(q_t, t) + beta * disc
     + gamma * (outcome unit + treatment unit) + delta * ||W||^2
@@ -53,8 +53,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .family import FAMILIES, Gaussian
-from .infotheory import PROB_FLOOR
+from .family import FAMILIES, PROB_FLOOR, Gaussian
 from .model import HeadOutputs
 
 WEIGHT_CLIP = 100.0
@@ -218,8 +217,9 @@ class _Objective:
         return self._term(self.fam.kl, (self._prepared(q), self._prepared(p)), group)[1]
 
     def teacher_kl(self, student, teacher, group: int):
-        """Mean KL(student || teacher) against a detached copy of the teacher."""
-        detached = self._prepared(teacher).teacher(self.tape)
+        """Mean KL(student || teacher); the teacher is the prepared head
+        without its node, so no gradient reaches it."""
+        detached = self._prepared(teacher)._replace(node=None)
         return self._term(self.fam.kl, (self._prepared(student), detached), group)[1]
 
     def scalar(self, kernel, *args, coeff: float):

@@ -14,6 +14,11 @@ first primitive that went non-finite.  It builds every term and weights a
 term whose coefficient is 0 by 0; ``READ_NETWORKS`` names, per mode and
 variant, the networks the terms that remain read, written out from the graph
 rather than taken from the package.
+
+A teacher is a `detach` node: a constant copy of the head's value.  On a
+`TeacherTape` the copies are kept in order, and a tape given them hands them
+out again, so the finite differences of ``tests/gradcheck.py`` hold every
+teacher at its value at the base point, as the stop-gradient objective does.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ import numpy as np
 from sd2 import autodiff as ad
 from sd2 import family as F
 from sd2.autodiff import Tensor, _check_bias, _check_matmul, _elu_into, _sigmoid_into
-from sd2.family import BERNOULLI, GAUSSIAN, Gaussian
-from sd2.infotheory import PROB_FLOOR
+from sd2.family import BERNOULLI, GAUSSIAN, PROB_FLOOR, Gaussian
 from sd2.losses import DegenerateBatchError, LossBreakdown
 
 
@@ -144,9 +148,29 @@ def mean_all(a: Tensor) -> Tensor:
                   (lambda g: np.full_like(a.value, float(g) / n),), "mean")
 
 
+class TeacherTape(ad.Tape):
+    """A tape that keeps the value of each teacher `detach` makes on it, in
+    order, or, given the ``teachers`` of an earlier pass, hands those out
+    instead."""
+
+    def __init__(self, teachers: list[np.ndarray] | None = None, record: bool = True):
+        super().__init__(record)
+        self.teachers: list[np.ndarray] = []
+        self._replay = None if teachers is None else iter(teachers)
+
+    def teacher(self, value: np.ndarray) -> np.ndarray:
+        if self._replay is not None:
+            return next(self._replay)
+        self.teachers.append(value)
+        return value
+
+
 def detach(a: Tensor) -> Tensor:
-    """Constant copy of a's value; records/replays through the tape."""
-    value = a.tape.record_detached(a.value)
+    """Constant copy of a's value, so that moving its source in place (a
+    probed parameter) leaves it; kept or replayed by a `TeacherTape`."""
+    value = np.array(a.value, dtype=np.float64)
+    if isinstance(a.tape, TeacherTape):
+        value = a.tape.teacher(value)
     node = Tensor(a.tape, value, (), (), "detach")
     node.constant = True
     return node

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import reference_ops as R
+from gradcheck import finite_diff_check
 from sd2 import autodiff as ad
 from sd2 import model as M
 from sd2 import rng
@@ -127,7 +128,7 @@ class TestFusedDense:
             h = ad.dense(tape.constant(self.X), tape.parameter(params["w"], "w"),
                          tape.parameter(params["b"], "b"), activation)
             return R.sum_all(R.mul(h, tape.constant(self.COTANGENT)))
-        assert ad.finite_diff_check(loss, {"w": self.W.copy(), "b": self.B.copy()}) < 1e-6
+        assert finite_diff_check(loss, {"w": self.W.copy(), "b": self.B.copy()}) < 1e-6
 
 
 class TestConstantLeaves:
@@ -191,7 +192,7 @@ class TestNonRecordingTape:
         b = tape.parameter(np.zeros(2), "b")
         h = ad.dense(tape.constant(np.ones((3, 4))), w, b, "elu")
         loss = R.sum_all(R.sub(h, R.detach(h)))
-        assert tape.nodes == [] and tape.params == {} and tape.detached_values == []
+        assert tape.nodes == [] and tape.params == {}
         assert loss.parents == () and loss.vjps == ()
         assert loss.value == 0.0
 
@@ -378,11 +379,11 @@ class TestFiniteDiff:
         def loss(tape, params):
             x = tape.parameter(params["x"], "x")
             return R.sum_all(R.scale(x, 3.0))
-        err = ad.finite_diff_check(loss, {"x": np.arange(4.0)})
+        err = finite_diff_check(loss, {"x": np.arange(4.0)})
         assert err < 1e-10
 
     def test_two_layer_network(self):
-        err = ad.finite_diff_check(net_ce_loss, two_layer_params())
+        err = finite_diff_check(net_ce_loss, two_layer_params())
         assert err < 1e-4
 
     def test_injected_fault_detected(self):
@@ -390,7 +391,7 @@ class TestFiniteDiff:
             x = tape.parameter(params["x"], "x")
             doubled = ad.Tensor(tape, x.value.copy(), (x,), (lambda g: 2.0 * g,), "bad")
             return R.sum_all(doubled)
-        err = ad.finite_diff_check(loss, {"x": np.arange(1.0, 4.0)})
+        err = finite_diff_check(loss, {"x": np.arange(1.0, 4.0)})
         assert err == pytest.approx(0.5, abs=1e-6)
 
     def test_detached_values_replayed(self):
@@ -400,7 +401,7 @@ class TestFiniteDiff:
             s = R.sigmoid(x)
             teacher = R.detach(s)
             return R.mean_all(R.square(R.sub(s, R.scale(teacher, 0.5))))
-        err = ad.finite_diff_check(loss, {"x": np.array([0.3, -0.7])})
+        err = finite_diff_check(loss, {"x": np.array([0.3, -0.7])})
         assert err < 1e-7
 
     def test_detached_parameter_replayed(self):
@@ -409,12 +410,12 @@ class TestFiniteDiff:
         def loss(tape, params):
             x = tape.parameter(params["x"], "x")
             return R.mean_all(R.square(R.sub(x, R.scale(R.detach(x), 0.5))))
-        err = ad.finite_diff_check(loss, {"x": np.array([0.3, -0.7])})
+        err = finite_diff_check(loss, {"x": np.array([0.3, -0.7])})
         assert err < 1e-7
 
     def test_eps_validated(self):
         with pytest.raises(ValueError):
-            ad.finite_diff_check(lambda t, p: None, {}, eps=0.1)
+            finite_diff_check(lambda t, p: None, {}, eps=0.1)
 
 
 class TestCompositeOps:
@@ -431,7 +432,7 @@ class TestCompositeOps:
             x = tape.parameter(params["x"], "x")
             return builder(tape, x)
         x = rng.normal_matrix(55, 3, 2)
-        assert ad.finite_diff_check(loss, {"x": x}) < 1e-6
+        assert finite_diff_check(loss, {"x": x}) < 1e-6
 
 
 def test_glorot_bounds():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sd2 import infotheory as it
@@ -135,66 +135,6 @@ def test_premise_gap_equals_conditional_mi(joint):
 def test_conditionally_independent_joints_have_zero_gap(key):
     j = it.cond_independent_joint(key, (3, 2, 4))
     assert it.premise_gap(j) < 1e-10
-
-
-class TestGaussianKL:
-    def test_identical(self):
-        p = it.GaussianParams(0.0, 1.0)
-        assert it.gaussian_kl(p, p) == 0.0
-
-    def test_unit_mean_shift(self):
-        assert it.gaussian_kl(it.GaussianParams(1, 1), it.GaussianParams(0, 1)) == pytest.approx(0.5)
-
-    def test_mean_and_scale(self):
-        got = it.gaussian_kl(it.GaussianParams(0, 1), it.GaussianParams(1, 2))
-        assert got == pytest.approx(LN2 + 2 / 8 - 0.5)
-
-    def test_invalid_std(self):
-        with pytest.raises(ValueError):
-            it.GaussianParams(0.0, 0.0)
-
-    @given(st.floats(-5, 5), st.floats(0.1, 5), st.floats(-5, 5), st.floats(0.1, 5))
-    @example(0.0, 0.1, 0.0, 0.10000000000000002)  # rounded below zero in the direct form
-    @settings(max_examples=200, deadline=None)
-    def test_nonnegative(self, m1, s1, m2, s2):
-        assert it.gaussian_kl(it.GaussianParams(m1, s1), it.GaussianParams(m2, s2)) >= 0.0
-
-    def test_monte_carlo_agreement(self):
-        q = it.GaussianParams(0.7, 1.3)
-        p = it.GaussianParams(-0.2, 0.8)
-        gen = np.random.default_rng(0)
-        x = gen.normal(q.mean, q.std, size=1_000_000)
-        log_ratio = (-0.5 * ((x - q.mean) / q.std) ** 2 - np.log(q.std)
-                     + 0.5 * ((x - p.mean) / p.std) ** 2 + np.log(p.std))
-        mc = log_ratio.mean()
-        se = log_ratio.std(ddof=1) / np.sqrt(len(x))
-        assert abs(it.gaussian_kl(q, p) - mc) < 3 * se
-
-
-class TestBernoulliKL:
-    def test_identical(self):
-        assert it.bernoulli_kl(0.5, 0.5) == 0.0
-
-    def test_degenerate_q(self):
-        assert it.bernoulli_kl(1.0, 0.5) == pytest.approx(LN2)
-
-    def test_half_vs_08(self):
-        expected = 0.5 * np.log(0.5 / 0.8) + 0.5 * np.log(0.5 / 0.2)
-        assert it.bernoulli_kl(0.5, 0.8) == pytest.approx(expected)
-        assert expected == pytest.approx(0.2231, abs=1e-4)
-
-    def test_p_clamped(self):
-        assert np.isfinite(it.bernoulli_kl(0.5, 0.0))
-        assert np.isfinite(it.bernoulli_kl(0.5, 1.0))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            it.bernoulli_kl(1.2, 0.5)
-
-    @given(st.floats(0, 1), st.floats(0, 1))
-    @settings(max_examples=200, deadline=None)
-    def test_nonnegative(self, q, p):
-        assert it.bernoulli_kl(q, p) >= 0.0
 
 
 class TestJointValidation:

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_ops as R
+from gradcheck import finite_diff_check
 from sd2 import autodiff as ad
 from sd2 import family as F
 from sd2 import losses as L
 from sd2 import model as M
 from sd2 import rng
 from sd2 import training as tr
-from sd2.family import BERNOULLI, Gaussian
-from sd2.infotheory import PROB_FLOOR
+from sd2.family import BERNOULLI, PROB_FLOOR, Gaussian
 from sd2.model import HeadOutputs, Representations
 
 LN2 = np.log(2.0)
@@ -389,13 +389,6 @@ class TestKLProperties:
                                gaussian(tape, [m2], [ls2])).value[0, 0]
         assert kl >= -1e-12
 
-    def test_gaussian_kl_matches_closed_form_module(self):
-        from sd2.infotheory import GaussianParams, gaussian_kl
-        tape = ad.Tape()
-        got = R.gaussian_kl_vec(gaussian(tape, [0.0], [0.0]),
-                                gaussian(tape, [1.0], [np.log(2.0)])).value[0, 0]
-        assert got == pytest.approx(gaussian_kl(GaussianParams(0, 1), GaussianParams(1, 2)))
-
 
 # Ten rows at, beyond and inside both clip edges, then random rows: a
 # reordered product or sum in a VJP changes the rounding of a few rows only.
@@ -542,7 +535,7 @@ class TestFusedFamilyTerms:
         params = {"q": self.LOGITS_Q.reshape(-1, 1).copy()}
         if term != "ce":
             params["p"] = self.LOGITS_P.reshape(-1, 1).copy()
-        assert ad.finite_diff_check(loss, params) < 1e-6
+        assert finite_diff_check(loss, params) < 1e-6
 
     @pytest.mark.parametrize("term", ["nll", "kl", "kl_teacher"])
     def test_gaussian_gradcheck(self, term):
@@ -570,7 +563,7 @@ class TestFusedFamilyTerms:
 
         names = ("q_mean", "q_ls") if term == "nll" else tuple(values)
         params = {k: values[k].reshape(-1, 1).copy() for k in names}
-        assert ad.finite_diff_check(loss, params) < 1e-6
+        assert finite_diff_check(loss, params) < 1e-6
 
 
 class TestLossWeights:
@@ -580,8 +573,8 @@ class TestLossWeights:
 
 
 # The objective against the composition it fuses (tests/reference_ops.py),
-# through a small model: every breakdown field, the per-sample losses, every
-# gradient and the recorded teacher values.
+# through a small model: every breakdown field, the per-sample losses and
+# every gradient.
 
 OBJECTIVE_ARCH = dict(rep_dim=4, enc_hidden=8, enc_layers=1, head_hidden=4)
 OBJECTIVE_WEIGHTS = L.LossWeights(alpha=0.7, beta=0.5, gamma=1.3, delta=0.01, omega_cont=0.8)
@@ -603,8 +596,8 @@ LAYOUTS = sorted(TREATMENT_LAYOUTS)
 
 
 def objective_run(losses, mode, layout, variant="Total", record=True, rows=48, enc_layers=1):
-    """Breakdown, gradients and teacher values of one step, with the
-    objective built by ``losses`` (the package's or the reference).
+    """Breakdown and gradients of one step, with the objective built by
+    ``losses`` (the package's or the reference).
 
     The package's forward builds only the outputs its kept terms read; the
     reference's builds every output and weights the other terms by 0.  Both
@@ -640,21 +633,14 @@ def objective_run(losses, mode, layout, variant="Total", record=True, rows=48, e
     if record:
         result["loss_nodes"] = len(tape.nodes) - forward_nodes
         _, result["grads"] = tape.gradients(bd.node)
-        result["detached"] = tape.detached_values
     return result
-
-
-def _in_order_among(arrays, ref) -> bool:
-    """Each array equals one of ``ref``, in ``ref``'s order."""
-    rest = iter(ref)
-    return all(any(np.array_equal(a, b) for b in rest) for a in arrays)
 
 
 def assert_bitwise_equal(got, ref):
     """Every field the package kept, the per-sample losses and every read
     parameter's gradient equal the reference's bit for bit; the fields of
-    the terms the variant weights by 0 are None, every other gradient is
-    exactly 0, and the teachers recorded are the kept terms' own."""
+    the terms the variant weights by 0 are None and every other gradient is
+    exactly 0."""
     skipped = R.SKIPPED_FIELDS[got["variant"]]
     assert [f for f, v in got["fields"].items() if v is None] == list(skipped)
     assert {f: v for f, v in got["fields"].items() if f not in skipped} == \
@@ -667,8 +653,6 @@ def assert_bitwise_equal(got, ref):
         assert list(got["grads"]) == list(ref["grads"])
         assert all(np.array_equal(got["grads"][k], ref["grads"][k]) for k in got["read"])
         assert all(not np.any(g) for k, g in got["grads"].items() if k not in got["read"])
-        assert _in_order_among(got["detached"], ref["detached"])
-        assert skipped or len(got["detached"]) == len(ref["detached"])
 
 
 # a full batch, and the short remainder batches an epoch can end on; two rows
@@ -678,34 +662,50 @@ BITWISE_CASES = [(mode, layout, rows) for rows in (2, 7, 48) for mode, layout in
                  if not (rows == 2 and layout in ("unequal", "one-control"))]
 
 
-def tiny_objective(mode, layout, weights):
-    """A tiny model of ``mode`` on 12 rows of ``layout``, and its objective as
-    a ``loss(tape, params)`` for the finite-difference checks: as in training,
-    the forward builds only the outputs the kept terms read, and the L2
-    penalty covers the parameters of their networks."""
+def tiny_objective(mode, layout, variant):
+    """A tiny model of ``mode`` on 12 rows of ``layout``, and a function that
+    gives the ``variant``'s objective built by ``losses`` (the package's or the
+    reference) as a ``loss(tape, params)`` for the finite-difference checks.
+    As in training, the package's forward builds only the outputs the kept
+    terms read; the reference's builds every output and weights the other
+    terms by 0.  Both L2 penalties cover the parameters of the networks
+    ``R.READ_NETWORKS`` names."""
+    weights = tr.apply_ablation(tr.TrainConfig(weights=OBJECTIVE_WEIGHTS), variant).weights
     arch = M.ArchConfig(input_dim=3, rep_dim=2, enc_hidden=3, enc_layers=1, head_hidden=2,
                         mode=mode)
     model = M.init_model(arch, 5)
     rows = 12
     x = rng.normal_matrix(41, rows, 3)
     t = TREATMENT_LAYOUTS[mode, layout](rows)
-    only = L.read_outputs(mode, weights, importance_weighted=False)
-    if mode == "binary":
-        y = rng.bernoulli(42, np.full(rows, 0.5))
-        w = 1.0 + rng.uniforms(43, 0, rows)
+    y = rng.bernoulli(42, np.full(rows, 0.5)) if mode == "binary" else rng.normals(43, 0, rows)
+    w = 1.0 + rng.uniforms(43, 0, rows)
+
+    def objective(losses):
+        only = L.read_outputs(mode, weights, importance_weighted=False) if losses is L else None
 
         def loss(tape, params):
             p = {k: tape.parameter(v, k) for k, v in params.items()}
-            out = M.forward_binary(model, x, t, tape, p, only)
-            return L.total_loss_binary(out, t, y, w, weights, M.params_read_by(p, only)).node
-    else:
-        y = rng.normals(43, 0, rows)
-
-        def loss(tape, params):
-            p = {k: tape.parameter(v, k) for k, v in params.items()}
+            covered = R.read_params(p, mode, variant)
+            if mode == "binary":
+                out = M.forward_binary(model, x, t, tape, p, only)
+                return losses.total_loss_binary(out, t, y, w, weights, covered).node
             out = M.forward_continuous(model, x, t, tape, p, only)
-            return L.total_loss_continuous(out, t, y, weights, M.params_read_by(p, only)).node
-    return model, loss
+            return losses.total_loss_continuous(out, t, y, weights, covered).node
+        return loss
+
+    return model, objective
+
+
+def reference_gradients(model, objective):
+    """The reference objective's gradients at the model's parameters, after
+    requiring the package's to equal them bit for bit, and its teachers."""
+    tape = ad.Tape()
+    _, got = tape.gradients(objective(L)(tape, model.params))
+    base = R.TeacherTape()
+    _, grads = base.gradients(objective(R)(base, model.params))
+    assert list(got) == list(grads)
+    assert all(np.array_equal(got[k], grads[k]) for k in got)
+    return grads, base.teachers
 
 
 class TestObjective:
@@ -730,10 +730,12 @@ class TestObjective:
 
     @pytest.mark.parametrize("mode, layout", LAYOUTS, ids=["-".join(c) for c in LAYOUTS])
     def test_gradcheck(self, mode, layout):
-        # central differences of the whole objective through a tiny model; the
-        # teachers are replayed at every probe point
-        model, loss = tiny_objective(mode, layout, OBJECTIVE_WEIGHTS)
-        assert ad.finite_diff_check(loss, model.params) < 1e-6
+        # central differences of the reference composition of the whole
+        # objective through a tiny model, its teachers replayed at every probe
+        # point; at the base point the package's gradients equal its bit for bit
+        model, objective = tiny_objective(mode, layout, "Total")
+        reference_gradients(model, objective)
+        assert finite_diff_check(objective(R), model.params) < 1e-6
 
     @pytest.mark.parametrize("variant", tr.VARIANTS)
     @pytest.mark.parametrize("mode, layout", LAYOUTS, ids=["-".join(c) for c in LAYOUTS])
@@ -741,10 +743,9 @@ class TestObjective:
         # g.v against the central difference along v, for seeded Gaussian
         # directions over every parameter at once: unlike the entrywise check,
         # a tiny gradient entry cannot turn the relative error into rounding
-        weights = tr.apply_ablation(tr.TrainConfig(weights=OBJECTIVE_WEIGHTS), variant).weights
-        model, loss = tiny_objective(mode, layout, weights)
-        base = ad.Tape()
-        _, grads = base.gradients(loss(base, model.params))
+        model, objective = tiny_objective(mode, layout, variant)
+        grads, teachers = reference_gradients(model, objective)
+        loss = objective(R)
         eps = 1e-5
         for k in range(8):
             direction = {n: rng.normals(rng.mix_key(k, n), 0, v.size).reshape(v.shape)
@@ -752,7 +753,7 @@ class TestObjective:
             slope = sum(float((grads[n] * direction[n]).sum()) for n in model.params)
 
             def probe(sign):
-                tape = ad.Tape(replay_detached=base.detached_values, record=False)
+                tape = R.TeacherTape(teachers, record=False)
                 moved = {n: v + sign * eps * direction[n] for n, v in model.params.items()}
                 return float(loss(tape, moved).value)
 

@@ -3,7 +3,7 @@ by name from outside its own body: from a module of the package, the CLI entry
 point, scripts/, perfbench/ or a name the README quotes as code.  A method
 counts as reached when any of them reads an attribute of its name; dunder
 methods, which Python calls itself, are exempt.  Code that nothing calls is
-deleted, or kept in ``KEPT`` with the reason it stays."""
+deleted; oracles that only tests call live in tests/."""
 
 import ast
 import re
@@ -11,16 +11,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sd2"
-
-# name -> why it stays although no caller above reaches it
-KEPT = {
-    "autodiff.finite_diff_check": "the gradient checker every fused node is verified "
-                                  "with; Tape(replay_detached=...) exists to serve it",
-    "infotheory.bernoulli_kl": "closed-form Bernoulli KL without a tape, the reference "
-                               "for the family's KL term",
-    "infotheory.gaussian_kl": "closed-form Gaussian KL without a tape, the reference "
-                              "for the family's KL term",
-}
 
 
 def _names(node, strings: bool = False) -> set[str]:
@@ -151,7 +141,4 @@ def test_detector_flags_unreached_functions():
 
 def test_every_package_function_is_reached():
     modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    flagged = unreached(modules, outside_callers())
-    assert [f for f in flagged if f not in KEPT] == []
-    # a kept function that gains a caller leaves the list
-    assert flagged == sorted(KEPT)
+    assert unreached(modules, outside_callers()) == []
