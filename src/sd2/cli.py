@@ -352,6 +352,8 @@ def cmd_attribute(args, run: Run) -> tuple[str, float]:
 
 
 def cmd_verify(args, run: Run) -> tuple[str, float]:
+    if args.joints < 1:
+        raise ConfigError(f"--joints must be >= 1, got {args.joints}")
     run.seeds = [args.seed or 0]
     try:
         worst = it.verify_identities(args.joints, seed=args.seed or 0)

@@ -66,7 +66,10 @@ class TrainConfig:
         dg.check_split_ratios(self.split_ratios)
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        if self.patience > self.max_epochs and self.max_epochs > 0:
+        for name in ("max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.patience > self.max_epochs:
             raise ValueError("patience must not exceed max_epochs")
         if self.mode not in ("binary", "continuous"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -269,7 +272,7 @@ def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
             bad += 1
             if bad >= config.patience:
                 break
-    if config.max_epochs >= 1 and not steps:
+    if not steps:
         raise TrainingError(f"no optimizer step in {len(history.criterion)} epochs over "
                             f"{n} training rows (single-class batches are skipped)")
     model.params = best[1]

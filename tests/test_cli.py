@@ -427,6 +427,16 @@ FAILURES = {
         "replicate", "--config", _config(tmp), "--reps", "1", "--jobs", "0"], 2),
     "negative_jobs": (lambda tmp, run, data: [
         "ablate", "--config", _config(tmp), "--reps", "1", "--jobs", "-2"], 2),
+    "zero_joints": (lambda tmp, run, data: ["verify", "--joints", "0"], 2),
+    "negative_joints": (lambda tmp, run, data: ["verify", "--joints", "-3"], 2),
+    # a run that can never take an optimizer step is rejected with its config
+    "negative_max_epochs": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, train={**SMALL_TRAIN["train"], "max_epochs": -1,
+                                                  "patience": -5})], 2),
+    "zero_max_epochs": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, train={**SMALL_TRAIN["train"], "max_epochs": 0})], 2),
+    "zero_patience": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, train={**SMALL_TRAIN["train"], "patience": 0})], 2),
     "config_not_an_object": (lambda tmp, run, data: [
         "train", "--config", write_json(tmp / "cfg.json", [SMALL_TRAIN])], 2),
     "spec_not_an_object": (lambda tmp, run, data: [
@@ -537,6 +547,11 @@ FAILURES = {
 
 # cases whose error must name the field at fault
 FAILURE_FIELDS = {
+    "zero_joints": "--joints must be >= 1, got 0",
+    "negative_joints": "--joints must be >= 1, got -3",
+    "negative_max_epochs": "max_epochs must be >= 1, got -1",
+    "zero_max_epochs": "max_epochs must be >= 1, got 0",
+    "zero_patience": "patience must be >= 1, got 0",
     "zero_schema_version": "schema_version",
     "negative_schema_version": "schema_version",
     "flags_section": "'flags'",

@@ -41,13 +41,13 @@ def tiny_triple():
 
 
 class TestTrainBasics:
-    def test_zero_epochs_returns_init(self, tiny_triple):
-        cfg = tiny_config(max_epochs=0, patience=0)
-        model, history = tr.train(cfg, tiny_triple[0], tiny_triple[1])
-        ref = init_model(replace(cfg.arch, input_dim=5, mode="binary"),
-                         rng.mix_key(cfg.seed, "init"))
-        assert all(np.array_equal(model.params[k], ref.params[k]) for k in ref.params)
-        assert history.selected_epoch == -1
+    @pytest.mark.parametrize("max_epochs, patience, error", [
+        (0, 0, "max_epochs must be >= 1, got 0"), (-1, -5, "max_epochs must be >= 1, got -1"),
+        (3, 0, "patience must be >= 1, got 0")])
+    def test_fewer_than_one_epoch_rejected(self, max_epochs, patience, error):
+        # a run that can never take an optimizer step does not start
+        with pytest.raises(ValueError, match=error):
+            tiny_config(max_epochs=max_epochs, patience=patience)
 
     def test_zero_lr_keeps_init(self, tiny_triple):
         cfg = tiny_config(optimizer=tr.OptimizerConfig(lr=0.0), max_epochs=2, patience=2)
