@@ -216,7 +216,7 @@ class _Objective:
         """Mean KL(q || p) of two heads; gradients reach both."""
         return self._term(self.fam.kl, (self._prepared(q), self._prepared(p)), group)[1]
 
-    def teacher_kl(self, student, teacher, group: int):
+    def kl_to_teacher(self, student, teacher, group: int):
         """Mean KL(student || teacher); the teacher is the prepared head
         without its node, so no gradient reaches it."""
         detached = self._prepared(teacher)._replace(node=None)
@@ -282,7 +282,7 @@ def _anchored(student: str, partner: str):
     def add(obj: _Objective, coeff: float):
         group, out = obj.group(coeff), obj.out
         head = getattr(out, student)
-        return obj.sum([obj.nll(head, obj.t, group)[1], obj.teacher_kl(head, out.q_t, group),
+        return obj.sum([obj.nll(head, obj.t, group)[1], obj.kl_to_teacher(head, out.q_t, group),
                         obj.kl(head, getattr(out, partner), group)])
     return add
 
@@ -290,16 +290,16 @@ def _anchored(student: str, partner: str):
 def _distill_outcome(obj: _Objective, coeff: float):
     group, out = obj.group(coeff), obj.out
     return obj.sum([obj.nll(out.q_y_a, obj.y, group)[1], obj.nll(out.q_y_c, obj.y, group)[1],
-                    obj.teacher_kl(out.q_y_a, out.q_y, group),
-                    obj.teacher_kl(out.q_y_c, out.q_y, group),
+                    obj.kl_to_teacher(out.q_y_a, out.q_y, group),
+                    obj.kl_to_teacher(out.q_y_c, out.q_y, group),
                     obj.kl(out.q_y_a, out.q_y_c, group)])
 
 
 def _distill_treatment(obj: _Objective, coeff: float):
     group, out = obj.group(coeff), obj.out
     return obj.sum([obj.nll(out.q_t_z, obj.t, group)[1],
-                    obj.teacher_kl(out.q_t_z, out.q_t, group),
-                    obj.teacher_kl(out.q_t_c, out.q_t, group),
+                    obj.kl_to_teacher(out.q_t_z, out.q_t, group),
+                    obj.kl_to_teacher(out.q_t_c, out.q_t, group),
                     obj.kl(out.q_t_c, out.q_t_z, group)])
 
 

@@ -53,7 +53,8 @@ def environment() -> list[str]:
 
 def fingerprint() -> list[str]:
     """The lines `scripts/fingerprint.py` prints, run in this process."""
-    spec = importlib.util.spec_from_file_location("fingerprint", ROOT / "scripts" / "fingerprint.py")
+    path = ROOT / "scripts" / "fingerprint.py"
+    spec = importlib.util.spec_from_file_location("fingerprint", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     out = io.StringIO()
