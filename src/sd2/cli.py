@@ -156,12 +156,18 @@ def _write_manifest(command: str, run: Run, error: str | None):
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _write_rows_csv(path: Path, rows: list[dict], keys: list[str] | None = None):
-    """Rows as a table under `keys`, by default every key of any row (error
-    rows lack metrics); a row without a key gets an empty cell."""
-    keys = keys or list(dict.fromkeys(k for r in rows for k in r))
+def _write_report(run: Run, name: str, table: list[dict], record=None, keys=None):
+    """The run's artifact `name`.csv: the table under `keys`, by default
+    every key of any row (error rows lack metrics), a row without a key
+    getting an empty cell; and `name`.json holding ``record`` when given."""
+    run.out.mkdir(parents=True, exist_ok=True)
+    keys = keys or list(dict.fromkeys(k for r in table for k in r))
     if keys:
-        dg.write_csv(path, keys, ([r.get(k, "") for k in keys] for r in rows))
+        dg.write_csv(run.out / f"{name}.csv", keys, ([r.get(k, "") for k in keys] for r in table))
+    if record is not None:
+        with open(run.out / f"{name}.json", "w") as fh:
+            json.dump(record, fh, indent=2)
+    run.artifacts.append(str(run.out / f"{name}.csv"))
 
 
 def _train_config(args, run: Run) -> tuple[TrainConfig, int]:
@@ -199,13 +205,11 @@ def cmd_train(args, run: Run) -> tuple[str, float]:
     train_ds, val_ds, _ = tr.resolve_data(config, seed)
     model, history = tr.train(config, train_ds, val_ds)
     run.out.mkdir(parents=True, exist_ok=True)
-    ckpt = run.out / "checkpoint.bin"
-    checkpoint_save(model, ckpt)
-    _write_rows_csv(run.out / "history.csv", history.rows,
-                    ["epoch", *LossBreakdown.FIELDS, "split"])
+    checkpoint_save(model, run.out / "checkpoint.bin")
+    run.artifacts.append(str(run.out / "checkpoint.bin"))
+    _write_report(run, "history", history.rows, keys=["epoch", *LossBreakdown.FIELDS, "split"])
     with open(run.out / "config.json", "w") as fh:
         json.dump(run.config, fh, indent=2, sort_keys=True)
-    run.artifacts += [str(ckpt), str(run.out / "history.csv")]
     return "selected_epoch", history.selected_epoch
 
 
@@ -232,11 +236,7 @@ def cmd_evaluate(args, run: Run) -> tuple[str, float]:
     name = ev.metric_name(model.config.mode)
     rows = [{"split": split, "metric": name, "value": ev.metric_for(model, ds)}
             for split, (_, ds) in scored.items()]
-    run.out.mkdir(parents=True, exist_ok=True)
-    _write_rows_csv(run.out / "report.csv", rows)
-    with open(run.out / "report.json", "w") as fh:
-        json.dump(rows, fh, indent=2)
-    run.artifacts.append(str(run.out / "report.csv"))
+    _write_report(run, "report", rows, rows)
     return name, rows[-1]["value"]
 
 
@@ -266,6 +266,8 @@ def _replicated(configs: list[TrainConfig], args, base_seed: int) -> list[tuple[
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    for config in configs:  # a reference every replication would fail on fails the command
+        tr.dataset_spec(config.dataset)
     payloads = [(config, i, base_seed) for config in configs for i in range(args.reps)]
     if args.jobs > 1:
         # one BLAS thread per worker unless the user set a count; the workers are
@@ -306,18 +308,14 @@ def cmd_replicate(args, run: Run) -> tuple[str, float]:
     table = rows + [{"replication": "aggregate", "seed": base_seed,
                      split: summary[split]["formatted"]}
                     for split in ("within", "out") if split in summary]
-    run.out.mkdir(parents=True, exist_ok=True)
-    _write_rows_csv(run.out / "report.csv", table)
-    with open(run.out / "report.json", "w") as fh:
-        json.dump({"rows": rows, "summary": summary}, fh, indent=2)
-    run.artifacts.append(str(run.out / "report.csv"))
+    _write_report(run, "report", table, {"rows": rows, "summary": summary})
     headline = summary.get("out", summary.get("within"))
     return summary["metric"] + "_mean", headline["mean"] if headline else float("nan")
 
 
 def cmd_ablate(args, run: Run) -> tuple[str, float]:
     base, base_seed = _train_config(args, run)
-    variants = args.variants.split(",") if args.variants else list(tr.VARIANTS)
+    variants = list(tr.VARIANTS) if args.variants is None else args.variants.split(",")
     unknown = [v for v in variants if v not in tr.VARIANTS]
     if unknown:
         raise ConfigError(f"--variants: unknown variant {unknown[0]!r}; "
@@ -330,11 +328,7 @@ def cmd_ablate(args, run: Run) -> tuple[str, float]:
               **_split_columns(summary, ("mean", "std", "formatted"))}
              for v, (_, summary) in zip(variants, results)]
     summaries = {v: {**summary, "rows": rows} for v, (rows, summary) in zip(variants, results)}
-    run.out.mkdir(parents=True, exist_ok=True)
-    _write_rows_csv(run.out / "ablation.csv", table)
-    with open(run.out / "ablation.json", "w") as fh:
-        json.dump(summaries, fh, indent=2)
-    run.artifacts.append(str(run.out / "ablation.csv"))
+    _write_report(run, "ablation", table, summaries)
     total = summaries.get("Total", {}).get("out")
     return "total_out_mean", total["mean"] if total else float("nan")
 
@@ -345,9 +339,7 @@ def cmd_attribute(args, run: Run) -> tuple[str, float]:
         report = ev.attribution(model, ds.input_roles())
     except ValueError as exc:  # the roles lack a factor
         raise ConfigError(f"{path / 'roles.csv'}: {exc}") from exc
-    run.out.mkdir(parents=True, exist_ok=True)
-    _write_rows_csv(run.out / "attribution.csv", report.rows())
-    run.artifacts.append(str(run.out / "attribution.csv"))
+    _write_report(run, "attribution", report.rows())
     return "min_ratio", report.min_ratio()
 
 
@@ -389,9 +381,7 @@ def cmd_sweep(args, run: Run) -> tuple[str, float]:
     rows = [{"param": args.param, "value": value, "failed": summary["failed"],
              **_split_columns(summary, ("mean", "std"))}
             for value, (_, summary) in zip(grid, _replicated(configs, args, base_seed))]
-    run.out.mkdir(parents=True, exist_ok=True)
-    _write_rows_csv(run.out / "sweep.csv", rows)
-    run.artifacts.append(str(run.out / "sweep.csv"))
+    _write_report(run, "sweep", rows)
     best = min((r for r in rows if "out_mean" in r), key=lambda r: r["out_mean"],
                default=None)
     return "best_value", best["value"] if best else float("nan")

@@ -79,10 +79,14 @@ class DemandSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if min(self.mz, self.mc, self.ma) < 0 or self.n < 1:
             raise ValueError("invalid dimensions")
+        if self.mz + self.mc + self.ma < 1:
+            raise ValueError("mz + mc + ma must be at least 1")
 
 
 # both twins' birth weights (grams) and one-year mortality; pairs where either
@@ -145,6 +149,8 @@ class GeneratedDataset:
             if bad.any():
                 raise SchemaError(f"{name} must be finite, got {values[bad][0]} "
                                   f"at row index {np.argwhere(bad)[0][0]}", name)
+        if self.x.shape[1] + self.v.shape[1] < 1:
+            raise SchemaError("a dataset needs at least one covariate column (x or v)", "x")
         if len(self.roles) != self.x.shape[1]:
             raise SchemaError(f"{len(self.roles)} roles for {self.x.shape[1]} x columns", "roles")
         for j, role in enumerate(self.roles):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import datagen as dg
-from .model import SD2Model, predict_outcome
+from .model import NETWORK_OF, SD2Model, predict_outcome
 from .training import TrainConfig, train
 
 
@@ -87,8 +87,7 @@ def attribution(model: SD2Model, roles: list[str]) -> AttributionReport:
     roles_arr = np.asarray(roles)
     true_mean, other_mean = {}, {}
     for factor in FACTORS:
-        enc = f"enc_{factor}"
-        w = np.abs(model.params[f"{enc}.l0.W"])  # (input_dim, width)
+        w = np.abs(model.params[NETWORK_OF[f"r_{factor}"] + ".l0.W"])  # (input_dim, width)
         mask = roles_arr == factor
         if not mask.any() or mask.all():
             raise ValueError(f"roles must contain some and not all {factor!r} columns")

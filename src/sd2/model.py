@@ -1,34 +1,29 @@
 """The disentangling network: three encoders over shared covariates, retain
 networks joining pairs of representations, deep and shallow prediction heads.
 
+`NETWORKS` declares each network once (`Net`); the parameters, `READS`, the
+forward's build steps, `encode` and what `predict_outcome` keeps are derived
+from it.  The table's order is the parameter order, which fixes the
+checkpoint bytes; a forward builds its outputs in that order, each after the
+networks it reads that are not built yet, which fixes the tape and so the
+gradient sums.
+
 One graph serves both treatment modes.  Every head parameterises the mode's
 outcome family (``family.py``): a Bernoulli probability in binary mode, a
 Gaussian mean and log std in continuous mode, where the treatment side also
 has an adjustment head and a rebalance network feeding a second confounder
 head.  The deep outcome head reads the factual treatment as one extra input
-column; at prediction time the do-value is substituted into that column.
-Every layer but a head's last is ELU (``HIDDEN_ACTIVATION``).
-`predict_outcome` keeps retain_y's output for the last covariates it scored,
-so a sweep over do-values on the same covariates, such as eps_ATE's do(1) and
-do(0) or the 10-point grid of the counterfactual MSE, runs the encoders and
-retain_y once and then only head_y's two layers per do-value.  The cache
-costs n x (input_dim + enc_hidden) floats per model, 5.6 MB for a 10,000-row
-demand split (6 covariates) at the README architecture.  It is not model
-state: checkpoints, ``==`` and ``repr`` never see it.
+column, into which prediction substitutes the do-value.
 
 A forward pass on a tape that does not record runs in row blocks of at most
-``BLOCK_ROWS`` rows, each through the whole network, and the per-block
-outputs are stitched back in row order.  A block's layer output (1,024 x 64
-floats, 512 KB) stays in cache for the bias add and the activation's passes,
-where a 10,000-row output (5 MB) would stream through memory on each of them.
-A tail shorter than ``_MIN_BLOCK_ROWS`` joins the block before it: a one-row
-product goes through the BLAS matrix-vector path, whose sums can differ in the
-last bit, while blocks of two rows or more give the same bits as one product
-over all rows.  Every operation is row-wise, so the values equal one pass over
-all rows bit for bit (``tests/test_model.py`` checks this around the block
-boundaries).  The validation pass keeps its 4,096-row loss chunks, because
-the MMD, the KLs and the means are batch statistics; only the forward inside a
-chunk is blocked.
+``BLOCK_ROWS`` rows, each through the whole network, stitched back in row
+order, so that a block's layer output (1,024 x 64 floats, 512 KB) stays in
+cache for the bias add and the activation.  A tail shorter than
+``_MIN_BLOCK_ROWS`` joins the block before it: a one-row product takes the
+BLAS matrix-vector path, whose sums can differ in the last bit.  Every
+operation is row-wise, so the values equal one pass over all rows bit for
+bit.  The validation pass keeps its 4,096-row loss chunks, because the MMD,
+the KLs and the means are batch statistics.
 """
 
 from __future__ import annotations
@@ -37,13 +32,13 @@ import functools
 import json
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from . import rng
-from .family import FAMILIES, Family, Gaussian
+from .family import FAMILIES, Gaussian
 
 CHECKPOINT_FORMAT = "sd2-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -82,13 +77,9 @@ class Representations(NamedTuple):
 
 
 class HeadOutputs(NamedTuple):
-    """The heads of one forward pass and the representations it read; a head
-    or representation the pass did not build is None.
-
-    Each head holds its family's parameters: a probability column or a
-    Gaussian.  The adjustment and rebalanced-confounder treatment heads exist
-    in continuous mode only.
-    """
+    """The heads of one forward pass, each as its family's parameters (a
+    probability column or a Gaussian), and the representations it read; what
+    the pass did not build is None."""
     q_t: ad.Tensor | Gaussian | None = None
     q_t_z: ad.Tensor | Gaussian | None = None
     q_t_c: ad.Tensor | Gaussian | None = None
@@ -100,22 +91,69 @@ class HeadOutputs(NamedTuple):
     reps: Representations | None = None
 
 
-# The networks each output of the forward reads.  A forward asked for some
-# outputs runs only these networks; the training objective asks for the
-# outputs its kept terms read (``losses.TERMS``), `encode` for the
-# representations and `predict_outcome` for q_y.
-READS = {
-    "r_z": ("enc_z",), "r_c": ("enc_c",), "r_a": ("enc_a",),
-    "q_t": ("enc_z", "enc_c", "retain_t", "head_t"),
-    "q_t_z": ("enc_z", "head_t_z"),
-    "q_t_c": ("enc_c", "head_t_c"),
-    "q_t_a": ("enc_a", "head_t_a"),
-    "q_t_cr": ("enc_c", "rebalance", "head_t_cr"),
-    "q_y": ("enc_c", "enc_a", "retain_y", "head_y"),
-    "q_y_a": ("enc_a", "head_y_a"),
-    "q_y_c": ("enc_c", "head_y_c"),
-}
-CONTINUOUS_ONLY = ("q_t_a", "q_t_cr")
+COVARIATES, TREATMENT = "x", "t"  # the inputs a network reads that are not networks
+
+
+class Net(NamedTuple):
+    """A network: the output it fills (None: it feeds other networks only),
+    what it reads side by side (`COVARIATES`, `TREATMENT` or networks), its
+    layer widths, whether its last layer is the mode family's head (every
+    other layer is ELU), and the modes it exists in."""
+    name: str
+    output: str | None
+    inputs: tuple[str, ...]
+    widths: Callable[[ArchConfig], tuple[int, ...]]
+    head: bool = False
+    modes: tuple[str, ...] = ("binary", "continuous")
+
+
+def _encoder(a: ArchConfig) -> tuple[int, ...]:
+    return (a.enc_hidden,) * a.enc_layers + (a.rep_dim,)
+
+
+def _head(a: ArchConfig) -> tuple[int, ...]:
+    return (a.head_hidden, FAMILIES[a.mode].out_dim)
+
+
+# Every network once, in parameter order: `init_model` draws the layers, and a
+# checkpoint stores them, in this order.  A forward builds its outputs in this
+# order, each after the networks it reads that are not built yet (`_steps`),
+# so rebalance, last here, is built just before head_t_cr.
+NETWORKS = (
+    Net("enc_z", "r_z", (COVARIATES,), _encoder),
+    Net("enc_c", "r_c", (COVARIATES,), _encoder),
+    Net("enc_a", "r_a", (COVARIATES,), _encoder),
+    Net("retain_t", None, ("enc_z", "enc_c"), lambda a: (a.enc_hidden,)),
+    Net("retain_y", None, ("enc_c", "enc_a"), lambda a: (a.enc_hidden,)),
+    Net("head_t", "q_t", ("retain_t",), _head, True),
+    Net("head_t_z", "q_t_z", ("enc_z",), _head, True),
+    Net("head_t_c", "q_t_c", ("enc_c",), _head, True),
+    Net("head_t_a", "q_t_a", ("enc_a",), _head, True, ("continuous",)),
+    Net("head_t_cr", "q_t_cr", ("rebalance",), _head, True, ("continuous",)),
+    Net("head_y", "q_y", (TREATMENT, "retain_y"), _head, True),
+    Net("head_y_a", "q_y_a", ("enc_a",), _head, True),
+    Net("head_y_c", "q_y_c", ("enc_c",), _head, True),
+    Net("rebalance", None, ("enc_c",), lambda a: (a.head_hidden, a.rep_dim),
+        modes=("continuous",)),
+)
+_BY_NAME = {net.name: net for net in NETWORKS}
+NETWORK_OF = {net.output: net.name for net in NETWORKS if net.output}
+
+
+def _closure(name: str) -> tuple[str, ...]:
+    """The network and every network it reads, each after what it reads."""
+    reads = [n for src in _BY_NAME[name].inputs if src in _BY_NAME for n in _closure(src)]
+    return tuple(dict.fromkeys(reads + [name]))
+
+
+# the networks each output reads: a forward asked for some outputs runs only these
+READS = {output: _closure(name) for output, name in NETWORK_OF.items()}
+ENCODERS = tuple(NETWORK_OF[r] for r in Representations._fields)
+# the outcome head is the network that reads the treatment; predict_outcome
+# keeps its other inputs, made by the other networks the outcome reads
+_OUTCOME = next(net for net in NETWORKS if TREATMENT in net.inputs)
+_MEMO_NETWORKS = READS[_OUTCOME.output][:-1]
+_MEMO_PREFIXES = tuple(net + "." for net in _MEMO_NETWORKS)
 
 
 @functools.lru_cache(maxsize=64)  # every forward asks, for a handful of output tuples
@@ -131,38 +169,43 @@ def params_read_by(params: dict, outputs: tuple[str, ...]) -> dict:
     return {name: value for name, value in params.items() if name.partition(".")[0] in read}
 
 
-def _layer_specs(cfg: ArchConfig) -> list[tuple[str, int, int]]:
-    """(name, fan_in, fan_out) for every dense layer, in declared order."""
-    out_dim = FAMILIES[cfg.mode].out_dim
-    specs = []
-    for enc in ("enc_z", "enc_c", "enc_a"):
-        dims = [cfg.input_dim] + [cfg.enc_hidden] * cfg.enc_layers + [cfg.rep_dim]
-        for i in range(len(dims) - 1):
-            specs.append((f"{enc}.l{i}", dims[i], dims[i + 1]))
-    specs.append(("retain_t.l0", 2 * cfg.rep_dim, cfg.enc_hidden))
-    specs.append(("retain_y.l0", 2 * cfg.rep_dim, cfg.enc_hidden))
-    heads = [("head_t", cfg.enc_hidden), ("head_t_z", cfg.rep_dim), ("head_t_c", cfg.rep_dim)]
-    if cfg.mode == "continuous":
-        heads.append(("head_t_a", cfg.rep_dim))
-        heads.append(("head_t_cr", cfg.rep_dim))
-    heads += [("head_y", cfg.enc_hidden + 1),
-              ("head_y_a", cfg.rep_dim), ("head_y_c", cfg.rep_dim)]
-    for name, fan_in in heads:
-        specs.append((f"{name}.l0", fan_in, cfg.head_hidden))
-        specs.append((f"{name}.l1", cfg.head_hidden, out_dim))
-    if cfg.mode == "continuous":
-        specs.append(("rebalance.l0", cfg.rep_dim, cfg.head_hidden))
-        specs.append(("rebalance.l1", cfg.head_hidden, cfg.rep_dim))
-    return specs
+@functools.lru_cache(maxsize=64)
+def _layers(cfg: ArchConfig) -> dict[str, tuple[tuple[str, int, int, str], ...]]:
+    """Each network of the config's mode, in parameter order, with its dense
+    layers: (name, fan_in, fan_out, activation)."""
+    width = {COVARIATES: cfg.input_dim, TREATMENT: 1,
+             **{net.name: net.widths(cfg)[-1] for net in NETWORKS}}
+    layers = {}
+    for net in NETWORKS:
+        if cfg.mode in net.modes:
+            dims = (sum(width[src] for src in net.inputs),) + net.widths(cfg)
+            acts = [HIDDEN_ACTIVATION] * (len(dims) - 2) + [
+                FAMILIES[cfg.mode].activation if net.head else HIDDEN_ACTIVATION]
+            layers[net.name] = tuple((f"{net.name}.l{i}", *dims[i:i + 2], act)
+                                     for i, act in enumerate(acts))
+    return layers
+
+
+@functools.lru_cache(maxsize=64)  # every forward asks, for a handful of configs and outputs
+def _steps(cfg: ArchConfig, outputs: tuple[str, ...] | None) -> tuple[tuple[Net, tuple], ...]:
+    """The networks, with their layers, that a forward making ``outputs``
+    (None: every output of the mode) builds: the outputs' networks and the
+    encoders they read in table order, each after what it reads."""
+    layers = _layers(cfg)
+    read = networks(tuple(output for output, name in NETWORK_OF.items()
+                          if name in layers and (outputs is None or output in outputs)))
+    order = dict.fromkeys(name for net in NETWORKS if net.output and net.name in read
+                          for name in READS[net.output])
+    return tuple((_BY_NAME[name], layers[name]) for name in order)
 
 
 class _OutcomeMemo(NamedTuple):
-    """The retain_y output that `predict_outcome` computed, and copies of what
-    it was computed from: the config, the covariates and every enc_c, enc_a
-    and retain_y parameter."""
+    """The outcome head's inputs as `predict_outcome` computed them, None for
+    the treatment, and copies of what they were computed from: the config,
+    the covariates and every parameter of the networks that made them."""
     config: ArchConfig
     key: list[np.ndarray]
-    h_y: np.ndarray
+    inputs: list[np.ndarray]
 
 
 @dataclass
@@ -181,59 +224,54 @@ class SD2Model:
 def init_model(config: ArchConfig, seed: int) -> SD2Model:
     """Seeded init: weights uniform in +-sqrt(6/(fan_in+fan_out)), biases zero."""
     params: dict[str, np.ndarray] = {}
-    for name, fan_in, fan_out in _layer_specs(config):
-        key = rng.mix_key(seed, "init/" + name)
-        params[name + ".W"] = ad.glorot_init(key, fan_in, fan_out)
-        params[name + ".b"] = np.zeros(fan_out)
+    for layers in _layers(config).values():
+        for name, fan_in, fan_out, _ in layers:
+            params[name + ".W"] = ad.glorot_init(rng.mix_key(seed, "init/" + name), fan_in, fan_out)
+            params[name + ".b"] = np.zeros(fan_out)
     return SD2Model(config=config, seed=seed, params=params)
 
 
 def bind(model: SD2Model, tape: ad.Tape,
          layers: tuple[str, ...] | None = None) -> dict[str, ad.Tensor]:
     """Register every parameter on a tape, in declared order; with ``layers``,
-    only the parameters of those networks (``"enc_c"``, ``"head_y"``, ...)."""
+    only the parameters of the networks it names."""
     prefixes = None if layers is None else tuple(name + "." for name in layers)
     return {name: tape.parameter(value, name) for name, value in model.params.items()
             if prefixes is None or name.startswith(prefixes)}
 
 
-def _mlp(p: dict[str, ad.Tensor], prefix: str, x: ad.Tensor, n_layers: int,
-         out_activation: str = HIDDEN_ACTIVATION) -> ad.Tensor:
-    for i in range(n_layers):
-        act = out_activation if i == n_layers - 1 else HIDDEN_ACTIVATION
-        x = ad.dense(x, p[f"{prefix}.l{i}.W"], p[f"{prefix}.l{i}.b"], act)
-    return x
+def _dense(p: dict[str, ad.Tensor], layers: tuple, h: ad.Tensor) -> ad.Tensor:
+    for name, _, _, activation in layers:
+        h = ad.dense(h, p[name + ".W"], p[name + ".b"], activation)
+    return h
 
 
-ENCODERS = networks(Representations._fields)
+def _build(cfg: ArchConfig, p: dict[str, ad.Tensor], tape: ad.Tape, steps,
+           sources: dict[str, np.ndarray]) -> dict:
+    """Each network the steps build, by name, a head as its family's parameters;
+    a covariate or treatment input becomes a constant where it is first read."""
+    values: dict = {}
+    for net, layers in steps:
+        for src in net.inputs:
+            if src not in values:
+                values[src] = tape.constant(sources[src])
+        parts = [values[src] for src in net.inputs]
+        h = _dense(p, layers, parts[0] if len(parts) == 1 else ad.concat_cols(parts))
+        values[net.name] = FAMILIES[cfg.mode].head(h) if net.head else h
+    return values
 
 
-def _encode(cfg: ArchConfig, p: dict[str, ad.Tensor], x: ad.Tensor,
-            reps=Representations._fields) -> Representations:
-    """The representations named in ``reps``; the others are None."""
-    return Representations(*(_mlp(p, READS[r][0], x, cfg.enc_layers + 1) if r in reps else None
-                             for r in Representations._fields))
+def _forward_rows(cfg: ArchConfig, p: dict[str, ad.Tensor], tape: ad.Tape,
+                  sources: dict[str, np.ndarray], only=None) -> HeadOutputs:
+    """Every output of the mode or, with ``only``, the outputs it names, and
+    the representations they read."""
+    values = _build(cfg, p, tape, _steps(cfg, None if only is None else tuple(only)), sources)
+    built = {output: values[name] for output, name in NETWORK_OF.items() if name in values}
+    return HeadOutputs(reps=Representations(*(built.pop(r, None)
+                                              for r in Representations._fields)), **built)
 
 
-def _head(fam: Family, p, prefix: str, x: ad.Tensor):
-    return fam.head(_mlp(p, prefix, x, 2, fam.activation))
-
-
-def _retain(p, prefix: str, a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-    """A retain network over two representations side by side."""
-    return ad.dense(ad.concat_cols([a, b]), p[f"{prefix}.l0.W"], p[f"{prefix}.l0.b"],
-                    HIDDEN_ACTIVATION)
-
-
-def _outcome_head(fam: Family, p, tape: ad.Tape, r_c: ad.Tensor, r_a: ad.Tensor,
-                  t: np.ndarray):
-    """retain_y over r_c and r_a, then the treatment column ``t`` (n x 1, a
-    constant), then the deep outcome head."""
-    h_y = _retain(p, "retain_y", r_c, r_a)
-    return _head(fam, p, "head_y", ad.concat_cols([tape.constant(t), h_y]))
-
-
-def _check_input(cfg: ArchConfig, x: np.ndarray):
+def _check_input(cfg: ArchConfig, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise ValueError(f"input width {x.shape} does not match input_dim {cfg.input_dim}")
@@ -273,66 +311,41 @@ def _blocked(tape: ad.Tape, run, *rows: np.ndarray):
     return _stitch([run(*(a[sl] for a in rows)) for sl in blocks])
 
 
-def _forward(model: SD2Model, x: np.ndarray, t: np.ndarray, tape: ad.Tape | None,
+def _forward(model: SD2Model, mode: str, x, t, tape: ad.Tape | None,
              params: dict[str, ad.Tensor] | None, only) -> HeadOutputs:
-    """The graph of both modes, on checked inputs; without a tape, a forward
-    pass that records nothing."""
+    """The graph of both modes, after checking the model's mode and the
+    inputs; without a tape, a forward pass that records nothing."""
+    if model.config.mode != mode:
+        raise ValueError(f"forward_{mode} requires a {mode}-mode model")
+    x = _check_input(model.config, x)
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape != (len(x),):
+        raise ValueError(f"t has shape {t.shape}, x has {len(x)} rows: one treatment per row")
+    if mode == "binary" and not np.all((t == 0) | (t == 1)):
+        raise ValueError("binary mode requires treatments in {0, 1}")
     if tape is None:
         tape = ad.Tape(record=False)
     p = params or bind(model, tape)
-    return _blocked(tape, lambda xb, tb: _forward_rows(model.config, p, tape, xb, tb, only),
-                    x, t)
-
-
-def _forward_rows(cfg: ArchConfig, p: dict[str, ad.Tensor], tape: ad.Tape,
-                  x: np.ndarray, t: np.ndarray, only=None) -> HeadOutputs:
-    """Every output of the mode or, with ``only``, the outputs it names; only
-    the networks those read run, always in the order below."""
-    fam = FAMILIES[cfg.mode]
-    read = networks(tuple(READS if only is None else only))
-    reps = _encode(cfg, p, tape.constant(x),
-                   [r for r in Representations._fields if READS[r][0] in read])
-    r_z, r_c, r_a = reps
-    build = {
-        "q_t": lambda: _head(fam, p, "head_t", _retain(p, "retain_t", r_z, r_c)),
-        "q_t_z": lambda: _head(fam, p, "head_t_z", r_z),
-        "q_t_c": lambda: _head(fam, p, "head_t_c", r_c),
-        "q_t_a": lambda: _head(fam, p, "head_t_a", r_a),
-        "q_t_cr": lambda: _head(fam, p, "head_t_cr", _mlp(p, "rebalance", r_c, 2)),
-        "q_y": lambda: _outcome_head(fam, p, tape, r_c, r_a, t.reshape(-1, 1)),
-        "q_y_a": lambda: _head(fam, p, "head_y_a", r_a),
-        "q_y_c": lambda: _head(fam, p, "head_y_c", r_c),
-    }
-    return HeadOutputs(reps=reps, **{
-        name: make() for name, make in build.items()
-        if (only is None or name in only)
-        and (cfg.mode == "continuous" or name not in CONTINUOUS_ONLY)})
+    return _blocked(tape, lambda xb, tb: _forward_rows(
+        model.config, p, tape, {COVARIATES: xb, TREATMENT: tb.reshape(-1, 1)}, only), x, t)
 
 
 def forward_binary(model: SD2Model, x: np.ndarray, t: np.ndarray,
                    tape: ad.Tape | None = None,
                    params: dict[str, ad.Tensor] | None = None, only=None) -> HeadOutputs:
-    """Forward pass of a binary-mode model; treatments must lie in {0, 1}.
-    Without a tape it records nothing: only the values are computed.  With
-    ``only``, just the named outputs (keys of ``READS``) are built."""
-    if model.config.mode != "binary":
-        raise ValueError("forward_binary requires a binary-mode model")
-    x = _check_input(model.config, x)
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all((t == 0) | (t == 1)):
-        raise ValueError("binary mode requires treatments in {0, 1}")
-    return _forward(model, x, t, tape, params, only)
+    """Forward pass of a binary-mode model, ``t`` holding one treatment in
+    {0, 1} per row of ``x``; without a tape it records nothing, and with
+    ``only`` it builds just the named outputs (keys of ``READS``)."""
+    return _forward(model, "binary", x, t, tape, params, only)
 
 
 def forward_continuous(model: SD2Model, x: np.ndarray, t: np.ndarray,
                        tape: ad.Tape | None = None,
                        params: dict[str, ad.Tensor] | None = None, only=None) -> HeadOutputs:
-    """Forward pass of a continuous-mode model; without a tape it records
-    nothing, and with ``only`` it builds just the named outputs."""
-    if model.config.mode != "continuous":
-        raise ValueError("forward_continuous requires a continuous-mode model")
-    x = _check_input(model.config, x)
-    return _forward(model, x, np.asarray(t, dtype=np.float64), tape, params, only)
+    """Forward pass of a continuous-mode model, ``t`` holding one treatment
+    per row of ``x``; without a tape it records nothing, and with ``only`` it
+    builds just the named outputs."""
+    return _forward(model, "continuous", x, t, tape, params, only)
 
 
 def encode(model: SD2Model, x: np.ndarray) -> Representations:
@@ -340,45 +353,25 @@ def encode(model: SD2Model, x: np.ndarray) -> Representations:
     x = _check_input(model.config, x)
     tape = ad.Tape(record=False)
     p = bind(model, tape, ENCODERS)
-
-    def run(xb):
-        return Representations(*(r.value for r in _encode(model.config, p, tape.constant(xb))))
-
-    return _blocked(tape, run, x)
-
-
-# what predict_outcome keeps: every network q_y reads but its head, run over
-# the representations q_y reads
-_MEMO_NETWORKS = tuple(net for net in READS["q_y"] if net != "head_y")
-_MEMO_PREFIXES = tuple(net + "." for net in _MEMO_NETWORKS)
-_OUTCOME_REPS = tuple(r for r in Representations._fields
-                      if READS[r][0] in _MEMO_NETWORKS)
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal shapes and bit patterns: -0.0 differs from 0.0.  (A memo key
-    never holds a NaN: a NaN input or parameter raises before the memo is
-    stored.)"""
-    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    return _blocked(tape, lambda xb: Representations(*(r.value for r in _forward_rows(
+        model.config, p, tape, {COVARIATES: xb}, Representations._fields).reps)), x)
 
 
 def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarray:
     """Potential-outcome estimate with the do-value substituted into the
     outcome head's treatment input; representations come from x only.
 
-    Builds no tape and runs only the networks the outcome reads: the
-    confounder and adjustment encoders, retain_y and head_y.  retain_y's
-    output is kept on the model for the last covariates scored, with copies
-    of the covariates and of every enc_c, enc_a and retain_y parameter:
-    n x (input_dim + enc_hidden) floats, 5.6 MB for the 10,000 x 6 demand
-    split.  A later call reuses it only when its checked covariates, those
-    parameters and the config match the copies bit for bit; anything else,
-    an in-place edit or an Adam step included, runs them again.  A sweep over
-    do-values on the same covariates thus runs only head_y's two layers per
-    do-value, each row block reading ``[do-value | retain_y output]`` as the
-    same contiguous input the full forward builds, so every prediction equals
-    a fresh model's bit for bit.  The cache is only read, never written, by a
-    hit.  Nothing is kept from a call that raises.
+    Builds no tape and runs only the networks the outcome reads.  The outcome
+    head's other input, retain_y's output, is kept on the model for the last
+    covariates scored, with copies of the covariates and of the parameters
+    that made it: n x (input_dim + enc_hidden) floats, 5.6 MB for the 10,000
+    x 6 demand split.  A later call whose covariates, parameters and config
+    match the copies bit for bit (an Adam step or an in-place edit does not)
+    runs only head_y's two layers per do-value, on the contiguous
+    ``[do-value | retain_y output]`` the full forward builds, so a sweep over
+    do-values equals a fresh model's bit for bit.  A hit only reads the
+    cache, and a call that raises keeps nothing.  The cache is not model
+    state: checkpoints, ``==`` and ``repr`` never see it.
     """
     cfg = model.config
     x = _check_input(cfg, x)
@@ -386,24 +379,27 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
         raise ValueError("binary mode requires a do-value in {0, 1}")
     tape = ad.Tape(record=False)
     blocks = _row_blocks(len(x))
+    *memo_steps, (_, head_layers) = _steps(cfg, (_OUTCOME.output,))
     key = [x] + [v for k, v in model.params.items() if k.startswith(_MEMO_PREFIXES)]
     memo = model._outcome_memo
-    if (memo is None or memo.config != cfg or len(memo.key) != len(key)
-            or not all(map(_same_bits, memo.key, key))):
+    # equal bit patterns (-0.0 is not 0.0); a key never holds a NaN, which raises first
+    if (memo is None or memo.config != cfg or len(memo.key) != len(key) or not all(
+            np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(memo.key, key))):
         p = bind(model, tape, _MEMO_NETWORKS)
-        h_y = np.empty((len(x), cfg.enc_hidden))
+        kept = [None if src == TREATMENT else np.empty((len(x), _layers(cfg)[src][-1][2]))
+                for src in _OUTCOME.inputs]
         for sl in blocks:
-            reps = _encode(cfg, p, tape.constant(x[sl]), _OUTCOME_REPS)
-            h_y[sl] = _retain(p, "retain_y", reps.r_c, reps.r_a).value
-        memo = _OutcomeMemo(cfg, [a.copy() for a in key], h_y)
-    p = bind(model, tape, ("head_y",))
+            values = _build(cfg, p, tape, memo_steps, {COVARIATES: x[sl]})
+            for src, array in zip(_OUTCOME.inputs, kept):
+                if array is not None:
+                    array[sl] = values[src].value
+        memo = _OutcomeMemo(cfg, [a.copy() for a in key], kept)
+    p = bind(model, tape, (_OUTCOME.name,))
     out = np.empty(len(x))
     for sl in blocks:
-        head_in = np.empty((sl.stop - sl.start, cfg.enc_hidden + 1))
-        head_in[:, 0] = float(t_value)
-        head_in[:, 1:] = memo.h_y[sl]
-        head_out = _mlp(p, "head_y", tape.constant(head_in), 2, FAMILIES[cfg.mode].activation)
-        out[sl] = head_out.value[:, 0]
+        head_in = np.concatenate([np.full((sl.stop - sl.start, 1), float(t_value))
+                                  if a is None else a[sl] for a in memo.inputs], axis=1)
+        out[sl] = _dense(p, head_layers, tape.constant(head_in)).value[:, 0]
     model._outcome_memo = memo
     return out
 
@@ -457,7 +453,8 @@ def checkpoint_load(path: str | Path) -> SD2Model:
             raise CheckpointError(f"checkpoint manifest field 'config': {exc}") from exc
         listed = manifest["params"]
         declared = [{"name": name + suffix, "shape": shape}
-                    for name, fan_in, fan_out in _layer_specs(config)
+                    for layers in _layers(config).values()
+                    for name, fan_in, fan_out, _ in layers
                     for suffix, shape in ((".W", [fan_in, fan_out]), (".b", [fan_out]))]
         if listed != declared:
             i = next(i for i in range(len(listed) + 1) if listed[i:i + 1] != declared[i:i + 1])

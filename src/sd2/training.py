@@ -280,6 +280,16 @@ def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
     return model, history
 
 
+def dataset_spec(ref: dict | None) -> dg.SyntheticSpec | dg.DemandSpec | dg.TwinsSpec | None:
+    """The spec a config's dataset reference describes, None for a `dir`
+    reference; a missing or malformed reference raises SchemaError."""
+    if ref and ref.get("kind") == "dir":
+        if set(ref) != {"kind", "path"}:
+            raise dg.SchemaError(f"dataset 'dir' takes one field, 'path'; got {sorted(ref)}")
+        return None
+    return dg.spec_from_ref(ref)
+
+
 def resolve_data(config: TrainConfig, seed: int
                  ) -> tuple[dg.GeneratedDataset, dg.GeneratedDataset, dg.GeneratedDataset]:
     """Build (train, val, test) from the config's dataset reference.
@@ -288,17 +298,13 @@ def resolve_data(config: TrainConfig, seed: int
     `dir` triple is used as it is; one `dir` dataset, or twins, is split by
     ``config.split_ratios``, afresh per seed.  A dataset whose mode is not the
     config's raises SchemaError."""
-    ref = config.dataset
-    if ref and ref.get("kind") == "dir":
-        if set(ref) != {"kind", "path"}:
-            raise dg.SchemaError(f"dataset 'dir' takes one field, 'path'; got {sorted(ref)}")
-        data = tuple(dg.read_data_dir(ref["path"]).values())
+    spec = dataset_spec(config.dataset)
+    if spec is None:
+        data = tuple(dg.read_data_dir(config.dataset["path"]).values())
+    elif isinstance(spec, dg.TwinsSpec):
+        data = (dg.generate(replace(spec, seed=rng.mix_key(seed, "policy"))),)
     else:
-        spec = dg.spec_from_ref(ref)
-        if isinstance(spec, dg.TwinsSpec):
-            data = (dg.generate(replace(spec, seed=rng.mix_key(seed, "policy"))),)
-        else:
-            data = dg.independent_triple(replace(spec, seed=rng.mix_key(seed, "data")))
+        data = dg.independent_triple(replace(spec, seed=rng.mix_key(seed, "data")))
     for ds in data:
         if ds.mode != config.mode:
             raise dg.SchemaError(f"dataset mode {ds.mode!r} != config mode {config.mode!r}")

@@ -256,9 +256,11 @@ class TestReplicateAblateSweep:
         ["ablate", "--variants", "Lp,Total"],
         ["sweep", "--param", "gamma", "--grid", "0,1"],
     ], ids=["replicate", "ablate", "sweep"])
-    @pytest.mark.parametrize("dataset", [SMALL_TRAIN["dataset"], {"kind": "mystery"}],
+    @pytest.mark.parametrize("dataset", [SMALL_TRAIN["dataset"], {"kind": "dir"}],
                              ids=["ok", "failing"])
     def test_jobs_do_not_change_rows(self, tmp_path, dataset, command):
+        if dataset["kind"] == "dir":  # every replication fails on the missing directory
+            dataset = {**dataset, "path": str(tmp_path / "absent")}
         config = write_json(tmp_path / "cfg.json", {**SMALL_TRAIN, "dataset": dataset})
         written = []
         for jobs in ("1", "2"):
@@ -293,7 +295,7 @@ class TestReplicateAblateSweep:
         (["sweep", "--param", "gamma", "--grid", "0,1"], "sweep.csv"),
     ], ids=["ablate", "sweep"])
     def test_grid_tables_count_failed_replications(self, tmp_path, command, table):
-        config = _config(tmp_path, dataset={"kind": "mystery"})
+        config = _config(tmp_path, dataset={"kind": "dir", "path": str(tmp_path / "absent")})
         out = tmp_path / "grid"
         assert cli.main([command[0], "--config", config, *command[1:], "--out", str(out),
                          "--reps", "2"]) == 0
@@ -392,6 +394,20 @@ def _train_on(edit):
                                    _dataset_dir(tmp, edit)]
 
 
+def _drop_covariates(path):
+    """A dataset directory edited to hold no covariate column."""
+    _edit_lines("data.csv", lambda ls: [",".join(line.rstrip("\r\n").split(",")[-2:]) + "\r\n"
+                                        for line in ls])(path)
+    _edit_lines("roles.csv", lambda ls: ls[:1])(path)
+
+
+def _grid_command(command, dataset):
+    """replicate, ablate or sweep over a config with the given dataset reference."""
+    extra = {"replicate": [], "ablate": [], "sweep": ["--param", "gamma", "--grid", "0,1"]}
+    return lambda tmp, run, data: [command, "--config", _config(tmp, dataset=dataset),
+                                   "--reps", "2", *extra[command]]
+
+
 def _evaluate_demand(edit):
     """`sd2 evaluate` of a freshly trained demand checkpoint on an edited demand
     directory."""
@@ -473,6 +489,28 @@ FAILURES = {
         "attribute", "--checkpoint", str(tmp / "absent.bin"), "--data", str(data)], 3),
     "zero_optimizer_steps": (lambda tmp, run, data: [
         "train", "--config", _config(tmp), "--data", _all_treated_train_split(tmp, data)], 4),
+    # a dataset reference that every replication would fail on fails the command
+    "replicate_no_dataset": (_grid_command("replicate", None), 2),
+    "ablate_no_dataset": (_grid_command("ablate", None), 2),
+    "sweep_no_dataset": (_grid_command("sweep", None), 2),
+    "replicate_unknown_kind": (_grid_command("replicate", {"kind": "mystery"}), 2),
+    "ablate_dir_extra_field": (_grid_command("ablate", {"kind": "dir", "path": "d", "zz": 1}),
+                               2),
+    "sweep_negative_dimension": (_grid_command(
+        "sweep", {**SMALL_TRAIN["dataset"], "mz": -1}), 2),
+    # a dataset needs a covariate column, and a demand spec finite coefficients
+    "demand_no_covariates": (lambda tmp, run, data: [
+        "generate", "--spec", write_json(tmp / "spec.json",
+                                         {"kind": "demand", "mz": 0, "mc": 0, "ma": 0})], 2),
+    "demand_nan_alpha": (lambda tmp, run, data: [
+        "generate", "--spec", write_json(tmp / "spec.json",
+                                         {"kind": "demand", "alpha": float("nan")})], 2),
+    "demand_inf_beta": (lambda tmp, run, data: [
+        "generate", "--spec", write_json(tmp / "spec.json",
+                                         {"kind": "demand", "beta": float("inf")})], 2),
+    "data_no_covariates": (_train_on(_drop_covariates), 2),
+    "ablate_empty_variants": (lambda tmp, run, data: [
+        "ablate", "--config", _config(tmp), "--reps", "1", "--variants", ""], 2),
     "ablate_unknown_variant": (lambda tmp, run, data: [
         "ablate", "--config", _config(tmp), "--reps", "1", "--variants", "Lq"], 2),
     "zero_schema_version": (lambda tmp, run, data: [
@@ -563,6 +601,17 @@ FAILURE_FIELDS = {
     "optimizer_beta1": "beta1",
     "twins_weight_columns": "weight_columns",
     "ablate_repeated_variant": "'Lp' is named more than once",
+    "replicate_no_dataset": "config carries no dataset reference",
+    "ablate_no_dataset": "config carries no dataset reference",
+    "sweep_no_dataset": "config carries no dataset reference",
+    "replicate_unknown_kind": "unknown dataset kind 'mystery'",
+    "ablate_dir_extra_field": "dataset 'dir' takes one field, 'path'",
+    "sweep_negative_dimension": "dimensions must be nonnegative",
+    "demand_no_covariates": "mz + mc + ma must be at least 1",
+    "demand_nan_alpha": "alpha must be finite and nonnegative, got nan",
+    "demand_inf_beta": "beta must be finite and nonnegative, got inf",
+    "data_no_covariates": "data.csv: a dataset needs at least one covariate column",
+    "ablate_empty_variants": "--variants: unknown variant ''",
     "sweep_omega_cont_binary": "omega_cont",
     "bad_split_ratios": "split_ratios",
     "train_mode_mismatch": "dataset mode",
@@ -692,6 +741,17 @@ def test_sweep_checks_grid_before_training(case, tmp_path, monkeypatch):
     make_argv, code = FAILURES[case]
     assert cli.main([*make_argv(tmp_path, None, None), "--out", str(tmp_path / "s")]) == code
     assert trained == []
+
+
+@pytest.mark.parametrize("case", ["replicate_no_dataset", "ablate_no_dataset",
+                                  "sweep_no_dataset", "replicate_unknown_kind",
+                                  "ablate_dir_extra_field", "sweep_negative_dimension"])
+def test_dataset_reference_checked_before_any_replication(case, tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "_one_replication", ran.append)
+    make_argv, code = FAILURES[case]
+    assert cli.main([*make_argv(tmp_path, None, None), "--out", str(tmp_path / "r")]) == code
+    assert ran == []
 
 
 def _blas_threads_seen(payload) -> dict:

@@ -262,6 +262,8 @@ class TestContentsChecked:
         "inf_t": ("continuous", {"t": np.r_[np.zeros(2), -np.inf, np.zeros(7)]}, "t",
                   "t must be finite"),
         "nan_p1": ("binary", {"p1": np.full(10, np.nan)}, "p1", "p1 must be finite"),
+        "no_covariates": ("binary", {"x": np.zeros((10, 0)), "roles": []}, "x",
+                          "a dataset needs at least one covariate column"),
         "roles_short": ("binary", {"roles": ["z"] * 9}, "roles", "9 roles for 10 x columns"),
         "role_u": ("binary", {"roles": ["z"] * 9 + ["u"]}, "roles",
                    "role 'u' of x9 is not z, c or a"),

@@ -1,4 +1,5 @@
 import gc
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from sd2 import autodiff as ad
 from sd2 import family as F
 from sd2 import rng
 from sd2 import model as M
+from sd2 import training as tr
 
 
 def small_cfg(**kw):
@@ -225,6 +227,25 @@ def _tensor_values(outputs) -> list[np.ndarray]:
     return values
 
 
+PARAMETER_ORDER = {
+    "binary": ["enc_z", "enc_c", "enc_a", "retain_t", "retain_y", "head_t", "head_t_z",
+               "head_t_c", "head_y", "head_y_a", "head_y_c"],
+    "continuous": ["enc_z", "enc_c", "enc_a", "retain_t", "retain_y", "head_t", "head_t_z",
+                   "head_t_c", "head_t_a", "head_t_cr", "head_y", "head_y_a", "head_y_c",
+                   "rebalance"]}
+BUILD_ORDER = {
+    "binary": ["enc_z", "enc_c", "enc_a", "retain_t", "head_t", "head_t_z", "head_t_c",
+               "retain_y", "head_y", "head_y_a", "head_y_c"],
+    "continuous": ["enc_z", "enc_c", "enc_a", "retain_t", "head_t", "head_t_z", "head_t_c",
+                   "head_t_a", "rebalance", "head_t_cr", "retain_y", "head_y", "head_y_a",
+                   "head_y_c"]}
+# dense layers per network at small_cfg's enc_layers=2
+LAYER_COUNTS = {"enc_z": 3, "enc_c": 3, "enc_a": 3, "retain_t": 1, "retain_y": 1,
+                "rebalance": 2, **{head: 2 for head in ("head_t", "head_t_z", "head_t_c",
+                                                        "head_t_a", "head_t_cr", "head_y",
+                                                        "head_y_a", "head_y_c")}}
+
+
 class TestDeclaredReads:
     @pytest.mark.parametrize("mode", ["binary", "continuous"])
     def test_each_output_needs_only_its_declared_networks(self, mode):
@@ -233,7 +254,7 @@ class TestDeclaredReads:
         forward = M.forward_binary if mode == "binary" else M.forward_continuous
         x, t = rand_x(), rand_t() if mode == "binary" else rng.normals(9, 0, 9)
         full = forward(m, x, t)
-        names = [n for n in M.READS if mode == "continuous" or n not in M.CONTINUOUS_ONLY]
+        names = [n for n in M.READS if mode == "continuous" or n not in ("q_t_a", "q_t_cr")]
         for name in names:
             tape = ad.Tape(record=False)
             out = forward(m, x, t, tape, M.bind(m, tape, M.networks((name,))), (name,))
@@ -244,6 +265,33 @@ class TestDeclaredReads:
             want = {**full._asdict(), **full.reps._asdict()}[name]
             assert all(np.array_equal(a, b) for a, b in
                        zip(_tensor_values((built[name],)), _tensor_values((want,))))
+
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    def test_parameter_order(self, mode, tmp_path):
+        # the order init_model draws and a checkpoint stores the layers in
+        m = M.init_model(small_cfg(mode=mode), seed=1)
+        assert list(dict.fromkeys(k.partition(".")[0] for k in m.params)) == \
+            PARAMETER_ORDER[mode]
+        assert list(m.params) == [f"{net}.l{i}.{kind}" for net in PARAMETER_ORDER[mode]
+                                  for i in range(LAYER_COUNTS[net]) for kind in "Wb"]
+        M.checkpoint_save(m, tmp_path / "m.bin")
+        manifest = json.loads((tmp_path / "m.bin").read_bytes().partition(b"\n")[0])
+        assert [entry["name"] for entry in manifest["params"]] == list(m.params)
+
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    def test_build_order(self, mode):
+        # the order a recorded `Total` step makes its dense nodes in
+        cfg = tr.TrainConfig(mode=mode, arch=small_cfg(mode=mode))
+        m = M.init_model(cfg.arch, seed=1)
+        t = (np.arange(9) % 2).astype(float) if mode == "binary" else rng.normals(9, 0, 9)
+        tape = ad.Tape()
+        tr._batch_breakdown(cfg, m, rand_x(), t, rand_t(), tape)
+        layers = [node.parents[1].name.rpartition(".")[0] for node in tape.nodes
+                  if len(node.parents) == 3 and node.parents[1].name.endswith(".W")]
+        assert list(dict.fromkeys(layer.partition(".")[0] for layer in layers)) == \
+            BUILD_ORDER[mode]
+        assert layers == [f"{net}.l{i}" for net in BUILD_ORDER[mode]
+                          for i in range(LAYER_COUNTS[net])]
 
     def test_networks(self):
         assert M.ENCODERS == ("enc_z", "enc_c", "enc_a")
@@ -279,6 +327,19 @@ class TestRowBlocks:
         # only the last block can hold a folded tail, and it is not split again
         assert all(size == M.BLOCK_ROWS for size in sizes[:-1])
         assert sizes[-1] < M.BLOCK_ROWS + 16
+
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    @pytest.mark.parametrize("recorded", [False, True], ids=["tape-free", "recorded"])
+    @pytest.mark.parametrize("t_rows", [2100, 1999])
+    def test_treatment_rows_must_match(self, mode, recorded, t_rows):
+        # the tape-free pass runs in row blocks, which cut off a longer t
+        m = M.init_model(small_cfg(mode=mode), seed=1)
+        forward = M.forward_binary if mode == "binary" else M.forward_continuous
+        tape = ad.Tape() if recorded else None
+        with pytest.raises(ValueError, match=rf"\({t_rows},\), x has 2000 rows"):
+            forward(m, rand_x(n=2000), rand_t(n=t_rows), tape)
+        with pytest.raises(ValueError, match=r"\(2000, 1\), x has 2000 rows"):
+            forward(m, rand_x(n=2000), rand_t(n=2000).reshape(-1, 1), tape)
 
     @pytest.mark.parametrize("enc_layers", ENC_LAYERS)
     @modes("default")
@@ -361,9 +422,10 @@ class TestOutcomeMemo:
         m, _, x, _, do_value = _block_case(n, mode, 2, widths)
         M.predict_outcome(m, x, 0.0)
         memo = m._outcome_memo
-        h_y = memo.h_y.copy()
+        kept = [a.copy() for a in memo.inputs if a is not None]
         hit = M.predict_outcome(m, x, do_value)
-        assert m._outcome_memo is memo and np.array_equal(memo.h_y, h_y)
+        assert m._outcome_memo is memo and len(kept) == 1
+        assert all(map(np.array_equal, [a for a in memo.inputs if a is not None], kept))
         assert np.array_equal(hit, M.predict_outcome(_unmemoised(m), x, do_value))
 
     @pytest.mark.parametrize("mode", ["binary", "continuous"])

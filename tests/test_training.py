@@ -407,10 +407,11 @@ class TestReplicate:
         assert [r["seed"] for r in a] == [rng.mix_key_int(7, i) for i in range(2)]
         assert a == b
 
-    @pytest.mark.parametrize("case", ["unknown_kind", "dir_mode_mismatch"])
+    @pytest.mark.parametrize("case", ["missing_dir", "dir_mode_mismatch"])
     def test_failures_collected(self, tmp_path, case):
-        if case == "unknown_kind":
-            dataset, error = {"kind": "mystery"}, "mystery"
+        # errors that depend on the data are rows; a malformed reference exits 2
+        if case == "missing_dir":
+            dataset, error = {"kind": "dir", "path": str(tmp_path / "absent")}, "absent"
         else:
             dg.write_dataset(dg.gen_continuous(dg.DemandSpec(n=60)), tmp_path / "demand")
             dataset = {"kind": "dir", "path": str(tmp_path / "demand")}
