@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, asdict, field, replace
+import numbers
+from dataclasses import dataclass, asdict, field, fields, replace
 from itertools import zip_longest
 from pathlib import Path
 
@@ -41,6 +42,16 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_integers(spec) -> None:
+    """Raise ValueError naming the first field declared ``int`` whose value is
+    not an integer; a bool is not one."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        # annotations are strings here (``from __future__ import annotations``)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Binary design, named mv-mz-mc-ma-mu."""
@@ -53,6 +64,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self)
         if min(self.mv, self.mz, self.mc, self.ma, self.mu) < 0:
             raise ValueError("dimensions must be nonnegative")
         if self.mz + self.mc + self.ma < 1:
@@ -79,6 +91,7 @@ class DemandSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self)
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -113,6 +126,7 @@ class TwinsSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self)
         if self.hide_count >= len(self.m_columns):
             raise ValueError("hide_count must be smaller than the number of M columns")
 

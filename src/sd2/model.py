@@ -150,7 +150,7 @@ def _closure(name: str) -> tuple[str, ...]:
 READS = {output: _closure(name) for output, name in NETWORK_OF.items()}
 ENCODERS = tuple(NETWORK_OF[r] for r in Representations._fields)
 # the outcome head is the network that reads the treatment; predict_outcome
-# keeps its other inputs, made by the other networks the outcome reads
+# keeps its whole input, whose other columns the other networks it reads make
 _OUTCOME = next(net for net in NETWORKS if TREATMENT in net.inputs)
 _MEMO_NETWORKS = READS[_OUTCOME.output][:-1]
 _MEMO_PREFIXES = tuple(net + "." for net in _MEMO_NETWORKS)
@@ -169,12 +169,28 @@ def params_read_by(params: dict, outputs: tuple[str, ...]) -> dict:
     return {name: value for name, value in params.items() if name.partition(".")[0] in read}
 
 
+def _widths(cfg: ArchConfig) -> dict[str, int]:
+    """The width of everything a network can read."""
+    return {COVARIATES: cfg.input_dim, TREATMENT: 1,
+            **{net.name: net.widths(cfg)[-1] for net in NETWORKS}}
+
+
+@functools.lru_cache(maxsize=64)
+def _columns(cfg: ArchConfig, net: Net) -> dict[str, slice]:
+    """Where each input of ``net`` sits in the side-by-side input of its
+    first layer."""
+    width, columns, at = _widths(cfg), {}, 0
+    for src in net.inputs:
+        columns[src] = slice(at, at + width[src])
+        at += width[src]
+    return columns
+
+
 @functools.lru_cache(maxsize=64)
 def _layers(cfg: ArchConfig) -> dict[str, tuple[tuple[str, int, int, str], ...]]:
     """Each network of the config's mode, in parameter order, with its dense
     layers: (name, fan_in, fan_out, activation)."""
-    width = {COVARIATES: cfg.input_dim, TREATMENT: 1,
-             **{net.name: net.widths(cfg)[-1] for net in NETWORKS}}
+    width = _widths(cfg)
     layers = {}
     for net in NETWORKS:
         if cfg.mode in net.modes:
@@ -200,12 +216,14 @@ def _steps(cfg: ArchConfig, outputs: tuple[str, ...] | None) -> tuple[tuple[Net,
 
 
 class _OutcomeMemo(NamedTuple):
-    """The outcome head's inputs as `predict_outcome` computed them, None for
-    the treatment, and copies of what they were computed from: the config,
-    the covariates and every parameter of the networks that made them."""
+    """The outcome head's input as `predict_outcome` last fed it: one n x
+    fan-in array, its columns in the head's input order, the treatment
+    column holding the last do-value; and copies of what the other columns
+    were computed from: the config, the covariates and every parameter of the
+    networks that made them."""
     config: ArchConfig
     key: list[np.ndarray]
-    inputs: list[np.ndarray]
+    inputs: np.ndarray
 
 
 @dataclass
@@ -362,44 +380,50 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
     outcome head's treatment input; representations come from x only.
 
     Builds no tape and runs only the networks the outcome reads.  The outcome
-    head's other input, retain_y's output, is kept on the model for the last
-    covariates scored, with copies of the covariates and of the parameters
-    that made it: n x (input_dim + enc_hidden) floats, 5.6 MB for the 10,000
-    x 6 demand split.  A later call whose covariates, parameters and config
-    match the copies bit for bit (an Adam step or an in-place edit does not)
-    runs only head_y's two layers per do-value, on the contiguous
-    ``[do-value | retain_y output]`` the full forward builds, so a sweep over
-    do-values equals a fresh model's bit for bit.  A hit only reads the
-    cache, and a call that raises keeps nothing.  The cache is not model
-    state: checkpoints, ``==`` and ``repr`` never see it.
+    head's whole input, ``[do-value | retain_y output]``, is kept on the model
+    for the last covariates scored, with copies of the covariates and of the
+    parameters that made retain_y's output: n x (input_dim + enc_hidden + 1)
+    floats, 5.7 MB for the 10,000 x 6 demand split.  A later call whose
+    covariates, parameters and config match the copies bit for bit (an Adam
+    step or an in-place edit does not) checks the do-value, writes it into
+    the treatment column and runs only head_y's two layers per row block, on
+    the same contiguous rows the full forward builds, so a sweep over
+    do-values equals a fresh model's bit for bit.  A hit writes only the
+    treatment column, and a call that raises keeps no new cache.  Concurrent
+    calls on one model are not supported: they would share that column.  The
+    cache is not model state: checkpoints, ``==`` and ``repr`` never see it.
     """
     cfg = model.config
     x = _check_input(cfg, x)
     if cfg.mode == "binary" and t_value not in (0.0, 1.0):
         raise ValueError("binary mode requires a do-value in {0, 1}")
+    t_value = float(t_value)
+    if not np.isfinite(t_value):
+        raise ad.NonFiniteError("const")
     tape = ad.Tape(record=False)
     blocks = _row_blocks(len(x))
     *memo_steps, (_, head_layers) = _steps(cfg, (_OUTCOME.output,))
+    columns = _columns(cfg, _OUTCOME)
     key = [x] + [v for k, v in model.params.items() if k.startswith(_MEMO_PREFIXES)]
     memo = model._outcome_memo
     # equal bit patterns (-0.0 is not 0.0); a key never holds a NaN, which raises first
     if (memo is None or memo.config != cfg or len(memo.key) != len(key) or not all(
             np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(memo.key, key))):
         p = bind(model, tape, _MEMO_NETWORKS)
-        kept = [None if src == TREATMENT else np.empty((len(x), _layers(cfg)[src][-1][2]))
-                for src in _OUTCOME.inputs]
+        inputs = np.empty((len(x), head_layers[0][1]))
         for sl in blocks:
             values = _build(cfg, p, tape, memo_steps, {COVARIATES: x[sl]})
-            for src, array in zip(_OUTCOME.inputs, kept):
-                if array is not None:
-                    array[sl] = values[src].value
-        memo = _OutcomeMemo(cfg, [a.copy() for a in key], kept)
+            for src, cols in columns.items():
+                if src != TREATMENT:
+                    inputs[sl, cols] = values[src].value
+        memo = _OutcomeMemo(cfg, [a.copy() for a in key], inputs)
+    memo.inputs[:, columns[TREATMENT]] = t_value
     p = bind(model, tape, (_OUTCOME.name,))
     out = np.empty(len(x))
     for sl in blocks:
-        head_in = np.concatenate([np.full((sl.stop - sl.start, 1), float(t_value))
-                                  if a is None else a[sl] for a in memo.inputs], axis=1)
-        out[sl] = _dense(p, head_layers, tape.constant(head_in)).value[:, 0]
+        # checked already: the do-value above, the other columns as they were made
+        head_in = ad.Tensor(tape, memo.inputs[sl], name="const", checked=True)
+        out[sl] = _dense(p, head_layers, head_in).value[:, 0]
     model._outcome_memo = memo
     return out
 
@@ -427,8 +451,8 @@ _MANIFEST_FIELDS = {"format", "version", "config", "seed", "params"}
 
 
 def checkpoint_load(path: str | Path) -> SD2Model:
-    """The model a checkpoint holds; a fault in any manifest field raises
-    CheckpointError naming the field."""
+    """The model a checkpoint holds; a fault in any manifest field, or a
+    parameter holding a NaN or Inf, raises CheckpointError naming it."""
     with open(path, "rb") as fh:
         try:
             manifest = json.loads(fh.readline().decode("utf-8"))
@@ -469,6 +493,8 @@ def checkpoint_load(path: str | Path) -> SD2Model:
             if len(raw) != count * 8:
                 raise CheckpointError(f"truncated checkpoint at parameter {name!r}")
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(params[name]).all():
+                raise CheckpointError(f"checkpoint parameter {name!r} is not finite")
         if fh.read(1):
             raise CheckpointError("trailing bytes after the last parameter")
     return SD2Model(config=config, seed=manifest["seed"], params=params)

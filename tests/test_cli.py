@@ -421,6 +421,17 @@ def _evaluate_demand(edit):
     return make_argv
 
 
+def _nan_parameter(command, name):
+    """`sd2 <command>` of the trained checkpoint with one float of parameter
+    `name` overwritten by a NaN."""
+    def make_argv(tmp, run, data):
+        model = checkpoint_load(run / "checkpoint.bin")
+        model.params[name][0] = np.nan
+        checkpoint_save(model, tmp / "nan.bin")
+        return [command, "--checkpoint", str(tmp / "nan.bin"), "--data", str(data)]
+    return make_argv
+
+
 def _drop_truth(path):
     (path / "truth.csv").unlink()
 
@@ -509,6 +520,28 @@ FAILURES = {
         "generate", "--spec", write_json(tmp / "spec.json",
                                          {"kind": "demand", "beta": float("inf")})], 2),
     "data_no_covariates": (_train_on(_drop_covariates), 2),
+    # a spec's integer fields hold integers, and a bool is not one
+    "binary_float_n": (lambda tmp, run, data: [
+        "generate", "--spec", write_json(tmp / "spec.json",
+                                         {"kind": "synthetic_binary", "n": 50.5})], 2),
+    "demand_float_mz": (lambda tmp, run, data: [
+        "generate", "--spec", write_json(tmp / "spec.json",
+                                         {"kind": "demand", "mz": 1.5, "n": 100})], 2),
+    "binary_float_seed": (lambda tmp, run, data: [
+        "generate", "--spec", write_json(tmp / "spec.json", {
+            "kind": "synthetic_binary", "n": 50, "seed": 2.5})], 2),
+    "binary_bool_n": (lambda tmp, run, data: [
+        "generate", "--spec", write_json(tmp / "spec.json",
+                                         {"kind": "synthetic_binary", "n": True})], 2),
+    "twins_float_hide_count": (lambda tmp, run, data: [
+        "generate", "--spec", write_json(tmp / "spec.json", {
+            "kind": "twins", "csv_path": str(dg.fixture_path()),
+            "m_columns": list(dg.FIXTURE_M_COLUMNS), "hide_count": 4.0})], 2),
+    # a checkpoint parameter holding a NaN is rejected, read by the command or not
+    "evaluate_nan_head_y": (_nan_parameter("evaluate", "head_y.l1.b"), 2),
+    "evaluate_nan_head_y_c": (_nan_parameter("evaluate", "head_y_c.l1.b"), 2),
+    "attribute_nan_head_y": (_nan_parameter("attribute", "head_y.l1.b"), 2),
+    "attribute_nan_head_y_c": (_nan_parameter("attribute", "head_y_c.l1.b"), 2),
     "ablate_empty_variants": (lambda tmp, run, data: [
         "ablate", "--config", _config(tmp), "--reps", "1", "--variants", ""], 2),
     "ablate_unknown_variant": (lambda tmp, run, data: [
@@ -611,6 +644,15 @@ FAILURE_FIELDS = {
     "demand_nan_alpha": "alpha must be finite and nonnegative, got nan",
     "demand_inf_beta": "beta must be finite and nonnegative, got inf",
     "data_no_covariates": "data.csv: a dataset needs at least one covariate column",
+    "binary_float_n": "n must be an integer, got 50.5",
+    "demand_float_mz": "mz must be an integer, got 1.5",
+    "binary_float_seed": "seed must be an integer, got 2.5",
+    "binary_bool_n": "n must be an integer, got True",
+    "twins_float_hide_count": "hide_count must be an integer, got 4.0",
+    "evaluate_nan_head_y": "checkpoint parameter 'head_y.l1.b' is not finite",
+    "evaluate_nan_head_y_c": "checkpoint parameter 'head_y_c.l1.b' is not finite",
+    "attribute_nan_head_y": "checkpoint parameter 'head_y.l1.b' is not finite",
+    "attribute_nan_head_y_c": "checkpoint parameter 'head_y_c.l1.b' is not finite",
     "ablate_empty_variants": "--variants: unknown variant ''",
     "sweep_omega_cont_binary": "omega_cont",
     "bad_split_ratios": "split_ratios",

@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -422,11 +423,53 @@ class TestOutcomeMemo:
         m, _, x, _, do_value = _block_case(n, mode, 2, widths)
         M.predict_outcome(m, x, 0.0)
         memo = m._outcome_memo
-        kept = [a.copy() for a in memo.inputs if a is not None]
+        # head_y reads [t | retain_y]: column 0 is the treatment's
+        kept = memo.inputs[:, 1:].copy()
         hit = M.predict_outcome(m, x, do_value)
-        assert m._outcome_memo is memo and len(kept) == 1
-        assert all(map(np.array_equal, [a for a in memo.inputs if a is not None], kept))
+        assert m._outcome_memo is memo
+        assert memo.inputs.shape == (n, 1 + m.config.enc_hidden)
+        assert np.array_equal(memo.inputs[:, 1:].view(np.uint64), kept.view(np.uint64))
+        assert np.all(memo.inputs[:, 0] == do_value)
         assert np.array_equal(hit, M.predict_outcome(_unmemoised(m), x, do_value))
+
+    @pytest.mark.parametrize("do_value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_do_value_on_hit(self, do_value):
+        m = M.init_model(small_cfg(mode="continuous"), seed=12)
+        x = rand_x(n=40)
+        M.predict_outcome(m, x, 0.7)
+        memo = m._outcome_memo
+        with pytest.raises(ad.NonFiniteError, match="'const'"):
+            M.predict_outcome(m, x, do_value)
+        assert m._outcome_memo is memo
+        after = M.predict_outcome(m, x, -0.3)
+        assert m._outcome_memo is memo
+        assert np.array_equal(after, M.predict_outcome(_unmemoised(m), x, -0.3))
+
+    def test_binary_do_value_checked_before_write(self):
+        m = M.init_model(small_cfg(), seed=12)
+        x = rand_x(n=40)
+        M.predict_outcome(m, x, 1.0)
+        memo = m._outcome_memo
+        with pytest.raises(ValueError, match="do-value"):
+            M.predict_outcome(m, x, 0.5)
+        assert m._outcome_memo is memo
+        assert np.all(memo.inputs[:, 0] == 1.0)
+
+    def test_hit_copies_no_head_input(self):
+        # a narrow head keeps its own layer outputs well below the bound
+        cfg = M.ArchConfig(input_dim=6, enc_hidden=64, head_hidden=4, mode="continuous")
+        m = M.init_model(cfg, seed=12)
+        x = rand_x(n=10_000)
+        M.predict_outcome(m, x, 0.1)
+        M.predict_outcome(m, x, 0.2)
+        tracemalloc.start()
+        try:
+            M.predict_outcome(m, x, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # less than one row block of [do-value | retain_y], let alone all n rows
+        assert peak < M.BLOCK_ROWS * (cfg.enc_hidden + 1) * 8
 
     @pytest.mark.parametrize("mode", ["binary", "continuous"])
     @pytest.mark.parametrize("cause", sorted(MEMO_MISSES))
@@ -494,7 +537,7 @@ class TestOutcomeMemo:
                      if k.startswith(("enc_c.", "enc_a.", "retain_y.")))
         arrays = [a for f in memo for a in (f if isinstance(f, list) else [f])
                   if isinstance(a, np.ndarray)]
-        assert sum(a.size for a in arrays) == n * (cfg.input_dim + cfg.enc_hidden) + copied
+        assert sum(a.size for a in arrays) == n * (cfg.input_dim + cfg.enc_hidden + 1) + copied
         assert all(a.dtype == np.float64 for a in arrays)
 
     def test_not_saved_compared_or_printed(self, tmp_path):
