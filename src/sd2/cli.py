@@ -31,7 +31,7 @@ from . import infotheory as it
 from . import rng
 from . import training as tr
 from .autodiff import NonFiniteError
-from .losses import LossBreakdown, LossWeights
+from .losses import TERMS, LossBreakdown, LossWeights
 from .model import ArchConfig, CheckpointError, SD2Model, checkpoint_load, checkpoint_save
 from .training import TrainConfig, TrainingError
 
@@ -156,6 +156,13 @@ def _write_manifest(command: str, run: Run, error: str | None):
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
+def _write_json(run: Run, name: str, record, sort_keys: bool = False):
+    """The run's artifact `name` holding ``record`` as JSON."""
+    with open(run.out / name, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=sort_keys)
+    run.artifacts.append(str(run.out / name))
+
+
 def _write_report(run: Run, name: str, table: list[dict], record=None, keys=None):
     """The run's artifact `name`.csv: the table under `keys`, by default
     every key of any row (error rows lack metrics), a row without a key
@@ -164,10 +171,9 @@ def _write_report(run: Run, name: str, table: list[dict], record=None, keys=None
     keys = keys or list(dict.fromkeys(k for r in table for k in r))
     if keys:
         dg.write_csv(run.out / f"{name}.csv", keys, ([r.get(k, "") for k in keys] for r in table))
+        run.artifacts.append(str(run.out / f"{name}.csv"))
     if record is not None:
-        with open(run.out / f"{name}.json", "w") as fh:
-            json.dump(record, fh, indent=2)
-    run.artifacts.append(str(run.out / f"{name}.csv"))
+        _write_json(run, f"{name}.json", record)
 
 
 def _train_config(args, run: Run) -> tuple[TrainConfig, int]:
@@ -186,13 +192,12 @@ def cmd_generate(args, run: Run) -> tuple[str, float]:
     run.config = dg.read_json_object(args.spec)
     spec = dg.spec_from_ref(run.config)
     run.seeds = [spec.seed]
-    if not args.triple:
-        run.artifacts.append(str(dg.write_dataset(dg.generate(spec), run.out)))
-    elif isinstance(spec, dg.TwinsSpec):
+    if args.triple and isinstance(spec, dg.TwinsSpec):
         raise ConfigError("--triple applies to synthetic and demand specs only")
-    else:
-        for name, ds in zip(dg.SPLITS, dg.independent_triple(spec)):
-            run.artifacts.append(str(dg.write_dataset(ds, run.out / name)))
+    sets = zip(dg.SPLITS, dg.independent_triple(spec)) if args.triple else [("", dg.generate(spec))]
+    for name, ds in sets:  # every file of the dataset directories is an artifact
+        written = dg.write_dataset(ds, run.out / name).iterdir()
+        run.artifacts += [str(path) for path in sorted(written) if path.name != "manifest.json"]
     return "rows", -1 if isinstance(spec, dg.TwinsSpec) else spec.n
 
 
@@ -208,8 +213,7 @@ def cmd_train(args, run: Run) -> tuple[str, float]:
     checkpoint_save(model, run.out / "checkpoint.bin")
     run.artifacts.append(str(run.out / "checkpoint.bin"))
     _write_report(run, "history", history.rows, keys=["epoch", *LossBreakdown.FIELDS, "split"])
-    with open(run.out / "config.json", "w") as fh:
-        json.dump(run.config, fh, indent=2, sort_keys=True)
+    _write_json(run, "config.json", run.config, sort_keys=True)
     return "selected_epoch", history.selected_epoch
 
 
@@ -369,9 +373,9 @@ def cmd_sweep(args, run: Run) -> tuple[str, float]:
     if args.param not in coefficients:
         raise ConfigError(f"--param must name a loss coefficient ({', '.join(coefficients)}), "
                           f"got {args.param!r}")
-    if args.param == "omega_cont" and base.mode != "continuous":
-        raise ConfigError(f"--param omega_cont: only the continuous objective reads the "
-                          f"rebalance coefficient, and the config's mode is {base.mode!r}")
+    if not any(term.coeff == args.param and base.mode in term.modes for term in TERMS):
+        raise ConfigError(f"--param {args.param}: no term of the {base.mode} objective is "
+                          f"scaled by it")
     try:  # every grid value is checked before any is trained
         grid = [float(v) for v in args.grid.split(",")]
         configs = [replace(base, weights=replace(base.weights, **{args.param: value}))

@@ -42,11 +42,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_integers(spec) -> None:
-    """Raise ValueError naming the first field declared ``int`` whose value is
-    not an integer; a bool is not one."""
-    for f in fields(spec):
-        value = getattr(spec, f.name)
+def check_integers(obj) -> None:
+    """Raise ValueError naming the first field of the dataclass ``obj``
+    declared ``int`` whose value is not an integer; a bool is not one."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
         # annotations are strings here (``from __future__ import annotations``)
         if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
@@ -64,7 +64,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(self)
+        check_integers(self)
         if min(self.mv, self.mz, self.mc, self.ma, self.mu) < 0:
             raise ValueError("dimensions must be nonnegative")
         if self.mz + self.mc + self.ma < 1:
@@ -91,7 +91,7 @@ class DemandSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(self)
+        check_integers(self)
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -126,7 +126,7 @@ class TwinsSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(self)
+        check_integers(self)
         if self.hide_count >= len(self.m_columns):
             raise ValueError("hide_count must be smaller than the number of M columns")
 

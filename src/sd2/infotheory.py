@@ -15,7 +15,6 @@ import numpy as np
 
 from . import rng
 
-VARS = ("y", "ra", "rc")
 _AXIS = {"y": 0, "ra": 1, "rc": 2}
 
 

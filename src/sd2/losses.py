@@ -19,7 +19,8 @@ head-based loss for continuous ones), the binary importance weights and the
 continuous rebalance loss.
 
 ``TERMS`` declares each term once: its breakdown field, its coefficient, and
-per mode the forward outputs it reads.  The coefficients are the only switch:
+per mode the forward outputs it reads, which are the ones its function is
+given.  The coefficients are the only switch:
 a term whose coefficient is 0 is not built, its breakdown field is None (an
 empty `history.csv` cell), and the forward builds only the outputs the kept
 terms read (`read_outputs`).  The L2 penalty covers the parameters of the
@@ -100,7 +101,7 @@ def importance_weights(pi_c: np.ndarray, t: np.ndarray) -> np.ndarray:
 IMPORTANCE_WEIGHT_READS = ("q_t_c",)
 
 
-def adjustment_disc(r_a: ad.Tensor, t: np.ndarray):
+def adjustment_disc(rep: ad.Tensor, t: np.ndarray):
     """Squared linear-kernel MMD between adjustment representations of the two
     groups, the squared distance of their means, and its (node, vjp) pairs.
 
@@ -113,7 +114,7 @@ def adjustment_disc(r_a: ad.Tensor, t: np.ndarray):
     idx1 = np.nonzero(t == 1)[0]
     if len(idx0) == 0 or len(idx1) == 0:
         raise DegenerateBatchError("adjustment discrepancy needs both groups")
-    r = r_a.value
+    r = rep.value
     diff = r[idx0].mean(axis=0) - r[idx1].mean(axis=0)
     value = (diff ** 2).sum()
 
@@ -124,7 +125,7 @@ def adjustment_disc(r_a: ad.Tensor, t: np.ndarray):
         out[idx1] += np.tile(-grad_diff / len(idx1), (len(idx1), 1))
         return out
 
-    return value, ((r_a, vjp),)
+    return value, ((rep, vjp),)
 
 
 def l2_penalty(params: dict[str, ad.Tensor]):
@@ -159,17 +160,17 @@ class _Objective:
     - ``terms`` holds each term's op name and mean (or value), so that a
       non-finite total names the first term that is not finite.
 
-    It holds what the terms read: one batch's forward outputs, (n, 1)
-    treatments and outcomes, the factual outcome term's sample weights (None:
-    unweighted) and the parameters the L2 penalty covers.
+    It holds what the terms read besides the forward outputs: one batch's
+    (n, 1) treatments and outcomes, the factual outcome term's sample weights
+    (None: unweighted) and the parameters the L2 penalty covers.
     """
 
-    def __init__(self, mode: str, out: HeadOutputs, t: np.ndarray, y: np.ndarray,
+    def __init__(self, mode: str, t: np.ndarray, y: np.ndarray,
                  sample_weights: np.ndarray | None, params: dict[str, ad.Tensor]):
         self.mode, self.fam = mode, FAMILIES[mode]
         # the node goes on the tape the parameters are bound on
         self.tape: ad.Tape = next(iter(params.values())).tape
-        self.out, self.t, self.y, self.n = out, t, y, len(t)
+        self.t, self.y, self.n = t, y, len(t)
         self.sample_weights, self.params = sample_weights, params
         self.terms: list[tuple[str, float]] = []
         self.contribs: list[tuple] = []
@@ -259,48 +260,44 @@ def _in_group(group: int, vjp):
     return lambda grads: vjp(grads[group])
 
 
-def _factual_y(obj: _Objective, coeff: float):
-    nll, mean = obj.nll(obj.out.q_y, obj.y, obj.group(coeff, obj.sample_weights),
-                        obj.sample_weights)
+def _factual_y(obj: _Objective, coeff: float, head):
+    nll, mean = obj.nll(head, obj.y, obj.group(coeff, obj.sample_weights), obj.sample_weights)
     obj.per_sample["factual_y"] = nll[:, 0]
     return mean
 
 
-def _factual_t(obj: _Objective, coeff: float):
-    nll, mean = obj.nll(obj.out.q_t, obj.t, obj.group(coeff))
+def _factual_t(obj: _Objective, coeff: float, head):
+    nll, mean = obj.nll(head, obj.t, obj.group(coeff))
     obj.per_sample["factual_t"] = nll[:, 0]
     return mean
 
 
-def _mmd(obj: _Objective, coeff: float):
-    return obj.scalar(adjustment_disc, obj.out.reps.r_a, obj.t, coeff=coeff)
+def _mmd(obj: _Objective, coeff: float, rep):
+    return obj.scalar(adjustment_disc, rep, obj.t, coeff=coeff)
 
 
-def _anchored(student: str, partner: str):
+def _anchored(obj: _Objective, coeff: float, teacher, student, partner):
     """Likelihood of T under the student head plus its KLs to the detached
-    deep treatment head and to the partner head."""
-    def add(obj: _Objective, coeff: float):
-        group, out = obj.group(coeff), obj.out
-        head = getattr(out, student)
-        return obj.sum([obj.nll(head, obj.t, group)[1], obj.kl_to_teacher(head, out.q_t, group),
-                        obj.kl(head, getattr(out, partner), group)])
-    return add
+    teacher (the deep treatment head) and to the partner head."""
+    group = obj.group(coeff)
+    return obj.sum([obj.nll(student, obj.t, group)[1], obj.kl_to_teacher(student, teacher, group),
+                    obj.kl(student, partner, group)])
 
 
-def _distill_outcome(obj: _Objective, coeff: float):
-    group, out = obj.group(coeff), obj.out
-    return obj.sum([obj.nll(out.q_y_a, obj.y, group)[1], obj.nll(out.q_y_c, obj.y, group)[1],
-                    obj.kl_to_teacher(out.q_y_a, out.q_y, group),
-                    obj.kl_to_teacher(out.q_y_c, out.q_y, group),
-                    obj.kl(out.q_y_a, out.q_y_c, group)])
+def _distill_outcome(obj: _Objective, coeff: float, deep, adjust, confound):
+    group = obj.group(coeff)
+    return obj.sum([obj.nll(adjust, obj.y, group)[1], obj.nll(confound, obj.y, group)[1],
+                    obj.kl_to_teacher(adjust, deep, group),
+                    obj.kl_to_teacher(confound, deep, group),
+                    obj.kl(adjust, confound, group)])
 
 
-def _distill_treatment(obj: _Objective, coeff: float):
-    group, out = obj.group(coeff), obj.out
-    return obj.sum([obj.nll(out.q_t_z, obj.t, group)[1],
-                    obj.kl_to_teacher(out.q_t_z, out.q_t, group),
-                    obj.kl_to_teacher(out.q_t_c, out.q_t, group),
-                    obj.kl(out.q_t_c, out.q_t_z, group)])
+def _distill_treatment(obj: _Objective, coeff: float, deep, instrument, confound):
+    group = obj.group(coeff)
+    return obj.sum([obj.nll(instrument, obj.t, group)[1],
+                    obj.kl_to_teacher(instrument, deep, group),
+                    obj.kl_to_teacher(confound, deep, group),
+                    obj.kl(confound, instrument, group)])
 
 
 def _reg(obj: _Objective, coeff: float):
@@ -309,8 +306,9 @@ def _reg(obj: _Objective, coeff: float):
 
 class Build(NamedTuple):
     """How a mode builds a term: the forward outputs it reads, and the
-    function that adds it to the objective, ``add(objective, coeff)``, and
-    returns its value."""
+    function that adds it to the objective, ``add(objective, coeff,
+    *outputs)`` with the outputs ``reads`` names in that order, and returns
+    its value."""
     reads: tuple[str, ...]
     add: Callable
 
@@ -335,12 +333,11 @@ TERMS = (
     Term("factual_y", None, _both(("q_y",), _factual_y)),
     Term("factual_t", "alpha", _both(("q_t",), _factual_t)),
     Term("adjust", "beta", {"binary": Build(("r_a",), _mmd),
-                            "continuous": Build(("q_t", "q_t_c", "q_t_a"),
-                                                _anchored("q_t_c", "q_t_a"))}),
+                            "continuous": Build(("q_t", "q_t_c", "q_t_a"), _anchored)}),
     Term("distill_outcome", "gamma", _both(("q_y", "q_y_a", "q_y_c"), _distill_outcome)),
     Term("distill_treatment", "gamma", _both(("q_t", "q_t_z", "q_t_c"), _distill_treatment)),
     Term("rebalance", "omega_cont", {"continuous": Build(("q_t", "q_t_z", "q_t_cr"),
-                                                         _anchored("q_t_z", "q_t_cr"))}),
+                                                         _anchored)}),
     Term("reg", "delta", _both((), _reg)),
 )
 
@@ -377,13 +374,16 @@ def read_outputs(mode: str, weights: LossWeights, importance_weighted: bool) -> 
     return tuple(dict.fromkeys(reads))
 
 
-def _total_loss(obj: _Objective, weights: LossWeights) -> LossBreakdown:
-    """The objective of both modes, as one node: the kept terms, each scaled
-    by its coefficient (those that share one, summed first), added in order."""
+def _total_loss(obj: _Objective, outputs: HeadOutputs, weights: LossWeights) -> LossBreakdown:
+    """The objective of both modes, as one node: the kept terms, each given
+    the outputs it reads and scaled by its coefficient (those that share one,
+    summed first), added in order."""
     mode = obj.mode
     values, parts = {}, []
     for term, coeff in _kept(mode, weights):
-        values[term.name] = value = term.modes[mode].add(obj, coeff)
+        build = term.modes[mode]
+        values[term.name] = value = build.add(
+            obj, coeff, *(getattr(outputs, name) for name in build.reads))
         if parts and parts[-1][0] == term.coeff:
             parts[-1][2].append(value)
         else:
@@ -401,16 +401,14 @@ def total_loss_binary(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
                       params: dict[str, ad.Tensor]) -> LossBreakdown:
     """Bernoulli objective: importance-weighted factual outcome term and the
     MMD adjustment discrepancy of the adjustment representation."""
-    if isinstance(outputs.q_y, Gaussian):
+    if any(isinstance(output, Gaussian) for output in outputs):
         raise ValueError("total_loss_binary requires binary-mode outputs")
     t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
-    if not np.all((t == 0) | (t == 1)):
-        raise ValueError("binary mode requires treatments in {0, 1}")
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     w = np.asarray(sample_weights, dtype=np.float64).reshape(-1, 1)
     if w.shape[0] != len(t):
         raise ValueError(f"sample weight count {w.shape[0]} != batch size {len(t)}")
-    return _total_loss(_Objective("binary", outputs, t, y, w, params), weights)
+    return _total_loss(_Objective("binary", t, y, w, params), outputs, weights)
 
 
 def total_loss_continuous(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
@@ -419,8 +417,8 @@ def total_loss_continuous(outputs: HeadOutputs, t: np.ndarray, y: np.ndarray,
     confounder treatment head anchored to the deep head and the adjustment
     head) and the rebalance loss (the instrument head anchored to the deep
     head and the rebalanced-confounder head)."""
-    if not isinstance(outputs.q_y, Gaussian):
+    if not any(isinstance(output, Gaussian) for output in outputs):
         raise ValueError("total_loss_continuous requires continuous-mode outputs")
     t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    return _total_loss(_Objective("continuous", outputs, t, y, None, params), weights)
+    return _total_loss(_Objective("continuous", t, y, None, params), outputs, weights)

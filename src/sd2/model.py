@@ -2,11 +2,11 @@
 networks joining pairs of representations, deep and shallow prediction heads.
 
 `NETWORKS` declares each network once (`Net`); the parameters, `READS`, the
-forward's build steps, `encode` and what `predict_outcome` keeps are derived
-from it.  The table's order is the parameter order, which fixes the
-checkpoint bytes; a forward builds its outputs in that order, each after the
-networks it reads that are not built yet, which fixes the tape and so the
-gradient sums.
+forward's build steps, its `HeadOutputs` fields, `encode` and what
+`predict_outcome` keeps are derived from it.  The table's order is the
+parameter order, which fixes the checkpoint bytes; a forward builds its
+outputs in that order, each after the networks it reads that are not built
+yet, which fixes the tape and so the gradient sums.
 
 One graph serves both treatment modes.  Every head parameterises the mode's
 outcome family (``family.py``): a Bernoulli probability in binary mode, a
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import namedtuple
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -38,7 +39,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import rng
-from .family import FAMILIES, Gaussian
+from .datagen import check_integers
+from .family import FAMILIES
 
 CHECKPOINT_FORMAT = "sd2-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -61,34 +63,12 @@ class ArchConfig:
     mode: str = "binary"
 
     def __post_init__(self):
+        check_integers(self)
         for field in ("input_dim", "rep_dim", "enc_hidden", "enc_layers", "head_hidden"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")
         if self.mode not in ("binary", "continuous"):
             raise ValueError(f"mode must be binary or continuous, got {self.mode!r}")
-
-
-class Representations(NamedTuple):
-    """Instrument, confounder and adjustment representations: arrays from
-    ``encode``, tape tensors inside ``HeadOutputs``."""
-    r_z: np.ndarray
-    r_c: np.ndarray
-    r_a: np.ndarray
-
-
-class HeadOutputs(NamedTuple):
-    """The heads of one forward pass, each as its family's parameters (a
-    probability column or a Gaussian), and the representations it read; what
-    the pass did not build is None."""
-    q_t: ad.Tensor | Gaussian | None = None
-    q_t_z: ad.Tensor | Gaussian | None = None
-    q_t_c: ad.Tensor | Gaussian | None = None
-    q_y: ad.Tensor | Gaussian | None = None
-    q_y_a: ad.Tensor | Gaussian | None = None
-    q_y_c: ad.Tensor | Gaussian | None = None
-    q_t_a: Gaussian | None = None
-    q_t_cr: Gaussian | None = None
-    reps: Representations | None = None
 
 
 COVARIATES, TREATMENT = "x", "t"  # the inputs a network reads that are not networks
@@ -138,6 +118,18 @@ NETWORKS = (
 )
 _BY_NAME = {net.name: net for net in NETWORKS}
 NETWORK_OF = {net.output: net.name for net in NETWORKS if net.output}
+# the encoders read the covariates alone; their outputs are the representations
+ENCODERS = tuple(net.name for net in NETWORKS if net.inputs == (COVARIATES,))
+
+HeadOutputs = namedtuple("HeadOutputs", NETWORK_OF, defaults=(None,) * len(NETWORK_OF),
+                         module=__name__)
+HeadOutputs.__doc__ = """The outputs of one forward pass, one field per `Net.output` in
+table order: the representations as tensors, each head as its family's
+parameters (a probability column or a Gaussian); what the pass did not build
+is None."""
+Representations = namedtuple("Representations", (_BY_NAME[net].output for net in ENCODERS),
+                             module=__name__)
+Representations.__doc__ = """The encoders' outputs as arrays, from ``encode``."""
 
 
 def _closure(name: str) -> tuple[str, ...]:
@@ -148,7 +140,6 @@ def _closure(name: str) -> tuple[str, ...]:
 
 # the networks each output reads: a forward asked for some outputs runs only these
 READS = {output: _closure(name) for output, name in NETWORK_OF.items()}
-ENCODERS = tuple(NETWORK_OF[r] for r in Representations._fields)
 # the outcome head is the network that reads the treatment; predict_outcome
 # keeps its whole input, whose other columns the other networks it reads make
 _OUTCOME = next(net for net in NETWORKS if TREATMENT in net.inputs)
@@ -284,9 +275,8 @@ def _forward_rows(cfg: ArchConfig, p: dict[str, ad.Tensor], tape: ad.Tape,
     """Every output of the mode or, with ``only``, the outputs it names, and
     the representations they read."""
     values = _build(cfg, p, tape, _steps(cfg, None if only is None else tuple(only)), sources)
-    built = {output: values[name] for output, name in NETWORK_OF.items() if name in values}
-    return HeadOutputs(reps=Representations(*(built.pop(r, None)
-                                              for r in Representations._fields)), **built)
+    return HeadOutputs(**{output: values[name] for output, name in NETWORK_OF.items()
+                          if name in values})
 
 
 def _check_input(cfg: ArchConfig, x):
@@ -368,11 +358,16 @@ def forward_continuous(model: SD2Model, x: np.ndarray, t: np.ndarray,
 
 def encode(model: SD2Model, x: np.ndarray) -> Representations:
     """Representations as plain arrays (convenience wrapper; builds no tape)."""
-    x = _check_input(model.config, x)
+    cfg = model.config
+    x = _check_input(cfg, x)
     tape = ad.Tape(record=False)
     p = bind(model, tape, ENCODERS)
-    return _blocked(tape, lambda xb: Representations(*(r.value for r in _forward_rows(
-        model.config, p, tape, {COVARIATES: xb}, Representations._fields).reps)), x)
+    steps = _steps(cfg, Representations._fields)
+
+    def run(xb):
+        values = _build(cfg, p, tape, steps, {COVARIATES: xb})
+        return Representations(*(values[net].value for net in ENCODERS))
+    return _blocked(tape, run, x)
 
 
 def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarray:

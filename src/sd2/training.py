@@ -18,8 +18,8 @@ import numpy as np
 from . import autodiff as ad
 from . import datagen as dg
 from . import rng
-from .losses import (DegenerateBatchError, LossBreakdown, LossWeights, importance_weights,
-                     read_outputs, total_loss_binary, total_loss_continuous)
+from .losses import (IMPORTANCE_WEIGHT_READS, DegenerateBatchError, LossBreakdown, LossWeights,
+                     importance_weights, read_outputs, total_loss_binary, total_loss_continuous)
 from .model import (ArchConfig, SD2Model, bind, forward_binary, forward_continuous, init_model,
                     params_read_by)
 
@@ -63,6 +63,7 @@ class TrainConfig:
     split_ratios: tuple[float, float, float] = (0.63, 0.27, 0.10)
 
     def __post_init__(self):
+        dg.check_integers(self)
         dg.check_split_ratios(self.split_ratios)
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
@@ -146,7 +147,8 @@ def _batch_breakdown(config: TrainConfig, model: SD2Model, x, t, y,
     covered = params_read_by(params, reads)
     if config.mode == "binary":
         outputs = forward_binary(model, x, t, tape, params, reads)
-        w = importance_weights(outputs.q_t_c.value, t) if weighted else np.ones(len(t))
+        w = (importance_weights(getattr(outputs, IMPORTANCE_WEIGHT_READS[0]).value, t)
+             if weighted else np.ones(len(t)))
         return total_loss_binary(outputs, t, y, w, config.weights, covered), w
     outputs = forward_continuous(model, x, t, tape, params, reads)
     return total_loss_continuous(outputs, t, y, config.weights, covered), np.ones(len(t))

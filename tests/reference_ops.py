@@ -371,7 +371,7 @@ def total_loss_binary(outputs, t, y, sample_weights, weights, params) -> LossBre
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     w = np.asarray(sample_weights, dtype=np.float64).reshape(-1, 1)
     return _total_loss(BERNOULLI, outputs, t, y, w, weights, params,
-                       lambda: adjustment_disc(outputs.reps.r_a, t))
+                       lambda: adjustment_disc(outputs.r_a, t))
 
 
 def total_loss_continuous(outputs, t, y, weights, params) -> LossBreakdown:

@@ -314,6 +314,13 @@ class TestReplicateAblateSweep:
             rows = list(csv.DictReader(fh))
         assert [float(r["value"]) for r in rows] == [0.0, 0.5, 1.0, 2.0]
 
+    def test_sweep_param_no_term_of_the_mode_reads(self, tmp_path, capsys):
+        # the binary objective has no rebalance term, so omega_cont scales nothing
+        config = write_json(tmp_path / "cfg.json", SMALL_TRAIN)
+        assert cli.main(["sweep", "--config", config, "--param", "omega_cont", "--grid", "1",
+                         "--out", str(tmp_path / "s")]) == 2
+        assert "--param omega_cont: no term of the binary objective" in capsys.readouterr().err
+
     def test_sweep_bad_param_exit_2(self, tmp_path):
         config = write_json(tmp_path / "cfg.json", SMALL_TRAIN)
         rc = cli.main(["sweep", "--config", config, "--param", "lr",
@@ -432,6 +439,24 @@ def _nan_parameter(command, name):
     return make_argv
 
 
+def _section(section, **changes):
+    """`sd2 train` of SMALL_TRAIN with fields of one config section changed."""
+    return lambda tmp, run, data: ["train", "--config", _config(
+        tmp, **{section: {**SMALL_TRAIN[section], **changes}})]
+
+
+def _checkpoint_config(**changes):
+    """`sd2 evaluate` of the trained checkpoint with fields of its manifest's
+    config changed."""
+    def make_argv(tmp, run, data):
+        manifest, payload = (run / "checkpoint.bin").read_bytes().split(b"\n", 1)
+        record = json.loads(manifest)
+        record["config"].update(changes)
+        (tmp / "edited.bin").write_bytes(json.dumps(record).encode() + b"\n" + payload)
+        return ["evaluate", "--checkpoint", str(tmp / "edited.bin"), "--data", str(data)]
+    return make_argv
+
+
 def _drop_truth(path):
     (path / "truth.csv").unlink()
 
@@ -537,6 +562,21 @@ FAILURES = {
         "generate", "--spec", write_json(tmp / "spec.json", {
             "kind": "twins", "csv_path": str(dg.fixture_path()),
             "m_columns": list(dg.FIXTURE_M_COLUMNS), "hide_count": 4.0})], 2),
+    # a config's and a checkpoint's integer fields hold integers, and a bool is not one
+    "arch_float_rep_dim": (_section("arch", rep_dim=4.5), 2),
+    "arch_float_enc_hidden": (_section("arch", enc_hidden=8.0), 2),
+    "arch_bool_enc_layers": (_section("arch", enc_layers=True), 2),
+    "arch_float_head_hidden": (_section("arch", head_hidden=4.5), 2),
+    "train_float_batch_size": (_section("train", batch_size=64.5), 2),
+    "train_float_max_epochs": (_section("train", max_epochs=2.5), 2),
+    "train_bool_patience": (_section("train", patience=True), 2),
+    "train_float_seed": (_section("train", seed=5.5), 2),
+    "checkpoint_float_input_dim": (_checkpoint_config(input_dim=5.0), 2),
+    "checkpoint_float_rep_dim": (_checkpoint_config(rep_dim=4.0), 2),
+    "checkpoint_float_enc_hidden": (_checkpoint_config(enc_hidden=8.0), 2),
+    "checkpoint_float_enc_layers": (_checkpoint_config(enc_layers=1.0), 2),
+    "checkpoint_bool_enc_layers": (_checkpoint_config(enc_layers=True), 2),
+    "checkpoint_float_head_hidden": (_checkpoint_config(head_hidden=4.0), 2),
     # a checkpoint parameter holding a NaN is rejected, read by the command or not
     "evaluate_nan_head_y": (_nan_parameter("evaluate", "head_y.l1.b"), 2),
     "evaluate_nan_head_y_c": (_nan_parameter("evaluate", "head_y_c.l1.b"), 2),
@@ -649,6 +689,26 @@ FAILURE_FIELDS = {
     "binary_float_seed": "seed must be an integer, got 2.5",
     "binary_bool_n": "n must be an integer, got True",
     "twins_float_hide_count": "hide_count must be an integer, got 4.0",
+    "arch_float_rep_dim": "config section 'arch': rep_dim must be an integer, got 4.5",
+    "arch_float_enc_hidden": "config section 'arch': enc_hidden must be an integer, got 8.0",
+    "arch_bool_enc_layers": "config section 'arch': enc_layers must be an integer, got True",
+    "arch_float_head_hidden": "config section 'arch': head_hidden must be an integer, got 4.5",
+    "train_float_batch_size": "config section 'train': batch_size must be an integer, got 64.5",
+    "train_float_max_epochs": "config section 'train': max_epochs must be an integer, got 2.5",
+    "train_bool_patience": "config section 'train': patience must be an integer, got True",
+    "train_float_seed": "config section 'train': seed must be an integer, got 5.5",
+    "checkpoint_float_input_dim": "checkpoint manifest field 'config': input_dim must be an "
+                                  "integer, got 5.0",
+    "checkpoint_float_rep_dim": "checkpoint manifest field 'config': rep_dim must be an "
+                                "integer, got 4.0",
+    "checkpoint_float_enc_hidden": "checkpoint manifest field 'config': enc_hidden must be an "
+                                   "integer, got 8.0",
+    "checkpoint_float_enc_layers": "checkpoint manifest field 'config': enc_layers must be an "
+                                   "integer, got 1.0",
+    "checkpoint_bool_enc_layers": "checkpoint manifest field 'config': enc_layers must be an "
+                                  "integer, got True",
+    "checkpoint_float_head_hidden": "checkpoint manifest field 'config': head_hidden must be an "
+                                    "integer, got 4.0",
     "evaluate_nan_head_y": "checkpoint parameter 'head_y.l1.b' is not finite",
     "evaluate_nan_head_y_c": "checkpoint parameter 'head_y_c.l1.b' is not finite",
     "attribute_nan_head_y": "checkpoint parameter 'head_y.l1.b' is not finite",
@@ -692,6 +752,37 @@ def test_failure_writes_failed_manifest(case, trained_run, tmp_path):
     assert manifest["status"] == "failed"
     assert manifest["error"]
     assert FAILURE_FIELDS.get(case, "") in manifest["error"]
+
+
+# every subcommand, each writing into its run directory what it writes
+ARTIFACT_COMMANDS = {
+    "generate": lambda tmp, run, data: [
+        "generate", "--spec", write_json(tmp / "spec.json", SMALL_TRAIN["dataset"])],
+    "generate_triple": lambda tmp, run, data: [
+        "generate", "--spec", write_json(tmp / "spec.json", SMALL_TRAIN["dataset"]),
+        "--triple"],
+    "train": lambda tmp, run, data: ["train", "--config", _config(tmp)],
+    "evaluate": lambda tmp, run, data: [
+        "evaluate", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data)],
+    "replicate": lambda tmp, run, data: ["replicate", "--config", _config(tmp), "--reps", "1"],
+    "ablate": lambda tmp, run, data: [
+        "ablate", "--config", _config(tmp), "--reps", "1", "--variants", "Lp,Total"],
+    "attribute": lambda tmp, run, data: [
+        "attribute", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data)],
+    "verify": lambda tmp, run, data: ["verify", "--joints", "3"],
+    "sweep": lambda tmp, run, data: [
+        "sweep", "--config", _config(tmp), "--param", "gamma", "--grid", "0,1", "--reps", "1"],
+}
+
+
+@pytest.mark.parametrize("command", ARTIFACT_COMMANDS)
+def test_manifest_lists_every_artifact(command, trained_run, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main([*ARTIFACT_COMMANDS[command](tmp_path, *trained_run),
+                     "--out", str(out)]) == 0
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert sorted(artifacts) == sorted(str(path) for path in out.rglob("*")
+                                       if path.is_file() and path.name != "manifest.json")
 
 
 def test_diverged_step_names_epoch_batch_and_term(tmp_path):

@@ -1,4 +1,6 @@
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from sd2 import model as M
 from sd2 import rng
 from sd2 import training as tr
 from sd2.family import BERNOULLI, PROB_FLOOR, Gaussian
-from sd2.model import HeadOutputs, Representations
+from sd2.model import HeadOutputs
 
 LN2 = np.log(2.0)
 
@@ -24,9 +26,9 @@ def col(tape, values):
 
 
 def binary_outputs(tape, q_t, q_t_z, q_t_c, q_y, q_y_a, q_y_c, r_a=None):
-    reps = None if r_a is None else Representations(None, None, r_a)
-    return HeadOutputs(col(tape, q_t), col(tape, q_t_z), col(tape, q_t_c),
-                       col(tape, q_y), col(tape, q_y_a), col(tape, q_y_c), reps=reps)
+    return HeadOutputs(q_t=col(tape, q_t), q_t_z=col(tape, q_t_z), q_t_c=col(tape, q_t_c),
+                       q_y=col(tape, q_y), q_y_a=col(tape, q_y_a), q_y_c=col(tape, q_y_c),
+                       r_a=r_a)
 
 
 def gaussian(tape, mean, log_std):
@@ -34,8 +36,8 @@ def gaussian(tape, mean, log_std):
 
 
 def continuous_outputs(t_hat, t_hat_z, t_hat_c, t_hat_a, t_hat_cr, y_hat, y_hat_a, y_hat_c):
-    return HeadOutputs(t_hat, t_hat_z, t_hat_c, y_hat, y_hat_a, y_hat_c,
-                       q_t_a=t_hat_a, q_t_cr=t_hat_cr)
+    return HeadOutputs(q_t=t_hat, q_t_z=t_hat_z, q_t_c=t_hat_c, q_y=y_hat, q_y_a=y_hat_a,
+                       q_y_c=y_hat_c, q_t_a=t_hat_a, q_t_cr=t_hat_cr)
 
 
 class TestImportanceWeights:
@@ -262,13 +264,6 @@ class TestTotalLossBinary:
         t, y = small_batch()
         with pytest.raises(ValueError, match="weight count"):
             L.total_loss_binary(outs, t, y, np.ones(5), L.LossWeights(), params)
-
-    def test_non_binary_treatment_rejected(self):
-        tape = ad.Tape()
-        outs, params = random_binary_setup(tape)
-        _, y = small_batch()
-        with pytest.raises(ValueError, match="0, 1"):
-            L.total_loss_binary(outs, np.full(8, 0.5), y, np.ones(8), L.LossWeights(), params)
 
     def test_continuous_total_rejects_binary_outputs(self):
         tape = ad.Tape()
@@ -792,6 +787,58 @@ class TestDeclaredTermReads:
             kept = {"factual_y", "total", *(other.name for other in sharing)}
             assert {f for f in bd.FIELDS if getattr(bd, f) is not None} == \
                 kept | ({"rebalance"} if mode == "binary" else set())
+
+
+    @pytest.mark.parametrize("variant", tr.VARIANTS)
+    @pytest.mark.parametrize("mode", ["binary", "continuous"])
+    def test_objective_reads_only_the_declared_outputs(self, mode, variant):
+        # the objective from outputs holding only what the kept terms read,
+        # every other field None, has the bits of the one from all outputs
+        weights = tr.apply_ablation(tr.TrainConfig(weights=OBJECTIVE_WEIGHTS), variant).weights
+        model = M.init_model(M.ArchConfig(input_dim=5, mode=mode, **OBJECTIVE_ARCH), 3)
+        x = rng.normal_matrix(31, 48, 5)
+        t = TREATMENT_LAYOUTS[mode, "alternating" if mode == "binary" else "normal"](48)
+        read = L.read_outputs(mode, weights, importance_weighted=False)
+
+        def run(stripped):
+            tape = ad.Tape()
+            params = M.bind(model, tape)
+            covered = M.params_read_by(params, read)
+            if mode == "binary":
+                out = M.forward_binary(model, x, t, tape, params)
+            else:
+                out = M.forward_continuous(model, x, t, tape, params)
+            if stripped:
+                out = M.HeadOutputs(**{name: getattr(out, name) for name in read})
+                assert {k for k, v in out._asdict().items() if v is not None} == set(read)
+            if mode == "binary":
+                bd = L.total_loss_binary(out, t, rng.bernoulli(33, np.full(48, 0.4)),
+                                         1.0 + rng.uniforms(35, 0, 48), weights, covered)
+            else:
+                bd = L.total_loss_continuous(out, t, rng.normals(34, 0, 48), weights, covered)
+            return bd, tape.gradients(bd.node)[1]
+
+        (got, got_grads), (want, want_grads) = run(True), run(False)
+        assert [getattr(got, f) for f in got.FIELDS] == [getattr(want, f) for f in want.FIELDS]
+        assert all(a is b is None or np.array_equal(a, b)
+                   for a, b in zip(got.per_sample, want.per_sample))
+        assert list(got_grads) == list(want_grads)
+        assert all(np.array_equal(got_grads[k], want_grads[k]) for k in got_grads)
+
+    def test_no_function_names_a_forward_output(self):
+        # TERMS alone says which outputs a term reads; its function is given them
+        tree = ast.parse(Path(L.__file__).read_text())
+        outputs = set(M.HeadOutputs._fields)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                nodes = list(ast.walk(fn))
+                attributes = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+                named = {n.id for n in nodes if isinstance(n, ast.Name)} | \
+                    {n.arg for n in nodes if isinstance(n, ast.arg)} | \
+                    {n.value for n in nodes if isinstance(n, ast.Constant)
+                     and isinstance(n.value, str)}
+                assert not (named | attributes) & outputs, fn.name
+                assert not attributes & {"out", "reps"}, fn.name
 
 
 FAILURE_ROWS = 6

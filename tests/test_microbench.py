@@ -158,16 +158,17 @@ def test_objective(benchmark, mode):
     def run(losses):
         tape = ad.Tape()
         params = M.bind(model, tape)
-        heads = [None if h is None else F.FAMILIES[mode].head(tape.parameter(
+        heads = {name: F.FAMILIES[mode].head(tape.parameter(
                      np.hstack([h.mean.value, h.log_std.value]) if mode == "continuous"
                      else h.value, f"head{i}"))
-                 for i, h in enumerate(outputs[:8])]
+                 for i, (name, h) in enumerate(outputs._asdict().items())
+                 if h is not None and name not in M.Representations._fields}
         if mode == "binary":
-            reps = M.Representations(None, None, tape.parameter(outputs.reps.r_a.value, "r_a"))
-            bd = losses.total_loss_binary(M.HeadOutputs(*heads, reps=reps), t, y,
+            r_a = tape.parameter(outputs.r_a.value, "r_a")
+            bd = losses.total_loss_binary(M.HeadOutputs(**heads, r_a=r_a), t, y,
                                           np.ones(len(t)), README_WEIGHTS, params)
         else:
-            bd = losses.total_loss_continuous(M.HeadOutputs(*heads), t, y, README_WEIGHTS,
+            bd = losses.total_loss_continuous(M.HeadOutputs(**heads), t, y, README_WEIGHTS,
                                               params)
         return tape.gradients(bd.node)
 

@@ -196,7 +196,7 @@ class TestTapeFreeInference:
         gc.disable()
         try:
             outs = forward(m, rand_x(n=50), t)
-            assert not outs.reps.r_c.tape.record
+            assert not outs.r_c.tape.record
             del outs
             assert gc.collect() == 0
         finally:
@@ -248,6 +248,11 @@ LAYER_COUNTS = {"enc_z": 3, "enc_c": 3, "enc_a": 3, "retain_t": 1, "retain_y": 1
 
 
 class TestDeclaredReads:
+    def test_output_fields_follow_the_table(self):
+        assert M.HeadOutputs._fields == tuple(net.output for net in M.NETWORKS if net.output)
+        assert M.Representations._fields == ("r_z", "r_c", "r_a")
+        assert all(field is None for field in M.HeadOutputs())
+
     @pytest.mark.parametrize("mode", ["binary", "continuous"])
     def test_each_output_needs_only_its_declared_networks(self, mode):
         # only those networks are bound, so reading another raises
@@ -259,13 +264,13 @@ class TestDeclaredReads:
         for name in names:
             tape = ad.Tape(record=False)
             out = forward(m, x, t, tape, M.bind(m, tape, M.networks((name,))), (name,))
-            heads = {k: v for k, v in out._asdict().items() if k != "reps"}
-            built = {**heads, **out.reps._asdict()}
+            heads = {k: v for k, v in out._asdict().items()
+                     if k not in M.Representations._fields}
             assert [k for k, v in heads.items() if v is not None] == \
                 ([] if name in M.Representations._fields else [name])
-            want = {**full._asdict(), **full.reps._asdict()}[name]
             assert all(np.array_equal(a, b) for a, b in
-                       zip(_tensor_values((built[name],)), _tensor_values((want,))))
+                       zip(_tensor_values((getattr(out, name),)),
+                           _tensor_values((getattr(full, name),))))
 
     @pytest.mark.parametrize("mode", ["binary", "continuous"])
     def test_parameter_order(self, mode, tmp_path):
@@ -361,7 +366,8 @@ class TestRowBlocks:
         q_y_mean = (recorded.q_y.mean if mode == "continuous" else recorded.q_y).value[:, 0]
         assert np.array_equal(M.predict_outcome(m, x, do_value), q_y_mean)
         reps = M.encode(m, x)
-        assert all(np.array_equal(a, b.value) for a, b in zip(reps, recorded.reps))
+        assert all(np.array_equal(a, getattr(recorded, r).value)
+                   for a, r in zip(reps, M.Representations._fields))
 
 
 def _edit_enc_c(m, x, adam):

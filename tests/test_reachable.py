@@ -1,9 +1,9 @@
-"""Every module-level function and every method of a package class is reached
-by name from outside its own body: from a module of the package, the CLI entry
-point, scripts/, perfbench/ or a name the README quotes as code.  A method
-counts as reached when any of them reads an attribute of its name; dunder
-methods, which Python calls itself, are exempt.  Code that nothing calls is
-deleted; oracles that only tests call live in tests/."""
+"""Every module-level function, module-level constant and method of a package
+class is reached by name from outside its own definition: from a module of the
+package, the CLI entry point, scripts/, perfbench/ or a name the README quotes
+as code.  A method counts as reached when any of them reads an attribute of
+its name; dunder names, which Python reads itself, are exempt.  Code that
+nothing reads is deleted; oracles that only tests call live in tests/."""
 
 import ast
 import re
@@ -59,7 +59,7 @@ def _reads(tree: ast.Module, module: str, skip=None) -> set[tuple[str, str]]:
         if stmt is skip:
             continue
         for n in ast.walk(stmt):
-            if isinstance(n, ast.Name):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 found.add(imported.get(n.id, (module, n.id)))
             elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
                     and n.value.id in aliases:
@@ -81,11 +81,21 @@ def _attributes(node, skip=None) -> set[str]:
     return found
 
 
+def _constants(stmt) -> list[str]:
+    """The names a module-level assignment binds, dunder names aside."""
+    if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name) and not n.id.startswith("__")]
+
+
 def unreached(modules: dict[str, str], outside: set[str]) -> list[str]:
-    """``module.function`` for each module-level function of ``modules``
-    (name -> source) that no code reads, and ``module.Class.method`` for each
-    method whose name no code reads as an attribute: none in any module
-    outside the function's or method's own body, and no name in ``outside``."""
+    """``module.name`` for each module-level function or constant of
+    ``modules`` (name -> source) that no code reads, and
+    ``module.Class.method`` for each method whose name no code reads as an
+    attribute: none in any module outside the function's body, the
+    constant's assignment or the method's body, and no name in ``outside``."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     reads = {name: _reads(tree, name) for name, tree in trees.items()}
     attributes = {name: _attributes(tree) for name, tree in trees.items()}
@@ -101,6 +111,9 @@ def unreached(modules: dict[str, str], outside: set[str]) -> list[str]:
             elif (isinstance(fn, ast.FunctionDef) and fn.name not in outside
                   and (name, fn.name) not in others | _reads(tree, name, skip=fn)):
                 found.append(f"{name}.{fn.name}")
+            else:
+                found += [f"{name}.{c}" for c in _constants(fn) if c not in outside
+                          and (name, c) not in others | _reads(tree, name, skip=fn)]
     return sorted(found)
 
 
@@ -118,24 +131,28 @@ def outside_callers() -> set[str]:
 
 def test_detector_flags_unreached_functions():
     modules = {
-        "a": "def used():\n    return 1\n\ndef unused():\n    return used()\n\n"
+        "a": "def used():\n    UNUSED = 1  # a store is not a read\n    return 1\n\n"
+             "def unused():\n    return used()\n\n"
              "def recursive(n):\n    return recursive(n - 1)\n\n"
              "def by_table():\n    pass\n\nTABLE = {'f': by_table}\n\n"
              "def imported():\n    pass\n\ndef by_alias():\n    pass\n\n"
-             "def same_name():\n    pass\n",
+             "def same_name():\n    pass\n\n"
+             "USED = 1\nUNUSED = 2\nLOCAL = 3\nDERIVED = LOCAL\nALIASED, QUOTED = 4, 5\n"
+             "ANNOTATED: int = 6\n__dunder__ = 7\n",
         "b": "from . import a as m\nfrom .a import imported\n\n"
              "def helper():\n    pass\n\n"
-             "def main():\n    helper(imported, m.by_alias)\n\n"
+             "def main():\n    helper(imported, m.by_alias, m.ALIASED)\n\n"
              "def same_name():\n    return same_name\n\n"
              "class K:\n    def __init__(self):\n        self.called()\n\n"
              "    def called(self):\n        pass\n\n"
              "    def self_only(self):\n        return self.self_only()\n\n"
              "    def elsewhere(self):\n        pass\n\n"
              "    def quoted(self):\n        pass\n",
-        "c": "def main(k):\n    return k.elsewhere\n",
+        "c": "from .a import USED\n\ndef main(k):\n    return k.elsewhere, USED\n",
     }
-    assert unreached(modules, {"main", "quoted"}) == [
-        "a.recursive", "a.same_name", "a.unused", "b.K.self_only", "b.same_name"]
+    assert unreached(modules, {"main", "quoted", "QUOTED", "TABLE"}) == [
+        "a.ANNOTATED", "a.DERIVED", "a.UNUSED", "a.recursive", "a.same_name", "a.unused",
+        "b.K.self_only", "b.same_name"]
     assert "b.main" in unreached(modules, set())
 
 
