@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 config/schema, 3 I/O, 4 numerical failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import multiprocessing as mp
 import os
@@ -83,7 +84,16 @@ def _out_dir(args) -> Path | None:
     root = os.environ.get(OUT_ROOT_ENV)
     if not root:
         raise ConfigError("no --out given and SD2_OUT_ROOT is not set")
-    return Path(root) / f"{args.command}-{int(time.time())}"
+    # a new directory per run: one started in the same second gets -1, -2, ..
+    stem = Path(root) / f"{args.command}-{int(time.time())}"
+    stem.parent.mkdir(parents=True, exist_ok=True)
+    for k in itertools.count():
+        out = Path(f"{stem}-{k}") if k else stem
+        try:
+            out.mkdir()
+            return out
+        except FileExistsError:
+            pass
 
 
 def _build_section(cls, section: dict, name: str):
@@ -120,12 +130,9 @@ def build_train_config(raw: dict) -> TrainConfig:
     arch = _build_section(ArchConfig, {**arch_raw, "input_dim": 1, "mode": mode}, "arch")
     weights = _build_section(LossWeights, raw.get("weights", {}), "weights")
     optimizer = _build_section(tr.OptimizerConfig, raw.get("optimizer", {}), "optimizer")
-    train_raw = dict(raw.get("train", {}))
     try:
-        if "split_ratios" in train_raw:
-            train_raw["split_ratios"] = tuple(train_raw["split_ratios"])
         return TrainConfig(mode=mode, arch=arch, weights=weights, optimizer=optimizer,
-                           dataset=raw.get("dataset"), **train_raw)
+                           dataset=raw.get("dataset"), **raw.get("train", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config section 'train': {exc}") from exc
 
@@ -198,7 +205,7 @@ def cmd_generate(args, run: Run) -> tuple[str, float]:
     for name, ds in sets:  # every file of the dataset directories is an artifact
         written = dg.write_dataset(ds, run.out / name).iterdir()
         run.artifacts += [str(path) for path in sorted(written) if path.name != "manifest.json"]
-    return "rows", -1 if isinstance(spec, dg.TwinsSpec) else spec.n
+    return "rows", ds.n
 
 
 def cmd_train(args, run: Run) -> tuple[str, float]:
@@ -237,15 +244,17 @@ def cmd_evaluate(args, run: Run) -> tuple[str, float]:
     for path, ds in scored.values():
         if not ds.has_ground_truth:
             raise ConfigError(f"{path / 'truth.csv'} not found: evaluate needs ground truth")
-    name = ev.metric_name(model.config.mode)
-    rows = [{"split": split, "metric": name, "value": ev.metric_for(model, ds)}
+    metric = ev.METRICS[model.config.mode]
+    rows = [{"split": split, "metric": metric.name, "value": metric.score(model, ds)}
             for split, (_, ds) in scored.items()]
     _write_report(run, "report", rows, rows)
-    return name, rows[-1]["value"]
+    return metric.name, rows[-1]["value"]
 
 
 def _one_replication(payload) -> dict:
-    """One replication end to end, for replicate, ablate and sweep alike.
+    """One replication end to end, for replicate, ablate and sweep alike:
+    train on the first set, select on the second, and score the headline
+    metric within-sample (train set) and out-of-sample (test set).
 
     Runs in the caller with --jobs 1 and in a pool worker otherwise; a failed
     run becomes a row with its error, so both give the same rows.
@@ -255,9 +264,11 @@ def _one_replication(payload) -> dict:
     row: dict = {"replication": index, "seed": seed_i}
     try:
         config = replace(config, seed=seed_i)
-        result = ev.protocol_run(config, tr.resolve_data(config, seed_i))
-        row.update(within=result["within"], out=result["out"],
-                   selected_epoch=result["history"].selected_epoch)
+        train_ds, val_ds, test_ds = tr.resolve_data(config, seed_i)
+        model, history = tr.train(config, train_ds, val_ds)
+        score = ev.METRICS[config.mode].score
+        row.update(within=score(model, train_ds), out=score(model, test_ds),
+                   selected_epoch=history.selected_epoch)
     except Exception as exc:  # noqa: BLE001 - a failed replication is data
         row["error"] = str(exc)
     return row
@@ -290,7 +301,7 @@ def _replicated(configs: list[TrainConfig], args, base_seed: int) -> list[tuple[
     for k, config in enumerate(configs):
         group = rows[k * args.reps:(k + 1) * args.reps]
         ok = [r for r in group if "error" not in r]
-        summary: dict = {"metric": ev.metric_name(config.mode), "replications": len(group),
+        summary: dict = {"metric": ev.METRICS[config.mode].name, "replications": len(group),
                          "failed": len(group) - len(ok)}
         for split in ("within", "out"):
             values = [r[split] for r in ok]

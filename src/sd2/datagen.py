@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
-from dataclasses import dataclass, asdict, field, fields, replace
+from dataclasses import dataclass, asdict, fields, replace
 from itertools import zip_longest
 from pathlib import Path
 
@@ -118,6 +118,8 @@ class TwinsSpec:
     The columns in `m_columns` drive the simulated treatment policy;
     `hide_count` of them are removed from the observed covariates to act as
     unobserved confounders.  The other columns it reads are the TWINS_* ones.
+    An M column is named once and is not a potential outcome (`mort_0`,
+    `mort_1`); `hide_count` and `mv` are nonnegative.
     """
     csv_path: str
     m_columns: tuple[str, ...]
@@ -127,6 +129,14 @@ class TwinsSpec:
 
     def __post_init__(self):
         check_integers(self)
+        for name in ("hide_count", "mv"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        for j, col in enumerate(self.m_columns):
+            if col in TWINS_OUTCOME_COLUMNS:
+                raise ValueError(f"m_columns names {col!r}, a potential outcome")
+            if col in self.m_columns[:j]:
+                raise ValueError(f"m_columns names {col!r} more than once")
         if self.hide_count >= len(self.m_columns):
             raise ValueError("hide_count must be smaller than the number of M columns")
 
@@ -145,7 +155,6 @@ class GeneratedDataset:
     surface_a: np.ndarray | None = None   # continuous: per-row sum of adjustment latents
     surface_c: np.ndarray | None = None   # continuous: per-row sum of confounder latents
     beta: float | None = None
-    latents: dict[str, np.ndarray] | None = field(default=None, repr=False)
     spec: dict | None = None
 
     def __post_init__(self):
@@ -211,8 +220,7 @@ class GeneratedDataset:
         pick = lambda a: None if a is None else a[idx]
         return replace(self, x=self.x[idx], v=self.v[idx], t=self.t[idx], y=self.y[idx],
                        roles=list(self.roles), p1=pick(self.p1), p0=pick(self.p0),
-                       surface_a=pick(self.surface_a), surface_c=pick(self.surface_c),
-                       latents=None)
+                       surface_a=pick(self.surface_a), surface_c=pick(self.surface_c))
 
 
 def gen_binary(spec: SyntheticSpec) -> GeneratedDataset:
@@ -235,8 +243,7 @@ def gen_binary(spec: SyntheticSpec) -> GeneratedDataset:
     x = np.concatenate([lat["z"], lat["c"], lat["a"]], axis=1)
     roles = ["z"] * spec.mz + ["c"] * spec.mc + ["a"] * spec.ma
     return GeneratedDataset(mode="binary", x=x, v=lat["v"], t=t, y=y, roles=roles,
-                            p1=p1, p0=p0, latents=lat,
-                            spec={"kind": "synthetic_binary", **asdict(spec)})
+                            p1=p1, p0=p0, spec={"kind": "synthetic_binary", **asdict(spec)})
 
 
 def demand_response(t: np.ndarray) -> np.ndarray:
@@ -268,9 +275,7 @@ def gen_continuous(spec: DemandSpec) -> GeneratedDataset:
     roles = ["z"] * spec.mz + ["c"] * spec.mc + ["a"] * spec.ma
     return GeneratedDataset(mode="continuous", x=x, v=np.zeros((n, 0)), t=t, y=y,
                             roles=roles, surface_a=sum_a, surface_c=sum_c,
-                            beta=spec.beta,
-                            latents={"z": z, "c": c, "a": a, "u": u},
-                            spec={"kind": "demand", **asdict(spec)})
+                            beta=spec.beta, spec={"kind": "demand", **asdict(spec)})
 
 
 def true_ate(dataset: GeneratedDataset) -> float:
@@ -386,22 +391,13 @@ def twins_transform(spec: TwinsSpec) -> GeneratedDataset:
                             p1=p1, p0=p0, spec=spec_record)
 
 
-def check_split_ratios(ratios: tuple[float, float, float]) -> None:
-    """Raise ValueError unless the (train, val, test) shares are positive and sum to 1."""
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split_ratios must be three positive numbers summing to 1, "
-                         f"got {list(ratios)}")
-
-
-def split(dataset: GeneratedDataset, ratios: tuple[float, float, float],
+def split(dataset: GeneratedDataset,
           seed: int) -> tuple[GeneratedDataset, GeneratedDataset, GeneratedDataset]:
-    """Disjoint train/val/test partition with sizes rounded from ratios."""
-    check_split_ratios(ratios)
+    """Disjoint train/val/test partition: the train and val sizes are rounded
+    from `SPLIT_RATIOS`, and test takes the rest."""
     n = dataset.n
-    n0 = int(round(ratios[0] * n))
-    n1 = int(round(ratios[1] * n))
-    if n0 + n1 > n:
-        raise ValueError("ratios leave no test rows")
+    n0 = int(round(SPLIT_RATIOS[0] * n))
+    n1 = int(round(SPLIT_RATIOS[1] * n))
     perm = rng.permutation(rng.mix_key(seed, "split"), n)
     return (dataset.subset(perm[:n0]), dataset.subset(perm[n0:n0 + n1]),
             dataset.subset(perm[n0 + n1:]))
@@ -420,6 +416,8 @@ DATASET_KINDS = {
     "twins": (TwinsSpec, twins_transform),
 }
 SPLITS = ("train", "val", "test")  # the sets of a triple, in order
+# the (train, val, test) shares `split` gives one dataset, as in CFR-style benchmarks
+SPLIT_RATIOS = (0.63, 0.27, 0.10)
 
 
 def spec_from_ref(ref: dict | None) -> SyntheticSpec | DemandSpec | TwinsSpec:

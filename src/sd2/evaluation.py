@@ -1,15 +1,15 @@
-"""Metrics and protocols: treatment-effect bias, counterfactual MSE over a
-do-grid, first-layer attribution, replication aggregation."""
+"""Metrics: treatment-effect bias, counterfactual MSE over a do-grid, each
+mode's headline metric, first-layer attribution, replication aggregation."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import datagen as dg
 from .model import NETWORK_OF, SD2Model, predict_outcome
-from .training import TrainConfig, train
 
 
 def eps_ate(model: SD2Model, dataset: dg.GeneratedDataset) -> float:
@@ -50,6 +50,15 @@ def counterfactual_mse(model: SD2Model, dataset: dg.GeneratedDataset,
         err += float(np.mean((predicted - dataset.surface(float(tv))) ** 2))
     return err / len(np.atleast_1d(grid))
 
+
+class Metric(NamedTuple):
+    """A mode's headline metric: the name reports give it and its scorer."""
+    name: str
+    score: Callable[[SD2Model, dg.GeneratedDataset], float]
+
+
+METRICS = {"binary": Metric("eps_ate", eps_ate),
+           "continuous": Metric("mse", counterfactual_mse)}
 
 FACTORS = ("z", "c", "a")
 
@@ -104,29 +113,3 @@ def aggregate(values: list[float]) -> tuple[float, float, str]:
     mean = float(arr.mean())
     std = float(arr.std(ddof=0))
     return mean, std, f"{mean:.3f}({std:.3f})"
-
-
-def metric_name(mode: str) -> str:
-    """Name of the headline metric `metric_for` reports in this mode."""
-    return "eps_ate" if mode == "binary" else "mse"
-
-
-def metric_for(model: SD2Model, dataset: dg.GeneratedDataset) -> float:
-    if model.config.mode == "binary":
-        return eps_ate(model, dataset)
-    return counterfactual_mse(model, dataset)
-
-
-def protocol_run(config: TrainConfig,
-                 triple: tuple[dg.GeneratedDataset, dg.GeneratedDataset, dg.GeneratedDataset]
-                 ) -> dict:
-    """Train on the first split, select on the second, report the headline
-    metric within-sample (train split) and out-of-sample (test split)."""
-    train_ds, val_ds, test_ds = triple
-    model, history = train(config, train_ds, val_ds)
-    return {
-        "model": model,
-        "history": history,
-        "within": metric_for(model, train_ds),
-        "out": metric_for(model, test_ds),
-    }

@@ -60,11 +60,9 @@ class TrainConfig:
     seed: int = 0
     variant: str = "Total"
     dataset: dict | None = None
-    split_ratios: tuple[float, float, float] = (0.63, 0.27, 0.10)
 
     def __post_init__(self):
         dg.check_integers(self)
-        dg.check_split_ratios(self.split_ratios)
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         for name in ("max_epochs", "patience"):
@@ -298,7 +296,7 @@ def resolve_data(config: TrainConfig, seed: int
 
     Synthetic and demand references draw three independent sets per seed; a
     `dir` triple is used as it is; one `dir` dataset, or twins, is split by
-    ``config.split_ratios``, afresh per seed.  A dataset whose mode is not the
+    `dg.SPLIT_RATIOS`, afresh per seed.  A dataset whose mode is not the
     config's raises SchemaError."""
     spec = dataset_spec(config.dataset)
     if spec is None:
@@ -310,5 +308,4 @@ def resolve_data(config: TrainConfig, seed: int
     for ds in data:
         if ds.mode != config.mode:
             raise dg.SchemaError(f"dataset mode {ds.mode!r} != config mode {config.mode!r}")
-    return data if len(data) == 3 else dg.split(data[0], config.split_ratios,
-                                                 rng.mix_key(seed, "split"))
+    return data if len(data) == 3 else dg.split(data[0], rng.mix_key(seed, "split"))

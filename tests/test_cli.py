@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -10,7 +11,8 @@ from sd2 import cli
 from sd2 import datagen as dg
 from sd2 import evaluation as ev
 from sd2 import training as tr
-from sd2.model import checkpoint_load, checkpoint_save
+from sd2.losses import LossWeights
+from sd2.model import ArchConfig, checkpoint_load, checkpoint_save
 
 
 def write_json(path, payload):
@@ -71,6 +73,30 @@ class TestGenerate:
                          "--triple"]) == 0
         for name in ("train", "val", "test"):
             assert (out / name / "data.csv").exists()
+
+    def test_twins_rows_metric(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", {
+            "kind": "twins", "csv_path": str(dg.fixture_path()),
+            "m_columns": list(dg.FIXTURE_M_COLUMNS)})
+        out = tmp_path / "twins"
+        assert cli.main(["generate", "--spec", spec, "--out", str(out)]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last == f"METRIC rows={dg.read_dataset(out).n:.6f}"
+
+    def test_out_root_gives_each_run_a_new_directory(self, tmp_path, monkeypatch,
+                                                     syn_spec_file):
+        # two runs started in the same second do not share a directory
+        monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path / "runs"))
+        monkeypatch.setattr(cli.time, "time", lambda: 1792420515.0)
+        demand = write_json(tmp_path / "demand.json", {"kind": "demand", "n": 40, "seed": 2})
+        assert cli.main(["generate", "--spec", syn_spec_file, "--triple"]) == 0
+        assert cli.main(["generate", "--spec", demand]) == 0
+        runs = sorted((tmp_path / "runs").iterdir())
+        assert [run.name for run in runs] == ["generate-1792420515", "generate-1792420515-1"]
+        for run in runs:
+            artifacts = json.loads((run / "manifest.json").read_text())["artifacts"]
+            assert sorted(artifacts) == sorted(str(path) for path in run.rglob("*")
+                                               if path.is_file() and path.name != "manifest.json")
 
     def test_idempotent(self, tmp_path, syn_spec_file):
         out = tmp_path / "data"
@@ -203,7 +229,7 @@ class TestEvaluate:
             rows = list(csv.DictReader(fh))
         assert [r["split"] for r in rows] == ["all"]
         model = checkpoint_load(run / "checkpoint.bin")
-        expected = ev.metric_for(model, dg.read_dataset(data / "test"))
+        expected = ev.eps_ate(model, dg.read_dataset(data / "test"))
         assert float(rows[0]["value"]) == expected
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert last == f"METRIC eps_ate={expected:.6f}"
@@ -415,6 +441,16 @@ def _grid_command(command, dataset):
                                    "--reps", "2", *extra[command]]
 
 
+def _twins_spec(command, **changes):
+    """`sd2 generate` of the fixture's twins spec, or `sd2 train` on it, with
+    spec fields changed."""
+    ref = {"kind": "twins", "csv_path": str(dg.fixture_path()),
+           "m_columns": list(dg.FIXTURE_M_COLUMNS), **changes}
+    if command == "generate":
+        return lambda tmp, run, data: ["generate", "--spec", write_json(tmp / "spec.json", ref)]
+    return lambda tmp, run, data: ["train", "--config", _config(tmp, dataset=ref)]
+
+
 def _evaluate_demand(edit):
     """`sd2 evaluate` of a freshly trained demand checkpoint on an edited demand
     directory."""
@@ -611,6 +647,12 @@ FAILURES = {
         2),
     "optimizer_beta1": (lambda tmp, run, data: [
         "train", "--config", _config(tmp, optimizer={"lr": 0.001, "beta1": 0.9})], 2),
+    # a twins spec's M columns are not outcomes and repeat none; its counts are >= 0
+    "twins_outcome_m_column": (_twins_spec("generate", m_columns=["gestat", "mort_1"]), 2),
+    "twins_repeated_m_column": (_twins_spec("train", m_columns=["gestat", "dmage", "gestat"],
+                                            hide_count=1), 2),
+    "twins_negative_hide_count": (_twins_spec("generate", hide_count=-1), 2),
+    "twins_negative_mv": (_twins_spec("train", mv=-2), 2),
     "twins_weight_columns": (lambda tmp, run, data: [
         "train", "--config", _config(tmp, dataset={
             "kind": "twins", "csv_path": str(dg.fixture_path()),
@@ -689,6 +731,10 @@ FAILURE_FIELDS = {
     "binary_float_seed": "seed must be an integer, got 2.5",
     "binary_bool_n": "n must be an integer, got True",
     "twins_float_hide_count": "hide_count must be an integer, got 4.0",
+    "twins_outcome_m_column": "m_columns names 'mort_1', a potential outcome",
+    "twins_repeated_m_column": "m_columns names 'gestat' more than once",
+    "twins_negative_hide_count": "hide_count must be nonnegative, got -1",
+    "twins_negative_mv": "mv must be nonnegative, got -2",
     "arch_float_rep_dim": "config section 'arch': rep_dim must be an integer, got 4.5",
     "arch_float_enc_hidden": "config section 'arch': enc_hidden must be an integer, got 8.0",
     "arch_bool_enc_layers": "config section 'arch': enc_layers must be an integer, got True",
@@ -943,6 +989,32 @@ class TestConfigParsing:
         assert cli.main(["train", "--config", config,
                          "--out", str(tmp_path / "r")]) == 2
         assert "variant 'Lp'" in capsys.readouterr().err
+
+    def test_settable_values(self):
+        # every value a config file or dataset spec sets; a new option edits this list
+        settable = [
+            "TrainConfig.mode", "TrainConfig.batch_size", "TrainConfig.max_epochs",
+            "TrainConfig.patience", "TrainConfig.seed", "TrainConfig.variant",
+            "ArchConfig.rep_dim", "ArchConfig.enc_hidden", "ArchConfig.enc_layers",
+            "ArchConfig.head_hidden",
+            "LossWeights.alpha", "LossWeights.beta", "LossWeights.gamma", "LossWeights.delta",
+            "LossWeights.omega_cont",
+            "OptimizerConfig.lr",
+            "SyntheticSpec.mv", "SyntheticSpec.mz", "SyntheticSpec.mc", "SyntheticSpec.ma",
+            "SyntheticSpec.mu", "SyntheticSpec.n", "SyntheticSpec.seed",
+            "DemandSpec.alpha", "DemandSpec.beta", "DemandSpec.mz", "DemandSpec.mc",
+            "DemandSpec.ma", "DemandSpec.n", "DemandSpec.seed",
+            "TwinsSpec.csv_path", "TwinsSpec.m_columns", "TwinsSpec.hide_count",
+            "TwinsSpec.mv", "TwinsSpec.seed",
+        ]
+        # the config's sections, whose fields are counted under their own classes
+        set_elsewhere = {"TrainConfig": {"arch", "weights", "optimizer", "dataset"},
+                         "ArchConfig": {"input_dim", "mode"}}  # from the data and the config
+        classes = (tr.TrainConfig, ArchConfig, LossWeights, tr.OptimizerConfig,
+                   *(cls for cls, _ in dg.DATASET_KINDS.values()))
+        assert [f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls)
+                if f.name not in set_elsewhere.get(cls.__name__, ())] == settable
+        assert len(settable) == 35
 
     @pytest.mark.parametrize("variant", tr.VARIANTS)
     def test_resolved_variant_round_trips(self, variant):

@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 
 from sd2 import datagen as dg
+from sd2 import rng
 
 
 def syn(n=2000, seed=0, **kw):
     return dg.gen_binary(dg.SyntheticSpec(n=n, seed=seed, **kw))
+
+
+def latent(seed, tag, n, dim):
+    """The latent a generator draws under the key ``latent/<tag>``."""
+    return rng.normal_matrix(rng.mix_key(seed, "latent/" + tag), n, dim)
 
 
 class TestGenBinary:
@@ -45,7 +51,7 @@ class TestGenBinary:
 
     def test_stored_probabilities_match_latents(self):
         ds = syn(n=300, seed=9)
-        lat = ds.latents
+        lat = {tag: latent(9, tag, 300, dim) for tag, dim in (("c", 4), ("a", 2), ("u", 2))}
         den = 2 + 4 + 2
         quad = (lat["a"] ** 2).sum(1) + (lat["c"] ** 2).sum(1) + (lat["u"] ** 2).sum(1)
         lin = lat["a"].sum(1) + lat["c"].sum(1) + lat["u"].sum(1)
@@ -58,7 +64,7 @@ class TestGenBinary:
     def test_hidden_latents_not_in_x(self):
         ds = syn(n=50, seed=2)
         assert ds.x.shape[1] == 10  # u never appears
-        assert np.array_equal(ds.x[:, :4], ds.latents["z"])
+        assert np.array_equal(ds.x[:, :4], latent(2, "z", 50, 4))
 
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
@@ -102,7 +108,7 @@ class TestGenContinuous:
     def test_surface_matches_structure(self):
         spec = dg.DemandSpec(alpha=0.0, beta=1.0, n=400, seed=11)
         ds = dg.gen_continuous(spec)
-        lat = ds.latents
+        lat = {tag: latent(11, tag, 400, 2) for tag in ("c", "a")}
         tv = 26.5
         expected = (dg.demand_response(np.array(tv)) * (1 + 0.5 * lat["a"].sum(1))
                     - 2 * tv + spec.beta * lat["c"].sum(1))
@@ -116,12 +122,12 @@ class TestGenContinuous:
 class TestSplit:
     def test_documented_sizes(self):
         ds = syn(n=1000, seed=1)
-        tr, va, te = dg.split(ds, (0.63, 0.27, 0.10), seed=5)
+        tr, va, te = dg.split(ds, seed=5)
         assert (tr.n, va.n, te.n) == (630, 270, 100)
 
     def test_partition(self):
         ds = syn(n=257, seed=1)
-        tr, va, te = dg.split(ds, (0.6, 0.2, 0.2), seed=5)
+        tr, va, te = dg.split(ds, seed=5)
         rows = np.vstack([tr.x, va.x, te.x])
         assert rows.shape[0] == 257
         # all original rows appear exactly once
@@ -129,14 +135,15 @@ class TestSplit:
 
     def test_same_seed_identical(self):
         ds = syn(n=100, seed=1)
-        a = dg.split(ds, (0.63, 0.27, 0.10), seed=7)
-        b = dg.split(ds, (0.63, 0.27, 0.10), seed=7)
+        a = dg.split(ds, seed=7)
+        b = dg.split(ds, seed=7)
         assert np.array_equal(a[0].x, b[0].x)
 
-    def test_invalid_ratios(self):
-        ds = syn(n=100, seed=1)
-        with pytest.raises(ValueError):
-            dg.split(ds, (0.5, 0.5, 0.5), seed=1)
+    def test_shares_never_exceed_the_rows(self):
+        # the rounded train and val shares leave the test set 0 rows or more
+        train, val, _ = dg.SPLIT_RATIOS
+        assert all(round(train * n) + round(val * n) <= n for n in range(1, 100_001))
+        assert [ds.n for ds in dg.split(syn(n=2, seed=1), seed=1)] == [1, 1, 0]
 
     def test_independent_triple(self):
         spec = dg.SyntheticSpec(n=200, seed=3)
@@ -383,6 +390,6 @@ class TestTwins:
 
     def test_split_ratio_sizes(self):
         ds = dg.twins_transform(dg.fixture_spec())
-        tr, va, te = dg.split(ds, (0.63, 0.27, 0.10), seed=1)
+        tr, va, te = dg.split(ds, seed=1)
         assert tr.n == round(0.63 * ds.n)
         assert tr.n + va.n + te.n == ds.n

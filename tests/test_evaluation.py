@@ -4,7 +4,6 @@ import pytest
 from sd2 import datagen as dg
 from sd2 import evaluation as ev
 from sd2 import rng
-from sd2 import training as tr
 from sd2.model import ArchConfig, init_model, predict_outcome
 
 
@@ -180,17 +179,3 @@ class TestAggregate:
         with pytest.raises(ValueError):
             ev.aggregate([])
 
-
-class TestProtocolRun:
-    def test_identical_train_test_equal_metrics(self):
-        cfg = tr.TrainConfig(
-            mode="binary",
-            arch=ArchConfig(input_dim=1, rep_dim=4, enc_hidden=8, head_hidden=4),
-            batch_size=64, max_epochs=2, patience=2, seed=5,
-            dataset={"kind": "synthetic_binary", "n": 200, "mz": 2, "mc": 2,
-                     "ma": 1, "mu": 1},
-        )
-        ds = dg.gen_binary(dg.SyntheticSpec(n=200, mz=2, mc=2, ma=1, mu=1, seed=9))
-        result = ev.protocol_run(cfg, (ds, ds, ds))
-        assert result["within"] == pytest.approx(result["out"], abs=1e-12)
-        assert result["history"].selected_epoch >= 0

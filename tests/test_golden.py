@@ -72,4 +72,4 @@ def test_trained_metric(key):
                          dataset=dataset)
     train, val, test = tr.resolve_data(cfg, cfg.seed)
     model, _ = tr.train(cfg, train, val)
-    assert ev.metric_for(model, test) == pytest.approx(TRAINED[key], rel=REL)
+    assert ev.METRICS[mode].score(model, test) == pytest.approx(TRAINED[key], rel=REL)

@@ -29,3 +29,19 @@ def test_detector_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a module's source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_metrics_module_imports_no_protocol_module():
+    # evaluation scores models; training and the CLI run the protocol around it
+    imported = package_imports((SRC / "evaluation.py").read_text())
+    assert imported & {"training", "cli"} == set()
+    assert "datagen" in imported

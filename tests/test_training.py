@@ -336,19 +336,18 @@ class TestResolveData:
         a, b, c = tr.resolve_data(cfg, 5)
         assert a.mode == "binary" and a.n > b.n > c.n
 
-    def test_twins_honours_split_ratios(self):
+    def test_twins_split_shares(self):
         # the fixture keeps 210 rows after its filters
-        cfg = tiny_config(dataset=TWINS_REF, split_ratios=(0.2, 0.2, 0.6))
+        cfg = tiny_config(dataset=TWINS_REF)
         a, b, c = tr.resolve_data(cfg, 5)
-        assert (a.n, b.n, c.n) == (42, 42, 126)
+        assert (a.n, b.n, c.n) == (132, 57, 21)
 
     def test_dir_reference(self, tmp_path):
         ds = dg.gen_binary(dg.SyntheticSpec(n=100, seed=3))
         dg.write_dataset(ds, tmp_path)
-        cfg = tiny_config(dataset={"kind": "dir", "path": str(tmp_path)},
-                          split_ratios=(0.6, 0.2, 0.2))
+        cfg = tiny_config(dataset={"kind": "dir", "path": str(tmp_path)})
         a, b, c = tr.resolve_data(cfg, 5)
-        assert (a.n, b.n, c.n) == (60, 20, 20)
+        assert (a.n, b.n, c.n) == (63, 27, 10)
         assert not np.array_equal(a.x, tr.resolve_data(cfg, 6)[0].x)  # re-split per seed
 
     def test_dir_triple_reference(self, tmp_path):
@@ -356,7 +355,7 @@ class TestResolveData:
         for name, ds in zip(dg.SPLITS, written):
             dg.write_dataset(ds, tmp_path / name)
         cfg = tiny_config(dataset={"kind": "dir", "path": str(tmp_path)})
-        for seed in (5, 6):  # used as it is, whatever the seed and split_ratios
+        for seed in (5, 6):  # used as it is, whatever the seed
             triple = tr.resolve_data(cfg, seed)
             assert [ds.n for ds in triple] == [60, 50, 40]
             assert all(np.array_equal(got.x, ds.x) and np.array_equal(got.y, ds.y)
@@ -396,9 +395,20 @@ class TestReplicate:
         direct_cfg = replace(cfg, seed=seed0)
         triple = tr.resolve_data(direct_cfg, seed0)
         direct_model, history = tr.train(direct_cfg, triple[0], triple[1])
-        assert row["within"] == ev.metric_for(direct_model, triple[0])
-        assert row["out"] == ev.metric_for(direct_model, triple[2])
+        assert row["within"] == ev.eps_ate(direct_model, triple[0])
+        assert row["out"] == ev.eps_ate(direct_model, triple[2])
         assert row["selected_epoch"] == history.selected_epoch
+
+    def test_identical_train_test_equal_metrics(self, tmp_path):
+        # a dir triple that holds one dataset three times scores the same in and out
+        ds = dg.gen_binary(dg.SyntheticSpec(n=200, mz=2, mc=2, ma=1, mu=1, seed=9))
+        for name in dg.SPLITS:
+            dg.write_dataset(ds, tmp_path / name)
+        cfg = tiny_config(max_epochs=2, patience=2,
+                          dataset={"kind": "dir", "path": str(tmp_path)})
+        row = cli._one_replication((cfg, 0, 5))
+        assert row["within"] == pytest.approx(row["out"], abs=1e-12)
+        assert row["selected_epoch"] >= 0
 
     def test_same_base_seed_identical_results(self):
         cfg, args = tiny_config(max_epochs=2, patience=2), SimpleNamespace(reps=2, jobs=1)
