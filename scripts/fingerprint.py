@@ -12,11 +12,11 @@ seed 3: binary and demand) print the sha256 of their `checkpoint.bin` and
 written by `datagen.write_dataset` through `sd2 train --data` (n=1,500,
 seed 4).  Each run also prints the sha256 of its parameters: the bytes of
 `checkpoint.bin` after the manifest line, which stay the same when only the
-manifest changes.  A last line gives one sha256 over the outputs of `predict_outcome`
-(every do-value of the dataset's grid), `encode` and `_eval_breakdown` for
-the two reference-trained models on fresh datasets of 1,000, 1,025, 4,097
-and 10,000 rows, row counts that put the forward passes on and around their
-row-block boundaries.  Then one line per mode and ablation variant gives the
+manifest changes.  Two more lines give one sha256 each for the two
+reference-trained models on fresh datasets of 1,000, 1,025, 4,097 and 10,000
+rows, row counts that put the forward passes on and around their row-block
+boundaries: one over the outputs of `predict_outcome` (every do-value of the
+dataset's grid), one over those of `encode` and `_eval_breakdown`.  Then one line per mode and ablation variant gives the
 sha256 of one recorded training step at the README arch and weights: its
 loss breakdown, per-sample factual losses and every parameter gradient, with
 a term the variant does not build hashed as a fixed token.  The
@@ -72,7 +72,7 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _hash_forward(digest, raw_config: dict, checkpoint: Path) -> None:
+def _hash_forward(predict, forward, raw_config: dict, checkpoint: Path) -> None:
     config = cli.build_train_config(raw_config)
     model = checkpoint_load(checkpoint)
     for n in FORWARD_ROWS:
@@ -80,12 +80,12 @@ def _hash_forward(digest, raw_config: dict, checkpoint: Path) -> None:
         x = ds.covariates()
         grid = (0.0, 1.0) if config.mode == "binary" else ev.default_grid(ds.t)
         for tv in grid:
-            digest.update(predict_outcome(model, x, float(tv)).tobytes())
+            predict.update(predict_outcome(model, x, float(tv)).tobytes())
         for rep in encode(model, x):
-            digest.update(rep.tobytes())
+            forward.update(rep.tobytes())
         bd, criterion = tr._eval_breakdown(config, model, ds)
         values = [getattr(bd, f) for f in bd.FIELDS] + [criterion]
-        digest.update(_hex(values))
+        forward.update(_hex(values))
 
 
 def _step_lines(mode: str) -> list[str]:
@@ -149,7 +149,7 @@ def _train(tmp: Path, name: str, raw: dict, *extra: str) -> Path | None:
 
 
 def main() -> int:
-    forward = hashlib.sha256()
+    predict, forward = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp_dir:
         tmp = Path(tmp_dir)
         for mode in DATASETS:
@@ -157,14 +157,16 @@ def main() -> int:
             out = _train(tmp, f"{mode}-factual", raw)
             if out is None:
                 return 1
-            _hash_forward(forward, raw, out / "checkpoint.bin")
+            _hash_forward(predict, forward, raw, out / "checkpoint.bin")
         data = tmp / "data"
         dg.write_dataset(dg.generate(dg.spec_from_ref({**DATASETS["binary"], "n": 1500,
                                                        "seed": 4})), data)
         if _train(tmp, "binary-data", _config("binary"), "--data", str(data)) is None:
             return 1
         files = _dataset_files_line(tmp / "files")
-    print(f"forward outputs at n={','.join(map(str, FORWARD_ROWS))} {forward.hexdigest()}")
+    rows = ','.join(map(str, FORWARD_ROWS))
+    print(f"predict_outcome at n={rows} {predict.hexdigest()}")
+    print(f"encode and validation at n={rows} {forward.hexdigest()}")
     for mode in DATASETS:
         print("\n".join(_step_lines(mode)))
     print(files)
