@@ -5,12 +5,12 @@ order), and `gradients` replays it backwards, accumulating exact adjoints.
 Shapes are explicit: no broadcasting beyond bias addition.  Values are checked
 for finiteness as nodes are created, so a NaN/Inf is reported at the operation
 that produced it; a value whose entries are all finite passes even when their
-sum overflows.  `dense` checks once, after the bias add: a non-finite product
-stays non-finite when a finite bias is added, and elu and sigmoid map finite
-values to finite ones.  Only when that check fails is the product recomputed,
-to name ``'matmul'`` or ``'add_bias'``.  The training objective
-(``losses.py``) checks only its total, and on failure names its first
-non-finite term.
+sum overflows.  `dense` checks once, after the bias add (`affine`): a
+non-finite product stays non-finite when a finite bias is added, and elu and
+sigmoid map finite values to finite ones.  Only when that check fails is the
+product recomputed, to name ``'matmul'`` or ``'add_bias'``.  The training
+objective (``losses.py``) checks only its total, and on failure names its
+first non-finite term.
 
 A tape made with ``record=False`` serves forward passes whose gradients nobody
 takes (prediction, validation): its nodes keep no parents or backward rules
@@ -233,44 +233,53 @@ def select_cols(a: Tensor, j: int) -> Tensor:
 ACTIVATIONS = ("identity", "elu", "sigmoid")
 
 
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b as a new array, with the shape checks of `matmul` and
+    `add_bias` and one finiteness check on the biased sum, which names
+    ``'matmul'`` or ``'add_bias'`` as composing them would."""
+    _check_matmul(x, w)
+    out = x @ w
+    _check_bias(out, b)
+    out += b
+    if not np.isfinite(out.sum()) and not np.isfinite(out).all():
+        # the biased sum holds a NaN or Inf: name the product if it does too
+        check_finite(x @ w, "matmul")
+        raise NonFiniteError("add_bias")
+    return out
+
+
+def activate(out: np.ndarray, activation: str):
+    """Apply the activation to ``out`` in place; return the rule that maps a
+    gradient of the result to one of its input (None for identity)."""
+    if activation == "identity":
+        return None
+    if activation == "elu":
+        ex = _elu_into(out, out)
+        return lambda g: g * ex
+    _sigmoid_into(out, out)
+    return lambda g: g * out * (1.0 - out)
+
+
 def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
     """activation(x @ w + b) as one node; activation in {identity, elu, sigmoid}.
 
     The bias and the activation are applied in place on the product, with the
     operations of `matmul`, `add_bias` and the activation in the same order,
     so values and gradients are bit-identical to composing them.  One
-    finiteness check on the biased sum stands for the product's, the sum's and
-    the activation's; a failure still names ``'matmul'`` or ``'add_bias'``, as
-    composing them would.  The backward rule takes the activation's derivative
-    once, then the three VJPs of the product and the bias.
+    finiteness check on the biased sum (`affine`) stands for the product's,
+    the sum's and the activation's; a failure still names ``'matmul'`` or
+    ``'add_bias'``, as composing them would.  The backward rule takes the
+    activation's derivative once, then the three VJPs of the product and the
+    bias.
     """
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
-    _check_matmul(x.value, w.value)
-    out = x.value @ w.value
-    _check_bias(out, b.value)
-    out += b.value
-    if not np.isfinite(out.sum()) and not np.isfinite(out).all():
-        # the biased sum holds a NaN or Inf: name the product if it does too
-        check_finite(x.value @ w.value, "matmul")
-        raise NonFiniteError("add_bias")
-    if activation == "identity":
-        name, pre_vjp = "add_bias", None
-    else:
-        name = activation
-        if activation == "elu":
-            ex = _elu_into(out, out)
-
-            def pre_vjp(g):
-                return g * ex
-        else:
-            _sigmoid_into(out, out)
-
-            def pre_vjp(g):
-                return g * out * (1.0 - out)
+    out = affine(x.value, w.value, b.value)
+    pre_vjp = activate(out, activation)
     return Tensor(x.tape, out, (x, w, b),
                   (lambda g: g @ w.value.T, lambda g: x.value.T @ g,
-                   lambda g: g.sum(axis=0)), name, pre_vjp, checked=True)
+                   lambda g: g.sum(axis=0)), "add_bias" if pre_vjp is None else activation,
+                  pre_vjp, checked=True)
 
 
 def glorot_init(key: int, fan_in: int, fan_out: int) -> np.ndarray:

@@ -141,7 +141,8 @@ def _closure(name: str) -> tuple[str, ...]:
 # the networks each output reads: a forward asked for some outputs runs only these
 READS = {output: _closure(name) for output, name in NETWORK_OF.items()}
 # the outcome head is the network that reads the treatment; predict_outcome
-# keeps its whole input, whose other columns the other networks it reads make
+# keeps its first layer's sum over its other inputs, which the other networks
+# it reads make
 _OUTCOME = next(net for net in NETWORKS if TREATMENT in net.inputs)
 _MEMO_NETWORKS = READS[_OUTCOME.output][:-1]
 _MEMO_PREFIXES = tuple(net + "." for net in _MEMO_NETWORKS)
@@ -207,14 +208,15 @@ def _steps(cfg: ArchConfig, outputs: tuple[str, ...] | None) -> tuple[tuple[Net,
 
 
 class _OutcomeMemo(NamedTuple):
-    """The outcome head's input as `predict_outcome` last fed it: one n x
-    fan-in array, its columns in the head's input order, the treatment
-    column holding the last do-value; and copies of what the other columns
-    were computed from: the config, the covariates and every parameter of the
-    networks that made them."""
+    """The outcome head's first-layer sum without its treatment term, as
+    `predict_outcome` last made it: one n x head_hidden array holding
+    ``R @ W_R + b``, where ``R`` is the head's input besides the treatment
+    and ``W_R`` the rows of its first weight matrix that ``R`` meets; and
+    copies of what it was computed from: the config, the covariates, every
+    parameter of the networks that made ``R``, ``W_R`` and ``b``."""
     config: ArchConfig
     key: list[np.ndarray]
-    inputs: np.ndarray
+    fixed: np.ndarray
 
 
 @dataclass
@@ -375,17 +377,21 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
     outcome head's treatment input; representations come from x only.
 
     Builds no tape and runs only the networks the outcome reads.  The outcome
-    head's whole input, ``[do-value | retain_y output]``, is kept on the model
-    for the last covariates scored, with copies of the covariates and of the
-    parameters that made retain_y's output: n x (input_dim + enc_hidden + 1)
-    floats, 5.7 MB for the 10,000 x 6 demand split.  A later call whose
-    covariates, parameters and config match the copies bit for bit (an Adam
-    step or an in-place edit does not) checks the do-value, writes it into
-    the treatment column and runs only head_y's two layers per row block, on
-    the same contiguous rows the full forward builds, so a sweep over
-    do-values equals a fresh model's bit for bit.  A hit writes only the
-    treatment column, and a call that raises keeps no new cache.  Concurrent
-    calls on one model are not supported: they would share that column.  The
+    head's first layer reads ``[t | R]``, ``R`` being retain_y's output, and
+    is applied as ``(R @ W_R + b) + t * w_t``: ``w_t`` is the treatment row
+    of its weights, ``W_R`` the other rows.  The fixed part ``R @ W_R + b`` is
+    kept on the model for the last covariates scored, with copies of the
+    covariates and of the parameters it was computed from (``w_t`` is not
+    one): n x (input_dim + head_hidden) floats, 3.0 MB for the 10,000 x 6
+    demand split.  A later call whose covariates, parameters and config match
+    the copies bit for bit (an Adam step or an in-place edit does not) adds
+    ``t * w_t`` to it and runs the ELU and head_y's other layers per row
+    block, on the same contiguous rows the full forward builds, so a sweep
+    over do-values equals a fresh model's bit for bit.  Against the recorded
+    forward pass, which sums the first layer's 1 + enc_hidden products in
+    one dot product, only the order of that sum differs, so an output can
+    move by its rounding carried through the ELU and the last layer.  A call
+    that raises keeps no new cache, and a hit writes nothing to it.  The
     cache is not model state: checkpoints, ``==`` and ``repr`` never see it.
     """
     cfg = model.config
@@ -398,27 +404,33 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
     tape = ad.Tape(record=False)
     blocks = _row_blocks(len(x))
     *memo_steps, (_, head_layers) = _steps(cfg, (_OUTCOME.output,))
-    columns = _columns(cfg, _OUTCOME)
-    key = [x] + [v for k, v in model.params.items() if k.startswith(_MEMO_PREFIXES)]
+    p = bind(model, tape, (_OUTCOME.name,))
+    (name, _, _, activation), *last_layers = head_layers
+    w, bias = p[name + ".W"].value, p[name + ".b"].value
+    treatment = _columns(cfg, _OUTCOME)[TREATMENT]
+    w_rest = np.delete(w, treatment, axis=0)
+    key = [x, *(v for k, v in model.params.items() if k.startswith(_MEMO_PREFIXES)),
+           w_rest, bias]
     memo = model._outcome_memo
     # equal bit patterns (-0.0 is not 0.0); a key never holds a NaN, which raises first
     if (memo is None or memo.config != cfg or len(memo.key) != len(key) or not all(
             np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(memo.key, key))):
-        p = bind(model, tape, _MEMO_NETWORKS)
-        inputs = np.empty((len(x), head_layers[0][1]))
+        p_memo = bind(model, tape, _MEMO_NETWORKS)
+        fixed = np.empty((len(x), len(bias)))
         for sl in blocks:
-            values = _build(cfg, p, tape, memo_steps, {COVARIATES: x[sl]})
-            for src, cols in columns.items():
-                if src != TREATMENT:
-                    inputs[sl, cols] = values[src].value
-        memo = _OutcomeMemo(cfg, [a.copy() for a in key], inputs)
-    memo.inputs[:, columns[TREATMENT]] = t_value
-    p = bind(model, tape, (_OUTCOME.name,))
+            values = _build(cfg, p_memo, tape, memo_steps, {COVARIATES: x[sl]})
+            parts = [values[src].value for src in _OUTCOME.inputs if src != TREATMENT]
+            r = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            fixed[sl] = ad.affine(r, w_rest, bias)
+        memo = _OutcomeMemo(cfg, [a.copy() for a in key], fixed)
+    shift = t_value * w[treatment]
     out = np.empty(len(x))
     for sl in blocks:
-        # checked already: the do-value above, the other columns as they were made
-        head_in = ad.Tensor(tape, memo.inputs[sl], name="const", checked=True)
-        out[sl] = _dense(p, head_layers, head_in).value[:, 0]
+        h = memo.fixed[sl] + shift
+        ad.check_finite(h, "matmul")  # the unsplit product would hold the NaN or Inf
+        ad.activate(h, activation)
+        h = ad.Tensor(tape, h, name=activation, checked=True)
+        out[sl] = _dense(p, last_layers, h).value[:, 0]
     model._outcome_memo = memo
     return out
 

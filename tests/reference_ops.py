@@ -15,6 +15,11 @@ term whose coefficient is 0 by 0; ``READ_NETWORKS`` names, per mode and
 variant, the networks the terms that remain read, written out from the graph
 rather than taken from the package.
 
+``split_outcome`` is `model.predict_outcome` in plain numpy, its outcome
+head's first layer applied as a fixed part plus the do-value's term, and
+``prediction_bound`` is how far that order of summation may take it from the
+recorded forward pass, which sums the first layer in one dot product.
+
 A teacher is a `detach` node: a constant copy of the head's value.  On a
 `TeacherTape` the copies are kept in order, and a tape given them hands them
 out again, so the finite differences of ``tests/gradcheck.py`` hold every
@@ -414,3 +419,71 @@ def read_params(params: dict, mode: str, variant: str) -> dict:
     """The entries of ``params`` whose network the variant's objective reads."""
     read = READ_NETWORKS[mode, variant]
     return {k: v for k, v in params.items() if read is None or k.split(".")[0] in read}
+
+
+# -- prediction ---------------------------------------------------------------
+
+def _elu(z):
+    return np.maximum(z, 0.0) + np.exp(np.minimum(z, 0.0)) - 1.0
+
+
+def _outcome_first_layer(m, x):
+    """retain_y's output R in plain numpy over all rows at once, and the
+    outcome head's first-layer weights and bias; row 0 of the weights meets
+    the treatment."""
+    p = m.params
+
+    def encoder(net):
+        h = x
+        for i in range(m.config.enc_layers + 1):
+            h = _elu(h @ p[f"{net}.l{i}.W"] + p[f"{net}.l{i}.b"])
+        return h
+
+    r = np.concatenate([encoder("enc_c"), encoder("enc_a")], axis=1)
+    r = _elu(r @ p["retain_y.l0.W"] + p["retain_y.l0.b"])
+    return r, p["head_y.l0.W"], p["head_y.l0.b"]
+
+
+def split_outcome(m, x, t):
+    """predict_outcome in plain numpy over all rows at once, the outcome
+    head's first layer applied as (R @ W_R + b) + t * w_t."""
+    r, w, b = _outcome_first_layer(m, x)
+    h = _elu((r @ w[1:] + b) + t * w[0])
+    z = (h @ m.params["head_y.l1.W"] + m.params["head_y.l1.b"])[:, 0]
+    if m.config.mode == "continuous":
+        return z
+    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+
+
+U = 2.0 ** -53  # the unit roundoff of float64
+
+
+def gamma(k):
+    """Higham's gamma_k: a sum of k rounded products, added in any order
+    (fused or not), is within gamma_k times the sum of their magnitudes of
+    the exact sum (Accuracy and Stability of Numerical Algorithms, 3.1)."""
+    return k * U / (1.0 - k * U)
+
+
+def prediction_bound(m, x, t):
+    """How far predict_outcome may be from the recorded forward's q_y, per row.
+
+    Both sum the outcome head's first layer over the same K + 1 terms, the
+    K = 1 + enc_hidden products of [t | R] with W and the bias, in different
+    orders, so each is within gamma_{K+1} A of the exact sum, A = |[t | R]|
+    @ |W| + |b|, and they differ by at most dz = 2 gamma_{K+1} A.  The ELU is
+    1-Lipschitz; each computed ELU, max(z, 0) + exp(min(z, 0)) - 1, adds at
+    most 2u(|z| + 1) for its two roundings plus 8u for an exp within 4 ulp.
+    The last layer carries that dh through |W2| and adds its own two
+    roundings of a (head_hidden + 1)-term sum; the binary sigmoid is
+    1/4-Lipschitz and each computed one adds at most 12u (its exp, add and
+    divide).
+    """
+    r, w, b = _outcome_first_layer(m, x)
+    a = np.concatenate([np.full((len(x), 1), t), r], axis=1)
+    z = a @ w + b
+    dz = 2.0 * gamma(w.shape[0] + 1) * (np.abs(a) @ np.abs(w) + np.abs(b))
+    dh = dz + 2.0 * (2.0 * U * (np.abs(z) + dz + 1.0) + 8.0 * U)
+    w2, b2 = np.abs(m.params["head_y.l1.W"][:, 0]), abs(m.params["head_y.l1.b"][0])
+    dout = dh @ w2 + 2.0 * gamma(len(w2) + 1) * ((np.abs(_elu(z)) + dh) @ w2 + b2)
+    return dout if m.config.mode == "continuous" else dout / 4.0 + 2.0 * 12.0 * U

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import reference_ops as R
 from sd2 import autodiff as ad
 from sd2 import family as F
 from sd2 import rng
@@ -360,14 +361,26 @@ class TestRowBlocks:
     @pytest.mark.parametrize("enc_layers", ENC_LAYERS)
     @modes("default")
     @pytest.mark.parametrize("n", BLOCK_TEST_ROWS)
-    def test_predict_and_encode_match_recorded_bitwise(self, n, mode, widths, enc_layers):
+    def test_predict_and_encode_match_recorded(self, n, mode, widths, enc_layers):
+        # encode bit for bit; predict_outcome within the rounding of the
+        # outcome head's first-layer sum, which it adds up in another order
         m, forward, x, _, do_value = _block_case(n, mode, enc_layers, widths)
         recorded = forward(m, x, np.full(n, do_value), ad.Tape())
         q_y_mean = (recorded.q_y.mean if mode == "continuous" else recorded.q_y).value[:, 0]
-        assert np.array_equal(M.predict_outcome(m, x, do_value), q_y_mean)
+        bound = R.prediction_bound(m, x, do_value)
+        assert np.all(np.abs(M.predict_outcome(m, x, do_value) - q_y_mean) <= bound)
+        assert np.all(bound <= 1e-12 * (1.0 + np.abs(q_y_mean)))  # the bound is not vacuous
         reps = M.encode(m, x)
         assert all(np.array_equal(a, getattr(recorded, r).value)
                    for a, r in zip(reps, M.Representations._fields))
+
+    @pytest.mark.parametrize("enc_layers", ENC_LAYERS)
+    @modes("narrow", "default")
+    @pytest.mark.parametrize("n", BLOCK_TEST_ROWS)
+    def test_predict_matches_split_oracle_bitwise(self, n, mode, widths, enc_layers):
+        m, _, x, _, do_value = _block_case(n, mode, enc_layers, widths)
+        for t in (0.0, do_value):
+            assert np.array_equal(M.predict_outcome(m, x, t), R.split_outcome(m, x, t))
 
 
 def _edit_enc_c(m, x, adam):
@@ -404,6 +417,16 @@ def _new_shape(m, x, adam):
     return x[:-3]
 
 
+def _edit_head_weights(m, x, adam):
+    m.params["head_y.l0.W"][1, 0] += 0.5  # row 0 meets the treatment
+    return x
+
+
+def _edit_head_bias(m, x, adam):
+    m.params["head_y.l0.b"][0] += 0.5
+    return x
+
+
 def _negative_zero(m, x, adam):
     x = x.copy()
     x[0, 0] = -0.0  # the memo was stored for +0.0
@@ -418,8 +441,8 @@ def _new_mode(m, x, adam):
 
 
 MEMO_MISSES = {f.__name__.lstrip("_"): f for f in (
-    _edit_enc_c, _edit_enc_a, _edit_retain_y, _adam_step, _replace_entry, _edit_x, _new_shape,
-    _negative_zero, _new_mode)}
+    _edit_enc_c, _edit_enc_a, _edit_retain_y, _edit_head_weights, _edit_head_bias, _adam_step,
+    _replace_entry, _edit_x, _new_shape, _negative_zero, _new_mode)}
 
 
 class TestOutcomeMemo:
@@ -429,14 +452,17 @@ class TestOutcomeMemo:
         m, _, x, _, do_value = _block_case(n, mode, 2, widths)
         M.predict_outcome(m, x, 0.0)
         memo = m._outcome_memo
-        # head_y reads [t | retain_y]: column 0 is the treatment's
-        kept = memo.inputs[:, 1:].copy()
+        kept = memo.fixed.copy()
         hit = M.predict_outcome(m, x, do_value)
         assert m._outcome_memo is memo
-        assert memo.inputs.shape == (n, 1 + m.config.enc_hidden)
-        assert np.array_equal(memo.inputs[:, 1:].view(np.uint64), kept.view(np.uint64))
-        assert np.all(memo.inputs[:, 0] == do_value)
-        assert np.array_equal(hit, M.predict_outcome(_unmemoised(m), x, do_value))
+        # head_y's first-layer sum over retain_y's output, without the treatment term
+        assert memo.fixed.shape == (n, m.config.head_hidden)
+        assert np.array_equal(memo.fixed.view(np.uint64), kept.view(np.uint64))
+        fresh = M.predict_outcome(_unmemoised(m), x, do_value)
+        other = _unmemoised(m)
+        M.predict_outcome(other, x[::-1].copy(), 0.0)
+        missed = M.predict_outcome(other, x, do_value)  # the memo held other covariates
+        assert np.array_equal(hit, fresh) and np.array_equal(hit, missed)
 
     @pytest.mark.parametrize("do_value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_do_value_on_hit(self, do_value):
@@ -451,15 +477,28 @@ class TestOutcomeMemo:
         assert m._outcome_memo is memo
         assert np.array_equal(after, M.predict_outcome(_unmemoised(m), x, -0.3))
 
+    def test_nonfinite_treatment_term_on_hit(self):
+        # the unsplit product [t | R] @ W would overflow too, and name 'matmul'
+        m = M.init_model(small_cfg(mode="continuous"), seed=12)
+        x = rand_x(n=40)
+        M.predict_outcome(m, x, 0.7)
+        memo = m._outcome_memo
+        m.params["head_y.l0.W"][0, 0] = 10.0
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ad.NonFiniteError, match="'matmul'"):
+            M.predict_outcome(m, x, 1e308)
+        assert m._outcome_memo is memo
+
     def test_binary_do_value_checked_before_write(self):
         m = M.init_model(small_cfg(), seed=12)
         x = rand_x(n=40)
         M.predict_outcome(m, x, 1.0)
         memo = m._outcome_memo
+        kept = memo.fixed.copy()
         with pytest.raises(ValueError, match="do-value"):
             M.predict_outcome(m, x, 0.5)
         assert m._outcome_memo is memo
-        assert np.all(memo.inputs[:, 0] == 1.0)
+        assert np.array_equal(memo.fixed.view(np.uint64), kept.view(np.uint64))
 
     def test_hit_copies_no_head_input(self):
         # a narrow head keeps its own layer outputs well below the bound
@@ -540,10 +579,12 @@ class TestOutcomeMemo:
         M.predict_outcome(m, rand_x(n=n), 1.0)
         memo = m._outcome_memo
         copied = sum(v.size for k, v in m.params.items()
-                     if k.startswith(("enc_c.", "enc_a.", "retain_y.")))
+                     if k.startswith(("enc_c.", "enc_a.", "retain_y.", "head_y.l0.")))
         arrays = [a for f in memo for a in (f if isinstance(f, list) else [f])
                   if isinstance(a, np.ndarray)]
-        assert sum(a.size for a in arrays) == n * (cfg.input_dim + cfg.enc_hidden + 1) + copied
+        # head_y.l0.W's treatment row is read on every call, never copied
+        assert sum(a.size for a in arrays) == \
+            n * (cfg.input_dim + cfg.head_hidden) + copied - cfg.head_hidden
         assert all(a.dtype == np.float64 for a in arrays)
 
     def test_not_saved_compared_or_printed(self, tmp_path):
