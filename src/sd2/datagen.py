@@ -109,6 +109,12 @@ TWINS_WEIGHT_COLUMNS = ("dbirwt_0", "dbirwt_1")
 TWINS_OUTCOME_COLUMNS = ("mort_0", "mort_1")
 TWINS_SEX_COLUMNS = ("sex_0", "sex_1")
 TWINS_MAX_WEIGHT = 2000.0
+# the columns the transform reads for a purpose of their own, which no M
+# column may name, and why
+_TWINS_RESERVED = {
+    **dict.fromkeys(TWINS_OUTCOME_COLUMNS, "a potential outcome"),
+    **dict.fromkeys(TWINS_WEIGHT_COLUMNS, "a birth weight, which decides which twin is p1"),
+    **dict.fromkeys(TWINS_SEX_COLUMNS, "a sex column, which filters the pairs")}
 
 
 @dataclass(frozen=True)
@@ -118,8 +124,9 @@ class TwinsSpec:
     The columns in `m_columns` drive the simulated treatment policy;
     `hide_count` of them are removed from the observed covariates to act as
     unobserved confounders.  The other columns it reads are the TWINS_* ones.
-    An M column is named once and is not a potential outcome (`mort_0`,
-    `mort_1`); `hide_count` and `mv` are nonnegative.
+    An M column is named once and is none of the TWINS_* columns: not a
+    potential outcome, a birth weight or a sex column; `hide_count` and `mv`
+    are nonnegative.
     """
     csv_path: str
     m_columns: tuple[str, ...]
@@ -133,8 +140,8 @@ class TwinsSpec:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         for j, col in enumerate(self.m_columns):
-            if col in TWINS_OUTCOME_COLUMNS:
-                raise ValueError(f"m_columns names {col!r}, a potential outcome")
+            if col in _TWINS_RESERVED:
+                raise ValueError(f"m_columns names {col!r}, {_TWINS_RESERVED[col]}")
             if col in self.m_columns[:j]:
                 raise ValueError(f"m_columns names {col!r} more than once")
         if self.hide_count >= len(self.m_columns):
@@ -394,10 +401,17 @@ def twins_transform(spec: TwinsSpec) -> GeneratedDataset:
 def split(dataset: GeneratedDataset,
           seed: int) -> tuple[GeneratedDataset, GeneratedDataset, GeneratedDataset]:
     """Disjoint train/val/test partition: the train and val sizes are rounded
-    from `SPLIT_RATIOS`, and test takes the rest."""
+    from `SPLIT_RATIOS`, and test takes the rest.  A dataset too small to
+    give every set a row (1, 2, 3, 4 or 6 rows) raises SchemaError naming
+    the empty sets."""
     n = dataset.n
     n0 = int(round(SPLIT_RATIOS[0] * n))
     n1 = int(round(SPLIT_RATIOS[1] * n))
+    empty = [name for name, size in zip(SPLITS, (n0, n1, n - n0 - n1)) if size == 0]
+    if empty:
+        raise SchemaError(f"a dataset of {n} rows leaves the {' and '.join(empty)} "
+                          f"share{'s' * (len(empty) > 1)} of the split empty "
+                          f"({n0}/{n1}/{n - n0 - n1} rows)")
     perm = rng.permutation(rng.mix_key(seed, "split"), n)
     return (dataset.subset(perm[:n0]), dataset.subset(perm[n0:n0 + n1]),
             dataset.subset(perm[n0 + n1:]))
@@ -495,6 +509,9 @@ def read_dataset(in_dir: str | Path) -> GeneratedDataset:
     x = np.column_stack([data[c] for c in x_cols]) if x_cols else np.zeros((n, 0))
     v = np.column_stack([data[c] for c in v_cols]) if v_cols else np.zeros((n, 0))
     spec_record = read_json_object(src / "spec.json")
+    if "n" in spec_record and spec_record["n"] != n:
+        raise SchemaError(f"{src / 'data.csv'}: {n} rows, but spec.json records n "
+                          f"{spec_record['n']!r}")
 
     roles_path = src / "roles.csv"
     roles = read_csv(roles_path)

@@ -493,6 +493,17 @@ def _checkpoint_config(**changes):
     return make_argv
 
 
+def _keep_rows(count):
+    """An edit that keeps the first `count` rows of data.csv and truth.csv,
+    and records that n in spec.json."""
+    def edit(path):
+        for name in ("data.csv", "truth.csv"):
+            _edit_lines(name, lambda ls: ls[:count + 1])(path)
+        _edit_lines("spec.json", lambda ls: [re.sub(r'"n": \d+', f'"n": {count}', line)
+                                             for line in ls])(path)
+    return edit
+
+
 def _drop_truth(path):
     (path / "truth.csv").unlink()
 
@@ -653,6 +664,10 @@ FAILURES = {
                                             hide_count=1), 2),
     "twins_negative_hide_count": (_twins_spec("generate", hide_count=-1), 2),
     "twins_negative_mv": (_twins_spec("train", mv=-2), 2),
+    "twins_weight_m_column": (_twins_spec("generate", m_columns=["gestat", "dbirwt_0"],
+                                          hide_count=1), 2),
+    "twins_sex_m_column": (_twins_spec("train", m_columns=["sex_1", "gestat"],
+                                       hide_count=1), 2),
     "twins_weight_columns": (lambda tmp, run, data: [
         "train", "--config", _config(tmp, dataset={
             "kind": "twins", "csv_path": str(dg.fixture_path()),
@@ -677,6 +692,8 @@ FAILURES = {
     "binary_t_half": (_train_on(_set_cell("t", 4, "0.5")), 2),
     "covariate_nan": (_train_on(_set_cell("x1", 4, "nan")), 2),
     "data_csv_no_rows": (_train_on(_header_only), 2),
+    "data_csv_cut": (_train_on(_edit_lines("data.csv", lambda ls: ls[:-40])), 2),
+    "dataset_too_small_to_split": (_train_on(_keep_rows(4)), 2),
     "spec_json_no_beta": (_evaluate_demand(_edit_lines(
         "spec.json", lambda ls: [line for line in ls if '"beta"' not in line])), 2),
     "spec_json_string_beta": (_evaluate_demand(_edit_lines(
@@ -735,6 +752,10 @@ FAILURE_FIELDS = {
     "twins_repeated_m_column": "m_columns names 'gestat' more than once",
     "twins_negative_hide_count": "hide_count must be nonnegative, got -1",
     "twins_negative_mv": "mv must be nonnegative, got -2",
+    "twins_weight_m_column": "m_columns names 'dbirwt_0', a birth weight",
+    "twins_sex_m_column": "m_columns names 'sex_1', a sex column",
+    "data_csv_cut": "data.csv: 160 rows, but spec.json records n 200",
+    "dataset_too_small_to_split": "a dataset of 4 rows leaves the test share of the split empty",
     "arch_float_rep_dim": "config section 'arch': rep_dim must be an integer, got 4.5",
     "arch_float_enc_hidden": "config section 'arch': enc_hidden must be an integer, got 8.0",
     "arch_bool_enc_layers": "config section 'arch': enc_layers must be an integer, got True",

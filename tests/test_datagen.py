@@ -140,10 +140,24 @@ class TestSplit:
         assert np.array_equal(a[0].x, b[0].x)
 
     def test_shares_never_exceed_the_rows(self):
-        # the rounded train and val shares leave the test set 0 rows or more
+        # the rounded train and val shares leave the test set 0 rows or more,
+        # and from 7 rows on every share at least one
         train, val, _ = dg.SPLIT_RATIOS
         assert all(round(train * n) + round(val * n) <= n for n in range(1, 100_001))
-        assert [ds.n for ds in dg.split(syn(n=2, seed=1), seed=1)] == [1, 1, 0]
+        assert [n for n in range(1, 100_001)
+                if min(round(train * n), round(val * n),
+                       n - round(train * n) - round(val * n)) == 0] == [1, 2, 3, 4, 6]
+
+    @pytest.mark.parametrize("n, empty", [(1, "val and test shares"), (2, "test share"),
+                                          (3, "test share"), (4, "test share"),
+                                          (6, "test share")])
+    def test_empty_share_raises(self, n, empty):
+        with pytest.raises(dg.SchemaError, match=f"{n} rows leaves the {empty} of the split"):
+            dg.split(syn(n=n, seed=1), seed=1)
+
+    @pytest.mark.parametrize("n", [5, 7, 10])
+    def test_smallest_splits(self, n):
+        assert min(ds.n for ds in dg.split(syn(n=n, seed=1), seed=1)) >= 1
 
     def test_independent_triple(self):
         spec = dg.SyntheticSpec(n=200, seed=3)
@@ -211,6 +225,32 @@ class TestRoundTrip:
         (tmp_path / "truth.csv").write_text("".join(lines[:20]))
         with pytest.raises(dg.SchemaError, match="truth.csv: p1 has 19 rows, t has 50"):
             dg.read_dataset(tmp_path)
+
+    @pytest.mark.parametrize("keep", [0, 20, 49])
+    def test_rows_cut_at_a_line_boundary_rejected(self, tmp_path, keep):
+        # data.csv and truth.csv cut alike agree with each other, not with spec.json
+        dg.write_dataset(syn(n=50, seed=1), tmp_path)
+        for name in ("data.csv", "truth.csv"):
+            lines = (tmp_path / name).read_text().splitlines(keepends=True)
+            (tmp_path / name).write_text("".join(lines[:keep + 1]))
+        message = "a header and no rows" if keep == 0 else \
+            f"data.csv: {keep} rows, but spec.json records n 50"
+        with pytest.raises(dg.SchemaError, match=message):
+            dg.read_dataset(tmp_path)
+
+    def test_rows_added_rejected(self, tmp_path):
+        dg.write_dataset(syn(n=50, seed=1), tmp_path)
+        for name in ("data.csv", "truth.csv"):
+            lines = (tmp_path / name).read_text().splitlines(keepends=True)
+            (tmp_path / name).write_text("".join(lines + lines[1:3]))
+        with pytest.raises(dg.SchemaError, match="data.csv: 52 rows, but spec.json records n 50"):
+            dg.read_dataset(tmp_path)
+
+    def test_spec_without_n_reads_any_rows(self, tmp_path):
+        # a twins dataset's spec records no n
+        ds = dg.twins_transform(dg.fixture_spec())
+        dg.write_dataset(ds.subset(np.arange(30)), tmp_path)
+        assert dg.read_dataset(tmp_path).n == 30
 
     def test_row_with_extra_cells_rejected(self, tmp_path):
         dg.write_dataset(syn(n=50, seed=1), tmp_path)
@@ -383,6 +423,14 @@ class TestTwins:
         with pytest.raises(dg.SchemaError, match=f"twins.csv: column '{hidden}' is not finite "
                                                  "at line 6"):
             dg.twins_transform(dg.fixture_spec(csv_path=str(path)))
+
+    @pytest.mark.parametrize("column", [*dg.TWINS_OUTCOME_COLUMNS, *dg.TWINS_WEIGHT_COLUMNS,
+                                        *dg.TWINS_SEX_COLUMNS])
+    def test_m_columns_name_no_twins_column(self, column):
+        # birth weight decides which twin is p1 and sex filters the pairs, so
+        # neither may drive the policy or be a covariate
+        with pytest.raises(ValueError, match=f"m_columns names '{column}', a "):
+            dg.fixture_spec(m_columns=("gestat", column), hide_count=1)
 
     def test_hide_count_validation(self):
         with pytest.raises(ValueError, match="hide_count"):

@@ -11,6 +11,7 @@ import reference_ops as R
 from gradcheck import finite_diff_check
 from sd2 import autodiff as ad
 from sd2 import family as F
+from sd2 import infotheory as it
 from sd2 import losses as L
 from sd2 import model as M
 from sd2 import rng
@@ -904,3 +905,87 @@ class TestObjectiveFailures:
     ])
     def test_names_first_failing_term(self, build, op):
         assert failure_message(build, L) == f"non-finite value at node {op!r}"
+
+
+# -- the distillation KLs against the conditional mutual informations ---------
+
+def _cells(joint):
+    """One row per (r_a, r_c) cell of a joint over (Y, R_a, R_c) with a binary
+    Y: p(r_a, r_c) and the exact q(y=1 | r_a, r_c), q(y=1 | r_a) and
+    q(y=1 | r_c), the probabilities the deep, adjustment and confounder
+    outcome heads would hold."""
+    table = joint.table
+    cell = table.sum(axis=0)
+    deep = table[1] / cell
+    adjust = np.broadcast_to((table[1].sum(axis=1) / cell.sum(axis=1))[:, None], cell.shape)
+    confound = np.broadcast_to((table[1].sum(axis=0) / cell.sum(axis=0))[None, :], cell.shape)
+    return cell.ravel(), deep.ravel(), adjust.ravel(), confound.ravel()
+
+
+def _expected_kl(cell, student, teacher):
+    """E over p(r_a, r_c) of KL(student || teacher), through the objective's
+    own `kl_to_teacher` term and the per-sample `family.bernoulli_kl` values
+    it takes the mean of."""
+    tape = ad.Tape(record=False)
+    n = len(cell)
+    zeros = np.zeros((n, 1))
+    obj = L._Objective("binary", zeros, zeros, None, {"w": tape.parameter(np.zeros(1), "w")})
+    heads = [col(tape, q) for q in (student, teacher)]
+    mean = obj.kl_to_teacher(*heads, obj.group(1.0))
+    values = F.bernoulli_kl(*(F.BernoulliHead.of(head) for head in heads))[0][:, 0]
+    assert mean == values.sum() / n  # the term is the plain mean of these values
+    return float(cell @ values)
+
+
+KL_SHAPES = [(2, ka, kc) for ka in range(2, 6) for kc in range(2, 6)]
+
+
+class TestTeacherKLDirection:
+    """The package trains each student head towards its detached teacher with
+    KL(student || teacher).  The reverse direction, teacher to student, is the
+    one whose expectation is a conditional mutual information."""
+
+    @pytest.mark.parametrize("key", [11, 12])
+    @pytest.mark.parametrize("shape", KL_SHAPES, ids=str)
+    def test_teacher_to_student_is_cond_mutual_info(self, shape, key):
+        joint = it.random_joint(key, shape)
+        cell, deep, adjust, confound = _cells(joint)
+        # far from the clamp, so the heads' probabilities are the exact conditionals
+        probs = np.concatenate([deep, adjust, confound])
+        assert min(probs.min(), 1.0 - probs.max()) > 1e3 * PROB_FLOOR
+        assert _expected_kl(cell, deep, adjust) == pytest.approx(
+            it.cond_mutual_info(joint, "y", "rc", "ra"), abs=1e-12)
+        assert _expected_kl(cell, deep, confound) == pytest.approx(
+            it.cond_mutual_info(joint, "y", "ra", "rc"), abs=1e-12)
+
+    def test_trained_direction_differs(self):
+        # the second joint `sd2 verify` draws at seed 0
+        joint = it.random_joint(rng.mix_key_int(0, 1), (2, 3, 3))
+        cell, deep, adjust, _ = _cells(joint)
+        trained = _expected_kl(cell, adjust, deep)  # kl_to_teacher(adjust, deep)
+        reverse = _expected_kl(cell, deep, adjust)
+        assert reverse == pytest.approx(it.cond_mutual_info(joint, "y", "rc", "ra"), abs=1e-12)
+        assert trained == pytest.approx(0.1923, abs=1e-4)
+        assert reverse == pytest.approx(0.1470, abs=1e-4)
+
+    @pytest.mark.parametrize("key", [21, 22])
+    @pytest.mark.parametrize("shape", KL_SHAPES, ids=str)
+    def test_both_directions_vanish_with_the_cond_independence(self, shape, key):
+        # cond_independent_joint makes its last two axes independent given
+        # the first; moving R_a (or R_c) to the first axis gives Y independent
+        # of the other representation given it, which the KLs measure
+        _, ka, kc = shape
+        # (axes, drawn shape, which of _cells' heads): adjustment, then confounder
+        for axes, size, head in (((1, 0, 2), (ka, 2, kc), 2), ((2, 1, 0), (kc, ka, 2), 3)):
+            joint = it.DiscreteJoint(it.cond_independent_joint(key, size).table.transpose(axes))
+            cells = _cells(joint)
+            cell, deep, student = cells[0], cells[1], cells[head]
+            assert _expected_kl(cell, student, deep) == pytest.approx(0.0, abs=1e-12)
+            assert _expected_kl(cell, deep, student) == pytest.approx(0.0, abs=1e-12)
+
+    def test_independent_representations_given_y_are_not_enough(self):
+        # the premise of `infotheory.premise_gap`, R_a and R_c independent
+        # given Y, leaves both KLs of the adjustment head above 0
+        cell, deep, adjust, _ = _cells(it.cond_independent_joint(1, (2, 3, 3)))
+        assert _expected_kl(cell, adjust, deep) > 1e-3
+        assert _expected_kl(cell, deep, adjust) > 1e-3
