@@ -140,10 +140,11 @@ def _closure(name: str) -> tuple[str, ...]:
 
 # the networks each output reads: a forward asked for some outputs runs only these
 READS = {output: _closure(name) for output, name in NETWORK_OF.items()}
-# the outcome head is the network that reads the treatment; predict_outcome
-# keeps its first layer's sum over its other inputs, which the other networks
-# it reads make
+# the outcome head is the network that reads the treatment, beside one
+# network's output; predict_outcome keeps its first layer's sum over that
+# output, which the other networks it reads make
 _OUTCOME = next(net for net in NETWORKS if TREATMENT in net.inputs)
+(_OUTCOME_REST,) = (src for src in _OUTCOME.inputs if src != TREATMENT)
 _MEMO_NETWORKS = READS[_OUTCOME.output][:-1]
 _MEMO_PREFIXES = tuple(net + "." for net in _MEMO_NETWORKS)
 
@@ -210,7 +211,7 @@ def _steps(cfg: ArchConfig, outputs: tuple[str, ...] | None) -> tuple[tuple[Net,
 class _OutcomeMemo(NamedTuple):
     """The outcome head's first-layer sum without its treatment term, as
     `predict_outcome` last made it: one n x head_hidden array holding
-    ``R @ W_R + b``, where ``R`` is the head's input besides the treatment
+    ``R @ W_R + b``, where ``R`` is the head's input beside the treatment
     and ``W_R`` the rows of its first weight matrix that ``R`` meets; and
     copies of what it was computed from: the config, the covariates, every
     parameter of the networks that made ``R``, ``W_R`` and ``b``."""
@@ -419,9 +420,7 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
         fixed = np.empty((len(x), len(bias)))
         for sl in blocks:
             values = _build(cfg, p_memo, tape, memo_steps, {COVARIATES: x[sl]})
-            parts = [values[src].value for src in _OUTCOME.inputs if src != TREATMENT]
-            r = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-            fixed[sl] = ad.affine(r, w_rest, bias)
+            fixed[sl] = ad.affine(values[_OUTCOME_REST].value, w_rest, bias)
         memo = _OutcomeMemo(cfg, [a.copy() for a in key], fixed)
     shift = t_value * w[treatment]
     out = np.empty(len(x))
