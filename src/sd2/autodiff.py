@@ -5,7 +5,12 @@ order), and `gradients` replays it backwards, accumulating exact adjoints.
 Shapes are explicit: no broadcasting beyond bias addition.  Values are checked
 for finiteness as nodes are created, so a NaN/Inf is reported at the operation
 that produced it; a value whose entries are all finite passes even when their
-sum overflows.  `dense` checks once, after the bias add (`affine`): a
+sum overflows.  Parameters are checked where they change, not where they are
+read: `AdamState` checks its flat buffer when it is made and after every
+`adam_step`, and a failure names the first non-finite parameter, so
+`Tape.parameter` takes a value as it is.  A parameter edited to a NaN or Inf
+outside training is named by the first `dense` that reads it (``'matmul'``
+or ``'add_bias'``).  `dense` checks once, after the bias add (`affine`): a
 non-finite product stays non-finite when a finite bias is added, and elu and
 sigmoid map finite values to finite ones.  Only when that check fails is the
 product recomputed, to name ``'matmul'`` or ``'add_bias'``.  The training
@@ -41,6 +46,8 @@ them), and `adam_step` updates every scalar with one set of vector operations.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import rng
@@ -71,9 +78,11 @@ class Tape:
         self.params: dict[str, Tensor] = {}
 
     def parameter(self, value: np.ndarray, name: str) -> "Tensor":
+        """A leaf for ``value``, unchecked: its producer (`AdamState`, the
+        initialiser, `checkpoint_load`) keeps it finite."""
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        node = Tensor(self, value, name=name)
+        node = Tensor(self, value, name=name, checked=True)
         if self.record:
             self.params[name] = node
         return node
@@ -161,14 +170,20 @@ class Tensor:
         return self.value.shape
 
 
-def check_finite(value: np.ndarray, name: str):
-    """Raise `NonFiniteError` naming ``name`` if ``value`` holds a NaN or Inf.
+def all_finite(value: np.ndarray) -> bool:
+    """Whether every entry of ``value`` is finite.
 
     Any NaN or Inf makes the sum non-finite, so one reduction settles the
     common case; a non-finite sum is confirmed entry by entry, because finite
-    entries can overflow it.
+    entries can overflow it.  (``np.add.reduce`` is the reduction
+    ``ndarray.sum`` calls, without its Python wrapper.)
     """
-    if not np.isfinite(value.sum()) and not np.isfinite(value).all():
+    return math.isfinite(np.add.reduce(value, axis=None)) or bool(np.isfinite(value).all())
+
+
+def check_finite(value: np.ndarray, name: str):
+    """Raise `NonFiniteError` naming ``name`` if ``value`` holds a NaN or Inf."""
+    if not all_finite(value):
         raise NonFiniteError(name)
 
 
@@ -183,11 +198,17 @@ def _check_bias(x: np.ndarray, b: np.ndarray):
 
 
 def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
-    """Stable logistic of x written to out (which may be x itself)."""
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Stable logistic of x written to out (which may be x itself):
+    1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere, both
+    from e = exp(-|x|), without boolean masks.  -|x| is taken as
+    min(x, -x), which keeps a NaN's sign and payload, so every output,
+    NaN included, has the bits of computing the two sides apart."""
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    num = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    np.divide(num, e, out=out)
 
 
 def _elu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -209,8 +230,9 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     for p in parts:
         if p.value.ndim != 2 or p.value.shape[0] != n:
             raise ValueError("concat_cols: row-count mismatch")
-    widths = [p.value.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
+    offsets = [0]
+    for p in parts:
+        offsets.append(offsets[-1] + p.value.shape[1])
     value = np.concatenate([p.value for p in parts], axis=1)
     vjps = tuple((lambda lo, hi: (lambda g: g[:, lo:hi]))(offsets[i], offsets[i + 1])
                  for i in range(len(parts)))
@@ -241,7 +263,7 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = x @ w
     _check_bias(out, b)
     out += b
-    if not np.isfinite(out.sum()) and not np.isfinite(out).all():
+    if not all_finite(out):
         # the biased sum holds a NaN or Inf: name the product if it does too
         check_finite(x @ w, "matmul")
         raise NonFiniteError("add_bias")
@@ -278,8 +300,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
     pre_vjp = activate(out, activation)
     return Tensor(x.tape, out, (x, w, b),
                   (lambda g: g @ w.value.T, lambda g: x.value.T @ g,
-                   lambda g: g.sum(axis=0)), "add_bias" if pre_vjp is None else activation,
-                  pre_vjp, checked=True)
+                   lambda g: np.add.reduce(g, axis=0)),  # g.sum(axis=0), without its wrapper
+                  "add_bias" if pre_vjp is None else activation, pre_vjp, checked=True)
 
 
 def glorot_init(key: int, fan_in: int, fan_out: int) -> np.ndarray:
@@ -299,7 +321,8 @@ class AdamState:
     The parameters move into a flat float64 buffer too: each entry of
     ``params`` is replaced by a view of its slice, so the caller's arrays see
     every update and `adam_step` updates all scalars with one set of vector
-    operations.
+    operations.  The buffer is checked for finiteness here and after every
+    `adam_step` (`check_params`), the only places training changes it.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3):
@@ -322,11 +345,21 @@ class AdamState:
         self.v = np.zeros_like(self.flat)
         # gathered gradient and two scratch buffers: a step allocates nothing
         self.grad, self._update, self._denom = (np.empty_like(self.flat) for _ in range(3))
+        self.check_params()
+
+    def check_params(self) -> None:
+        """Raise `NonFiniteError` naming the first parameter, in order, that
+        holds a NaN or Inf; one reduction over the flat buffer when none does."""
+        if not all_finite(self.flat):
+            raise NonFiniteError(next(name for name, view in self.views.items()
+                                      if not np.isfinite(view).all()))
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState) -> None:
-    """One bias-corrected Adam update, in place, of the arrays ``state`` holds."""
+    """One bias-corrected Adam update, in place, of the arrays ``state`` holds;
+    an update that leaves a parameter non-finite raises `NonFiniteError`
+    naming the first such parameter (the update stays applied)."""
     for name, view in state.views.items():
         g = grads[name]
         if g.shape != view.shape:
@@ -357,4 +390,5 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     denom += ADAM_EPS
     update /= denom
     state.flat -= update
+    state.check_params()
 

@@ -8,8 +8,8 @@ resolved configuration, so any reported number can be reproduced from its
 artifacts alone.  The last stdout line of every successful command is
 machine-parsable: ``METRIC <name>=<value>``.
 
-Exit codes: 0 success, 2 config/schema, 3 I/O, 4 numerical failure,
-5 verification failure.
+Exit codes: 0 success, 2 config/schema, 3 I/O, 4 numerical failure or no
+replication scored, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -55,11 +55,17 @@ class VerifyFailure(Exception):
     pass
 
 
+class NothingScored(Exception):
+    """replicate, ablate or sweep ran, but none of its replications produced
+    a metric."""
+
+
 # exception types -> stderr prefix and exit code; the first matching row wins
 FAILURE_EXITS = (
     ((ConfigError, dg.SchemaError, CheckpointError), "error", EXIT_CONFIG),
     (VerifyFailure, "verification failed", EXIT_VERIFY),
     ((TrainingError, NonFiniteError), "numerical failure", EXIT_NUMERIC),
+    (NothingScored, "error", EXIT_NUMERIC),
     (FileNotFoundError, "error", EXIT_IO),
     (OSError, "I/O error", EXIT_IO),
 )
@@ -312,6 +318,15 @@ def _replicated(configs: list[TrainConfig], args, base_seed: int) -> list[tuple[
     return results
 
 
+def _check_scored(results: list[tuple[list[dict], dict]]) -> None:
+    """Raise `NothingScored`, naming the first error, when every replication
+    of every config failed; the caller has written its report by then."""
+    rows = [row for group, _ in results for row in group]
+    if all("error" in row for row in rows):
+        raise NothingScored(f"none of {len(rows)} replications produced a metric; the "
+                            f"first failed with: {rows[0]['error']}")
+
+
 def _split_columns(summary: dict, stats: tuple[str, ...]) -> dict:
     return {f"{split}_{stat}": summary[split][stat]
             for split in ("within", "out") if split in summary for stat in stats}
@@ -324,8 +339,8 @@ def cmd_replicate(args, run: Run) -> tuple[str, float]:
                      split: summary[split]["formatted"]}
                     for split in ("within", "out") if split in summary]
     _write_report(run, "report", table, {"rows": rows, "summary": summary})
-    headline = summary.get("out", summary.get("within"))
-    return summary["metric"] + "_mean", headline["mean"] if headline else float("nan")
+    _check_scored([(rows, summary)])
+    return summary["metric"] + "_mean", summary["out"]["mean"]
 
 
 def cmd_ablate(args, run: Run) -> tuple[str, float]:
@@ -344,6 +359,7 @@ def cmd_ablate(args, run: Run) -> tuple[str, float]:
              for v, (_, summary) in zip(variants, results)]
     summaries = {v: {**summary, "rows": rows} for v, (rows, summary) in zip(variants, results)}
     _write_report(run, "ablation", table, summaries)
+    _check_scored(results)
     total = summaries.get("Total", {}).get("out")
     return "total_out_mean", total["mean"] if total else float("nan")
 
@@ -393,13 +409,14 @@ def cmd_sweep(args, run: Run) -> tuple[str, float]:
                    for value in grid]
     except ValueError as exc:
         raise ConfigError(f"--grid: {exc}") from exc
+    results = _replicated(configs, args, base_seed)
     rows = [{"param": args.param, "value": value, "failed": summary["failed"],
              **_split_columns(summary, ("mean", "std"))}
-            for value, (_, summary) in zip(grid, _replicated(configs, args, base_seed))]
+            for value, (_, summary) in zip(grid, results)]
     _write_report(run, "sweep", rows)
-    best = min((r for r in rows if "out_mean" in r), key=lambda r: r["out_mean"],
-               default=None)
-    return "best_value", best["value"] if best else float("nan")
+    _check_scored(results)
+    best = min((r for r in rows if "out_mean" in r), key=lambda r: r["out_mean"])
+    return "best_value", best["value"]
 
 
 def make_parser() -> argparse.ArgumentParser:

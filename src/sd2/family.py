@@ -26,9 +26,9 @@ class Gaussian(NamedTuple):
 
 
 def _clip(x: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """x clipped to [lo, hi], and the mask through which a clip passes
-    gradients."""
-    return np.clip(x, lo, hi), ((x >= lo) & (x <= hi)).astype(np.float64)
+    """x clipped to [lo, hi] (the bits of ``np.clip``, from the ufuncs it
+    calls), and the mask through which a clip passes gradients."""
+    return np.minimum(np.maximum(x, lo), hi), ((x >= lo) & (x <= hi)).astype(np.float64)
 
 
 def _pairs(*pairs) -> tuple:

@@ -85,7 +85,9 @@ def importance_weights(pi_c: np.ndarray, t: np.ndarray) -> np.ndarray:
 
     pi_c is the confounder head's treated-probability, already detached.
     """
-    pi_c = np.clip(np.asarray(pi_c, dtype=np.float64).reshape(-1), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    # np.minimum(np.maximum(...)): the bits of np.clip without its wrapper
+    pi_c = np.minimum(np.maximum(np.asarray(pi_c, dtype=np.float64).reshape(-1), PROB_FLOOR),
+                      1.0 - PROB_FLOOR)
     t = np.asarray(t, dtype=np.float64).reshape(-1)
     n1 = float(t.sum())
     n0 = float(len(t) - n1)
@@ -94,7 +96,7 @@ def importance_weights(pi_c: np.ndarray, t: np.ndarray) -> np.ndarray:
     pi_fact = np.where(t == 1, pi_c, 1.0 - pi_c)
     class_ratio = np.where(t == 1, n0 / n1, n1 / n0)
     w = 1.0 + class_ratio * (1.0 - pi_fact) / pi_fact
-    return np.clip(w, 1.0, WEIGHT_CLIP)
+    return np.minimum(np.maximum(w, 1.0), WEIGHT_CLIP)
 
 
 # the forward output binary `Total` computes its importance weights from
@@ -115,14 +117,15 @@ def adjustment_disc(rep: ad.Tensor, t: np.ndarray):
     if len(idx0) == 0 or len(idx1) == 0:
         raise DegenerateBatchError("adjustment discrepancy needs both groups")
     r = rep.value
-    diff = r[idx0].mean(axis=0) - r[idx1].mean(axis=0)
+    # the bits of each group's .mean(axis=0), without its wrapper
+    diff = np.add.reduce(r[idx0], axis=0) / len(idx0) - np.add.reduce(r[idx1], axis=0) / len(idx1)
     value = (diff ** 2).sum()
 
     def vjp(g):
         grad_diff = np.full_like(diff, float(g)) * 2.0 * diff
         out = np.zeros_like(r)
-        out[idx0] += np.tile(grad_diff / len(idx0), (len(idx0), 1))
-        out[idx1] += np.tile(-grad_diff / len(idx1), (len(idx1), 1))
+        out[idx0] += grad_diff / len(idx0)  # one row, broadcast over the group's
+        out[idx1] += -grad_diff / len(idx1)
         return out
 
     return value, ((rep, vjp),)
@@ -204,7 +207,8 @@ class _Objective:
     def _term(self, kernel, args, group: int, sample_weights=None):
         value, pairs = kernel(*args)
         weighted = value if sample_weights is None else value * sample_weights
-        mean = weighted.sum() / self.n  # the bits of weighted.mean(), without its overhead
+        # the bits of weighted.mean(), without its overhead
+        mean = np.add.reduce(weighted, axis=None) / self.n
         self._add(kernel.__name__, mean, pairs, group)
         return value, mean
 
@@ -241,9 +245,9 @@ class _Objective:
     def node(self, total) -> ad.Tensor:
         """The objective's node, after one finiteness check of its value; a
         failure names the first term that is not finite."""
-        if not np.isfinite(total):
+        if not math.isfinite(total):
             raise ad.NonFiniteError(next((op for op, value in self.terms
-                                          if not np.isfinite(value)), "objective"))
+                                          if not math.isfinite(value)), "objective"))
         parents, vjps = [], []
         for pairs in reversed(self.contribs):
             for parent, vjp in pairs:

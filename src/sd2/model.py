@@ -246,7 +246,12 @@ def init_model(config: ArchConfig, seed: int) -> SD2Model:
 def bind(model: SD2Model, tape: ad.Tape,
          layers: tuple[str, ...] | None = None) -> dict[str, ad.Tensor]:
     """Register every parameter on a tape, in declared order; with ``layers``,
-    only the parameters of the networks it names."""
+    only the parameters of the networks it names.
+
+    Nothing is checked here: the parameters' producers keep them finite
+    (`init_model`, `checkpoint_load`, and `ad.AdamState` after every step),
+    and a value edited to a NaN or Inf in between is named by the first
+    dense layer that reads it (``'matmul'`` or ``'add_bias'``)."""
     prefixes = None if layers is None else tuple(name + "." for name in layers)
     return {name: tape.parameter(value, name) for name, value in model.params.items()
             if prefixes is None or name.startswith(prefixes)}
@@ -413,7 +418,9 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
     key = [x, *(v for k, v in model.params.items() if k.startswith(_MEMO_PREFIXES)),
            w_rest, bias]
     memo = model._outcome_memo
-    # equal bit patterns (-0.0 is not 0.0); a key never holds a NaN, which raises first
+    # equal bit patterns (-0.0 is not 0.0); a stored key holds no NaN, because
+    # only a miss that raised nothing stores one, and every value in the key
+    # went through a finiteness check on the way to `fixed`
     if (memo is None or memo.config != cfg or len(memo.key) != len(key) or not all(
             np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(memo.key, key))):
         p_memo = bind(model, tape, _MEMO_NETWORKS)

@@ -10,6 +10,7 @@ checkpoints.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -46,6 +47,12 @@ class OptimizerConfig:
     """Adam's step size; its moment decays and epsilon are the constants
     `ad.ADAM_BETA1`, `ad.ADAM_BETA2` and `ad.ADAM_EPS` (0.9, 0.999, 1e-8)."""
     lr: float = 1e-3
+
+    def __post_init__(self):
+        lr = self.lr
+        if (isinstance(lr, bool) or not isinstance(lr, (int, float))
+                or not (math.isfinite(lr) and lr >= 0)):
+            raise ValueError(f"lr must be a finite nonnegative number, got {lr!r}")
 
 
 @dataclass(frozen=True)
@@ -244,13 +251,13 @@ def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
                 batch_index += 1
                 continue
             tape = ad.Tape()
-            try:
+            try:  # a NaN or Inf in the objective, or in a parameter Adam updated
                 bd, _ = _batch_breakdown(config, model, x_all[idx], tb, train_ds.y[idx], tape)
+                _, grads = tape.gradients(bd.node)
+                ad.adam_step(model.params, grads, state)
             except ad.NonFiniteError as exc:
                 raise TrainingError(f"{exc} in epoch {epoch}, batch {batch_index}",
                                     epoch=epoch, batch=batch_index, term=exc.op) from exc
-            _, grads = tape.gradients(bd.node)
-            ad.adam_step(model.params, grads, state)
             steps += 1
             trained.add(bd, len(idx))
             pos += config.batch_size

@@ -15,6 +15,13 @@ term whose coefficient is 0 by 0; ``READ_NETWORKS`` names, per mode and
 variant, the networks the terms that remain read, written out from the graph
 rather than taken from the package.
 
+The numpy forms that kernels were rewritten from are kept as their oracles:
+the logistic through boolean masks (``masked_sigmoid_into``, which the
+`sigmoid` primitive uses), and the importance weights and the MMD with
+``np.clip``, ``.mean(axis=0)`` and ``np.tile`` (``clipped_importance_weights``
+and ``mmd_mean_tile``).  ``tests/test_kernel_oracles.py`` requires the
+package's kernels to give their bits, NaN payloads included.
+
 ``split_outcome`` is `model.predict_outcome` in plain numpy, its outcome
 head's first layer applied as a fixed part plus the do-value's term, and
 ``prediction_bound`` is how far that order of summation may take it from the
@@ -32,9 +39,44 @@ import numpy as np
 
 from sd2 import autodiff as ad
 from sd2 import family as F
-from sd2.autodiff import Tensor, _check_bias, _check_matmul, _elu_into, _sigmoid_into
+from sd2.autodiff import Tensor, _check_bias, _check_matmul, _elu_into
 from sd2.family import BERNOULLI, GAUSSIAN, PROB_FLOOR, Gaussian
-from sd2.losses import DegenerateBatchError, LossBreakdown
+from sd2.losses import WEIGHT_CLIP, DegenerateBatchError, LossBreakdown
+
+
+# -- the numpy forms kernels were rewritten from -------------------------------
+
+def masked_sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
+    """Stable logistic of x written to out, the two sides selected by boolean
+    masks: 1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere."""
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+
+
+def clipped_importance_weights(pi_c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """`losses.importance_weights` with ``np.clip``."""
+    pi_c = np.clip(np.asarray(pi_c, dtype=np.float64).reshape(-1), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    t = np.asarray(t, dtype=np.float64).reshape(-1)
+    n1 = float(t.sum())
+    n0 = float(len(t) - n1)
+    pi_fact = np.where(t == 1, pi_c, 1.0 - pi_c)
+    class_ratio = np.where(t == 1, n0 / n1, n1 / n0)
+    return np.clip(1.0 + class_ratio * (1.0 - pi_fact) / pi_fact, 1.0, WEIGHT_CLIP)
+
+
+def mmd_mean_tile(r: np.ndarray, t: np.ndarray, g: float) -> tuple[float, np.ndarray]:
+    """`losses.adjustment_disc`'s value and its gradient for an upstream
+    gradient g, with each group's ``.mean(axis=0)`` and its gradient
+    ``np.tile``-d over the group's rows."""
+    idx0, idx1 = np.nonzero(t == 0)[0], np.nonzero(t == 1)[0]
+    diff = r[idx0].mean(axis=0) - r[idx1].mean(axis=0)
+    grad_diff = np.full_like(diff, float(g)) * 2.0 * diff
+    out = np.zeros_like(r)
+    out[idx0] += np.tile(grad_diff / len(idx0), (len(idx0), 1))
+    out[idx1] += np.tile(-grad_diff / len(idx1), (len(idx1), 1))
+    return (diff ** 2).sum(), out
 
 
 # -- primitives ---------------------------------------------------------------
@@ -107,7 +149,7 @@ def exp(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     out = np.empty_like(a.value)
-    _sigmoid_into(a.value, out)
+    masked_sigmoid_into(a.value, out)
     return Tensor(a.tape, out, (a,), (lambda g: g * out * (1.0 - out),), "sigmoid")
 
 

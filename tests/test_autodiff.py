@@ -343,6 +343,40 @@ class TestAdam:
             reference(ref, grads, m, v, step)
         assert all(np.array_equal(params[k], ref[k]) for k in init)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_names_its_parameter(self, bad):
+        p = {"a": np.ones((2, 3)), "b": np.ones(4), "c": np.ones(2)}
+        st = ad.AdamState(p, lr=0.1)
+        grads = {k: np.zeros_like(v) for k, v in p.items()}
+        grads["b"][2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ad.NonFiniteError,
+                                                          match="'b'") as failure:
+            ad.adam_step(p, grads, st)
+        assert failure.value.op == "b"
+        assert np.isfinite(p["a"]).all() and np.isfinite(p["c"]).all()
+
+    def test_several_non_finite_parameters_name_the_first(self):
+        p = {"a": np.ones(3), "b": np.ones(3), "c": np.ones(3)}
+        st = ad.AdamState(p, lr=0.1)
+        grads = {"a": np.zeros(3), "b": np.array([0.0, np.nan, 0.0]),
+                 "c": np.array([np.nan, 0.0, 0.0])}
+        with pytest.raises(ad.NonFiniteError) as failure:
+            ad.adam_step(p, grads, st)
+        assert failure.value.op == "b"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected_at_construction(self, bad):
+        p = {"w": np.ones((2, 2)), "b": np.array([0.0, bad])}
+        with pytest.raises(ad.NonFiniteError, match="'b'"):
+            ad.AdamState(p)
+
+    def test_finite_parameters_whose_sum_overflows_are_accepted(self):
+        p = {"w": np.full(4, 1e308), "b": np.ones(2)}
+        with np.errstate(over="ignore"):
+            st = ad.AdamState(p, lr=0.0)
+            ad.adam_step(p, {"w": np.ones(4), "b": np.ones(2)}, st)
+        assert np.array_equal(p["w"], np.full(4, 1e308))
+
     def test_rebound_parameter_rejected(self):
         p = {"w": np.ones(3)}
         st = ad.AdamState(p)

@@ -289,10 +289,12 @@ class TestReplicateAblateSweep:
             dataset = {**dataset, "path": str(tmp_path / "absent")}
         config = write_json(tmp_path / "cfg.json", {**SMALL_TRAIN, "dataset": dataset})
         written = []
+        # a command none of whose replications scored fails after writing its report
+        code = 4 if dataset["kind"] == "dir" else 0
         for jobs in ("1", "2"):
             out = tmp_path / f"run{jobs}"
             assert cli.main([command[0], "--config", config, *command[1:], "--out", str(out),
-                             "--reps", "2", "--jobs", jobs]) == 0
+                             "--reps", "2", "--jobs", jobs]) == code
             written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
                             if p.name != "manifest.json"})
         assert len(written[0]) >= 1
@@ -323,8 +325,9 @@ class TestReplicateAblateSweep:
     def test_grid_tables_count_failed_replications(self, tmp_path, command, table):
         config = _config(tmp_path, dataset={"kind": "dir", "path": str(tmp_path / "absent")})
         out = tmp_path / "grid"
+        # no replication scored, so the command fails, after writing its table
         assert cli.main([command[0], "--config", config, *command[1:], "--out", str(out),
-                         "--reps", "2"]) == 0
+                         "--reps", "2"]) == 4
         with open(out / table) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
@@ -557,6 +560,11 @@ FAILURES = {
         "sweep", "--config", _config(tmp), "--param", "zzz", "--grid", "1"], 2),
     "weights_not_finite": (lambda tmp, run, data: [
         "train", "--config", _config(tmp, weights={"delta": float("inf")})], 2),
+    # Adam's step size is a finite nonnegative number, and a bool is not one
+    **{f"lr_{name}": ((lambda lr: lambda tmp, run, data: [
+        "train", "--config", _config(tmp, optimizer={"lr": lr})])(lr), 2)
+       for name, lr in (("nan", float("nan")), ("inf", float("inf")), ("string", "0.001"),
+                        ("bool", True), ("negative", -1.0))},
     # every grid value is checked before the first is trained
     "sweep_negative_value": (lambda tmp, run, data: [
         "sweep", "--config", _config(tmp), "--param", "gamma", "--grid", "1,-1"], 2),
@@ -785,6 +793,13 @@ FAILURE_FIELDS = {
     "bad_split_ratios": "split_ratios",
     "train_mode_mismatch": "dataset mode",
     "weights_not_finite": "delta must be finite and nonnegative, got inf",
+    "lr_nan": "config section 'optimizer': lr must be a finite nonnegative number, got nan",
+    "lr_inf": "config section 'optimizer': lr must be a finite nonnegative number, got inf",
+    "lr_string": "config section 'optimizer': lr must be a finite nonnegative number, "
+                 "got '0.001'",
+    "lr_bool": "config section 'optimizer': lr must be a finite nonnegative number, got True",
+    "lr_negative": "config section 'optimizer': lr must be a finite nonnegative number, "
+                   "got -1.0",
     "sweep_negative_value": "gamma must be finite and nonnegative, got -1.0",
     "sweep_nan_value": "gamma must be finite and nonnegative, got nan",
     "sweep_param_zeroed_by_variant": "variant 'Lp'",
@@ -868,6 +883,59 @@ def test_diverged_step_names_epoch_batch_and_term(tmp_path):
     assert manifest["status"] == "failed"
     assert re.fullmatch(r"non-finite value at node 'gaussian_nll' in epoch 0, batch [0-3]",
                         manifest["error"])
+
+
+def _diverging_demand_triple(tmp_path) -> str:
+    """A 200-row demand triple whose train split makes every run diverge."""
+    data = tmp_path / "demand"
+    spec = write_json(tmp_path / "spec.json", {"kind": "demand", "n": 200, "seed": 4})
+    assert cli.main(["generate", "--spec", spec, "--out", str(data), "--triple"]) == 0
+    train = dg.read_dataset(data / "train")
+    train.y[7] = 1e200
+    dg.write_dataset(train, data / "train")
+    return str(data)
+
+
+@pytest.mark.parametrize("command, table", [
+    (["replicate", "--reps", "2"], "report.csv"),
+    (["ablate", "--variants", "Lp,Total", "--reps", "1"], "ablation.csv"),
+], ids=["replicate", "ablate"])
+def test_no_replication_scored_fails_after_the_report(tmp_path, capsys, command, table):
+    config = _config(tmp_path, mode="continuous",
+                     dataset={"kind": "dir", "path": _diverging_demand_triple(tmp_path)})
+    out = tmp_path / "run"
+    capsys.readouterr()
+    with np.errstate(over="ignore"):
+        code = cli.main([command[0], "--config", config, *command[1:], "--out", str(out)])
+    assert code == 4
+    assert "METRIC" not in capsys.readouterr().out
+    with open(out / table) as fh:
+        rows = list(csv.DictReader(fh))
+    # replicate's two error rows, or ablate's two variants with one failed replication each
+    assert len(rows) == 2 and all(r.get("error") or r.get("failed") == "1" for r in rows)
+    assert not any(r.get(k) for r in rows for k in ("within", "out", "within_mean", "out_mean"))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert str(out / table) in manifest["artifacts"]
+    assert re.fullmatch(r"none of 2 replications produced a metric; the first failed with: "
+                        r"non-finite value at node 'gaussian_nll' in epoch 0, batch \d",
+                        manifest["error"])
+
+
+def test_one_scored_variant_keeps_exit_0(tmp_path, monkeypatch, capsys):
+    def lp_fails(payload):
+        config, index, _ = payload
+        if config.variant == "Lp":
+            return {"replication": index, "seed": 0, "error": "Lp fails"}
+        return {"replication": index, "seed": 0, "within": 0.5, "out": 0.25,
+                "selected_epoch": 0}
+
+    monkeypatch.setattr(cli, "_one_replication", lp_fails)
+    out = tmp_path / "abl"
+    assert cli.main(["ablate", "--config", _config(tmp_path), "--variants", "Lp,Total",
+                     "--reps", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "METRIC total_out_mean=0.250000"
+    assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
 
 
 def test_nonfinite_validation_names_epoch(tmp_path):
@@ -973,8 +1041,9 @@ def test_workers_get_one_blas_thread_unless_set(tmp_path, monkeypatch, user_valu
     monkeypatch.setattr(cli, "_one_replication", _blas_threads_seen)
     before = dict(os.environ)
     out = tmp_path / "rep"
+    # every row is an error row, so the command fails after writing its report
     assert cli.main(["replicate", "--config", _config(tmp_path), "--reps", "2",
-                     "--jobs", "2", "--out", str(out)]) == 0
+                     "--jobs", "2", "--out", str(out)]) == 4
     assert dict(os.environ) == before
     rows = json.loads((out / "report.json").read_text())["rows"]
     expected = {"OPENBLAS_NUM_THREADS": user_value or "1", "OMP_NUM_THREADS": "1",

@@ -87,6 +87,37 @@ class TestTrainBasics:
             tiny_config(variant="L")
 
 
+class TestDivergence:
+    def test_non_finite_update_names_its_parameter_epoch_and_batch(self, tiny_triple,
+                                                                    monkeypatch):
+        gradients, calls = ad.Tape.gradients, []
+
+        def nan_at_batch_1(tape, output):
+            value, grads = gradients(tape, output)
+            calls.append(len(calls))
+            if len(calls) == 2:  # epoch 0, batch 1
+                grads["retain_y.l0.W"] = np.full_like(grads["retain_y.l0.W"], np.nan)
+            return value, grads
+
+        monkeypatch.setattr(ad.Tape, "gradients", nan_at_batch_1)
+        with pytest.raises(tr.TrainingError) as failure:
+            tr.train(tiny_config(), tiny_triple[0], tiny_triple[1])
+        assert str(failure.value) == ("non-finite value at node 'retain_y.l0.W' "
+                                      "in epoch 0, batch 1")
+        assert (failure.value.epoch, failure.value.batch, failure.value.term) == (
+            0, 1, "retain_y.l0.W")
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("name, op", [("enc_a.l1.W", "matmul"), ("head_y.l0.b", "add_bias")])
+    def test_parameter_edited_outside_training_is_named_by_its_layer(self, name, op):
+        model = init_model(ArchConfig(input_dim=3, rep_dim=2, enc_hidden=4, head_hidden=3), 2)
+        model.params[name].flat[1] = np.nan
+        x = np.random.default_rng(0).standard_normal((10, 3))
+        with pytest.raises(ad.NonFiniteError) as failure:
+            predict_outcome(model, x, 1.0)
+        assert failure.value.op == op
+
+
 class TestDegenerateBatches:
     def test_skewed_data_trains_with_warning(self, caplog):
         # nearly all treated: some batches have one class
@@ -429,8 +460,9 @@ class TestReplicate:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(cli.config_json(tiny_config(dataset=dataset))))
         out = tmp_path / "rep"
+        # none of them scored, so the command fails after writing the rows
         assert cli.main(["replicate", "--config", str(config), "--out", str(out),
-                         "--reps", "3", "--seed", "1"]) == 0
+                         "--reps", "3", "--seed", "1"]) == 4
         rows = json.loads((out / "report.json").read_text())["rows"]
         assert len(rows) == 3
         assert all(error in r["error"] for r in rows)
