@@ -380,6 +380,10 @@ def _config(tmp_path, **changes):
     return write_json(tmp_path / "cfg.json", {**SMALL_TRAIN, **changes})
 
 
+def _train_with_lr(lr):
+    return lambda tmp, run, data: ["train", "--config", _config(tmp, optimizer={"lr": lr})]
+
+
 def _bad_reference(**changes):
     dataset = {**SMALL_TRAIN["dataset"], **changes}
     return lambda tmp, run, data: ["train", "--config", _config(tmp, dataset=dataset)]
@@ -561,10 +565,11 @@ FAILURES = {
     "weights_not_finite": (lambda tmp, run, data: [
         "train", "--config", _config(tmp, weights={"delta": float("inf")})], 2),
     # Adam's step size is a finite nonnegative number, and a bool is not one
-    **{f"lr_{name}": ((lambda lr: lambda tmp, run, data: [
-        "train", "--config", _config(tmp, optimizer={"lr": lr})])(lr), 2)
-       for name, lr in (("nan", float("nan")), ("inf", float("inf")), ("string", "0.001"),
-                        ("bool", True), ("negative", -1.0))},
+    "lr_nan": (_train_with_lr(float("nan")), 2),
+    "lr_inf": (_train_with_lr(float("inf")), 2),
+    "lr_string": (_train_with_lr("0.001"), 2),
+    "lr_bool": (_train_with_lr(True), 2),
+    "lr_negative": (_train_with_lr(-1.0), 2),
     # every grid value is checked before the first is trained
     "sweep_negative_value": (lambda tmp, run, data: [
         "sweep", "--config", _config(tmp), "--param", "gamma", "--grid", "1,-1"], 2),

@@ -94,7 +94,7 @@ class TestDivergence:
 
         def nan_at_batch_1(tape, output):
             value, grads = gradients(tape, output)
-            calls.append(len(calls))
+            calls.append(output)
             if len(calls) == 2:  # epoch 0, batch 1
                 grads["retain_y.l0.W"] = np.full_like(grads["retain_y.l0.W"], np.nan)
             return value, grads
