@@ -872,13 +872,20 @@ def test_manifest_lists_every_artifact(command, trained_run, tmp_path):
                                        if path.is_file() and path.name != "manifest.json")
 
 
-def test_diverged_step_names_epoch_batch_and_term(tmp_path):
+def _demand_triple_with_outlier(tmp_path, split: str, row: int):
+    """A 200-row demand triple whose `split` holds an outcome of 1e200 at
+    `row`: its squared residual overflows the likelihood."""
     data = tmp_path / "demand"
     spec = write_json(tmp_path / "spec.json", {"kind": "demand", "n": 200, "seed": 4})
     assert cli.main(["generate", "--spec", spec, "--out", str(data), "--triple"]) == 0
-    train = dg.read_dataset(data / "train")
-    train.y[7] = 1e200  # its squared residual overflows the likelihood
-    dg.write_dataset(train, data / "train")
+    ds = dg.read_dataset(data / split)
+    ds.y[row] = 1e200
+    dg.write_dataset(ds, data / split)
+    return data
+
+
+def test_diverged_step_names_epoch_batch_and_term(tmp_path):
+    data = _demand_triple_with_outlier(tmp_path, "train", 7)
     out = tmp_path / "run"
     with np.errstate(over="ignore"):
         code = cli.main(["train", "--config", _config(tmp_path, mode="continuous"),
@@ -890,24 +897,13 @@ def test_diverged_step_names_epoch_batch_and_term(tmp_path):
                         manifest["error"])
 
 
-def _diverging_demand_triple(tmp_path) -> str:
-    """A 200-row demand triple whose train split makes every run diverge."""
-    data = tmp_path / "demand"
-    spec = write_json(tmp_path / "spec.json", {"kind": "demand", "n": 200, "seed": 4})
-    assert cli.main(["generate", "--spec", spec, "--out", str(data), "--triple"]) == 0
-    train = dg.read_dataset(data / "train")
-    train.y[7] = 1e200
-    dg.write_dataset(train, data / "train")
-    return str(data)
-
-
 @pytest.mark.parametrize("command, table", [
     (["replicate", "--reps", "2"], "report.csv"),
     (["ablate", "--variants", "Lp,Total", "--reps", "1"], "ablation.csv"),
 ], ids=["replicate", "ablate"])
 def test_no_replication_scored_fails_after_the_report(tmp_path, capsys, command, table):
-    config = _config(tmp_path, mode="continuous",
-                     dataset={"kind": "dir", "path": _diverging_demand_triple(tmp_path)})
+    data = _demand_triple_with_outlier(tmp_path, "train", 7)  # every run diverges
+    config = _config(tmp_path, mode="continuous", dataset={"kind": "dir", "path": str(data)})
     out = tmp_path / "run"
     capsys.readouterr()
     with np.errstate(over="ignore"):
@@ -944,12 +940,7 @@ def test_one_scored_variant_keeps_exit_0(tmp_path, monkeypatch, capsys):
 
 
 def test_nonfinite_validation_names_epoch(tmp_path):
-    data = tmp_path / "demand"
-    spec = write_json(tmp_path / "spec.json", {"kind": "demand", "n": 200, "seed": 4})
-    assert cli.main(["generate", "--spec", spec, "--out", str(data), "--triple"]) == 0
-    val = dg.read_dataset(data / "val")
-    val.y[3] = 1e200
-    dg.write_dataset(val, data / "val")
+    data = _demand_triple_with_outlier(tmp_path, "val", 3)
     out = tmp_path / "run"
     with np.errstate(over="ignore"):
         code = cli.main(["train", "--config", _config(tmp_path, mode="continuous"),
