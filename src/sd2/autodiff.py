@@ -197,8 +197,8 @@ def _check_bias(x: np.ndarray, b: np.ndarray):
         raise ValueError(f"add_bias: incompatible shapes {x.shape} + {b.shape}")
 
 
-def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
-    """Stable logistic of x written to out (which may be x itself):
+def sigmoid_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Stable logistic of x written to out (which may be x itself), and out:
     1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere, both
     from e = exp(-|x|), without boolean masks.  -|x| is taken as
     min(x, -x), which keeps a NaN's sign and payload, so every output,
@@ -208,7 +208,7 @@ def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
     np.exp(e, out=e)
     num = np.where(x >= 0, 1.0, e)
     e += 1.0
-    np.divide(num, e, out=out)
+    return np.divide(num, e, out=out)
 
 
 def _elu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -278,7 +278,7 @@ def activate(out: np.ndarray, activation: str):
     if activation == "elu":
         ex = _elu_into(out, out)
         return lambda g: g * ex
-    _sigmoid_into(out, out)
+    sigmoid_into(out, out)
     return lambda g: g * out * (1.0 - out)
 
 

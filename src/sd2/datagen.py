@@ -15,12 +15,14 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import sys
 from dataclasses import dataclass, asdict, fields, replace
 from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import rng
 
 
@@ -33,28 +35,39 @@ class SchemaError(ValueError):
         self.field = field
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def check_integers(obj) -> None:
-    """Raise ValueError naming the first field of the dataclass ``obj``
-    declared ``int`` whose value is not an integer; a bool is not one."""
+def check_fields(obj, at_least: dict[str, int] | None = None) -> None:
+    """Raise ValueError naming the first field of the dataclass ``obj`` whose
+    value its declared type or its bound does not allow, and the value: an
+    ``int`` field holds an integer, a ``float`` field a finite nonnegative
+    number, a ``str`` field a string and a ``tuple[str, ...]`` field a tuple
+    of strings; a bool is neither an integer nor a number.  A field named in
+    ``at_least`` is at least its bound.  Fields of other types are the
+    caller's to check."""
     for f in fields(obj):
         value = getattr(obj, f.name)
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
         # annotations are strings here (``from __future__ import annotations``)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "int" and not (number and isinstance(value, numbers.Integral)):
+            kind = "an integer"
+        # exact comparisons: NaN, inf and an integer too large for a float fail
+        elif f.type == "float" and not (number and 0 <= value <= sys.float_info.max):
+            kind = "a finite nonnegative number"
+        elif f.type == "str" and not isinstance(value, str):
+            kind = "a string"
+        elif f.type == "tuple[str, ...]" and not (
+                isinstance(value, tuple) and all(isinstance(v, str) for v in value)):
+            kind = "a tuple of strings"
+        elif at_least and f.name in at_least and value < at_least[f.name]:
+            kind = f"at least {at_least[f.name]}"
+        else:
+            continue
+        raise ValueError(f"{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Binary design, named mv-mz-mc-ma-mu."""
+    """Binary design, named mv-mz-mc-ma-mu; each dimension is at least 0 and
+    n at least 1 (`check_fields`)."""
     mv: int = 0
     mz: int = 4
     mc: int = 4
@@ -64,15 +77,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self)
-        if min(self.mv, self.mz, self.mc, self.ma, self.mu) < 0:
-            raise ValueError("dimensions must be nonnegative")
+        check_fields(self, {"mv": 0, "mz": 0, "mc": 0, "ma": 0, "mu": 0, "n": 1})
         if self.mz + self.mc + self.ma < 1:
             raise ValueError("mz + mc + ma must be at least 1")
         if self.ma + self.mc + self.mu < 1:
             raise ValueError("ma + mc + mu must be at least 1 (outcome scaling)")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
 
     @property
     def name(self) -> str:
@@ -81,7 +90,9 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class DemandSpec:
-    """Continuous design; alpha scales instrument strength, beta confounding."""
+    """Continuous design; alpha scales instrument strength, beta confounding.
+    Both are finite nonnegative numbers, each dimension is at least 0 and n
+    at least 1 (`check_fields`)."""
     alpha: float = 0.0
     beta: float = 1.0
     mz: int = 2
@@ -91,13 +102,7 @@ class DemandSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self)
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        if min(self.mz, self.mc, self.ma) < 0 or self.n < 1:
-            raise ValueError("invalid dimensions")
+        check_fields(self, {"mz": 0, "mc": 0, "ma": 0, "n": 1})
         if self.mz + self.mc + self.ma < 1:
             raise ValueError("mz + mc + ma must be at least 1")
 
@@ -126,7 +131,7 @@ class TwinsSpec:
     unobserved confounders.  The other columns it reads are the TWINS_* ones.
     An M column is named once and is none of the TWINS_* columns: not a
     potential outcome, a birth weight or a sex column; `hide_count` and `mv`
-    are nonnegative.
+    are at least 0 (`check_fields`).
     """
     csv_path: str
     m_columns: tuple[str, ...]
@@ -135,10 +140,7 @@ class TwinsSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self)
-        for name in ("hide_count", "mv"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        check_fields(self, {"hide_count": 0, "mv": 0})
         for j, col in enumerate(self.m_columns):
             if col in _TWINS_RESERVED:
                 raise ValueError(f"m_columns names {col!r}, {_TWINS_RESERVED[col]}")
@@ -240,12 +242,12 @@ def gen_binary(spec: SyntheticSpec) -> GeneratedDataset:
                      ("v", spec.mv), ("u", spec.mu)):
         lat[tag] = rng.normal_matrix(rng.mix_key(spec.seed, "latent/" + tag), n, dim)
     index_t = lat["z"].sum(1) + lat["c"].sum(1) + lat["v"].sum(1) + lat["u"].sum(1)
-    t = rng.bernoulli(rng.mix_key(spec.seed, "draw/t"), _sigmoid(index_t))
+    t = rng.bernoulli(rng.mix_key(spec.seed, "draw/t"), ad.sigmoid_into(index_t, np.empty(n)))
     den = spec.ma + spec.mc + spec.mu
     quad = (lat["a"] ** 2).sum(1) + (lat["c"] ** 2).sum(1) + (lat["u"] ** 2).sum(1)
     lin = lat["a"].sum(1) + lat["c"].sum(1) + lat["u"].sum(1)
-    p1 = _sigmoid(quad / den)
-    p0 = _sigmoid(lin / den)
+    p1 = ad.sigmoid_into(quad / den, np.empty(n))
+    p0 = ad.sigmoid_into(lin / den, np.empty(n))
     y = rng.bernoulli(rng.mix_key(spec.seed, "draw/y"), np.where(t == 1, p1, p0))
     x = np.concatenate([lat["z"], lat["c"], lat["a"]], axis=1)
     roles = ["z"] * spec.mz + ["c"] * spec.mc + ["a"] * spec.ma
@@ -382,7 +384,7 @@ def twins_transform(spec: TwinsSpec) -> GeneratedDataset:
     m_std = (m_mat - m_mat.mean(axis=0)) / std
     v = rng.normal_matrix(rng.mix_key(spec.seed, "twins/v"), n, spec.mv)
     index_t = m_std.sum(1) + v.sum(1)
-    t = rng.bernoulli(rng.mix_key(spec.seed, "twins/t"), _sigmoid(index_t))
+    t = rng.bernoulli(rng.mix_key(spec.seed, "twins/t"), ad.sigmoid_into(index_t, np.empty(n)))
     y = np.where(t == 1, p1, p0)
 
     order = rng.permutation(rng.mix_key(spec.seed, "twins/hide"), len(spec.m_columns))
@@ -562,7 +564,7 @@ def write_twins_fixture(path: str | Path, n: int = 220, seed: int = 2024) -> Pat
     gap = 80.0 * np.abs(rng.normals(rng.mix_key(seed, "fx/gap"), 0, n)) + 20.0
     w0 = base - gap / 2 + 40.0 * rng.normals(rng.mix_key(seed, "fx/w0"), 0, n)
     w1 = base + gap / 2 + 40.0 * rng.normals(rng.mix_key(seed, "fx/w1"), 0, n)
-    risk = _sigmoid(-2.0 - (base - 1200.0) / 250.0 + 0.8 * feats[:, 2])
+    risk = ad.sigmoid_into(-2.0 - (base - 1200.0) / 250.0 + 0.8 * feats[:, 2], np.empty(n))
     m0 = rng.bernoulli(rng.mix_key(seed, "fx/m0"), np.clip(risk * 1.3, 0, 1))
     m1 = rng.bernoulli(rng.mix_key(seed, "fx/m1"), risk)
     sex = rng.bernoulli(rng.mix_key(seed, "fx/sex"), np.full(n, 0.5))

@@ -48,12 +48,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, make_dataclass
+from dataclasses import dataclass, field, make_dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
+from .datagen import check_fields
 from .family import FAMILIES, PROB_FLOOR, Gaussian
 from .model import HeadOutputs
 
@@ -66,7 +67,8 @@ class DegenerateBatchError(Exception):
 
 @dataclass(frozen=True)
 class LossWeights:
-    """The loss coefficients; `sd2 sweep --param` takes these field names."""
+    """The loss coefficients, each a finite nonnegative number (a bool is not
+    one); `sd2 sweep --param` takes these field names."""
     alpha: float = 1.0
     beta: float = 1.0
     gamma: float = 1.0
@@ -74,10 +76,7 @@ class LossWeights:
     omega_cont: float = 1.0
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self)):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        check_fields(self)
 
 
 def importance_weights(pi_c: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import rng
-from .datagen import check_integers
+from .datagen import check_fields
 from .family import FAMILIES
 
 CHECKPOINT_FORMAT = "sd2-checkpoint"
@@ -55,6 +55,7 @@ _MIN_BLOCK_ROWS = 16
 
 @dataclass(frozen=True)
 class ArchConfig:
+    """Network sizes, each at least 1 (`check_fields`), and the treatment mode."""
     input_dim: int
     rep_dim: int = 8
     enc_hidden: int = 64
@@ -63,10 +64,8 @@ class ArchConfig:
     mode: str = "binary"
 
     def __post_init__(self):
-        check_integers(self)
-        for field in ("input_dim", "rep_dim", "enc_hidden", "enc_layers", "head_hidden"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be >= 1")
+        check_fields(self, {"input_dim": 1, "rep_dim": 1, "enc_hidden": 1, "enc_layers": 1,
+                            "head_hidden": 1})
         if self.mode not in ("binary", "continuous"):
             raise ValueError(f"mode must be binary or continuous, got {self.mode!r}")
 
@@ -477,13 +476,13 @@ def checkpoint_load(path: str | Path) -> SD2Model:
         if odd:
             state = "unknown" if odd[0] in manifest else "missing"
             raise CheckpointError(f"checkpoint manifest field {odd[0]!r} is {state}")
-        if manifest["version"] not in range(1, CHECKPOINT_VERSION + 1):
-            raise CheckpointError(f"checkpoint version {manifest['version']!r} is not "
-                                  f"supported (this build reads 1 to {CHECKPOINT_VERSION})")
-        for key, kind in (("seed", int), ("params", list)):
+        for key, kind in (("version", int), ("seed", int), ("params", list)):
             if type(manifest[key]) is not kind:
                 raise CheckpointError(f"checkpoint manifest field {key!r} is not "
                                       f"{kind.__name__}")
+        if manifest["version"] not in range(1, CHECKPOINT_VERSION + 1):
+            raise CheckpointError(f"checkpoint version {manifest['version']!r} is not "
+                                  f"supported (this build reads 1 to {CHECKPOINT_VERSION})")
         try:
             config = ArchConfig(**manifest["config"])
         except (TypeError, ValueError) as exc:

@@ -10,7 +10,6 @@ checkpoints.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -44,19 +43,19 @@ class TrainingError(Exception):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Adam's step size; its moment decays and epsilon are the constants
-    `ad.ADAM_BETA1`, `ad.ADAM_BETA2` and `ad.ADAM_EPS` (0.9, 0.999, 1e-8)."""
+    """Adam's step size, a finite nonnegative number (a bool is not one); its
+    moment decays and epsilon are the constants `ad.ADAM_BETA1`,
+    `ad.ADAM_BETA2` and `ad.ADAM_EPS` (0.9, 0.999, 1e-8)."""
     lr: float = 1e-3
 
     def __post_init__(self):
-        lr = self.lr
-        if (isinstance(lr, bool) or not isinstance(lr, (int, float))
-                or not (math.isfinite(lr) and lr >= 0)):
-            raise ValueError(f"lr must be a finite nonnegative number, got {lr!r}")
+        dg.check_fields(self)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A training run: batch_size is at least 2, max_epochs and patience at
+    least 1 (`check_fields`), and patience at most max_epochs."""
     mode: str = "binary"
     arch: ArchConfig = field(default_factory=lambda: ArchConfig(input_dim=1))
     weights: LossWeights = field(default_factory=LossWeights)
@@ -69,12 +68,7 @@ class TrainConfig:
     dataset: dict | None = None
 
     def __post_init__(self):
-        dg.check_integers(self)
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
-        for name in ("max_epochs", "patience"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        dg.check_fields(self, {"batch_size": 2, "max_epochs": 1, "patience": 1})
         if self.patience > self.max_epochs:
             raise ValueError("patience must not exceed max_epochs")
         if self.mode not in ("binary", "continuous"):

@@ -21,6 +21,10 @@ def write_json(path, payload):
     return str(path)
 
 
+# the classes whose fields a config file or a dataset spec sets
+CONFIG_CLASSES = (tr.TrainConfig, ArchConfig, LossWeights, tr.OptimizerConfig,
+                  *(cls for cls, _ in dg.DATASET_KINDS.values()))
+
 SMALL_TRAIN = {
     "mode": "binary",
     "arch": {"rep_dim": 4, "enc_hidden": 8, "head_hidden": 4},
@@ -61,7 +65,7 @@ class TestGenerate:
                           {"kind": "synthetic_binary", "mz": -3})
         rc = cli.main(["generate", "--spec", spec, "--out", str(tmp_path / "x")])
         assert rc == 2
-        assert "dimension" in capsys.readouterr().err
+        assert "mz must be at least 0, got -3" in capsys.readouterr().err
 
     def test_unknown_kind_exit_2(self, tmp_path):
         spec = write_json(tmp_path / "spec.json", {"kind": "nope"})
@@ -485,7 +489,7 @@ def _nan_parameter(command, name):
 def _section(section, **changes):
     """`sd2 train` of SMALL_TRAIN with fields of one config section changed."""
     return lambda tmp, run, data: ["train", "--config", _config(
-        tmp, **{section: {**SMALL_TRAIN[section], **changes}})]
+        tmp, **{section: {**SMALL_TRAIN.get(section, {}), **changes}})]
 
 
 def _checkpoint_config(**changes):
@@ -622,6 +626,17 @@ FAILURES = {
         "generate", "--spec", write_json(tmp / "spec.json", {
             "kind": "twins", "csv_path": str(dg.fixture_path()),
             "m_columns": list(dg.FIXTURE_M_COLUMNS), "hide_count": 4.0})], 2),
+    # a number field holds a finite nonnegative number: not a bool, not a string,
+    # and not an integer too large for a float; a string field holds a string
+    "weights_bool_alpha": (_section("weights", alpha=True), 2),
+    "weights_string_beta": (_section("weights", beta="0.5"), 2),
+    "weights_huge_integer_alpha": (_section("weights", alpha=10 ** 400), 2),
+    "demand_bool_alpha": (lambda tmp, run, data: [
+        "generate", "--spec", write_json(tmp / "spec.json", {"kind": "demand", "alpha": True})],
+        2),
+    "twins_string_m_columns": (_twins_spec("generate", m_columns="gestat"), 2),
+    # file descriptor 0 would open stdin, which the test fills with the twins CSV
+    "twins_csv_path_zero": (_twins_spec("generate", csv_path=0), 2),
     # a config's and a checkpoint's integer fields hold integers, and a bool is not one
     "arch_float_rep_dim": (_section("arch", rep_dim=4.5), 2),
     "arch_float_enc_hidden": (_section("arch", enc_hidden=8.0), 2),
@@ -732,9 +747,9 @@ FAILURES = {
 FAILURE_FIELDS = {
     "zero_joints": "--joints must be >= 1, got 0",
     "negative_joints": "--joints must be >= 1, got -3",
-    "negative_max_epochs": "max_epochs must be >= 1, got -1",
-    "zero_max_epochs": "max_epochs must be >= 1, got 0",
-    "zero_patience": "patience must be >= 1, got 0",
+    "negative_max_epochs": "config section 'train': max_epochs must be at least 1, got -1",
+    "zero_max_epochs": "config section 'train': max_epochs must be at least 1, got 0",
+    "zero_patience": "config section 'train': patience must be at least 1, got 0",
     "zero_schema_version": "schema_version",
     "negative_schema_version": "schema_version",
     "flags_section": "'flags'",
@@ -751,20 +766,31 @@ FAILURE_FIELDS = {
     "sweep_no_dataset": "config carries no dataset reference",
     "replicate_unknown_kind": "unknown dataset kind 'mystery'",
     "ablate_dir_extra_field": "dataset 'dir' takes one field, 'path'",
-    "sweep_negative_dimension": "dimensions must be nonnegative",
+    "sweep_negative_dimension": "mz must be at least 0, got -1",
     "demand_no_covariates": "mz + mc + ma must be at least 1",
-    "demand_nan_alpha": "alpha must be finite and nonnegative, got nan",
-    "demand_inf_beta": "beta must be finite and nonnegative, got inf",
+    "demand_nan_alpha": "alpha must be a finite nonnegative number, got nan",
+    "demand_inf_beta": "beta must be a finite nonnegative number, got inf",
     "data_no_covariates": "data.csv: a dataset needs at least one covariate column",
     "binary_float_n": "n must be an integer, got 50.5",
     "demand_float_mz": "mz must be an integer, got 1.5",
     "binary_float_seed": "seed must be an integer, got 2.5",
     "binary_bool_n": "n must be an integer, got True",
     "twins_float_hide_count": "hide_count must be an integer, got 4.0",
+    "weights_bool_alpha": "config section 'weights': alpha must be a finite nonnegative "
+                          "number, got True",
+    "weights_string_beta": "config section 'weights': beta must be a finite nonnegative "
+                           "number, got '0.5'",
+    "weights_huge_integer_alpha": "config section 'weights': alpha must be a finite "
+                                  f"nonnegative number, got {10 ** 400}",
+    "demand_bool_alpha": "dataset 'demand': alpha must be a finite nonnegative number, "
+                         "got True",
+    "twins_string_m_columns": "dataset 'twins': m_columns must be a tuple of strings, "
+                              "got 'gestat'",
+    "twins_csv_path_zero": "dataset 'twins': csv_path must be a string, got 0",
     "twins_outcome_m_column": "m_columns names 'mort_1', a potential outcome",
     "twins_repeated_m_column": "m_columns names 'gestat' more than once",
-    "twins_negative_hide_count": "hide_count must be nonnegative, got -1",
-    "twins_negative_mv": "mv must be nonnegative, got -2",
+    "twins_negative_hide_count": "hide_count must be at least 0, got -1",
+    "twins_negative_mv": "mv must be at least 0, got -2",
     "twins_weight_m_column": "m_columns names 'dbirwt_0', a birth weight",
     "twins_sex_m_column": "m_columns names 'sex_1', a sex column",
     "data_csv_cut": "data.csv: 160 rows, but spec.json records n 200",
@@ -797,7 +823,8 @@ FAILURE_FIELDS = {
     "sweep_omega_cont_binary": "omega_cont",
     "bad_split_ratios": "split_ratios",
     "train_mode_mismatch": "dataset mode",
-    "weights_not_finite": "delta must be finite and nonnegative, got inf",
+    "weights_not_finite": "config section 'weights': delta must be a finite nonnegative "
+                          "number, got inf",
     "lr_nan": "config section 'optimizer': lr must be a finite nonnegative number, got nan",
     "lr_inf": "config section 'optimizer': lr must be a finite nonnegative number, got inf",
     "lr_string": "config section 'optimizer': lr must be a finite nonnegative number, "
@@ -805,8 +832,8 @@ FAILURE_FIELDS = {
     "lr_bool": "config section 'optimizer': lr must be a finite nonnegative number, got True",
     "lr_negative": "config section 'optimizer': lr must be a finite nonnegative number, "
                    "got -1.0",
-    "sweep_negative_value": "gamma must be finite and nonnegative, got -1.0",
-    "sweep_nan_value": "gamma must be finite and nonnegative, got nan",
+    "sweep_negative_value": "gamma must be a finite nonnegative number, got -1.0",
+    "sweep_nan_value": "gamma must be a finite nonnegative number, got nan",
     "sweep_param_zeroed_by_variant": "variant 'Lp'",
     "spec_json_not_json": "spec.json: invalid JSON",
     "spec_json_list": "spec.json: the top level must be a JSON object, got list",
@@ -830,8 +857,20 @@ FAILURE_FIELDS = {
 }
 
 
+@pytest.fixture()
+def twins_csv_on_stdin():
+    """The twins fixture CSV as file descriptor 0 while the test runs, so a
+    command that reads stdin gets a CSV it can use."""
+    saved = os.dup(0)
+    with open(dg.fixture_path(), "rb") as fh:
+        os.dup2(fh.fileno(), 0)
+    yield
+    os.dup2(saved, 0)
+    os.close(saved)
+
+
 @pytest.mark.parametrize("case", FAILURES)
-def test_failure_writes_failed_manifest(case, trained_run, tmp_path):
+def test_failure_writes_failed_manifest(case, trained_run, tmp_path, twins_csv_on_stdin):
     make_argv, code = FAILURES[case]
     out = tmp_path / "out"
     assert cli.main([*make_argv(tmp_path, *trained_run), "--out", str(out)]) == code
@@ -1096,9 +1135,8 @@ class TestConfigParsing:
         # the config's sections, whose fields are counted under their own classes
         set_elsewhere = {"TrainConfig": {"arch", "weights", "optimizer", "dataset"},
                          "ArchConfig": {"input_dim", "mode"}}  # from the data and the config
-        classes = (tr.TrainConfig, ArchConfig, LossWeights, tr.OptimizerConfig,
-                   *(cls for cls, _ in dg.DATASET_KINDS.values()))
-        assert [f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls)
+        assert [f"{cls.__name__}.{f.name}" for cls in CONFIG_CLASSES
+                for f in dataclasses.fields(cls)
                 if f.name not in set_elsewhere.get(cls.__name__, ())] == settable
         assert len(settable) == 35
 

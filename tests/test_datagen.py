@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference_ops as R
 from sd2 import datagen as dg
 from sd2 import rng
 
@@ -55,9 +56,11 @@ class TestGenBinary:
         den = 2 + 4 + 2
         quad = (lat["a"] ** 2).sum(1) + (lat["c"] ** 2).sum(1) + (lat["u"] ** 2).sum(1)
         lin = lat["a"].sum(1) + lat["c"].sum(1) + lat["u"].sum(1)
-        # bitwise against the library's sigmoid; ulp-close to the naive form
-        assert np.array_equal(ds.p1, dg._sigmoid(quad / den))
-        assert np.array_equal(ds.p0, dg._sigmoid(lin / den))
+        # bitwise against the boolean-mask logistic; ulp-close to the naive form
+        for got, index in ((ds.p1, quad / den), (ds.p0, lin / den)):
+            want = np.empty(300)
+            R.masked_sigmoid_into(index, want)
+            assert np.array_equal(got, want)
         naive = lambda v: 1 / (1 + np.exp(-v))
         assert np.allclose(ds.p0, naive(lin / den), rtol=1e-15, atol=0)
 
@@ -350,7 +353,7 @@ class TestSpecFromRef:
     @pytest.mark.parametrize("ref, field", [
         ({"kind": "mystery"}, "mystery"),
         ({"kind": "demand", "zz": 1}, "zz"),
-        ({"kind": "synthetic_binary", "mz": -1}, "dimensions"),
+        ({"kind": "synthetic_binary", "mz": -1}, "mz must be at least 0, got -1"),
         ({"kind": "twins", "csv_path": "t.csv"}, "m_columns"),
         # the twins columns and weight cap are constants (TWINS_*)
         ({"kind": "twins", "csv_path": "t.csv", "m_columns": ["m"], "hide_count": 0,

@@ -38,8 +38,8 @@ def sigmoids(x):
     want, got, in_place = np.empty_like(x), np.empty_like(x), x.copy()
     with np.errstate(all="ignore"):
         R.masked_sigmoid_into(x, want)
-        ad._sigmoid_into(x, got)
-        ad._sigmoid_into(in_place, in_place)
+        ad.sigmoid_into(x, got)
+        ad.sigmoid_into(in_place, in_place)
     return want, got, in_place
 
 

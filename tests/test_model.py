@@ -654,7 +654,12 @@ class TestCheckpoint:
         with pytest.raises(M.CheckpointError, match="shape"):
             M.checkpoint_load(path)
 
-    def test_newer_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version, error", [
+        (M.CHECKPOINT_VERSION + 1, "checkpoint version 2 is not supported"),
+        # a bool or a float equal to a supported version is not one
+        (True, "checkpoint manifest field 'version' is not int"),
+        (1.0, "checkpoint manifest field 'version' is not int")])
+    def test_unsupported_version_rejected(self, tmp_path, version, error):
         import json
         m = M.init_model(small_cfg(), seed=11)
         path = tmp_path / "model.bin"
@@ -662,9 +667,9 @@ class TestCheckpoint:
         blob = path.read_bytes()
         header, rest = blob.split(b"\n", 1)
         manifest = json.loads(header)
-        manifest["version"] = M.CHECKPOINT_VERSION + 1
+        manifest["version"] = version
         path.write_bytes(json.dumps(manifest).encode() + b"\n" + rest)
-        with pytest.raises(M.CheckpointError, match="version"):
+        with pytest.raises(M.CheckpointError, match=error):
             M.checkpoint_load(path)
 
     def test_truncated_rejected(self, tmp_path):

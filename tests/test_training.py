@@ -42,8 +42,9 @@ def tiny_triple():
 
 class TestTrainBasics:
     @pytest.mark.parametrize("max_epochs, patience, error", [
-        (0, 0, "max_epochs must be >= 1, got 0"), (-1, -5, "max_epochs must be >= 1, got -1"),
-        (3, 0, "patience must be >= 1, got 0")])
+        (0, 0, "max_epochs must be at least 1, got 0"),
+        (-1, -5, "max_epochs must be at least 1, got -1"),
+        (3, 0, "patience must be at least 1, got 0")])
     def test_fewer_than_one_epoch_rejected(self, max_epochs, patience, error):
         # a run that can never take an optimizer step does not start
         with pytest.raises(ValueError, match=error):
