@@ -102,11 +102,14 @@ def _out_dir(args) -> Path | None:
             pass
 
 
-def _build_section(cls, section: dict, name: str):
-    try:
-        return cls(**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config section {name!r}: {exc}") from exc
+# The config file's sections: each one's class and the fields of it set elsewhere,
+# from the data's width, the top level's mode and dataset, or the sections before it.
+CONFIG_SECTIONS = {
+    "arch": (ArchConfig, ("input_dim", "mode")),
+    "weights": (LossWeights, ()),
+    "optimizer": (tr.OptimizerConfig, ()),
+    "train": (TrainConfig, ("mode", "dataset", "arch", "weights", "optimizer")),
+}
 
 
 def build_train_config(raw: dict) -> TrainConfig:
@@ -117,38 +120,30 @@ def build_train_config(raw: dict) -> TrainConfig:
     if not 1 <= version <= CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"config schema_version {version} is not supported "
                           f"(1 to {CONFIG_SCHEMA_VERSION})")
-    sections = ("arch", "weights", "optimizer", "train")
     for key in raw:
-        if key not in {"schema_version", "mode", "dataset", *sections}:
+        if key not in {"schema_version", "mode", "dataset", *CONFIG_SECTIONS}:
             raise ConfigError(f"unknown config field {key!r}")
-        if key in sections and not isinstance(raw[key], dict):
-            raise ConfigError(f"config section {key!r} must be a JSON object")
+    mode = raw.get("mode", "binary")
+    if mode not in ("binary", "continuous"):
+        raise ConfigError(f"config field 'mode' must be binary or continuous, got {mode!r}")
     if not isinstance(raw.get("dataset", {}), (dict, type(None))):
         raise ConfigError("config field 'dataset' must be a JSON object or null")
-    mode = raw.get("mode", "binary")
-    arch_raw = raw.get("arch", {})
-    for name, source in (("input_dim", "the data's covariate count"),
-                         ("mode", "the config's mode")):
-        if name in arch_raw:
-            raise ConfigError(f"config section 'arch': {name} is set from {source}; "
-                              "remove it")
     # input_dim is a placeholder until training reads the data's width
-    arch = _build_section(ArchConfig, {**arch_raw, "input_dim": 1, "mode": mode}, "arch")
-    weights = _build_section(LossWeights, raw.get("weights", {}), "weights")
-    optimizer = _build_section(tr.OptimizerConfig, raw.get("optimizer", {}), "optimizer")
-    try:
-        return TrainConfig(mode=mode, arch=arch, weights=weights, optimizer=optimizer,
-                           dataset=raw.get("dataset"), **raw.get("train", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config section 'train': {exc}") from exc
+    built = {"input_dim": 1, "mode": mode, "dataset": raw.get("dataset")}
+    for name, (cls, given) in CONFIG_SECTIONS.items():
+        built[name] = dg.read_record(cls, raw.get(name, {}), f"config section {name!r}",
+                                     {key: built[key] for key in given})
+    return built["train"]
 
 
 def config_json(config: TrainConfig) -> dict:
-    d = asdict(config)  # training sets the arch's input_dim and mode
-    del d["arch"]["input_dim"], d["arch"]["mode"]
-    return {"schema_version": CONFIG_SCHEMA_VERSION, "mode": d.pop("mode"),
-            "arch": d.pop("arch"), "weights": d.pop("weights"),
-            "optimizer": d.pop("optimizer"), "dataset": d.pop("dataset"), "train": d}
+    """The config file `build_train_config` reads back as ``config``."""
+    d = asdict(config)
+    record = {"schema_version": CONFIG_SCHEMA_VERSION, "mode": d["mode"], "dataset": d["dataset"]}
+    for name, (_, given) in CONFIG_SECTIONS.items():
+        section = d if name == "train" else d[name]
+        record[name] = {key: value for key, value in section.items() if key not in given}
+    return record
 
 
 def _write_manifest(command: str, run: Run, error: str | None):
@@ -204,6 +199,8 @@ def _train_config(args, run: Run) -> tuple[TrainConfig, int]:
 def cmd_generate(args, run: Run) -> tuple[str, float]:
     run.config = dg.read_json_object(args.spec)
     spec = dg.spec_from_ref(run.config)
+    if isinstance(spec, dg.DirSpec):
+        raise ConfigError("dataset kind 'dir' is read, not generated (train --data reads it)")
     run.seeds = [spec.seed]
     if args.triple and isinstance(spec, dg.TwinsSpec):
         raise ConfigError("--triple applies to synthetic and demand specs only")
@@ -257,6 +254,13 @@ def cmd_evaluate(args, run: Run) -> tuple[str, float]:
     return metric.name, rows[-1]["value"]
 
 
+def _check_counts(args, *flags: str) -> None:
+    """ConfigError naming the first of the count ``flags`` that is below 1."""
+    for flag in flags:
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+
+
 def _one_replication(payload) -> dict:
     """One replication end to end, for replicate, ablate and sweep alike:
     train on the first set, select on the second, and score the headline
@@ -283,12 +287,9 @@ def _one_replication(payload) -> dict:
 def _replicated(configs: list[TrainConfig], args, base_seed: int) -> list[tuple[list[dict], dict]]:
     """--reps replications of every config, through one pool when --jobs > 1,
     and each config's rows with their summary per split."""
-    if args.reps < 1:
-        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    _check_counts(args, "reps", "jobs")
     for config in configs:  # a reference every replication would fail on fails the command
-        tr.dataset_spec(config.dataset)
+        dg.spec_from_ref(config.dataset)
     payloads = [(config, i, base_seed) for config in configs for i in range(args.reps)]
     if args.jobs > 1:
         # one BLAS thread per worker unless the user set a count; the workers are
@@ -375,8 +376,7 @@ def cmd_attribute(args, run: Run) -> tuple[str, float]:
 
 
 def cmd_verify(args, run: Run) -> tuple[str, float]:
-    if args.joints < 1:
-        raise ConfigError(f"--joints must be >= 1, got {args.joints}")
+    _check_counts(args, "joints")
     run.seeds = [args.seed or 0]
     try:
         worst = it.verify_identities(args.joints, seed=args.seed or 0)
@@ -423,61 +423,39 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sd2", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    for func, text in ((cmd_generate, "write a dataset directory from a spec file"),
+                       (cmd_train, "train one model"),
+                       (cmd_evaluate, "metrics for a checkpoint on a dataset"),
+                       (cmd_replicate, "k replications with derived seeds"),
+                       (cmd_ablate, "replicated metrics per ablation variant"),
+                       (cmd_attribute, "first-layer attribution of a checkpoint"),
+                       (cmd_verify, "exact information-identity suite"),
+                       (cmd_sweep, "grid over one loss coefficient")):
+        sub.add_parser(func.__name__[len("cmd_"):], help=text).set_defaults(func=func)
 
-    p = sub.add_parser("generate", help="write a dataset directory from a spec file")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--triple", action="store_true",
-                   help="three independent draws into train/ val/ test/")
-    p.set_defaults(func=cmd_generate)
+    def flag(commands: str, *names: str, **options):
+        for command in commands.split():
+            sub.choices[command].add_argument(*names, **options)
 
-    p = sub.add_parser("train", help="train one model")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", default=None, help="dataset dir or train/ val/ test/ triple")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--variant", default=None, choices=tr.VARIANTS)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="metrics for a checkpoint on a dataset")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("replicate", help="k replications with derived seeds")
-    p.add_argument("--config", required=True)
-    p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--variant", default=None, choices=tr.VARIANTS)
-    p.set_defaults(func=cmd_replicate)
-
-    p = sub.add_parser("ablate", help="replicated metrics per ablation variant")
-    p.add_argument("--config", required=True)
-    p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--variants", default=None)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("attribute", help="first-layer attribution of a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.set_defaults(func=cmd_attribute)
-
-    p = sub.add_parser("verify", help="exact information-identity suite")
-    p.add_argument("--joints", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("sweep", help="grid over one loss coefficient")
-    p.add_argument("--config", required=True)
-    p.add_argument("--param", required=True)
-    p.add_argument("--grid", required=True)
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_sweep)
-    for p in sub.choices.values():  # every subcommand takes its run directory from --out
-        p.add_argument("--out", default=None)
+    # each flag once, for every subcommand that takes it, in the order --help lists them
+    flag("generate", "--spec", required=True)
+    flag("generate", "--triple", action="store_true",
+         help="three independent draws into train/ val/ test/")
+    flag("evaluate attribute", "--checkpoint", required=True)
+    flag("train replicate ablate sweep", "--config", required=True)
+    flag("sweep", "--param", required=True)
+    flag("sweep", "--grid", required=True)
+    flag("train", "--data", default=None, help="dataset dir or train/ val/ test/ triple")
+    flag("evaluate attribute", "--data", required=True)
+    flag("replicate ablate sweep", "--reps", type=int, default=10)
+    flag("verify", "--joints", type=int, default=1000)
+    flag("train replicate ablate sweep", "--seed", type=int, default=None)
+    flag("verify", "--seed", type=int, default=0)
+    flag("replicate ablate sweep", "--jobs", type=int, default=1)
+    flag("train replicate", "--variant", default=None, choices=tr.VARIANTS)
+    flag("ablate", "--variants", default=None)
+    flag(" ".join(sub.choices), "--out", default=None)  # every run directory
+    sub.choices["sweep"].set_defaults(reps=3)  # replications per grid value
     return parser
 
 

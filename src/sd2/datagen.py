@@ -15,8 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import os
 import sys
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import MISSING, dataclass, asdict, fields, replace
 from itertools import zip_longest
 from pathlib import Path
 
@@ -64,10 +65,18 @@ def check_fields(obj, at_least: dict[str, int] | None = None) -> None:
         raise ValueError(f"{f.name} must be {kind}, got {value!r}")
 
 
+def _check_fits_memory(n: int, columns: int) -> None:
+    """ValueError naming n when n rows of float64 columns overflow memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n * columns * 8 > have:
+        raise ValueError(f"n = {n} is too large: {n} rows of {columns} float64 columns "
+                         f"need more than the {have} bytes of memory this machine has")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Binary design, named mv-mz-mc-ma-mu; each dimension is at least 0 and
-    n at least 1 (`check_fields`)."""
+    """Binary design; each dimension is at least 0, n at least 1
+    (`check_fields`), and its n rows of data and ground truth fit in memory."""
     mv: int = 0
     mz: int = 4
     mc: int = 4
@@ -82,17 +91,14 @@ class SyntheticSpec:
             raise ValueError("mz + mc + ma must be at least 1")
         if self.ma + self.mc + self.mu < 1:
             raise ValueError("ma + mc + mu must be at least 1 (outcome scaling)")
-
-    @property
-    def name(self) -> str:
-        return f"{self.mv}-{self.mz}-{self.mc}-{self.ma}-{self.mu}"
+        _check_fits_memory(self.n, self.mz + self.mc + self.ma + self.mv + 4)
 
 
 @dataclass(frozen=True)
 class DemandSpec:
     """Continuous design; alpha scales instrument strength, beta confounding.
-    Both are finite nonnegative numbers, each dimension is at least 0 and n
-    at least 1 (`check_fields`)."""
+    Both are finite nonnegative numbers, each dimension is at least 0, n at
+    least 1 (`check_fields`), and its n rows of data and truth fit in memory."""
     alpha: float = 0.0
     beta: float = 1.0
     mz: int = 2
@@ -105,6 +111,7 @@ class DemandSpec:
         check_fields(self, {"mz": 0, "mc": 0, "ma": 0, "n": 1})
         if self.mz + self.mc + self.ma < 1:
             raise ValueError("mz + mc + ma must be at least 1")
+        _check_fits_memory(self.n, self.mz + self.mc + self.ma + 4)
 
 
 # both twins' birth weights (grams) and one-year mortality; pairs where either
@@ -148,6 +155,16 @@ class TwinsSpec:
                 raise ValueError(f"m_columns names {col!r} more than once")
         if self.hide_count >= len(self.m_columns):
             raise ValueError("hide_count must be smaller than the number of M columns")
+
+
+@dataclass(frozen=True)
+class DirSpec:
+    """The `dir` dataset kind: a dataset directory or a train/ val/ test/ triple,
+    read (`read_data_dir`), not generated; `path` is a string (`check_fields`)."""
+    path: str
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
@@ -277,9 +294,14 @@ def gen_continuous(spec: DemandSpec) -> GeneratedDataset:
     eps_t = rng.normals(rng.mix_key(spec.seed, "noise/t"), 0, n)
     eps_y = rng.normals(rng.mix_key(spec.seed, "noise/y"), 0, n)
     sum_z, sum_c, sum_a = z.sum(1), c.sum(1), a.sum(1)
-    t = 25.0 + (1.0 + spec.alpha) * sum_z + sum_c + u + eps_t
-    y = (demand_response(t) * (1.0 + 0.5 * sum_a) - 2.0 * t
-         + spec.beta * sum_c + 2.0 * u + eps_y)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        t = 25.0 + (1.0 + spec.alpha) * sum_z + sum_c + u + eps_t
+        y = (demand_response(t) * (1.0 + 0.5 * sum_a) - 2.0 * t
+             + spec.beta * sum_c + 2.0 * u + eps_y)
+        if not np.isfinite(y).all():  # beta scales the confounding, alpha the rest
+            cause = "alpha" if np.isfinite(spec.beta * sum_c).all() else "beta"
+            raise SchemaError(f"{cause} = {getattr(spec, cause)!r} is too large: the outcome "
+                              "y overflows")
     x = np.concatenate([z, c, a], axis=1)
     roles = ["z"] * spec.mz + ["c"] * spec.mc + ["a"] * spec.ma
     return GeneratedDataset(mode="continuous", x=x, v=np.zeros((n, 0)), t=t, y=y,
@@ -348,6 +370,34 @@ def read_json_object(path: str | Path) -> dict:
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: the top level must be a JSON object, got {type(raw).__name__}")
     return raw
+
+
+def read_record(cls, raw, where: str, given: dict | None = None):
+    """The dataclass ``cls`` from the JSON object ``raw`` and the fields the
+    caller sets itself (``given``): the one reader of config sections, dataset
+    references and a checkpoint's config.  SchemaError, prefixed ``where``,
+    names a key that is no field or one of ``given``, a missing field without
+    a default, or what `check_fields` or ``__post_init__`` rejects.  A JSON
+    list becomes a tuple only for a ``tuple[str, ...]`` field."""
+    given = given or {}
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{where} must be a JSON object, got {type(raw).__name__}")
+    declared = {f.name: f for f in fields(cls)}
+    for key in raw:
+        if key not in declared:
+            raise SchemaError(f"{where}: unknown field {key!r}")
+        if key in given:
+            raise SchemaError(f"{where}: {key} is set elsewhere, so it may not be set here")
+    for name, f in declared.items():
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required and name not in raw and name not in given:
+            raise SchemaError(f"{where}: missing field {name!r}")
+    values = {k: tuple(v) if declared[k].type == "tuple[str, ...]" and isinstance(v, list) else v
+              for k, v in raw.items()}
+    try:
+        return cls(**values, **given)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def twins_transform(spec: TwinsSpec) -> GeneratedDataset:
@@ -430,32 +480,29 @@ DATASET_KINDS = {
     "synthetic_binary": (SyntheticSpec, gen_binary),
     "demand": (DemandSpec, gen_continuous),
     "twins": (TwinsSpec, twins_transform),
+    "dir": (DirSpec, None),  # read by `read_data_dir`, not generated
 }
 SPLITS = ("train", "val", "test")  # the sets of a triple, in order
 # the (train, val, test) shares `split` gives one dataset, as in CFR-style benchmarks
 SPLIT_RATIOS = (0.63, 0.27, 0.10)
 
 
-def spec_from_ref(ref: dict | None) -> SyntheticSpec | DemandSpec | TwinsSpec:
-    """A JSON dataset reference (`kind` plus spec fields) as a spec."""
+def spec_from_ref(ref: dict | None) -> SyntheticSpec | DemandSpec | TwinsSpec | DirSpec:
+    """A JSON dataset reference (`kind` plus its spec's fields) as its kind's spec."""
     if not ref:
         raise SchemaError("config carries no dataset reference")
     kind = ref.get("kind")
-    if kind not in DATASET_KINDS:
+    if not isinstance(kind, str) or kind not in DATASET_KINDS:
         raise SchemaError(f"unknown dataset kind {kind!r}")
-    cls = DATASET_KINDS[kind][0]
     # twins_transform records hidden_columns and x_columns next to the spec;
-    # they follow from the spec, so a record read back as a reference drops them
-    fields = {k: tuple(v) if isinstance(v, list) else v for k, v in ref.items()
-              if k not in ("kind", "hidden_columns", "x_columns")}
-    try:
-        return cls(**fields)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"dataset {kind!r}: {exc}") from exc
+    # they follow from the spec, so a twins record read back as a reference drops them
+    recorded = ("kind", "hidden_columns", "x_columns") if kind == "twins" else ("kind",)
+    record = {k: v for k, v in ref.items() if k not in recorded}
+    return read_record(DATASET_KINDS[kind][0], record, f"dataset {kind!r}")
 
 
 def generate(spec: SyntheticSpec | DemandSpec | TwinsSpec) -> GeneratedDataset:
-    """The dataset a spec describes, from its kind's generator."""
+    """The dataset a generated kind's spec describes, from its kind's generator."""
     return next(gen for cls, gen in DATASET_KINDS.values() if type(spec) is cls)(spec)
 
 

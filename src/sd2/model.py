@@ -39,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import rng
-from .datagen import check_fields
+from .datagen import SchemaError, check_fields, read_record
 from .family import FAMILIES
 
 CHECKPOINT_FORMAT = "sd2-checkpoint"
@@ -484,9 +484,10 @@ def checkpoint_load(path: str | Path) -> SD2Model:
             raise CheckpointError(f"checkpoint version {manifest['version']!r} is not "
                                   f"supported (this build reads 1 to {CHECKPOINT_VERSION})")
         try:
-            config = ArchConfig(**manifest["config"])
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"checkpoint manifest field 'config': {exc}") from exc
+            config = read_record(ArchConfig, manifest["config"],
+                                 "checkpoint manifest field 'config'")
+        except SchemaError as exc:
+            raise CheckpointError(str(exc)) from exc
         listed = manifest["params"]
         declared = [{"name": name + suffix, "shape": shape}
                     for layers in _layers(config).values()

@@ -281,16 +281,6 @@ def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
     return model, history
 
 
-def dataset_spec(ref: dict | None) -> dg.SyntheticSpec | dg.DemandSpec | dg.TwinsSpec | None:
-    """The spec a config's dataset reference describes, None for a `dir`
-    reference; a missing or malformed reference raises SchemaError."""
-    if ref and ref.get("kind") == "dir":
-        if set(ref) != {"kind", "path"}:
-            raise dg.SchemaError(f"dataset 'dir' takes one field, 'path'; got {sorted(ref)}")
-        return None
-    return dg.spec_from_ref(ref)
-
-
 def resolve_data(config: TrainConfig, seed: int
                  ) -> tuple[dg.GeneratedDataset, dg.GeneratedDataset, dg.GeneratedDataset]:
     """Build (train, val, test) from the config's dataset reference.
@@ -299,9 +289,9 @@ def resolve_data(config: TrainConfig, seed: int
     `dir` triple is used as it is; one `dir` dataset, or twins, is split by
     `dg.SPLIT_RATIOS`, afresh per seed.  A dataset whose mode is not the
     config's raises SchemaError."""
-    spec = dataset_spec(config.dataset)
-    if spec is None:
-        data = tuple(dg.read_data_dir(config.dataset["path"]).values())
+    spec = dg.spec_from_ref(config.dataset)
+    if isinstance(spec, dg.DirSpec):
+        data = tuple(dg.read_data_dir(spec.path).values())
     elif isinstance(spec, dg.TwinsSpec):
         data = (dg.generate(replace(spec, seed=rng.mix_key(seed, "policy"))),)
     else:

@@ -3,6 +3,9 @@ import dataclasses
 import json
 import os
 import re
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,16 +495,26 @@ def _section(section, **changes):
         tmp, **{section: {**SMALL_TRAIN.get(section, {}), **changes}})]
 
 
-def _checkpoint_config(**changes):
-    """`sd2 evaluate` of the trained checkpoint with fields of its manifest's
-    config changed."""
+def _edited_checkpoint(edit):
+    """`sd2 evaluate` of the trained checkpoint with its manifest edited by
+    edit(manifest)."""
     def make_argv(tmp, run, data):
         manifest, payload = (run / "checkpoint.bin").read_bytes().split(b"\n", 1)
         record = json.loads(manifest)
-        record["config"].update(changes)
+        edit(record)
         (tmp / "edited.bin").write_bytes(json.dumps(record).encode() + b"\n" + payload)
         return ["evaluate", "--checkpoint", str(tmp / "edited.bin"), "--data", str(data)]
     return make_argv
+
+
+def _checkpoint_config(**changes):
+    """`sd2 evaluate` of the trained checkpoint with fields of its manifest's
+    config changed."""
+    return _edited_checkpoint(lambda manifest: manifest["config"].update(changes))
+
+
+def _generate(spec):
+    return lambda tmp, run, data: ["generate", "--spec", write_json(tmp / "spec.json", spec)]
 
 
 def _keep_rows(count):
@@ -555,6 +568,12 @@ FAILURES = {
         "train", "--config", _config(tmp, schema_version="1")], 2),
     "section_not_an_object": (lambda tmp, run, data: [
         "train", "--config", _config(tmp, arch=5)], 2),
+    # the config's own mode, and a section's keys: no unknown field, none set elsewhere
+    "mode_integer": (lambda tmp, run, data: ["train", "--config", _config(tmp, mode=5)], 2),
+    "mode_unknown": (lambda tmp, run, data: ["train", "--config", _config(tmp, mode="foo")], 2),
+    "weights_unknown_field": (_section("weights", zeta=1.0), 2),
+    "train_section_mode": (_section("train", mode="binary"), 2),
+    "train_section_arch": (_section("train", arch={}), 2),
     "dataset_not_an_object": (lambda tmp, run, data: [
         "train", "--config", _config(tmp, dataset=5)], 2),
     "bad_split_ratios": (lambda tmp, run, data: [
@@ -596,6 +615,27 @@ FAILURES = {
     "replicate_unknown_kind": (_grid_command("replicate", {"kind": "mystery"}), 2),
     "ablate_dir_extra_field": (_grid_command("ablate", {"kind": "dir", "path": "d", "zz": 1}),
                                2),
+    # a dir reference's path is a string, and a dir is read, not generated
+    "train_dir_path_zero": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, dataset={"kind": "dir", "path": 0})], 2),
+    "train_dir_path_list": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, dataset={"kind": "dir", "path": ["d"]})], 2),
+    "train_dir_no_path": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp, dataset={"kind": "dir"})], 2),
+    "replicate_dir_path_null": (_grid_command("replicate", {"kind": "dir", "path": None}), 2),
+    "generate_dir": (_generate({"kind": "dir", "path": "d"}), 2),
+    "generate_list_kind": (_generate({"kind": ["demand"]}), 2),
+    "twins_no_m_columns": (_generate({"kind": "twins", "csv_path": "t.csv"}), 2),
+    # only a twins record carries the columns its transform chose
+    "demand_x_columns": (_generate({"kind": "demand", "n": 50, "x_columns": ["x0"]}), 2),
+    # a spec whose rows would not fit in memory is rejected before any is drawn
+    "binary_huge_n": (_generate({"kind": "synthetic_binary", "n": 10 ** 14}), 2),
+    "train_huge_n": (_bad_reference(n=10 ** 14), 2),
+    "replicate_huge_n": (_grid_command("replicate", {**SMALL_TRAIN["dataset"], "n": 10 ** 14}),
+                         2),
+    # a demand coefficient so large that the outcome overflows is named
+    "demand_huge_alpha": (_generate({"kind": "demand", "alpha": 1e308, "n": 100}), 2),
+    "demand_huge_beta": (_generate({"kind": "demand", "beta": 1e308, "n": 100}), 2),
     "sweep_negative_dimension": (_grid_command(
         "sweep", {**SMALL_TRAIN["dataset"], "mz": -1}), 2),
     # a dataset needs a covariate column, and a demand spec finite coefficients
@@ -652,6 +692,10 @@ FAILURES = {
     "checkpoint_float_enc_layers": (_checkpoint_config(enc_layers=1.0), 2),
     "checkpoint_bool_enc_layers": (_checkpoint_config(enc_layers=True), 2),
     "checkpoint_float_head_hidden": (_checkpoint_config(head_hidden=4.0), 2),
+    "checkpoint_config_no_input_dim": (_edited_checkpoint(
+        lambda manifest: manifest["config"].pop("input_dim")), 2),
+    "checkpoint_config_list": (_edited_checkpoint(
+        lambda manifest: manifest.update(config=[1])), 2),
     # a checkpoint parameter holding a NaN is rejected, read by the command or not
     "evaluate_nan_head_y": (_nan_parameter("evaluate", "head_y.l1.b"), 2),
     "evaluate_nan_head_y_c": (_nan_parameter("evaluate", "head_y_c.l1.b"), 2),
@@ -756,7 +800,7 @@ FAILURE_FIELDS = {
     "use_importance_weights": "use_importance_weights",
     "arch_input_dim": "input_dim",
     "arch_mode_mismatch": "mode",
-    "arch_mode": "'arch': mode",
+    "arch_mode": "config section 'arch': mode is set elsewhere, so it may not be set here",
     "arch_activation": "activation",
     "optimizer_beta1": "beta1",
     "twins_weight_columns": "weight_columns",
@@ -765,7 +809,30 @@ FAILURE_FIELDS = {
     "ablate_no_dataset": "config carries no dataset reference",
     "sweep_no_dataset": "config carries no dataset reference",
     "replicate_unknown_kind": "unknown dataset kind 'mystery'",
-    "ablate_dir_extra_field": "dataset 'dir' takes one field, 'path'",
+    "ablate_dir_extra_field": "dataset 'dir': unknown field 'zz'",
+    "train_dir_path_zero": "dataset 'dir': path must be a string, got 0",
+    "train_dir_path_list": "dataset 'dir': path must be a string, got ['d']",
+    "train_dir_no_path": "dataset 'dir': missing field 'path'",
+    "replicate_dir_path_null": "dataset 'dir': path must be a string, got None",
+    "generate_dir": "dataset kind 'dir' is read, not generated",
+    "generate_list_kind": "unknown dataset kind ['demand']",
+    "twins_no_m_columns": "dataset 'twins': missing field 'm_columns'",
+    "demand_x_columns": "dataset 'demand': unknown field 'x_columns'",
+    "binary_huge_n": "dataset 'synthetic_binary': n = 100000000000000 is too large",
+    "train_huge_n": "dataset 'synthetic_binary': n = 100000000000000 is too large",
+    "replicate_huge_n": "dataset 'synthetic_binary': n = 100000000000000 is too large",
+    "demand_huge_alpha": "alpha = 1e+308 is too large: the outcome y overflows",
+    "demand_huge_beta": "beta = 1e+308 is too large: the outcome y overflows",
+    "section_not_an_object": "config section 'arch' must be a JSON object, got int",
+    "mode_integer": "config field 'mode' must be binary or continuous, got 5",
+    "mode_unknown": "config field 'mode' must be binary or continuous, got 'foo'",
+    "weights_unknown_field": "config section 'weights': unknown field 'zeta'",
+    "train_section_mode": "config section 'train': mode is set elsewhere",
+    "train_section_arch": "config section 'train': arch is set elsewhere",
+    "checkpoint_config_no_input_dim": "checkpoint manifest field 'config': missing field "
+                                      "'input_dim'",
+    "checkpoint_config_list": "checkpoint manifest field 'config' must be a JSON object, "
+                              "got list",
     "sweep_negative_dimension": "mz must be at least 0, got -1",
     "demand_no_covariates": "mz + mc + ma must be at least 1",
     "demand_nan_alpha": "alpha must be a finite nonnegative number, got nan",
@@ -1048,13 +1115,40 @@ def test_sweep_checks_grid_before_training(case, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("case", ["replicate_no_dataset", "ablate_no_dataset",
                                   "sweep_no_dataset", "replicate_unknown_kind",
-                                  "ablate_dir_extra_field", "sweep_negative_dimension"])
+                                  "ablate_dir_extra_field", "sweep_negative_dimension",
+                                  "replicate_dir_path_null", "replicate_huge_n"])
 def test_dataset_reference_checked_before_any_replication(case, tmp_path, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "_one_replication", ran.append)
     make_argv, code = FAILURES[case]
     assert cli.main([*make_argv(tmp_path, None, None), "--out", str(tmp_path / "r")]) == code
     assert ran == []
+
+
+@pytest.mark.parametrize("case", ["demand_huge_alpha", "demand_huge_beta"])
+def test_overflowing_spec_warns_nothing(case, tmp_path):
+    make_argv, code = FAILURES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise
+        assert cli.main([*make_argv(tmp_path, None, None), "--out", str(tmp_path / "g")]) == code
+
+
+def test_readme_fault_table_cites_existing_tests():
+    """Each test the README's input-fault table cites in its last column exists:
+    ``F[case]`` a FAILURES case, ``W::name`` a test of test_field_checks, any
+    other name one of this module."""
+    import test_field_checks  # it imports this module
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cited = [ref for line in readme.splitlines() if line.startswith("| ")
+             for ref in re.findall(r"`([^`]+)`", line.rsplit("|", 2)[1])]
+    assert len(cited) > 40
+    for ref in cited:
+        if ref.startswith("F["):
+            assert ref[2:-1] in FAILURES, ref
+            continue
+        owner = test_field_checks if ref.startswith("W::") else sys.modules[__name__]
+        for name in ref.removeprefix("W::").split("::"):
+            owner = getattr(owner, name)
 
 
 def _blas_threads_seen(payload) -> dict:
@@ -1131,14 +1225,17 @@ class TestConfigParsing:
             "DemandSpec.ma", "DemandSpec.n", "DemandSpec.seed",
             "TwinsSpec.csv_path", "TwinsSpec.m_columns", "TwinsSpec.hide_count",
             "TwinsSpec.mv", "TwinsSpec.seed",
+            "DirSpec.path",
         ]
-        # the config's sections, whose fields are counted under their own classes
-        set_elsewhere = {"TrainConfig": {"arch", "weights", "optimizer", "dataset"},
-                         "ArchConfig": {"input_dim", "mode"}}  # from the data and the config
+        # the fields a section takes from elsewhere, each counted once: the data's
+        # width, the sections and the dataset under their own classes, and the
+        # config's mode as TrainConfig's
+        set_elsewhere = {cls: set(given) for cls, given in cli.CONFIG_SECTIONS.values()}
+        set_elsewhere[tr.TrainConfig].remove("mode")
         assert [f"{cls.__name__}.{f.name}" for cls in CONFIG_CLASSES
                 for f in dataclasses.fields(cls)
-                if f.name not in set_elsewhere.get(cls.__name__, ())] == settable
-        assert len(settable) == 35
+                if f.name not in set_elsewhere.get(cls, ())] == settable
+        assert len(settable) == 36
 
     @pytest.mark.parametrize("variant", tr.VARIANTS)
     def test_resolved_variant_round_trips(self, variant):

@@ -4,7 +4,12 @@ its class's ``__post_init__`` hands it.  A ``__post_init__`` keeps only rules
 between fields, so the decision cannot fork again: it calls check_fields and
 holds no isfinite call, no isinstance(..., bool) and no comparison of a single
 field with a number.  Every field of every class a config or spec sets is
-given the values its type rejects, so a field added later is covered."""
+given the values its type rejects, so a field added later is covered.
+
+A JSON record becomes its class in one place too, `datagen.read_record`: every
+class is handed an unknown key, each missing required field and a list for
+each integer field, and cli, training and model build no config or spec class
+from an unpacked mapping (``**``), which would skip those checks."""
 
 import ast
 import dataclasses
@@ -14,6 +19,7 @@ import textwrap
 
 import pytest
 
+from sd2 import cli, model, training
 from sd2 import datagen as dg
 from sd2.model import ArchConfig
 from test_cli import CONFIG_CLASSES
@@ -120,7 +126,8 @@ def _rejected_values():
                         for value in values)
 
 
-VALID = {ArchConfig: lambda: ArchConfig(input_dim=1), dg.TwinsSpec: dg.fixture_spec}
+VALID = {ArchConfig: lambda: ArchConfig(input_dim=1), dg.TwinsSpec: dg.fixture_spec,
+         dg.DirSpec: lambda: dg.DirSpec(path="data")}
 
 
 @pytest.mark.parametrize("cls, name, value", _rejected_values())
@@ -130,3 +137,72 @@ def test_field_rejects_value_its_type_does_not_allow(cls, name, value):
         dataclasses.replace(valid, **{name: value})
     message = str(raised.value)
     assert message.startswith(f"{name} must be ") and message.endswith(f", got {value!r}")
+
+
+def _record_faults():
+    """(class, record, message) for each JSON record read_record rejects: one
+    with an unknown key, one without each required field and one with [5] for
+    each int field, all else valid."""
+    for cls in CONFIG_CLASSES:
+        valid = VALID.get(cls, cls)()
+        required = [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING]
+        base = {name: getattr(valid, name) for name in required}
+        yield pytest.param(cls, {**base, "zz": 1}, "unknown field 'zz'", id=f"{cls.__name__}+zz")
+        for name in required:
+            yield pytest.param(cls, {k: v for k, v in base.items() if k != name},
+                               f"missing field {name!r}", id=f"{cls.__name__}-{name}")
+        for f in dataclasses.fields(cls):
+            if f.type == "int":
+                yield pytest.param(cls, {**base, f.name: [5]},
+                                   f"{f.name} must be an integer, got [5]",
+                                   id=f"{cls.__name__}.{f.name}=[5]")
+
+
+@pytest.mark.parametrize("cls, record, message", _record_faults())
+def test_read_record_names_the_field(cls, record, message):
+    with pytest.raises(dg.SchemaError) as raised:
+        dg.read_record(cls, record, "record")
+    assert str(raised.value) == f"record: {message}"
+
+
+def unpacked_calls(source: str, classes: set[str]) -> list[str]:
+    """``line N: callee`` for each call in ``source`` that unpacks a mapping
+    (``**``) into a class of ``classes`` or into a parameter of the function
+    it is in, such as the ``cls`` a helper is handed."""
+    tree = ast.parse(source)
+    scopes = [(tree, set())] + [
+        (fn, {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)})
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.Lambda))]
+    found = set()
+    for scope, params in scopes:
+        for n in ast.walk(scope):
+            if isinstance(n, ast.Call) and any(k.arg is None for k in n.keywords) and (
+                    _called(n) in classes
+                    or isinstance(n.func, ast.Name) and n.func.id in params):
+                found.add((n.lineno, _called(n)))
+    return [f"line {line}: {callee}" for line, callee in sorted(found)]
+
+
+def test_detector_flags_unpacked_class_calls():
+    source = textwrap.dedent("""\
+        def build(cls, section):
+            return cls(**section)
+        def train(raw):
+            return tr.TrainConfig(mode="binary", **raw.get("train", {}))
+        def load(manifest):
+            return ArchConfig(**manifest["config"])
+        def other_calls(config, raw, d, f):
+            ArchConfig(input_dim=1, mode="binary")
+            replace(config.weights, **{"gamma": 0.0})
+            parser.add_argument(*f, **d)
+            return LossBreakdown(**d), read_record(ArchConfig, raw, "arch", d)
+        """)
+    assert unpacked_calls(source, {"ArchConfig", "TrainConfig"}) == [
+        "line 2: cls", "line 4: TrainConfig", "line 6: ArchConfig"]
+
+
+@pytest.mark.parametrize("module", [cli, training, model], ids=lambda m: m.__name__)
+def test_no_config_class_built_from_unpacked_mapping(module):
+    classes = {cls.__name__ for cls in CONFIG_CLASSES}
+    assert unpacked_calls(inspect.getsource(module), classes) == []
