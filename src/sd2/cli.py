@@ -1,5 +1,5 @@
 """Operator surface: dataset generation, training, evaluation, replication,
-ablation, attribution, identity verification, and hyperparameter sweeps.
+ablation, attribution, and hyperparameter sweeps.
 
 `main` owns the run lifecycle of every subcommand: once the run directory is
 known it writes exactly one manifest.json, `ok` on success or `failed` with the
@@ -9,7 +9,7 @@ artifacts alone.  The last stdout line of every successful command is
 machine-parsable: ``METRIC <name>=<value>``.
 
 Exit codes: 0 success, 2 config/schema, 3 I/O, 4 numerical failure or no
-replication scored, 5 verification failure.
+replication scored.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from pathlib import Path
 from . import __version__
 from . import datagen as dg
 from . import evaluation as ev
-from . import infotheory as it
 from . import rng
 from . import training as tr
 from .autodiff import NonFiniteError
@@ -40,7 +39,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-EXIT_VERIFY = 5
 
 OUT_ROOT_ENV = "SD2_OUT_ROOT"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -48,10 +46,6 @@ CONFIG_SCHEMA_VERSION = 1
 
 
 class ConfigError(Exception):
-    pass
-
-
-class VerifyFailure(Exception):
     pass
 
 
@@ -63,7 +57,6 @@ class NothingScored(Exception):
 # exception types -> stderr prefix and exit code; the first matching row wins
 FAILURE_EXITS = (
     ((ConfigError, dg.SchemaError, CheckpointError), "error", EXIT_CONFIG),
-    (VerifyFailure, "verification failed", EXIT_VERIFY),
     ((TrainingError, NonFiniteError), "numerical failure", EXIT_NUMERIC),
     (NothingScored, "error", EXIT_NUMERIC),
     (FileNotFoundError, "error", EXIT_IO),
@@ -75,18 +68,16 @@ FAILURE_EXITS = (
 class Run:
     """A subcommand's run directory and what it has resolved so far; `main`
     records these in manifest.json whether the subcommand succeeds or fails."""
-    out: Path | None
+    out: Path
     started: float = field(default_factory=time.time)
     config: dict | None = None
     seeds: list[int] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
 
 
-def _out_dir(args) -> Path | None:
+def _out_dir(args) -> Path:
     if args.out:
         return Path(args.out)
-    if args.command == "verify":
-        return None  # verify writes a run directory only when given --out
     root = os.environ.get(OUT_ROOT_ENV)
     if not root:
         raise ConfigError("no --out given and SD2_OUT_ROOT is not set")
@@ -254,13 +245,6 @@ def cmd_evaluate(args, run: Run) -> tuple[str, float]:
     return metric.name, rows[-1]["value"]
 
 
-def _check_counts(args, *flags: str) -> None:
-    """ConfigError naming the first of the count ``flags`` that is below 1."""
-    for flag in flags:
-        if getattr(args, flag) < 1:
-            raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
-
-
 def _one_replication(payload) -> dict:
     """One replication end to end, for replicate, ablate and sweep alike:
     train on the first set, select on the second, and score the headline
@@ -287,7 +271,9 @@ def _one_replication(payload) -> dict:
 def _replicated(configs: list[TrainConfig], args, base_seed: int) -> list[tuple[list[dict], dict]]:
     """--reps replications of every config, through one pool when --jobs > 1,
     and each config's rows with their summary per split."""
-    _check_counts(args, "reps", "jobs")
+    for flag in ("reps", "jobs"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     for config in configs:  # a reference every replication would fail on fails the command
         dg.spec_from_ref(config.dataset)
     payloads = [(config, i, base_seed) for config in configs for i in range(args.reps)]
@@ -375,25 +361,6 @@ def cmd_attribute(args, run: Run) -> tuple[str, float]:
     return "min_ratio", report.min_ratio()
 
 
-def cmd_verify(args, run: Run) -> tuple[str, float]:
-    _check_counts(args, "joints")
-    run.seeds = [args.seed or 0]
-    try:
-        worst = it.verify_identities(args.joints, seed=args.seed or 0)
-    except AssertionError as exc:
-        print(f"FAIL {exc}")
-        raise VerifyFailure(str(exc)) from exc
-    for name, value in worst.items():
-        print(f"PASS {name}: worst residual {value:.3e}")
-    xor = it.xor_joint()
-    gap = it.premise_gap(xor)
-    cmi = it.cond_mutual_info(xor, "ra", "rc", "y")
-    if abs(gap - cmi) > 1e-12:
-        raise VerifyFailure("xor premise gap mismatch")
-    print(f"PASS xor premise gap = conditional mutual information = {gap:.6f}")
-    return "worst_residual", max(worst.values())
-
-
 def cmd_sweep(args, run: Run) -> tuple[str, float]:
     base, base_seed = _train_config(args, run)
     coefficients = [f.name for f in fields(LossWeights)]
@@ -429,7 +396,6 @@ def make_parser() -> argparse.ArgumentParser:
                        (cmd_replicate, "k replications with derived seeds"),
                        (cmd_ablate, "replicated metrics per ablation variant"),
                        (cmd_attribute, "first-layer attribution of a checkpoint"),
-                       (cmd_verify, "exact information-identity suite"),
                        (cmd_sweep, "grid over one loss coefficient")):
         sub.add_parser(func.__name__[len("cmd_"):], help=text).set_defaults(func=func)
 
@@ -448,9 +414,7 @@ def make_parser() -> argparse.ArgumentParser:
     flag("train", "--data", default=None, help="dataset dir or train/ val/ test/ triple")
     flag("evaluate attribute", "--data", required=True)
     flag("replicate ablate sweep", "--reps", type=int, default=10)
-    flag("verify", "--joints", type=int, default=1000)
     flag("train replicate ablate sweep", "--seed", type=int, default=None)
-    flag("verify", "--seed", type=int, default=0)
     flag("replicate ablate sweep", "--jobs", type=int, default=1)
     flag("train replicate", "--variant", default=None, choices=tr.VARIANTS)
     flag("ablate", "--variants", default=None)
@@ -470,8 +434,7 @@ def _run(args) -> tuple[str, float]:
         error = str(exc) or type(exc).__name__
         raise
     finally:
-        if run.out is not None:
-            _write_manifest(args.command, run, error)
+        _write_manifest(args.command, run, error)
 
 
 def main(argv: list[str] | None = None) -> int:

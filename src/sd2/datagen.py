@@ -65,12 +65,13 @@ def check_fields(obj, at_least: dict[str, int] | None = None) -> None:
         raise ValueError(f"{f.name} must be {kind}, got {value!r}")
 
 
-def _check_fits_memory(n: int, columns: int) -> None:
-    """ValueError naming n when n rows of float64 columns overflow memory."""
+def _check_fits_memory(n: int, columns: int, culprit: str) -> None:
+    """SchemaError naming ``culprit``, the spec field and value that set n or
+    the column count, when n rows of float64 columns overflow memory."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if n * columns * 8 > have:
-        raise ValueError(f"n = {n} is too large: {n} rows of {columns} float64 columns "
-                         f"need more than the {have} bytes of memory this machine has")
+        raise SchemaError(f"{culprit} is too large: {n} rows of {columns} float64 columns "
+                          f"need more than the {have} bytes of memory this machine has")
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class SyntheticSpec:
             raise ValueError("mz + mc + ma must be at least 1")
         if self.ma + self.mc + self.mu < 1:
             raise ValueError("ma + mc + mu must be at least 1 (outcome scaling)")
-        _check_fits_memory(self.n, self.mz + self.mc + self.ma + self.mv + 4)
+        _check_fits_memory(self.n, self.mz + self.mc + self.ma + self.mv + 4, f"n = {self.n}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ class DemandSpec:
         check_fields(self, {"mz": 0, "mc": 0, "ma": 0, "n": 1})
         if self.mz + self.mc + self.ma < 1:
             raise ValueError("mz + mc + ma must be at least 1")
-        _check_fits_memory(self.n, self.mz + self.mc + self.ma + 4)
+        _check_fits_memory(self.n, self.mz + self.mc + self.ma + 4, f"n = {self.n}")
 
 
 # both twins' birth weights (grams) and one-year mortality; pairs where either
@@ -416,6 +417,7 @@ def twins_transform(spec: TwinsSpec) -> GeneratedDataset:
     n = int(keep.sum())
     if n == 0:
         raise SchemaError("no rows survive the filter criteria")
+    _check_fits_memory(n, spec.mv, f"mv = {spec.mv}")  # before v is drawn
 
     w0, w1 = (data[c] for c in TWINS_WEIGHT_COLUMNS)
     m0, m1 = (data[c] for c in TWINS_OUTCOME_COLUMNS)
@@ -490,7 +492,8 @@ SPLIT_RATIOS = (0.63, 0.27, 0.10)
 def spec_from_ref(ref: dict | None) -> SyntheticSpec | DemandSpec | TwinsSpec | DirSpec:
     """A JSON dataset reference (`kind` plus its spec's fields) as its kind's spec."""
     if not ref:
-        raise SchemaError("config carries no dataset reference")
+        raise SchemaError("no dataset reference: a spec, or a config's 'dataset', "
+                          "needs a 'kind'")
     kind = ref.get("kind")
     if not isinstance(kind, str) or kind not in DATASET_KINDS:
         raise SchemaError(f"unknown dataset kind {kind!r}")

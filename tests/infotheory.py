@@ -4,7 +4,9 @@ The identities that justify replacing representation-level mutual-information
 minimization with prediction-distribution KL terms are all statements about a
 joint distribution over (Y, R_a, R_c).  On alphabets this small they can be
 checked by direct enumeration, which is what these functions do: everything is
-computed from exact marginals of a probability table, in nats.
+computed from exact marginals of a probability table, in nats.  It is a
+test oracle, like `reference_ops`: `test_losses.py` checks the objective's
+terms against these quantities.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng
+from sd2 import rng
 
 _AXIS = {"y": 0, "ra": 1, "rc": 2}
 
@@ -125,38 +127,3 @@ def cond_independent_joint(key: int, shape: tuple[int, int, int] = (2, 2, 2)) ->
     pc /= pc.sum(axis=1, keepdims=True)
     table = py[:, None, None] * pa[:, :, None] * pc[:, None, :]
     return DiscreteJoint(table / table.sum())
-
-
-def xor_joint() -> DiscreteJoint:
-    """Y = Ra XOR Rc with independent fair inputs."""
-    table = np.zeros((2, 2, 2))
-    for a in (0, 1):
-        for c in (0, 1):
-            table[a ^ c, a, c] = 0.25
-    return DiscreteJoint(table)
-
-
-def verify_identities(n_joints: int, seed: int = 0,
-                      tol: float = 1e-10) -> dict[str, float]:
-    """Run the full identity suite on random joints; returns worst residuals.
-
-    Raises AssertionError on the first violated identity.
-    """
-    worst = {"chain_rule": 0.0, "theorem1": 0.0, "premise_gap": 0.0,
-             "premise_vs_cmi": 0.0}
-    for i in range(n_joints):
-        shape = tuple(2 + int(u * 3) for u in rng.uniforms(rng.mix_key(seed, "shape"), 3 * i, 3))
-        j = random_joint(rng.mix_key_int(seed, i), shape)
-        worst["chain_rule"] = max(worst["chain_rule"], abs(chain_rule_residual(j)))
-        worst["theorem1"] = max(worst["theorem1"], abs(theorem1_residual(j)))
-        worst["premise_vs_cmi"] = max(
-            worst["premise_vs_cmi"],
-            abs(premise_gap(j) - cond_mutual_info(j, "ra", "rc", "y")))
-        ci = cond_independent_joint(rng.mix_key_int(seed, 2 ** 32 + i), shape)
-        worst["premise_gap"] = max(worst["premise_gap"], abs(premise_gap(ci)))
-    for name in ("chain_rule", "theorem1", "premise_gap"):
-        if worst[name] >= tol:
-            raise AssertionError(f"identity {name} violated: residual {worst[name]:.3e}")
-    if worst["premise_vs_cmi"] >= 1e-12:
-        raise AssertionError("premise_gap disagrees with conditional mutual information")
-    return worst

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -263,12 +264,11 @@ class TestAttribute:
         assert capsys.readouterr().out.strip().splitlines()[-1] == "METRIC min_ratio=nan"
 
 
-class TestVerify:
-    def test_passes(self, capsys):
-        assert cli.main(["verify", "--joints", "100"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "METRIC worst_residual=" in out
+def test_verify_is_not_a_command():
+    # the information identities are a test oracle (tests/infotheory.py)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify"])
+    assert exc.value.code == 2
 
 
 class TestReplicateAblateSweep:
@@ -456,13 +456,15 @@ def _grid_command(command, dataset):
 
 
 def _twins_spec(command, **changes):
-    """`sd2 generate` of the fixture's twins spec, or `sd2 train` on it, with
-    spec fields changed."""
+    """`sd2 generate` of the fixture's twins spec, or `sd2 train`, replicate,
+    ablate or sweep on it, with spec fields changed."""
     ref = {"kind": "twins", "csv_path": str(dg.fixture_path()),
            "m_columns": list(dg.FIXTURE_M_COLUMNS), **changes}
     if command == "generate":
         return lambda tmp, run, data: ["generate", "--spec", write_json(tmp / "spec.json", ref)]
-    return lambda tmp, run, data: ["train", "--config", _config(tmp, dataset=ref)]
+    if command == "train":
+        return lambda tmp, run, data: ["train", "--config", _config(tmp, dataset=ref)]
+    return _grid_command(command, ref)
 
 
 def _evaluate_demand(edit):
@@ -550,8 +552,6 @@ FAILURES = {
         "replicate", "--config", _config(tmp), "--reps", "1", "--jobs", "0"], 2),
     "negative_jobs": (lambda tmp, run, data: [
         "ablate", "--config", _config(tmp), "--reps", "1", "--jobs", "-2"], 2),
-    "zero_joints": (lambda tmp, run, data: ["verify", "--joints", "0"], 2),
-    "negative_joints": (lambda tmp, run, data: ["verify", "--joints", "-3"], 2),
     # a run that can never take an optimizer step is rejected with its config
     "negative_max_epochs": (lambda tmp, run, data: [
         "train", "--config", _config(tmp, train={**SMALL_TRAIN["train"], "max_epochs": -1,
@@ -624,6 +624,7 @@ FAILURES = {
         "train", "--config", _config(tmp, dataset={"kind": "dir"})], 2),
     "replicate_dir_path_null": (_grid_command("replicate", {"kind": "dir", "path": None}), 2),
     "generate_dir": (_generate({"kind": "dir", "path": "d"}), 2),
+    "generate_empty_spec": (_generate({}), 2),
     "generate_list_kind": (_generate({"kind": ["demand"]}), 2),
     "twins_no_m_columns": (_generate({"kind": "twins", "csv_path": "t.csv"}), 2),
     # only a twins record carries the columns its transform chose
@@ -736,6 +737,11 @@ FAILURES = {
                                             hide_count=1), 2),
     "twins_negative_hide_count": (_twins_spec("generate", hide_count=-1), 2),
     "twins_negative_mv": (_twins_spec("train", mv=-2), 2),
+    # a twins spec's rows are known once its CSV is read, and v is checked before it is drawn
+    "twins_huge_mv": (_twins_spec("generate", mv=10 ** 14), 2),
+    "train_twins_huge_mv": (_twins_spec("train", mv=10 ** 14), 2),
+    # replicate's check of the reference reads no CSV, so every replication fails
+    "replicate_twins_huge_mv": (_twins_spec("replicate", mv=10 ** 14), 4),
     "twins_weight_m_column": (_twins_spec("generate", m_columns=["gestat", "dbirwt_0"],
                                           hide_count=1), 2),
     "twins_sex_m_column": (_twins_spec("train", m_columns=["sex_1", "gestat"],
@@ -789,8 +795,6 @@ FAILURES = {
 
 # cases whose error must name the field at fault
 FAILURE_FIELDS = {
-    "zero_joints": "--joints must be >= 1, got 0",
-    "negative_joints": "--joints must be >= 1, got -3",
     "negative_max_epochs": "config section 'train': max_epochs must be at least 1, got -1",
     "zero_max_epochs": "config section 'train': max_epochs must be at least 1, got 0",
     "zero_patience": "config section 'train': patience must be at least 1, got 0",
@@ -805,9 +809,10 @@ FAILURE_FIELDS = {
     "optimizer_beta1": "beta1",
     "twins_weight_columns": "weight_columns",
     "ablate_repeated_variant": "'Lp' is named more than once",
-    "replicate_no_dataset": "config carries no dataset reference",
-    "ablate_no_dataset": "config carries no dataset reference",
-    "sweep_no_dataset": "config carries no dataset reference",
+    "replicate_no_dataset": "no dataset reference: a spec, or a config's 'dataset', needs a 'kind'",
+    "ablate_no_dataset": "no dataset reference: a spec, or a config's 'dataset', needs a 'kind'",
+    "sweep_no_dataset": "no dataset reference: a spec, or a config's 'dataset', needs a 'kind'",
+    "generate_empty_spec": "no dataset reference: a spec, or a config's 'dataset', needs a 'kind'",
     "replicate_unknown_kind": "unknown dataset kind 'mystery'",
     "ablate_dir_extra_field": "dataset 'dir': unknown field 'zz'",
     "train_dir_path_zero": "dataset 'dir': path must be a string, got 0",
@@ -858,6 +863,9 @@ FAILURE_FIELDS = {
     "twins_repeated_m_column": "m_columns names 'gestat' more than once",
     "twins_negative_hide_count": "hide_count must be at least 0, got -1",
     "twins_negative_mv": "mv must be at least 0, got -2",
+    "twins_huge_mv": "mv = 100000000000000 is too large",
+    "train_twins_huge_mv": "mv = 100000000000000 is too large",
+    "replicate_twins_huge_mv": "the first failed with: mv = 100000000000000 is too large",
     "twins_weight_m_column": "m_columns names 'dbirwt_0', a birth weight",
     "twins_sex_m_column": "m_columns names 'sex_1', a sex column",
     "data_csv_cut": "data.csv: 160 rows, but spec.json records n 200",
@@ -962,7 +970,6 @@ ARTIFACT_COMMANDS = {
         "ablate", "--config", _config(tmp), "--reps", "1", "--variants", "Lp,Total"],
     "attribute": lambda tmp, run, data: [
         "attribute", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data)],
-    "verify": lambda tmp, run, data: ["verify", "--joints", "3"],
     "sweep": lambda tmp, run, data: [
         "sweep", "--config", _config(tmp), "--param", "gamma", "--grid", "0,1", "--reps", "1"],
 }
@@ -1149,6 +1156,21 @@ def test_readme_fault_table_cites_existing_tests():
         owner = test_field_checks if ref.startswith("W::") else sys.modules[__name__]
         for name in ref.removeprefix("W::").split("::"):
             owner = getattr(owner, name)
+
+
+def test_readme_names_the_parsers_commands_and_exit_codes():
+    """README's fenced CLI block runs exactly the parser's subcommands, and its
+    "Exit codes:" sentence lists exactly 0 and the codes of `cli.FAILURE_EXITS`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("\n```")[1::2]  # each fenced block, its info string first
+    cli_block = next(block for block in blocks if block.startswith("\nsd2 "))
+    named = {line.split()[1] for line in cli_block.strip().splitlines()}
+    [commands] = [action.choices for action in cli.make_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert named == set(commands)
+    sentence = re.search(r"^Exit codes:(.*?)\.$", readme, re.M | re.S).group(1)
+    assert [int(code) for code in re.findall(r"\d+", sentence)] == sorted(
+        {0, *(code for *_, code in cli.FAILURE_EXITS)})
 
 
 def _blas_threads_seen(payload) -> dict:

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import infotheory as it
 import reference_ops as R
 from gradcheck import finite_diff_check
 from sd2 import autodiff as ad
 from sd2 import family as F
-from sd2 import infotheory as it
 from sd2 import losses as L
 from sd2 import model as M
 from sd2 import rng
@@ -937,6 +937,18 @@ def _expected_kl(cell, student, teacher):
     return float(cell @ values)
 
 
+def _expected_nll(joint, head):
+    """E over p(y, r_a, r_c) of the cross-entropy of y under a head holding
+    q(y=1 | r_a, r_c) = ``head``, one of `_cells`' heads, through the
+    objective's own `nll` term on one row per (y, r_a, r_c) cell; its binary
+    per-sample values are `family.bernoulli_ce`'s."""
+    tape = ad.Tape(record=False)
+    y = np.repeat([1.0, 0.0], len(head))[:, None]
+    obj = L._Objective("binary", np.zeros_like(y), y, None, {"w": tape.parameter(np.zeros(1), "w")})
+    values, _ = obj.nll(col(tape, np.tile(head, 2)), obj.y, obj.group(1.0))
+    return float(np.concatenate([joint.table[1].ravel(), joint.table[0].ravel()]) @ values[:, 0])
+
+
 KL_SHAPES = [(2, ka, kc) for ka in range(2, 6) for kc in range(2, 6)]
 
 
@@ -959,7 +971,7 @@ class TestTeacherKLDirection:
             it.cond_mutual_info(joint, "y", "ra", "rc"), abs=1e-12)
 
     def test_trained_direction_differs(self):
-        # the second joint `sd2 verify` draws at seed 0
+        # a random 2x3x3 joint, drawn from the stream of seed 0 at index 1
         joint = it.random_joint(rng.mix_key_int(0, 1), (2, 3, 3))
         cell, deep, adjust, _ = _cells(joint)
         trained = _expected_kl(cell, adjust, deep)  # kl_to_teacher(adjust, deep)
@@ -989,3 +1001,19 @@ class TestTeacherKLDirection:
         cell, deep, adjust, _ = _cells(it.cond_independent_joint(1, (2, 3, 3)))
         assert _expected_kl(cell, adjust, deep) > 1e-3
         assert _expected_kl(cell, deep, adjust) > 1e-3
+
+
+class TestOutcomeNLL:
+    """At the exact conditionals, the factual outcome NLL of each outcome head
+    is the conditional entropy of Y given what the head reads."""
+
+    @pytest.mark.parametrize("key", [11, 12])
+    @pytest.mark.parametrize("shape", KL_SHAPES, ids=str)
+    def test_nll_is_cond_entropy(self, shape, key):
+        joint = it.random_joint(key, shape)
+        _, deep, adjust, confound = _cells(joint)
+        probs = np.concatenate([deep, adjust, confound])
+        assert min(probs.min(), 1.0 - probs.max()) > 1e3 * PROB_FLOOR
+        for head, given in ((adjust, ("ra",)), (confound, ("rc",)), (deep, ("ra", "rc"))):
+            assert _expected_nll(joint, head) == pytest.approx(
+                it.entropy(joint, ("y", *given)) - it.entropy(joint, given), abs=1e-12)
