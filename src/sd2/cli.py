@@ -8,7 +8,8 @@ resolved configuration, so any reported number can be reproduced from its
 artifacts alone.  The last stdout line of every successful command is
 machine-parsable: ``METRIC <name>=<value>``.
 
-Exit codes: 0 success, 2 config/schema, 3 I/O, 4 numerical failure or no
+Exit codes: 0 success, 2 rejected input (`datagen.SchemaError`: a dataset
+file, spec, config, flag or checkpoint), 3 I/O, 4 numerical failure or no
 replication scored.
 """
 
@@ -32,7 +33,7 @@ from . import rng
 from . import training as tr
 from .autodiff import NonFiniteError
 from .losses import TERMS, LossBreakdown, LossWeights
-from .model import ArchConfig, CheckpointError, SD2Model, checkpoint_load, checkpoint_save
+from .model import ArchConfig, SD2Model, checkpoint_load, checkpoint_save
 from .training import TrainConfig, TrainingError
 
 EXIT_OK = 0
@@ -45,10 +46,6 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 CONFIG_SCHEMA_VERSION = 1
 
 
-class ConfigError(Exception):
-    pass
-
-
 class NothingScored(Exception):
     """replicate, ablate or sweep ran, but none of its replications produced
     a metric."""
@@ -56,7 +53,7 @@ class NothingScored(Exception):
 
 # exception types -> stderr prefix and exit code; the first matching row wins
 FAILURE_EXITS = (
-    ((ConfigError, dg.SchemaError, CheckpointError), "error", EXIT_CONFIG),
+    (dg.SchemaError, "error", EXIT_CONFIG),
     ((TrainingError, NonFiniteError), "numerical failure", EXIT_NUMERIC),
     (NothingScored, "error", EXIT_NUMERIC),
     (FileNotFoundError, "error", EXIT_IO),
@@ -80,7 +77,7 @@ def _out_dir(args) -> Path:
         return Path(args.out)
     root = os.environ.get(OUT_ROOT_ENV)
     if not root:
-        raise ConfigError("no --out given and SD2_OUT_ROOT is not set")
+        raise dg.SchemaError("no --out given and SD2_OUT_ROOT is not set")
     # a new directory per run: one started in the same second gets -1, -2, ..
     stem = Path(root) / f"{args.command}-{int(time.time())}"
     stem.parent.mkdir(parents=True, exist_ok=True)
@@ -107,18 +104,18 @@ def build_train_config(raw: dict) -> TrainConfig:
     """Versioned JSON schema -> TrainConfig, with field-level messages."""
     version = raw.get("schema_version", CONFIG_SCHEMA_VERSION)
     if type(version) is not int:
-        raise ConfigError(f"config schema_version must be an integer, got {version!r}")
+        raise dg.SchemaError(f"config schema_version must be an integer, got {version!r}")
     if not 1 <= version <= CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"config schema_version {version} is not supported "
-                          f"(1 to {CONFIG_SCHEMA_VERSION})")
+        raise dg.SchemaError(f"config schema_version {version} is not supported "
+                             f"(1 to {CONFIG_SCHEMA_VERSION})")
     for key in raw:
         if key not in {"schema_version", "mode", "dataset", *CONFIG_SECTIONS}:
-            raise ConfigError(f"unknown config field {key!r}")
+            raise dg.SchemaError(f"unknown config field {key!r}")
     mode = raw.get("mode", "binary")
     if mode not in ("binary", "continuous"):
-        raise ConfigError(f"config field 'mode' must be binary or continuous, got {mode!r}")
+        raise dg.SchemaError(f"config field 'mode' must be binary or continuous, got {mode!r}")
     if not isinstance(raw.get("dataset", {}), (dict, type(None))):
-        raise ConfigError("config field 'dataset' must be a JSON object or null")
+        raise dg.SchemaError("config field 'dataset' must be a JSON object or null")
     # input_dim is a placeholder until training reads the data's width
     built = {"input_dim": 1, "mode": mode, "dataset": raw.get("dataset")}
     for name, (cls, given) in CONFIG_SECTIONS.items():
@@ -191,10 +188,10 @@ def cmd_generate(args, run: Run) -> tuple[str, float]:
     run.config = dg.read_json_object(args.spec)
     spec = dg.spec_from_ref(run.config)
     if isinstance(spec, dg.DirSpec):
-        raise ConfigError("dataset kind 'dir' is read, not generated (train --data reads it)")
+        raise dg.SchemaError("dataset kind 'dir' is read, not generated (train --data reads it)")
     run.seeds = [spec.seed]
     if args.triple and isinstance(spec, dg.TwinsSpec):
-        raise ConfigError("--triple applies to synthetic and demand specs only")
+        raise dg.SchemaError("--triple applies to synthetic and demand specs only")
     sets = zip(dg.SPLITS, dg.independent_triple(spec)) if args.triple else [("", dg.generate(spec))]
     for name, ds in sets:  # every file of the dataset directories is an artifact
         written = dg.write_dataset(ds, run.out / name).iterdir()
@@ -219,15 +216,15 @@ def cmd_train(args, run: Run) -> tuple[str, float]:
 
 
 def _checkpoint_and_data(args) -> tuple[SD2Model, list[tuple[Path, dg.GeneratedDataset]]]:
-    """The --checkpoint model and each --data set with its directory; ConfigError
+    """The --checkpoint model and each --data set with its directory; SchemaError
     unless every set has the checkpoint's mode and input width."""
     model = checkpoint_load(args.checkpoint)
     cfg = model.config
     data = list(dg.read_data_dir(args.data).items())
     for path, ds in data:
         if (ds.mode, ds.covariates().shape[1]) != (cfg.mode, cfg.input_dim):
-            raise ConfigError(f"{path}: {ds.mode} data of {ds.covariates().shape[1]} x and v "
-                              f"columns, a {cfg.mode} checkpoint of input_dim {cfg.input_dim}")
+            raise dg.SchemaError(f"{path}: {ds.mode} data of {ds.covariates().shape[1]} x and v "
+                                 f"columns, a {cfg.mode} checkpoint of input_dim {cfg.input_dim}")
     return model, data
 
 
@@ -237,7 +234,7 @@ def cmd_evaluate(args, run: Run) -> tuple[str, float]:
     scored = {"within": data[0], "out": data[2]} if len(data) == 3 else {"all": data[0]}
     for path, ds in scored.values():
         if not ds.has_ground_truth:
-            raise ConfigError(f"{path / 'truth.csv'} not found: evaluate needs ground truth")
+            raise dg.SchemaError(f"{path / 'truth.csv'} not found: evaluate needs ground truth")
     metric = ev.METRICS[model.config.mode]
     rows = [{"split": split, "metric": metric.name, "value": metric.score(model, ds)}
             for split, (_, ds) in scored.items()]
@@ -273,7 +270,7 @@ def _replicated(configs: list[TrainConfig], args, base_seed: int) -> list[tuple[
     and each config's rows with their summary per split."""
     for flag in ("reps", "jobs"):
         if getattr(args, flag) < 1:
-            raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+            raise dg.SchemaError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     for config in configs:  # a reference every replication would fail on fails the command
         dg.spec_from_ref(config.dataset)
     payloads = [(config, i, base_seed) for config in configs for i in range(args.reps)]
@@ -333,14 +330,11 @@ def cmd_replicate(args, run: Run) -> tuple[str, float]:
 def cmd_ablate(args, run: Run) -> tuple[str, float]:
     base, base_seed = _train_config(args, run)
     variants = list(tr.VARIANTS) if args.variants is None else args.variants.split(",")
-    unknown = [v for v in variants if v not in tr.VARIANTS]
-    if unknown:
-        raise ConfigError(f"--variants: unknown variant {unknown[0]!r}; "
-                          f"choose from {', '.join(tr.VARIANTS)}")
+    configs = [tr.apply_ablation(base, v) for v in variants]  # an unknown name raises
     repeated = [v for i, v in enumerate(variants) if v in variants[:i]]
     if repeated:
-        raise ConfigError(f"--variants: variant {repeated[0]!r} is named more than once")
-    results = _replicated([tr.apply_ablation(base, v) for v in variants], args, base_seed)
+        raise dg.SchemaError(f"--variants: variant {repeated[0]!r} is named more than once")
+    results = _replicated(configs, args, base_seed)
     table = [{"variant": v, "failed": summary["failed"],
               **_split_columns(summary, ("mean", "std", "formatted"))}
              for v, (_, summary) in zip(variants, results)]
@@ -356,7 +350,7 @@ def cmd_attribute(args, run: Run) -> tuple[str, float]:
     try:
         report = ev.attribution(model, ds.input_roles())
     except ValueError as exc:  # the roles lack a factor
-        raise ConfigError(f"{path / 'roles.csv'}: {exc}") from exc
+        raise dg.SchemaError(f"{path / 'roles.csv'}: {exc}") from exc
     _write_report(run, "attribution", report.rows())
     return "min_ratio", report.min_ratio()
 
@@ -365,17 +359,17 @@ def cmd_sweep(args, run: Run) -> tuple[str, float]:
     base, base_seed = _train_config(args, run)
     coefficients = [f.name for f in fields(LossWeights)]
     if args.param not in coefficients:
-        raise ConfigError(f"--param must name a loss coefficient ({', '.join(coefficients)}), "
-                          f"got {args.param!r}")
+        raise dg.SchemaError(f"--param must name a loss coefficient ({', '.join(coefficients)}), "
+                             f"got {args.param!r}")
     if not any(term.coeff == args.param and base.mode in term.modes for term in TERMS):
-        raise ConfigError(f"--param {args.param}: no term of the {base.mode} objective is "
-                          f"scaled by it")
+        raise dg.SchemaError(f"--param {args.param}: no term of the {base.mode} objective is "
+                             f"scaled by it")
     try:  # every grid value is checked before any is trained
         grid = [float(v) for v in args.grid.split(",")]
         configs = [replace(base, weights=replace(base.weights, **{args.param: value}))
                    for value in grid]
     except ValueError as exc:
-        raise ConfigError(f"--grid: {exc}") from exc
+        raise dg.SchemaError(f"--grid: {exc}") from exc
     results = _replicated(configs, args, base_seed)
     rows = [{"param": args.param, "value": value, "failed": summary["failed"],
              **_split_columns(summary, ("mean", "std"))}

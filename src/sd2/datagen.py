@@ -28,8 +28,9 @@ from . import rng
 
 
 class SchemaError(ValueError):
-    """A dataset file or spec violates its schema; the message names the field,
-    and `field` holds the GeneratedDataset field at fault, if there is one."""
+    """The one exception for rejected input (a dataset file, spec, config, flag
+    or checkpoint), exit 2 in the CLI; the message names the field, and `field`
+    holds the GeneratedDataset field at fault, if there is one."""
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)

@@ -455,39 +455,30 @@ def checkpoint_save(model: SD2Model, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
 
 
-class CheckpointError(Exception):
-    pass
-
-
 _MANIFEST_FIELDS = {"format", "version", "config", "seed", "params"}
 
 
 def checkpoint_load(path: str | Path) -> SD2Model:
     """The model a checkpoint holds; a fault in any manifest field, or a
-    parameter holding a NaN or Inf, raises CheckpointError naming it."""
+    parameter holding a NaN or Inf, raises SchemaError naming it."""
     with open(path, "rb") as fh:
         try:
             manifest = json.loads(fh.readline().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"unreadable checkpoint manifest: {exc}") from exc
+            raise SchemaError(f"unreadable checkpoint manifest: {exc}") from exc
         if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError("not a model checkpoint file")
+            raise SchemaError("not a model checkpoint file")
         odd = sorted(set(manifest) ^ _MANIFEST_FIELDS)
         if odd:
             state = "unknown" if odd[0] in manifest else "missing"
-            raise CheckpointError(f"checkpoint manifest field {odd[0]!r} is {state}")
+            raise SchemaError(f"checkpoint manifest field {odd[0]!r} is {state}")
         for key, kind in (("version", int), ("seed", int), ("params", list)):
             if type(manifest[key]) is not kind:
-                raise CheckpointError(f"checkpoint manifest field {key!r} is not "
-                                      f"{kind.__name__}")
+                raise SchemaError(f"checkpoint manifest field {key!r} is not {kind.__name__}")
         if manifest["version"] not in range(1, CHECKPOINT_VERSION + 1):
-            raise CheckpointError(f"checkpoint version {manifest['version']!r} is not "
-                                  f"supported (this build reads 1 to {CHECKPOINT_VERSION})")
-        try:
-            config = read_record(ArchConfig, manifest["config"],
-                                 "checkpoint manifest field 'config'")
-        except SchemaError as exc:
-            raise CheckpointError(str(exc)) from exc
+            raise SchemaError(f"checkpoint version {manifest['version']!r} is not "
+                              f"supported (this build reads 1 to {CHECKPOINT_VERSION})")
+        config = read_record(ArchConfig, manifest["config"], "checkpoint manifest field 'config'")
         listed = manifest["params"]
         declared = [{"name": name + suffix, "shape": shape}
                     for layers in _layers(config).values()
@@ -495,19 +486,18 @@ def checkpoint_load(path: str | Path) -> SD2Model:
                     for suffix, shape in ((".W", [fan_in, fan_out]), (".b", [fan_out]))]
         if listed != declared:
             i = next(i for i in range(len(listed) + 1) if listed[i:i + 1] != declared[i:i + 1])
-            raise CheckpointError(f"checkpoint manifest field 'params': entry {i} lists "
-                                  f"{listed[i:i + 1]}, the config declares "
-                                  f"{declared[i:i + 1]}")
+            raise SchemaError(f"checkpoint manifest field 'params': entry {i} lists "
+                              f"{listed[i:i + 1]}, the config declares {declared[i:i + 1]}")
         params: dict[str, np.ndarray] = {}
         for entry in declared:
             name, shape = entry["name"], entry["shape"]
             count = int(np.prod(shape))
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
-                raise CheckpointError(f"truncated checkpoint at parameter {name!r}")
+                raise SchemaError(f"truncated checkpoint at parameter {name!r}")
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
             if not np.isfinite(params[name]).all():
-                raise CheckpointError(f"checkpoint parameter {name!r} is not finite")
+                raise SchemaError(f"checkpoint parameter {name!r} is not finite")
         if fh.read(1):
-            raise CheckpointError("trailing bytes after the last parameter")
+            raise SchemaError("trailing bytes after the last parameter")
     return SD2Model(config=config, seed=manifest["seed"], params=params)

@@ -121,7 +121,7 @@ def apply_ablation(config: TrainConfig, variant: str) -> TrainConfig:
     discrepancy, Total is the full objective, the only one with importance
     weights."""
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+        raise dg.SchemaError(f"unknown variant {variant!r}; choose from {', '.join(VARIANTS)}")
     weights = replace(config.weights, **dict.fromkeys(_ZEROED_WEIGHTS[variant], 0.0))
     return replace(config, weights=weights, variant=variant)
 

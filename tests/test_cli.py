@@ -1,6 +1,8 @@
 import argparse
+import ast
 import csv
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -480,14 +482,14 @@ def _evaluate_demand(edit):
     return make_argv
 
 
-def _nan_parameter(command, name):
+def _nonfinite_parameter(command, name, value=np.nan):
     """`sd2 <command>` of the trained checkpoint with one float of parameter
-    `name` overwritten by a NaN."""
+    `name` overwritten by `value`, a NaN unless given."""
     def make_argv(tmp, run, data):
         model = checkpoint_load(run / "checkpoint.bin")
-        model.params[name][0] = np.nan
-        checkpoint_save(model, tmp / "nan.bin")
-        return [command, "--checkpoint", str(tmp / "nan.bin"), "--data", str(data)]
+        model.params[name][0] = value
+        checkpoint_save(model, tmp / "nonfinite.bin")
+        return [command, "--checkpoint", str(tmp / "nonfinite.bin"), "--data", str(data)]
     return make_argv
 
 
@@ -697,11 +699,12 @@ FAILURES = {
         lambda manifest: manifest["config"].pop("input_dim")), 2),
     "checkpoint_config_list": (_edited_checkpoint(
         lambda manifest: manifest.update(config=[1])), 2),
-    # a checkpoint parameter holding a NaN is rejected, read by the command or not
-    "evaluate_nan_head_y": (_nan_parameter("evaluate", "head_y.l1.b"), 2),
-    "evaluate_nan_head_y_c": (_nan_parameter("evaluate", "head_y_c.l1.b"), 2),
-    "attribute_nan_head_y": (_nan_parameter("attribute", "head_y.l1.b"), 2),
-    "attribute_nan_head_y_c": (_nan_parameter("attribute", "head_y_c.l1.b"), 2),
+    # a checkpoint parameter holding a NaN or an infinity is rejected, read by the command or not
+    "evaluate_nan_head_y": (_nonfinite_parameter("evaluate", "head_y.l1.b"), 2),
+    "evaluate_nan_head_y_c": (_nonfinite_parameter("evaluate", "head_y_c.l1.b"), 2),
+    "attribute_nan_head_y": (_nonfinite_parameter("attribute", "head_y.l1.b"), 2),
+    "attribute_nan_head_y_c": (_nonfinite_parameter("attribute", "head_y_c.l1.b"), 2),
+    "evaluate_inf_head_y": (_nonfinite_parameter("evaluate", "head_y.l1.b", -np.inf), 2),
     "ablate_empty_variants": (lambda tmp, run, data: [
         "ablate", "--config", _config(tmp), "--reps", "1", "--variants", ""], 2),
     "ablate_unknown_variant": (lambda tmp, run, data: [
@@ -791,6 +794,23 @@ FAILURES = {
     "attribute_roles_lack_a_factor": (lambda tmp, run, data: [
         "attribute", "--checkpoint", str(run / "checkpoint.bin"), "--data",
         _dataset_dir(tmp, ref={**SMALL_TRAIN["dataset"], "mz": 3, "ma": 0})], 2),
+    "attribute_roles_only_z": (lambda tmp, run, data: [
+        "attribute", "--checkpoint", str(run / "checkpoint.bin"), "--data",
+        _dataset_dir(tmp, ref={**SMALL_TRAIN["dataset"], "mz": 5, "mc": 0, "ma": 0})], 2),
+    # demand data as wide as the binary checkpoint, so the mode alone is at fault
+    "evaluate_mode_mismatch": (lambda tmp, run, data: [
+        "evaluate", "--checkpoint", str(run / "checkpoint.bin"), "--data",
+        _dataset_dir(tmp, ref={"kind": "demand", "n": 200, "mz": 1})], 2),
+    "attribute_mode_mismatch": (lambda tmp, run, data: [
+        "attribute", "--checkpoint", str(run / "checkpoint.bin"), "--data",
+        _dataset_dir(tmp, ref={"kind": "demand", "n": 200, "mz": 1})], 2),
+    # a checkpoint manifest is read in full, each field named (see MANIFEST_EDITS too)
+    "checkpoint_unknown_field": (_edited_checkpoint(
+        lambda manifest: manifest.update(sha256="0")), 2),
+    "checkpoint_float_version": (_edited_checkpoint(
+        lambda manifest: manifest.update(version=1.0)), 2),
+    "checkpoint_params_differ": (_edited_checkpoint(
+        lambda manifest: manifest["params"][1].update(shape=[2, 2])), 2),
 }
 
 # cases whose error must name the field at fault
@@ -894,7 +914,9 @@ FAILURE_FIELDS = {
     "evaluate_nan_head_y_c": "checkpoint parameter 'head_y_c.l1.b' is not finite",
     "attribute_nan_head_y": "checkpoint parameter 'head_y.l1.b' is not finite",
     "attribute_nan_head_y_c": "checkpoint parameter 'head_y_c.l1.b' is not finite",
-    "ablate_empty_variants": "--variants: unknown variant ''",
+    "evaluate_inf_head_y": "checkpoint parameter 'head_y.l1.b' is not finite",
+    "ablate_empty_variants": "unknown variant ''; choose from Lp, Lp+Lt, Lp+Lt+La, Total",
+    "ablate_unknown_variant": "unknown variant 'Lq'; choose from Lp, Lp+Lt, Lp+Lt+La, Total",
     "sweep_omega_cont_binary": "omega_cont",
     "bad_split_ratios": "split_ratios",
     "train_mode_mismatch": "dataset mode",
@@ -929,6 +951,16 @@ FAILURE_FIELDS = {
                                 "of input_dim 5",
     "evaluate_no_truth": "truth.csv not found",
     "attribute_roles_lack_a_factor": "roles.csv: roles must contain some and not all 'a'",
+    "attribute_roles_only_z": "roles.csv: roles must contain some and not all 'z'",
+    "evaluate_mode_mismatch": "continuous data of 5 x and v columns, a binary checkpoint "
+                              "of input_dim 5",
+    "attribute_mode_mismatch": "continuous data of 5 x and v columns, a binary checkpoint "
+                               "of input_dim 5",
+    "checkpoint_unknown_field": "checkpoint manifest field 'sha256' is unknown",
+    "checkpoint_float_version": "checkpoint manifest field 'version' is not int",
+    "checkpoint_params_differ": "checkpoint manifest field 'params': entry 1 lists "
+                                "[{'name': 'enc_z.l0.b', 'shape': [2, 2]}], the config declares "
+                                "[{'name': 'enc_z.l0.b', 'shape': [8]}]",
 }
 
 
@@ -1156,6 +1188,22 @@ def test_readme_fault_table_cites_existing_tests():
         owner = test_field_checks if ref.startswith("W::") else sys.modules[__name__]
         for name in ref.removeprefix("W::").split("::"):
             owner = getattr(owner, name)
+
+
+def test_rejected_input_has_one_exception():
+    """Exit 2 is `datagen.SchemaError` alone, and the package defines exactly
+    these exception classes, so a new one gets its exit code on purpose."""
+    assert [types for types, _, code in cli.FAILURE_EXITS
+            if code == cli.EXIT_CONFIG] == [dg.SchemaError]
+    defined = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        classes = [node.name for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ClassDef)]
+        module = importlib.import_module(f"sd2.{path.stem}") if classes else None
+        defined |= {name for name in classes
+                    if issubclass(getattr(module, name, object), BaseException)}
+    assert defined == {"SchemaError", "AutodiffError", "NonFiniteError",
+                       "DegenerateBatchError", "TrainingError", "NothingScored"}
 
 
 def test_readme_names_the_parsers_commands_and_exit_codes():

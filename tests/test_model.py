@@ -651,7 +651,7 @@ class TestCheckpoint:
         manifest = json.loads(header)
         manifest["params"][0]["shape"] = [2, 2]
         path.write_bytes(json.dumps(manifest).encode() + b"\n" + rest)
-        with pytest.raises(M.CheckpointError, match="shape"):
+        with pytest.raises(M.SchemaError, match="shape"):
             M.checkpoint_load(path)
 
     @pytest.mark.parametrize("version, error", [
@@ -669,7 +669,7 @@ class TestCheckpoint:
         manifest = json.loads(header)
         manifest["version"] = version
         path.write_bytes(json.dumps(manifest).encode() + b"\n" + rest)
-        with pytest.raises(M.CheckpointError, match=error):
+        with pytest.raises(M.SchemaError, match=error):
             M.checkpoint_load(path)
 
     def test_truncated_rejected(self, tmp_path):
@@ -678,7 +678,7 @@ class TestCheckpoint:
         M.checkpoint_save(m, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
-        with pytest.raises(M.CheckpointError, match="truncated"):
+        with pytest.raises(M.SchemaError, match="truncated"):
             M.checkpoint_load(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -686,13 +686,13 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         M.checkpoint_save(m, path)
         path.write_bytes(path.read_bytes() + bytes(8))
-        with pytest.raises(M.CheckpointError, match="trailing"):
+        with pytest.raises(M.SchemaError, match="trailing"):
             M.checkpoint_load(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"{\"format\": \"other\"}\n")
-        with pytest.raises(M.CheckpointError):
+        with pytest.raises(M.SchemaError):
             M.checkpoint_load(path)
 
 
