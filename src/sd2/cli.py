@@ -111,13 +111,10 @@ def build_train_config(raw: dict) -> TrainConfig:
     for key in raw:
         if key not in {"schema_version", "mode", "dataset", *CONFIG_SECTIONS}:
             raise dg.SchemaError(f"unknown config field {key!r}")
-    mode = raw.get("mode", "binary")
-    if mode not in ("binary", "continuous"):
-        raise dg.SchemaError(f"config field 'mode' must be binary or continuous, got {mode!r}")
     if not isinstance(raw.get("dataset", {}), (dict, type(None))):
         raise dg.SchemaError("config field 'dataset' must be a JSON object or null")
     # input_dim is a placeholder until training reads the data's width
-    built = {"input_dim": 1, "mode": mode, "dataset": raw.get("dataset")}
+    built = {"input_dim": 1, "mode": raw.get("mode", "binary"), "dataset": raw.get("dataset")}
     for name, (cls, given) in CONFIG_SECTIONS.items():
         built[name] = dg.read_record(cls, raw.get(name, {}), f"config section {name!r}",
                                      {key: built[key] for key in given})
@@ -176,7 +173,7 @@ def _train_config(args, run: Run) -> tuple[TrainConfig, int]:
     """The --config file with any --variant applied, and the base seed (--seed,
     else the config's); both go on the run record."""
     config = build_train_config(dg.read_json_object(args.config))
-    if getattr(args, "variant", None):
+    if getattr(args, "variant", None) is not None:
         config = tr.apply_ablation(config, args.variant)
     run.config = config_json(config)
     seed = config.seed if args.seed is None else args.seed
@@ -357,10 +354,7 @@ def cmd_attribute(args, run: Run) -> tuple[str, float]:
 
 def cmd_sweep(args, run: Run) -> tuple[str, float]:
     base, base_seed = _train_config(args, run)
-    coefficients = [f.name for f in fields(LossWeights)]
-    if args.param not in coefficients:
-        raise dg.SchemaError(f"--param must name a loss coefficient ({', '.join(coefficients)}), "
-                             f"got {args.param!r}")
+    dg.check_one_of("--param", args.param, [f.name for f in fields(LossWeights)])
     if not any(term.coeff == args.param and base.mode in term.modes for term in TERMS):
         raise dg.SchemaError(f"--param {args.param}: no term of the {base.mode} objective is "
                              f"scaled by it")
@@ -410,7 +404,7 @@ def make_parser() -> argparse.ArgumentParser:
     flag("replicate ablate sweep", "--reps", type=int, default=10)
     flag("train replicate ablate sweep", "--seed", type=int, default=None)
     flag("replicate ablate sweep", "--jobs", type=int, default=1)
-    flag("train replicate", "--variant", default=None, choices=tr.VARIANTS)
+    flag("train replicate", "--variant", help=f"one of {', '.join(tr.VARIANTS)}")
     flag("ablate", "--variants", default=None)
     flag(" ".join(sub.choices), "--out", default=None)  # every run directory
     sub.choices["sweep"].set_defaults(reps=3)  # replications per grid value

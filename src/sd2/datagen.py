@@ -25,28 +25,42 @@ import numpy as np
 
 from . import autodiff as ad
 from . import rng
+from .family import FAMILIES
+
+ROLES = ("z", "c", "a")  # the covariate roles, each the target factor of an encoder
 
 
 class SchemaError(ValueError):
     """The one exception for rejected input (a dataset file, spec, config, flag
     or checkpoint), exit 2 in the CLI; the message names the field, and `field`
-    holds the GeneratedDataset field at fault, if there is one."""
+    holds the name of the field at fault, if there is one."""
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
 
 
-def check_fields(obj, at_least: dict[str, int] | None = None) -> None:
-    """Raise ValueError naming the first field of the dataclass ``obj`` whose
-    value its declared type or its bound does not allow, and the value: an
+def check_one_of(name: str, value, names) -> None:
+    """SchemaError naming ``name`` unless ``value`` is a string of ``names``
+    (iterated, as a dict's keys): the one check, and wording, of a closed set."""
+    if not (isinstance(value, str) and value in names):
+        raise SchemaError(f"{name} must be one of {', '.join(names)}, got {value!r}", name)
+
+
+def check_fields(obj, at_least: dict[str, int] | None = None, one_of: dict | None = None) -> None:
+    """Raise SchemaError naming the first field of the dataclass ``obj`` whose
+    value its declared type, bound or set does not allow, and the value: an
     ``int`` field holds an integer, a ``float`` field a finite nonnegative
     number, a ``str`` field a string and a ``tuple[str, ...]`` field a tuple
     of strings; a bool is neither an integer nor a number.  A field named in
-    ``at_least`` is at least its bound.  Fields of other types are the
-    caller's to check."""
+    ``at_least`` is at least its bound, and one in ``one_of`` a name of its
+    set (`check_one_of`), each item of a ``list[str]`` field.  Fields of other
+    types are the caller's to check."""
     for f in fields(obj):
         value = getattr(obj, f.name)
+        if one_of and f.name in one_of:
+            for item in (value if f.type == "list[str]" else [value]):
+                check_one_of(f.name, item, one_of[f.name])
         number = isinstance(value, numbers.Real) and not isinstance(value, bool)
         # annotations are strings here (``from __future__ import annotations``)
         if f.type == "int" and not (number and isinstance(value, numbers.Integral)):
@@ -63,7 +77,7 @@ def check_fields(obj, at_least: dict[str, int] | None = None) -> None:
             kind = f"at least {at_least[f.name]}"
         else:
             continue
-        raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+        raise SchemaError(f"{f.name} must be {kind}, got {value!r}", f.name)
 
 
 def _check_fits_memory(n: int, columns: int, culprit: str) -> None:
@@ -172,12 +186,12 @@ class DirSpec:
 @dataclass
 class GeneratedDataset:
     """Observed data plus whatever ground truth the generator can provide."""
-    mode: str                       # binary | continuous
+    mode: str                       # a key of family.FAMILIES
     x: np.ndarray                   # (n, k) observed covariates
     v: np.ndarray                   # (n, mv) designated instruments
     t: np.ndarray                   # (n,)
     y: np.ndarray                   # (n,)
-    roles: list[str]                # z/c/a per x column
+    roles: list[str]                # one of ROLES per x column
     p1: np.ndarray | None = None    # binary: outcome prob (or co-twin outcome) under t=1
     p0: np.ndarray | None = None
     surface_a: np.ndarray | None = None   # continuous: per-row sum of adjustment latents
@@ -187,8 +201,7 @@ class GeneratedDataset:
 
     def __post_init__(self):
         """The one check of a dataset's contents; SchemaError names the field."""
-        if self.mode not in ("binary", "continuous"):
-            raise SchemaError(f"mode must be 'binary' or 'continuous', got {self.mode!r}", "mode")
+        check_fields(self, one_of={"mode": FAMILIES, "roles": ROLES})
         n = len(self.t)
         for name in ("x", "v", "t", "y", *TRUTH_COLUMNS[self.mode].values()):
             values = getattr(self, name)
@@ -204,9 +217,6 @@ class GeneratedDataset:
             raise SchemaError("a dataset needs at least one covariate column (x or v)", "x")
         if len(self.roles) != self.x.shape[1]:
             raise SchemaError(f"{len(self.roles)} roles for {self.x.shape[1]} x columns", "roles")
-        for j, role in enumerate(self.roles):
-            if role not in ("z", "c", "a"):
-                raise SchemaError(f"role {role!r} of x{j} is not z, c or a", "roles")
         if self.mode == "binary":
             not_binary = (self.t != 0) & (self.t != 1)
             if not_binary.any():
@@ -224,9 +234,7 @@ class GeneratedDataset:
 
     @property
     def has_ground_truth(self) -> bool:
-        if self.mode == "binary":
-            return self.p1 is not None and self.p0 is not None
-        return self.surface_a is not None and self.surface_c is not None
+        return all(getattr(self, name) is not None for name in TRUTH_COLUMNS[self.mode].values())
 
     def covariates(self) -> np.ndarray:
         """Model input: observed covariates with designated instruments appended."""
@@ -379,8 +387,9 @@ def read_record(cls, raw, where: str, given: dict | None = None):
     caller sets itself (``given``): the one reader of config sections, dataset
     references and a checkpoint's config.  SchemaError, prefixed ``where``,
     names a key that is no field or one of ``given``, a missing field without
-    a default, or what `check_fields` or ``__post_init__`` rejects.  A JSON
-    list becomes a tuple only for a ``tuple[str, ...]`` field."""
+    a default, or what `check_fields` (unprefixed for a ``given`` field) or
+    ``__post_init__`` rejects.  A JSON list becomes a tuple only for a
+    ``tuple[str, ...]`` field."""
     given = given or {}
     if not isinstance(raw, dict):
         raise SchemaError(f"{where} must be a JSON object, got {type(raw).__name__}")
@@ -399,6 +408,8 @@ def read_record(cls, raw, where: str, given: dict | None = None):
     try:
         return cls(**values, **given)
     except ValueError as exc:
+        if getattr(exc, "field", None) in given:
+            raise
         raise SchemaError(f"{where}: {exc}") from exc
 
 
@@ -496,8 +507,7 @@ def spec_from_ref(ref: dict | None) -> SyntheticSpec | DemandSpec | TwinsSpec | 
         raise SchemaError("no dataset reference: a spec, or a config's 'dataset', "
                           "needs a 'kind'")
     kind = ref.get("kind")
-    if not isinstance(kind, str) or kind not in DATASET_KINDS:
-        raise SchemaError(f"unknown dataset kind {kind!r}")
+    check_one_of("kind", kind, DATASET_KINDS)
     # twins_transform records hidden_columns and x_columns next to the spec;
     # they follow from the spec, so a twins record read back as a reference drops them
     recorded = ("kind", "hidden_columns", "x_columns") if kind == "twins" else ("kind",)
@@ -578,17 +588,20 @@ def read_dataset(in_dir: str | Path) -> GeneratedDataset:
 
     mode, truth = spec_record.get("mode"), {}
     truth_path = src / "truth.csv"
-    if truth_path.exists() and mode in TRUTH_COLUMNS:  # GeneratedDataset rejects other modes
-        columns = _read_csv_columns(truth_path)
-        if set(columns) != set(TRUTH_COLUMNS[mode]):
-            raise SchemaError(f"{truth_path}: columns {sorted(columns)} != "
-                              f"{sorted(TRUTH_COLUMNS[mode])}")
-        truth = {name: columns[c] for c, name in TRUTH_COLUMNS[mode].items()}
     try:
+        check_one_of("mode", mode, FAMILIES)  # before it picks truth.csv's columns
+        if truth_path.exists():
+            columns = _read_csv_columns(truth_path)
+            if set(columns) != set(TRUTH_COLUMNS[mode]):
+                raise SchemaError(f"{truth_path}: columns {sorted(columns)} != "
+                                  f"{sorted(TRUTH_COLUMNS[mode])}")
+            truth = {name: columns[c] for c, name in TRUTH_COLUMNS[mode].items()}
         return GeneratedDataset(mode=mode, x=x, v=v, t=data["t"], y=data["y"],
                                 roles=roles["role"], beta=spec_record.get("beta"),
                                 spec=spec_record, **truth)
     except SchemaError as exc:
+        if exc.field is None:  # a truth.csv fault names the file itself
+            raise
         raise SchemaError(f"{src / FIELD_FILES[exc.field]}: {exc}", exc.field) from None
 
 

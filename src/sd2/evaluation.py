@@ -60,8 +60,6 @@ class Metric(NamedTuple):
 METRICS = {"binary": Metric("eps_ate", eps_ate),
            "continuous": Metric("mse", counterfactual_mse)}
 
-FACTORS = ("z", "c", "a")
-
 
 @dataclass
 class AttributionReport:
@@ -79,13 +77,13 @@ class AttributionReport:
 
     def min_ratio(self) -> float:
         """The smallest ratio, or nan when any encoder reads no column."""
-        ratios = [self.ratio(f) for f in FACTORS]
+        ratios = [self.ratio(f) for f in dg.ROLES]
         return np.nan if any(np.isnan(ratios)) else min(ratios)
 
     def rows(self) -> list[dict]:
         return [{"factor": f, "true_slice_mean": self.true_mean[f],
                  "other_slice_mean": self.other_mean[f], "ratio": self.ratio(f)}
-                for f in FACTORS]
+                for f in dg.ROLES]
 
 
 def attribution(model: SD2Model, roles: list[str]) -> AttributionReport:
@@ -95,7 +93,7 @@ def attribution(model: SD2Model, roles: list[str]) -> AttributionReport:
         raise ValueError(f"got {len(roles)} roles for input_dim {model.config.input_dim}")
     roles_arr = np.asarray(roles)
     true_mean, other_mean = {}, {}
-    for factor in FACTORS:
+    for factor in dg.ROLES:
         w = np.abs(model.params[NETWORK_OF[f"r_{factor}"] + ".l0.W"])  # (input_dim, width)
         mask = roles_arr == factor
         if not mask.any() or mask.all():

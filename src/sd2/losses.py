@@ -326,7 +326,7 @@ class Term(NamedTuple):
 
 
 def _both(reads: tuple[str, ...], add: Callable) -> dict[str, Build]:
-    return dict.fromkeys(("binary", "continuous"), Build(reads, add))
+    return dict.fromkeys(FAMILIES, Build(reads, add))
 
 
 # Every term, in the order it is built and summed.  Terms that share a

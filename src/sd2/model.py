@@ -55,7 +55,7 @@ _MIN_BLOCK_ROWS = 16
 
 @dataclass(frozen=True)
 class ArchConfig:
-    """Network sizes, each at least 1 (`check_fields`), and the treatment mode."""
+    """Network sizes, each at least 1, and the treatment mode (`check_fields`)."""
     input_dim: int
     rep_dim: int = 8
     enc_hidden: int = 64
@@ -65,9 +65,7 @@ class ArchConfig:
 
     def __post_init__(self):
         check_fields(self, {"input_dim": 1, "rep_dim": 1, "enc_hidden": 1, "enc_layers": 1,
-                            "head_hidden": 1})
-        if self.mode not in ("binary", "continuous"):
-            raise ValueError(f"mode must be binary or continuous, got {self.mode!r}")
+                            "head_hidden": 1}, one_of={"mode": FAMILIES})
 
 
 COVARIATES, TREATMENT = "x", "t"  # the inputs a network reads that are not networks
@@ -83,7 +81,7 @@ class Net(NamedTuple):
     inputs: tuple[str, ...]
     widths: Callable[[ArchConfig], tuple[int, ...]]
     head: bool = False
-    modes: tuple[str, ...] = ("binary", "continuous")
+    modes: tuple[str, ...] = tuple(FAMILIES)
 
 
 def _encoder(a: ArchConfig) -> tuple[int, ...]:

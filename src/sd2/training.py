@@ -18,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import datagen as dg
 from . import rng
+from .family import FAMILIES
 from .losses import (IMPORTANCE_WEIGHT_READS, DegenerateBatchError, LossBreakdown, LossWeights,
                      importance_weights, read_outputs, total_loss_binary, total_loss_continuous)
 from .model import (ArchConfig, SD2Model, bind, forward_binary, forward_continuous, init_model,
@@ -54,8 +55,8 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """A training run: batch_size is at least 2, max_epochs and patience at
-    least 1 (`check_fields`), and patience at most max_epochs."""
+    """A training run: batch_size at least 2, max_epochs and patience at least
+    1, mode and variant in their sets (`check_fields`), patience at most max_epochs."""
     mode: str = "binary"
     arch: ArchConfig = field(default_factory=lambda: ArchConfig(input_dim=1))
     weights: LossWeights = field(default_factory=LossWeights)
@@ -68,13 +69,10 @@ class TrainConfig:
     dataset: dict | None = None
 
     def __post_init__(self):
-        dg.check_fields(self, {"batch_size": 2, "max_epochs": 1, "patience": 1})
+        dg.check_fields(self, {"batch_size": 2, "max_epochs": 1, "patience": 1},
+                        one_of={"mode": FAMILIES, "variant": VARIANTS})
         if self.patience > self.max_epochs:
             raise ValueError("patience must not exceed max_epochs")
-        if self.mode not in ("binary", "continuous"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         zeroed = _ZEROED_WEIGHTS[self.variant]
         if any(getattr(self.weights, name) != 0.0 for name in zeroed):
             raise ValueError(f"variant {self.variant!r} does not match the weights it "
@@ -119,10 +117,8 @@ def apply_ablation(config: TrainConfig, variant: str) -> TrainConfig:
     """Table-style variants: Lp keeps only the factual outcome path, Lp+Lt
     restores the deep treatment objective, Lp+Lt+La restores the adjustment
     discrepancy, Total is the full objective, the only one with importance
-    weights."""
-    if variant not in VARIANTS:
-        raise dg.SchemaError(f"unknown variant {variant!r}; choose from {', '.join(VARIANTS)}")
-    weights = replace(config.weights, **dict.fromkeys(_ZEROED_WEIGHTS[variant], 0.0))
+    weights; TrainConfig rejects any other name."""
+    weights = replace(config.weights, **dict.fromkeys(_ZEROED_WEIGHTS.get(variant, ()), 0.0))
     return replace(config, weights=weights, variant=variant)
 
 

@@ -709,6 +709,12 @@ FAILURES = {
         "ablate", "--config", _config(tmp), "--reps", "1", "--variants", ""], 2),
     "ablate_unknown_variant": (lambda tmp, run, data: [
         "ablate", "--config", _config(tmp), "--reps", "1", "--variants", "Lq"], 2),
+    # --variant is checked by the config, as a config file's variant is
+    "train_unknown_variant": (lambda tmp, run, data: [
+        "train", "--config", _config(tmp), "--variant", "Lq"], 2),
+    "replicate_empty_variant": (lambda tmp, run, data: [
+        "replicate", "--config", _config(tmp), "--reps", "1", "--variant", ""], 2),
+    "train_section_unknown_variant": (_section("train", variant="Lq"), 2),
     "zero_schema_version": (lambda tmp, run, data: [
         "train", "--config", _config(tmp, schema_version=0)], 2),
     "negative_schema_version": (lambda tmp, run, data: [
@@ -762,6 +768,10 @@ FAILURES = {
     # dataset files are read and checked in full
     "spec_json_not_json": (_train_on(_write_file("spec.json", "{not json")), 2),
     "spec_json_list": (_train_on(_write_file("spec.json", "[1, 2]")), 2),
+    "spec_json_list_mode": (_train_on(_edit_lines(
+        "spec.json", lambda ls: [line.replace('"binary"', '["binary"]') for line in ls])), 2),
+    "spec_json_object_mode": (_train_on(_edit_lines(
+        "spec.json", lambda ls: [line.replace('"binary"', '{"binary": 1}') for line in ls])), 2),
     "roles_csv_empty": (_train_on(_write_file("roles.csv", "")), 2),
     "roles_csv_three_cells": (_train_on(_edit_lines(
         "roles.csv", lambda ls: [*ls[:2], ls[2].rstrip("\r\n") + ",z\r\n", *ls[3:]])), 2),
@@ -774,6 +784,12 @@ FAILURES = {
     "covariate_nan": (_train_on(_set_cell("x1", 4, "nan")), 2),
     "data_csv_no_rows": (_train_on(_header_only), 2),
     "data_csv_cut": (_train_on(_edit_lines("data.csv", lambda ls: ls[:-40])), 2),
+    "data_csv_column_foo": (_train_on(_edit_lines(
+        "data.csv", lambda ls: [ls[0].replace(",x1,", ",foo,"), *ls[1:]])), 2),
+    "data_csv_repeated_column": (_train_on(_edit_lines(
+        "data.csv", lambda ls: [ls[0].replace(",x1,", ",x0,"), *ls[1:]])), 2),
+    "truth_csv_cut": (_train_on(_edit_lines("truth.csv", lambda ls: ls[:-40])), 2),
+    "roles_csv_missing": (_train_on(lambda path: (path / "roles.csv").unlink()), 3),
     "dataset_too_small_to_split": (_train_on(_keep_rows(4)), 2),
     "spec_json_no_beta": (_evaluate_demand(_edit_lines(
         "spec.json", lambda ls: [line for line in ls if '"beta"' not in line])), 2),
@@ -833,14 +849,19 @@ FAILURE_FIELDS = {
     "ablate_no_dataset": "no dataset reference: a spec, or a config's 'dataset', needs a 'kind'",
     "sweep_no_dataset": "no dataset reference: a spec, or a config's 'dataset', needs a 'kind'",
     "generate_empty_spec": "no dataset reference: a spec, or a config's 'dataset', needs a 'kind'",
-    "replicate_unknown_kind": "unknown dataset kind 'mystery'",
+    "unknown_kind": "kind must be one of synthetic_binary, demand, twins, dir, got 'mystery'",
+    "sweep_unknown_param": "--param must be one of alpha, beta, gamma, delta, omega_cont, "
+                           "got 'zzz'",
+    "replicate_unknown_kind": "kind must be one of synthetic_binary, demand, twins, dir, "
+                              "got 'mystery'",
     "ablate_dir_extra_field": "dataset 'dir': unknown field 'zz'",
     "train_dir_path_zero": "dataset 'dir': path must be a string, got 0",
     "train_dir_path_list": "dataset 'dir': path must be a string, got ['d']",
     "train_dir_no_path": "dataset 'dir': missing field 'path'",
     "replicate_dir_path_null": "dataset 'dir': path must be a string, got None",
     "generate_dir": "dataset kind 'dir' is read, not generated",
-    "generate_list_kind": "unknown dataset kind ['demand']",
+    "generate_list_kind": "kind must be one of synthetic_binary, demand, twins, dir, "
+                          "got ['demand']",
     "twins_no_m_columns": "dataset 'twins': missing field 'm_columns'",
     "demand_x_columns": "dataset 'demand': unknown field 'x_columns'",
     "binary_huge_n": "dataset 'synthetic_binary': n = 100000000000000 is too large",
@@ -849,8 +870,8 @@ FAILURE_FIELDS = {
     "demand_huge_alpha": "alpha = 1e+308 is too large: the outcome y overflows",
     "demand_huge_beta": "beta = 1e+308 is too large: the outcome y overflows",
     "section_not_an_object": "config section 'arch' must be a JSON object, got int",
-    "mode_integer": "config field 'mode' must be binary or continuous, got 5",
-    "mode_unknown": "config field 'mode' must be binary or continuous, got 'foo'",
+    "mode_integer": "mode must be one of binary, continuous, got 5",
+    "mode_unknown": "mode must be one of binary, continuous, got 'foo'",
     "weights_unknown_field": "config section 'weights': unknown field 'zeta'",
     "train_section_mode": "config section 'train': mode is set elsewhere",
     "train_section_arch": "config section 'train': arch is set elsewhere",
@@ -915,8 +936,12 @@ FAILURE_FIELDS = {
     "attribute_nan_head_y": "checkpoint parameter 'head_y.l1.b' is not finite",
     "attribute_nan_head_y_c": "checkpoint parameter 'head_y_c.l1.b' is not finite",
     "evaluate_inf_head_y": "checkpoint parameter 'head_y.l1.b' is not finite",
-    "ablate_empty_variants": "unknown variant ''; choose from Lp, Lp+Lt, Lp+Lt+La, Total",
-    "ablate_unknown_variant": "unknown variant 'Lq'; choose from Lp, Lp+Lt, Lp+Lt+La, Total",
+    "ablate_empty_variants": "variant must be one of Lp, Lp+Lt, Lp+Lt+La, Total, got ''",
+    "ablate_unknown_variant": "variant must be one of Lp, Lp+Lt, Lp+Lt+La, Total, got 'Lq'",
+    "train_unknown_variant": "variant must be one of Lp, Lp+Lt, Lp+Lt+La, Total, got 'Lq'",
+    "replicate_empty_variant": "variant must be one of Lp, Lp+Lt, Lp+Lt+La, Total, got ''",
+    "train_section_unknown_variant": "config section 'train': variant must be one of Lp, "
+                                     "Lp+Lt, Lp+Lt+La, Total, got 'Lq'",
     "sweep_omega_cont_binary": "omega_cont",
     "bad_split_ratios": "split_ratios",
     "train_mode_mismatch": "dataset mode",
@@ -936,12 +961,19 @@ FAILURE_FIELDS = {
     "spec_json_list": "spec.json: the top level must be a JSON object, got list",
     "roles_csv_empty": "roles.csv: empty CSV",
     "roles_csv_three_cells": "roles.csv: line 3 has 3 cells, the header has 2",
-    "roles_csv_role_q": "roles.csv: role 'q' of x1 is not z, c or a",
+    "roles_csv_role_q": "roles.csv: roles must be one of z, c, a, got 'q'",
+    "spec_json_list_mode": "spec.json: mode must be one of binary, continuous, got ['binary']",
+    "spec_json_object_mode": "spec.json: mode must be one of binary, continuous, "
+                             "got {'binary': 1}",
     "roles_csv_extra_x99": "roles.csv: line 7 lists 'x99'",
     "roles_csv_repeated_x0": "roles.csv: line 7 lists 'x0'",
     "binary_t_half": "data.csv: binary t must be 0 or 1, got 0.5 at row index 4",
     "covariate_nan": "data.csv: column 'x1' is not finite at line 6",
     "data_csv_no_rows": "data.csv: a header and no rows",
+    "data_csv_column_foo": "data.csv: column 'foo' is out of place",
+    "data_csv_repeated_column": "data.csv: column 'x0' appears more than once",
+    "truth_csv_cut": "truth.csv: p1 has 160 rows, t has 200",
+    "roles_csv_missing": "roles.csv",
     "spec_json_no_beta": "spec.json: beta must be a finite number",
     "spec_json_string_beta": "spec.json: beta must be a finite number when the "
                              "counterfactual surface is present, got 'x'",
@@ -962,6 +994,13 @@ FAILURE_FIELDS = {
                                 "[{'name': 'enc_z.l0.b', 'shape': [2, 2]}], the config declares "
                                 "[{'name': 'enc_z.l0.b', 'shape': [8]}]",
 }
+
+
+@pytest.mark.parametrize("command", ["train", "replicate"])
+def test_variant_help_names_the_variants(command, capsys):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    assert f"one of {', '.join(tr.VARIANTS)}" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.fixture()

@@ -300,7 +300,7 @@ class TestContentsChecked:
     # case -> (mode, changed fields, field at fault, message)
     FAULTS = {
         "unknown_mode": ("binary", {"mode": "ordinal"}, "mode",
-                         "mode must be 'binary' or 'continuous'"),
+                         "mode must be one of binary, continuous, got 'ordinal'"),
         "short_y": ("binary", {"y": np.zeros(9)}, "y", "y has 9 rows, t has 10"),
         "long_p0": ("binary", {"p0": np.zeros(11)}, "p0", "p0 has 11 rows, t has 10"),
         "short_surface": ("continuous", {"surface_c": np.zeros(3)}, "surface_c",
@@ -316,7 +316,7 @@ class TestContentsChecked:
                           "a dataset needs at least one covariate column"),
         "roles_short": ("binary", {"roles": ["z"] * 9}, "roles", "9 roles for 10 x columns"),
         "role_u": ("binary", {"roles": ["z"] * 9 + ["u"]}, "roles",
-                   "role 'u' of x9 is not z, c or a"),
+                   "roles must be one of z, c, a, got 'u'"),
         "t_two": ("binary", {"t": np.r_[np.zeros(5), 2.0, np.zeros(4)]}, "t",
                   "binary t must be 0 or 1, got 2.0 at row index 5"),
         "beta_none": ("continuous", {"beta": None}, "beta", "beta must be a finite number"),

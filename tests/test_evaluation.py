@@ -120,14 +120,14 @@ class TestAttribution:
         report = ev.attribution(model, roles)
         factor = dead[-1]
         assert np.isnan(report.ratio(factor))
-        assert all(np.isfinite(report.ratio(f)) for f in ev.FACTORS if f != factor)
+        assert all(np.isfinite(report.ratio(f)) for f in dg.ROLES if f != factor)
         assert np.isnan(report.min_ratio())
         assert np.isnan(next(r["ratio"] for r in report.rows() if r["factor"] == factor))
 
     def test_min_ratio(self):
         report = ev.AttributionReport({"z": 2.0, "c": 3.0, "a": 1.0},
                                       {"z": 1.0, "c": 0.0, "a": 4.0})
-        assert [report.ratio(f) for f in ev.FACTORS] == [2.0, np.inf, 0.25]
+        assert [report.ratio(f) for f in dg.ROLES] == [2.0, np.inf, 0.25]
         assert report.min_ratio() == 0.25
 
     def test_uniform_weights_ratio_one(self):

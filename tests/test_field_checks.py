@@ -1,10 +1,14 @@
-"""Each config and spec field's type and lower bound is decided in one place,
-`datagen.check_fields`, from the field's declared annotation and the bounds
-its class's ``__post_init__`` hands it.  A ``__post_init__`` keeps only rules
-between fields, so the decision cannot fork again: it calls check_fields and
-holds no isfinite call, no isinstance(..., bool) and no comparison of a single
-field with a number.  Every field of every class a config or spec sets is
-given the values its type rejects, so a field added later is covered.
+"""Each config and spec field's type, lower bound and closed set of names is
+decided in one place, `datagen.check_fields`, from the field's declared
+annotation and the bounds and sets its class's ``__post_init__`` hands it.  A
+``__post_init__`` keeps only rules between fields, so the decision cannot fork
+again: it calls check_fields and holds no isfinite call, no
+isinstance(..., bool), no comparison of a single field with a number and no
+test of a single field against a literal tuple, list or set.  Every field of
+every class a config or spec sets is given the values its type, bound or set
+rejects, so a field added later is covered.  Each closed set (the treatment
+modes, the ablation variants, the covariate roles) is written once, and every
+per-mode table names exactly the modes `family.FAMILIES` declares.
 
 A JSON record becomes its class in one place too, `datagen.read_record`: every
 class is handed an unknown key, each missing required field and a list for
@@ -16,11 +20,14 @@ import dataclasses
 import inspect
 import math
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from sd2 import cli, model, training
+from sd2 import cli, losses, model, training
 from sd2 import datagen as dg
+from sd2 import evaluation as ev
+from sd2.family import FAMILIES
 from sd2.model import ArchConfig
 from test_cli import CONFIG_CLASSES
 
@@ -68,6 +75,9 @@ def hand_checks(post_init: ast.FunctionDef) -> list[str]:
             sides = (n.left, n.comparators[0])
             if any(map(_number, sides)) and any(map(_one_field, sides)):
                 found.append(f"line {n.lineno}: a field compared with a number")
+            elif (isinstance(n.ops[0], (ast.In, ast.NotIn)) and _one_field(n.left)
+                    and isinstance(n.comparators[0], (ast.Tuple, ast.List, ast.Set))):
+                found.append(f"line {n.lineno}: a field tested against a literal set")
     return sorted(found)
 
 
@@ -75,10 +85,22 @@ def _post_init(cls) -> ast.FunctionDef:
     return ast.parse(textwrap.dedent(inspect.getsource(cls.__post_init__))).body[0]
 
 
+def _check_fields_call(cls) -> ast.Call | None:
+    return next((n for n in ast.walk(_post_init(cls)) if _called(n) == "check_fields"), None)
+
+
 def bounds(cls) -> dict[str, int]:
     """The lower bounds ``cls.__post_init__`` hands check_fields, a dict literal."""
-    call = next((n for n in ast.walk(_post_init(cls)) if _called(n) == "check_fields"), None)
+    call = _check_fields_call(cls)
     return ast.literal_eval(call.args[1]) if call and len(call.args) > 1 else {}
+
+
+def set_fields(cls) -> list[str]:
+    """The fields whose closed set ``cls.__post_init__`` hands check_fields,
+    the keys of its ``one_of`` dict literal."""
+    call = _check_fields_call(cls)
+    sets = next((k.value for k in call.keywords if k.arg == "one_of"), None) if call else None
+    return [ast.literal_eval(key) for key in sets.keys] if sets else []
 
 
 def test_detector_flags_hand_written_checks():
@@ -94,10 +116,14 @@ def test_detector_flags_hand_written_checks():
                 raise ValueError("dimensions")
             if self.mz + self.mc < 1 or self.hide_count >= len(self.m_columns):
                 raise ValueError("sums and lengths are rules between fields")
-            if self.mode not in ("binary", "continuous") or getattr(self.weights, "a") != 0:
-                raise ValueError("so are memberships and another object's fields")
+            if self.mode not in ("binary", "continuous") or self.role in ["z", "c"]:
+                raise ValueError("a field tested against a literal set")
+            if col in _RESERVED or col in self.m_columns[:j] or getattr(self.weights, "a") != 0:
+                raise ValueError("so are a declared table, other fields and another object's")
         """)
     assert hand_checks(ast.parse(source).body[0]) == [
+        "line 12: a field tested against a literal set",
+        "line 12: a field tested against a literal set",
         "line 4: a field compared with a number", "line 4: isfinite",
         "line 6: a field compared with a number", "line 6: isinstance(.., bool)",
         "line 8: a field compared with a number", "line 8: a field compared with a number",
@@ -110,17 +136,17 @@ def test_post_init_keeps_only_rules_between_fields(cls):
 
 
 def _rejected_values():
-    """(class, field, value) for each value a field's declared type or bound
-    rejects."""
+    """(class, field, value) for each value a field's declared type, bound or
+    set rejects: a string outside the set, and a list, for a field with one."""
     for cls in CONFIG_CLASSES:
-        at_least = bounds(cls)
+        at_least, named = bounds(cls), set_fields(cls)
         for f in dataclasses.fields(cls):
             values = {
                 "int": [True, 1.5, *([at_least[f.name] - 1] if f.name in at_least else [])],
                 "float": [True, "0.5", math.nan, math.inf, -1, 10 ** 400],
                 "str": [0],
                 "tuple[str, ...]": ["gestat", ("gestat", 0)],
-            }.get(f.type, [])
+            }.get(f.type, []) + (["?", ["?"]] if f.name in named else [])
             yield from (pytest.param(cls, f.name, value,
                                      id=f"{cls.__name__}.{f.name}={value!r:.12}")
                         for value in values)
@@ -206,3 +232,33 @@ def test_detector_flags_unpacked_class_calls():
 def test_no_config_class_built_from_unpacked_mapping(module):
     classes = {cls.__name__ for cls in CONFIG_CLASSES}
     assert unpacked_calls(inspect.getsource(module), classes) == []
+
+
+def test_set_fields_reads_the_declared_sets():
+    classes = (*CONFIG_CLASSES, dg.GeneratedDataset)
+    assert {cls.__name__: set_fields(cls) for cls in classes if set_fields(cls)} == {
+        "TrainConfig": ["mode", "variant"], "ArchConfig": ["mode"],
+        "GeneratedDataset": ["mode", "roles"]}
+
+
+def test_each_set_is_written_once():
+    """No tuple, list or set literal in the package spells out the modes or
+    the variants, which are dict keys (`family.FAMILIES`,
+    `training._ZEROED_WEIGHTS`), and only `datagen.ROLES` spells the roles."""
+    declared = [set(FAMILIES), set(training.VARIANTS), set(dg.ROLES)]
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, (ast.Tuple, ast.List, ast.Set)) and all(
+                    isinstance(e, ast.Constant) for e in n.elts):
+                if {e.value for e in n.elts} in declared:
+                    found.append((path.name, ast.literal_eval(n)))
+    assert found == [("datagen.py", dg.ROLES)]
+
+
+def test_per_mode_tables_name_the_declared_modes():
+    modes = set(FAMILIES)
+    assert set(ev.METRICS) == set(dg.TRUTH_COLUMNS) == modes
+    for table in (model.NETWORKS, losses.TERMS):
+        assert all(set(entry.modes) <= modes for entry in table)
+        assert set().union(*(entry.modes for entry in table)) == modes
