@@ -4,7 +4,10 @@ Two commits whose fingerprints match train byte-identical checkpoints and
 histories and compute bit-identical forward passes.  Run from the repository
 root:
 
-    PYTHONPATH=src python3 scripts/fingerprint.py
+    python3 scripts/fingerprint.py
+
+It imports the `sd2` of its own checkout (``src/``), so it needs neither an
+install nor ``PYTHONPATH``.
 
 Two `sd2 train` runs at the README arch and weights (n=1,500, 3 epochs,
 seed 3: binary and demand) print the sha256 of their `checkpoint.bin` and
@@ -34,6 +37,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # this checkout's sd2
 
 from sd2 import autodiff as ad
 from sd2 import cli

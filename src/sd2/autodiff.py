@@ -9,13 +9,12 @@ sum overflows.  Parameters are checked where they change, not where they are
 read: `AdamState` checks its flat buffer when it is made and after every
 `adam_step`, and a failure names the first non-finite parameter, so
 `Tape.parameter` takes a value as it is.  A parameter edited to a NaN or Inf
-outside training is named by the first `dense` that reads it (``'matmul'``
-or ``'add_bias'``).  `dense` checks once, after the bias add (`affine`): a
-non-finite product stays non-finite when a finite bias is added, and elu and
-sigmoid map finite values to finite ones.  Only when that check fails is the
-product recomputed, to name ``'matmul'`` or ``'add_bias'``.  The training
-objective (``losses.py``) checks only its total, and on failure names its
-first non-finite term.
+outside training is named by the first `dense` layer that reads it: a layer
+is named by its weight (``enc_a.l1.W`` is layer ``enc_a.l1``).  `dense` checks
+once, after the bias add (`affine`): a non-finite product stays non-finite
+when a finite bias is added, and elu and sigmoid map finite values to finite
+ones.  The training objective (``losses.py``) checks only its total, and on
+failure names its first non-finite term.
 
 A tape made with ``record=False`` serves forward passes whose gradients nobody
 takes (prediction, validation): its nodes keep no parents or backward rules
@@ -187,16 +186,6 @@ def check_finite(value: np.ndarray, name: str):
         raise NonFiniteError(name)
 
 
-def _check_matmul(x: np.ndarray, w: np.ndarray):
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {x.shape} @ {w.shape}")
-
-
-def _check_bias(x: np.ndarray, b: np.ndarray):
-    if x.ndim != 2 or b.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ValueError(f"add_bias: incompatible shapes {x.shape} + {b.shape}")
-
-
 def sigmoid_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Stable logistic of x written to out (which may be x itself), and out:
     1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere, both
@@ -239,34 +228,19 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return Tensor(parts[0].tape, value, tuple(parts), vjps, "concat")
 
 
-def select_cols(a: Tensor, j: int) -> Tensor:
-    """Column j of an (n, k) matrix, as an (n, 1) matrix."""
-    if a.value.ndim != 2 or not 0 <= j < a.value.shape[1]:
-        raise ValueError(f"select_cols: column {j} out of range for {a.value.shape}")
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        out[:, j:j + 1] = g
-        return out
-
-    return Tensor(a.tape, a.value[:, j:j + 1], (a,), (vjp,), "select_cols")
-
-
 ACTIVATIONS = ("identity", "elu", "sigmoid")
 
 
-def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b as a new array, with the shape checks of `matmul` and
-    `add_bias` and one finiteness check on the biased sum, which names
-    ``'matmul'`` or ``'add_bias'`` as composing them would."""
-    _check_matmul(x, w)
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, layer: str) -> np.ndarray:
+    """x @ w + b as a new array, for the dense layer named ``layer``: the
+    shapes are checked once, and so is the biased sum, whose NaN or Inf names
+    the layer."""
+    if (x.ndim != 2 or w.ndim != 2 or b.ndim != 1
+            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
+        raise ValueError(f"{layer}: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
     out = x @ w
-    _check_bias(out, b)
     out += b
-    if not all_finite(out):
-        # the biased sum holds a NaN or Inf: name the product if it does too
-        check_finite(x @ w, "matmul")
-        raise NonFiniteError("add_bias")
+    check_finite(out, layer)
     return out
 
 
@@ -283,25 +257,26 @@ def activate(out: np.ndarray, activation: str):
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
-    """activation(x @ w + b) as one node; activation in {identity, elu, sigmoid}.
+    """activation(x @ w + b) as one node, named by its layer: the weight's
+    name without ``.W``; activation in {identity, elu, sigmoid}.
 
     The bias and the activation are applied in place on the product, with the
-    operations of `matmul`, `add_bias` and the activation in the same order,
-    so values and gradients are bit-identical to composing them.  One
-    finiteness check on the biased sum (`affine`) stands for the product's,
-    the sum's and the activation's; a failure still names ``'matmul'`` or
-    ``'add_bias'``, as composing them would.  The backward rule takes the
-    activation's derivative once, then the three VJPs of the product and the
-    bias.
+    operations of the product, the bias add and the activation in the same
+    order, so values and gradients are bit-identical to composing them
+    (``tests/reference_ops.py``).  One finiteness check on the biased sum
+    (`affine`) stands for the product's, the sum's and the activation's, and
+    a failure names the layer.  The backward rule takes the activation's
+    derivative once, then the three VJPs of the product and the bias.
     """
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
-    out = affine(x.value, w.value, b.value)
+    layer = w.name.removesuffix(".W")
+    out = affine(x.value, w.value, b.value, layer)
     pre_vjp = activate(out, activation)
     return Tensor(x.tape, out, (x, w, b),
                   (lambda g: g @ w.value.T, lambda g: x.value.T @ g,
                    lambda g: np.add.reduce(g, axis=0)),  # g.sum(axis=0), without its wrapper
-                  "add_bias" if pre_vjp is None else activation, pre_vjp, checked=True)
+                  layer, pre_vjp, checked=True)
 
 
 def glorot_init(key: int, fan_in: int, fan_out: int) -> np.ndarray:

@@ -268,8 +268,11 @@ def _replicated(configs: list[TrainConfig], args, base_seed: int) -> list[tuple[
     for flag in ("reps", "jobs"):
         if getattr(args, flag) < 1:
             raise dg.SchemaError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
-    for config in configs:  # a reference every replication would fail on fails the command
-        dg.spec_from_ref(config.dataset)
+    # a reference every replication would fail on fails the command; a twins
+    # reference is transformed once, for the faults only its CSV shows
+    for spec in dict.fromkeys(dg.spec_from_ref(config.dataset) for config in configs):
+        if isinstance(spec, dg.TwinsSpec):
+            dg.twins_transform(spec)
     payloads = [(config, i, base_seed) for config in configs for i in range(args.reps)]
     if args.jobs > 1:
         # one BLAS thread per worker unless the user set a count; the workers are

@@ -217,11 +217,12 @@ class GeneratedDataset:
             raise SchemaError("a dataset needs at least one covariate column (x or v)", "x")
         if len(self.roles) != self.x.shape[1]:
             raise SchemaError(f"{len(self.roles)} roles for {self.x.shape[1]} x columns", "roles")
-        if self.mode == "binary":
-            not_binary = (self.t != 0) & (self.t != 1)
+        for name in ("t", "y") if self.mode == "binary" else ():
+            values = getattr(self, name)
+            not_binary = (values != 0) & (values != 1)
             if not_binary.any():
-                raise SchemaError(f"binary t must be 0 or 1, got {self.t[not_binary][0]} "
-                                  f"at row index {np.argmax(not_binary)}", "t")
+                raise SchemaError(f"binary {name} must be 0 or 1, got {values[not_binary][0]} "
+                                  f"at row index {np.argmax(not_binary)}", name)
         if self.mode == "continuous" and self.has_ground_truth and not (
                 isinstance(self.beta, (int, float)) and not isinstance(self.beta, bool)
                 and np.isfinite(self.beta)):

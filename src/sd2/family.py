@@ -160,17 +160,21 @@ def gaussian_kl(q: GaussianHead, p: GaussianHead):
 
 
 def _gaussian_head(out: ad.Tensor) -> Gaussian:
-    """Mean column and clipped log-std column of a head's last layer; the
-    log std is one node (select and clip)."""
-    mu = ad.select_cols(out, 0)
+    """Mean column and clipped log-std column of a head's last layer, one
+    node each, unchecked: the layer has just checked ``out``, and a clip keeps
+    finite values finite."""
     log_std, mask = _clip(out.value[:, 1:2], LOG_STD_MIN, LOG_STD_MAX)
 
-    def vjp(g):
+    def column(j, g):
         grad = np.zeros_like(out.value)
-        grad[:, 1:2] = g * mask
+        grad[:, j:j + 1] = g
         return grad
 
-    return Gaussian(mu, ad.Tensor(out.tape, log_std, (out,), (vjp,), "log_std"))
+    return Gaussian(
+        ad.Tensor(out.tape, out.value[:, 0:1], (out,), (lambda g: column(0, g),), "mean",
+                  checked=True),
+        ad.Tensor(out.tape, log_std, (out,), (lambda g: column(1, g * mask),), "log_std",
+                  checked=True))
 
 
 class Family(NamedTuple):

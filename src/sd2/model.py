@@ -248,7 +248,7 @@ def bind(model: SD2Model, tape: ad.Tape,
     Nothing is checked here: the parameters' producers keep them finite
     (`init_model`, `checkpoint_load`, and `ad.AdamState` after every step),
     and a value edited to a NaN or Inf in between is named by the first
-    dense layer that reads it (``'matmul'`` or ``'add_bias'``)."""
+    dense layer that reads it, such as ``'enc_a.l1'``."""
     prefixes = None if layers is None else tuple(name + "." for name in layers)
     return {name: tape.parameter(value, name) for name, value in model.params.items()
             if prefixes is None or name.startswith(prefixes)}
@@ -393,9 +393,12 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
     over do-values equals a fresh model's bit for bit.  Against the recorded
     forward pass, which sums the first layer's 1 + enc_hidden products in
     one dot product, only the order of that sum differs, so an output can
-    move by its rounding carried through the ELU and the last layer.  A call
-    that raises keeps no new cache, and a hit writes nothing to it.  The
-    cache is not model state: checkpoints, ``==`` and ``repr`` never see it.
+    move by its rounding carried through the ELU and the last layer.  A
+    non-finite do-value raises `ad.NonFiniteError` naming the treatment input
+    ``'t'``, and a NaN or Inf in the head's first-layer sum names that layer,
+    ``'head_y.l0'``, as the full forward does.  A call that raises keeps no
+    new cache, and a hit writes nothing to it.  The cache is not model
+    state: checkpoints, ``==`` and ``repr`` never see it.
     """
     cfg = model.config
     x = _check_input(cfg, x)
@@ -403,7 +406,7 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
         raise ValueError("binary mode requires a do-value in {0, 1}")
     t_value = float(t_value)
     if not np.isfinite(t_value):
-        raise ad.NonFiniteError("const")
+        raise ad.NonFiniteError(TREATMENT)
     tape = ad.Tape(record=False)
     blocks = _row_blocks(len(x))
     *memo_steps, (_, head_layers) = _steps(cfg, (_OUTCOME.output,))
@@ -424,15 +427,15 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
         fixed = np.empty((len(x), len(bias)))
         for sl in blocks:
             values = _build(cfg, p_memo, tape, memo_steps, {COVARIATES: x[sl]})
-            fixed[sl] = ad.affine(values[_OUTCOME_REST].value, w_rest, bias)
+            fixed[sl] = ad.affine(values[_OUTCOME_REST].value, w_rest, bias, name)
         memo = _OutcomeMemo(cfg, [a.copy() for a in key], fixed)
     shift = t_value * w[treatment]
     out = np.empty(len(x))
     for sl in blocks:
         h = memo.fixed[sl] + shift
-        ad.check_finite(h, "matmul")  # the unsplit product would hold the NaN or Inf
+        ad.check_finite(h, name)
         ad.activate(h, activation)
-        h = ad.Tensor(tape, h, name=activation, checked=True)
+        h = ad.Tensor(tape, h, name=name, checked=True)
         out[sl] = _dense(p, last_layers, h).value[:, 0]
     model._outcome_memo = memo
     return out

@@ -1,7 +1,7 @@
 """Reference implementations the fused code is checked against.
 
 The autodiff primitives below (one tape node per elementary operation) are
-what `autodiff.dense`, the family terms and the training objective fuse.
+what `autodiff.dense`, the Gaussian head's two columns, the family terms and the training objective fuse.
 Tests build the same computation from them and require the fused version to
 give the same bits: values and gradients.
 
@@ -39,7 +39,7 @@ import numpy as np
 
 from sd2 import autodiff as ad
 from sd2 import family as F
-from sd2.autodiff import Tensor, _check_bias, _check_matmul, _elu_into
+from sd2.autodiff import Tensor, _elu_into
 from sd2.family import BERNOULLI, GAUSSIAN, PROB_FLOOR, Gaussian
 from sd2.losses import WEIGHT_CLIP, DegenerateBatchError, LossBreakdown
 
@@ -124,6 +124,16 @@ def neg(a: Tensor) -> Tensor:
     return Tensor(a.tape, -a.value, (a,), (lambda g: -g,), "neg")
 
 
+def _check_matmul(x: np.ndarray, w: np.ndarray):
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"matmul: incompatible shapes {x.shape} @ {w.shape}")
+
+
+def _check_bias(x: np.ndarray, b: np.ndarray):
+    if x.ndim != 2 or b.ndim != 1 or x.shape[1] != b.shape[0]:
+        raise ValueError(f"add_bias: incompatible shapes {x.shape} + {b.shape}")
+
+
 def matmul(x: Tensor, w: Tensor) -> Tensor:
     _check_matmul(x.value, w.value)
     return Tensor(x.tape, x.value @ w.value, (x, w),
@@ -176,6 +186,19 @@ def mean_rows(a: Tensor) -> Tensor:
     n = a.value.shape[0]
     return Tensor(a.tape, a.value.mean(axis=0), (a,),
                   (lambda g: np.tile(g / n, (n, 1)),), "mean_rows")
+
+
+def select_cols(a: Tensor, j: int) -> Tensor:
+    """Column j of an (n, k) matrix, as an (n, 1) matrix."""
+    if a.value.ndim != 2 or not 0 <= j < a.value.shape[1]:
+        raise ValueError(f"select_cols: column {j} out of range for {a.value.shape}")
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        out[:, j:j + 1] = g
+        return out
+
+    return Tensor(a.tape, a.value[:, j:j + 1], (a,), (vjp,), "select_cols")
 
 
 def select_rows(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -300,8 +323,7 @@ def composed_gaussian_kl(q, p):
 
 
 def composed_gaussian_head(out):
-    return Gaussian(ad.select_cols(out, 0),
-                    clip(ad.select_cols(out, 1), F.LOG_STD_MIN, F.LOG_STD_MAX))
+    return Gaussian(select_cols(out, 0), clip(select_cols(out, 1), F.LOG_STD_MIN, F.LOG_STD_MAX))
 
 
 # -- the objective, one node per term, mean, sum and scale ----------------------

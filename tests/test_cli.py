@@ -3,6 +3,7 @@ import ast
 import csv
 import dataclasses
 import importlib
+import itertools
 import json
 import os
 import re
@@ -398,13 +399,17 @@ def _bad_reference(**changes):
     return lambda tmp, run, data: ["train", "--config", _config(tmp, dataset=dataset)]
 
 
-def _all_treated_train_split(tmp, data):
-    for name in dg.SPLITS:
-        ds = dg.read_dataset(data / name)
-        if name == "train":
-            ds.t[:] = 1.0
-        dg.write_dataset(ds, tmp / "all_treated" / name)
-    return str(tmp / "all_treated")
+def _all_treated(split):
+    """`sd2 train` on a copy of the trained run's triple whose `split` holds
+    treated rows only."""
+    def make_argv(tmp, run, data):
+        for name in dg.SPLITS:
+            ds = dg.read_dataset(data / name)
+            if name == split:
+                ds.t[:] = 1.0
+            dg.write_dataset(ds, tmp / "all_treated" / name)
+        return ["train", "--config", _config(tmp), "--data", str(tmp / "all_treated")]
+    return make_argv
 
 
 def _dataset_dir(tmp, edit=None, ref=None) -> str:
@@ -467,6 +472,17 @@ def _twins_spec(command, **changes):
     if command == "train":
         return lambda tmp, run, data: ["train", "--config", _config(tmp, dataset=ref)]
     return _grid_command(command, ref)
+
+
+def _twins_over_the_weight_cap(command):
+    """`_twins_spec` on a copy of the fixture CSV whose every first twin
+    weighs more than the cap, so no row survives the filter."""
+    def make_argv(tmp, run, data):
+        columns = dg.read_csv(dg.fixture_path())
+        columns[dg.TWINS_WEIGHT_COLUMNS[0]] = ["5000"] * len(columns[dg.TWINS_WEIGHT_COLUMNS[0]])
+        path = dg.write_csv(tmp / "heavy.csv", list(columns), zip(*columns.values()))
+        return _twins_spec(command, csv_path=str(path))(tmp, run, data)
+    return make_argv
 
 
 def _evaluate_demand(edit):
@@ -600,6 +616,8 @@ FAILURES = {
         "sweep", "--config", _config(tmp), "--param", "gamma", "--grid", "1,-1"], 2),
     "sweep_nan_value": (lambda tmp, run, data: [
         "sweep", "--config", _config(tmp), "--param", "gamma", "--grid", "nan"], 2),
+    "sweep_grid_not_a_number": (lambda tmp, run, data: [
+        "sweep", "--config", _config(tmp), "--param", "gamma", "--grid", "1,abc"], 2),
     "sweep_param_zeroed_by_variant": (lambda tmp, run, data: [
         "sweep", "--config", _config(tmp, weights={"alpha": 0, "beta": 0, "gamma": 0},
                                      train={**SMALL_TRAIN["train"], "variant": "Lp"}),
@@ -608,8 +626,8 @@ FAILURES = {
         "evaluate", "--checkpoint", str(tmp / "absent.bin"), "--data", str(data)], 3),
     "attribute_missing_checkpoint": (lambda tmp, run, data: [
         "attribute", "--checkpoint", str(tmp / "absent.bin"), "--data", str(data)], 3),
-    "zero_optimizer_steps": (lambda tmp, run, data: [
-        "train", "--config", _config(tmp), "--data", _all_treated_train_split(tmp, data)], 4),
+    "zero_optimizer_steps": (_all_treated("train"), 4),
+    "single_class_validation": (_all_treated("val"), 4),
     # a dataset reference that every replication would fail on fails the command
     "replicate_no_dataset": (_grid_command("replicate", None), 2),
     "ablate_no_dataset": (_grid_command("ablate", None), 2),
@@ -749,8 +767,14 @@ FAILURES = {
     # a twins spec's rows are known once its CSV is read, and v is checked before it is drawn
     "twins_huge_mv": (_twins_spec("generate", mv=10 ** 14), 2),
     "train_twins_huge_mv": (_twins_spec("train", mv=10 ** 14), 2),
-    # replicate's check of the reference reads no CSV, so every replication fails
-    "replicate_twins_huge_mv": (_twins_spec("replicate", mv=10 ** 14), 4),
+    # replicate's check of the reference transforms a twins CSV once, before any replication
+    "replicate_twins_huge_mv": (_twins_spec("replicate", mv=10 ** 14), 2),
+    "twins_missing_column": (_twins_spec(
+        "generate", m_columns=[*dg.FIXTURE_M_COLUMNS, "nosuchcol"]), 2),
+    "replicate_twins_missing_column": (_twins_spec(
+        "replicate", m_columns=[*dg.FIXTURE_M_COLUMNS, "nosuchcol"]), 2),
+    "train_twins_no_row_survives": (_twins_over_the_weight_cap("train"), 2),
+    "sweep_twins_no_row_survives": (_twins_over_the_weight_cap("sweep"), 2),
     "twins_weight_m_column": (_twins_spec("generate", m_columns=["gestat", "dbirwt_0"],
                                           hide_count=1), 2),
     "twins_sex_m_column": (_twins_spec("train", m_columns=["sex_1", "gestat"],
@@ -781,6 +805,8 @@ FAILURES = {
                             2),
     "roles_csv_repeated_x0": (_train_on(_edit_lines("roles.csv", lambda ls: [*ls, ls[1]])), 2),
     "binary_t_half": (_train_on(_set_cell("t", 4, "0.5")), 2),
+    "binary_y_two": (_train_on(_set_cell("y", 0, "2")), 2),
+    "binary_y_half": (_train_on(_set_cell("y", 4, "0.5")), 2),
     "covariate_nan": (_train_on(_set_cell("x1", 4, "nan")), 2),
     "data_csv_no_rows": (_train_on(_header_only), 2),
     "data_csv_cut": (_train_on(_edit_lines("data.csv", lambda ls: ls[:-40])), 2),
@@ -906,7 +932,11 @@ FAILURE_FIELDS = {
     "twins_negative_mv": "mv must be at least 0, got -2",
     "twins_huge_mv": "mv = 100000000000000 is too large",
     "train_twins_huge_mv": "mv = 100000000000000 is too large",
-    "replicate_twins_huge_mv": "the first failed with: mv = 100000000000000 is too large",
+    "replicate_twins_huge_mv": "mv = 100000000000000 is too large",
+    "twins_missing_column": "designated column 'nosuchcol' missing from",
+    "replicate_twins_missing_column": "designated column 'nosuchcol' missing from",
+    "train_twins_no_row_survives": "no rows survive the filter criteria",
+    "sweep_twins_no_row_survives": "no rows survive the filter criteria",
     "twins_weight_m_column": "m_columns names 'dbirwt_0', a birth weight",
     "twins_sex_m_column": "m_columns names 'sex_1', a sex column",
     "data_csv_cut": "data.csv: 160 rows, but spec.json records n 200",
@@ -956,6 +986,8 @@ FAILURE_FIELDS = {
                    "got -1.0",
     "sweep_negative_value": "gamma must be a finite nonnegative number, got -1.0",
     "sweep_nan_value": "gamma must be a finite nonnegative number, got nan",
+    "sweep_grid_not_a_number": "--grid: could not convert string to float: 'abc'",
+    "single_class_validation": "no validation chunk of 120 rows could be scored",
     "sweep_param_zeroed_by_variant": "variant 'Lp'",
     "spec_json_not_json": "spec.json: invalid JSON",
     "spec_json_list": "spec.json: the top level must be a JSON object, got list",
@@ -968,6 +1000,8 @@ FAILURE_FIELDS = {
     "roles_csv_extra_x99": "roles.csv: line 7 lists 'x99'",
     "roles_csv_repeated_x0": "roles.csv: line 7 lists 'x0'",
     "binary_t_half": "data.csv: binary t must be 0 or 1, got 0.5 at row index 4",
+    "binary_y_two": "data.csv: binary y must be 0 or 1, got 2.0 at row index 0",
+    "binary_y_half": "data.csv: binary y must be 0 or 1, got 0.5 at row index 4",
     "covariate_nan": "data.csv: column 'x1' is not finite at line 6",
     "data_csv_no_rows": "data.csv: a header and no rows",
     "data_csv_column_foo": "data.csv: column 'foo' is out of place",
@@ -1081,6 +1115,26 @@ def test_diverged_step_names_epoch_batch_and_term(tmp_path):
                         manifest["error"])
 
 
+@pytest.mark.parametrize("variant, layer", [("Total", "enc_z.l0"), ("Lp", "enc_c.l0")])
+def test_overflowing_dense_layer_is_named(tmp_path, variant, layer):
+    # the first 32 training rows hold every sign pattern of +-1.7e308 over the
+    # five covariates, so the first product of the first encoder the variant
+    # builds overflows (Lp builds no enc_z)
+    data = tmp_path / "binary"
+    spec = write_json(tmp_path / "spec.json", {**SMALL_TRAIN["dataset"], "seed": 4})
+    assert cli.main(["generate", "--spec", spec, "--out", str(data), "--triple"]) == 0
+    ds = dg.read_dataset(data / "train")
+    ds.x[:32] = np.array(list(itertools.product([-1.0, 1.0], repeat=5))) * 1.7e308
+    dg.write_dataset(ds, data / "train")
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["train", "--config", _config(tmp_path), "--data", str(data),
+                         "--variant", variant, "--out", str(out)])
+    assert code == 4
+    assert json.loads((out / "manifest.json").read_text())["error"] == (
+        f"non-finite value at node '{layer}' in epoch 0, batch 0")
+
+
 @pytest.mark.parametrize("command, table", [
     (["replicate", "--reps", "2"], "report.csv"),
     (["ablate", "--variants", "Lp,Total", "--reps", "1"], "ablation.csv"),
@@ -1182,7 +1236,8 @@ def test_ablate_checks_variants_before_training(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["sweep_negative_value", "sweep_nan_value",
-                                  "sweep_param_zeroed_by_variant", "sweep_omega_cont_binary"])
+                                  "sweep_grid_not_a_number", "sweep_param_zeroed_by_variant",
+                                  "sweep_omega_cont_binary"])
 def test_sweep_checks_grid_before_training(case, tmp_path, monkeypatch):
     trained = []
     monkeypatch.setattr(cli, "_replicated", lambda configs, *a: trained.extend(configs))
@@ -1194,7 +1249,9 @@ def test_sweep_checks_grid_before_training(case, tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", ["replicate_no_dataset", "ablate_no_dataset",
                                   "sweep_no_dataset", "replicate_unknown_kind",
                                   "ablate_dir_extra_field", "sweep_negative_dimension",
-                                  "replicate_dir_path_null", "replicate_huge_n"])
+                                  "replicate_dir_path_null", "replicate_huge_n",
+                                  "replicate_twins_huge_mv", "replicate_twins_missing_column",
+                                  "sweep_twins_no_row_survives"])
 def test_dataset_reference_checked_before_any_replication(case, tmp_path, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "_one_replication", ran.append)
@@ -1212,10 +1269,12 @@ def test_overflowing_spec_warns_nothing(case, tmp_path):
 
 
 def test_readme_fault_table_cites_existing_tests():
-    """Each test the README's input-fault table cites in its last column exists:
-    ``F[case]`` a FAILURES case, ``W::name`` a test of test_field_checks, any
-    other name one of this module."""
+    """Each test the README's fault table cites in its last column exists:
+    ``F[case]`` a FAILURES case, ``W::name`` a test of test_field_checks,
+    ``T::name`` one of test_training, any other name one of this module."""
     import test_field_checks  # it imports this module
+    import test_training
+    owners = {"W::": test_field_checks, "T::": test_training}
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     cited = [ref for line in readme.splitlines() if line.startswith("| ")
              for ref in re.findall(r"`([^`]+)`", line.rsplit("|", 2)[1])]
@@ -1224,8 +1283,8 @@ def test_readme_fault_table_cites_existing_tests():
         if ref.startswith("F["):
             assert ref[2:-1] in FAILURES, ref
             continue
-        owner = test_field_checks if ref.startswith("W::") else sys.modules[__name__]
-        for name in ref.removeprefix("W::").split("::"):
+        owner = owners.get(ref[:3], sys.modules[__name__])
+        for name in (ref[3:] if ref[:3] in owners else ref).split("::"):
             owner = getattr(owner, name)
 
 

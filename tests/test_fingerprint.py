@@ -6,7 +6,10 @@ The bits depend on Python, numpy and the BLAS build, which the file's ``#``
 header names; under another environment the test skips and names both.  A
 change that moves a line on purpose rewrites the file in the same commit:
 
-    PYTHONPATH=src python3 tests/test_fingerprint.py > tests/FINGERPRINT.txt
+    python3 tests/test_fingerprint.py > tests/FINGERPRINT.txt
+
+Run as a script, it needs no ``PYTHONPATH``: `scripts/fingerprint.py` imports
+the `sd2` of its own checkout.
 """
 
 import contextlib

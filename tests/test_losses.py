@@ -510,6 +510,19 @@ class TestFusedFamilyTerms:
         fused, composed = run(F.GAUSSIAN.head), run(R.composed_gaussian_head)
         assert all(np.array_equal(a, b) for a, b in zip(fused, composed))
 
+    def test_gaussian_head_gradcheck(self):
+        # the mean node and the clipped log-std node against central
+        # differences; log stds below, inside and above the clip range, off its edges
+        log_std = np.array([-7.0, -4.9, -1.2, 0.0, 0.4, 2.9, 4.5])
+        out = np.stack([rng.normals(214, 0, len(log_std)), log_std], axis=1)
+        cotangent = rng.normal_matrix(215, len(log_std), 1)
+
+        def loss(tape, params):
+            g = F.GAUSSIAN.head(tape.parameter(params["out"], "out"))
+            return R.sum_all(R.add(R.mul(g.mean, tape.constant(cotangent)),
+                                   R.square(g.log_std)))
+        assert finite_diff_check(loss, {"out": out}) < 1e-6
+
     # logits so that q stays on its side of each clamp edge under probing
     LOGITS_Q = np.array([-20.0, -2.0, -0.5, 0.0, 0.7, 1.9, 20.0, 3.0])
     LOGITS_P = np.array([0.3, 25.0, -1.5, 2.2, -30.0, 0.1, -0.8, 1.0])

@@ -33,11 +33,12 @@ def test_naive_ate_is_the_difference_in_means():
 
 
 def test_ols_per_arm_recovers_linear_arms():
-    # treated y = 1 + 2x and control y = 3x - 1, so the effect at x is 2 - x
-    x = np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0])
-    t = np.array([1, 1, 1, 0, 0, 0])
-    train = _binary(x, t, np.where(t == 1, 1 + 2 * x, 3 * x - 1))
-    assert R.ols_per_arm_ate(train, _binary([0, 1], [1, 0], [0, 0])) == pytest.approx(1.5)
+    # binary outcomes at two x values per arm, so each arm's line passes through
+    # its two means: treated 1 - x/4 and control x/2, so the effect at x is 1 - 3x/4
+    x = np.array([0.0, 0.0, 2.0, 2.0, 0.0, 0.0, 2.0, 2.0])
+    t = np.array([1, 1, 1, 1, 0, 0, 0, 0])
+    train = _binary(x, t, [1, 1, 0, 1, 0, 0, 1, 1])
+    assert R.ols_per_arm_ate(train, _binary([0, 1], [1, 0], [0, 0])) == pytest.approx(0.625)
 
 
 def test_cf_mse_is_the_mean_squared_miss():

@@ -14,8 +14,10 @@ from sd2 import autodiff as ad
 from sd2 import cli
 from sd2 import datagen as dg
 from sd2 import evaluation as ev
+from sd2 import model as M
 from sd2 import rng
 from sd2 import training as tr
+from sd2.family import FAMILIES
 from sd2.losses import LossWeights
 from sd2.model import ArchConfig, init_model, predict_outcome
 
@@ -109,14 +111,32 @@ class TestDivergence:
             0, 1, "retain_y.l0.W")
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("name, op", [("enc_a.l1.W", "matmul"), ("head_y.l0.b", "add_bias")])
-    def test_parameter_edited_outside_training_is_named_by_its_layer(self, name, op):
-        model = init_model(ArchConfig(input_dim=3, rep_dim=2, enc_hidden=4, head_hidden=3), 2)
-        model.params[name].flat[1] = np.nan
+    @pytest.mark.parametrize("suffix", [".W", ".b"])
+    @pytest.mark.parametrize("mode, layer", [
+        (mode, layer) for mode in FAMILIES
+        for layers in M._layers(ArchConfig(input_dim=3, mode=mode)).values()
+        for layer, *_ in layers])
+    def test_parameter_edited_outside_training_is_named_by_its_layer(self, mode, layer, suffix):
+        # every pass that reads the layer names it, recorded or tape-free;
+        # encode and predict_outcome read only some networks, and pass otherwise
+        cfg = ArchConfig(input_dim=3, rep_dim=2, enc_hidden=4, head_hidden=3, mode=mode)
+        model = init_model(cfg, 2)
+        model.params[layer + suffix].flat[-1] = np.nan
         x = np.random.default_rng(0).standard_normal((10, 3))
-        with pytest.raises(ad.NonFiniteError) as failure:
-            predict_outcome(model, x, 1.0)
-        assert failure.value.op == op
+        t = np.arange(10.0) % 2
+        forward = M.forward_binary if mode == "binary" else M.forward_continuous
+        network = layer.partition(".")[0]
+        for run, reads in ((lambda: forward(model, x, t, ad.Tape()), True),
+                           (lambda: forward(model, x, t), True),
+                           (lambda: M.encode(model, x), network in M.ENCODERS),
+                           (lambda: predict_outcome(model, x, 1.0),
+                            network in M.networks(("q_y",)))):
+            if not reads:
+                run()
+                continue
+            with pytest.raises(ad.NonFiniteError) as failure:
+                run()
+            assert failure.value.op == layer
 
 
 class TestDegenerateBatches:
