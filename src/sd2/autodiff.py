@@ -108,8 +108,6 @@ class Tape:
         if output.value.size != 1:
             raise ValueError(f"output node {output.name!r} is not scalar "
                              f"(shape {output.value.shape})")
-        for node in self.nodes:
-            node.grad = None
         output.grad = np.ones_like(output.value)
         for node in reversed(self.nodes):
             g = node.grad

@@ -438,8 +438,7 @@ def twins_transform(spec: TwinsSpec) -> GeneratedDataset:
     p1 = np.where(heavier_is_1, m1, m0)   # outcome of the heavier twin
     p0 = np.where(heavier_is_1, m0, m1)   # outcome of the lighter twin
 
-    special = {*TWINS_WEIGHT_COLUMNS, *TWINS_OUTCOME_COLUMNS, *TWINS_SEX_COLUMNS}
-    feature_cols = [c for c in data if c not in special]
+    feature_cols = [c for c in data if c not in _TWINS_RESERVED]
     rest_cols = [c for c in feature_cols if c not in spec.m_columns]
 
     # treatment policy: standardized M columns plus generated instruments
@@ -616,11 +615,14 @@ FIXTURE_FEATURES = ["gestat", "dmage", "dmeduc", "mpcb", "cigar", "drink",
                     "wtgain", "nprevist", "anemia", "cardiac", "lung",
                     "diabetes", "herpes", "hydra", "incervix", "pre4000"]
 FIXTURE_M_COLUMNS = tuple(FIXTURE_FEATURES[:10])
+FIXTURE_ROWS = 220
+FIXTURE_SEED = 2024
 
 
-def write_twins_fixture(path: str | Path, n: int = 220, seed: int = 2024) -> Path:
+def write_twins_fixture(path: str | Path) -> Path:
     """Synthetic twin-records CSV shaped like the real export: per-twin
     weights and one-year mortality flags plus shared pregnancy features."""
+    n, seed = FIXTURE_ROWS, FIXTURE_SEED
     feats = rng.normal_matrix(rng.mix_key(seed, "fx/features"), n, len(FIXTURE_FEATURES))
     # discretize the flag-like columns
     for j in range(8, len(FIXTURE_FEATURES)):

@@ -27,11 +27,15 @@ def eps_ate(model: SD2Model, dataset: dg.GeneratedDataset) -> float:
     return float(abs(truth - predicted.mean()))
 
 
-def default_grid(t: np.ndarray, points: int = 10, central: float = 0.90) -> np.ndarray:
-    """Equispaced do-values over the central `central` mass of observed t."""
-    tail = (1.0 - central) / 2.0
+GRID_POINTS = 10
+GRID_CENTRAL_MASS = 0.90
+
+
+def default_grid(t: np.ndarray) -> np.ndarray:
+    """GRID_POINTS equispaced do-values over the central GRID_CENTRAL_MASS of t."""
+    tail = (1.0 - GRID_CENTRAL_MASS) / 2.0
     lo, hi = np.quantile(t, [tail, 1.0 - tail])
-    return np.linspace(lo, hi, points)
+    return np.linspace(lo, hi, GRID_POINTS)
 
 
 def counterfactual_mse(model: SD2Model, dataset: dg.GeneratedDataset,

@@ -159,8 +159,7 @@ class _Objective:
     - ``contribs`` holds each term's (parent, vjp) pairs in creation order;
       the node lists them in reverse, the order in which the composition's
       backward pass reached its parents;
-    - ``terms`` holds each term's op name and mean (or value), so that a
-      non-finite total names the first term that is not finite.
+    - each term's mean (or value) is checked as it is added, naming its op.
 
     It holds what the terms read besides the forward outputs: one batch's
     (n, 1) treatments and outcomes, the factual outcome term's sample weights
@@ -174,7 +173,6 @@ class _Objective:
         self.tape: ad.Tape = next(iter(params.values())).tape
         self.t, self.y, self.n = t, y, len(t)
         self.sample_weights, self.params = sample_weights, params
-        self.terms: list[tuple[str, float]] = []
         self.contribs: list[tuple] = []
         self.group_grads: list = []
         self.heads: dict = {}
@@ -193,9 +191,10 @@ class _Objective:
         return len(self.group_grads) - 1
 
     def _add(self, op: str, value, pairs, group: int):
+        if not math.isfinite(value):
+            raise ad.NonFiniteError(op)
         if self.tape.record:  # else the VJPs, and the arrays they hold, go at once
             self.contribs.append(tuple((parent, _in_group(group, vjp)) for parent, vjp in pairs))
-        self.terms.append((op, value))
 
     def _prepared(self, head):
         prepared = self.heads.get(head)
@@ -242,11 +241,10 @@ class _Objective:
         return total
 
     def node(self, total) -> ad.Tensor:
-        """The objective's node, after one finiteness check of its value; a
-        failure names the first term that is not finite."""
+        """The objective's node, after one finiteness check of its value: a
+        sum of finite terms that overflows is named ``objective``."""
         if not math.isfinite(total):
-            raise ad.NonFiniteError(next((op for op, value in self.terms
-                                          if not math.isfinite(value)), "objective"))
+            raise ad.NonFiniteError("objective")
         parents, vjps = [], []
         for pairs in reversed(self.contribs):
             for parent, vjp in pairs:

@@ -20,10 +20,12 @@ A forward pass on a tape that does not record runs in row blocks of at most
 order, so that a block's layer output (1,024 x 64 floats, 512 KB) stays in
 cache for the bias add and the activation.  A tail shorter than
 ``_MIN_BLOCK_ROWS`` joins the block before it: a one-row product takes the
-BLAS matrix-vector path, whose sums can differ in the last bit.  Every
-operation is row-wise, so the values equal one pass over all rows bit for
-bit.  The validation pass keeps its 4,096-row loss chunks, because the MMD,
-the KLs and the means are batch statistics.
+BLAS matrix-vector path, whose sums can differ in the last bit.  Blocks start
+at multiples of ``BLOCK_ROWS`` so that every row sits where one pass puts it:
+in ``head_y``'s one- or two-column last layer, a row's last bits depend on its
+place in the product (passes of 31, 63 or 819 rows differ from a 2,048-row
+pass in 1-2 rows, and so did equal-length blocks).  Validation keeps its loss
+chunks, as the MMD, the KLs and the means are batch statistics.
 """
 
 from __future__ import annotations

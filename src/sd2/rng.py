@@ -67,17 +67,16 @@ def normals(key: int, start: int, count: int) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def normal_matrix(key: int, rows: int, cols: int, row_start: int = 0) -> np.ndarray:
-    """rows x cols standard normals; row i uses counters [(row_start+i)*cols, ...)."""
+def normal_matrix(key: int, rows: int, cols: int) -> np.ndarray:
+    """rows x cols standard normals; row i uses counters [i*cols, (i+1)*cols)."""
     if cols == 0:
         return np.zeros((rows, 0))
-    flat = normals(key, row_start * cols, rows * cols)
-    return flat.reshape(rows, cols)
+    return normals(key, 0, rows * cols).reshape(rows, cols)
 
 
-def bernoulli(key: int, probs: np.ndarray, start: int = 0) -> np.ndarray:
-    """One Bernoulli draw per probability, at counters start..start+n-1."""
-    u = uniforms(key, start, len(probs))
+def bernoulli(key: int, probs: np.ndarray) -> np.ndarray:
+    """One Bernoulli draw per probability, at counters 0..n-1."""
+    u = uniforms(key, 0, len(probs))
     return (u < probs).astype(np.float64)
 
 

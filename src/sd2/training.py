@@ -33,13 +33,8 @@ VARIANTS = tuple(_ZEROED_WEIGHTS)
 
 
 class TrainingError(Exception):
-    """Training cannot go on; a diverged step carries its epoch, batch and the
-    op or loss term that went non-finite."""
-
-    def __init__(self, message: str, epoch: int | None = None,
-                 batch: int | None = None, term: str | None = None):
-        super().__init__(message)
-        self.epoch, self.batch, self.term = epoch, batch, term
+    """Training cannot go on; a diverged step's message names its epoch,
+    batch and the op or loss term that went non-finite."""
 
 
 @dataclass(frozen=True)
@@ -149,6 +144,10 @@ def _batch_breakdown(config: TrainConfig, model: SD2Model, x, t, y,
     return total_loss_continuous(outputs, t, y, config.weights, covered), np.ones(len(t))
 
 
+# validation rows per loss chunk: the MMD, the KLs and the means are batch statistics
+EVAL_CHUNK_ROWS = 4096
+
+
 def _one_class(t: np.ndarray) -> bool:
     return t.min() == t.max()
 
@@ -164,22 +163,21 @@ def _eval_chunks(mode: str, t: np.ndarray, chunk: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _eval_breakdown(config: TrainConfig, model: SD2Model, ds: dg.GeneratedDataset,
-                    chunk: int = 4096) -> tuple[LossBreakdown, float]:
-    """Full-split loss breakdown (chunked) and the selection criterion; the
-    forward passes build no tape.
+def _eval_breakdown(config: TrainConfig, model: SD2Model,
+                    ds: dg.GeneratedDataset) -> tuple[LossBreakdown, float]:
+    """Full-split loss breakdown, in chunks of `EVAL_CHUNK_ROWS` rows, and the
+    selection criterion; the forward passes build no tape.
 
     The criterion is fit-only: the importance-weighted outcome loss normalized
     by the mean weight (so its scale is comparable across epochs as the
     weights evolve), plus alpha times the factual treatment loss.
     """
     x_all = ds.covariates()
-    n = ds.n
     scored = _BreakdownMean()
     crit_num = 0.0
     crit_wsum = 0.0
     crit_t = 0.0
-    for sl in _eval_chunks(config.mode, ds.t, chunk):
+    for sl in _eval_chunks(config.mode, ds.t, EVAL_CHUNK_ROWS):
         m = sl.stop - sl.start
         try:
             bd, w = _batch_breakdown(config, model, x_all[sl], ds.t[sl], ds.y[sl],
@@ -195,7 +193,7 @@ def _eval_breakdown(config: TrainConfig, model: SD2Model, ds: dg.GeneratedDatase
             crit_t += float(nll_t.sum())
         scored.add(bd, m)
     if not scored.rows:
-        raise TrainingError(f"no validation chunk of {n} rows could be scored, "
+        raise TrainingError(f"no validation chunk of {ds.n} rows could be scored, "
                             "so no epoch can be selected")
     criterion = (crit_num / max(crit_wsum, 1e-12)
                  + config.weights.alpha * crit_t / scored.rows)
@@ -246,8 +244,7 @@ def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
                 _, grads = tape.gradients(bd.node)
                 ad.adam_step(model.params, grads, state)
             except ad.NonFiniteError as exc:
-                raise TrainingError(f"{exc} in epoch {epoch}, batch {batch_index}",
-                                    epoch=epoch, batch=batch_index, term=exc.op) from exc
+                raise TrainingError(f"{exc} in epoch {epoch}, batch {batch_index}") from exc
             steps += 1
             trained.add(bd, len(idx))
             pos += config.batch_size
@@ -257,8 +254,7 @@ def train(config: TrainConfig, train_ds: dg.GeneratedDataset,
         try:
             val_bd, criterion = _eval_breakdown(config, model, val_ds)
         except ad.NonFiniteError as exc:
-            raise TrainingError(f"{exc} in epoch {epoch}, validation",
-                                epoch=epoch, term=exc.op) from exc
+            raise TrainingError(f"{exc} in epoch {epoch}, validation") from exc
         history.append(epoch, "val", val_bd)
         history.criterion.append(criterion)
         history.epoch_seconds.append(time.perf_counter() - started)

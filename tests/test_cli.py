@@ -109,6 +109,15 @@ class TestGenerate:
             assert sorted(artifacts) == sorted(str(path) for path in run.rglob("*")
                                                if path.is_file() and path.name != "manifest.json")
 
+    def test_no_out_without_out_root_exits_2(self, tmp_path, monkeypatch, capsys,
+                                            syn_spec_file):
+        # with nowhere to put it, no run directory, and so no manifest, is made
+        monkeypatch.delenv(cli.OUT_ROOT_ENV, raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["generate", "--spec", syn_spec_file]) == 2
+        assert capsys.readouterr().err == "error: no --out given and SD2_OUT_ROOT is not set\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["spec.json"]
+
     def test_idempotent(self, tmp_path, syn_spec_file):
         out = tmp_path / "data"
         cli.main(["generate", "--spec", syn_spec_file, "--out", str(out)])
@@ -527,6 +536,16 @@ def _edited_checkpoint(edit):
     return make_argv
 
 
+def _checkpoint_manifest_line(line: bytes):
+    """`sd2 evaluate` of the trained checkpoint with its manifest line replaced
+    by the bytes `line`."""
+    def make_argv(tmp, run, data):
+        payload = (run / "checkpoint.bin").read_bytes().split(b"\n", 1)[1]
+        (tmp / "edited.bin").write_bytes(line + b"\n" + payload)
+        return ["evaluate", "--checkpoint", str(tmp / "edited.bin"), "--data", str(data)]
+    return make_argv
+
+
 def _checkpoint_config(**changes):
     """`sd2 evaluate` of the trained checkpoint with fields of its manifest's
     config changed."""
@@ -663,6 +682,10 @@ FAILURES = {
     "demand_no_covariates": (lambda tmp, run, data: [
         "generate", "--spec", write_json(tmp / "spec.json",
                                          {"kind": "demand", "mz": 0, "mc": 0, "ma": 0})], 2),
+    "binary_no_outcome_factor": (_generate({**SMALL_TRAIN["dataset"], "mz": 3, "mc": 0,
+                                            "ma": 0, "mu": 0}), 2),
+    "generate_twins_triple": (lambda tmp, run, data: [
+        *_twins_spec("generate")(tmp, run, data), "--triple"], 2),
     "demand_nan_alpha": (lambda tmp, run, data: [
         "generate", "--spec", write_json(tmp / "spec.json",
                                          {"kind": "demand", "alpha": float("nan")})], 2),
@@ -808,6 +831,9 @@ FAILURES = {
     "binary_y_two": (_train_on(_set_cell("y", 0, "2")), 2),
     "binary_y_half": (_train_on(_set_cell("y", 4, "0.5")), 2),
     "covariate_nan": (_train_on(_set_cell("x1", 4, "nan")), 2),
+    "covariate_not_a_number": (_train_on(_set_cell("x1", 4, "abc")), 2),
+    "roles_csv_header": (_train_on(_edit_lines(
+        "roles.csv", lambda ls: ["name,role\r\n", *ls[1:]])), 2),
     "data_csv_no_rows": (_train_on(_header_only), 2),
     "data_csv_cut": (_train_on(_edit_lines("data.csv", lambda ls: ls[:-40])), 2),
     "data_csv_column_foo": (_train_on(_edit_lines(
@@ -853,6 +879,8 @@ FAILURES = {
         lambda manifest: manifest.update(version=1.0)), 2),
     "checkpoint_params_differ": (_edited_checkpoint(
         lambda manifest: manifest["params"][1].update(shape=[2, 2])), 2),
+    "checkpoint_manifest_not_json": (_checkpoint_manifest_line(b"{not json"), 2),
+    "checkpoint_manifest_not_utf8": (_checkpoint_manifest_line(b'{"format": "\xff"}'), 2),
 }
 
 # cases whose error must name the field at fault
@@ -907,6 +935,8 @@ FAILURE_FIELDS = {
                               "got list",
     "sweep_negative_dimension": "mz must be at least 0, got -1",
     "demand_no_covariates": "mz + mc + ma must be at least 1",
+    "binary_no_outcome_factor": "ma + mc + mu must be at least 1 (outcome scaling)",
+    "generate_twins_triple": "--triple applies to synthetic and demand specs only",
     "demand_nan_alpha": "alpha must be a finite nonnegative number, got nan",
     "demand_inf_beta": "beta must be a finite nonnegative number, got inf",
     "data_no_covariates": "data.csv: a dataset needs at least one covariate column",
@@ -1003,6 +1033,9 @@ FAILURE_FIELDS = {
     "binary_y_two": "data.csv: binary y must be 0 or 1, got 2.0 at row index 0",
     "binary_y_half": "data.csv: binary y must be 0 or 1, got 0.5 at row index 4",
     "covariate_nan": "data.csv: column 'x1' is not finite at line 6",
+    "covariate_not_a_number": "data.csv: column 'x1' is not numeric: could not convert "
+                              "string to float: 'abc'",
+    "roles_csv_header": "roles.csv: header ['name', 'role'] is not ['column', 'role']",
     "data_csv_no_rows": "data.csv: a header and no rows",
     "data_csv_column_foo": "data.csv: column 'foo' is out of place",
     "data_csv_repeated_column": "data.csv: column 'x0' appears more than once",
@@ -1023,6 +1056,9 @@ FAILURE_FIELDS = {
     "attribute_mode_mismatch": "continuous data of 5 x and v columns, a binary checkpoint "
                                "of input_dim 5",
     "checkpoint_unknown_field": "checkpoint manifest field 'sha256' is unknown",
+    "checkpoint_manifest_not_json": "unreadable checkpoint manifest: Expecting property name",
+    "checkpoint_manifest_not_utf8": "unreadable checkpoint manifest: 'utf-8' codec can't "
+                                    "decode byte 0xff",
     "checkpoint_float_version": "checkpoint manifest field 'version' is not int",
     "checkpoint_params_differ": "checkpoint manifest field 'params': entry 1 lists "
                                 "[{'name': 'enc_z.l0.b', 'shape': [2, 2]}], the config declares "

@@ -372,6 +372,11 @@ class TestTwins:
         assert ds.mode == "binary"
         assert ds.has_ground_truth
 
+    def test_shipped_fixture_is_what_write_twins_fixture_writes(self, tmp_path):
+        # scripts/make_twins_fixture.py writes the shipped file with this call
+        written = dg.write_twins_fixture(tmp_path / "twins_fixture.csv")
+        assert written.read_bytes() == dg.fixture_path().read_bytes()
+
     def test_hidden_columns_removed(self):
         spec = dg.fixture_spec()
         ds = dg.twins_transform(spec)

@@ -2,11 +2,16 @@
 class is reached by name from outside its own definition: from a module of the
 package, the CLI entry point, scripts/, perfbench/ or a name the README quotes
 as code.  A method counts as reached when any of them reads an attribute of
-its name; dunder names, which Python reads itself, are exempt.  Code that
-nothing reads is deleted; oracles that only tests call live in tests/."""
+its name; dunder names, which Python reads itself, are exempt.  Every option
+(a parameter with a default) of a module-level function is passed by some
+call in the package, scripts/ or perfbench/, and every attribute the package
+stores, and every field its classes declare, is read there.  Code that
+nothing reads is deleted, and an option that no caller sets is a constant;
+oracles that only tests call live in tests/."""
 
 import ast
 import re
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,16 +42,16 @@ def _package_module(name: str | None, level: int) -> str | None:
     return None
 
 
-def _reads(tree: ast.Module, module: str, skip=None) -> set[tuple[str, str]]:
-    """(module, name) pairs the code of ``tree`` reads, outside ``skip``: its
-    own names, names imported from package modules, and attributes of
-    package modules imported under an alias."""
-    imported, aliases = {}, {}
+def _imports(tree: ast.Module) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
+    """What ``tree`` imports from the package: local name -> module for the
+    modules it imports (``from . import a as m``, ``from sd2 import a``), and
+    local name -> (module, name) for the names it imports from them."""
+    aliases, imported = {}, {}
     for n in ast.walk(tree):
         if isinstance(n, ast.ImportFrom):
             source = _package_module(n.module, n.level)
             for a in n.names:
-                if n.level == 1 and n.module is None:
+                if (n.level, n.module) in ((1, None), (0, "sd2")):
                     aliases[a.asname or a.name] = a.name
                 elif source is not None:
                     imported[a.asname or a.name] = (source, a.name)
@@ -54,6 +59,14 @@ def _reads(tree: ast.Module, module: str, skip=None) -> set[tuple[str, str]]:
             for a in n.names:
                 if a.name.startswith("sd2.") and a.asname:
                     aliases[a.asname] = a.name.split(".", 1)[1]
+    return aliases, imported
+
+
+def _reads(tree: ast.Module, module: str, skip=None) -> set[tuple[str, str]]:
+    """(module, name) pairs the code of ``tree`` reads, outside ``skip``: its
+    own names, names imported from package modules, and attributes of
+    package modules imported under an alias."""
+    aliases, imported = _imports(tree)
     found = set()
     for stmt in tree.body:
         if stmt is skip:
@@ -117,12 +130,103 @@ def unreached(modules: dict[str, str], outside: set[str]) -> list[str]:
     return sorted(found)
 
 
+def _options(fn: ast.FunctionDef) -> list[str]:
+    """The parameters of ``fn`` that have a default."""
+    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    return positional[len(positional) - len(fn.args.defaults):] + [
+        a.arg for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default]
+
+
+def _passed(call: ast.Call | None, fn: ast.FunctionDef) -> set[str]:
+    """The parameters of ``fn`` that ``call`` passes, all of them when
+    ``call`` is None (the function used as a value) or spreads a mapping."""
+    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    every = {*positional, *(a.arg for a in fn.args.kwonlyargs)}
+    if call is None or any(kw.arg is None for kw in call.keywords):
+        return every
+    passed = {kw.arg for kw in call.keywords}
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):  # it may fill every later one
+            return passed | set(positional[i:])
+        passed |= set(positional[i:i + 1])
+    return passed
+
+
+def unpassed(modules: dict[str, str], outside: list[str]) -> list[str]:
+    """``module.function.option`` for each option of a module-level function
+    of ``modules`` (name -> source) that no call in ``modules`` or in the
+    sources ``outside`` passes, by keyword or by position.  A call reaches the
+    function by its bare name in its own module, by a from-import or as an
+    attribute of an imported module; the function used as a value passes
+    every parameter."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    functions = {name: {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+                 for name, tree in trees.items()}
+    passed = defaultdict(set)
+    for module, tree in [*trees.items(), *((None, ast.parse(s)) for s in outside)]:
+        aliases, imported = _imports(tree)
+        calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                target = imported.get(n.id, (module, n.id))
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
+                    and n.value.id in aliases:
+                target = (aliases[n.value.id], n.attr)
+            else:
+                continue
+            fn = functions.get(target[0], {}).get(target[1])
+            if fn is not None:
+                passed[target] |= _passed(calls.get(id(n)), fn)
+    return sorted(f"{module}.{name}.{option}" for module, fns in functions.items()
+                  for name, fn in fns.items() for option in _options(fn)
+                  if option not in passed[(module, name)])
+
+
+def unread(modules: dict[str, str], outside: list[str]) -> list[str]:
+    """``module.Class.name`` for each field a class of ``modules`` declares
+    and each attribute its methods store, and ``module.name`` for each
+    attribute the module's other code stores, that no code of ``modules`` or
+    ``outside`` reads as an attribute or as an identifier string (a name
+    looked up with getattr); dunder names are exempt."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = set()
+    for tree in [*trees.values(), *map(ast.parse, outside)]:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                    and n.value.isidentifier():
+                read.add(n.value)
+    found = set()
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            stored = {n.attr for n in ast.walk(stmt)
+                      if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)}
+            owner = name
+            if isinstance(stmt, ast.ClassDef):
+                owner = f"{name}.{stmt.name}"
+                stored |= {s.target.id for s in stmt.body
+                           if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)}
+            found |= {f"{owner}.{a}" for a in stored - read if not a.startswith("__")}
+    return sorted(found)
+
+
+def package_modules() -> dict[str, str]:
+    return {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+
+
+def outside_sources() -> list[str]:
+    """The sources of scripts/ and perfbench/."""
+    return [path.read_text()
+            for path in [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]]
+
+
 def outside_callers() -> set[str]:
     """Names read by scripts/ and perfbench/, the console entry points and
     the names the README quotes as code."""
     names = set()
-    for path in [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
-        names |= _names(ast.parse(path.read_text()), strings=True)
+    for source in outside_sources():
+        names |= _names(ast.parse(source), strings=True)
     names |= set(re.findall(r'= "sd2\.\w+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
     for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text()):
         names |= set(re.findall(r"[A-Za-z_]\w*", span))
@@ -157,5 +261,52 @@ def test_detector_flags_unreached_functions():
 
 
 def test_every_package_function_is_reached():
-    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert unreached(modules, outside_callers()) == []
+    assert unreached(package_modules(), outside_callers()) == []
+
+
+def test_detector_flags_unpassed_options():
+    modules = {
+        "a": "def f(x, kw=1, pos=2, unset=3, *, only=4, never=5):\n    pass\n\n"
+             "def starred(x, s=1, t=2):\n    pass\n\n"
+             "def spread(x, k=1):\n    pass\n\n"
+             "def as_value(x, v=1):\n    pass\n\n"
+             "def outside(x, o=1, p=2):\n    pass\n\n"
+             "TABLE = {'v': as_value}\n",
+        "b": "from . import a as m\nfrom .a import f as g\n\n"
+             "def run(obj, args, kwargs):\n"
+             "    m.f(0, kw=1)\n    g(0, 1, 2, only=4)\n"
+             "    m.starred(0, *args)\n    m.spread(0, **kwargs)\n"
+             "    obj.f(0, unset=3)  # not the package's f\n"
+             "    f(0, unset=3)  # b's own f, which has no option\n\n"
+             "def f(x):\n    pass\n",
+    }
+    outside = ["from sd2 import a\nfrom sd2.a import outside as o\n\n"
+               "a.outside(0, 1)\no(0, p=2)\n"]
+    assert unpassed(modules, outside) == ["a.f.never", "a.f.unset"]
+    assert unpassed(modules, []) == ["a.f.never", "a.f.unset", "a.outside.o", "a.outside.p"]
+
+
+def test_every_option_is_passed():
+    assert unpassed(package_modules(), outside_sources()) == []
+
+
+def test_detector_flags_unread_attributes():
+    modules = {
+        "a": "class K:\n    field: int\n    unread_field: int = 0\n    quoted_field: int = 0\n"
+             "    NOT_A_FIELD = 1\n\n"
+             "    def __init__(self):\n"
+             "        self.kept, self.dropped = 1, 2\n        self.counter = 0\n"
+             "        self.__hidden__ = 3\n\n"
+             "    def bump(self):\n        self.counter += 1  # a store, not a read\n"
+             "        return self.kept\n\n"
+             "def stamp(k):\n    k.stamped = k.stored_elsewhere = 1\n"
+             "    return k.field, getattr(k, 'quoted_field')\n",
+    }
+    outside = ["def read(k):\n    return k.stored_elsewhere\n"]
+    assert unread(modules, outside) == ["a.K.counter", "a.K.dropped", "a.K.unread_field",
+                                        "a.stamped"]
+    assert "a.stored_elsewhere" in unread(modules, [])
+
+
+def test_every_attribute_is_read():
+    assert unread(package_modules(), outside_sources()) == []
