@@ -57,11 +57,10 @@ class AutodiffError(Exception):
 
 
 class NonFiniteError(AutodiffError):
-    """A kernel operation, named by ``op``, produced a NaN or Inf."""
+    """A kernel operation produced a NaN or Inf; the message names its node."""
 
-    def __init__(self, op: str):
-        super().__init__(f"non-finite value at node {op!r}")
-        self.op = op
+    def __init__(self, node: str):
+        super().__init__(f"non-finite value at node {node!r}")
 
 
 class Tape:
@@ -81,13 +80,13 @@ class Tape:
         initialiser, `checkpoint_load`) keeps it finite."""
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        node = Tensor(self, value, name=name, checked=True)
+        node = Tensor(self, value, (), (), name, checked=True)
         if self.record:
             self.params[name] = node
         return node
 
     def constant(self, value) -> "Tensor":
-        node = Tensor(self, value, name="const")
+        node = Tensor(self, value, (), (), "const")
         node.constant = True
         return node
 
@@ -144,8 +143,8 @@ class Tensor:
 
     __slots__ = ("tape", "value", "parents", "vjps", "pre_vjp", "grad", "name", "constant")
 
-    def __init__(self, tape: Tape, value, parents=(), vjps=(), name: str = "op",
-                 pre_vjp=None, checked: bool = False):
+    def __init__(self, tape: Tape, value, parents, vjps, name: str, pre_vjp=None,
+                 checked: bool = False):
         self.tape = tape
         self.value = np.asarray(value, dtype=np.float64)
         if not checked:  # else the caller checked the value

@@ -32,7 +32,7 @@ from . import evaluation as ev
 from . import rng
 from . import training as tr
 from .autodiff import NonFiniteError
-from .losses import TERMS, LossBreakdown, LossWeights
+from .losses import TERMS, LossWeights
 from .model import ArchConfig, SD2Model, checkpoint_load, checkpoint_save
 from .training import TrainConfig, TrainingError
 
@@ -146,25 +146,25 @@ def _write_manifest(command: str, run: Run, error: str | None):
     if error is not None:
         manifest["error"] = error
     with open(run.out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2)
 
 
-def _write_json(run: Run, name: str, record, sort_keys: bool = False):
-    """The run's artifact `name` holding ``record`` as JSON."""
+def _write_json(run: Run, name: str, record):
+    """The run's artifact `name` holding ``record`` as JSON, keys in the
+    record's order."""
     with open(run.out / name, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=sort_keys)
+        json.dump(record, fh, indent=2)
     run.artifacts.append(str(run.out / name))
 
 
-def _write_report(run: Run, name: str, table: list[dict], record=None, keys=None):
-    """The run's artifact `name`.csv: the table under `keys`, by default
-    every key of any row (error rows lack metrics), a row without a key
-    getting an empty cell; and `name`.json holding ``record`` when given."""
+def _write_report(run: Run, name: str, table: list[dict], record=None):
+    """The run's artifact `name`.csv, one line per row of the table, every
+    row with the first row's keys in its order; and `name`.json holding
+    ``record`` when given."""
     run.out.mkdir(parents=True, exist_ok=True)
-    keys = keys or list(dict.fromkeys(k for r in table for k in r))
-    if keys:
-        dg.write_csv(run.out / f"{name}.csv", keys, ([r.get(k, "") for k in keys] for r in table))
-        run.artifacts.append(str(run.out / f"{name}.csv"))
+    keys = list(table[0])
+    dg.write_csv(run.out / f"{name}.csv", keys, ([r[k] for k in keys] for r in table))
+    run.artifacts.append(str(run.out / f"{name}.csv"))
     if record is not None:
         _write_json(run, f"{name}.json", record)
 
@@ -207,8 +207,8 @@ def cmd_train(args, run: Run) -> tuple[str, float]:
     run.out.mkdir(parents=True, exist_ok=True)
     checkpoint_save(model, run.out / "checkpoint.bin")
     run.artifacts.append(str(run.out / "checkpoint.bin"))
-    _write_report(run, "history", history.rows, keys=["epoch", *LossBreakdown.FIELDS, "split"])
-    _write_json(run, "config.json", run.config, sort_keys=True)
+    _write_report(run, "history", history.rows)
+    _write_json(run, "config.json", run.config)
     return "selected_epoch", history.selected_epoch
 
 
@@ -262,87 +262,72 @@ def _one_replication(payload) -> dict:
     return row
 
 
-def _replicated(configs: list[TrainConfig], args, base_seed: int) -> list[tuple[list[dict], dict]]:
+def _replicated(run: Run, name: str, labelled: list[tuple[dict, TrainConfig]], args,
+                base_seed: int) -> list[dict]:
     """--reps replications of every config, through one pool when --jobs > 1,
-    and each config's rows with their summary per split."""
+    and one summary per config: its label, then the metric, the counts and
+    each split's mean, std and formatted text (None when no replication of
+    it scored).  Writes the summaries as `name`.csv and, each with its
+    replication `rows`, as `name`.json, and returns the latter; then raises
+    `NothingScored` if no replication of any config scored."""
     for flag in ("reps", "jobs"):
         if getattr(args, flag) < 1:
             raise dg.SchemaError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     # a reference every replication would fail on fails the command; a twins
     # reference is transformed once, for the faults only its CSV shows
-    for spec in dict.fromkeys(dg.spec_from_ref(config.dataset) for config in configs):
+    for spec in dict.fromkeys(dg.spec_from_ref(config.dataset) for _, config in labelled):
         if isinstance(spec, dg.TwinsSpec):
             dg.twins_transform(spec)
-    payloads = [(config, i, base_seed) for config in configs for i in range(args.reps)]
+    payloads = [(config, i, base_seed) for _, config in labelled for i in range(args.reps)]
     if args.jobs > 1:
         # one BLAS thread per worker unless the user set a count; the workers are
         # spawned because a forked one keeps the parent's BLAS threads
-        added = [name for name in BLAS_THREAD_VARS if name not in os.environ]
+        added = [var for var in BLAS_THREAD_VARS if var not in os.environ]
         os.environ.update(dict.fromkeys(added, "1"))
         try:
             with ProcessPoolExecutor(args.jobs, mp_context=mp.get_context("spawn")) as pool:
                 rows = list(pool.map(_one_replication, payloads))
         finally:  # the parent's environment ends up as it was
-            for name in added:
-                del os.environ[name]
+            for var in added:
+                del os.environ[var]
     else:
         rows = list(map(_one_replication, payloads))
-    results = []
-    for k, config in enumerate(configs):
+    table, summaries = [], []
+    for k, (label, config) in enumerate(labelled):
         group = rows[k * args.reps:(k + 1) * args.reps]
         ok = [r for r in group if "error" not in r]
-        summary: dict = {"metric": ev.METRICS[config.mode].name, "replications": len(group),
-                         "failed": len(group) - len(ok)}
+        summary = {**label, "metric": ev.METRICS[config.mode].name, "replications": len(group),
+                   "failed": len(group) - len(ok)}
         for split in ("within", "out"):
-            values = [r[split] for r in ok]
-            if values:
-                mean, std, text = ev.aggregate(values)
-                summary[split] = {"mean": mean, "std": std, "formatted": text}
-        results.append((group, summary))
-    return results
-
-
-def _check_scored(results: list[tuple[list[dict], dict]]) -> None:
-    """Raise `NothingScored`, naming the first error, when every replication
-    of every config failed; the caller has written its report by then."""
-    rows = [row for group, _ in results for row in group]
+            stats = ev.aggregate([r[split] for r in ok]) if ok else (None, None, None)
+            summary.update(zip((f"{split}_mean", f"{split}_std", f"{split}_formatted"), stats))
+        table.append(summary)
+        summaries.append({**summary, "rows": group})
+    _write_report(run, name, table, summaries)
     if all("error" in row for row in rows):
         raise NothingScored(f"none of {len(rows)} replications produced a metric; the "
                             f"first failed with: {rows[0]['error']}")
-
-
-def _split_columns(summary: dict, stats: tuple[str, ...]) -> dict:
-    return {f"{split}_{stat}": summary[split][stat]
-            for split in ("within", "out") if split in summary for stat in stats}
+    return summaries
 
 
 def cmd_replicate(args, run: Run) -> tuple[str, float]:
     config, base_seed = _train_config(args, run)
-    [(rows, summary)] = _replicated([config], args, base_seed)
-    table = rows + [{"replication": "aggregate", "seed": base_seed,
-                     split: summary[split]["formatted"]}
-                    for split in ("within", "out") if split in summary]
-    _write_report(run, "report", table, {"rows": rows, "summary": summary})
-    _check_scored([(rows, summary)])
-    return summary["metric"] + "_mean", summary["out"]["mean"]
+    [summary] = _replicated(run, "report", [({"variant": config.variant}, config)], args,
+                            base_seed)
+    return summary["metric"] + "_mean", summary["out_mean"]
 
 
 def cmd_ablate(args, run: Run) -> tuple[str, float]:
     base, base_seed = _train_config(args, run)
     variants = list(tr.VARIANTS) if args.variants is None else args.variants.split(",")
-    configs = [tr.apply_ablation(base, v) for v in variants]  # an unknown name raises
+    # an unknown name raises
+    labelled = [({"variant": v}, tr.apply_ablation(base, v)) for v in variants]
     repeated = [v for i, v in enumerate(variants) if v in variants[:i]]
     if repeated:
         raise dg.SchemaError(f"--variants: variant {repeated[0]!r} is named more than once")
-    results = _replicated(configs, args, base_seed)
-    table = [{"variant": v, "failed": summary["failed"],
-              **_split_columns(summary, ("mean", "std", "formatted"))}
-             for v, (_, summary) in zip(variants, results)]
-    summaries = {v: {**summary, "rows": rows} for v, (rows, summary) in zip(variants, results)}
-    _write_report(run, "ablation", table, summaries)
-    _check_scored(results)
-    total = summaries.get("Total", {}).get("out")
-    return "total_out_mean", total["mean"] if total else float("nan")
+    summaries = _replicated(run, "ablation", labelled, args, base_seed)
+    total = {s["variant"]: s["out_mean"] for s in summaries}.get("Total")
+    return "total_out_mean", float("nan") if total is None else total
 
 
 def cmd_attribute(args, run: Run) -> tuple[str, float]:
@@ -362,18 +347,14 @@ def cmd_sweep(args, run: Run) -> tuple[str, float]:
         raise dg.SchemaError(f"--param {args.param}: no term of the {base.mode} objective is "
                              f"scaled by it")
     try:  # every grid value is checked before any is trained
-        grid = [float(v) for v in args.grid.split(",")]
-        configs = [replace(base, weights=replace(base.weights, **{args.param: value}))
-                   for value in grid]
+        labelled = [({"param": args.param, "value": value},
+                     replace(base, weights=replace(base.weights, **{args.param: value})))
+                    for value in map(float, args.grid.split(","))]
     except ValueError as exc:
         raise dg.SchemaError(f"--grid: {exc}") from exc
-    results = _replicated(configs, args, base_seed)
-    rows = [{"param": args.param, "value": value, "failed": summary["failed"],
-             **_split_columns(summary, ("mean", "std"))}
-            for value, (_, summary) in zip(grid, results)]
-    _write_report(run, "sweep", rows)
-    _check_scored(results)
-    best = min((r for r in rows if "out_mean" in r), key=lambda r: r["out_mean"])
+    summaries = _replicated(run, "sweep", labelled, args, base_seed)
+    # picked on the test split: a report of the grid, not a selection
+    best = min((s for s in summaries if s["out_mean"] is not None), key=lambda s: s["out_mean"])
     return "best_value", best["value"]
 
 

@@ -312,8 +312,8 @@ def _stitch(parts: list):
         return np.concatenate(parts)
     if isinstance(first, ad.Tensor):
         # every block's values were checked as they were made
-        return ad.Tensor(first.tape, np.concatenate([p.value for p in parts]),
-                         name=first.name, checked=True)
+        return ad.Tensor(first.tape, np.concatenate([p.value for p in parts]), (), (),
+                         first.name, checked=True)
     return type(first)(*(_stitch(list(field)) for field in zip(*parts)))
 
 
@@ -437,7 +437,7 @@ def predict_outcome(model: SD2Model, x: np.ndarray, t_value: float) -> np.ndarra
         h = memo.fixed[sl] + shift
         ad.check_finite(h, name)
         ad.activate(h, activation)
-        h = ad.Tensor(tape, h, name=name, checked=True)
+        h = ad.Tensor(tape, h, (), (), name, checked=True)
         out[sl] = _dense(p, last_layers, h).value[:, 0]
     model._outcome_memo = memo
     return out

@@ -50,20 +50,21 @@ def _hash_u64(key: int, counters: np.ndarray) -> np.ndarray:
     return x
 
 
+def _unit(key: int, counters: np.ndarray) -> np.ndarray:
+    """The uniform in (0, 1] at each counter: its hash's top 53 bits, plus one, times 2**-53."""
+    return ((_hash_u64(key, counters) >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
+
+
 def uniforms(key: int, start: int, count: int) -> np.ndarray:
     """count uniforms in (0, 1] at counters start..start+count-1."""
-    ctr = np.arange(start, start + count, dtype=np.uint64)
-    bits = _hash_u64(key, ctr) >> np.uint64(11)
-    return (bits.astype(np.float64) + 1.0) * (2.0 ** -53)
+    return _unit(key, np.arange(start, start + count, dtype=np.uint64))
 
 
 def normals(key: int, start: int, count: int) -> np.ndarray:
     """count standard normals; normal i consumes uniforms at counters 2(start+i), 2(start+i)+1."""
     ctr = np.arange(start, start + count, dtype=np.uint64) * np.uint64(2)
-    u1 = (_hash_u64(key, ctr) >> np.uint64(11)).astype(np.float64)
-    u2 = (_hash_u64(key, ctr + np.uint64(1)) >> np.uint64(11)).astype(np.float64)
-    u1 = (u1 + 1.0) * (2.0 ** -53)
-    u2 = (u2 + 1.0) * (2.0 ** -53)
+    u1 = _unit(key, ctr)
+    u2 = _unit(key, ctr + np.uint64(1))
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 

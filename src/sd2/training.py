@@ -51,7 +51,9 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class TrainConfig:
     """A training run: batch_size at least 2, max_epochs and patience at least
-    1, mode and variant in their sets (`check_fields`), patience at most max_epochs."""
+    1, mode and variant in their sets (`check_fields`), patience at most
+    max_epochs, and a dataset reference without a seed, since the run seed
+    draws the data (`resolve_data`)."""
     mode: str = "binary"
     arch: ArchConfig = field(default_factory=lambda: ArchConfig(input_dim=1))
     weights: LossWeights = field(default_factory=LossWeights)
@@ -68,6 +70,9 @@ class TrainConfig:
                         one_of={"mode": FAMILIES, "variant": VARIANTS})
         if self.patience > self.max_epochs:
             raise ValueError("patience must not exceed max_epochs")
+        if isinstance(self.dataset, dict) and "seed" in self.dataset:
+            raise dg.SchemaError("config field 'dataset' may not set seed: the run seed draws "
+                                 "the data, so set train.seed or --seed", "dataset")
         zeroed = _ZEROED_WEIGHTS[self.variant]
         if any(getattr(self.weights, name) != 0.0 for name in zeroed):
             raise ValueError(f"variant {self.variant!r} does not match the weights it "
@@ -83,9 +88,9 @@ class TrainHistory:
     selected_epoch: int = -1
 
     def append(self, epoch: int, split: str, bd: LossBreakdown):
-        row = {"epoch": epoch, "split": split}
-        row.update({f: getattr(bd, f) for f in LossBreakdown.FIELDS})
-        self.rows.append(row)
+        """One row in history.csv's column order: epoch, the loss fields, split."""
+        self.rows.append({"epoch": epoch, **{f: getattr(bd, f) for f in LossBreakdown.FIELDS},
+                          "split": split})
 
 
 class _BreakdownMean:

@@ -146,7 +146,7 @@ class TestConstantLeaves:
             return rule
 
         node = ad.Tensor(tape, w.value + c.value + d.value, (c, w, d),
-                         (vjp("const"), vjp("param"), vjp("detach")))
+                         (vjp("const"), vjp("param"), vjp("detach")), "sum3")
         _, grads = tape.gradients(R.sum_all(node))
         assert called == ["param"] and grads["w"][0] == 1.0
         assert c.grad is None and d.grad is None
@@ -216,7 +216,6 @@ class TestNonRecordingTape:
             with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError) as failure:
                 ad.dense(x, w, b, activation)
             assert str(failure.value) == "non-finite value at node 'enc_a.l1'"
-            assert failure.value.op == "enc_a.l1"
 
     @pytest.mark.parametrize("record", [True, False])
     def test_non_finite_row_in_a_later_row_block(self, record):
@@ -229,7 +228,7 @@ class TestNonRecordingTape:
         tape = ad.Tape() if record else None
         with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError) as failure:
             M.forward_continuous(m, x, np.zeros(3000), tape)
-        assert failure.value.op == "enc_z.l0"
+        assert str(failure.value) == "non-finite value at node 'enc_z.l0'"
 
 
 class TestFiniteCheck:
@@ -354,7 +353,7 @@ class TestAdam:
         with np.errstate(invalid="ignore"), pytest.raises(ad.NonFiniteError,
                                                           match="'b'") as failure:
             ad.adam_step(p, grads, st)
-        assert failure.value.op == "b"
+        assert str(failure.value) == "non-finite value at node 'b'"
         assert np.isfinite(p["a"]).all() and np.isfinite(p["c"]).all()
 
     def test_several_non_finite_parameters_name_the_first(self):
@@ -364,7 +363,7 @@ class TestAdam:
                  "c": np.array([np.nan, 0.0, 0.0])}
         with pytest.raises(ad.NonFiniteError) as failure:
             ad.adam_step(p, grads, st)
-        assert failure.value.op == "b"
+        assert str(failure.value) == "non-finite value at node 'b'"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameter_rejected_at_construction(self, bad):

@@ -290,9 +290,9 @@ class TestReplicateAblateSweep:
         rc = cli.main(["replicate", "--config", config, "--out", str(out),
                        "--reps", "2"])
         assert rc == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["summary"]["replications"] == 2
-        assert "within" in report["summary"] and "out" in report["summary"]
+        [summary] = json.loads((out / "report.json").read_text())
+        assert summary["replications"] == 2
+        assert summary["within_mean"] is not None and summary["out_mean"] is not None
         assert capsys.readouterr().out.strip().splitlines()[-1].startswith(
             "METRIC eps_ate_mean=")
 
@@ -319,6 +319,20 @@ class TestReplicateAblateSweep:
         assert len(written[0]) >= 1
         assert written[0] == written[1]
 
+    def test_replicate_reports_as_ablate_of_its_variant(self, tmp_path):
+        # one summary layout: replicate's report is ablate's table of that one variant
+        config = write_json(tmp_path / "cfg.json", SMALL_TRAIN)  # its variant is Total
+        for command, variants in (("replicate", []), ("ablate", ["--variants", "Total"])):
+            assert cli.main([command, "--config", config, *variants, "--reps", "2",
+                             "--out", str(tmp_path / command)]) == 0
+        for suffix in (".csv", ".json"):
+            assert ((tmp_path / "replicate" / f"report{suffix}").read_bytes()
+                    == (tmp_path / "ablate" / f"ablation{suffix}").read_bytes())
+        with open(tmp_path / "replicate" / "report.csv") as fh:
+            assert next(csv.reader(fh)) == [
+                "variant", "metric", "replications", "failed", "within_mean", "within_std",
+                "within_formatted", "out_mean", "out_std", "out_formatted"]
+
     def test_ablate_table(self, tmp_path):
         config = write_json(tmp_path / "cfg.json", SMALL_TRAIN)
         out = tmp_path / "abl"
@@ -331,11 +345,12 @@ class TestReplicateAblateSweep:
         assert [r["failed"] for r in rows] == ["0", "0"]
         # each variant keeps its replications' rows next to its summary
         report = json.loads((out / "ablation.json").read_text())
-        for variant in ("Lp", "Total"):
-            summary_rows = report[variant]["rows"]
+        assert [summary["variant"] for summary in report] == ["Lp", "Total"]
+        for summary in report:
+            summary_rows = summary["rows"]
             assert [r["replication"] for r in summary_rows] == [0, 1]
             mean, _, _ = ev.aggregate([r["out"] for r in summary_rows])
-            assert report[variant]["out"]["mean"] == mean
+            assert summary["out_mean"] == mean
 
     @pytest.mark.parametrize("command, table", [
         (["ablate", "--variants", "Lp,Total"], "ablation.csv"),
@@ -389,10 +404,10 @@ class TestReplicateAblateSweep:
         out = tmp_path / "rep"
         assert cli.main(["replicate", "--config", config, "--out", str(out),
                          "--reps", "2", "--seed", "1"]) == 0
-        with open(out / "report.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows[0]["error"] == "first replication fails" and rows[0]["out"] == ""
-        assert rows[1]["error"] == "" and float(rows[1]["out"]) >= 0
+        [summary] = json.loads((out / "report.json").read_text())
+        rows = summary["rows"]
+        assert rows[0]["error"] == "first replication fails" and "out" not in rows[0]
+        assert "error" not in rows[1] and rows[1]["out"] >= 0
 
 
 def _config(tmp_path, **changes):
@@ -498,12 +513,12 @@ def _evaluate_demand(edit):
     """`sd2 evaluate` of a freshly trained demand checkpoint on an edited demand
     directory."""
     def make_argv(tmp, run, data):
-        ref = {"kind": "demand", "n": 200, "seed": 3}
+        ref = {"kind": "demand", "n": 200}  # the run seed draws the training data
         ckpt_run = tmp / "demand-run"
         assert cli.main(["train", "--config", _config(tmp, mode="continuous", dataset=ref),
                          "--out", str(ckpt_run)]) == 0
         return ["evaluate", "--checkpoint", str(ckpt_run / "checkpoint.bin"),
-                "--data", _dataset_dir(tmp, edit, ref)]
+                "--data", _dataset_dir(tmp, edit, {**ref, "seed": 3})]
     return make_argv
 
 
@@ -673,6 +688,10 @@ FAILURES = {
     "train_huge_n": (_bad_reference(n=10 ** 14), 2),
     "replicate_huge_n": (_grid_command("replicate", {**SMALL_TRAIN["dataset"], "n": 10 ** 14}),
                          2),
+    # the run seed draws a config's data, so a reference's own seed would be ignored
+    "train_dataset_seed": (_bad_reference(seed=5), 2),
+    "replicate_dataset_seed": (_grid_command("replicate", {**SMALL_TRAIN["dataset"], "seed": 5}),
+                               2),
     # a demand coefficient so large that the outcome overflows is named
     "demand_huge_alpha": (_generate({"kind": "demand", "alpha": 1e308, "n": 100}), 2),
     "demand_huge_beta": (_generate({"kind": "demand", "beta": 1e308, "n": 100}), 2),
@@ -921,6 +940,10 @@ FAILURE_FIELDS = {
     "binary_huge_n": "dataset 'synthetic_binary': n = 100000000000000 is too large",
     "train_huge_n": "dataset 'synthetic_binary': n = 100000000000000 is too large",
     "replicate_huge_n": "dataset 'synthetic_binary': n = 100000000000000 is too large",
+    "train_dataset_seed": "config field 'dataset' may not set seed: the run seed draws the "
+                          "data, so set train.seed or --seed",
+    "replicate_dataset_seed": "config field 'dataset' may not set seed: the run seed draws the "
+                              "data, so set train.seed or --seed",
     "demand_huge_alpha": "alpha = 1e+308 is too large: the outcome y overflows",
     "demand_huge_beta": "beta = 1e+308 is too large: the outcome y overflows",
     "section_not_an_object": "config section 'arch' must be a JSON object, got int",
@@ -1171,11 +1194,11 @@ def test_overflowing_dense_layer_is_named(tmp_path, variant, layer):
         f"non-finite value at node '{layer}' in epoch 0, batch 0")
 
 
-@pytest.mark.parametrize("command, table", [
-    (["replicate", "--reps", "2"], "report.csv"),
-    (["ablate", "--variants", "Lp,Total", "--reps", "1"], "ablation.csv"),
+@pytest.mark.parametrize("command, name, failed", [
+    (["replicate", "--reps", "2"], "report", ["2"]),
+    (["ablate", "--variants", "Lp,Total", "--reps", "1"], "ablation", ["1", "1"]),
 ], ids=["replicate", "ablate"])
-def test_no_replication_scored_fails_after_the_report(tmp_path, capsys, command, table):
+def test_no_replication_scored_fails_after_the_report(tmp_path, capsys, command, name, failed):
     data = _demand_triple_with_outlier(tmp_path, "train", 7)  # every run diverges
     config = _config(tmp_path, mode="continuous", dataset={"kind": "dir", "path": str(data)})
     out = tmp_path / "run"
@@ -1184,14 +1207,17 @@ def test_no_replication_scored_fails_after_the_report(tmp_path, capsys, command,
         code = cli.main([command[0], "--config", config, *command[1:], "--out", str(out)])
     assert code == 4
     assert "METRIC" not in capsys.readouterr().out
-    with open(out / table) as fh:
-        rows = list(csv.DictReader(fh))
-    # replicate's two error rows, or ablate's two variants with one failed replication each
-    assert len(rows) == 2 and all(r.get("error") or r.get("failed") == "1" for r in rows)
-    assert not any(r.get(k) for r in rows for k in ("within", "out", "within_mean", "out_mean"))
+    with open(out / f"{name}.csv") as fh:
+        table = list(csv.DictReader(fh))
+    # replicate's one config with two failed replications, or ablate's two with one each
+    assert [r["failed"] for r in table] == failed
+    assert not any(r[k] for r in table for k in ("within_mean", "out_mean"))
+    rows = [row for summary in json.loads((out / f"{name}.json").read_text())
+            for row in summary["rows"]]
+    assert len(rows) == 2 and all(r["error"] and "out" not in r for r in rows)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
-    assert str(out / table) in manifest["artifacts"]
+    assert {str(out / f"{name}.csv"), str(out / f"{name}.json")} <= set(manifest["artifacts"])
     assert re.fullmatch(r"none of 2 replications produced a metric; the first failed with: "
                         r"non-finite value at node 'gaussian_nll' in epoch 0, batch \d",
                         manifest["error"])
@@ -1264,7 +1290,8 @@ def test_treatment_channel_config_rejected(tmp_path, capsys):
 
 def test_ablate_checks_variants_before_training(tmp_path, monkeypatch):
     trained = []
-    monkeypatch.setattr(cli, "_replicated", lambda configs, *a: trained.extend(configs))
+    monkeypatch.setattr(cli, "_replicated",
+                        lambda run, name, labelled, *a: trained.extend(labelled))
     for variants in ("Total,Lq", "Lp,Total,Lp"):  # an unknown name, a repeated one
         assert cli.main(["ablate", "--config", _config(tmp_path), "--reps", "1",
                          "--variants", variants, "--out", str(tmp_path / "abl")]) == 2
@@ -1276,7 +1303,8 @@ def test_ablate_checks_variants_before_training(tmp_path, monkeypatch):
                                   "sweep_omega_cont_binary"])
 def test_sweep_checks_grid_before_training(case, tmp_path, monkeypatch):
     trained = []
-    monkeypatch.setattr(cli, "_replicated", lambda configs, *a: trained.extend(configs))
+    monkeypatch.setattr(cli, "_replicated",
+                        lambda run, name, labelled, *a: trained.extend(labelled))
     make_argv, code = FAILURES[case]
     assert cli.main([*make_argv(tmp_path, None, None), "--out", str(tmp_path / "s")]) == code
     assert trained == []
@@ -1286,6 +1314,7 @@ def test_sweep_checks_grid_before_training(case, tmp_path, monkeypatch):
                                   "sweep_no_dataset", "replicate_unknown_kind",
                                   "ablate_dir_extra_field", "sweep_negative_dimension",
                                   "replicate_dir_path_null", "replicate_huge_n",
+                                  "replicate_dataset_seed",
                                   "replicate_twins_huge_mv", "replicate_twins_missing_column",
                                   "sweep_twins_no_row_survives"])
 def test_dataset_reference_checked_before_any_replication(case, tmp_path, monkeypatch):
@@ -1378,7 +1407,8 @@ def test_workers_get_one_blas_thread_unless_set(tmp_path, monkeypatch, user_valu
     assert cli.main(["replicate", "--config", _config(tmp_path), "--reps", "2",
                      "--jobs", "2", "--out", str(out)]) == 4
     assert dict(os.environ) == before
-    rows = json.loads((out / "report.json").read_text())["rows"]
+    [summary] = json.loads((out / "report.json").read_text())
+    rows = summary["rows"]
     expected = {"OPENBLAS_NUM_THREADS": user_value or "1", "OMP_NUM_THREADS": "1",
                 "MKL_NUM_THREADS": "1", "spawned": True}
     assert [json.loads(r["error"]) for r in rows] == [expected, expected]

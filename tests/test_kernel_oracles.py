@@ -107,7 +107,7 @@ def test_importance_weights_edge_values():
 
 def mmd_both(r, t, g):
     tape = ad.Tape(record=False)
-    rep = ad.Tensor(tape, r, checked=True)
+    rep = ad.Tensor(tape, r, (), (), "rep", checked=True)
     with np.errstate(all="ignore"):
         value, ((node, vjp),) = L.adjustment_disc(rep, t)
         assert node is rep

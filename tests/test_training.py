@@ -166,7 +166,7 @@ class TestDivergence:
                 continue
             with pytest.raises(ad.NonFiniteError) as failure:
                 run()
-            assert failure.value.op == layer
+            assert str(failure.value) == f"non-finite value at node {layer!r}"
 
 
 class TestDegenerateBatches:
@@ -472,9 +472,11 @@ class TestResolveData:
 class TestReplicate:
     """Replications run through the CLI's one path, whatever --jobs is."""
 
-    def test_single_replication_matches_direct_train(self):
+    def test_single_replication_matches_direct_train(self, tmp_path):
         cfg = tiny_config(max_epochs=2, patience=2)
-        [([row], _)] = cli._replicated([cfg], SimpleNamespace(reps=1, jobs=1), base_seed=99)
+        [summary] = cli._replicated(cli.Run(tmp_path), "report", [({}, cfg)],
+                                    SimpleNamespace(reps=1, jobs=1), base_seed=99)
+        [row] = summary["rows"]
         assert "error" not in row
         seed0 = rng.mix_key_int(99, 0)
         assert row["seed"] == seed0
@@ -496,10 +498,10 @@ class TestReplicate:
         assert row["within"] == pytest.approx(row["out"], abs=1e-12)
         assert row["selected_epoch"] >= 0
 
-    def test_same_base_seed_identical_results(self):
+    def test_same_base_seed_identical_results(self, tmp_path):
         cfg, args = tiny_config(max_epochs=2, patience=2), SimpleNamespace(reps=2, jobs=1)
-        [(a, _)] = cli._replicated([cfg], args, base_seed=7)
-        [(b, _)] = cli._replicated([cfg], args, base_seed=7)
+        [a, b] = [cli._replicated(cli.Run(tmp_path / run), "report", [({}, cfg)], args,
+                                  base_seed=7)[0]["rows"] for run in ("a", "b")]
         assert [r["seed"] for r in a] == [rng.mix_key_int(7, i) for i in range(2)]
         assert a == b
 
@@ -518,7 +520,8 @@ class TestReplicate:
         # none of them scored, so the command fails after writing the rows
         assert cli.main(["replicate", "--config", str(config), "--out", str(out),
                          "--reps", "3", "--seed", "1"]) == 4
-        rows = json.loads((out / "report.json").read_text())["rows"]
+        [summary] = json.loads((out / "report.json").read_text())
+        rows = summary["rows"]
         assert len(rows) == 3
         assert all(error in r["error"] for r in rows)
 
